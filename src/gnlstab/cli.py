@@ -269,11 +269,7 @@ def cmd_solve(args) -> int:
 
 def _full_spectra(wave: WaveProfile, zero_tolerance):
     basis = ParityBasis(FULL, wave.phi.grid)
-    out = []
-    for which in ("L1", "L2"):
-        op = build_hill(wave, which, basis)
-        out.append(spectrum(op, zero_tolerance=zero_tolerance))
-    return out
+    return [spectrum(build_hill(wave, w, basis), zero_tolerance) for w in ("L1", "L2")]
 
 
 def cmd_spectrum(args) -> int:
@@ -323,16 +319,18 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _scan_range(args, wave: WaveProfile, sector: str):
+def _scan_range(args, wave: WaveProfile, sector: str, hypotheses=None):
+    """kappa grid from the flags; the default end reuses ``hypotheses`` if given."""
     kappa_min = args.kappa_min if args.kappa_min is not None else 0.0
     steps = args.kappa_steps if args.kappa_steps is not None else 60
     if args.kappa_max is not None:
         kappa_max = args.kappa_max
     else:
         # default upper end: just past the uniform-positivity threshold K
-        with _stage("instability_scanner"):
-            hyp = verify_hypotheses(wave, sector=sector)
-        kappa_max = 1.1 * hyp.h1["K"] if hyp.h1["K"] > 0 else 1.0
+        if hypotheses is None:
+            with _stage("instability_scanner"):
+                hypotheses = verify_hypotheses(wave, sector=sector)
+        kappa_max = 1.1 * hypotheses.h1["K"] if hypotheses.h1["K"] > 0 else 1.0
     return float(kappa_min), float(kappa_max), int(steps)
 
 
@@ -369,6 +367,16 @@ def _dns_summary_payload(gm) -> dict:
     }
 
 
+def _evolution_config(args) -> EvolutionConfig:
+    return EvolutionConfig(
+        time_step=args.time_step,
+        final_time=args.final_time,
+        scheme=args.scheme or "explicit_rk4",
+        seed=args.dns_seed or "leading_eigenvector",
+        rng_seed=args.rng_seed if args.rng_seed is not None else 0,
+    )
+
+
 def cmd_dns(args) -> int:
     config = _solver_config(args)
     out = _out_dir(args)
@@ -382,15 +390,8 @@ def cmd_dns(args) -> int:
             result = scan_kappa(wave, kappa_min, kappa_max, steps, sector=sector)
         kappa = result.most_unstable.kappa
         print(f"[instability_scanner] most unstable kappa on default grid: {kappa:.6g}")
-    evo = EvolutionConfig(
-        time_step=args.time_step,
-        final_time=args.final_time,
-        scheme=args.scheme or "explicit_rk4",
-        seed=args.dns_seed or "leading_eigenvector",
-        rng_seed=args.rng_seed if args.rng_seed is not None else 0,
-    )
     with _stage("dns_validator"):
-        gm = evolve_and_fit(wave, float(kappa), evo, sector=sector)
+        gm = evolve_and_fit(wave, float(kappa), _evolution_config(args), sector=sector)
     if "json" in formats:
         _write(out, "growth.json", serialize.dumps(gm))
         _write(out, "dns_summary.json", serialize.envelope("pipeline_report", _dns_summary_payload(gm)))
@@ -443,7 +444,7 @@ def cmd_pipeline(args) -> int:
         hypotheses = verify_hypotheses(wave, sector=sector, zero_tolerance=args.zero_tolerance)
     print(f"[instability_scanner] hypotheses {'passed' if hypotheses.overall else 'FAILED'}")
 
-    kappa_min, kappa_max, steps = _scan_range(args, wave, sector)
+    kappa_min, kappa_max, steps = _scan_range(args, wave, sector, hypotheses)
     with _stage("instability_scanner"):
         result = scan_kappa(wave, kappa_min, kappa_max, steps, sector=sector)
     peak = result.most_unstable
@@ -461,15 +462,8 @@ def cmd_pipeline(args) -> int:
 
     dns_payload = None
     if result.verdict == "transversally unstable":
-        evo = EvolutionConfig(
-            time_step=args.time_step,
-            final_time=args.final_time,
-            scheme=args.scheme or "explicit_rk4",
-            seed=args.dns_seed or "leading_eigenvector",
-            rng_seed=args.rng_seed if args.rng_seed is not None else 0,
-        )
         with _stage("dns_validator"):
-            gm = evolve_and_fit(wave, peak.kappa, evo, sector=sector)
+            gm = evolve_and_fit(wave, peak.kappa, _evolution_config(args), sector=sector)
         dns_payload = _dns_summary_payload(gm)
         dns_payload["passed"] = dns_payload["relative_gap"] <= DNS_GAP_TOL
         print(

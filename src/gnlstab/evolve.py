@@ -245,8 +245,7 @@ def evolve_and_fit(
 
     times = [0.0]
     if config.scheme == "explicit_rk4":
-        block, _ = evolution_block(wave, kappa, sector)
-        phi = rk4_step_matrix(block, dt)
+        phi = rk4_step_matrix(eigs.block, dt)
         y = y0.copy()
         norms = [float(np.linalg.norm(y))]
         for n in range(1, steps + 1):

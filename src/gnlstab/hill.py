@@ -33,12 +33,13 @@ from .spectral import (
     ParityBasis,
     RealField,
     first_derivative,
+    hill_matrix,
     l2_norm,
 )
 from .waves import WaveProfile
 
-#: operator label -> multiplier of the |phi|^a potential well
-_POTENTIAL_STRENGTH = {"L1": None, "L2": 1.0}
+#: labels of the two scalar Hill operators
+_LABELS = ("L1", "L2")
 
 SYMMETRY_RTOL = 1e-12
 
@@ -101,20 +102,9 @@ def _counts(eigenvalues: np.ndarray, tol: float) -> tuple[int, int]:
     return negative, kernel
 
 
-def _potential_matrix(basis: ParityBasis, q: np.ndarray) -> np.ndarray:
-    mat = basis.matrix()
-    pot = mat.T @ (basis.grid.spacing * q[:, None] * mat)
-    return 0.5 * (pot + pot.T)
-
-
 def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMatrix:
-    """Assemble L1 or L2 for ``wave`` on ``basis``.
-
-    Kinetic part is the exact diagonal symbol xi^2; the potential block is
-    pointwise multiplication conjugated by the basis transforms (exact up to
-    aliasing, which the grid-doubling checks control).
-    """
-    if which not in _POTENTIAL_STRENGTH:
+    """Assemble L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`)."""
+    if which not in _LABELS:
         raise ParameterError(f"operator must be 'L1' or 'L2', got {which!r}")
     if basis.grid != wave.phi.grid:
         raise ParameterError("basis and wave live on different grids")
@@ -126,7 +116,7 @@ def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMat
     alpha, omega = wave.params.alpha, wave.params.omega
     strength = alpha + 1.0 if which == "L1" else 1.0
     q = strength * np.abs(wave.phi.values) ** alpha
-    entries = np.diag(basis.frequencies() ** 2 + omega) - _potential_matrix(basis, q)
+    entries = hill_matrix(basis, omega, q)
     return OperatorMatrix(basis=basis, entries=entries, label=which, wave_id=wave.wave_id)
 
 
@@ -151,22 +141,24 @@ def build_block(
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
     basis = _component_basis(wave, sector)
-    l1 = build_hill(wave, "L1", basis).entries
-    l2 = build_hill(wave, "L2", basis).entries
-    d = basis.dimension
+    return _compose(kind, build_hill(wave, "L1", basis), build_hill(wave, "L2", basis), kappa)
+
+
+def _compose(
+    kind: str, l1: OperatorMatrix, l2: OperatorMatrix, kappa: float = 0.0
+) -> OperatorMatrix:
+    """diag(L1, L2) or diag(L2 + k^2, L1 + k^2) from assembled L1 and L2."""
+    d = l1.dimension
     entries = np.zeros((2 * d, 2 * d))
     if kind == "Lcal":
-        entries[:d, :d] = l1
-        entries[d:, d:] = l2
-        label = "Lcal"
+        entries[:d, :d] = l1.entries
+        entries[d:, d:] = l2.entries
     else:
         shift = kappa**2 * np.eye(d)
-        entries[:d, :d] = l2 + shift
-        entries[d:, d:] = l1 + shift
-        label = "S_kappa"
-    return OperatorMatrix(
-        basis=basis, entries=entries, label=label, wave_id=wave.wave_id, kappa=(None if kind == "Lcal" else kappa)
-    )
+        entries[:d, :d] = l2.entries + shift
+        entries[d:, d:] = l1.entries + shift
+    kappa = None if kind == "Lcal" else kappa
+    return OperatorMatrix(l1.basis, entries, label=kind, wave_id=l1.wave_id, kappa=kappa)
 
 
 def spectrum(
@@ -179,6 +171,10 @@ def spectrum(
     Counts are recomputed at half and twice the tolerance; disagreement sets
     the ``ambiguous`` flag instead of failing.
     """
+    if not 0 <= n_eigenfunctions <= operator.dimension:
+        raise ParameterError(
+            f"n_eigenfunctions must lie in [0, {operator.dimension}], got {n_eigenfunctions}"
+        )
     if n_eigenfunctions:
         if operator.entries.shape[0] != operator.basis.dimension:
             raise ParameterError(
@@ -304,13 +300,13 @@ def check_propositions(
             )
         )
 
+    # one assembly of L1 and L2 per parity basis, shared by every check below
     cos_basis = ParityBasis(COSINE, phi.grid)
     sin_basis = ParityBasis(SINE, phi.grid)
-
-    l1_even = spectrum(build_hill(wave, "L1", cos_basis), zero_tolerance)
-    l1_odd = spectrum(build_hill(wave, "L1", sin_basis), zero_tolerance)
-    l2_even = spectrum(build_hill(wave, "L2", cos_basis), zero_tolerance)
-    l2_odd = spectrum(build_hill(wave, "L2", sin_basis), zero_tolerance)
+    ops_even = [build_hill(wave, which, cos_basis) for which in _LABELS]
+    ops_odd = [build_hill(wave, which, sin_basis) for which in _LABELS]
+    l1_even, l2_even = (spectrum(op, zero_tolerance) for op in ops_even)
+    l1_odd, l2_odd = (spectrum(op, zero_tolerance) for op in ops_odd)
 
     if wave.params.parity == EVEN:
         lcal = spectrum(build_block(wave, "Lcal", sector="full"), zero_tolerance)
@@ -330,10 +326,8 @@ def check_propositions(
             f"{gap:.3e}",
             margin=gap,
         )
-        res_dphi = _relative_kernel_residual(
-            build_hill(wave, "L1", sin_basis), dphi
-        ) if not constant_like else 0.0
-        res_phi = _relative_kernel_residual(build_hill(wave, "L2", cos_basis), phi)
+        res_dphi = _relative_kernel_residual(ops_odd[0], dphi) if not constant_like else 0.0
+        res_phi = _relative_kernel_residual(ops_even[1], phi)
         add("kernel residual (phi',0)", res_dphi <= 1e-7, "<= 1e-07", f"{res_dphi:.3e}", res_dphi)
         add("kernel residual (0,phi)", res_phi <= 1e-7, "<= 1e-07", f"{res_phi:.3e}", res_phi)
         if constant_like:
@@ -341,14 +335,14 @@ def check_propositions(
         add("n(L1) full space", n_l1 == 1, 1, n_l1)
         add("n(L2) full space", n_l2 == 0, 0, n_l2)
     else:
-        lcal_odd = spectrum(build_block(wave, "Lcal", sector="odd"), zero_tolerance)
+        lcal_odd = spectrum(_compose("Lcal", *ops_odd), zero_tolerance)
         tol = lcal_odd.zero_tolerance
         n_l1_full = l1_even.n_negative + l1_odd.n_negative
         add("n(L1) full space", n_l1_full == 2, 2, n_l1_full)
         add("n(L1,odd)", l1_odd.n_negative == 1, 1, l1_odd.n_negative)
         add("n(L2,odd)", l2_odd.n_negative == 0, 0, l2_odd.n_negative)
         add("z(Lcal,odd)", lcal_odd.kernel_dimension == 1, 1, lcal_odd.kernel_dimension)
-        res_phi = _relative_kernel_residual(build_hill(wave, "L2", sin_basis), phi)
+        res_phi = _relative_kernel_residual(ops_odd[1], phi)
         add("kernel residual (0,phi)", res_phi <= 1e-7, "<= 1e-07", f"{res_phi:.3e}", res_phi)
         e1, e2 = np.sort(l1_odd.eigenvalues), np.sort(l2_odd.eigenvalues)
         gap0 = float(e2[0] - e1[0])

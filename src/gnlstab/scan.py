@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalConsistencyError, ParameterError
-from .hill import build_block, default_zero_tolerance
+from .hill import OperatorMatrix, build_block, default_zero_tolerance
 from .spectral import EVEN, ParityBasis, RealField
 from .waves import WaveProfile
 
@@ -48,19 +48,22 @@ def resolve_sector(wave: WaveProfile, sector: str) -> str:
     return sector
 
 
-def evolution_block(wave: WaveProfile, kappa: float, sector: str = "full"):
-    """Dense block matrix [[0, L2+k^2], [-(L1+k^2), 0]] and its basis."""
+def _growth_block(s0: OperatorMatrix, kappa: float) -> np.ndarray:
+    """[[0, L2+k^2], [-(L1+k^2), 0]] from the diagonal blocks of S(0)."""
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
-    s_block = build_block(wave, "S_kappa", kappa, sector=sector)
-    basis = s_block.basis
-    d = basis.dimension
-    a2 = s_block.entries[:d, :d]  # L2 + kappa^2
-    a1 = s_block.entries[d:, d:]  # L1 + kappa^2
+    d = s0.basis.dimension
+    shift = kappa**2 * np.eye(d)
     block = np.zeros((2 * d, 2 * d))
-    block[:d, d:] = a2
-    block[d:, :d] = -a1
-    return block, basis
+    block[:d, d:] = s0.entries[:d, :d] + shift  # L2 + kappa^2
+    block[d:, :d] = -(s0.entries[d:, d:] + shift)  # -(L1 + kappa^2)
+    return block
+
+
+def evolution_block(wave: WaveProfile, kappa: float, sector: str = "full"):
+    """Dense block matrix [[0, L2+k^2], [-(L1+k^2), 0]] and its basis."""
+    s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
+    return _growth_block(s0, kappa), s0.basis
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,13 @@ class UnstableMode:
 
 @dataclass(frozen=True)
 class InstabilityEigs:
-    """Spectrum of the block problem at one kappa."""
+    """The block problem at one kappa: its matrix and its spectrum."""
 
     wave_id: str
     kappa: float
     sector: str
     basis: ParityBasis
+    block: np.ndarray
     eigenvalues: np.ndarray
     max_real_part: float
     symmetry_defect: float
@@ -130,7 +134,12 @@ def instability_eigs(
     |lambda|; disagreement raises NumericalConsistencyError.
     """
     sector = resolve_sector(wave, sector)
-    block, basis = evolution_block(wave, kappa, sector)
+    return _block_eigs(build_block(wave, "S_kappa", 0.0, sector=sector), kappa, sector, crosscheck)
+
+
+def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool = True):
+    """:func:`instability_eigs` on the already assembled S(0) of one wave."""
+    block, basis = _growth_block(s0, kappa), s0.basis
     eigenvalues, vectors = scipy.linalg.eig(block)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
@@ -156,10 +165,11 @@ def instability_eigs(
         for i in np.flatnonzero(eigenvalues.real > VECTOR_LEVEL)
     )
     return InstabilityEigs(
-        wave_id=wave.wave_id,
+        wave_id=s0.wave_id,
         kappa=float(kappa),
         sector=sector,
         basis=basis,
+        block=block,
         eigenvalues=eigenvalues,
         max_real_part=float(np.max(np.abs(eigenvalues.real))),
         symmetry_defect=defect,
@@ -228,7 +238,8 @@ def scan_kappa(
 
     The verdict is 'transversally unstable' as soon as one grid point has
     max Re lambda above UNSTABLE_THRESHOLD.  Runs are sequential and
-    deterministic: identical inputs give identical records.
+    deterministic: identical inputs give identical records.  L1 and L2 are
+    assembled once; every grid and bisection row adds kappa^2 to them.
     """
     if not (np.isfinite(kappa_min) and np.isfinite(kappa_max)):
         raise ParameterError("kappa range must be finite")
@@ -240,9 +251,10 @@ def scan_kappa(
         raise ParameterError(f"kappa grid needs at least 2 points, got {steps}")
     sector = resolve_sector(wave, sector)
     kappas = np.linspace(kappa_min, kappa_max, steps)
+    s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
     records = []
     for kappa in kappas:
-        eigs = instability_eigs(wave, float(kappa), sector)
+        eigs = _block_eigs(s0, float(kappa), sector)
         if eigs.symmetry_defect > SYMMETRY_TOL:
             raise NumericalConsistencyError(
                 f"eigenvalue quadruple symmetry broken at kappa={kappa:g}: "
@@ -251,7 +263,7 @@ def scan_kappa(
         records.append(_record(eigs))
 
     def growth(k: float) -> float:
-        return instability_eigs(wave, k, sector, crosscheck=False).max_real_part
+        return _block_eigs(s0, k, sector, crosscheck=False).max_real_part
 
     edges = []
     for left, right in zip(records[:-1], records[1:]):
@@ -318,6 +330,9 @@ def verify_hypotheses(
     positivity of (S'(kappa)w, w) = 2*kappa*||w||^2 on sampled vectors;
     H4 exactly one simple negative eigenvalue of S(0) with the rest of the
     spectrum nonnegative.
+
+    S(kappa) = S(0) + kappa^2 * I exactly, so H1 and H3 shift the lowest
+    eigenvalue of S(0) by kappa^2: one dense solve serves every hypothesis.
     """
     sector = resolve_sector(wave, sector)
     s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
@@ -337,10 +352,7 @@ def verify_hypotheses(
         k_thresh = 0.0
         beta = -lambda0
     kappa_grid = np.linspace(k_thresh * (1.0 + 1e-3) + 1e-9, 2.0 * k_thresh + 1.0, 5)
-    min_eigs = []
-    for kappa in kappa_grid:
-        shifted = entries + kappa**2 * np.eye(entries.shape[0])
-        min_eigs.append(float(scipy.linalg.eigh(shifted, eigvals_only=True)[0]))
+    min_eigs = [float(eigs0[0] + kappa**2) for kappa in kappa_grid]
     h1 = {
         "passed": bool(all(m >= beta for m in min_eigs)) and beta > 0.0,
         "lambda0": lambda0,
@@ -357,10 +369,7 @@ def verify_hypotheses(
     }
 
     mono_grid = np.linspace(0.0, max(2.0 * k_thresh, 1.0), 9)
-    mono_eigs = []
-    for kappa in mono_grid:
-        shifted = entries + kappa**2 * np.eye(entries.shape[0])
-        mono_eigs.append(float(scipy.linalg.eigh(shifted, eigvals_only=True)[0]))
+    mono_eigs = [float(eigs0[0] + kappa**2) for kappa in mono_grid]
     diffs = np.diff(mono_eigs)
     rng = np.random.default_rng(rng_seed)
     sprime_values = []

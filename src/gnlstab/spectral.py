@@ -1,9 +1,9 @@
 """Fourier spectral toolbox on the periodic interval [0, L).
 
 Equispaced grids, FFT differentiation, rectangle-rule quadrature (spectrally
-accurate for periodic integrands), and the parity-adapted trigonometric bases
+accurate for periodic integrands), the parity-adapted trigonometric bases
 (cosine / sine / full) that block-diagonalize Hill operators with even
-potentials.
+potentials, and the one dense assembly of such an operator on those bases.
 """
 from __future__ import annotations
 
@@ -240,17 +240,17 @@ class ParityBasis:
 
     def matrix(self) -> np.ndarray:
         """Synthesis matrix: (N, dimension), column n = basis function at nodes."""
-        x = self.grid.nodes
+        x = self.grid.nodes[:, None]
         length, n = self.grid.length, self.grid.size
-        cols = []
+        blocks = []
         if self.kind in (COSINE, FULL):
-            for m in range(n // 2 + 1):
-                scale = np.sqrt((1.0 if m in (0, n // 2) else 2.0) / length)
-                cols.append(scale * np.cos(2.0 * np.pi * m * x / length))
+            m = np.arange(n // 2 + 1)
+            scale = np.sqrt(np.where((m == 0) | (m == n // 2), 1.0, 2.0) / length)
+            blocks.append(scale * np.cos(2.0 * np.pi * m * x / length))
         if self.kind in (SINE, FULL):
-            for m in range(1, n // 2):
-                cols.append(np.sqrt(2.0 / length) * np.sin(2.0 * np.pi * m * x / length))
-        return np.column_stack(cols)
+            m = np.arange(1, n // 2)
+            blocks.append(np.sqrt(2.0 / length) * np.sin(2.0 * np.pi * m * x / length))
+        return np.hstack(blocks)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of a grid function (exact for fields in the subspace)."""
@@ -267,3 +267,15 @@ class ParityBasis:
 
     def field(self, coefficients: np.ndarray) -> RealField:
         return RealField(self.grid, self.synthesize(coefficients), self.parity)
+
+
+def hill_matrix(basis: ParityBasis, omega: float, potential: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix of -d_xx + omega - potential on ``basis``.
+
+    The kinetic part is the exact diagonal symbol xi^2; the potential block
+    is pointwise multiplication conjugated by the basis transforms (exact up
+    to aliasing, which the grid-doubling checks control).
+    """
+    mat = basis.matrix()
+    pot = mat.T @ (basis.grid.spacing * potential[:, None] * mat)
+    return np.diag(basis.frequencies() ** 2 + omega) - 0.5 * (pot + pot.T)

@@ -41,6 +41,7 @@ from .spectral import (
     RealField,
     build_grid,
     first_derivative,
+    hill_matrix,
     inner,
     integrate,
     l2_norm,
@@ -412,16 +413,12 @@ def phase_reduce(phi1: RealField, phi2: RealField, tolerance: float = 1e-8):
 # Newton polish
 
 
-def _newton_basis(params: ProblemParams, grid: PeriodicGrid) -> ParityBasis:
-    return ParityBasis(COSINE if params.parity == EVEN else SINE, grid)
-
-
 def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile:
     """Newton iteration on the profile equation in the wave's parity basis.
 
-    The Jacobian -d_xx + w - (a+1)|phi|^a is assembled as a dense symmetric
-    matrix on the parity basis; a profile already at tolerance is returned
-    unchanged.
+    The Jacobian -d_xx + w - (a+1)|phi|^a is the dense symmetric L1 matrix of
+    :func:`hill_matrix` on the parity basis; a profile already at tolerance
+    is returned unchanged.
     """
     config = config or SolverConfig()
     params = wave.params
@@ -438,20 +435,15 @@ def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile
             f"limit {NEWTON_BASIN_LIMIT:g}; refine the variational stage first"
         )
 
-    basis = _newton_basis(params, grid)
-    mat = basis.matrix()
-    weights = grid.spacing
-    freqs = basis.frequencies()
+    basis = ParityBasis(COSINE if params.parity == EVEN else SINE, grid)
     phi = wave.phi.values.copy()
 
     for _ in range(config.newton_max_steps):
-        res_vals = ode_residual_field(RealField(grid, phi, params.parity), alpha, omega).values
-        rnorm = float(np.sqrt(weights * np.dot(res_vals, res_vals)))
+        res = ode_residual_field(RealField(grid, phi, params.parity), alpha, omega)
+        rnorm = l2_norm(res)
         if rnorm <= config.newton_tolerance:
             break
-        qpot = (alpha + 1.0) * np.abs(phi) ** alpha
-        jac = np.diag(freqs**2 + omega) - mat.T @ (weights * qpot[:, None] * mat)
-        jac = 0.5 * (jac + jac.T)
+        jac = hill_matrix(basis, omega, (alpha + 1.0) * np.abs(phi) ** alpha)
         eigs = np.linalg.eigvalsh(jac)
         lam_max = float(np.max(np.abs(eigs)))
         if float(np.min(np.abs(eigs))) <= 1e-12 * lam_max:
@@ -459,9 +451,7 @@ def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile
                 "Newton Jacobian is singular on the parity subspace "
                 f"(relative smallest eigenvalue {np.min(np.abs(eigs)) / lam_max:.2e})"
             )
-        rhs = weights * (mat.T @ res_vals)
-        delta = np.linalg.solve(jac, rhs)
-        correction = mat @ delta
+        correction = basis.synthesize(np.linalg.solve(jac, basis.analyze(res.values)))
         for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = phi - damp * correction
             tr = ode_residual_field(RealField(grid, trial, params.parity), alpha, omega)
@@ -475,8 +465,7 @@ def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile
                 gradient_norm=rnorm,
             )
     else:
-        res_vals = ode_residual_field(RealField(grid, phi, params.parity), alpha, omega).values
-        rnorm = float(np.sqrt(weights * np.dot(res_vals, res_vals)))
+        rnorm = l2_norm(ode_residual_field(RealField(grid, phi, params.parity), alpha, omega))
         if rnorm > config.newton_tolerance:
             raise ConvergenceError(
                 f"Newton did not reach {config.newton_tolerance:g} in "

@@ -139,3 +139,42 @@ def constant_growth_rate(kappa: float, alpha: float, omega: float, period: float
             best = max(best, np.sqrt((alpha * omega - s) * s))
         n += 1
     return best
+
+
+def basis_matrix_reference(kind: str, length: float, size: int) -> np.ndarray:
+    """Synthesis matrix of a parity basis, built one column at a time.
+
+    Frozen copy of the original per-column construction: cosine columns
+    cos(2 pi m x / L), m = 0..N/2, then sine columns sin(2 pi m x / L),
+    m = 1..N/2-1, each normalized against (L/N) * sum_j.  ``kind`` is
+    "cosine", "sine" or "full_fourier".
+    """
+    x = np.arange(size) * (length / size)
+    cols = []
+    if kind in ("cosine", "full_fourier"):
+        for m in range(size // 2 + 1):
+            scale = np.sqrt((1.0 if m in (0, size // 2) else 2.0) / length)
+            cols.append(scale * np.cos(2.0 * np.pi * m * x / length))
+    if kind in ("sine", "full_fourier"):
+        for m in range(1, size // 2):
+            cols.append(np.sqrt(2.0 / length) * np.sin(2.0 * np.pi * m * x / length))
+    return np.column_stack(cols)
+
+
+def hill_pair_reference(kind: str, length: float, size: int, alpha: float, omega: float, phi):
+    """Dense L1 and L2 = -d_xx + omega - c |phi|^alpha (c = alpha+1, 1) on a
+    parity basis: diagonal kinetic symbol xi^2 minus the potential conjugated
+    by the column-built synthesis matrix, mat.T @ (h * q * mat), symmetrized.
+    """
+    mat = basis_matrix_reference(kind, length, size)
+    xi = 2.0 * np.pi / length * np.arange(size // 2 + 1)
+    if kind == "sine":
+        xi = xi[1:-1]
+    elif kind == "full_fourier":
+        xi = np.concatenate([xi, xi[1:-1]])
+    q = np.abs(np.asarray(phi)) ** alpha
+    out = []
+    for strength in (alpha + 1.0, 1.0):
+        pot = mat.T @ ((length / size) * (strength * q)[:, None] * mat)
+        out.append(np.diag(xi**2 + omega) - 0.5 * (pot + pot.T))
+    return tuple(out)

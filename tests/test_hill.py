@@ -81,6 +81,37 @@ def test_block_layouts(even_wave):
     assert np.allclose(s[d:, d:], l1 + kappa**2 * np.eye(d), rtol=0, atol=0)
 
 
+_SECTOR_KINDS = {"even": COSINE, "odd": SINE, "full": FULL}
+
+
+def _relative_gap(entries, reference):
+    return float(np.max(np.abs(entries - reference)) / np.max(np.abs(reference)))
+
+
+def reference_pair(wave, kind):
+    grid, params = wave.phi.grid, wave.params
+    return oracles.hill_pair_reference(
+        kind, grid.length, grid.size, params.alpha, params.omega, wave.phi.values
+    )
+
+
+@pytest.mark.parametrize("size", [32, 256])
+def test_assembly_matches_column_reference(even_wave, odd_wave, size):
+    kappa = 0.7
+    for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
+        for sector, kind in _SECTOR_KINDS.items():
+            ref_l1, ref_l2 = reference_pair(wave, kind)
+            basis = ParityBasis(kind, wave.phi.grid)
+            assert _relative_gap(build_hill(wave, "L1", basis).entries, ref_l1) <= 1e-13
+            assert _relative_gap(build_hill(wave, "L2", basis).entries, ref_l2) <= 1e-13
+            lcal = build_block(wave, "Lcal", sector=sector).entries
+            assert _relative_gap(lcal, scipy.linalg.block_diag(ref_l1, ref_l2)) <= 1e-13
+            shift = kappa**2 * np.eye(basis.dimension)
+            s_kappa = build_block(wave, "S_kappa", kappa, sector=sector).entries
+            ref_s = scipy.linalg.block_diag(ref_l2 + shift, ref_l1 + shift)
+            assert _relative_gap(s_kappa, ref_s) <= 1e-13
+
+
 def test_build_hill_rejects_unknown_operator(even_wave):
     basis = ParityBasis(FULL, even_wave.phi.grid)
     with pytest.raises(ParameterError, match="'L1' or 'L2'"):
@@ -130,6 +161,16 @@ def test_eigenfunction_export(even_wave):
     phi = phi / np.linalg.norm(phi)
     err = min(np.max(np.abs(ground - phi)), np.max(np.abs(ground + phi)))
     assert err <= 1e-6
+
+
+def test_eigenfunction_export_rejects_out_of_range_counts():
+    wave = constant_wave(2.0, 1.0, TWO_PI, 20)
+    op = build_hill(wave, "L2", ParityBasis(SINE, wave.phi.grid))
+    assert op.dimension == 9
+    assert len(spectrum(op, n_eigenfunctions=9).lowest_eigenfunctions) == 9
+    for count in (10, -1):
+        with pytest.raises(ParameterError, match="n_eigenfunctions"):
+            spectrum(op, n_eigenfunctions=count)
 
 
 def test_eigenfunction_export_rejects_blocks(even_wave):

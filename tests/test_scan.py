@@ -6,7 +6,7 @@ import scipy.linalg
 
 import oracles
 from gnlstab.errors import ParameterError
-from gnlstab.hill import build_hill
+from gnlstab.hill import build_block, build_hill
 from gnlstab.scan import (
     EDGE_LEVEL,
     UNSTABLE_THRESHOLD,
@@ -16,8 +16,8 @@ from gnlstab.scan import (
     scan_kappa,
     verify_hypotheses,
 )
-from gnlstab.spectral import FULL, ParityBasis
-from gnlstab.waves import constant_wave
+from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis
+from gnlstab.waves import constant_wave, wave_at_resolution
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,6 +121,29 @@ def test_evolution_block_layout(even_wave):
     assert not block[d:, d:].any()
 
 
+@pytest.mark.parametrize("size", [32, 256])
+def test_evolution_block_matches_column_reference(even_wave, odd_wave, size):
+    kappa = 0.8
+    for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
+        grid, params = wave.phi.grid, wave.params
+        for sector, kind in (("even", COSINE), ("odd", SINE), ("full", FULL)):
+            ref_l1, ref_l2 = oracles.hill_pair_reference(
+                kind, grid.length, grid.size, params.alpha, params.omega, wave.phi.values
+            )
+            shift = kappa**2 * np.eye(ref_l1.shape[0])
+            zero = np.zeros_like(ref_l1)
+            ref = np.block([[zero, ref_l2 + shift], [-(ref_l1 + shift), zero]])
+            block, _ = evolution_block(wave, kappa, sector)
+            assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_instability_eigs_carries_its_block(odd_wave):
+    eigs = instability_eigs(odd_wave, 1.3)
+    block, basis = evolution_block(odd_wave, 1.3, eigs.sector)
+    assert basis == eigs.basis
+    assert np.array_equal(eigs.block, block)
+
+
 def test_kappa_zero_generalized_kernel(even_wave):
     # at kappa = 0 the symmetry generators give a four-dimensional generalized
     # kernel (two Jordan blocks); everything else is oscillatory
@@ -171,6 +194,22 @@ def test_even_hypotheses_pass(even_wave, even_hypotheses):
     assert np.all(np.diff(report.h3["min_eigs"]) >= -1e-9)
     assert report.h4["passed"] and report.h4["n_negative"] == 1
     assert report.h4["gap"] >= 10.0 * report.h4["zero_tolerance"]
+
+
+@pytest.mark.parametrize("name", ["even", "odd", "const"])
+def test_hypotheses_shift_matches_dense_solves(name, request):
+    # H1/H3 take lambda_min(S(kappa)) = lambda_min(S(0)) + kappa^2 from one
+    # solve; here every sampled kappa gets its own dense solve instead
+    wave = request.getfixturevalue(f"{name}_wave")
+    report = verify_hypotheses(wave)
+    s0 = build_block(wave, "S_kappa", 0.0, sector=report.sector).entries
+    tol = 1e-12 * np.max(np.abs(s0))
+    for h in (report.h1, report.h3):
+        assert len(h["min_eigs"]) == len(h["kappa_grid"])
+        for kappa, lowest in zip(h["kappa_grid"], h["min_eigs"]):
+            shifted = s0 + kappa**2 * np.eye(s0.shape[0])
+            dense = float(scipy.linalg.eigh(shifted, eigvals_only=True)[0])
+            assert abs(lowest - dense) <= tol
 
 
 def test_odd_hypotheses_pass(odd_hypotheses):

@@ -387,6 +387,37 @@ def test_cli_pipeline_report(tmp_path):
     assert report["dns"]["relative_gap"] <= 0.02
 
 
+def test_cli_pipeline_default_range_reuses_hypotheses(tmp_path, monkeypatch):
+    # without --kappa-max the scan ends at 1.1 K, K taken from the pipeline's
+    # own (H1) record rather than from a second verification
+    import gnlstab.cli as cli
+    import gnlstab.hill as hill
+
+    calls = {"verify": 0, "assembly": 0}
+    verify, assemble = cli.verify_hypotheses, hill.hill_matrix
+
+    def counting_verify(*args, **kwargs):
+        calls["verify"] += 1
+        return verify(*args, **kwargs)
+
+    def counting_assemble(*args, **kwargs):
+        calls["assembly"] += 1
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_hypotheses", counting_verify)
+    monkeypatch.setattr(hill, "hill_matrix", counting_assemble)
+    rc = main(
+        ["pipeline", "--alpha", "2", "--tau", "12", "--kappa-steps", "8", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    report = serialize.load(tmp_path / "pipeline_report.json")
+    assert calls["verify"] == 1
+    assert report["scan"]["kappa_values"][-1] == 1.1 * report["hypotheses"]["h1"]["K"]
+    # L1 and L2 are assembled once per wave and sector in each consumer:
+    # spectra, propositions, hypotheses, scan, certificate (two waves), DNS
+    assert calls["assembly"] <= 20
+
+
 def test_module_entry_point(tmp_path):
     out = subprocess.run(
         [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from gnlstab.errors import BasisError, ParameterError
 from gnlstab.spectral import (
     COSINE,
@@ -191,6 +192,14 @@ def test_basis_dimensions_sum_to_grid_size():
     assert cos_b.dimension == 17
     assert sin_b.dimension == 15
     assert cos_b.dimension + sin_b.dimension == full_b.dimension == 32
+
+
+@pytest.mark.parametrize("size", [16, 32, 256, 1024])
+@pytest.mark.parametrize("kind", [COSINE, SINE, FULL])
+def test_basis_matrix_matches_column_reference(kind, size):
+    for length in (TWO_PI, 6.2831853, 3.7):
+        mat = ParityBasis(kind, build_grid(length, size)).matrix()
+        assert np.array_equal(mat, oracles.basis_matrix_reference(kind, length, size))
 
 
 def test_basis_orthonormal_under_quadrature():
