@@ -7,9 +7,26 @@ eigenvalue problem
      [-(L1 + kappa^2),         0]] (v1, v2) = lambda (v1, v2),
 
 whose spectrum is closed under lambda -> -lambda and conjugation
-(Hamiltonian quadruples).  The scan records the largest growth rate per
-kappa, locates band edges by bisection, and verifies the structural
-hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
+(Hamiltonian quadruples).  Eliminating v2 = -(L1 + kappa^2) v1 / lambda
+leaves -(L2 + kappa^2)(L1 + kappa^2) v1 = lambda^2 v1.  With L2 = Q D Q^T
+and s = sqrt(D + kappa^2), whenever L2 + kappa^2 is positive semidefinite
+that product has the eigenvalues mu = -lambda^2 of the symmetric
+
+    M(kappa) = diag(s) (Q^T L1 Q + kappa^2) diag(s),
+
+and v1 = Q (s * y) for an eigenvector y of M.  :func:`scan_kappa`
+diagonalizes L2 once per scan and solves each such row with one d x d
+``eigh``.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor
+of that diagonalization (an odd wave in the full space at small kappa), or
+where a computed mu lies within the rounding floor of M of zero (next to
+kappa = 0 and at band edges), go through the dense 2d x 2d ``eig`` of
+:func:`instability_eigs`, which also stays the solver of single-kappa
+calls and of the time integrator.  Every
+grid row on either path checks lambda^2 on the ten largest |lambda|
+against the unsymmetric d x d product and the quadruple symmetry of the
+reported set.  The scan records the largest growth rate per kappa, locates
+band edges by bisection, and verifies the structural hypotheses (H0)-(H4)
+for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
 """
 from __future__ import annotations
 
@@ -106,11 +123,11 @@ class InstabilityEigs:
 
 
 def _symmetry_defect(eigenvalues: np.ndarray) -> float:
-    worst = 0.0
-    for lam in eigenvalues:
-        worst = max(worst, float(np.min(np.abs(eigenvalues + lam))))
-        worst = max(worst, float(np.min(np.abs(eigenvalues - np.conj(lam)))))
-    return worst
+    """Distance of the set from closure under lambda -> -lambda and conjugation."""
+    e = eigenvalues
+    negation = np.min(np.abs(e[:, None] + e[None, :]), axis=1)
+    conjugation = np.min(np.abs(e[None, :] - np.conj(e)[:, None]), axis=1)
+    return max(0.0, float(np.max(negation)), float(np.max(conjugation)))
 
 
 def _normalize_mode(vec: np.ndarray) -> np.ndarray:
@@ -137,6 +154,20 @@ def instability_eigs(
     return _block_eigs(build_block(wave, "S_kappa", 0.0, sector=sector), kappa, sector, crosscheck)
 
 
+def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
+    """lambda^2 of the ten largest |lambda| against eigvals of -(L2+k^2)(L1+k^2)."""
+    nu = scipy.linalg.eigvals(-l2k @ l1k)
+    top = np.argsort(np.abs(eigenvalues))[-10:]
+    for idx in top:
+        lam2 = eigenvalues[idx] ** 2
+        gap = float(np.min(np.abs(nu - lam2)))
+        if gap > CROSSCHECK_RTOL * (1.0 + abs(lam2)):
+            raise NumericalConsistencyError(
+                f"block eigenvalue {eigenvalues[idx]:.6e} fails the lambda^2 "
+                f"reduction cross-check at kappa={kappa:g} (gap {gap:.3e})"
+            )
+
+
 def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool = True):
     """:func:`instability_eigs` on the already assembled S(0) of one wave."""
     block, basis = _growth_block(s0, kappa), s0.basis
@@ -147,17 +178,7 @@ def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool 
 
     if crosscheck:
         d = basis.dimension
-        product = -block[:d, d:] @ (-block[d:, :d])  # -(L2+k^2)(L1+k^2)
-        nu = scipy.linalg.eigvals(product)
-        top = np.argsort(np.abs(eigenvalues))[-10:]
-        for idx in top:
-            lam2 = eigenvalues[idx] ** 2
-            gap = float(np.min(np.abs(nu - lam2)))
-            if gap > CROSSCHECK_RTOL * (1.0 + abs(lam2)):
-                raise NumericalConsistencyError(
-                    f"block eigenvalue {eigenvalues[idx]:.6e} fails the lambda^2 "
-                    f"reduction cross-check at kappa={kappa:g} (gap {gap:.3e})"
-                )
+        _crosscheck(block[:d, d:], -block[d:, :d], eigenvalues, kappa)
 
     defect = _symmetry_defect(eigenvalues)
     unstable = tuple(
@@ -201,6 +222,12 @@ class StabilityScan:
     records: tuple
     band_edges: tuple
     verdict: str
+    #: grid rows and bisection evaluations solved by the symmetric lambda^2
+    #: reduction and by the dense block eig
+    reduced_rows: int
+    dense_rows: int
+    reduced_bisections: int
+    dense_bisections: int
 
     @property
     def most_unstable(self) -> KappaRecord:
@@ -226,6 +253,108 @@ def _record(eigs: InstabilityEigs) -> KappaRecord:
     )
 
 
+def _rounding_floor(dimension: int, norm: float) -> float:
+    """dimension * eps * norm: how far rounding may move a computed eigenvalue."""
+    return dimension * np.finfo(float).eps * norm
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """L2 = Q diag(D) Q^T and A = Q^T L1 Q on one sector, for the lambda^2 reduction.
+
+    A kappa is solved here only where L2 + kappa^2 is semidefinite and every
+    computed mu that matters clears the rounding floor of M(kappa): a mu that
+    rounding can push across zero would report sqrt(|mu|), far above
+    EDGE_LEVEL, as growth.  That happens next to kappa = 0, where the symmetry
+    generators form a Jordan block, and right at band edges; the dense block
+    ``eig`` solves those kappas.
+    """
+
+    q: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+    #: max row sum of |L1|, a bound on ||A||_2 = ||L1||_2
+    l1_norm: float
+
+    @classmethod
+    def of(cls, s0: OperatorMatrix) -> "_Reduction":
+        n = s0.basis.dimension
+        l1 = s0.entries[n:, n:]
+        d, q = scipy.linalg.eigh(s0.entries[:n, :n])
+        return cls(q=q, d=d, a=q.T @ l1 @ q, l1_norm=float(np.max(np.sum(np.abs(l1), axis=1))))
+
+    def scale(self, kappa: float) -> Optional[np.ndarray]:
+        """s = sqrt(D + kappa^2), or None where L2 + kappa^2 is indefinite.
+
+        Shifted eigenvalues within the rounding floor of D below zero count as zero.
+        """
+        shifted = self.d + kappa**2
+        if shifted[0] < -_rounding_floor(self.d.size, float(np.max(np.abs(self.d)))):
+            return None
+        return np.sqrt(np.maximum(shifted, 0.0))
+
+    def matrix(self, kappa: float, scale: np.ndarray) -> np.ndarray:
+        """M = diag(s) (A + kappa^2) diag(s), whose eigenvalues are mu = -lambda^2."""
+        return scale[:, None] * (self.a + kappa**2 * np.eye(scale.size)) * scale[None, :]
+
+    def resolved(self, kappa: float, mu: np.ndarray) -> bool:
+        """No mu within the rounding floor of M(kappa) of zero."""
+        norm = (self.d[-1] + kappa**2) * (self.l1_norm + kappa**2)  # bounds ||M(kappa)||_2
+        return bool(np.min(np.abs(mu)) > _rounding_floor(self.d.size, norm))
+
+    def growth(self, kappa: float) -> Optional[float]:
+        """sqrt(max(0, -mu_min)) from the lowest eigenvalue of M alone, or None
+        where the reduction does not apply."""
+        scale = self.scale(kappa)
+        if scale is None:
+            return None
+        mu = scipy.linalg.eigh(
+            self.matrix(kappa, scale), eigvals_only=True, subset_by_index=[0, 0]
+        )
+        return float(np.sqrt(max(0.0, -mu[0]))) if self.resolved(kappa, mu) else None
+
+
+def _reduced_row(s0: OperatorMatrix, reduction: _Reduction, kappa: float) -> Optional[KappaRecord]:
+    """One grid row from one d x d ``eigh`` of M(kappa), cross-checked like a
+    dense row, or None where the reduction does not apply."""
+    scale = reduction.scale(kappa)
+    if scale is None:
+        return None
+    mu, y = scipy.linalg.eigh(reduction.matrix(kappa, scale), driver="evd")
+    if not reduction.resolved(kappa, mu):
+        return None
+    d = scale.size
+    shift = kappa**2 * np.eye(d)
+    l1k = s0.entries[d:, d:] + shift
+    # eigh resolves mu only to about eps * ||M||, which grows like the fourth
+    # power of the largest wavenumber; the Rayleigh quotient of the lowest
+    # mode on the unscaled L1 + kappa^2 is second order in that mode's error
+    mode = reduction.q @ (scale * y[:, 0])
+    mu[0] = (mode @ l1k @ mode) / (y[:, 0] @ y[:, 0])
+    rate = np.sqrt(np.abs(mu))
+    half = np.where(mu < 0.0, rate + 0j, 1j * rate)
+    eigenvalues = np.concatenate([half, -half]) + 0.0  # + 0.0 clears negative zeros
+    eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
+    _crosscheck(s0.entries[:d, :d] + shift, l1k, eigenvalues, kappa)
+
+    growth = float(rate[0]) if mu[0] < 0.0 else 0.0
+    lam = v1 = v2 = None
+    if growth > VECTOR_LEVEL:
+        lam = complex(growth)
+        coeff = _normalize_mode(np.concatenate([mode, -(l1k @ mode) / growth]))
+        v1, v2 = s0.basis.field(coeff[:d]), s0.basis.field(coeff[d:])
+    return KappaRecord(
+        kappa=kappa,
+        eigenvalues=eigenvalues,
+        max_real_part=growth,
+        num_unstable=int(np.sum(eigenvalues.real > UNSTABLE_THRESHOLD)),
+        leading_lambda=lam,
+        leading_v1=v1,
+        leading_v2=v2,
+        symmetry_defect=_symmetry_defect(eigenvalues),
+    )
+
+
 def scan_kappa(
     wave: WaveProfile,
     kappa_min: float,
@@ -240,6 +369,18 @@ def scan_kappa(
     max Re lambda above UNSTABLE_THRESHOLD.  Runs are sequential and
     deterministic: identical inputs give identical records.  L1 and L2 are
     assembled once; every grid and bisection row adds kappa^2 to them.
+
+    L2 is diagonalized once.  A row whose L2 + kappa^2 is positive
+    semidefinite (down to the rounding floor of that diagonalization) is
+    solved through the symmetric lambda^2 reduction of the module docstring:
+    one d x d ``eigh`` for the grid row, its leading growth rate refined by
+    a Rayleigh quotient, and the lowest eigenvalue of M alone for a
+    bisection step.  Any other row, and any row whose mu the reduction does
+    not resolve from zero, takes the dense 2d x 2d block ``eig``.
+    Every grid row, on either path, passes the lambda^2 cross-check against
+    the unsymmetric product and the SYMMETRY_TOL gate on its reported set;
+    bisection steps only compare the growth rate with EDGE_LEVEL.  The scan
+    counts the rows and bisection steps each path solved.
     """
     if not (np.isfinite(kappa_min) and np.isfinite(kappa_max)):
         raise ParameterError("kappa range must be finite")
@@ -252,18 +393,32 @@ def scan_kappa(
     sector = resolve_sector(wave, sector)
     kappas = np.linspace(kappa_min, kappa_max, steps)
     s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
+    reduction = _Reduction.of(s0)
+    rows = {"reduced": 0, "dense": 0}
+    bisections = {"reduced": 0, "dense": 0}
     records = []
     for kappa in kappas:
-        eigs = _block_eigs(s0, float(kappa), sector)
-        if eigs.symmetry_defect > SYMMETRY_TOL:
+        kappa = float(kappa)
+        row = _reduced_row(s0, reduction, kappa)
+        if row is None:
+            rows["dense"] += 1
+            row = _record(_block_eigs(s0, kappa, sector))
+        else:
+            rows["reduced"] += 1
+        if row.symmetry_defect > SYMMETRY_TOL:
             raise NumericalConsistencyError(
                 f"eigenvalue quadruple symmetry broken at kappa={kappa:g}: "
-                f"defect {eigs.symmetry_defect:.3e}"
+                f"defect {row.symmetry_defect:.3e}"
             )
-        records.append(_record(eigs))
+        records.append(row)
 
     def growth(k: float) -> float:
-        return _block_eigs(s0, k, sector, crosscheck=False).max_real_part
+        rate = reduction.growth(k)
+        if rate is None:
+            bisections["dense"] += 1
+            return _block_eigs(s0, k, sector, crosscheck=False).max_real_part
+        bisections["reduced"] += 1
+        return rate
 
     edges = []
     for left, right in zip(records[:-1], records[1:]):
@@ -293,6 +448,10 @@ def scan_kappa(
         records=tuple(records),
         band_edges=tuple(edges),
         verdict="transversally unstable" if unstable else "no instability detected",
+        reduced_rows=rows["reduced"],
+        dense_rows=rows["dense"],
+        reduced_bisections=bisections["reduced"],
+        dense_bisections=bisections["dense"],
     )
 
 

@@ -205,6 +205,10 @@ def _scan_payload(scan: StabilityScan) -> dict:
         "records": records,
         "band_edges": list(scan.band_edges),
         "verdict": scan.verdict,
+        "reduced_rows": scan.reduced_rows,
+        "dense_rows": scan.dense_rows,
+        "reduced_bisections": scan.reduced_bisections,
+        "dense_bisections": scan.dense_bisections,
     }
 
 
@@ -380,6 +384,10 @@ def _scan_from(payload: dict) -> StabilityScan:
         records=tuple(records),
         band_edges=tuple(float(e) for e in _need(payload, "band_edges")),
         verdict=str(_need(payload, "verdict")),
+        reduced_rows=int(_need(payload, "reduced_rows")),
+        dense_rows=int(_need(payload, "dense_rows")),
+        reduced_bisections=int(_need(payload, "reduced_bisections")),
+        dense_bisections=int(_need(payload, "dense_bisections")),
     )
 
 

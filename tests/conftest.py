@@ -62,6 +62,17 @@ def odd_scan(odd_wave):
 
 
 @pytest.fixture(scope="session")
+def const_scan(const_wave):
+    return scan_kappa(const_wave, 0.05, 2.0, 40)
+
+
+@pytest.fixture(scope="session")
+def odd_full_scan(odd_wave):
+    """Odd wave in the full space: L2 + kappa^2 is indefinite below kappa ~ 0.33."""
+    return scan_kappa(odd_wave, 0.05, 1.0, 8, sector="full")
+
+
+@pytest.fixture(scope="session")
 def even_hypotheses(even_wave):
     return verify_hypotheses(even_wave)
 

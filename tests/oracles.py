@@ -178,3 +178,16 @@ def hill_pair_reference(kind: str, length: float, size: int, alpha: float, omega
         pot = mat.T @ ((length / size) * (strength * q)[:, None] * mat)
         out.append(np.diag(xi**2 + omega) - 0.5 * (pot + pot.T))
     return tuple(out)
+
+
+def symmetry_defect_reference(eigenvalues: np.ndarray) -> float:
+    """Distance of a spectrum from closure under lambda -> -lambda and conjugation.
+
+    Frozen copy of the original per-eigenvalue loop behind the scan's
+    quadruple-symmetry gate; the vectorized gate must reproduce it bit for bit.
+    """
+    worst = 0.0
+    for lam in eigenvalues:
+        worst = max(worst, float(np.min(np.abs(eigenvalues + lam))))
+        worst = max(worst, float(np.min(np.abs(eigenvalues - np.conj(lam)))))
+    return worst

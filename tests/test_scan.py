@@ -1,15 +1,22 @@
 """Transverse wavenumber scan: growth rates, band edges, hypotheses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
-from gnlstab.errors import ParameterError
+from gnlstab.errors import NumericalConsistencyError, ParameterError
 from gnlstab.hill import build_block, build_hill
 from gnlstab.scan import (
+    CROSSCHECK_RTOL,
     EDGE_LEVEL,
+    SYMMETRY_TOL,
     UNSTABLE_THRESHOLD,
+    _Reduction,
+    _reduced_row,
+    _symmetry_defect,
     evolution_block,
     instability_eigs,
     resolve_sector,
@@ -162,13 +169,158 @@ def test_leading_mode_fields(even_scan):
     assert peak.leading_v1.grid.size == even_scan.records[0].leading_v1.grid.size
 
 
-def test_scan_is_deterministic(even_wave, even_scan):
+def test_scan_is_deterministic(even_wave, even_scan, dense_rows):
     again = scan_kappa(even_wave, 0.05, 1.8, 60)
     assert np.array_equal(again.kappa_values, even_scan.kappa_values)
     for a, b in zip(again.records, even_scan.records):
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert a.max_real_part == b.max_real_part
     assert again.band_edges == even_scan.band_edges
+    # and the fast rows agree with the dense block solver
+    for a, dense in zip(again.records, dense_rows["even"]):
+        g = dense.max_real_part
+        assert abs(a.max_real_part - g) <= CROSSCHECK_RTOL * (1.0 + g)
+
+
+# ---------------------------------------------------------------------------
+# the symmetric lambda^2 reduction against the dense block solver
+
+#: default edge_resolution of scan_kappa
+EDGE_RESOLUTION = 1e-6
+
+SCANS = ["even", "odd", "const"]
+
+
+@pytest.fixture(scope="session")
+def dense_rows(request):
+    """instability_eigs, the dense 2d x 2d solver, on every row of the even,
+    odd and constant fixture scans."""
+    rows = {}
+    for name in SCANS:
+        wave = request.getfixturevalue(f"{name}_wave")
+        scan = request.getfixturevalue(f"{name}_scan")
+        rows[name] = [instability_eigs(wave, r.kappa, scan.sector) for r in scan.records]
+    return rows
+
+
+def assert_row_matches_dense(row, dense):
+    g = dense.max_real_part
+    assert abs(row.max_real_part - g) <= CROSSCHECK_RTOL * (1.0 + g)
+    assert row.num_unstable == dense.num_unstable
+    assert row.symmetry_defect <= SYMMETRY_TOL
+    # the lambda^2 sets match both ways
+    fast2, dense2 = row.eigenvalues**2, dense.eigenvalues**2
+    gaps = np.abs(fast2[:, None] - dense2[None, :])
+    assert np.all(gaps.min(axis=1) <= CROSSCHECK_RTOL * (1.0 + np.abs(fast2)))
+    assert np.all(gaps.min(axis=0) <= CROSSCHECK_RTOL * (1.0 + np.abs(dense2)))
+    lead = dense.leading
+    if lead is None:
+        assert row.leading_lambda is None
+        return
+    assert abs(row.leading_lambda - lead.rate) <= CROSSCHECK_RTOL * (1.0 + g)
+    # the leading mode is unique only when its rate is simple
+    rates = np.sort(dense.eigenvalues.real)[::-1]
+    if rates[0] - rates[1] >= 1e-2 * rates[0]:
+        v1, v2 = dense.mode_fields(lead)
+        assert np.max(np.abs(row.leading_v1.values - v1.values)) <= 1e-6
+        assert np.max(np.abs(row.leading_v2.values - v2.values)) <= 1e-6
+
+
+@pytest.mark.parametrize("name, dense_count", [("even", 0), ("odd", 0), ("const", 1)])
+def test_reduced_rows_match_dense_rows(name, dense_count, request, dense_rows):
+    scan = request.getfixturevalue(f"{name}_scan")
+    # n(L2) = 0 on these sectors, so every grid row takes the reduction except
+    # the constant state's kappa = 1, where mu = (xi^2 + k^2)(xi^2 + k^2 - 2)
+    # vanishes for xi = 1 and only the dense solver resolves lambda = 0
+    assert scan.dense_rows == dense_count
+    assert scan.reduced_rows == len(scan.records) - dense_count
+    for row, dense in zip(scan.records, dense_rows[name]):
+        assert_row_matches_dense(row, dense)
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_reduced_band_edges_and_verdict_match_dense(name, request, dense_rows):
+    wave = request.getfixturevalue(f"{name}_wave")
+    scan = request.getfixturevalue(f"{name}_scan")
+    growth = [eigs.max_real_part for eigs in dense_rows[name]]
+    unstable = max(growth) > UNSTABLE_THRESHOLD
+    assert scan.verdict == ("transversally unstable" if unstable else "no instability detected")
+    crossings = sum((a - EDGE_LEVEL) * (b - EDGE_LEVEL) < 0.0 for a, b in zip(growth, growth[1:]))
+    assert len(scan.band_edges) == crossings
+    assert scan.reduced_bisections >= 1
+
+    # the dense growth rate crosses EDGE_LEVEL within edge_resolution of each edge
+    def dense_growth(kappa):
+        return instability_eigs(wave, kappa, scan.sector, crosscheck=False).max_real_part
+
+    for edge in scan.band_edges:
+        below = dense_growth(max(edge - EDGE_RESOLUTION, 0.0)) - EDGE_LEVEL
+        above = dense_growth(edge + EDGE_RESOLUTION) - EDGE_LEVEL
+        assert below * above < 0.0
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_dense_rows_keep_quadruple_symmetry(name, dense_rows):
+    # reduced rows are closed under negation and conjugation by construction,
+    # so the dense solver's closure is checked here on the fixture grids; its
+    # vectorized gate must equal the original loop bit for bit
+    for eigs in dense_rows[name]:
+        reference = oracles.symmetry_defect_reference(eigs.eigenvalues)
+        assert eigs.symmetry_defect == reference
+        assert reference <= SYMMETRY_TOL
+
+
+def test_symmetry_defect_matches_loop_on_unclosed_sets():
+    # dense real spectra come in exact conjugate pairs; these sets do not
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 7, 64):
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        assert _symmetry_defect(values) == oracles.symmetry_defect_reference(values)
+
+
+def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan):
+    # an odd wave's L2 has a negative eigenvalue in the full space, so
+    # L2 + kappa^2 is indefinite for kappa^2 below minus that eigenvalue
+    scan = odd_full_scan
+    basis = ParityBasis(FULL, odd_wave.phi.grid)
+    lowest = scipy.linalg.eigh(build_hill(odd_wave, "L2", basis).entries, eigvals_only=True)[0]
+    indefinite = scan.kappa_values**2 < -lowest
+    assert indefinite.any() and not indefinite.all()
+    assert scan.dense_rows == int(indefinite.sum())
+    assert scan.reduced_rows == int((~indefinite).sum())
+    for row, dense_path in zip(scan.records, indefinite):
+        dense = instability_eigs(odd_wave, row.kappa, "full")
+        if dense_path:
+            assert np.array_equal(row.eigenvalues, dense.eigenvalues)
+            assert row.max_real_part == dense.max_real_part
+        assert_row_matches_dense(row, dense)
+
+
+def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave):
+    # at kappa = 0 the symmetry generators form a Jordan block and mu = -lambda^2
+    # sits at rounding level, where sqrt(|mu|) would read as growth above
+    # EDGE_LEVEL and hide the band edge right above kappa = 0
+    scan = scan_kappa(odd_wave, 0.0, 0.5, 4)
+    assert scan.dense_rows == 1 and scan.dense_bisections >= 1
+    dense0 = instability_eigs(odd_wave, 0.0)
+    assert np.array_equal(scan.records[0].eigenvalues, dense0.eigenvalues)
+    assert dense0.max_real_part < EDGE_LEVEL
+    assert len(scan.band_edges) == 1 and scan.band_edges[0] <= EDGE_RESOLUTION
+    above = instability_eigs(odd_wave, scan.band_edges[0] + EDGE_RESOLUTION, crosscheck=False)
+    assert above.max_real_part > EDGE_LEVEL
+
+
+def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
+    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
+    reduction = _Reduction.of(s0)
+    kappa = 1.0
+    assert _reduced_row(s0, reduction, kappa) is not None
+    # M built with kappa^2 added twice
+    shifted_twice = dataclasses.replace(
+        reduction, a=reduction.a + kappa**2 * np.eye(reduction.a.shape[0])
+    )
+    with pytest.raises(NumericalConsistencyError, match="cross-check"):
+        _reduced_row(s0, shifted_twice, kappa)
 
 
 # ---------------------------------------------------------------------------

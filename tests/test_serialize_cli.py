@@ -1,12 +1,15 @@
 """JSON/CSV artifacts and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gnlstab
 from gnlstab import serialize
 from gnlstab.cli import main
 from gnlstab.errors import FormatError
@@ -92,6 +95,28 @@ def test_scan_roundtrip(const_wave):
         else:
             assert np.array_equal(a.leading_v1.values, b.leading_v1.values)
             assert np.array_equal(a.leading_v2.values, b.leading_v2.values)
+
+
+def test_scan_solver_paths_roundtrip(tmp_path, even_scan, odd_full_scan):
+    # the even scan bisects on the reduced path; the odd wave in the full
+    # space has grid rows on both paths
+    for scan in (even_scan, odd_full_scan):
+        assert scan.reduced_rows + scan.dense_rows == len(scan.records)
+        body = serialize.payload(scan)
+        serialize.save(scan, tmp_path / "scan.json")
+        again = serialize.load(tmp_path / "scan.json")
+        for name in ("reduced_rows", "dense_rows", "reduced_bisections", "dense_bisections"):
+            assert body[name] == getattr(scan, name) == getattr(again, name)
+    assert even_scan.reduced_bisections >= 1
+    assert odd_full_scan.reduced_rows >= 1 and odd_full_scan.dense_rows >= 1
+
+
+def test_scan_payload_requires_solver_paths(const_wave):
+    text = serialize.dumps(scan_kappa(const_wave, 0.3, 1.7, 4))
+    document = json.loads(text)
+    del document["payload"]["dense_rows"]
+    with pytest.raises(FormatError, match="dense_rows"):
+        serialize.loads(json.dumps(document))
 
 
 def test_growth_roundtrip(const_wave):
@@ -419,6 +444,11 @@ def test_cli_pipeline_default_range_reuses_hypotheses(tmp_path, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports gnlstab from where this process found it: pytest's
+    # pythonpath setting does not reach a subprocess
+    package_root = str(Path(gnlstab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [
             sys.executable,
@@ -436,6 +466,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "wave.json").is_file()
