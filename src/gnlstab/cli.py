@@ -411,9 +411,7 @@ def _certificate(wave: WaveProfile, sector: str, config: SolverConfig) -> dict:
     fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size), config)
     lows = []
     for w in (wave, fine):
-        op = build_block(w, "Lcal", 0.0, sector=sector)
-        eigs = np.sort(np.linalg.eigvalsh(op.entries))
-        lows.append(eigs[:10])
+        lows.append(spectrum(build_block(w, "Lcal", 0.0, sector=sector)).eigenvalues[:10])
     deltas = np.abs(lows[0] - lows[1])
     return {
         "coarse_size": wave.phi.grid.size,

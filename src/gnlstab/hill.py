@@ -12,6 +12,8 @@ together with the block-diagonal compositions
     Lcal       = diag(L1, L2)
     S_kappa    = diag(L2 + kappa^2, L1 + kappa^2).
 
+A block-diagonal composition has the union of its blocks' spectra, so its
+eigenvalues come from one d x d solve per block (:func:`block_eigenvalues`).
 Counting negative/zero eigenvalues of these matrices is what the spectral
 assertions in :func:`check_propositions` are made of.
 """
@@ -130,6 +132,12 @@ def _component_basis(wave: WaveProfile, sector: str) -> ParityBasis:
     raise ParameterError(f"unknown sector {sector!r}")
 
 
+def hill_pair(wave: WaveProfile, sector: str = "full") -> tuple[OperatorMatrix, OperatorMatrix]:
+    """L1 and L2 of ``wave`` on the basis of ``sector``, one assembly each."""
+    basis = _component_basis(wave, sector)
+    return build_hill(wave, "L1", basis), build_hill(wave, "L2", basis)
+
+
 def build_block(
     wave: WaveProfile, kind: str, kappa: float = 0.0, sector: str = "full"
 ) -> OperatorMatrix:
@@ -140,8 +148,7 @@ def build_block(
         raise ParameterError("Lcal takes no transverse wavenumber")
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
-    basis = _component_basis(wave, sector)
-    return _compose(kind, build_hill(wave, "L1", basis), build_hill(wave, "L2", basis), kappa)
+    return _compose(kind, *hill_pair(wave, sector), kappa)
 
 
 def _compose(
@@ -161,33 +168,30 @@ def _compose(
     return OperatorMatrix(l1.basis, entries, label=kind, wave_id=l1.wave_id, kappa=kappa)
 
 
-def spectrum(
-    operator: OperatorMatrix,
-    zero_tolerance: Optional[float] = None,
-    n_eigenfunctions: int = 0,
+def block_eigenvalues(*blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the block-diagonal matrix diag(*blocks).
+
+    Each symmetric block is diagonalized on its own and the spectra are
+    merged, so Lcal = diag(L1, L2) and S(0) = diag(L2, L1) cost two d x d
+    solves instead of one 2d x 2d solve.
+    """
+    return np.sort(
+        np.concatenate([scipy.linalg.eigh(b, eigvals_only=True) for b in blocks])
+    )
+
+
+def _summarize(
+    label: str,
+    wave_id: str,
+    eigenvalues: np.ndarray,
+    zero_tolerance: Optional[float],
+    lowest: Optional[tuple] = None,
 ) -> SpectrumSummary:
-    """Eigenvalues (ascending) with negative/kernel counts.
+    """Negative/kernel counts of ascending ``eigenvalues`` at the zero tolerance.
 
     Counts are recomputed at half and twice the tolerance; disagreement sets
     the ``ambiguous`` flag instead of failing.
     """
-    if not 0 <= n_eigenfunctions <= operator.dimension:
-        raise ParameterError(
-            f"n_eigenfunctions must lie in [0, {operator.dimension}], got {n_eigenfunctions}"
-        )
-    if n_eigenfunctions:
-        if operator.entries.shape[0] != operator.basis.dimension:
-            raise ParameterError(
-                "eigenfunction export is only available for single-component "
-                "operators (block eigenvectors are stacked pairs)"
-            )
-        eigenvalues, vectors = scipy.linalg.eigh(operator.entries)
-        lowest = tuple(
-            operator.basis.field(vectors[:, i]) for i in range(n_eigenfunctions)
-        )
-    else:
-        eigenvalues = scipy.linalg.eigh(operator.entries, eigvals_only=True)
-        lowest = None
     tol = zero_tolerance if zero_tolerance is not None else default_zero_tolerance(eigenvalues)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"zero tolerance must be positive, got {tol}")
@@ -196,8 +200,8 @@ def spectrum(
         _counts(eigenvalues, t) != (negative, kernel) for t in (0.5 * tol, 2.0 * tol)
     )
     return SpectrumSummary(
-        label=operator.label,
-        wave_id=operator.wave_id,
+        label=label,
+        wave_id=wave_id,
         eigenvalues=eigenvalues,
         n_negative=negative,
         kernel_dimension=kernel,
@@ -205,6 +209,44 @@ def spectrum(
         ambiguous=ambiguous,
         lowest_eigenfunctions=lowest,
     )
+
+
+def spectrum(
+    operator: OperatorMatrix,
+    zero_tolerance: Optional[float] = None,
+    n_eigenfunctions: int = 0,
+) -> SpectrumSummary:
+    """Eigenvalues (ascending) with negative/kernel counts.
+
+    A composed block operator (twice the basis dimension, as built by
+    :func:`build_block`) is diagonalized one diagonal block at a time by
+    :func:`block_eigenvalues`.  Counts are recomputed at half and twice the
+    tolerance; disagreement sets the ``ambiguous`` flag instead of failing.
+    """
+    if not 0 <= n_eigenfunctions <= operator.dimension:
+        raise ParameterError(
+            f"n_eigenfunctions must lie in [0, {operator.dimension}], got {n_eigenfunctions}"
+        )
+    d = operator.basis.dimension
+    if n_eigenfunctions and operator.dimension != d:
+        raise ParameterError(
+            "eigenfunction export is only available for single-component "
+            "operators (block eigenvectors are stacked pairs)"
+        )
+    lowest = None
+    if operator.dimension == 2 * d:
+        entries = operator.entries
+        if entries[:d, d:].any():
+            raise ParameterError(f"block operator {operator.label} couples its two components")
+        eigenvalues = block_eigenvalues(entries[:d, :d], entries[d:, d:])
+    elif n_eigenfunctions:
+        eigenvalues, vectors = scipy.linalg.eigh(operator.entries)
+        lowest = tuple(
+            operator.basis.field(vectors[:, i]) for i in range(n_eigenfunctions)
+        )
+    else:
+        eigenvalues = scipy.linalg.eigh(operator.entries, eigvals_only=True)
+    return _summarize(operator.label, operator.wave_id, eigenvalues, zero_tolerance, lowest)
 
 
 def shifted_block_spectra(
@@ -265,6 +307,14 @@ def _relative_kernel_residual(op: OperatorMatrix, field: RealField) -> float:
     return num / den
 
 
+def _lcal_spectrum(
+    l1: OperatorMatrix, l2: OperatorMatrix, zero_tolerance: Optional[float]
+) -> SpectrumSummary:
+    """Spectrum of Lcal = diag(L1, L2) without forming the 2d x 2d matrix."""
+    eigenvalues = block_eigenvalues(l1.entries, l2.entries)
+    return _summarize("Lcal", l1.wave_id, eigenvalues, zero_tolerance)
+
+
 def check_propositions(
     wave: WaveProfile, zero_tolerance: Optional[float] = None
 ) -> PropositionReport:
@@ -309,7 +359,7 @@ def check_propositions(
     l1_odd, l2_odd = (spectrum(op, zero_tolerance) for op in ops_odd)
 
     if wave.params.parity == EVEN:
-        lcal = spectrum(build_block(wave, "Lcal", sector="full"), zero_tolerance)
+        lcal = _lcal_spectrum(*hill_pair(wave, "full"), zero_tolerance)
         tol = lcal.zero_tolerance
         n_l1 = l1_even.n_negative + l1_odd.n_negative
         n_l2 = l2_even.n_negative + l2_odd.n_negative
@@ -335,7 +385,7 @@ def check_propositions(
         add("n(L1) full space", n_l1 == 1, 1, n_l1)
         add("n(L2) full space", n_l2 == 0, 0, n_l2)
     else:
-        lcal_odd = spectrum(_compose("Lcal", *ops_odd), zero_tolerance)
+        lcal_odd = _lcal_spectrum(*ops_odd, zero_tolerance)
         tol = lcal_odd.zero_tolerance
         n_l1_full = l1_even.n_negative + l1_odd.n_negative
         add("n(L1) full space", n_l1_full == 2, 2, n_l1_full)

@@ -193,6 +193,12 @@ _BASIS_KINDS = (COSINE, SINE, FULL)
 _BASIS_PARITY = {COSINE: EVEN, SINE: ODD, FULL: NONE}
 
 
+def _mode_weights(modes: np.ndarray, size: int) -> np.ndarray:
+    """L / ||b||^2 of b = cos or sin(2 pi m x / L) under (L/N) * sum_j:
+    1 at m = 0 and m = N/2, 2 elsewhere."""
+    return np.where((modes == 0) | (modes == size // 2), 1.0, 2.0)
+
+
 @dataclass(frozen=True)
 class ParityBasis:
     """Discrete-orthonormal trigonometric basis on a periodic grid.
@@ -238,32 +244,63 @@ class ParityBasis:
             return sin_part
         return np.concatenate([cos_part, sin_part])
 
+    def _cosine_scale(self) -> np.ndarray:
+        # normalizations of cos(2 pi m x / L), m = 0..N/2
+        m = np.arange(self.grid.size // 2 + 1)
+        return np.sqrt(_mode_weights(m, self.grid.size) / self.grid.length)
+
     def matrix(self) -> np.ndarray:
-        """Synthesis matrix: (N, dimension), column n = basis function at nodes."""
+        """Synthesis matrix: (N, dimension), column n = basis function at nodes.
+
+        :meth:`analyze` and :meth:`synthesize` apply it and its transpose
+        by FFT without forming it.
+        """
         x = self.grid.nodes[:, None]
         length, n = self.grid.length, self.grid.size
         blocks = []
         if self.kind in (COSINE, FULL):
             m = np.arange(n // 2 + 1)
-            scale = np.sqrt(np.where((m == 0) | (m == n // 2), 1.0, 2.0) / length)
-            blocks.append(scale * np.cos(2.0 * np.pi * m * x / length))
+            blocks.append(self._cosine_scale() * np.cos(2.0 * np.pi * m * x / length))
         if self.kind in (SINE, FULL):
             m = np.arange(1, n // 2)
             blocks.append(np.sqrt(2.0 / length) * np.sin(2.0 * np.pi * m * x / length))
         return np.hstack(blocks)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients of a grid function (exact for fields in the subspace)."""
-        return self.grid.spacing * (self.matrix().T @ values)
+        """Coefficients (L/N) * matrix().T @ values of one grid function.
+
+        Exact for fields in the subspace; the component outside it is
+        dropped.  One rfft: cosine coefficients come from its real part,
+        sine coefficients from minus its imaginary part.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.grid.size,):
+            raise ParameterError(
+                f"expected {self.grid.size} grid values, got {values.shape}"
+            )
+        spec = self.grid.spacing * np.fft.rfft(values)
+        parts = []
+        if self.kind in (COSINE, FULL):
+            parts.append(self._cosine_scale() * spec.real)
+        if self.kind in (SINE, FULL):
+            parts.append(-np.sqrt(2.0 / self.grid.length) * spec.imag[1:-1])
+        return np.concatenate(parts)
 
     def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
-        """Grid values of a coefficient vector."""
+        """Grid values matrix() @ coefficients of a coefficient vector, by one irfft."""
         coefficients = np.asarray(coefficients, dtype=float)
         if coefficients.shape != (self.dimension,):
             raise ParameterError(
                 f"expected {self.dimension} coefficients, got {coefficients.shape}"
             )
-        return self.matrix() @ coefficients
+        n = self.grid.size
+        spec = np.zeros(n // 2 + 1, dtype=complex)
+        if self.kind in (COSINE, FULL):
+            spec.real = self._cosine_scale() * coefficients[: n // 2 + 1]
+        if self.kind in (SINE, FULL):
+            spec.imag[1:-1] = -np.sqrt(2.0 / self.grid.length) * coefficients[-(n // 2 - 1):]
+        spec[1:-1] *= 0.5  # irfft counts each interior mode twice, as +m and -m
+        return n * np.fft.irfft(spec, n=n)
 
     def field(self, coefficients: np.ndarray) -> RealField:
         return RealField(self.grid, self.synthesize(coefficients), self.parity)
@@ -272,10 +309,52 @@ class ParityBasis:
 def hill_matrix(basis: ParityBasis, omega: float, potential: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix of -d_xx + omega - potential on ``basis``.
 
-    The kinetic part is the exact diagonal symbol xi^2; the potential block
-    is pointwise multiplication conjugated by the basis transforms (exact up
-    to aliasing, which the grid-doubling checks control).
+    The kinetic part is the exact diagonal symbol xi^2.  The potential block
+    is the rectangle-rule Galerkin matrix (L/N) * sum_j q_j b_m(x_j) b_n(x_j)
+    of the basis functions b, i.e. pointwise multiplication conjugated by the
+    basis transforms, aliasing included (the grid-doubling checks control
+    it).  Product-to-sum identities make it a Toeplitz-plus-Hankel matrix in
+    the DFT of q: with C_k - i S_k = sum_j q_j exp(-2 pi i j k / N), indices
+    mod N,
+
+        cos m . cos n  ->  (C_{m-n} + C_{m+n}) / 2
+        sin m . sin n  ->  (C_{m-n} - C_{m+n}) / 2
+        cos m . sin n  ->  (S_{n+m} + S_{n-m}) / 2
+
+    so one rfft and O(N^2) gathers build it; the result is exactly symmetric.
     """
-    mat = basis.matrix()
-    pot = mat.T @ (basis.grid.spacing * potential[:, None] * mat)
-    return np.diag(basis.frequencies() ** 2 + omega) - 0.5 * (pot + pot.T)
+    grid = basis.grid
+    potential = np.asarray(potential, dtype=float)
+    if potential.shape != (grid.size,):
+        raise ParameterError(
+            f"potential has {potential.shape} values for a grid of size {grid.size}"
+        )
+    n = grid.size
+    half = np.fft.rfft(potential)
+    # C_k and S_k for k = 0..2N-1 from the half spectrum: C_{N-k} = C_k and
+    # S_{N-k} = -S_k hold exactly, so the assembled blocks are exactly symmetric
+    k = np.arange(n)
+    folded = np.minimum(k, n - k)
+    c = np.tile(half.real[folded], 2)
+    s = np.tile(np.where(k <= n // 2, -1.0, 1.0) * half.imag[folded], 2)
+
+    def block(rows, cols, table, sign):
+        # sqrt(w_m w_n) * (table_{m+n} + sign * table_{m-n}) for row m, column n.
+        # The weight is not sqrt(w_m) * sqrt(w_n): sqrt(2)**2 rounds to
+        # 2(1 + eps), a bias that moves eigenvalues near zero by ~eps * ||q||
+        weight = np.sqrt(np.outer(_mode_weights(rows, n), _mode_weights(cols, n)))
+        hankel = table[np.add.outer(rows, cols)]
+        toeplitz = table[np.subtract.outer(rows, cols) + n]
+        return weight * (hankel + sign * toeplitz)
+
+    cos_m = np.arange(n // 2 + 1) if basis.kind != SINE else np.arange(0)
+    sin_m = np.arange(1, n // 2) if basis.kind != COSINE else np.arange(0)
+    nc = cos_m.size
+    pot = np.empty((basis.dimension, basis.dimension))
+    pot[:nc, :nc] = block(cos_m, cos_m, c, 1.0)
+    pot[nc:, nc:] = -block(sin_m, sin_m, c, -1.0)
+    pot[nc:, :nc] = block(sin_m, cos_m, s, 1.0)
+    pot[:nc, nc:] = pot[nc:, :nc].T
+    pot *= -0.5 / n
+    pot[np.diag_indices_from(pot)] += basis.frequencies() ** 2 + omega
+    return pot

@@ -161,10 +161,12 @@ def basis_matrix_reference(kind: str, length: float, size: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def hill_pair_reference(kind: str, length: float, size: int, alpha: float, omega: float, phi):
-    """Dense L1 and L2 = -d_xx + omega - c |phi|^alpha (c = alpha+1, 1) on a
-    parity basis: diagonal kinetic symbol xi^2 minus the potential conjugated
-    by the column-built synthesis matrix, mat.T @ (h * q * mat), symmetrized.
+def hill_matrix_reference(kind: str, length: float, size: int, omega: float, potential):
+    """Dense -d_xx + omega - q on a parity basis, by the O(N^3) product.
+
+    Frozen copy of the original assembly: diagonal kinetic symbol xi^2 minus
+    the potential conjugated by the column-built synthesis matrix,
+    mat.T @ (h * q * mat), symmetrized.
     """
     mat = basis_matrix_reference(kind, length, size)
     xi = 2.0 * np.pi / length * np.arange(size // 2 + 1)
@@ -172,12 +174,19 @@ def hill_pair_reference(kind: str, length: float, size: int, alpha: float, omega
         xi = xi[1:-1]
     elif kind == "full_fourier":
         xi = np.concatenate([xi, xi[1:-1]])
+    pot = mat.T @ ((length / size) * np.asarray(potential, dtype=float)[:, None] * mat)
+    return np.diag(xi**2 + omega) - 0.5 * (pot + pot.T)
+
+
+def hill_pair_reference(kind: str, length: float, size: int, alpha: float, omega: float, phi):
+    """Dense L1 and L2 = -d_xx + omega - c |phi|^alpha (c = alpha+1, 1) on a
+    parity basis, each by :func:`hill_matrix_reference`.
+    """
     q = np.abs(np.asarray(phi)) ** alpha
-    out = []
-    for strength in (alpha + 1.0, 1.0):
-        pot = mat.T @ ((length / size) * (strength * q)[:, None] * mat)
-        out.append(np.diag(xi**2 + omega) - 0.5 * (pot + pot.T))
-    return tuple(out)
+    return tuple(
+        hill_matrix_reference(kind, length, size, omega, strength * q)
+        for strength in (alpha + 1.0, 1.0)
+    )
 
 
 def symmetry_defect_reference(eigenvalues: np.ndarray) -> float:

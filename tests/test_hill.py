@@ -8,6 +8,7 @@ import oracles
 from gnlstab.errors import BasisError, ParameterError
 from gnlstab.hill import (
     OperatorMatrix,
+    _summarize,
     build_block,
     build_hill,
     check_propositions,
@@ -15,6 +16,7 @@ from gnlstab.hill import (
     shifted_block_spectra,
     spectrum,
 )
+from gnlstab.scan import verify_hypotheses
 from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis, build_grid
 from gnlstab.waves import ProblemParams, constant_wave, solve_wave, wave_at_resolution
 
@@ -177,6 +179,55 @@ def test_eigenfunction_export_rejects_blocks(even_wave):
     op = build_block(even_wave, "Lcal")
     with pytest.raises(ParameterError, match="single-component"):
         spectrum(op, n_eigenfunctions=1)
+
+
+# ---------------------------------------------------------------------------
+# block spectra, one diagonal block at a time
+
+
+def dense_summary(op: OperatorMatrix):
+    """Counts of the dense eigh of a composed matrix, by the same counting rule."""
+    return _summarize(op.label, op.wave_id, scipy.linalg.eigh(op.entries, eigvals_only=True), None)
+
+
+@pytest.mark.parametrize("size", [128, 256])
+def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
+    for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
+        for sector in ("full", "odd"):
+            for kind in ("Lcal", "S_kappa"):
+                op = build_block(wave, kind, sector=sector)
+                dense, blocks = dense_summary(op), spectrum(op)
+                scale = np.max(np.abs(op.entries))
+                assert np.max(np.abs(blocks.eigenvalues - dense.eigenvalues)) <= 1e-13 * scale
+                assert blocks.n_negative == dense.n_negative
+                assert blocks.kernel_dimension == dense.kernel_dimension
+                assert blocks.ambiguous == dense.ambiguous
+
+            s0 = build_block(wave, "S_kappa", sector=sector)
+            dense_eigs = dense_summary(s0).eigenvalues
+            report = verify_hypotheses(wave, sector=sector)
+            h0, h4 = report.h0, report.h4
+            assert h0["max_asymmetry"] == float(np.max(np.abs(s0.entries - s0.entries.T)))
+            assert h4["n_negative"] == int(np.sum(dense_eigs < -h4["zero_tolerance"]))
+            assert abs(h4["lowest"] - dense_eigs[0]) <= 1e-13 * np.max(np.abs(s0.entries))
+
+        checks = {c.name: c for c in check_propositions(wave).checks}
+        if wave.params.parity == "even":
+            lcal = dense_summary(build_block(wave, "Lcal", sector="full"))
+            assert checks["n(Lcal)"].actual == str(lcal.n_negative)
+            assert checks["z(Lcal)"].actual == str(lcal.kernel_dimension)
+        else:
+            lcal = dense_summary(build_block(wave, "Lcal", sector="odd"))
+            assert checks["z(Lcal,odd)"].actual == str(lcal.kernel_dimension)
+
+
+def test_spectrum_rejects_coupled_block_operators(even_wave):
+    op = build_block(even_wave, "Lcal", sector="odd")
+    d = op.basis.dimension
+    coupled = op.entries.copy()
+    coupled[0, d] = coupled[d, 0] = 1.0
+    with pytest.raises(ParameterError, match="couples"):
+        spectrum(OperatorMatrix(op.basis, coupled, label="Lcal", wave_id=op.wave_id))
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,27 @@ def test_cli_pipeline_default_range_reuses_hypotheses(tmp_path, monkeypatch):
     assert calls["assembly"] <= 20
 
 
+@pytest.mark.parametrize("command", ["verify", "pipeline"])
+def test_cli_commands_never_build_the_synthesis_matrix(tmp_path, even_wave, monkeypatch, command):
+    # assembly and basis transforms go through FFTs; the N x d synthesis
+    # matrix is only the tests' oracle
+    calls = []
+    matrix = ParityBasis.matrix
+
+    def counting_matrix(self):
+        calls.append(self.kind)
+        return matrix(self)
+
+    monkeypatch.setattr(ParityBasis, "matrix", counting_matrix)
+    if command == "verify":
+        argv = ["verify", "--wave", store_wave(even_wave, tmp_path / "wave.json")]
+    else:
+        argv = ["pipeline", "--alpha", "2", "--tau", "12", "--kappa-min", "0.05",
+                "--kappa-max", "1.8", "--kappa-steps", "8"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
 def test_module_entry_point(tmp_path):
     # the child imports gnlstab from where this process found it: pytest's
     # pythonpath setting does not reach a subprocess

@@ -16,6 +16,7 @@ from gnlstab.spectral import (
     RealField,
     build_grid,
     first_derivative,
+    hill_matrix,
     inner,
     integrate,
     l2_norm,
@@ -223,6 +224,62 @@ def test_basis_analyze_synthesize_round_trip():
         assert np.max(np.abs(back - coeffs)) <= 1e-12
         field = basis.field(coeffs)
         assert field.parity == parity
+
+
+def _potentials(grid):
+    # even, odd and parity-free samples: an even potential leaves the
+    # cosine-sine cross block of the full basis empty, an odd one the
+    # cosine-cosine and sine-sine potential blocks
+    x = 2.0 * np.pi * grid.nodes / grid.length
+    rng = np.random.default_rng(grid.size)
+    return {
+        "even": 1.5 + np.cos(x) ** 2 + 0.3 * np.cos(5.0 * x),
+        "odd": 2.0 * np.sin(x) ** 3 - 0.4 * np.sin(7.0 * x),
+        "none": rng.standard_normal(grid.size) + np.sin(x),
+    }
+
+
+@pytest.mark.parametrize("size", [16, 128, 512, 1024])
+@pytest.mark.parametrize("kind", [COSINE, SINE, FULL])
+def test_hill_matrix_matches_dense_reference(kind, size):
+    lengths = (TWO_PI, 3.7) if size <= 128 else (3.7,)
+    for length in lengths:
+        basis = ParityBasis(kind, build_grid(length, size))
+        for q in _potentials(basis.grid).values():
+            entries = hill_matrix(basis, 0.7, q)
+            reference = oracles.hill_matrix_reference(kind, length, size, 0.7, q)
+            assert np.array_equal(entries, entries.T)
+            assert np.max(np.abs(entries - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("size", [16, 32, 256, 1024])
+@pytest.mark.parametrize("kind", [COSINE, SINE, FULL])
+def test_transforms_match_the_synthesis_matrix(kind, size):
+    rng = np.random.default_rng(size)
+    for length in (TWO_PI, 3.7):
+        basis = ParityBasis(kind, build_grid(length, size))
+        mat = basis.matrix()
+        values = rng.standard_normal(size)
+        coefficients = rng.standard_normal(basis.dimension)
+        analyzed = basis.grid.spacing * (mat.T @ values)
+        synthesized = mat @ coefficients
+        assert np.max(np.abs(basis.analyze(values) - analyzed)) <= 1e-12 * np.max(np.abs(analyzed))
+        assert np.max(np.abs(basis.synthesize(coefficients) - synthesized)) <= 1e-12 * np.max(
+            np.abs(synthesized)
+        )
+
+
+def test_transforms_and_assembly_reject_wrong_shapes():
+    grid = build_grid(TWO_PI, 16)
+    for kind in (COSINE, SINE, FULL):
+        basis = ParityBasis(kind, grid)
+        for bad in (np.ones(18), np.ones((16, 2)), np.ones(()), np.ones(15)):
+            with pytest.raises(ParameterError, match="grid values"):
+                basis.analyze(bad)
+            with pytest.raises(ParameterError, match="potential"):
+                hill_matrix(basis, 1.0, bad)
+        with pytest.raises(ParameterError, match="coefficients"):
+            basis.synthesize(np.ones((basis.dimension, 2)))
 
 
 def test_basis_rejects_unknown_kind():
