@@ -95,11 +95,15 @@ def _add_wave_flag(sp):
     )
 
 
+def _add_sector_flag(sp):
+    sp.add_argument("--sector", default=None, choices=("auto", "full", "odd", "even"))
+
+
 def _add_scan_flags(sp):
     sp.add_argument("--kappa-min", type=float, default=None, dest="kappa_min")
     sp.add_argument("--kappa-max", type=float, default=None, dest="kappa_max")
     sp.add_argument("--kappa-steps", type=int, default=None, dest="kappa_steps")
-    sp.add_argument("--sector", default=None, choices=("auto", "full", "odd", "even"))
+    _add_sector_flag(sp)
 
 
 def _add_dns_flags(sp):
@@ -113,6 +117,32 @@ def _add_dns_flags(sp):
     sp.add_argument("--rng-seed", type=int, default=None, dest="rng_seed")
 
 
+#: subcommand -> (help, flag groups); builds the parser and checks --config values
+_SUBCOMMANDS = {
+    "solve": ("solve for a standing-wave profile", (_add_io_flags, _add_problem_flags)),
+    "spectrum": (
+        "eigenvalues of the linearized operators L1, L2",
+        (_add_io_flags, _add_problem_flags, _add_wave_flag),
+    ),
+    "verify": (
+        "structural spectral checks and hypotheses (H0)-(H4)",
+        (_add_io_flags, _add_problem_flags, _add_wave_flag, _add_sector_flag),
+    ),
+    "scan": (
+        "growth rates over a transverse wavenumber grid",
+        (_add_io_flags, _add_problem_flags, _add_wave_flag, _add_scan_flags),
+    ),
+    "dns": (
+        "time integration of the linearized flow",
+        (_add_io_flags, _add_problem_flags, _add_wave_flag, _add_sector_flag, _add_dns_flags),
+    ),
+    "pipeline": (
+        "all stages for one parameter set, combined report",
+        (_add_io_flags, _add_problem_flags, _add_scan_flags, _add_dns_flags),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gnlstab",
@@ -120,46 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
         "equation and their transverse (in)stability.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="solve for a standing-wave profile")
-    _add_io_flags(sp)
-    _add_problem_flags(sp)
-
-    sp = sub.add_parser("spectrum", help="eigenvalues of the linearized operators L1, L2")
-    _add_io_flags(sp)
-    _add_problem_flags(sp)
-    _add_wave_flag(sp)
-
-    sp = sub.add_parser("verify", help="structural spectral checks and hypotheses (H0)-(H4)")
-    _add_io_flags(sp)
-    _add_problem_flags(sp)
-    _add_wave_flag(sp)
-    sp.add_argument("--sector", default=None, choices=("auto", "full", "odd", "even"))
-
-    sp = sub.add_parser("scan", help="growth rates over a transverse wavenumber grid")
-    _add_io_flags(sp)
-    _add_problem_flags(sp)
-    _add_wave_flag(sp)
-    _add_scan_flags(sp)
-
-    sp = sub.add_parser("dns", help="time integration of the linearized flow")
-    _add_io_flags(sp)
-    _add_problem_flags(sp)
-    _add_wave_flag(sp)
-    sp.add_argument("--sector", default=None, choices=("auto", "full", "odd", "even"))
-    _add_dns_flags(sp)
-
-    sp = sub.add_parser("pipeline", help="all stages for one parameter set, combined report")
-    _add_io_flags(sp)
-    _add_problem_flags(sp)
-    _add_scan_flags(sp)
-    _add_dns_flags(sp)
-
+    for name, (help_text, flag_groups) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for add_flags in flag_groups:
+            add_flags(sp)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the --config JSON file (flags win)."""
+    """Fill unset flags from the --config JSON file (flags win).
+
+    Each value is parsed by the flag it fills, so it meets the same type and
+    choices as on the command line.
+    """
     if getattr(args, "config", None) is None:
         return
     path = Path(args.config)
@@ -171,12 +174,20 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise CommandError(1, f"[cli_io] config file is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise CommandError(1, "[cli_io] config file must contain a JSON object")
+    flags = argparse.ArgumentParser(exit_on_error=False)
+    for add_flags in _SUBCOMMANDS[args.command][1]:
+        add_flags(flags)
     for key, value in values.items():
         attr = str(key).replace("-", "_")
-        if attr in ("command", "config"):
+        if attr in ("command", "config") or value is None:
             continue
         if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+            flag = "--" + attr.replace("_", "-")
+            try:
+                parsed = flags.parse_args([f"{flag}={value}"])
+            except argparse.ArgumentError as exc:
+                raise CommandError(1, f"[cli_io] config key {key!r}: {exc}")
+            setattr(args, attr, getattr(parsed, attr))
 
 
 def _out_dir(args) -> Path:

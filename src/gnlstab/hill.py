@@ -307,14 +307,6 @@ def _relative_kernel_residual(op: OperatorMatrix, field: RealField) -> float:
     return num / den
 
 
-def _lcal_spectrum(
-    l1: OperatorMatrix, l2: OperatorMatrix, zero_tolerance: Optional[float]
-) -> SpectrumSummary:
-    """Spectrum of Lcal = diag(L1, L2) without forming the 2d x 2d matrix."""
-    eigenvalues = block_eigenvalues(l1.entries, l2.entries)
-    return _summarize("Lcal", l1.wave_id, eigenvalues, zero_tolerance)
-
-
 def check_propositions(
     wave: WaveProfile, zero_tolerance: Optional[float] = None
 ) -> PropositionReport:
@@ -358,8 +350,14 @@ def check_propositions(
     l1_even, l2_even = (spectrum(op, zero_tolerance) for op in ops_even)
     l1_odd, l2_odd = (spectrum(op, zero_tolerance) for op in ops_odd)
 
+    def lcal_spectrum(*parts):
+        # Lcal = diag(L1, L2) has the union of its blocks' spectra, and the
+        # even potential splits the full space into the cosine and sine sectors
+        eigenvalues = np.sort(np.concatenate([p.eigenvalues for p in parts]))
+        return _summarize("Lcal", wave.wave_id, eigenvalues, zero_tolerance)
+
     if wave.params.parity == EVEN:
-        lcal = _lcal_spectrum(*hill_pair(wave, "full"), zero_tolerance)
+        lcal = lcal_spectrum(l1_even, l1_odd, l2_even, l2_odd)
         tol = lcal.zero_tolerance
         n_l1 = l1_even.n_negative + l1_odd.n_negative
         n_l2 = l2_even.n_negative + l2_odd.n_negative
@@ -385,7 +383,7 @@ def check_propositions(
         add("n(L1) full space", n_l1 == 1, 1, n_l1)
         add("n(L2) full space", n_l2 == 0, 0, n_l2)
     else:
-        lcal_odd = _lcal_spectrum(*ops_odd, zero_tolerance)
+        lcal_odd = lcal_spectrum(l1_odd, l2_odd)
         tol = lcal_odd.zero_tolerance
         n_l1_full = l1_even.n_negative + l1_odd.n_negative
         add("n(L1) full space", n_l1_full == 2, 2, n_l1_full)

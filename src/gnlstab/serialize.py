@@ -1,10 +1,12 @@
 """Round-trippable JSON artifacts and flat CSV exports.
 
 Every JSON document is an envelope {"schema_version": 1, "type": ...,
-"payload": ...}.  Floats are written with 17 significant digits so a
-write/read cycle reproduces the double exactly; non-finite values are
-rejected at write time.  Parsing failures raise FormatError carrying the
-byte offset of the problem.
+"payload": ...}, written by the standard ``json`` encoder as one compact line
+(``python -m json.tool`` pretty-prints it).  JSON and CSV write every float
+as its shortest round-trip text, ``repr(float)``, so a write/read cycle
+reproduces the double exactly.  Every write failure, a non-finite float
+included, is a FormatError; parsing failures carry the byte offset of the
+problem.
 """
 from __future__ import annotations
 
@@ -22,72 +24,16 @@ from .waves import ProblemParams, WaveProfile
 
 SCHEMA_VERSION = 1
 
-FLOAT_FORMAT = "%.17g"
-
 
 # ---------------------------------------------------------------------------
 # emission
 
 
-def _emit(value, pieces: list, indent: int) -> None:
-    pad = "  " * indent
-    if value is None:
-        pieces.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
-            raise FormatError(f"refusing to serialize non-finite float {value!r}")
-        pieces.append(FLOAT_FORMAT % float(value))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            pieces.append("[]")
-            return
-        scalar = all(
-            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            for v in value
-        )
-        if scalar:
-            pieces.append("[")
-            for i, v in enumerate(value):
-                if i:
-                    pieces.append(", ")
-                _emit(v, pieces, indent)
-            pieces.append("]")
-        else:
-            pieces.append("[\n")
-            for i, v in enumerate(value):
-                if i:
-                    pieces.append(",\n")
-                pieces.append(pad + "  ")
-                _emit(v, pieces, indent + 1)
-            pieces.append("\n" + pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, v) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise FormatError(f"JSON object keys must be strings, got {key!r}")
-            if i:
-                pieces.append(",\n")
-            pieces.append(pad + "  " + json.dumps(key) + ": ")
-            _emit(v, pieces, indent + 1)
-        pieces.append("\n" + pad + "}")
-    else:
-        raise FormatError(f"cannot serialize value of type {type(value).__name__}")
-
-
-def _render(document: dict) -> str:
-    pieces: list = []
-    _emit(document, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+def _plain(value):
+    """numpy scalars as Python values; the ``default`` hook of the encoder."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise FormatError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def _floats(array) -> list:
@@ -248,27 +194,31 @@ def payload(obj) -> dict:
 
 
 def envelope(type_name: str, payload_dict: dict) -> str:
-    """Render an arbitrary payload under the standard envelope."""
+    """Render an arbitrary payload under the standard envelope, as one JSON line."""
     document = {
         "schema_version": SCHEMA_VERSION,
         "type": type_name,
         "payload": payload_dict,
     }
-    return _render(document)
+    try:
+        return json.dumps(document, allow_nan=False, default=_plain) + "\n"
+    except FormatError:
+        raise
+    except ValueError as exc:
+        # with allow_nan=False the encoder raises ValueError for NaN and +-inf
+        raise FormatError(f"refusing to serialize non-finite float ({exc})") from exc
+    except TypeError as exc:
+        raise FormatError(f"cannot serialize document: {exc}") from exc
 
 
 def dumps(obj) -> str:
     """Serialize a result object to its JSON envelope."""
-    try:
-        type_name, builder = _TO_PAYLOAD[type(obj)]
-    except KeyError:
-        raise FormatError(f"no serializer for objects of type {type(obj).__name__}")
-    return envelope(type_name, builder(obj))
+    body = payload(obj)
+    return envelope(_TO_PAYLOAD[type(obj)][0], body)
 
 
 def save(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(obj))
+    save_csv(dumps(obj), path)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +409,7 @@ def load(path):
 def _f(x: float) -> str:
     if not np.isfinite(x):
         raise FormatError(f"refusing to serialize non-finite float {x!r}")
-    return FLOAT_FORMAT % float(x)
+    return repr(float(x))
 
 
 def spectrum_csv(summary: SpectrumSummary) -> str:
@@ -488,5 +438,6 @@ def growth_csv(gm: GrowthMeasurement) -> str:
 
 
 def save_csv(text: str, path) -> None:
+    """Write an artifact's text (CSV or JSON) with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -213,9 +213,14 @@ def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
 
         checks = {c.name: c for c in check_propositions(wave).checks}
         if wave.params.parity == "even":
-            lcal = dense_summary(build_block(wave, "Lcal", sector="full"))
+            full = build_block(wave, "Lcal", sector="full")
+            lcal = dense_summary(full)
             assert checks["n(Lcal)"].actual == str(lcal.n_negative)
             assert checks["z(Lcal)"].actual == str(lcal.kernel_dimension)
+            # the propositions merge the cosine and sine spectra into Lcal's
+            gap = lcal.eigenvalues[1] - lcal.eigenvalues[0]
+            margin = checks["negative eigenvalue simple"].margin
+            assert abs(margin - gap) <= 1e-13 * np.max(np.abs(full.entries))
         else:
             lcal = dense_summary(build_block(wave, "Lcal", sector="odd"))
             assert checks["z(Lcal,odd)"].actual == str(lcal.kernel_dimension)

@@ -15,7 +15,7 @@ from gnlstab.cli import main
 from gnlstab.errors import FormatError
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit
 from gnlstab.hill import SpectrumSummary, build_block, build_hill, check_propositions, spectrum
-from gnlstab.scan import scan_kappa
+from gnlstab.scan import HypothesisReport, scan_kappa
 from gnlstab.spectral import FULL, ParityBasis
 from gnlstab.waves import WaveProfile
 
@@ -135,6 +135,41 @@ def test_growth_roundtrip(const_wave):
     )
 
 
+def test_json_bytes_stable(even_wave, even_hypotheses, const_wave):
+    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
+    scan = scan_kappa(const_wave, 0.3, 1.7, 8)
+    records = [
+        even_wave,
+        spectrum(build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid))),
+        check_propositions(even_wave),
+        even_hypotheses,
+        scan,
+        gm,
+    ]
+    for record in records:
+        text = serialize.dumps(record)
+        assert text.endswith("\n") and text.count("\n") == 1  # one compact line
+        assert serialize.dumps(serialize.loads(text)) == text
+    assert serialize.dumps(scan_kappa(const_wave, 0.3, 1.7, 8)) == serialize.dumps(scan)
+
+
+def test_numpy_scalars_roundtrip_as_python_values(even_hypotheses):
+    h0 = {"passed": np.bool_(True), "count": np.int64(3), "value": np.float32(0.1)}
+    report = HypothesisReport(
+        wave_id=even_hypotheses.wave_id,
+        sector=even_hypotheses.sector,
+        h0=h0,
+        h1=even_hypotheses.h1,
+        h2=even_hypotheses.h2,
+        h3=even_hypotheses.h3,
+        h4=even_hypotheses.h4,
+        overall=even_hypotheses.overall,
+    )
+    again = serialize.loads(serialize.dumps(report)).h0
+    assert again == {"passed": True, "count": 3, "value": float(np.float32(0.1))}
+    assert [type(again[k]) for k in ("passed", "count", "value")] == [bool, int, float]
+
+
 # ---------------------------------------------------------------------------
 # malformed input and refusal cases
 
@@ -175,6 +210,24 @@ def test_nonfinite_floats_rejected(even_wave):
         serialize.dumps(bad)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [{"a": {"b": float("nan")}}, {"a": [0.0, float("inf")]}, {"a": [np.float32("-inf")]}],
+)
+def test_nonfinite_floats_rejected_anywhere(body):
+    with pytest.raises(FormatError, match="non-finite"):
+        serialize.envelope("pipeline_report", body)
+
+
+@pytest.mark.parametrize(
+    "body, type_name", [({"a": [object()]}, "object"), ({(1, 2): 0.5}, "tuple")]
+)
+def test_unserializable_values_raise_format_error(body, type_name):
+    # FormatError is a ValueError: the writer must not relabel it "non-finite"
+    with pytest.raises(FormatError, match=f"^cannot serialize .*{type_name}"):
+        serialize.envelope("pipeline_report", body)
+
+
 # ---------------------------------------------------------------------------
 # CSV exports
 
@@ -213,6 +266,28 @@ def test_scan_csv_bytes_deterministic(const_wave):
     a = serialize.scan_csv(scan_kappa(const_wave, 0.3, 1.7, 8))
     b = serialize.scan_csv(scan_kappa(const_wave, 0.3, 1.7, 8))
     assert a == b
+
+
+def _hex_column(lines, column):
+    return [float(line.split(",")[column]).hex() for line in lines[1:]]
+
+
+def test_csv_floats_parse_back_exactly(even_wave, even_scan, const_wave):
+    summary = spectrum(build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid)))
+    lines = serialize.spectrum_csv(summary).splitlines()
+    assert _hex_column(lines, 1) == [float(x).hex() for x in summary.eigenvalues]
+
+    lines = serialize.scan_csv(even_scan).splitlines()
+    leading = [r.leading_lambda or 0j for r in even_scan.records]
+    assert _hex_column(lines, 0) == [float(r.kappa).hex() for r in even_scan.records]
+    assert _hex_column(lines, 1) == [float(r.max_real_part).hex() for r in even_scan.records]
+    assert _hex_column(lines, 3) == [z.real.hex() for z in leading]
+    assert _hex_column(lines, 4) == [z.imag.hex() for z in leading]
+
+    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
+    lines = serialize.growth_csv(gm).splitlines()
+    assert _hex_column(lines, 0) == [float(t).hex() for t in gm.times]
+    assert _hex_column(lines, 1) == [float(n).hex() for n in gm.norms]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +443,37 @@ def test_cli_config_missing(tmp_path, capsys):
     )
     assert rc == 1
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, values, key",
+    [
+        ("solve", {"alpha": "two", "tau": 12}, "alpha"),
+        ("solve", {"alpha": 2, "tau": 12, "modes": "many"}, "modes"),
+        ("scan", {"kappa_steps": "ten"}, "kappa_steps"),
+        ("solve", {"alpha": 2, "tau": 12, "modes": 64.7}, "modes"),
+        ("spectrum", {"format": "xml"}, "format"),
+    ],
+)
+def test_cli_config_values_meet_flag_types(tmp_path, const_wave, capsys, command, values, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values), encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command != "solve":
+        argv += ["--wave", store_wave(const_wave, tmp_path / "cw.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[cli_io] config key {key!r}: argument --{key.replace('_', '-')}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_values_take_flag_types(tmp_path, const_wave):
+    # a config value is converted like the flag's text, not passed on raw
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"zero_tolerance": "1e-3"}), encoding="utf-8")
+    wave_path = store_wave(const_wave, tmp_path / "cw.json")
+    assert main(["spectrum", "--config", str(cfg), "--wave", wave_path, "--out", str(tmp_path)]) == 0
+    assert serialize.load(tmp_path / "spectrum_L1.json").zero_tolerance == 1e-3
 
 
 def test_cli_pipeline_report(tmp_path):
