@@ -53,10 +53,14 @@ class CommandError(Exception):
 
 @contextlib.contextmanager
 def _stage(tag: str):
-    """Tag errors from one pipeline stage with the module that raised them."""
+    """Tag errors from one pipeline stage with the module that raised them.
+
+    A LAPACK failure (say, an eigensolve that does not converge) is a
+    numerical failure of the stage like a broken cross-check.
+    """
     try:
         yield
-    except (WaveAcceptanceError, NumericalConsistencyError) as exc:
+    except (WaveAcceptanceError, NumericalConsistencyError, np.linalg.LinAlgError) as exc:
         raise CommandError(2, f"[{tag}] {exc}") from exc
     except GnlstabError as exc:
         raise CommandError(1, f"[{tag}] {exc}") from exc

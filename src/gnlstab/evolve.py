@@ -243,31 +243,44 @@ def evolve_and_fit(
                 "try a smaller one"
             )
 
-    times = [0.0]
     if config.scheme == "explicit_rk4":
+        # the RK4 step is one fixed matrix, so the steps between two samples
+        # are one product with its power
         phi = rk4_step_matrix(eigs.block, dt)
-        y = y0.copy()
-        norms = [float(np.linalg.norm(y))]
-        for n in range(1, steps + 1):
-            y = phi @ y
-            if n % stride == 0 or n == steps:
-                value = float(np.linalg.norm(y))
-                check(value, n * dt, norms[0])
-                times.append(n * dt)
-                norms.append(value)
+        leap = np.linalg.matrix_power(phi, stride)
+        state = y0
+
+        def advance(y: np.ndarray, count: int) -> np.ndarray:
+            return (leap if count == stride else np.linalg.matrix_power(phi, count)) @ y
+
+        def norm(y: np.ndarray) -> float:
+            return float(np.linalg.norm(y))
+
     else:
         step = splitting_stepper(wave, kappa, dt)
         h = wave.phi.grid.spacing
-        w1 = basis.synthesize(y0[:d])
-        w2 = basis.synthesize(y0[d:])
-        norms = [float(np.sqrt(h * np.sum(w1**2 + w2**2)))]
-        for n in range(1, steps + 1):
-            w1, w2 = step(w1, w2)
-            if n % stride == 0 or n == steps:
-                value = float(np.sqrt(h * np.sum(w1**2 + w2**2)))
-                check(value, n * dt, norms[0])
-                times.append(n * dt)
-                norms.append(value)
+        state = (basis.synthesize(y0[:d]), basis.synthesize(y0[d:]))
+
+        def advance(w: tuple, count: int) -> tuple:
+            for _ in range(count):
+                w = step(*w)
+            return w
+
+        def norm(w: tuple) -> float:
+            return float(np.sqrt(h * np.sum(w[0] ** 2 + w[1] ** 2)))
+
+    # a sample every stride steps, and one at the last step
+    times = [0.0]
+    norms = [norm(state)]
+    n = 0
+    while n < steps:
+        count = min(stride, steps - n)
+        state = advance(state, count)
+        n += count
+        value = norm(state)
+        check(value, n * dt, norms[0])
+        times.append(n * dt)
+        norms.append(value)
 
     times_arr = np.asarray(times)
     norms_arr = np.asarray(norms)

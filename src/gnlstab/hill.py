@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BasisError, ParameterError
 from .spectral import (
@@ -175,9 +174,7 @@ def block_eigenvalues(*blocks: np.ndarray) -> np.ndarray:
     merged, so Lcal = diag(L1, L2) and S(0) = diag(L2, L1) cost two d x d
     solves instead of one 2d x 2d solve.
     """
-    return np.sort(
-        np.concatenate([scipy.linalg.eigh(b, eigvals_only=True) for b in blocks])
-    )
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
 
 
 def _summarize(
@@ -240,12 +237,12 @@ def spectrum(
             raise ParameterError(f"block operator {operator.label} couples its two components")
         eigenvalues = block_eigenvalues(entries[:d, :d], entries[d:, d:])
     elif n_eigenfunctions:
-        eigenvalues, vectors = scipy.linalg.eigh(operator.entries)
+        eigenvalues, vectors = np.linalg.eigh(operator.entries)
         lowest = tuple(
             operator.basis.field(vectors[:, i]) for i in range(n_eigenfunctions)
         )
     else:
-        eigenvalues = scipy.linalg.eigh(operator.entries, eigvals_only=True)
+        eigenvalues = np.linalg.eigvalsh(operator.entries)
     return _summarize(operator.label, operator.wave_id, eigenvalues, zero_tolerance, lowest)
 
 
@@ -264,7 +261,7 @@ def shifted_block_spectra(
     Returns ``{kappa: ascending eigenvalue array}``.
     """
     base = build_block(wave, "S_kappa", kappa=0.0, sector=sector)
-    eigenvalues = scipy.linalg.eigh(base.entries, eigvals_only=True)
+    eigenvalues = np.linalg.eigvalsh(base.entries)
     out = {}
     for kappa in kappas:
         if not (np.isfinite(kappa) and kappa >= 0.0):

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalConsistencyError, ParameterError
 from .hill import (
@@ -162,7 +161,7 @@ def instability_eigs(
 
 def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
     """lambda^2 of the ten largest |lambda| against eigvals of -(L2+k^2)(L1+k^2)."""
-    nu = scipy.linalg.eigvals(-l2k @ l1k)
+    nu = np.linalg.eigvals(-l2k @ l1k)
     top = np.argsort(np.abs(eigenvalues))[-10:]
     for idx in top:
         lam2 = eigenvalues[idx] ** 2
@@ -177,7 +176,9 @@ def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa
 def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool = True):
     """:func:`instability_eigs` on the already assembled S(0) of one wave."""
     block, basis = _growth_block(s0, kappa), s0.basis
-    eigenvalues, vectors = scipy.linalg.eig(block)
+    # geev returns a real array when every eigenvalue is real; records and
+    # mode rates stay complex whatever the spectrum
+    eigenvalues, vectors = (a.astype(complex, copy=False) for a in np.linalg.eig(block))
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
@@ -286,7 +287,7 @@ class _Reduction:
     def of(cls, s0: OperatorMatrix) -> "_Reduction":
         n = s0.basis.dimension
         l1 = s0.entries[n:, n:]
-        d, q = scipy.linalg.eigh(s0.entries[:n, :n])
+        d, q = np.linalg.eigh(s0.entries[:n, :n])
         return cls(q=q, d=d, a=q.T @ l1 @ q, l1_norm=float(np.max(np.sum(np.abs(l1), axis=1))))
 
     def scale(self, kappa: float) -> Optional[np.ndarray]:
@@ -314,9 +315,9 @@ class _Reduction:
         scale = self.scale(kappa)
         if scale is None:
             return None
-        mu = scipy.linalg.eigh(
-            self.matrix(kappa, scale), eigvals_only=True, subset_by_index=[0, 0]
-        )
+        # only the lowest mu decides the rate; resolving the whole spectrum
+        # from zero would send rows with a harmless near-zero mu to the dense path
+        mu = np.linalg.eigvalsh(self.matrix(kappa, scale))[:1]
         return float(np.sqrt(max(0.0, -mu[0]))) if self.resolved(kappa, mu) else None
 
 
@@ -326,7 +327,7 @@ def _reduced_row(s0: OperatorMatrix, reduction: _Reduction, kappa: float) -> Opt
     scale = reduction.scale(kappa)
     if scale is None:
         return None
-    mu, y = scipy.linalg.eigh(reduction.matrix(kappa, scale), driver="evd")
+    mu, y = np.linalg.eigh(reduction.matrix(kappa, scale))
     if not reduction.resolved(kappa, mu):
         return None
     d = scale.size

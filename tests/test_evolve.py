@@ -77,6 +77,26 @@ def test_eigenvector_seed_reproduces_rate(even_wave, even_scan):
     assert np.all(np.diff(run.times) > 0.0)
 
 
+def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
+    # the run advances by powers of the RK4 matrix between samples; the
+    # sampled norms are those of applying the step matrix once per step
+    peak = even_scan.most_unstable
+    run = evolve_and_fit(even_wave, peak.kappa)
+    eigs = instability_eigs(even_wave, peak.kappa)
+    phi = rk4_step_matrix(eigs.block, run.time_step)
+    y = np.real(eigs.leading.coefficients)
+    y = y / np.linalg.norm(y)
+    steps = np.rint(run.times / run.time_step).astype(int)
+    assert steps[1] > 1 and steps[-1] % steps[1] != 0  # strided, with a short last leap
+    sampled = set(steps.tolist())
+    expected = [np.linalg.norm(y)]
+    for n in range(1, steps[-1] + 1):
+        y = phi @ y
+        if n in sampled:
+            expected.append(np.linalg.norm(y))
+    assert np.max(np.abs(run.norms / np.asarray(expected) - 1.0)) <= 1e-12
+
+
 def test_splitting_scheme_agrees(even_wave, even_scan):
     peak = even_scan.most_unstable
     run = evolve_and_fit(

@@ -242,9 +242,10 @@ def test_spectrum_rejects_coupled_block_operators(even_wave):
 def test_shift_family_matches_matrix_identity(even_wave):
     kappas = [0.0, 0.5, 1.0, 1.3]
     family = shifted_block_spectra(even_wave, kappas)
-    base = scipy.linalg.eigh(
-        build_block(even_wave, "S_kappa", kappa=0.0).entries, eigvals_only=True
-    )
+    # the same LAPACK driver as the library: 1e-12 against ||S(0)|| ~ 4e3 is
+    # below the rounding gap of two different drivers, so it tests the shift,
+    # not the driver (the direct-solve cross-check below uses scipy)
+    base = np.linalg.eigvalsh(build_block(even_wave, "S_kappa", kappa=0.0).entries)
     for kappa in kappas:
         assert np.max(np.abs(family[kappa] - (base + kappa**2))) <= 1e-12
 

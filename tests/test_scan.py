@@ -8,13 +8,14 @@ import scipy.linalg
 
 import oracles
 from gnlstab.errors import NumericalConsistencyError, ParameterError
-from gnlstab.hill import build_block, build_hill
+from gnlstab.hill import OperatorMatrix, build_block, build_hill
 from gnlstab.scan import (
     CROSSCHECK_RTOL,
     EDGE_LEVEL,
     SYMMETRY_TOL,
     UNSTABLE_THRESHOLD,
     _Reduction,
+    _block_eigs,
     _reduced_row,
     _symmetry_defect,
     evolution_block,
@@ -23,7 +24,7 @@ from gnlstab.scan import (
     scan_kappa,
     verify_hypotheses,
 )
-from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis
+from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis, build_grid
 from gnlstab.waves import constant_wave, wave_at_resolution
 
 TWO_PI = 2.0 * np.pi
@@ -158,6 +159,25 @@ def test_kappa_zero_generalized_kernel(even_wave):
     assert eigs.max_real_part <= 1e-5
     small = np.sum(np.abs(eigs.eigenvalues) <= 1e-4)
     assert small == 4
+
+
+def test_eigenvalues_stay_complex(even_wave, even_scan, odd_full_scan):
+    assert instability_eigs(even_wave, 1.0).eigenvalues.dtype == np.complex128
+    for scan in (even_scan, odd_full_scan):  # reduced and dense rows
+        assert all(r.eigenvalues.dtype == np.complex128 for r in scan.records)
+        assert all(type(r.leading_lambda) is complex for r in scan.records if r.leading_lambda)
+
+
+def test_real_block_spectrum_stays_complex():
+    # L2 = I, L1 = -2 I: lambda^2 = 2 on every mode, so geev alone would
+    # return a real spectrum and real vectors
+    basis = ParityBasis(FULL, build_grid(TWO_PI, 8))
+    d = basis.dimension
+    entries = np.diag(np.concatenate([np.ones(d), -2.0 * np.ones(d)]))
+    s0 = OperatorMatrix(basis, entries, label="S_kappa", wave_id="synthetic", kappa=0.0)
+    eigs = _block_eigs(s0, 0.0, "full")
+    assert eigs.eigenvalues.dtype == np.complex128
+    assert np.allclose(eigs.eigenvalues, np.repeat([-np.sqrt(2.0), np.sqrt(2.0)], d))
 
 
 def test_leading_mode_fields(even_scan):

@@ -570,6 +570,31 @@ def test_cli_commands_never_build_the_synthesis_matrix(tmp_path, even_wave, monk
     assert calls == []
 
 
+def test_lapack_failure_is_a_tagged_scientific_error(tmp_path, even_wave, monkeypatch, capsys):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    wave_path = store_wave(even_wave, tmp_path / "wave.json")
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    rc = main(["scan", "--wave", wave_path, "--kappa-min", "0.05", "--kappa-max", "1.8",
+               "--kappa-steps", "4", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "[instability_scanner] Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # every eigensolve runs on numpy.linalg; scipy is a test-only dependency.
+    # The child imports gnlstab from where this process found it: pytest's
+    # pythonpath setting does not reach a subprocess
+    package_root = str(Path(gnlstab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, gnlstab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_module_entry_point(tmp_path):
     # the child imports gnlstab from where this process found it: pytest's
     # pythonpath setting does not reach a subprocess
