@@ -14,19 +14,23 @@ that product has the eigenvalues mu = -lambda^2 of the symmetric
 
     M(kappa) = diag(s) (Q^T L1 Q + kappa^2) diag(s),
 
-and v1 = Q (s * y) for an eigenvector y of M.  :func:`scan_kappa`
-diagonalizes L2 once per scan and solves each such row with one d x d
-``eigh``.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor
-of that diagonalization (an odd wave in the full space at small kappa), or
-where a computed mu lies within the rounding floor of M of zero (next to
-kappa = 0 and at band edges), go through the dense 2d x 2d ``eig`` of
-:func:`instability_eigs`, which also stays the solver of single-kappa
-calls and of the time integrator.  Every
-grid row on either path checks lambda^2 on the ten largest |lambda|
-against the unsymmetric d x d product and the quadruple symmetry of the
-reported set.  The scan records the largest growth rate per kappa, locates
-band edges by bisection, and verifies the structural hypotheses (H0)-(H4)
-for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
+and v1 = Q (s * y) for an eigenvector y of M.  M is congruent to
+L1 + kappa^2, so by Sylvester's law of inertia such a row has exactly
+n(L1 + kappa^2) growth pairs: with -lambda0 the lowest eigenvalue of L1 (and
+of S(0), since L1 <= L2) the band is (0, sqrt(lambda0)).
+
+:func:`scan_kappa` diagonalizes L1 and L2 once per scan, solves each such
+row with one d x d ``eigh``, checks its count of mu < 0 against the L1
+spectrum and reads band edges there off that spectrum.  Rows where
+L2 + kappa^2 is indefinite beyond the rounding floor of its diagonalization
+(an odd wave in the full space at small kappa), or where a computed mu lies
+within the rounding floor of M of zero (next to kappa = 0 and at band
+edges), go through the dense 2d x 2d ``eig`` of :func:`instability_eigs`,
+which also solves single-kappa calls and the time integrator; only an edge
+above an indefinite row is bisected.  Every grid row on either path checks
+lambda^2 on the ten largest |lambda| against the unsymmetric d x d product
+and the quadruple symmetry of the reported set.  The module also verifies
+the hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
 """
 from __future__ import annotations
 
@@ -49,8 +53,11 @@ from .waves import WaveProfile
 #: growth rates above this are reported as genuine instability
 UNSTABLE_THRESHOLD = 1e-6
 
-#: bisection level for instability band edges
+#: growth level that marks instability band edges
 EDGE_LEVEL = 1e-8
+
+#: width to which a band edge is bisected, and the slack of a closed-form edge
+EDGE_RESOLUTION = 1e-6
 
 #: eigenvectors are returned for eigenvalues with real part above this
 VECTOR_LEVEL = 1e-8
@@ -122,8 +129,7 @@ class InstabilityEigs:
 
     def mode_fields(self, mode: UnstableMode) -> tuple[RealField, RealField]:
         d = self.basis.dimension
-        coeff = np.real_if_close(mode.coefficients, tol=1e6)
-        coeff = np.asarray(coeff, dtype=float) if np.isrealobj(coeff) else np.real(coeff)
+        coeff = np.real(mode.coefficients)
         return self.basis.field(coeff[:d]), self.basis.field(coeff[d:])
 
 
@@ -229,11 +235,9 @@ class StabilityScan:
     records: tuple
     band_edges: tuple
     verdict: str
-    #: grid rows and bisection evaluations solved by the symmetric lambda^2
-    #: reduction and by the dense block eig
+    #: grid rows per solver path, and dense eig solves spent bisecting band edges
     reduced_rows: int
     dense_rows: int
-    reduced_bisections: int
     dense_bisections: int
 
     @property
@@ -267,14 +271,13 @@ def _rounding_floor(dimension: int, norm: float) -> float:
 
 @dataclass(frozen=True)
 class _Reduction:
-    """L2 = Q diag(D) Q^T and A = Q^T L1 Q on one sector, for the lambda^2 reduction.
+    """L2 = Q diag(D) Q^T, A = Q^T L1 Q and the L1 spectrum of one sector.
 
     A kappa is solved here only where L2 + kappa^2 is semidefinite and every
-    computed mu that matters clears the rounding floor of M(kappa): a mu that
-    rounding can push across zero would report sqrt(|mu|), far above
-    EDGE_LEVEL, as growth.  That happens next to kappa = 0, where the symmetry
-    generators form a Jordan block, and right at band edges; the dense block
-    ``eig`` solves those kappas.
+    computed mu clears the rounding floor of M(kappa): a mu that rounding can
+    push across zero would report sqrt(|mu|), far above EDGE_LEVEL, as growth.
+    That happens next to kappa = 0, where the symmetry generators form a
+    Jordan block, and right at band edges; the dense ``eig`` solves those.
     """
 
     q: np.ndarray
@@ -282,13 +285,16 @@ class _Reduction:
     a: np.ndarray
     #: max row sum of |L1|, a bound on ||A||_2 = ||L1||_2
     l1_norm: float
+    #: ascending eigenvalues of L1
+    l1_eigs: np.ndarray
 
     @classmethod
     def of(cls, s0: OperatorMatrix) -> "_Reduction":
         n = s0.basis.dimension
         l1 = s0.entries[n:, n:]
         d, q = np.linalg.eigh(s0.entries[:n, :n])
-        return cls(q=q, d=d, a=q.T @ l1 @ q, l1_norm=float(np.max(np.sum(np.abs(l1), axis=1))))
+        l1_norm = float(np.max(np.sum(np.abs(l1), axis=1)))
+        return cls(q=q, d=d, a=q.T @ l1 @ q, l1_norm=l1_norm, l1_eigs=np.linalg.eigvalsh(l1))
 
     def scale(self, kappa: float) -> Optional[np.ndarray]:
         """s = sqrt(D + kappa^2), or None where L2 + kappa^2 is indefinite.
@@ -309,21 +315,32 @@ class _Reduction:
         norm = (self.d[-1] + kappa**2) * (self.l1_norm + kappa**2)  # bounds ||M(kappa)||_2
         return bool(np.min(np.abs(mu)) > _rounding_floor(self.d.size, norm))
 
-    def growth(self, kappa: float) -> Optional[float]:
-        """sqrt(max(0, -mu_min)) from the lowest eigenvalue of M alone, or None
-        where the reduction does not apply."""
-        scale = self.scale(kappa)
-        if scale is None:
-            return None
-        # only the lowest mu decides the rate; resolving the whole spectrum
-        # from zero would send rows with a harmless near-zero mu to the dense path
-        mu = np.linalg.eigvalsh(self.matrix(kappa, scale))[:1]
-        return float(np.sqrt(max(0.0, -mu[0]))) if self.resolved(kappa, mu) else None
+    def check_inertia(self, kappa: float, mu: np.ndarray) -> None:
+        """#{mu < 0} = n(L1 + kappa^2) by Sylvester's law of inertia, L1
+        eigenvalues within the rounding floor of -kappa^2 counting either way."""
+        shifted = self.l1_eigs + kappa**2
+        floor = _rounding_floor(shifted.size, float(np.max(np.abs(self.l1_eigs))))
+        low, high, negative = np.sum(shifted < -floor), np.sum(shifted < floor), np.sum(mu < 0.0)
+        if not low <= negative <= high:
+            raise NumericalConsistencyError(
+                f"inertia count: {negative} mu < 0 at kappa={kappa:g}, n(L1+k^2) in {low}..{high}"
+            )
+
+    def band_end(self, lo: float, hi: float, falling: bool) -> float:
+        """The edge where growth crosses EDGE_LEVEL in [lo, hi], on which
+        L2 + kappa^2 >= 0: sqrt(lambda0) if growth falls there, else 0."""
+        end = float(np.sqrt(max(-self.l1_eigs[0], 0.0))) if falling else 0.0
+        if not lo - EDGE_RESOLUTION <= end <= hi + EDGE_RESOLUTION:
+            raise NumericalConsistencyError(
+                f"edge in [{lo:g}, {hi:g}] misses the inertia-law band end {end:.9g}"
+            )
+        return min(max(end, lo), hi)
 
 
 def _reduced_row(s0: OperatorMatrix, reduction: _Reduction, kappa: float) -> Optional[KappaRecord]:
     """One grid row from one d x d ``eigh`` of M(kappa), cross-checked like a
-    dense row, or None where the reduction does not apply."""
+    dense row and against the inertia count, or None where the reduction does
+    not apply."""
     scale = reduction.scale(kappa)
     if scale is None:
         return None
@@ -343,6 +360,7 @@ def _reduced_row(s0: OperatorMatrix, reduction: _Reduction, kappa: float) -> Opt
     eigenvalues = np.concatenate([half, -half]) + 0.0  # + 0.0 clears negative zeros
     eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
     _crosscheck(s0.entries[:d, :d] + shift, l1k, eigenvalues, kappa)
+    reduction.check_inertia(kappa, mu)
 
     growth = float(rate[0]) if mu[0] < 0.0 else 0.0
     lam = v1 = v2 = None
@@ -368,50 +386,35 @@ def scan_kappa(
     kappa_max: float,
     steps: int,
     sector: str = "auto",
-    edge_resolution: float = 1e-6,
 ) -> StabilityScan:
-    """Sweep kappa over a uniform grid and bisect the instability band edges.
+    """Sweep kappa over a uniform grid and locate the instability band edges.
 
     The verdict is 'transversally unstable' as soon as one grid point has
     max Re lambda above UNSTABLE_THRESHOLD.  Runs are sequential and
     deterministic: identical inputs give identical records.  L1 and L2 are
-    assembled once; every grid and bisection row adds kappa^2 to them.
-
-    L2 is diagonalized once.  A row whose L2 + kappa^2 is positive
-    semidefinite (down to the rounding floor of that diagonalization) is
-    solved through the symmetric lambda^2 reduction of the module docstring:
-    one d x d ``eigh`` for the grid row, its leading growth rate refined by
-    a Rayleigh quotient, and the lowest eigenvalue of M alone for a
-    bisection step.  Any other row, and any row whose mu the reduction does
-    not resolve from zero, takes the dense 2d x 2d block ``eig``.
-    Every grid row, on either path, passes the lambda^2 cross-check against
-    the unsymmetric product and the SYMMETRY_TOL gate on its reported set;
-    bisection steps only compare the growth rate with EDGE_LEVEL.  The scan
-    counts the rows and bisection steps each path solved.
+    assembled once and every row adds kappa^2 to them.  An edge lies between
+    adjacent rows whose growth crosses EDGE_LEVEL: the band end 0 or
+    sqrt(lambda0) where L2 + kappa^2 >= 0 there, else bisected to
+    EDGE_RESOLUTION with dense ``eig`` solves, which the scan counts.
     """
     if not (np.isfinite(kappa_min) and np.isfinite(kappa_max)):
         raise ParameterError("kappa range must be finite")
     if kappa_min < 0.0 or kappa_max <= kappa_min:
-        raise ParameterError(
-            f"need 0 <= kappa_min < kappa_max, got [{kappa_min}, {kappa_max}]"
-        )
-    if steps < 2:
-        raise ParameterError(f"kappa grid needs at least 2 points, got {steps}")
+        raise ParameterError(f"need 0 <= kappa_min < kappa_max, got [{kappa_min}, {kappa_max}]")
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ParameterError(f"kappa grid needs an integer of at least 2 points, got {steps!r}")
     sector = resolve_sector(wave, sector)
     kappas = np.linspace(kappa_min, kappa_max, steps)
     s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
     reduction = _Reduction.of(s0)
-    rows = {"reduced": 0, "dense": 0}
-    bisections = {"reduced": 0, "dense": 0}
+    reduced = 0
     records = []
     for kappa in kappas:
         kappa = float(kappa)
         row = _reduced_row(s0, reduction, kappa)
+        reduced += row is not None
         if row is None:
-            rows["dense"] += 1
             row = _record(_block_eigs(s0, kappa, sector))
-        else:
-            rows["reduced"] += 1
         if row.symmetry_defect > SYMMETRY_TOL:
             raise NumericalConsistencyError(
                 f"eigenvalue quadruple symmetry broken at kappa={kappa:g}: "
@@ -419,25 +422,22 @@ def scan_kappa(
             )
         records.append(row)
 
-    def growth(k: float) -> float:
-        rate = reduction.growth(k)
-        if rate is None:
-            bisections["dense"] += 1
-            return _block_eigs(s0, k, sector, crosscheck=False).max_real_part
-        bisections["reduced"] += 1
-        return rate
-
+    bisections = 0
     edges = []
     for left, right in zip(records[:-1], records[1:]):
         f_left = left.max_real_part - EDGE_LEVEL
-        f_right = right.max_real_part - EDGE_LEVEL
-        if f_left == 0.0 or f_left * f_right >= 0.0:
+        if f_left == 0.0 or f_left * (right.max_real_part - EDGE_LEVEL) >= 0.0:
             continue
         lo, hi = left.kappa, right.kappa
+        # D + kappa^2 grows with kappa: semidefinite at lo means on all of [lo, hi]
+        if reduction.scale(lo) is not None:
+            edges.append(reduction.band_end(lo, hi, falling=f_left > 0.0))
+            continue
         g_lo = f_left
-        while hi - lo > edge_resolution:
+        while hi - lo > EDGE_RESOLUTION:
             mid = 0.5 * (lo + hi)
-            g_mid = growth(mid) - EDGE_LEVEL
+            bisections += 1
+            g_mid = _block_eigs(s0, mid, sector, crosscheck=False).max_real_part - EDGE_LEVEL
             if g_mid == 0.0:
                 lo = hi = mid
                 break
@@ -455,10 +455,9 @@ def scan_kappa(
         records=tuple(records),
         band_edges=tuple(edges),
         verdict="transversally unstable" if unstable else "no instability detected",
-        reduced_rows=rows["reduced"],
-        dense_rows=rows["dense"],
-        reduced_bisections=bisections["reduced"],
-        dense_bisections=bisections["dense"],
+        reduced_rows=reduced,
+        dense_rows=len(records) - reduced,
+        dense_bisections=bisections,
     )
 
 

@@ -153,7 +153,6 @@ def _scan_payload(scan: StabilityScan) -> dict:
         "verdict": scan.verdict,
         "reduced_rows": scan.reduced_rows,
         "dense_rows": scan.dense_rows,
-        "reduced_bisections": scan.reduced_bisections,
         "dense_bisections": scan.dense_bisections,
     }
 
@@ -336,7 +335,6 @@ def _scan_from(payload: dict) -> StabilityScan:
         verdict=str(_need(payload, "verdict")),
         reduced_rows=int(_need(payload, "reduced_rows")),
         dense_rows=int(_need(payload, "dense_rows")),
-        reduced_bisections=int(_need(payload, "reduced_bisections")),
         dense_bisections=int(_need(payload, "dense_bisections")),
     )
 

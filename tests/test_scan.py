@@ -12,6 +12,7 @@ from gnlstab.hill import OperatorMatrix, build_block, build_hill
 from gnlstab.scan import (
     CROSSCHECK_RTOL,
     EDGE_LEVEL,
+    EDGE_RESOLUTION,
     SYMMETRY_TOL,
     UNSTABLE_THRESHOLD,
     _Reduction,
@@ -205,9 +206,6 @@ def test_scan_is_deterministic(even_wave, even_scan, dense_rows):
 # ---------------------------------------------------------------------------
 # the symmetric lambda^2 reduction against the dense block solver
 
-#: default edge_resolution of scan_kappa
-EDGE_RESOLUTION = 1e-6
-
 SCANS = ["even", "odd", "const"]
 
 
@@ -267,9 +265,13 @@ def test_reduced_band_edges_and_verdict_match_dense(name, request, dense_rows):
     assert scan.verdict == ("transversally unstable" if unstable else "no instability detected")
     crossings = sum((a - EDGE_LEVEL) * (b - EDGE_LEVEL) < 0.0 for a, b in zip(growth, growth[1:]))
     assert len(scan.band_edges) == crossings
-    assert scan.reduced_bisections >= 1
+    # every edge lies where L2 + kappa^2 >= 0 and is read from the L1 spectrum,
+    # whose lowest eigenvalue is that of S(0) since L1 <= L2
+    assert scan.dense_bisections == 0
+    lambda0 = verify_hypotheses(wave).h1["lambda0"]
+    assert scan.band_edges[-1] == pytest.approx(np.sqrt(lambda0), rel=1e-12)
 
-    # the dense growth rate crosses EDGE_LEVEL within edge_resolution of each edge
+    # the dense growth rate crosses EDGE_LEVEL within EDGE_RESOLUTION of each edge
     def dense_growth(kappa):
         return instability_eigs(wave, kappa, scan.sector, crosscheck=False).max_real_part
 
@@ -321,11 +323,14 @@ def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave):
     # sits at rounding level, where sqrt(|mu|) would read as growth above
     # EDGE_LEVEL and hide the band edge right above kappa = 0
     scan = scan_kappa(odd_wave, 0.0, 0.5, 4)
-    assert scan.dense_rows == 1 and scan.dense_bisections >= 1
+    # the kappa = 0 row is dense, but L2 >= 0 on the odd sector: the edge is
+    # the band end 0 of the inertia law, not a bisection
+    assert scan.dense_rows == 1 and scan.dense_bisections == 0
     dense0 = instability_eigs(odd_wave, 0.0)
     assert np.array_equal(scan.records[0].eigenvalues, dense0.eigenvalues)
     assert dense0.max_real_part < EDGE_LEVEL
     assert len(scan.band_edges) == 1 and scan.band_edges[0] <= EDGE_RESOLUTION
+    assert scan.band_edges[0] == 0.0
     above = instability_eigs(odd_wave, scan.band_edges[0] + EDGE_RESOLUTION, crosscheck=False)
     assert above.max_real_part > EDGE_LEVEL
 
@@ -341,6 +346,74 @@ def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
     )
     with pytest.raises(NumericalConsistencyError, match="cross-check"):
         _reduced_row(s0, shifted_twice, kappa)
+
+
+# ---------------------------------------------------------------------------
+# band edges from the inertia law
+
+#: edges the bisection located before the inertia law replaced it: the three
+#: fixture scans and the odd wave scanned from kappa = 0 with 60 rows
+BISECTED_EDGES = {
+    "even": (1.7032391693632483,),
+    "odd": (3.511205857487048,),
+    "const": (1.4142139434814451,),
+    "odd_from_zero": (2.586235434322034e-07, 3.5112058995133735),
+}
+
+
+@pytest.fixture(scope="module")
+def odd_from_zero_scan(odd_wave):
+    return scan_kappa(odd_wave, 0.0, 4.0, 60)
+
+
+@pytest.mark.parametrize("name", list(BISECTED_EDGES))
+def test_band_edges_agree_with_the_bisection(name, request):
+    scan = request.getfixturevalue(f"{name}_scan")
+    assert scan.dense_bisections == 0
+    assert len(scan.band_edges) == len(BISECTED_EDGES[name])
+    for edge, bisected in zip(scan.band_edges, BISECTED_EDGES[name]):
+        assert abs(edge - bisected) <= EDGE_RESOLUTION
+
+
+def test_forced_dense_rows_bisect_to_the_inertia_edges(odd_wave, odd_hypotheses, monkeypatch):
+    # with the reduction switched off every row and every bracket goes dense
+    monkeypatch.setattr(_Reduction, "scale", lambda self, kappa: None)
+    scan = scan_kappa(odd_wave, 0.0, 4.0, 8)
+    assert scan.reduced_rows == 0 and scan.dense_rows == 8
+    assert scan.dense_bisections >= 1
+    closed_form = (0.0, np.sqrt(odd_hypotheses.h1["lambda0"]))
+    assert len(scan.band_edges) == len(closed_form)
+    for edge, expected in zip(scan.band_edges, closed_form):
+        assert abs(edge - expected) <= EDGE_RESOLUTION
+
+
+@pytest.mark.parametrize(
+    "kappa, tampered",
+    [
+        # kappa^2 dropped from the count: above sqrt(lambda0) = 1.70 L1 still
+        # counts its negative eigenvalue, M none
+        (2.0, lambda ell, kappa: ell - kappa**2),
+        # kappa^2 doubled: below sqrt(lambda0) M has one negative mu, while
+        # L1 + 2 kappa^2 is already positive
+        (1.5, lambda ell, kappa: ell + kappa**2),
+    ],
+    ids=["kappa2-dropped", "kappa2-doubled"],
+)
+def test_inertia_count_rejects_a_tampered_l1_spectrum(even_wave, kappa, tampered):
+    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
+    reduction = _Reduction.of(s0)
+    assert _reduced_row(s0, reduction, kappa) is not None
+    wrong = dataclasses.replace(reduction, l1_eigs=tampered(reduction.l1_eigs, kappa))
+    with pytest.raises(NumericalConsistencyError, match="inertia"):
+        _reduced_row(s0, wrong, kappa)
+
+
+def test_band_end_outside_its_bracket_raises(even_wave):
+    reduction = _Reduction.of(build_block(even_wave, "S_kappa", 0.0, sector="full"))
+    with pytest.raises(NumericalConsistencyError, match=r"\[1, 1.1\]"):
+        reduction.band_end(1.0, 1.1, falling=True)
+    with pytest.raises(NumericalConsistencyError, match="inertia"):
+        reduction.band_end(0.5, 0.6, falling=False)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +493,9 @@ def test_scan_input_validation(even_wave):
         scan_kappa(even_wave, 0.1, 1.0, 1)
     with pytest.raises(ParameterError):
         scan_kappa(even_wave, 0.1, float("inf"), 10)
+    for steps in (10.5, float("nan"), "10"):
+        with pytest.raises(ParameterError, match="integer"):
+            scan_kappa(even_wave, 0.05, 2.0, steps)
     with pytest.raises(ParameterError):
         instability_eigs(even_wave, -0.5)
 

@@ -98,16 +98,17 @@ def test_scan_roundtrip(const_wave):
 
 
 def test_scan_solver_paths_roundtrip(tmp_path, even_scan, odd_full_scan):
-    # the even scan bisects on the reduced path; the odd wave in the full
-    # space has grid rows on both paths
+    # the even scan reads its edge from the L1 spectrum without bisecting; the
+    # odd wave in the full space has grid rows on both paths
     for scan in (even_scan, odd_full_scan):
         assert scan.reduced_rows + scan.dense_rows == len(scan.records)
         body = serialize.payload(scan)
         serialize.save(scan, tmp_path / "scan.json")
         again = serialize.load(tmp_path / "scan.json")
-        for name in ("reduced_rows", "dense_rows", "reduced_bisections", "dense_bisections"):
+        for name in ("reduced_rows", "dense_rows", "dense_bisections"):
             assert body[name] == getattr(scan, name) == getattr(again, name)
-    assert even_scan.reduced_bisections >= 1
+        assert again.band_edges == scan.band_edges
+    assert even_scan.dense_bisections == 0 and len(even_scan.band_edges) == 1
     assert odd_full_scan.reduced_rows >= 1 and odd_full_scan.dense_rows >= 1
 
 
