@@ -87,8 +87,9 @@ def _add_problem_flags(sp):
     sp.add_argument(
         "--tau",
         default=None,
-        help="constraint value, a float or auto:amplitude=A (bisects tau so the "
-        "minimizer has max|u| = A)",
+        help="constraint value, a float or auto:amplitude=A (tau such that the "
+        "minimizer before multiplier rescaling has max|u| = A; tau sets only that "
+        "amplitude, the solved profile does not depend on it)",
     )
     sp.add_argument("--zero-tolerance", type=float, default=None, dest="zero_tolerance")
 
@@ -174,6 +175,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise CommandError(1, f"[cli_io] config file not found: {path}")
     try:
         values = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CommandError(1, f"[cli_io] config file is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise CommandError(1, f"[cli_io] config file is not valid JSON: {exc}")
     if not isinstance(values, dict):
@@ -196,7 +199,8 @@ def _merge_config(args: argparse.Namespace) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    with _stage("cli_io"):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 

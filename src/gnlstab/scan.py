@@ -283,8 +283,6 @@ class _Reduction:
     q: np.ndarray
     d: np.ndarray
     a: np.ndarray
-    #: max row sum of |L1|, a bound on ||A||_2 = ||L1||_2
-    l1_norm: float
     #: ascending eigenvalues of L1
     l1_eigs: np.ndarray
 
@@ -293,8 +291,7 @@ class _Reduction:
         n = s0.basis.dimension
         l1 = s0.entries[n:, n:]
         d, q = np.linalg.eigh(s0.entries[:n, :n])
-        l1_norm = float(np.max(np.sum(np.abs(l1), axis=1)))
-        return cls(q=q, d=d, a=q.T @ l1 @ q, l1_norm=l1_norm, l1_eigs=np.linalg.eigvalsh(l1))
+        return cls(q=q, d=d, a=q.T @ l1 @ q, l1_eigs=np.linalg.eigvalsh(l1))
 
     def scale(self, kappa: float) -> Optional[np.ndarray]:
         """s = sqrt(D + kappa^2), or None where L2 + kappa^2 is indefinite.
@@ -312,7 +309,8 @@ class _Reduction:
 
     def resolved(self, kappa: float, mu: np.ndarray) -> bool:
         """No mu within the rounding floor of M(kappa) of zero."""
-        norm = (self.d[-1] + kappa**2) * (self.l1_norm + kappa**2)  # bounds ||M(kappa)||_2
+        # ||L1||_2 = max|l|, so this bounds ||M(kappa)||_2
+        norm = (self.d[-1] + kappa**2) * (float(np.max(np.abs(self.l1_eigs))) + kappa**2)
         return bool(np.min(np.abs(mu)) > _rounding_floor(self.d.size, norm))
 
     def check_inertia(self, kappa: float, mu: np.ndarray) -> None:
@@ -483,7 +481,6 @@ def verify_hypotheses(
     wave: WaveProfile,
     sector: str = "auto",
     zero_tolerance: Optional[float] = None,
-    rng_seed: int = 0,
 ) -> HypothesisReport:
     """Check (H0)-(H4) for S(kappa) on the declared sector.
 
@@ -492,7 +489,8 @@ def verify_hypotheses(
     beta = K^2 - lambda0, where -lambda0 is the lowest eigenvalue of S(0);
     H2 records that a periodic cell has no essential spectrum; H3
     monotonicity of the lowest eigenvalue of S(kappa) in kappa plus
-    positivity of (S'(kappa)w, w) = 2*kappa*||w||^2 on sampled vectors;
+    positivity of (S'(kappa)w, w) = 2*kappa*||w||^2 on vectors sampled
+    with seed 0;
     H4 exactly one simple negative eigenvalue of S(0) with the rest of the
     spectrum nonnegative.
 
@@ -539,7 +537,7 @@ def verify_hypotheses(
     mono_grid = np.linspace(0.0, max(2.0 * k_thresh, 1.0), 9)
     mono_eigs = [float(eigs0[0] + kappa**2) for kappa in mono_grid]
     diffs = np.diff(mono_eigs)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     sprime_values = []
     for kappa in mono_grid[1:]:
         for _ in range(3):

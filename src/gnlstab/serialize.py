@@ -396,8 +396,13 @@ def loads(text: str):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text (byte offset {exc.start})") from exc
+    return loads(text)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ iteration restricted to the same parity subspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,6 +54,16 @@ NEWTON_BASIN_LIMIT = 1e-2
 #: relative spectral amplitude below which a Fourier mode counts as inactive
 PERIOD_DETECTION_RTOL = 1e-8
 
+#: iteration cap of the constrained minimization
+MAX_OUTER_ITERATIONS = 20000
+
+#: multiplier-equation residual, relative to ||(-d_xx + w) u||, at which the
+#: constrained minimization stops
+GRADIENT_TOLERANCE = 1e-10
+
+#: largest |max|u| - A| that :func:`tau_for_amplitude` accepts
+AMPLITUDE_TOLERANCE = 1e-4
+
 
 def _is_even_integer(x: float) -> bool:
     n = round(x)
@@ -86,28 +96,23 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs for the variational solve and the Newton polish."""
+    """Grid size, Newton polish limits and an optional minimization seed.
+
+    ``user_guess`` (grid values, length ``mode_count``) replaces the parity
+    seed 1 + cos(2 pi x/L)/2 (even) or sin(2 pi x/L) (odd).
+    """
 
     mode_count: int = 128
-    max_outer_iterations: int = 20000
-    gradient_tolerance: float = 1e-10
     newton_tolerance: float = 1e-11
     newton_max_steps: int = 30
-    initial_guess: str = "auto"
     user_guess: Optional[np.ndarray] = None
-    preconditioner: str = "sobolev_h1"
 
     def __post_init__(self):
-        if self.initial_guess not in ("auto", "cosine_seed", "sine_seed", "user_supplied"):
-            raise ParameterError(f"unknown initial_guess {self.initial_guess!r}")
-        if self.preconditioner not in ("sobolev_h1", "none"):
-            raise ParameterError(f"unknown preconditioner {self.preconditioner!r}")
-        for name in ("gradient_tolerance", "newton_tolerance"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ParameterError(f"{name} must be positive, got {v}")
-        if self.max_outer_iterations < 1 or self.newton_max_steps < 1:
-            raise ParameterError("iteration limits must be at least 1")
+        v = self.newton_tolerance
+        if not (np.isfinite(v) and v > 0.0):
+            raise ParameterError(f"newton_tolerance must be positive, got {v}")
+        if self.newton_max_steps < 1:
+            raise ParameterError("newton_max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,7 @@ def detected_fundamental_period(phi: RealField) -> Optional[float]:
 
 
 def _seed_values(params: ProblemParams, config: SolverConfig, grid: PeriodicGrid) -> np.ndarray:
-    kind = config.initial_guess
-    if kind == "auto":
-        kind = "cosine_seed" if params.parity == EVEN else "sine_seed"
-    if kind == "user_supplied":
-        if config.user_guess is None:
-            raise ParameterError("initial_guess='user_supplied' needs config.user_guess")
+    if config.user_guess is not None:
         guess = np.asarray(config.user_guess, dtype=float)
         if guess.shape != (grid.size,):
             raise ParameterError(
@@ -218,12 +218,8 @@ def _seed_values(params: ProblemParams, config: SolverConfig, grid: PeriodicGrid
             )
         return guess.copy()
     x = grid.nodes
-    if kind == "cosine_seed":
-        if params.parity != EVEN:
-            raise ParameterError("cosine seed has even parity; problem asks for odd")
+    if params.parity == EVEN:
         return 1.0 + 0.5 * np.cos(2.0 * np.pi * x / grid.length)
-    if params.parity != ODD:
-        raise ParameterError("sine seed has odd parity; problem asks for even")
     return np.sin(2.0 * np.pi * x / grid.length)
 
 
@@ -284,7 +280,7 @@ def minimize_constrained(params: ProblemParams, config: SolverConfig = None) -> 
     step = 1.0
     best_u, best_rnorm = u, np.inf
 
-    for _ in range(config.max_outer_iterations):
+    for _ in range(MAX_OUTER_ITERATIONS):
         au = np.fft.irfft(np.fft.rfft(u) * sym, n=n)
         p = _power(u, alpha)
         c2 = float(np.dot(au, u) / np.dot(p, u))
@@ -294,17 +290,13 @@ def minimize_constrained(params: ProblemParams, config: SolverConfig = None) -> 
         b_here = b_value(au, u)
         if rnorm < best_rnorm:
             best_u, best_rnorm = u, rnorm
-        if rnorm <= config.gradient_tolerance * max(anorm, 1e-300):
+        if rnorm <= GRADIENT_TOLERANCE * max(anorm, 1e-300):
             break
         if near_constant(u, b_here):
             u = np.full(n, const_level)
             break
 
-        if config.preconditioner == "sobolev_h1":
-            d = np.fft.irfft(np.fft.rfft(r) / sym, n=n)
-        else:
-            d = r
-        d = parity_project(d)
+        d = parity_project(np.fft.irfft(np.fft.rfft(r) / sym, n=n))
 
         if u_prev is not None:
             du, dd = u - u_prev, d - d_prev
@@ -338,7 +330,7 @@ def minimize_constrained(params: ProblemParams, config: SolverConfig = None) -> 
             u = np.full(n, const_level)
         else:
             raise ConvergenceError(
-                f"no stationary point within {config.max_outer_iterations} iterations "
+                f"no stationary point within {MAX_OUTER_ITERATIONS} iterations "
                 f"(residual {best_rnorm:.3e})",
                 last_iterate=best_u,
                 gradient_norm=best_rnorm,
@@ -474,21 +466,26 @@ def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile
                 gradient_norm=rnorm,
             )
 
-    field = RealField(grid, phi, params.parity)
-    return WaveProfile(
-        params=params,
-        phi=field,
-        ode_residual_norm=ode_residual(field, alpha, omega),
-        functional_value=functional_B(field, omega),
-        constraint_value=integrate(
-            RealField(grid, np.abs(phi) ** (alpha + 2.0), EVEN if params.parity in (EVEN, ODD) else NONE)
-        ),
-        detected_period=detected_fundamental_period(field),
-    )
+    return _profile(params, RealField(grid, phi, params.parity))
 
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+
+def _profile(params: ProblemParams, phi: RealField) -> WaveProfile:
+    """Record of ``phi`` with its profile-equation residual, B_w(phi),
+    int |phi|^(a+2) and detected period."""
+    return WaveProfile(
+        params=params,
+        phi=phi,
+        ode_residual_norm=ode_residual(phi, params.alpha, params.omega),
+        functional_value=functional_B(phi, params.omega),
+        constraint_value=integrate(
+            RealField(phi.grid, np.abs(phi.values) ** (params.alpha + 2.0), EVEN)
+        ),
+        detected_period=detected_fundamental_period(phi),
+    )
 
 
 def _accept(wave: WaveProfile, tolerance: float) -> WaveProfile:
@@ -523,16 +520,7 @@ def solve_wave(params: ProblemParams, config: SolverConfig = None) -> WaveProfil
     config = config or SolverConfig()
     stationary = minimize_constrained(params, config)
     psi = rescale_unit_multiplier(stationary.phi, stationary.multiplier, params.alpha)
-    unpolished = WaveProfile(
-        params=params,
-        phi=psi,
-        ode_residual_norm=ode_residual(psi, params.alpha, params.omega),
-        functional_value=functional_B(psi, params.omega),
-        constraint_value=integrate(
-            RealField(psi.grid, np.abs(psi.values) ** (params.alpha + 2.0), EVEN)
-        ),
-        detected_period=detected_fundamental_period(psi),
-    )
+    unpolished = _profile(params, psi)
     try:
         polished = newton_refine(unpolished, config)
     except SingularJacobianError:
@@ -564,17 +552,7 @@ def constant_wave(alpha: float, omega: float, period: float, size: int) -> WaveP
 
 def wave_at_resolution(wave: WaveProfile, size: int) -> WaveProfile:
     """Trigonometric reinterpolation of an accepted wave onto N = ``size``."""
-    phi = resample(wave.phi, size)
-    return WaveProfile(
-        params=wave.params,
-        phi=phi,
-        ode_residual_norm=ode_residual(phi, wave.params.alpha, wave.params.omega),
-        functional_value=functional_B(phi, wave.params.omega),
-        constraint_value=integrate(
-            RealField(phi.grid, np.abs(phi.values) ** (wave.params.alpha + 2.0), EVEN)
-        ),
-        detected_period=wave.detected_period,
-    )
+    return _profile(wave.params, resample(wave.phi, size))
 
 
 def tau_for_amplitude(
@@ -584,60 +562,30 @@ def tau_for_amplitude(
     parity: str,
     amplitude: float,
     config: SolverConfig = None,
-    tolerance: float = 1e-4,
 ) -> float:
-    """Bisect on tau until the constrained minimizer has max|u| = amplitude.
+    """The tau at which the constrained minimizer has max|u| = amplitude.
 
-    The target applies to the minimizer *before* the unit-multiplier
-    rescaling (the rescaled profile is tau-independent along one stationary
-    branch).  Warm starts reuse the previous minimizer.
+    B_w(t u) = t^2 B_w(u) and int |t u|^(a+2) = t^(a+2) int |u|^(a+2), so the
+    minimizer at tau is (tau/tau0)^(1/(a+2)) times the minimizer at tau0.
+    One minimization at tau0 = L * amplitude^(a+2) measures amp0 = max|u|,
+    and tau = tau0 * (amplitude/amp0)^(a+2); a second one at that tau checks
+    the amplitude to AMPLITUDE_TOLERANCE.  tau sets only the amplitude
+    *before* the unit-multiplier rescaling: the accepted profile of
+    :func:`solve_wave` does not depend on it.
     """
     if not (np.isfinite(amplitude) and amplitude > 0.0):
         raise ParameterError(f"target amplitude must be positive, got {amplitude}")
-    config = config or SolverConfig()
 
-    def measure(tau, seed=None):
-        cfg = config
-        if seed is not None:
-            cfg = replace(config, initial_guess="user_supplied", user_guess=seed)
-        wave = minimize_constrained(
-            ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau, parity=parity),
-            cfg,
-        )
-        return wave.phi.max_abs, wave.phi.values
+    def measure(tau):
+        params = ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau, parity=parity)
+        return minimize_constrained(params, config).phi.max_abs
 
     tau0 = period * amplitude ** (alpha + 2.0)
-    amp0, u0 = measure(tau0)
-    # one-parameter scaling of the branch gives a sharp initial guess
-    tau_mid = tau0 * (amplitude / amp0) ** (alpha + 2.0)
-    lo, hi = 0.5 * tau_mid, 2.0 * tau_mid
-    amp_lo, u_lo = measure(lo, seed=u0 * (lo / tau0) ** (1.0 / (alpha + 2.0)))
-    amp_hi, u_hi = measure(hi, seed=u0 * (hi / tau0) ** (1.0 / (alpha + 2.0)))
-    for _ in range(20):
-        if amp_lo <= amplitude <= amp_hi:
-            break
-        if amp_lo > amplitude:
-            lo *= 0.5
-            amp_lo, u_lo = measure(lo, seed=u_lo * 0.5 ** (1.0 / (alpha + 2.0)))
-        else:
-            hi *= 2.0
-            amp_hi, u_hi = measure(hi, seed=u_hi * 2.0 ** (1.0 / (alpha + 2.0)))
-    else:
+    tau = tau0 * (amplitude / measure(tau0)) ** (alpha + 2.0)
+    measured = measure(tau)
+    if abs(measured - amplitude) > AMPLITUDE_TOLERANCE:
         raise ConvergenceError(
-            f"could not bracket amplitude {amplitude} by varying tau",
-            gradient_norm=None,
+            f"amplitude {amplitude} not reached: the minimizer at tau={tau!r} has "
+            f"max|u| = {measured!r}, off by more than {AMPLITUDE_TOLERANCE:g}"
         )
-    seed = u_lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        amp_mid, seed = measure(mid, seed=seed * (mid / lo) ** (1.0 / (alpha + 2.0)))
-        if abs(amp_mid - amplitude) <= tolerance:
-            return mid
-        if amp_mid < amplitude:
-            lo, amp_lo = mid, amp_mid
-        else:
-            hi, amp_hi = mid, amp_mid
-    raise ConvergenceError(
-        f"tau bisection did not reach amplitude tolerance {tolerance:g}",
-        gradient_norm=None,
-    )
+    return tau

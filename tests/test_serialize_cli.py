@@ -180,6 +180,13 @@ def test_malformed_json_reports_byte_offset():
         serialize.loads('{"schema_version": 1,')
 
 
+def test_undecodable_file_is_a_format_error(tmp_path):
+    path = tmp_path / "wave.json"
+    path.write_bytes(b'{"schema_version": 1, "type": "wave_profile\xff"}')
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        serialize.load(path)
+
+
 def test_unsupported_schema_version(even_wave):
     text = serialize.dumps(even_wave).replace('"schema_version": 1', '"schema_version": 99')
     with pytest.raises(FormatError, match="schema_version"):
@@ -444,6 +451,36 @@ def test_cli_config_missing(tmp_path, capsys):
     )
     assert rc == 1
     assert "config file not found" in capsys.readouterr().err
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    return ["solve", "--alpha", "2", "--tau", "12", "--out", str(tmp_path / "taken")]
+
+
+def _out_under_a_file(tmp_path):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    return ["solve", "--alpha", "2", "--tau", "12", "--out", str(tmp_path / "taken" / "run")]
+
+
+def _config_not_utf8(tmp_path):
+    (tmp_path / "run.json").write_bytes(b'{"alpha": "\xff"}')
+    return ["solve", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path)]
+
+
+def _wave_not_utf8(tmp_path):
+    (tmp_path / "wave.json").write_bytes(b"\xff\xfe{}")
+    return ["spectrum", "--wave", str(tmp_path / "wave.json"), "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "make_argv", [_out_is_a_file, _out_under_a_file, _config_not_utf8, _wave_not_utf8]
+)
+def test_cli_bad_io_is_a_tagged_input_error(tmp_path, capsys, make_argv):
+    assert main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[cli_io] ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

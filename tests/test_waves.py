@@ -1,6 +1,7 @@
 """Constrained minimization, rescaling, Newton polish, and wave acceptance."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gnlstab.spectral import (
     l2_norm,
     sample_function,
 )
+from gnlstab import waves
 from gnlstab.waves import (
     ProblemParams,
     SolverConfig,
@@ -164,9 +166,7 @@ def test_minimize_constant_stationary_state():
     # tau = L puts the constant u = 1 on the constraint surface; from a
     # constant-ish seed the iteration should land exactly there with c2 = 1
     params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=TWO_PI, parity="even")
-    config = SolverConfig(
-        mode_count=64, initial_guess="user_supplied", user_guess=np.full(64, 1.01)
-    )
+    config = SolverConfig(mode_count=64, user_guess=np.full(64, 1.01))
     wave = minimize_constrained(params, config)
     assert np.max(np.abs(wave.phi.values - 1.0)) <= 1e-10
     assert wave.multiplier == pytest.approx(1.0, abs=1e-10)
@@ -226,15 +226,15 @@ def test_odd_wave_antisymmetry(odd_wave):
 
 def test_zero_seed_degenerates():
     params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=1.0, parity="even")
-    config = SolverConfig(mode_count=32, initial_guess="user_supplied", user_guess=np.zeros(32))
+    config = SolverConfig(mode_count=32, user_guess=np.zeros(32))
     with pytest.raises(DegenerateSolutionError):
         minimize_constrained(params, config)
 
 
-def test_seed_parity_mismatch():
+def test_user_guess_needs_the_grid_shape():
     params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=1.0, parity="even")
-    with pytest.raises(ParameterError):
-        minimize_constrained(params, SolverConfig(initial_guess="sine_seed"))
+    with pytest.raises(ParameterError, match="user guess has shape"):
+        minimize_constrained(params, SolverConfig(mode_count=32, user_guess=np.ones(64)))
 
 
 def test_constant_regime_snaps_exactly():
@@ -446,6 +446,45 @@ def test_tau_for_amplitude_hits_target():
         ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=tau, parity="even")
     )
     assert abs(float(np.max(np.abs(pre.phi.values))) - 1.5) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "alpha, omega, parity, amplitude",
+    [
+        (2.0, 1.0, "even", 1.5),
+        (2.0, 4.0, "odd", 2.5),
+        (0.5, 1.0, "even", 1.2),  # the minimizer is the constant
+    ],
+)
+def test_tau_for_amplitude_is_two_minimizations(monkeypatch, alpha, omega, parity, amplitude):
+    # the minimizer at tau is (tau/tau0)^(1/(a+2)) times the one at tau0, so
+    # one solve fixes tau and a second one only checks it
+    taus = []
+    original = waves.minimize_constrained
+
+    def counted(params, config=None):
+        taus.append(params.tau)
+        return original(params, config)
+
+    monkeypatch.setattr(waves, "minimize_constrained", counted)
+    config = SolverConfig(mode_count=64)
+    tau = tau_for_amplitude(alpha, omega, TWO_PI, parity, amplitude, config)
+    assert len(taus) == 2 and taus[1] == tau
+    pre = original(
+        ProblemParams(alpha=alpha, omega=omega, period=TWO_PI, tau=tau, parity=parity), config
+    )
+    assert abs(pre.phi.max_abs - amplitude) <= 1e-12 * amplitude
+
+
+def test_tau_for_amplitude_reports_a_missed_target(monkeypatch):
+    # an amplitude that is not homogeneous in tau of degree 1/(a+2) breaks
+    # the scaling law; the check solve must catch it
+    def sqrt_amplitude(params, config=None):
+        return SimpleNamespace(phi=SimpleNamespace(max_abs=math.sqrt(params.tau)))
+
+    monkeypatch.setattr(waves, "minimize_constrained", sqrt_amplitude)
+    with pytest.raises(ConvergenceError, match=r"amplitude 1\.5 .*tau=.*max\|u\| = "):
+        tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5)
 
 
 def test_tau_for_amplitude_rejects_bad_target():
