@@ -19,18 +19,25 @@ L1 + kappa^2, so by Sylvester's law of inertia such a row has exactly
 n(L1 + kappa^2) growth pairs: with -lambda0 the lowest eigenvalue of L1 (and
 of S(0), since L1 <= L2) the band is (0, sqrt(lambda0)).
 
-:func:`scan_kappa` diagonalizes L1 and L2 once per scan, solves each such
-row with one d x d ``eigh``, checks its count of mu < 0 against the L1
-spectrum and reads band edges there off that spectrum.  Rows where
-L2 + kappa^2 is indefinite beyond the rounding floor of its diagonalization
-(an odd wave in the full space at small kappa), or where a computed mu lies
-within the rounding floor of M of zero (next to kappa = 0 and at band
-edges), go through the dense 2d x 2d ``eig`` of :func:`instability_eigs`,
-which also solves single-kappa calls and the time integrator; only an edge
-above an indefinite row is bisected.  Every grid row on either path checks
-lambda^2 on the ten largest |lambda| against the unsymmetric d x d product
-and the quadruple symmetry of the reported set.  The module also verifies
-the hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
+The potential |phi|^a is even, so in the full space L1, L2 and the whole
+block problem split into a cosine and a sine sector (``hill._sector_blocks``)
+and every solve below runs once per sector, on blocks of order about d/2;
+the sector spectra are merged into one record and growth modes lifted to
+full-basis coefficients.
+
+:func:`scan_kappa` diagonalizes L1 and L2 once per scan and sector, solves
+each such row with one ``eigh`` per sector, checks each sector's count of
+mu < 0 against its L1 spectrum and reads band edges off the lowest L1
+eigenvalue.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor
+of its diagonalization (an odd wave in the full space at small kappa), or
+where a computed mu lies within the rounding floor of M of zero (next to
+kappa = 0 and at band edges), in any sector, go through the dense ``eig`` of
+:func:`instability_eigs`, which also solves single-kappa calls and seeds the
+time integrator; only an edge above an indefinite row is bisected.  Every
+grid row on either path checks lambda^2 on each sector's ten largest
+|lambda| against that sector's unsymmetric product and the quadruple
+symmetry of the merged set.  The module also verifies the hypotheses
+(H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
 """
 from __future__ import annotations
 
@@ -42,6 +49,8 @@ import numpy as np
 from .errors import NumericalConsistencyError, ParameterError
 from .hill import (
     OperatorMatrix,
+    _rounding_floor,
+    _sector_blocks,
     block_eigenvalues,
     build_block,
     default_zero_tolerance,
@@ -77,22 +86,45 @@ def resolve_sector(wave: WaveProfile, sector: str) -> str:
     return sector
 
 
-def _growth_block(s0: OperatorMatrix, kappa: float) -> np.ndarray:
-    """[[0, L2+k^2], [-(L1+k^2), 0]] from the diagonal blocks of S(0)."""
+def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
+    """[[0, L2+k^2], [-(L1+k^2), 0]] from L2 and L1 on one basis."""
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
-    d = s0.basis.dimension
+    d = l2.shape[0]
     shift = kappa**2 * np.eye(d)
     block = np.zeros((2 * d, 2 * d))
-    block[:d, d:] = s0.entries[:d, :d] + shift  # L2 + kappa^2
-    block[d:, :d] = -(s0.entries[d:, d:] + shift)  # -(L1 + kappa^2)
+    block[:d, d:] = l2 + shift
+    block[d:, :d] = -(l1 + shift)
     return block
+
+
+def _sectors(s0: OperatorMatrix) -> list:
+    """(rows, L2 block, L1 block) of each parity sector of S(0) = diag(L2, L1),
+    rows being the sector's slice of the basis."""
+    d = s0.basis.dimension
+    out, start = [], 0
+    for l2, l1 in zip(
+        _sector_blocks(s0.entries[:d, :d], s0.basis), _sector_blocks(s0.entries[d:, d:], s0.basis)
+    ):
+        out.append((slice(start, start + l2.shape[0]), l2, l1))
+        start += l2.shape[0]
+    return out
+
+
+def _lift(rows: slice, d: int, pair: np.ndarray) -> np.ndarray:
+    """Stacked (v1, v2) coefficients of one sector as a full-basis [v1 | v2]."""
+    m = rows.stop - rows.start
+    out = np.zeros(2 * d, dtype=pair.dtype)
+    out[rows] = pair[:m]
+    out[d + rows.start : d + rows.stop] = pair[m:]
+    return out
 
 
 def evolution_block(wave: WaveProfile, kappa: float, sector: str = "full"):
     """Dense block matrix [[0, L2+k^2], [-(L1+k^2), 0]] and its basis."""
     s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
-    return _growth_block(s0, kappa), s0.basis
+    d = s0.basis.dimension
+    return _growth_block(s0.entries[:d, :d], s0.entries[d:, d:], kappa), s0.basis
 
 
 @dataclass(frozen=True)
@@ -157,9 +189,9 @@ def instability_eigs(
 ) -> InstabilityEigs:
     """Solve the block problem at one kappa (kappa = 0 allowed as diagnostic).
 
-    The 2d x 2d dense solve is cross-checked against the d x d reduction
-    (lambda^2 must be an eigenvalue of -(L2+k^2)(L1+k^2)) on the ten largest
-    |lambda|; disagreement raises NumericalConsistencyError.
+    Each parity sector's dense block is cross-checked against its own
+    reduction (lambda^2 must be an eigenvalue of -(L2+k^2)(L1+k^2)) on its
+    ten largest |lambda|; disagreement raises NumericalConsistencyError.
     """
     sector = resolve_sector(wave, sector)
     return _block_eigs(build_block(wave, "S_kappa", 0.0, sector=sector), kappa, sector, crosscheck)
@@ -180,33 +212,47 @@ def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa
 
 
 def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool = True):
-    """:func:`instability_eigs` on the already assembled S(0) of one wave."""
-    block, basis = _growth_block(s0, kappa), s0.basis
-    # geev returns a real array when every eigenvalue is real; records and
-    # mode rates stay complex whatever the spectrum
-    eigenvalues, vectors = (a.astype(complex, copy=False) for a in np.linalg.eig(block))
+    """:func:`instability_eigs` on the already assembled S(0) of one wave.
+
+    One dense ``eig`` per parity sector; the spectra are merged and growth
+    modes lifted to full-basis coefficients.  The record keeps the whole
+    2d x 2d block, which the time integrator steps unsplit.
+    """
+    d = s0.basis.dimension
+    values, vectors, rows = [], [], []
+    for sector_rows, l2, l1 in _sectors(s0):
+        block = _growth_block(l2, l1, kappa)
+        # geev returns a real array when every eigenvalue is real; records and
+        # mode rates stay complex whatever the spectrum
+        w, v = (a.astype(complex, copy=False) for a in np.linalg.eig(block))
+        if crosscheck:
+            m = l2.shape[0]
+            _crosscheck(block[:m, m:], -block[m:, :m], w, kappa)
+        values.append(w)
+        vectors.append(v)
+        rows.append(sector_rows)
+    eigenvalues = np.concatenate(values)
+    owner = np.repeat(np.arange(len(values)), [w.size for w in values])
+    column = np.concatenate([np.arange(w.size) for w in values])
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
+    eigenvalues, owner, column = eigenvalues[order], owner[order], column[order]
 
-    if crosscheck:
-        d = basis.dimension
-        _crosscheck(block[:d, d:], -block[d:, :d], eigenvalues, kappa)
-
-    defect = _symmetry_defect(eigenvalues)
     unstable = tuple(
-        UnstableMode(rate=complex(eigenvalues[i]), coefficients=_normalize_mode(vectors[:, i]))
+        UnstableMode(
+            rate=complex(eigenvalues[i]),
+            coefficients=_normalize_mode(_lift(rows[owner[i]], d, vectors[owner[i]][:, column[i]])),
+        )
         for i in np.flatnonzero(eigenvalues.real > VECTOR_LEVEL)
     )
     return InstabilityEigs(
         wave_id=s0.wave_id,
         kappa=float(kappa),
         sector=sector,
-        basis=basis,
-        block=block,
+        basis=s0.basis,
+        block=_growth_block(s0.entries[:d, :d], s0.entries[d:, d:], kappa),
         eigenvalues=eigenvalues,
         max_real_part=float(np.max(np.abs(eigenvalues.real))),
-        symmetry_defect=defect,
+        symmetry_defect=_symmetry_defect(eigenvalues),
         unstable=unstable,
     )
 
@@ -264,14 +310,10 @@ def _record(eigs: InstabilityEigs) -> KappaRecord:
     )
 
 
-def _rounding_floor(dimension: int, norm: float) -> float:
-    """dimension * eps * norm: how far rounding may move a computed eigenvalue."""
-    return dimension * np.finfo(float).eps * norm
-
-
 @dataclass(frozen=True)
 class _Reduction:
-    """L2 = Q diag(D) Q^T, A = Q^T L1 Q and the L1 spectrum of one sector.
+    """The sector blocks L1, L2 of one parity sector, L2 = Q diag(D) Q^T,
+    A = Q^T L1 Q and the L1 spectrum.
 
     A kappa is solved here only where L2 + kappa^2 is semidefinite and every
     computed mu clears the rounding floor of M(kappa): a mu that rounding can
@@ -280,6 +322,10 @@ class _Reduction:
     Jordan block, and right at band edges; the dense ``eig`` solves those.
     """
 
+    #: the sector's slice of the scan's basis
+    rows: slice
+    l2: np.ndarray
+    l1: np.ndarray
     q: np.ndarray
     d: np.ndarray
     a: np.ndarray
@@ -287,11 +333,13 @@ class _Reduction:
     l1_eigs: np.ndarray
 
     @classmethod
-    def of(cls, s0: OperatorMatrix) -> "_Reduction":
-        n = s0.basis.dimension
-        l1 = s0.entries[n:, n:]
-        d, q = np.linalg.eigh(s0.entries[:n, :n])
-        return cls(q=q, d=d, a=q.T @ l1 @ q, l1_eigs=np.linalg.eigvalsh(l1))
+    def sectors(cls, s0: OperatorMatrix) -> tuple:
+        """One reduction per parity sector of S(0)."""
+        out = []
+        for rows, l2, l1 in _sectors(s0):
+            d, q = np.linalg.eigh(l2)
+            out.append(cls(rows, l2, l1, q=q, d=d, a=q.T @ l1 @ q, l1_eigs=np.linalg.eigvalsh(l1)))
+        return tuple(out)
 
     def scale(self, kappa: float) -> Optional[np.ndarray]:
         """s = sqrt(D + kappa^2), or None where L2 + kappa^2 is indefinite.
@@ -324,48 +372,62 @@ class _Reduction:
                 f"inertia count: {negative} mu < 0 at kappa={kappa:g}, n(L1+k^2) in {low}..{high}"
             )
 
-    def band_end(self, lo: float, hi: float, falling: bool) -> float:
-        """The edge where growth crosses EDGE_LEVEL in [lo, hi], on which
-        L2 + kappa^2 >= 0: sqrt(lambda0) if growth falls there, else 0."""
-        end = float(np.sqrt(max(-self.l1_eigs[0], 0.0))) if falling else 0.0
-        if not lo - EDGE_RESOLUTION <= end <= hi + EDGE_RESOLUTION:
-            raise NumericalConsistencyError(
-                f"edge in [{lo:g}, {hi:g}] misses the inertia-law band end {end:.9g}"
-            )
-        return min(max(end, lo), hi)
+
+def _band_end(reductions: tuple, lo: float, hi: float, falling: bool) -> float:
+    """The edge where growth crosses EDGE_LEVEL in [lo, hi], on which
+    L2 + kappa^2 >= 0: sqrt(lambda0) if growth falls there, else 0, with
+    -lambda0 the lowest L1 eigenvalue over the sectors."""
+    lowest = min(float(r.l1_eigs[0]) for r in reductions)
+    end = float(np.sqrt(max(-lowest, 0.0))) if falling else 0.0
+    if not lo - EDGE_RESOLUTION <= end <= hi + EDGE_RESOLUTION:
+        raise NumericalConsistencyError(
+            f"edge in [{lo:g}, {hi:g}] misses the inertia-law band end {end:.9g}"
+        )
+    return min(max(end, lo), hi)
 
 
-def _reduced_row(s0: OperatorMatrix, reduction: _Reduction, kappa: float) -> Optional[KappaRecord]:
-    """One grid row from one d x d ``eigh`` of M(kappa), cross-checked like a
-    dense row and against the inertia count, or None where the reduction does
-    not apply."""
-    scale = reduction.scale(kappa)
-    if scale is None:
-        return None
-    mu, y = np.linalg.eigh(reduction.matrix(kappa, scale))
-    if not reduction.resolved(kappa, mu):
-        return None
-    d = scale.size
-    shift = kappa**2 * np.eye(d)
-    l1k = s0.entries[d:, d:] + shift
-    # eigh resolves mu only to about eps * ||M||, which grows like the fourth
-    # power of the largest wavenumber; the Rayleigh quotient of the lowest
-    # mode on the unscaled L1 + kappa^2 is second order in that mode's error
-    mode = reduction.q @ (scale * y[:, 0])
-    mu[0] = (mode @ l1k @ mode) / (y[:, 0] @ y[:, 0])
-    rate = np.sqrt(np.abs(mu))
-    half = np.where(mu < 0.0, rate + 0j, 1j * rate)
-    eigenvalues = np.concatenate([half, -half]) + 0.0  # + 0.0 clears negative zeros
+def _reduced_row(basis: ParityBasis, reductions: tuple, kappa: float) -> Optional[KappaRecord]:
+    """One grid row from one ``eigh`` of M(kappa) per parity sector,
+    cross-checked like a dense row and against the inertia count, or None
+    where the reduction does not apply to some sector."""
+    solved = []
+    for reduction in reductions:
+        scale = reduction.scale(kappa)
+        if scale is None:
+            return None
+        mu, y = np.linalg.eigh(reduction.matrix(kappa, scale))
+        if not reduction.resolved(kappa, mu):
+            return None
+        solved.append((reduction, scale, mu, y))
+
+    values = []
+    growth, lead = 0.0, None
+    for reduction, scale, mu, y in solved:
+        shift = kappa**2 * np.eye(scale.size)
+        l1k = reduction.l1 + shift
+        # eigh resolves mu only to about eps * ||M||, which grows like the fourth
+        # power of the largest wavenumber; the Rayleigh quotient of the lowest
+        # mode on the unscaled L1 + kappa^2 is second order in that mode's error
+        mode = reduction.q @ (scale * y[:, 0])
+        mu[0] = (mode @ l1k @ mode) / (y[:, 0] @ y[:, 0])
+        rate = np.sqrt(np.abs(mu))
+        half = np.where(mu < 0.0, rate + 0j, 1j * rate)
+        sector_values = np.concatenate([half, -half]) + 0.0  # + 0.0 clears negative zeros
+        _crosscheck(reduction.l2 + shift, l1k, sector_values, kappa)
+        reduction.check_inertia(kappa, mu)
+        values.append(sector_values)
+        if mu[0] < 0.0 and rate[0] > growth:
+            growth, lead = float(rate[0]), (reduction.rows, mode, l1k)
+    eigenvalues = np.concatenate(values)
     eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
-    _crosscheck(s0.entries[:d, :d] + shift, l1k, eigenvalues, kappa)
-    reduction.check_inertia(kappa, mu)
 
-    growth = float(rate[0]) if mu[0] < 0.0 else 0.0
     lam = v1 = v2 = None
     if growth > VECTOR_LEVEL:
+        rows, mode, l1k = lead
+        d = basis.dimension
         lam = complex(growth)
-        coeff = _normalize_mode(np.concatenate([mode, -(l1k @ mode) / growth]))
-        v1, v2 = s0.basis.field(coeff[:d]), s0.basis.field(coeff[d:])
+        coeff = _normalize_mode(_lift(rows, d, np.concatenate([mode, -(l1k @ mode) / growth])))
+        v1, v2 = basis.field(coeff[:d]), basis.field(coeff[d:])
     return KappaRecord(
         kappa=kappa,
         eigenvalues=eigenvalues,
@@ -404,12 +466,12 @@ def scan_kappa(
     sector = resolve_sector(wave, sector)
     kappas = np.linspace(kappa_min, kappa_max, steps)
     s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
-    reduction = _Reduction.of(s0)
+    reductions = _Reduction.sectors(s0)
     reduced = 0
     records = []
     for kappa in kappas:
         kappa = float(kappa)
-        row = _reduced_row(s0, reduction, kappa)
+        row = _reduced_row(s0.basis, reductions, kappa)
         reduced += row is not None
         if row is None:
             row = _record(_block_eigs(s0, kappa, sector))
@@ -428,8 +490,8 @@ def scan_kappa(
             continue
         lo, hi = left.kappa, right.kappa
         # D + kappa^2 grows with kappa: semidefinite at lo means on all of [lo, hi]
-        if reduction.scale(lo) is not None:
-            edges.append(reduction.band_end(lo, hi, falling=f_left > 0.0))
+        if all(r.scale(lo) is not None for r in reductions):
+            edges.append(_band_end(reductions, lo, hi, falling=f_left > 0.0))
             continue
         g_lo = f_left
         while hi - lo > EDGE_RESOLUTION:
@@ -495,8 +557,8 @@ def verify_hypotheses(
     spectrum nonnegative.
 
     S(kappa) = S(0) + kappa^2 * I exactly, so H1 and H3 shift the lowest
-    eigenvalue of S(0) by kappa^2: one spectrum of S(0), solved one d x d
-    block at a time, serves every hypothesis.
+    eigenvalue of S(0) by kappa^2: one spectrum of S(0), solved one parity
+    sector of each component at a time, serves every hypothesis.
     """
     sector = resolve_sector(wave, sector)
     l1, l2 = hill_pair(wave, sector)
@@ -507,7 +569,7 @@ def verify_hypotheses(
     asym = max(float(np.max(np.abs(b - b.T))) for b in blocks)
     h0 = {"passed": asym <= 1e-12 * max(scale, 1e-300), "max_asymmetry": asym}
 
-    eigs0 = block_eigenvalues(*blocks)
+    eigs0 = block_eigenvalues(*(part for b in blocks for part in _sector_blocks(b, l1.basis)))
     tol = zero_tolerance if zero_tolerance is not None else default_zero_tolerance(eigs0)
     lambda0 = -float(eigs0[0])
 

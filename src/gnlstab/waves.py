@@ -488,6 +488,15 @@ def _profile(params: ProblemParams, phi: RealField) -> WaveProfile:
     )
 
 
+def _spectral_tail(phi: RealField) -> float:
+    """Largest amplitude among the top quarter of the grid's Fourier modes,
+    m >= 3N/8: how far truncation at N may move a grid value."""
+    n = phi.grid.size
+    amplitude = 2.0 * np.abs(np.fft.rfft(phi.values)) / n
+    amplitude[-1] *= 0.5  # the Nyquist cosine has no partner at -N/2
+    return float(np.max(amplitude[3 * n // 8 :]))
+
+
 def _accept(wave: WaveProfile, tolerance: float) -> WaveProfile:
     phi = wave.phi
     if wave.ode_residual_norm > tolerance:
@@ -495,10 +504,19 @@ def _accept(wave: WaveProfile, tolerance: float) -> WaveProfile:
             f"profile residual {wave.ode_residual_norm:.3e} above tolerance {tolerance:g}"
         )
     if wave.params.parity == EVEN:
-        if float(np.min(phi.values)) <= 0.0:
+        low = float(np.min(phi.values))
+        if low <= 0.0:
+            n, tail = phi.grid.size, _spectral_tail(phi)
+            if -low <= tail:
+                raise WaveAcceptanceError(
+                    f"even profile dips to min {low:.3e}, within its spectral tail "
+                    f"{tail:.3e} (largest amplitude of the top quarter of Fourier "
+                    f"modes): the profile looks under-resolved at N={n}; "
+                    f"rerun with --modes {2 * n}"
+                )
             raise WaveAcceptanceError(
                 "even profile is not strictly positive "
-                f"(min {float(np.min(phi.values)):.3e}); the positivity-based "
+                f"(min {low:.3e}); the positivity-based "
                 "spectral analysis does not apply"
             )
     else:

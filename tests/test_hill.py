@@ -46,11 +46,12 @@ def test_constant_L2_spectrum(const_wave):
 
 
 def test_parity_blocks_partition_full_spectrum(even_wave):
-    # cosine and sine sectors together reproduce the full-basis eigenvalues
+    # cosine and sine sectors together reproduce the eigenvalues of the whole
+    # full-basis matrix, solved by scipy since spectrum() splits it itself
     for which in ("L1", "L2"):
-        full = spectrum(
-            build_hill(even_wave, which, ParityBasis(FULL, even_wave.phi.grid))
-        ).eigenvalues
+        full = scipy.linalg.eigvalsh(
+            build_hill(even_wave, which, ParityBasis(FULL, even_wave.phi.grid)).entries
+        )
         cos = spectrum(
             build_hill(even_wave, which, ParityBasis(COSINE, even_wave.phi.grid))
         ).eigenvalues
@@ -163,6 +164,37 @@ def test_eigenfunction_export(even_wave):
     phi = phi / np.linalg.norm(phi)
     err = min(np.max(np.abs(ground - phi)), np.max(np.abs(ground + phi)))
     assert err <= 1e-6
+
+
+def test_eigenfunction_export_on_the_full_basis(even_wave):
+    # the sector eigenvectors are lifted to full-basis coefficients: the
+    # lowest L2 eigenfunction is still the wave, and every exported pair is
+    # an eigenpair of the whole matrix
+    op = build_hill(even_wave, "L2", ParityBasis(FULL, even_wave.phi.grid))
+    summary = spectrum(op, n_eigenfunctions=3)
+    ground = summary.lowest_eigenfunctions[0].values
+    phi = even_wave.phi.values
+    ground, phi = ground / np.linalg.norm(ground), phi / np.linalg.norm(phi)
+    assert min(np.max(np.abs(ground - phi)), np.max(np.abs(ground + phi))) <= 1e-6
+    scale = np.max(np.abs(op.entries))
+    for value, field in zip(summary.eigenvalues, summary.lowest_eigenfunctions):
+        coeffs = op.basis.analyze(field.values)
+        assert np.linalg.norm(op.entries @ coeffs - value * coeffs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("size", [128, 512])
+def test_cosine_sine_coupling_sits_far_below_the_floor(even_wave, odd_wave, const_wave, size):
+    # the even potential leaves only rounding in the cosine-sine block, at
+    # least 1e4 below the floor d * eps * max|entries| at which the split
+    # raises (the odd wave's L1 at N=128 is the closest: 3.2e-15, 3.6e4 below)
+    for wave in (even_wave, odd_wave, const_wave):
+        wave = wave_at_resolution(wave, size)
+        basis = ParityBasis(FULL, wave.phi.grid)
+        nc = ParityBasis(COSINE, wave.phi.grid).dimension
+        for which in ("L1", "L2"):
+            entries = build_hill(wave, which, basis).entries
+            floor = size * np.finfo(float).eps * np.max(np.abs(entries))
+            assert np.max(np.abs(entries[nc:, :nc])) <= 1e-4 * floor
 
 
 def test_eigenfunction_export_rejects_out_of_range_counts():

@@ -7,16 +7,23 @@ import pytest
 import scipy.linalg
 
 import oracles
+from gnlstab import hill
 from gnlstab.errors import NumericalConsistencyError, ParameterError
-from gnlstab.hill import OperatorMatrix, build_block, build_hill
+from gnlstab.hill import OperatorMatrix, build_block, build_hill, spectrum
 from gnlstab.scan import (
     CROSSCHECK_RTOL,
     EDGE_LEVEL,
     EDGE_RESOLUTION,
     SYMMETRY_TOL,
     UNSTABLE_THRESHOLD,
+    VECTOR_LEVEL,
+    InstabilityEigs,
+    UnstableMode,
     _Reduction,
+    _band_end,
     _block_eigs,
+    _normalize_mode,
+    _record,
     _reduced_row,
     _symmetry_defect,
     evolution_block,
@@ -337,15 +344,102 @@ def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave):
 
 def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
     s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
-    reduction = _Reduction.of(s0)
+    reductions = _Reduction.sectors(s0)
     kappa = 1.0
-    assert _reduced_row(s0, reduction, kappa) is not None
-    # M built with kappa^2 added twice
-    shifted_twice = dataclasses.replace(
-        reduction, a=reduction.a + kappa**2 * np.eye(reduction.a.shape[0])
+    assert _reduced_row(s0.basis, reductions, kappa) is not None
+    # M of the cosine, then of the sine sector built with kappa^2 added twice
+    for tampered, reduction in enumerate(reductions):
+        shifted_twice = list(reductions)
+        shifted_twice[tampered] = dataclasses.replace(
+            reduction, a=reduction.a + kappa**2 * np.eye(reduction.a.shape[0])
+        )
+        with pytest.raises(NumericalConsistencyError, match="cross-check"):
+            _reduced_row(s0.basis, tuple(shifted_twice), kappa)
+
+
+# ---------------------------------------------------------------------------
+# the parity split: cosine and sine sectors solved apart
+
+
+def whole_block_eigs(wave, kappa, sector) -> InstabilityEigs:
+    """scipy.linalg.eig of the whole 2d x 2d block, not split by parity."""
+    block, basis = evolution_block(wave, kappa, sector)
+    values, vectors = scipy.linalg.eig(block)
+    order = np.lexsort((values.imag, values.real))
+    values, vectors = values[order], vectors[:, order]
+    unstable = tuple(
+        UnstableMode(rate=complex(values[i]), coefficients=_normalize_mode(vectors[:, i]))
+        for i in np.flatnonzero(values.real > VECTOR_LEVEL)
     )
-    with pytest.raises(NumericalConsistencyError, match="cross-check"):
-        _reduced_row(s0, shifted_twice, kappa)
+    return InstabilityEigs(
+        wave_id=wave.wave_id,
+        kappa=kappa,
+        sector=sector,
+        basis=basis,
+        block=block,
+        eigenvalues=values,
+        max_real_part=float(np.max(np.abs(values.real))),
+        symmetry_defect=quadruple_defect(values),
+        unstable=unstable,
+    )
+
+
+def test_split_rows_match_a_whole_block_scipy_solve(even_wave, even_scan, odd_wave, odd_full_scan):
+    # the dense_rows fixture goes through the split solver itself, so the
+    # reference here is one unsplit solve by a second library
+    peak = even_scan.most_unstable
+    indefinite = odd_full_scan.records[0]  # kappa = 0.05: L2 + kappa^2 indefinite, dense path
+    for wave, row in ((even_wave, peak), (odd_wave, indefinite)):
+        oracle = whole_block_eigs(wave, row.kappa, "full")
+        assert oracle.leading is not None
+        assert_row_matches_dense(row, oracle)
+        assert_row_matches_dense(_record(instability_eigs(wave, row.kappa, "full")), oracle)
+        assert row.leading_v1.parity == row.leading_v2.parity == "none"
+
+
+def test_full_scan_merges_the_sector_scans(even_wave, even_scan):
+    # on the even wave the full space is the direct sum of the even and odd
+    # sectors, row by row
+    even = scan_kappa(even_wave, 0.05, 1.8, 60, sector="even")
+    odd = scan_kappa(even_wave, 0.05, 1.8, 60, sector="odd")
+    for row, a, b in zip(even_scan.records, even.records, odd.records):
+        assert row.max_real_part == max(a.max_real_part, b.max_real_part)
+        assert row.num_unstable == a.num_unstable + b.num_unstable
+        union = np.concatenate([a.eigenvalues, b.eigenvalues])
+        union = union[np.lexsort((union.imag, union.real))]
+        assert union.size == row.eigenvalues.size
+        gap = np.abs(row.eigenvalues - union)
+        assert np.all(gap <= CROSSCHECK_RTOL * (1.0 + np.abs(union)))
+
+
+def test_coupling_above_the_floor_is_rejected(even_wave, monkeypatch):
+    # a cosine-sine coupling 1e3 times the rounding floor d * eps * max|entries|
+    # is not an even potential: every full-space solve must refuse to split it
+    assemble = hill.hill_matrix
+
+    def coupled(basis, omega, potential):
+        entries = assemble(basis, omega, potential)
+        if basis.kind == FULL:
+            nc = ParityBasis(COSINE, basis.grid).dimension
+            delta = 1e3 * basis.dimension * np.finfo(float).eps * np.max(np.abs(entries))
+            entries[nc, 0] += delta
+            entries[0, nc] += delta
+        return entries
+
+    monkeypatch.setattr(hill, "hill_matrix", coupled)
+    full = ParityBasis(FULL, even_wave.phi.grid)
+    solves = [
+        lambda: scan_kappa(even_wave, 0.05, 1.8, 4),
+        lambda: instability_eigs(even_wave, 1.0),
+        lambda: spectrum(build_hill(even_wave, "L1", full)),
+        lambda: spectrum(build_block(even_wave, "Lcal")),
+        lambda: verify_hypotheses(even_wave),
+    ]
+    for solve in solves:
+        with pytest.raises(NumericalConsistencyError, match="coupling .* rounding floor"):
+            solve()
+    # the sector bases have no coupling block to check
+    assert instability_eigs(even_wave, 1.0, "even").max_real_part > UNSTABLE_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +495,20 @@ def test_forced_dense_rows_bisect_to_the_inertia_edges(odd_wave, odd_hypotheses,
 )
 def test_inertia_count_rejects_a_tampered_l1_spectrum(even_wave, kappa, tampered):
     s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
-    reduction = _Reduction.of(s0)
-    assert _reduced_row(s0, reduction, kappa) is not None
-    wrong = dataclasses.replace(reduction, l1_eigs=tampered(reduction.l1_eigs, kappa))
+    cosine, sine = _Reduction.sectors(s0)
+    assert _reduced_row(s0.basis, (cosine, sine), kappa) is not None
+    # the negative eigenvalue of L1 lives in the cosine sector
+    wrong = dataclasses.replace(cosine, l1_eigs=tampered(cosine.l1_eigs, kappa))
     with pytest.raises(NumericalConsistencyError, match="inertia"):
-        _reduced_row(s0, wrong, kappa)
+        _reduced_row(s0.basis, (wrong, sine), kappa)
 
 
 def test_band_end_outside_its_bracket_raises(even_wave):
-    reduction = _Reduction.of(build_block(even_wave, "S_kappa", 0.0, sector="full"))
+    reductions = _Reduction.sectors(build_block(even_wave, "S_kappa", 0.0, sector="full"))
     with pytest.raises(NumericalConsistencyError, match=r"\[1, 1.1\]"):
-        reduction.band_end(1.0, 1.1, falling=True)
+        _band_end(reductions, 1.0, 1.1, falling=True)
     with pytest.raises(NumericalConsistencyError, match="inertia"):
-        reduction.band_end(0.5, 0.6, falling=False)
+        _band_end(reductions, 0.5, 0.6, falling=False)
 
 
 # ---------------------------------------------------------------------------

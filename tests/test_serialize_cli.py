@@ -660,3 +660,10 @@ def test_module_entry_point(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "wave.json").is_file()
+
+
+def test_under_resolved_wave_is_a_scientific_error_naming_more_modes(tmp_path, capsys):
+    argv = ["solve", "--alpha", "3", "--omega", "4", "--period", repr(8.0 * np.pi),
+            "--parity", "even", "--tau", "1", "--modes", "64", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "under-resolved at N=64; rerun with --modes 128" in capsys.readouterr().err

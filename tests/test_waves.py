@@ -1,5 +1,6 @@
 """Constrained minimization, rescaling, Newton polish, and wave acceptance."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from gnlstab.errors import (
     NewtonBasinError,
     ParameterError,
     ReductionError,
+    WaveAcceptanceError,
 )
 from gnlstab.spectral import (
     EVEN,
@@ -424,6 +426,26 @@ def test_accepted_wave_invariants(even_wave):
     )
     assert abs(even_wave.constraint_value - measured) <= 1e-10 * params.tau
     assert even_wave.detected_period == pytest.approx(TWO_PI)
+
+
+def test_under_resolved_even_profile_asks_for_more_modes():
+    # at L = 8 pi the N=64 profile dips below zero by less than the amplitude
+    # of its top Fourier modes: aliasing, not a sign-changing wave
+    params = ProblemParams(alpha=3.0, omega=4.0, period=8.0 * np.pi, tau=1.0, parity="even")
+    message = r"spectral tail 1\.2\d+e-02 .* under-resolved at N=64; rerun with --modes 128"
+    with pytest.raises(WaveAcceptanceError, match=message):
+        solve_wave(params, SolverConfig(mode_count=64))
+    assert float(np.min(solve_wave(params, SolverConfig(mode_count=256)).phi.values)) > 0.0
+
+
+def test_resolved_sign_changing_even_profile_is_rejected_as_such():
+    # cos(x) is resolved exactly on any grid: its negative minimum is physics
+    grid = build_grid(TWO_PI, 64)
+    phi = sample_function(grid, np.cos, EVEN)
+    params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=1.0, parity="even")
+    wave = dataclasses.replace(waves._profile(params, phi), ode_residual_norm=0.0)
+    with pytest.raises(WaveAcceptanceError, match="not strictly positive"):
+        waves._accept(wave, 1e-11)
 
 
 def test_wave_at_resolution_preserves_profile(even_wave):
