@@ -56,7 +56,9 @@ def _stage(tag: str):
     """Tag errors from one pipeline stage with the module that raised them.
 
     A LAPACK failure (say, an eigensolve that does not converge) is a
-    numerical failure of the stage like a broken cross-check.
+    numerical failure of the stage like a broken cross-check.  :func:`main`
+    runs each command under a stage named after it, so an error raised
+    outside every inner stage is tagged with the command.
     """
     try:
         yield
@@ -456,7 +458,7 @@ def cmd_pipeline(args) -> int:
         propositions = check_propositions(wave, zero_tolerance=args.zero_tolerance)
     print(f"[hill_spectra] propositions {'passed' if propositions.passed else 'FAILED'}")
 
-    sector = resolve_sector(wave, "auto")
+    sector = resolve_sector(wave, args.sector or "auto")
     with _stage("instability_scanner"):
         hypotheses = verify_hypotheses(wave, sector=sector, zero_tolerance=args.zero_tolerance)
     print(f"[instability_scanner] hypotheses {'passed' if hypotheses.overall else 'FAILED'}")
@@ -536,17 +538,12 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
-        return _COMMANDS[args.command](args)
+        with _stage(args.command):
+            _merge_config(args)
+            return _COMMANDS[args.command](args)
     except CommandError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (WaveAcceptanceError, NumericalConsistencyError) as exc:
-        print(f"[{args.command}] {exc}", file=sys.stderr)
-        return 2
-    except GnlstabError as exc:
-        print(f"[{args.command}] {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

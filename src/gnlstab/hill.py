@@ -82,8 +82,8 @@ class SpectrumSummary:
     """Eigenvalues of one operator plus negative/zero counts.
 
     ``ambiguous`` is set when halving or doubling the zero tolerance changes
-    either count; ``lowest_eigenfunctions`` optionally stores coefficient
-    columns for the smallest eigenvalues.
+    either count; ``lowest_eigenfunctions`` optionally stores the grid fields
+    of the eigenvectors of the smallest eigenvalues, in ascending order.
     """
 
     label: str
@@ -93,7 +93,7 @@ class SpectrumSummary:
     kernel_dimension: int
     zero_tolerance: float
     ambiguous: bool
-    lowest_eigenfunctions: Optional[np.ndarray] = None
+    lowest_eigenfunctions: Optional[tuple[RealField, ...]] = None
 
 
 def default_zero_tolerance(eigenvalues: np.ndarray) -> float:
@@ -334,8 +334,8 @@ class PropositionReport:
     wave_id: str
     parity: str
     passed: bool
-    checks: tuple
-    notes: tuple
+    checks: tuple[PropositionCheck, ...]
+    notes: tuple[str, ...]
 
 
 def _relative_kernel_residual(op: OperatorMatrix, field: RealField) -> float:

@@ -278,8 +278,8 @@ class StabilityScan:
     wave_id: str
     sector: str
     kappa_values: np.ndarray
-    records: tuple
-    band_edges: tuple
+    records: tuple[KappaRecord, ...]
+    band_edges: tuple[float, ...]
     verdict: str
     #: grid rows per solver path, and dense eig solves spent bisecting band edges
     reduced_rows: int

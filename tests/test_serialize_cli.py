@@ -12,7 +12,7 @@ import pytest
 import gnlstab
 from gnlstab import serialize
 from gnlstab.cli import main
-from gnlstab.errors import FormatError
+from gnlstab.errors import FormatError, ParameterError, WaveAcceptanceError
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit
 from gnlstab.hill import SpectrumSummary, build_block, build_hill, check_propositions, spectrum
 from gnlstab.scan import HypothesisReport, scan_kappa
@@ -556,6 +556,16 @@ def test_cli_pipeline_report(tmp_path):
     assert report["dns"]["relative_gap"] <= 0.02
 
 
+def test_cli_pipeline_honours_sector(tmp_path):
+    argv = ["pipeline", "--alpha", "2", "--omega", "1", "--parity", "even", "--tau", "12",
+            "--modes", "64", "--kappa-steps", "8"]
+    for extra, sector in (([], "full"), (["--sector", "even"], "even")):
+        out = tmp_path / sector
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        report = serialize.load(out / "pipeline_report.json")
+        assert report["hypotheses"]["sector"] == report["scan"]["sector"] == sector
+
+
 def test_cli_pipeline_default_range_reuses_hypotheses(tmp_path, monkeypatch):
     # without --kappa-max the scan ends at 1.1 K, K taken from the pipeline's
     # own (H1) record rather than from a second verification
@@ -618,6 +628,26 @@ def test_lapack_failure_is_a_tagged_scientific_error(tmp_path, even_wave, monkey
                "--kappa-steps", "4", "--out", str(tmp_path)])
     assert rc == 2
     assert "[instability_scanner] Eigenvalues did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (OSError("disk full"), 1),
+        (np.linalg.LinAlgError("disk full"), 2),
+        (WaveAcceptanceError("disk full"), 2),
+        (ParameterError("disk full"), 1),
+    ],
+)
+def test_errors_outside_a_stage_exit_tagged_with_the_command(monkeypatch, capsys, exc, code):
+    import gnlstab.cli as cli
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", failing)
+    assert main(["solve", "--alpha", "2", "--tau", "12"]) == code
+    assert capsys.readouterr().err == "[solve] disk full\n"
 
 
 def test_cli_import_loads_no_scipy():
