@@ -7,8 +7,11 @@ integrates the same linear system
     v2_t = -(L1 + kappa^2) v1,
 
 and fits the observed growth of the L^2 norm, so the two routes can be
-compared.  Two schemes are provided: a dense one-step RK4 matrix in the
-sector basis, and a Strang splitting whose kinetic and potential factors
+compared.  The predicted rate and the eigenvector seed are the scan's own
+row at kappa, so the fit checks the number the scan reports.  Two schemes
+are provided: a dense one-step RK4 matrix per parity sector of the basis
+(the even potential makes the block problem a direct sum of a cosine and a
+sine block), and a Strang splitting whose kinetic and potential factors
 are both applied as exact exponentials (hence exactly time reversible).
 """
 from __future__ import annotations
@@ -20,7 +23,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IntegratorError, ParameterError
-from .scan import UNSTABLE_THRESHOLD, evolution_block, instability_eigs, resolve_sector
+from .scan import UNSTABLE_THRESHOLD, evolution_block, growth_row, resolve_sector
+
+# kept importable here: perfbench/tracer.py wraps evolve.instability_eigs by name
+from .scan import instability_eigs  # noqa: F401
 from .spectral import FULL, RealField
 from .waves import WaveProfile
 
@@ -188,6 +194,12 @@ def evolve_and_fit(
 ) -> GrowthMeasurement:
     """Integrate the linearized system and fit exp growth of the L^2 norm.
 
+    The predicted rate and the leading-eigenvector seed are the scan's own
+    row at kappa (:func:`scan.growth_row`), so the fit checks the number a
+    scan reports there.  RK4 steps each parity sector's block on its own
+    part of the seed and adds the norms squared; the leading mode lives in
+    one sector, and a random seed, drawn on the whole basis, in all of them.
+
     Automatic choices: dt from the RK4 stability bound for the stiffest
     Fourier mode, final time about eight e-foldings of the predicted rate
     (ten time units when no growth is predicted).  Raises ParameterError
@@ -196,18 +208,18 @@ def evolve_and_fit(
     """
     config = config if config is not None else EvolutionConfig()
     sector = resolve_sector(wave, sector)
-    eigs = instability_eigs(wave, kappa, sector)
-    predicted = eigs.max_real_part
-    basis = eigs.basis
+    row = growth_row(wave, kappa, sector)
+    predicted = row.record.max_real_part
+    basis = row.basis
     d = basis.dimension
 
     if config.seed == "leading_eigenvector":
-        leading = eigs.leading
-        if leading is None or leading.rate.real <= UNSTABLE_THRESHOLD:
+        rate = row.record.leading_lambda
+        if rate is None or rate.real <= UNSTABLE_THRESHOLD:
             raise ParameterError(
                 f"kappa={kappa:g} has no unstable mode to seed from; use seed='random'"
             )
-        y0 = np.real(leading.coefficients)
+        y0 = np.real(row.leading)
         y0 = y0 / np.linalg.norm(y0)
     else:
         rng = np.random.default_rng(config.rng_seed)
@@ -231,30 +243,30 @@ def evolve_and_fit(
         )
     steps = int(math.ceil(final_time / dt))
     stride = max(1, steps // MAX_RECORDS)
-
-    def check(value: float, t: float, n0: float) -> None:
-        # growth beyond e^(3 max Re lambda t), with headroom for transients
-        # of the non-normal system, means the time step is unstable
-        limit = 1e3 * n0 * math.exp(min(3.0 * max(predicted, 0.1) * t, 700.0))
-        if not np.isfinite(value) or value > limit:
-            raise IntegratorError(
-                f"norm reached {value:g} at t={t:g}, beyond the predicted-rate "
-                f"envelope {limit:g}; the time step dt={dt:g} looks unstable, "
-                "try a smaller one"
-            )
+    # a sample every stride steps, and one at the last step
+    marks = np.append(np.arange(stride, steps, stride), steps)
+    times = np.concatenate([[0.0], marks * dt])
 
     if config.scheme == "explicit_rk4":
-        # the RK4 step is one fixed matrix, so the steps between two samples
-        # are one product with its power
-        phi = rk4_step_matrix(eigs.block, dt)
-        leap = np.linalg.matrix_power(phi, stride)
-        state = y0
+        # the RK4 step is one fixed matrix per sector, so the steps between two
+        # samples are one product with its power; a sector whose part of the
+        # seed is zero stays zero and adds nothing to the norm
+        parts = [
+            (block, np.concatenate([y0[rows], y0[d + rows.start : d + rows.stop]]))
+            for rows, block in row.blocks
+        ]
+        parts = [(rk4_step_matrix(block, dt), y) for block, y in parts if y.any()]
+        leaps = [np.linalg.matrix_power(phi, stride) for phi, _ in parts]
+        state = [y for _, y in parts]
 
-        def advance(y: np.ndarray, count: int) -> np.ndarray:
-            return (leap if count == stride else np.linalg.matrix_power(phi, count)) @ y
+        def advance(ys: list, count: int) -> list:
+            if count == stride:
+                return [leap @ y for leap, y in zip(leaps, ys)]
+            return [np.linalg.matrix_power(phi, count) @ y for (phi, _), y in zip(parts, ys)]
 
-        def norm(y: np.ndarray) -> float:
-            return float(np.linalg.norm(y))
+        def norm(ys: list) -> float:
+            # y @ y is the dot product np.linalg.norm takes of a real vector
+            return math.sqrt(sum(float(y @ y) for y in ys))
 
     else:
         step = splitting_stepper(wave, kappa, dt)
@@ -269,27 +281,30 @@ def evolve_and_fit(
         def norm(w: tuple) -> float:
             return float(np.sqrt(h * np.sum(w[0] ** 2 + w[1] ** 2)))
 
-    # a sample every stride steps, and one at the last step
-    times = [0.0]
-    norms = [norm(state)]
+    norms = np.empty(times.size)
+    norms[0] = norm(state)
+    # growth beyond e^(3 max Re lambda t), with headroom for transients of the
+    # non-normal system, means the time step is unstable
+    limits = 1e3 * norms[0] * np.exp(np.minimum(3.0 * max(predicted, 0.1) * times, 700.0))
     n = 0
-    while n < steps:
-        count = min(stride, steps - n)
-        state = advance(state, count)
-        n += count
+    for i, (mark, limit) in enumerate(zip(marks.tolist(), limits[1:].tolist()), start=1):
+        state = advance(state, mark - n)
+        n = mark
         value = norm(state)
-        check(value, n * dt, norms[0])
-        times.append(n * dt)
-        norms.append(value)
+        if not value <= limit:  # a NaN fails too
+            raise IntegratorError(
+                f"norm reached {value:g} at t={times[i]:g}, beyond the predicted-rate "
+                f"envelope {limit:g}; the time step dt={dt:g} looks unstable, "
+                "try a smaller one"
+            )
+        norms[i] = value
 
-    times_arr = np.asarray(times)
-    norms_arr = np.asarray(norms)
-    if np.any(norms_arr <= 0.0):
+    if np.any(norms <= 0.0):
         raise IntegratorError("norm history is not positive; cannot fit a rate")
-    logs = np.log(norms_arr)
-    window = _fit_window(times_arr, logs)
-    slope, intercept = np.polyfit(times_arr[window], logs[window], 1)
-    resid = logs[window] - (slope * times_arr[window] + intercept)
+    logs = np.log(norms)
+    window = _fit_window(times, logs)
+    slope, intercept = np.polyfit(times[window], logs[window], 1)
+    resid = logs[window] - (slope * times[window] + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
     return GrowthMeasurement(
         wave_id=wave.wave_id,
@@ -298,8 +313,8 @@ def evolve_and_fit(
         scheme=config.scheme,
         seed=config.seed,
         time_step=float(dt),
-        times=times_arr,
-        norms=norms_arr,
+        times=times,
+        norms=norms,
         fitted_rate=float(slope),
         fit_residual=rms,
         predicted_rate=float(predicted),

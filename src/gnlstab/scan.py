@@ -32,15 +32,21 @@ eigenvalue.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor
 of its diagonalization (an odd wave in the full space at small kappa), or
 where a computed mu lies within the rounding floor of M of zero (next to
 kappa = 0 and at band edges), in any sector, go through the dense ``eig`` of
-:func:`instability_eigs`, which also solves single-kappa calls and seeds the
-time integrator; only an edge above an indefinite row is bisected.  Every
-grid row on either path checks lambda^2 on each sector's ten largest
-|lambda| against that sector's unsymmetric product and the quadruple
-symmetry of the merged set.  The module also verifies the hypotheses
-(H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
+:func:`instability_eigs`, which also solves single-kappa calls; only an edge
+above an indefinite row is bisected.  A reduced row certifies every
+eigenpair (mu, y) by the residual of its lift v1 = Q (s * y) on the
+unreduced product (L2 + kappa^2)(L1 + kappa^2), and its written growth mode
+on the sector's block; its set is closed under negation and conjugation by
+construction.  A dense row checks lambda^2 on each sector's ten largest
+|lambda| against that sector's unsymmetric product, and the quadruple
+symmetry of the merged set.  :func:`growth_row` hands the time integrator
+the scan's own row at one kappa and the sector blocks to step.  The module
+also verifies the hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2,
+L1 + kappa^2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -216,7 +222,7 @@ def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool 
 
     One dense ``eig`` per parity sector; the spectra are merged and growth
     modes lifted to full-basis coefficients.  The record keeps the whole
-    2d x 2d block, which the time integrator steps unsplit.
+    2d x 2d block, the unsplit reference of the sector solves.
     """
     d = s0.basis.dimension
     values, vectors, rows = [], [], []
@@ -355,11 +361,74 @@ class _Reduction:
         """M = diag(s) (A + kappa^2) diag(s), whose eigenvalues are mu = -lambda^2."""
         return scale[:, None] * (self.a + kappa**2 * np.eye(scale.size)) * scale[None, :]
 
-    def resolved(self, kappa: float, mu: np.ndarray) -> bool:
-        """No mu within the rounding floor of M(kappa) of zero."""
+    def floor(self, kappa: float) -> float:
+        """Rounding floor of M(kappa) and of the product (L2+k^2)(L1+k^2)."""
         # ||L1||_2 = max|l|, so this bounds ||M(kappa)||_2
         norm = (self.d[-1] + kappa**2) * (float(np.max(np.abs(self.l1_eigs))) + kappa**2)
-        return bool(np.min(np.abs(mu)) > _rounding_floor(self.d.size, norm))
+        return _rounding_floor(self.d.size, norm)
+
+    def resolved(self, kappa: float, mu: np.ndarray) -> bool:
+        """No mu within the rounding floor of M(kappa) of zero."""
+        return bool(np.min(np.abs(mu)) > self.floor(kappa))
+
+    def solve(self, kappa: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Every eigenvalue mu of M(kappa), ascending, and the lifted
+        v1 = Q (s * y) of each eigenvector y as a column; None where L2 +
+        kappa^2 is indefinite or some mu is unresolved."""
+        scale = self.scale(kappa)
+        if scale is None:
+            return None
+        mu, y = np.linalg.eigh(self.matrix(kappa, scale))
+        if not self.resolved(kappa, mu):
+            return None
+        v1 = self.q @ (scale[:, None] * y)
+        # the lowest mode, the one a row writes, is lifted by a matrix-vector
+        # product of its own: a column of the matrix product may differ from it
+        # in the last bits, with the blocking of the product
+        mode = v1[:, 0] = self.q @ (scale * y[:, 0])
+        # eigh resolves mu only to about eps * ||M||, which grows like the fourth
+        # power of the largest wavenumber; the Rayleigh quotient of the lowest
+        # mode on the unscaled L1 + kappa^2 is second order in that mode's error
+        mu[0] = (mode @ (self.l1 + kappa**2 * np.eye(scale.size)) @ mode) / (y[:, 0] @ y[:, 0])
+        return mu, v1
+
+    def _gate(self, kappa: float, what: str, mu, residual, norm) -> None:
+        """residual <= max(CROSSCHECK_RTOL |mu|, 4 floor) * norm, elementwise."""
+        bound = np.maximum(CROSSCHECK_RTOL * np.abs(mu), 4.0 * self.floor(kappa)) * norm
+        bad = np.flatnonzero(~(residual <= bound))
+        if bad.size:
+            j = bad[np.argmax(residual[bad] / bound[bad])]
+            raise NumericalConsistencyError(
+                f"{what} at mu={mu[j]:.6e} fails the residual cross-check at "
+                f"kappa={kappa:g}: residual {residual[j]:.3e} above {bound[j]:.3e}"
+            )
+
+    def certify(self, kappa: float, mu: np.ndarray, v1: np.ndarray) -> None:
+        """(L2+k^2)(L1+k^2) v1 = mu v1 on every lifted pair, to four times the
+        rounding floor of the product or CROSSCHECK_RTOL relative to |mu|.
+
+        The product is applied to v1 unreduced, so an error in Q, in the
+        scaling s or in the kappa^2 shift of M shows as a residual r; on the
+        largest |mu| the relative term dominates.  diag(1/s) Q^T r is the
+        residual of y on the symmetric M, which bounds the error of mu
+        (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, section 4.5)."""
+        shift = kappa**2 * np.eye(mu.size)
+        residual = (self.l2 + shift) @ ((self.l1 + shift) @ v1) - v1 * mu
+        norms = np.linalg.norm(residual, axis=0), np.linalg.norm(v1, axis=0)
+        self._gate(kappa, "eigenpair", mu, *norms)
+
+    def certify_mode(self, kappa: float, rate: float, coeff: np.ndarray) -> None:
+        """The written growth mode w = (v1, v2) of this sector against its
+        block B = [[0, L2+k^2], [-(L1+k^2), 0]]: rate (B w - rate w) has the
+        product residual of v1 as its first half and rounding as its second,
+        so it takes :meth:`certify`'s bound, and a wrong v2 fails it."""
+        d = coeff.size // 2
+        w1, w2 = coeff[self.rows], coeff[d + self.rows.start : d + self.rows.stop]
+        r1 = self.l2 @ w2 + kappa**2 * w2 - rate * w1
+        r2 = -(self.l1 @ w1 + kappa**2 * w1) - rate * w2
+        residual = rate * math.sqrt(float(r1 @ r1 + r2 @ r2))
+        norm = math.sqrt(float(w1 @ w1 + w2 @ w2))
+        self._gate(kappa, "growth mode", np.array([-(rate**2)]), np.array([residual]), norm)
 
     def check_inertia(self, kappa: float, mu: np.ndarray) -> None:
         """#{mu < 0} = n(L1 + kappa^2) by Sylvester's law of inertia, L1
@@ -386,49 +455,50 @@ def _band_end(reductions: tuple, lo: float, hi: float, falling: bool) -> float:
     return min(max(end, lo), hi)
 
 
-def _reduced_row(basis: ParityBasis, reductions: tuple, kappa: float) -> Optional[KappaRecord]:
-    """One grid row from one ``eigh`` of M(kappa) per parity sector,
-    cross-checked like a dense row and against the inertia count, or None
-    where the reduction does not apply to some sector."""
+def _reduced_row(
+    basis: ParityBasis, reductions: tuple, kappa: float
+) -> Optional[tuple[KappaRecord, Optional[np.ndarray]]]:
+    """One grid row from one ``eigh`` of M(kappa) per parity sector, and the
+    full-basis [v1 | v2] coefficients of its leading growth mode (None below
+    VECTOR_LEVEL); or None where the reduction does not apply to some sector.
+
+    Every eigenpair is certified by its residual on the unreduced product
+    and the sector's mu < 0 by the inertia count.  The set is built as
+    +-(real or imaginary half), closed under negation and conjugation by
+    construction, so its symmetry defect is 0.0 without being measured.
+    """
     solved = []
     for reduction in reductions:
-        scale = reduction.scale(kappa)
-        if scale is None:
+        pairs = reduction.solve(kappa)
+        if pairs is None:
             return None
-        mu, y = np.linalg.eigh(reduction.matrix(kappa, scale))
-        if not reduction.resolved(kappa, mu):
-            return None
-        solved.append((reduction, scale, mu, y))
+        solved.append((reduction, *pairs))
 
     values = []
     growth, lead = 0.0, None
-    for reduction, scale, mu, y in solved:
-        shift = kappa**2 * np.eye(scale.size)
-        l1k = reduction.l1 + shift
-        # eigh resolves mu only to about eps * ||M||, which grows like the fourth
-        # power of the largest wavenumber; the Rayleigh quotient of the lowest
-        # mode on the unscaled L1 + kappa^2 is second order in that mode's error
-        mode = reduction.q @ (scale * y[:, 0])
-        mu[0] = (mode @ l1k @ mode) / (y[:, 0] @ y[:, 0])
+    for reduction, mu, lifted in solved:
+        reduction.certify(kappa, mu, lifted)
+        reduction.check_inertia(kappa, mu)
         rate = np.sqrt(np.abs(mu))
         half = np.where(mu < 0.0, rate + 0j, 1j * rate)
-        sector_values = np.concatenate([half, -half]) + 0.0  # + 0.0 clears negative zeros
-        _crosscheck(reduction.l2 + shift, l1k, sector_values, kappa)
-        reduction.check_inertia(kappa, mu)
-        values.append(sector_values)
+        values.append(np.concatenate([half, -half]) + 0.0)  # + 0.0 clears negative zeros
         if mu[0] < 0.0 and rate[0] > growth:
-            growth, lead = float(rate[0]), (reduction.rows, mode, l1k)
+            growth, lead = float(rate[0]), (reduction, lifted[:, 0])
     eigenvalues = np.concatenate(values)
     eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
 
-    lam = v1 = v2 = None
+    lam = v1 = v2 = coeff = None
     if growth > VECTOR_LEVEL:
-        rows, mode, l1k = lead
+        reduction, mode = lead
         d = basis.dimension
+        l1k = reduction.l1 + kappa**2 * np.eye(mode.size)
+        coeff = _normalize_mode(
+            _lift(reduction.rows, d, np.concatenate([mode, -(l1k @ mode) / growth]))
+        )
+        reduction.certify_mode(kappa, growth, coeff)
         lam = complex(growth)
-        coeff = _normalize_mode(_lift(rows, d, np.concatenate([mode, -(l1k @ mode) / growth])))
         v1, v2 = basis.field(coeff[:d]), basis.field(coeff[d:])
-    return KappaRecord(
+    record = KappaRecord(
         kappa=kappa,
         eigenvalues=eigenvalues,
         max_real_part=growth,
@@ -436,8 +506,45 @@ def _reduced_row(basis: ParityBasis, reductions: tuple, kappa: float) -> Optiona
         leading_lambda=lam,
         leading_v1=v1,
         leading_v2=v2,
-        symmetry_defect=_symmetry_defect(eigenvalues),
+        symmetry_defect=0.0,
     )
+    return record, coeff
+
+
+def _dense_row(
+    s0: OperatorMatrix, kappa: float, sector: str
+) -> tuple[KappaRecord, Optional[np.ndarray]]:
+    """One row from each parity sector's dense ``eig``, as :func:`_reduced_row`
+    returns it."""
+    eigs = _block_eigs(s0, kappa, sector)
+    leading = eigs.leading
+    return _record(eigs), None if leading is None else leading.coefficients
+
+
+@dataclass(frozen=True)
+class GrowthRow:
+    """The scan's solve at one kappa, with the parity-sector blocks it split."""
+
+    basis: ParityBasis
+    record: KappaRecord
+    #: full-basis [v1 | v2] coefficients of the leading growth mode, or None
+    leading: Optional[np.ndarray]
+    #: (rows, [[0, L2+k^2], [-(L1+k^2), 0]]) of each parity sector, rows being
+    #: the sector's slice of the basis
+    blocks: tuple
+
+
+def growth_row(wave: WaveProfile, kappa: float, sector: str = "auto") -> GrowthRow:
+    """The row :func:`scan_kappa` computes at kappa, by the scan's own rule:
+    the reduced row where it applies, else each sector's dense ``eig``.  Its
+    record is the scan's row at kappa bit for bit."""
+    sector = resolve_sector(wave, sector)
+    s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
+    reductions = _Reduction.sectors(s0)
+    blocks = tuple((r.rows, _growth_block(r.l2, r.l1, kappa)) for r in reductions)
+    row = _reduced_row(s0.basis, reductions, kappa)
+    record, leading = row if row is not None else _dense_row(s0, kappa, sector)
+    return GrowthRow(basis=s0.basis, record=record, leading=leading, blocks=blocks)
 
 
 def scan_kappa(
@@ -474,13 +581,14 @@ def scan_kappa(
         row = _reduced_row(s0.basis, reductions, kappa)
         reduced += row is not None
         if row is None:
-            row = _record(_block_eigs(s0, kappa, sector))
-        if row.symmetry_defect > SYMMETRY_TOL:
+            row = _dense_row(s0, kappa, sector)
+        record = row[0]
+        if record.symmetry_defect > SYMMETRY_TOL:
             raise NumericalConsistencyError(
                 f"eigenvalue quadruple symmetry broken at kappa={kappa:g}: "
-                f"defect {row.symmetry_defect:.3e}"
+                f"defect {record.symmetry_defect:.3e}"
             )
-        records.append(row)
+        records.append(record)
 
     bisections = 0
     edges = []

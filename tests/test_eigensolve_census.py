@@ -2,9 +2,10 @@
 
 The even potential |phi|^a splits every full-space operator into a cosine
 block (N/2+1) and a sine block (N/2-1), so no solve of the pipeline needs
-the whole N x N or 2N x 2N matrix.  This test counts the order of every
-``numpy.linalg`` eigensolve of one ``gnlstab pipeline --modes 128`` run, so
-a whole-matrix solve cannot come back unnoticed.
+the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  This
+test counts the order of every ``numpy.linalg`` eigensolve of one ``gnlstab
+pipeline --modes 128`` run, so a whole-matrix or unsymmetric solve cannot
+come back unnoticed.
 """
 
 import numpy as np
@@ -35,11 +36,13 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     assert cli.main(README_PIPELINE + ["--out", str(tmp_path)]) == 0
     assert "pipeline passed" in capsys.readouterr().out
 
-    # the largest solve is one sector of the growth block: eig of order
-    # 2 (N/2 + 1) for the DNS prediction; the whole block would be 2N
-    assert max(order for _, order in orders) == N + 2
-    # eigh (L2 once per sector, M(kappa) per row) and eigvals (the lambda^2
-    # cross-check per row) are the scan's per-row solves: one sector each
-    rows = [order for name, order in orders if name in ("eigh", "eigvals")]
-    assert len(rows) >= 2 * 2 * STEPS
-    assert max(rows) == N // 2 + 1
+    # the scan certifies its rows by eigenpair residuals and the DNS steps the
+    # scan's own row, so no unsymmetric solve is left
+    assert [name for name, _ in orders if name in ("eig", "eigvals")] == []
+    # eigh (L2 once per sector, M(kappa) per row) is the scan's per-row solve:
+    # one sector, at most the cosine block of order N/2 + 1
+    rows = [order for name, order in orders if name == "eigh"]
+    assert len(rows) >= 2 * STEPS
+    assert max(rows) <= N // 2 + 1
+    # the largest solve is the certificate's eigvalsh of one sector at 2N
+    assert max(order for _, order in orders) <= N + 1

@@ -11,7 +11,7 @@ from gnlstab.evolve import (
     rk4_step_matrix,
     splitting_stepper,
 )
-from gnlstab.scan import evolution_block, instability_eigs
+from gnlstab.scan import evolution_block, growth_row
 from gnlstab.spectral import RealField
 
 TWO_PI = 2.0 * np.pi
@@ -70,22 +70,42 @@ def test_rk4_matrix_is_taylor_polynomial():
 def test_eigenvector_seed_reproduces_rate(even_wave, even_scan):
     peak = even_scan.most_unstable
     run = evolve_and_fit(even_wave, peak.kappa)
-    assert run.predicted_rate == pytest.approx(peak.max_real_part, rel=1e-12)
+    # the prediction is the scan's own row at that kappa
+    assert run.predicted_rate == peak.max_real_part
     assert abs(run.fitted_rate - run.predicted_rate) <= 1e-7 * run.predicted_rate
     assert run.fit_residual <= 1e-8
     assert run.norms[0] == pytest.approx(1.0)
     assert np.all(np.diff(run.times) > 0.0)
 
 
+def test_dense_path_kappa_predicts_its_row(odd_wave, odd_full_scan):
+    # kappa = 0.05 on the odd wave in the full space: L2 + kappa^2 is
+    # indefinite, so the scan's row there is the dense eig, and so is the DNS's
+    row = odd_full_scan.records[0]
+    assert odd_full_scan.dense_rows >= 1 and row.leading_lambda is not None
+    run = evolve_and_fit(odd_wave, row.kappa, sector="full")
+    assert run.predicted_rate == row.max_real_part
+    assert abs(run.fitted_rate - run.predicted_rate) <= 0.02 * run.predicted_rate
+
+
+def sector_parts(row, y):
+    """The (block, part of y) of each parity sector of a growth row."""
+    d = row.basis.dimension
+    return [(block, np.concatenate([y[rows], y[d + rows.start : d + rows.stop]]))
+            for rows, block in row.blocks]
+
+
 def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
-    # the run advances by powers of the RK4 matrix between samples; the
-    # sampled norms are those of applying the step matrix once per step
+    # the run advances its seed's sector by powers of the RK4 matrix between
+    # samples; the sampled norms are those of applying the step matrix once
+    # per step
     peak = even_scan.most_unstable
     run = evolve_and_fit(even_wave, peak.kappa)
-    eigs = instability_eigs(even_wave, peak.kappa)
-    phi = rk4_step_matrix(eigs.block, run.time_step)
-    y = np.real(eigs.leading.coefficients)
-    y = y / np.linalg.norm(y)
+    row = growth_row(even_wave, peak.kappa)
+    y0 = row.leading / np.linalg.norm(row.leading)
+    ((block, y),) = [(b, part) for b, part in sector_parts(row, y0) if part.any()]
+    assert block.shape[0] == 2 * (even_wave.phi.grid.size // 2 + 1)
+    phi = rk4_step_matrix(block, run.time_step)
     steps = np.rint(run.times / run.time_step).astype(int)
     assert steps[1] > 1 and steps[-1] % steps[1] != 0  # strided, with a short last leap
     sampled = set(steps.tolist())
@@ -95,6 +115,39 @@ def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
         if n in sampled:
             expected.append(np.linalg.norm(y))
     assert np.max(np.abs(run.norms / np.asarray(expected) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", ["leading_eigenvector", "random"])
+def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
+    # each sector stepped on its own block, norms squared added, against the
+    # same full-basis seed stepped by the unsplit 2d x 2d evolution block
+    peak = even_scan.most_unstable
+    run = evolve_and_fit(even_wave, peak.kappa, EvolutionConfig(seed=seed, rng_seed=4))
+    row = growth_row(even_wave, peak.kappa)
+    if seed == "random":
+        y0 = np.random.default_rng(4).standard_normal(2 * row.basis.dimension)
+    else:
+        y0 = np.real(row.leading)
+    y0 = y0 / np.linalg.norm(y0)
+    steps = np.rint(run.times / run.time_step).astype(int)
+    whole = rk4_step_matrix(evolution_block(even_wave, peak.kappa)[0], run.time_step)
+    leaps = {n: np.linalg.matrix_power(whole, n) for n in set(np.diff(steps).tolist())}
+    y, expected = y0, [1.0]
+    for count in np.diff(steps):
+        y = leaps[count] @ y
+        expected.append(np.linalg.norm(y))
+    assert np.max(np.abs(run.norms / np.asarray(expected) - 1.0)) <= 1e-12
+    if seed == "leading_eigenvector":
+        # one sector holds the seed; stepped by the run's own leaps, its norms
+        # are np.linalg.norm's bit for bit
+        ((block, y),) = [(b, part) for b, part in sector_parts(row, y0) if part.any()]
+        phi = rk4_step_matrix(block, run.time_step)
+        leaps = {n: np.linalg.matrix_power(phi, n) for n in set(np.diff(steps).tolist())}
+        norms = [np.linalg.norm(y)]
+        for count in np.diff(steps):
+            y = leaps[count] @ y
+            norms.append(np.linalg.norm(y))
+        assert np.array_equal(run.norms, norms)
 
 
 def test_splitting_scheme_agrees(even_wave, even_scan):

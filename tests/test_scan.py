@@ -22,6 +22,7 @@ from gnlstab.scan import (
     _Reduction,
     _band_end,
     _block_eigs,
+    _lift,
     _normalize_mode,
     _record,
     _reduced_row,
@@ -355,6 +356,61 @@ def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
         )
         with pytest.raises(NumericalConsistencyError, match="cross-check"):
             _reduced_row(s0.basis, tuple(shifted_twice), kappa)
+
+
+#: the README pipeline's peak row: 40 rows on [0.05, 1.8]; the accepted
+#: profile does not depend on tau, so the even fixture wave is that wave
+README_PEAK_KAPPA = float(np.linspace(0.05, 1.8, 40)[25])
+
+
+def permute_q(monkeypatch, reductions):
+    # L2 = Q D Q^T no longer holds: the lift v1 = Q (s * y) mixes modes
+    cosine, sine = reductions
+    return dataclasses.replace(cosine, q=np.roll(cosine.q, 1, axis=1)), sine
+
+
+def flip_v2_lift(monkeypatch, reductions):
+    def flipped(rows, d, pair):
+        m = pair.size // 2
+        return _lift(rows, d, np.concatenate([pair[:m], -pair[m:]]))
+
+    monkeypatch.setattr("gnlstab.scan._lift", flipped)
+    return reductions
+
+
+def perturb_growth_mu(monkeypatch, reductions):
+    # after the Rayleigh refinement, a relative error of 1e-6 in mu_0
+    def solve(self, kappa):
+        mu, v1 = original(self, kappa)
+        mu[0] *= 1.0 + 1e-6
+        return mu, v1
+
+    original = _Reduction.solve
+    monkeypatch.setattr(_Reduction, "solve", solve)
+    return reductions
+
+
+@pytest.mark.parametrize("tamper", [permute_q, flip_v2_lift, perturb_growth_mu])
+def test_residual_gate_rejects_a_tampered_reduced_row(even_wave, monkeypatch, tamper):
+    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
+    reductions = _Reduction.sectors(s0)
+    record, coeff = _reduced_row(s0.basis, reductions, README_PEAK_KAPPA)
+    assert record.max_real_part > 1.0 and coeff is not None
+    tampered = tamper(monkeypatch, reductions)
+    with pytest.raises(NumericalConsistencyError, match="cross-check"):
+        _reduced_row(s0.basis, tampered, README_PEAK_KAPPA)
+
+
+def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_scan):
+    # a reduced row writes symmetry_defect = 0.0 without measuring it; its set
+    # is +-(real or imaginary half), so the measured defect is exactly that.
+    # The odd full-space scan solves its first rows densely (L2 + kappa^2
+    # indefinite below kappa ~ 0.33), the others reduced
+    for scan in (even_scan, odd_scan, odd_full_scan):
+        assert scan.reduced_rows > 0
+        for row in scan.records[scan.dense_rows :]:
+            assert row.symmetry_defect == 0.0
+            assert _symmetry_defect(row.eigenvalues) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,10 @@ def test_cli_pipeline_report(tmp_path):
     assert cert["passed"] is True
     assert cert["max_delta"] <= cert["tolerance"] == 1e-9
     assert report["dns"]["relative_gap"] <= 0.02
+    # the DNS predicts from the scan's own row at the peak, bit for bit
+    peak = max(report["scan"]["records"], key=lambda r: r["max_real_part"])
+    assert report["dns"]["kappa"] == peak["kappa"]
+    assert report["dns"]["scanner_lambda"] == peak["max_real_part"]
 
 
 def test_cli_pipeline_honours_sector(tmp_path):
