@@ -445,6 +445,23 @@ def _certificate(wave: WaveProfile, sector: str, config: SolverConfig) -> dict:
     }
 
 
+def _constant_regime(params: ProblemParams) -> str:
+    """The line naming the constant-state regime of an even wave.
+
+    At the constant state phi^alpha = omega, L1 = -d_xx - alpha*omega has a
+    negative mode besides the constant one only when (2 pi / L)^2 < alpha*omega,
+    so nonconstant even minimizers bifurcate from the constant state at
+    L sqrt(alpha*omega) = 2 pi.
+    """
+    value = params.period * np.sqrt(params.alpha * params.omega)
+    relation = "<=" if value <= 2.0 * np.pi else ">"
+    return (
+        f"[hill_spectra] constant-state regime: L*sqrt(alpha*omega) = {value:.6g} {relation} "
+        f"2*pi = {2.0 * np.pi:.6g}, the threshold above which nonconstant even waves "
+        "bifurcate from the constant state"
+    )
+
+
 def cmd_pipeline(args) -> int:
     config = _solver_config(args)
     out = _out_dir(args)
@@ -518,6 +535,8 @@ def cmd_pipeline(args) -> int:
     path = _write(out, "pipeline_report.json", serialize.envelope("pipeline_report", combined))
     print(f"[cli_io] combined report -> {path}")
     if not overall:
+        if any(c.name == "profile non-constant" and not c.passed for c in propositions.checks):
+            print(_constant_regime(params))
         print("[cli_io] pipeline checks FAILED")
         return 2
     print(f"[cli_io] pipeline passed; verdict: {result.verdict}")

@@ -13,6 +13,8 @@ are provided: a dense one-step RK4 matrix per parity sector of the basis
 (the even potential makes the block problem a direct sum of a cosine and a
 sine block), and a Strang splitting whose kinetic and potential factors
 are both applied as exact exponentials (hence exactly time reversible).
+RK4 samples its n norms in blocks of ceil(sqrt(n)) states, each block one
+matrix product from the last, and checks the growth envelope block by block.
 """
 from __future__ import annotations
 
@@ -186,6 +188,52 @@ def _fit_window(times: np.ndarray, lognorms: np.ndarray) -> slice:
     return slice(0, len(times))
 
 
+def _rk4_samples(parts: list, stride: int, last: int, count: int):
+    """Norms of an RK4 run at count samples: the first count - 1 lie stride
+    steps apart, the last comes last steps after the one before it.  parts
+    holds each parity sector's step matrix and initial state; the sectors'
+    norms squared add.
+
+    The regular samples come in blocks of b = ceil(sqrt(count - 1)) columns
+    per sector: b sequential leaps of stride steps seed the first block, and
+    one product with the precomputed leap^b advances a block to the next, so
+    a run makes O(sqrt(count)) matrix products and keeps O(d sqrt(count))
+    states.  Each block's norms are yielded as one array before the next
+    block is computed.
+    """
+    regular = count - 1
+    b = math.isqrt(regular - 1) + 1
+    leaps = [np.linalg.matrix_power(phi, stride) for phi, _ in parts]
+    blocks = []
+    for leap, (_, y) in zip(leaps, parts):
+        block = np.empty((y.size, b))
+        for j in range(b):
+            y = block[:, j] = leap @ y
+        blocks.append(block)
+    powers = [np.linalg.matrix_power(leap, b) for leap in leaps]
+    done = 0
+    while True:
+        yield np.sqrt(sum(np.einsum("ij,ij->j", block, block) for block in blocks))
+        done += blocks[0].shape[1]
+        if done == regular:
+            break
+        blocks = [power @ block[:, : regular - done] for power, block in zip(powers, blocks)]
+    ys = [block[:, -1] for block in blocks]
+    if last == stride:
+        ys = [leap @ y for leap, y in zip(leaps, ys)]
+    else:
+        ys = [np.linalg.matrix_power(phi, last) @ y for (phi, _), y in zip(parts, ys)]
+    yield np.array([math.sqrt(sum(float(y @ y) for y in ys))])
+
+
+def _splitting_samples(step: Callable, state: tuple, h: float, counts: list):
+    """Norms of a splitting run after each of counts' step counts, one at a time."""
+    for count in counts:
+        for _ in range(count):
+            state = step(*state)
+        yield np.array([np.sqrt(h * np.sum(state[0] ** 2 + state[1] ** 2))])
+
+
 def evolve_and_fit(
     wave: WaveProfile,
     kappa: float,
@@ -209,17 +257,18 @@ def evolve_and_fit(
     config = config if config is not None else EvolutionConfig()
     sector = resolve_sector(wave, sector)
     row = growth_row(wave, kappa, sector)
-    predicted = row.record.max_real_part
-    basis = row.basis
+    solution = row.solution
+    predicted = solution.max_real_part
+    basis = solution.basis
     d = basis.dimension
 
     if config.seed == "leading_eigenvector":
-        rate = row.record.leading_lambda
+        rate = solution.leading_lambda
         if rate is None or rate.real <= UNSTABLE_THRESHOLD:
             raise ParameterError(
                 f"kappa={kappa:g} has no unstable mode to seed from; use seed='random'"
             )
-        y0 = np.real(row.leading)
+        y0 = np.real(solution.leading)
         y0 = y0 / np.linalg.norm(y0)
     else:
         rng = np.random.default_rng(config.rng_seed)
@@ -248,56 +297,42 @@ def evolve_and_fit(
     times = np.concatenate([[0.0], marks * dt])
 
     if config.scheme == "explicit_rk4":
-        # the RK4 step is one fixed matrix per sector, so the steps between two
-        # samples are one product with its power; a sector whose part of the
-        # seed is zero stays zero and adds nothing to the norm
+        # a sector whose part of the seed is zero stays zero and adds nothing
         parts = [
             (block, np.concatenate([y0[rows], y0[d + rows.start : d + rows.stop]]))
             for rows, block in row.blocks
         ]
         parts = [(rk4_step_matrix(block, dt), y) for block, y in parts if y.any()]
-        leaps = [np.linalg.matrix_power(phi, stride) for phi, _ in parts]
-        state = [y for _, y in parts]
-
-        def advance(ys: list, count: int) -> list:
-            if count == stride:
-                return [leap @ y for leap, y in zip(leaps, ys)]
-            return [np.linalg.matrix_power(phi, count) @ y for (phi, _), y in zip(parts, ys)]
-
-        def norm(ys: list) -> float:
-            # y @ y is the dot product np.linalg.norm takes of a real vector
-            return math.sqrt(sum(float(y @ y) for y in ys))
-
+        norm0 = math.sqrt(sum(float(y @ y) for _, y in parts))
+        samples = _rk4_samples(parts, stride, steps - stride * (marks.size - 1), marks.size)
     else:
         step = splitting_stepper(wave, kappa, dt)
         h = wave.phi.grid.spacing
         state = (basis.synthesize(y0[:d]), basis.synthesize(y0[d:]))
-
-        def advance(w: tuple, count: int) -> tuple:
-            for _ in range(count):
-                w = step(*w)
-            return w
-
-        def norm(w: tuple) -> float:
-            return float(np.sqrt(h * np.sum(w[0] ** 2 + w[1] ** 2)))
+        norm0 = float(np.sqrt(h * np.sum(state[0] ** 2 + state[1] ** 2)))
+        samples = _splitting_samples(step, state, h, np.diff(marks, prepend=0).tolist())
 
     norms = np.empty(times.size)
-    norms[0] = norm(state)
+    norms[0] = norm0
     # growth beyond e^(3 max Re lambda t), with headroom for transients of the
     # non-normal system, means the time step is unstable
-    limits = 1e3 * norms[0] * np.exp(np.minimum(3.0 * max(predicted, 0.1) * times, 700.0))
-    n = 0
-    for i, (mark, limit) in enumerate(zip(marks.tolist(), limits[1:].tolist()), start=1):
-        state = advance(state, mark - n)
-        n = mark
-        value = norm(state)
-        if not value <= limit:  # a NaN fails too
-            raise IntegratorError(
-                f"norm reached {value:g} at t={times[i]:g}, beyond the predicted-rate "
-                f"envelope {limit:g}; the time step dt={dt:g} looks unstable, "
-                "try a smaller one"
-            )
-        norms[i] = value
+    limits = 1e3 * norm0 * np.exp(np.minimum(3.0 * max(predicted, 0.1) * times, 700.0))
+    start = 1
+    # a block may run on past its first failing sample into overflow; the
+    # envelope reports that sample, so the overflow itself is not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in samples:
+            stop = start + values.size
+            bad = np.flatnonzero(~(values <= limits[start:stop]))  # a NaN fails too
+            if bad.size:
+                i = start + int(bad[0])
+                raise IntegratorError(
+                    f"norm reached {values[bad[0]]:g} at t={times[i]:g}, beyond the "
+                    f"predicted-rate envelope {limits[i]:g}; the time step dt={dt:g} looks "
+                    "unstable, try a smaller one"
+                )
+            norms[start:stop] = values
+            start = stop
 
     if np.any(norms <= 0.0):
         raise IntegratorError("norm history is not positive; cannot fit a rate")

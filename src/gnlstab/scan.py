@@ -39,10 +39,17 @@ unreduced product (L2 + kappa^2)(L1 + kappa^2), and its written growth mode
 on the sector's block; its set is closed under negation and conjugation by
 construction.  A dense row checks lambda^2 on each sector's ten largest
 |lambda| against that sector's unsymmetric product, and the quadruple
-symmetry of the merged set.  :func:`growth_row` hands the time integrator
-the scan's own row at one kappa and the sector blocks to step.  The module
-also verifies the hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2,
-L1 + kappa^2).
+symmetry of the merged set.
+
+The row solver returns a :class:`RowSolution`: the whole merged spectrum,
+the leading growth mode's coefficients and the solver path.  A scan keeps
+only what a row reports, its :class:`KappaRecord` (kappa, the growth rate,
+the count and values of the unstable eigenvalues, the leading one, the
+symmetry defect and the path), and synthesizes the grid fields (v1, v2) of
+the most unstable row's mode once.  :func:`growth_row` hands the time
+integrator the scan's own row at one kappa and the sector blocks to step.
+The module also verifies the hypotheses (H0)-(H4) for S(kappa) =
+diag(L2 + kappa^2, L1 + kappa^2).
 """
 from __future__ import annotations
 
@@ -165,11 +172,6 @@ class InstabilityEigs:
             return None
         return max(self.unstable, key=lambda m: m.rate.real)
 
-    def mode_fields(self, mode: UnstableMode) -> tuple[RealField, RealField]:
-        d = self.basis.dimension
-        coeff = np.real(mode.coefficients)
-        return self.basis.field(coeff[:d]), self.basis.field(coeff[d:])
-
 
 def _symmetry_defect(eigenvalues: np.ndarray) -> float:
     """Distance of the set from closure under lambda -> -lambda and conjugation."""
@@ -265,16 +267,64 @@ def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool 
 
 @dataclass(frozen=True)
 class KappaRecord:
-    """Scan row: spectrum summary of the block problem at one kappa."""
+    """Scan row: what the block problem at one kappa reports.
+
+    A version-1 document wrote each row's whole spectrum and leading mode
+    fields instead of ``unstable_eigenvalues`` and ``path``; it loads with
+    both None.
+    """
 
     kappa: float
-    eigenvalues: np.ndarray
     max_real_part: float
     num_unstable: int
     leading_lambda: Optional[complex]
-    leading_v1: Optional[RealField]
-    leading_v2: Optional[RealField]
+    #: the eigenvalues with real part above UNSTABLE_THRESHOLD, ascending
+    unstable_eigenvalues: Optional[tuple[complex, ...]]
     symmetry_defect: float
+    #: the solver that produced the row, "reduced" or "dense"
+    path: Optional[str]
+
+
+@dataclass(frozen=True)
+class RowSolution:
+    """The row solver's result at one kappa: the whole merged spectrum and
+    the leading growth mode's coefficients, of which a scan keeps only
+    :meth:`record`."""
+
+    basis: ParityBasis
+    kappa: float
+    eigenvalues: np.ndarray
+    max_real_part: float
+    leading_lambda: Optional[complex]
+    #: full-basis [v1 | v2] coefficients of the leading growth mode, None below VECTOR_LEVEL
+    leading: Optional[np.ndarray]
+    symmetry_defect: float
+    #: "reduced" for the lambda^2 reduction, "dense" for each sector's ``eig``
+    path: str
+
+    @property
+    def num_unstable(self) -> int:
+        return int(np.sum(self.eigenvalues.real > UNSTABLE_THRESHOLD))
+
+    def mode_fields(self) -> tuple[Optional[RealField], Optional[RealField]]:
+        """The leading growth mode (v1, v2) on the grid, or (None, None)."""
+        if self.leading is None:
+            return None, None
+        d = self.basis.dimension
+        coeff = np.real(self.leading)
+        return self.basis.field(coeff[:d]), self.basis.field(coeff[d:])
+
+    def record(self) -> KappaRecord:
+        unstable = self.eigenvalues[self.eigenvalues.real > UNSTABLE_THRESHOLD]
+        return KappaRecord(
+            kappa=self.kappa,
+            max_real_part=self.max_real_part,
+            num_unstable=unstable.size,
+            leading_lambda=self.leading_lambda,
+            unstable_eigenvalues=tuple(complex(lam) for lam in unstable),
+            symmetry_defect=self.symmetry_defect,
+            path=self.path,
+        )
 
 
 @dataclass(frozen=True)
@@ -285,6 +335,10 @@ class StabilityScan:
     sector: str
     kappa_values: np.ndarray
     records: tuple[KappaRecord, ...]
+    #: the leading growth mode (v1, v2) of the most unstable row on the grid;
+    #: None where that row has none, and in a version-1 document
+    leading_v1: Optional[RealField]
+    leading_v2: Optional[RealField]
     band_edges: tuple[float, ...]
     verdict: str
     #: grid rows per solver path, and dense eig solves spent bisecting band edges
@@ -297,22 +351,18 @@ class StabilityScan:
         return max(self.records, key=lambda r: r.max_real_part)
 
 
-def _record(eigs: InstabilityEigs) -> KappaRecord:
+def _dense_row(eigs: InstabilityEigs) -> RowSolution:
+    """A row from each parity sector's dense ``eig``."""
     leading = eigs.leading
-    v1 = v2 = None
-    lam = None
-    if leading is not None:
-        lam = leading.rate
-        v1, v2 = eigs.mode_fields(leading)
-    return KappaRecord(
+    return RowSolution(
+        basis=eigs.basis,
         kappa=eigs.kappa,
         eigenvalues=eigs.eigenvalues,
         max_real_part=eigs.max_real_part,
-        num_unstable=eigs.num_unstable,
-        leading_lambda=lam,
-        leading_v1=v1,
-        leading_v2=v2,
+        leading_lambda=None if leading is None else leading.rate,
+        leading=None if leading is None else leading.coefficients,
         symmetry_defect=eigs.symmetry_defect,
+        path="dense",
     )
 
 
@@ -455,17 +505,15 @@ def _band_end(reductions: tuple, lo: float, hi: float, falling: bool) -> float:
     return min(max(end, lo), hi)
 
 
-def _reduced_row(
-    basis: ParityBasis, reductions: tuple, kappa: float
-) -> Optional[tuple[KappaRecord, Optional[np.ndarray]]]:
-    """One grid row from one ``eigh`` of M(kappa) per parity sector, and the
-    full-basis [v1 | v2] coefficients of its leading growth mode (None below
-    VECTOR_LEVEL); or None where the reduction does not apply to some sector.
+def _reduced_row(basis: ParityBasis, reductions: tuple, kappa: float) -> Optional[RowSolution]:
+    """One row from one ``eigh`` of M(kappa) per parity sector, or None where
+    the reduction does not apply to some sector.
 
-    Every eigenpair is certified by its residual on the unreduced product
-    and the sector's mu < 0 by the inertia count.  The set is built as
-    +-(real or imaginary half), closed under negation and conjugation by
-    construction, so its symmetry defect is 0.0 without being measured.
+    Every eigenpair is certified by its residual on the unreduced product,
+    the written growth mode on its sector's block and the sector's mu < 0 by
+    the inertia count.  The set is built as +-(real or imaginary half),
+    closed under negation and conjugation by construction, so its symmetry
+    defect is 0.0 without being measured.
     """
     solved = []
     for reduction in reductions:
@@ -487,64 +535,52 @@ def _reduced_row(
     eigenvalues = np.concatenate(values)
     eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
 
-    lam = v1 = v2 = coeff = None
+    lam = coeff = None
     if growth > VECTOR_LEVEL:
         reduction, mode = lead
-        d = basis.dimension
         l1k = reduction.l1 + kappa**2 * np.eye(mode.size)
         coeff = _normalize_mode(
-            _lift(reduction.rows, d, np.concatenate([mode, -(l1k @ mode) / growth]))
+            _lift(reduction.rows, basis.dimension, np.concatenate([mode, -(l1k @ mode) / growth]))
         )
         reduction.certify_mode(kappa, growth, coeff)
         lam = complex(growth)
-        v1, v2 = basis.field(coeff[:d]), basis.field(coeff[d:])
-    record = KappaRecord(
+    return RowSolution(
+        basis=basis,
         kappa=kappa,
         eigenvalues=eigenvalues,
         max_real_part=growth,
-        num_unstable=int(np.sum(eigenvalues.real > UNSTABLE_THRESHOLD)),
         leading_lambda=lam,
-        leading_v1=v1,
-        leading_v2=v2,
+        leading=coeff,
         symmetry_defect=0.0,
+        path="reduced",
     )
-    return record, coeff
 
 
-def _dense_row(
-    s0: OperatorMatrix, kappa: float, sector: str
-) -> tuple[KappaRecord, Optional[np.ndarray]]:
-    """One row from each parity sector's dense ``eig``, as :func:`_reduced_row`
-    returns it."""
-    eigs = _block_eigs(s0, kappa, sector)
-    leading = eigs.leading
-    return _record(eigs), None if leading is None else leading.coefficients
+def _solve_row(s0: OperatorMatrix, reductions: tuple, kappa: float, sector: str) -> RowSolution:
+    """The scan's rule at one kappa: the reduced row where it applies, else
+    each sector's dense ``eig``."""
+    row = _reduced_row(s0.basis, reductions, kappa)
+    return row if row is not None else _dense_row(_block_eigs(s0, kappa, sector))
 
 
 @dataclass(frozen=True)
 class GrowthRow:
     """The scan's solve at one kappa, with the parity-sector blocks it split."""
 
-    basis: ParityBasis
-    record: KappaRecord
-    #: full-basis [v1 | v2] coefficients of the leading growth mode, or None
-    leading: Optional[np.ndarray]
+    solution: RowSolution
     #: (rows, [[0, L2+k^2], [-(L1+k^2), 0]]) of each parity sector, rows being
     #: the sector's slice of the basis
     blocks: tuple
 
 
 def growth_row(wave: WaveProfile, kappa: float, sector: str = "auto") -> GrowthRow:
-    """The row :func:`scan_kappa` computes at kappa, by the scan's own rule:
-    the reduced row where it applies, else each sector's dense ``eig``.  Its
-    record is the scan's row at kappa bit for bit."""
+    """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
+    Its record is the scan's row at kappa bit for bit."""
     sector = resolve_sector(wave, sector)
     s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
     reductions = _Reduction.sectors(s0)
     blocks = tuple((r.rows, _growth_block(r.l2, r.l1, kappa)) for r in reductions)
-    row = _reduced_row(s0.basis, reductions, kappa)
-    record, leading = row if row is not None else _dense_row(s0, kappa, sector)
-    return GrowthRow(basis=s0.basis, record=record, leading=leading, blocks=blocks)
+    return GrowthRow(solution=_solve_row(s0, reductions, kappa, sector), blocks=blocks)
 
 
 def scan_kappa(
@@ -574,21 +610,19 @@ def scan_kappa(
     kappas = np.linspace(kappa_min, kappa_max, steps)
     s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
     reductions = _Reduction.sectors(s0)
-    reduced = 0
-    records = []
+    records, peak = [], None
     for kappa in kappas:
-        kappa = float(kappa)
-        row = _reduced_row(s0.basis, reductions, kappa)
-        reduced += row is not None
-        if row is None:
-            row = _dense_row(s0, kappa, sector)
-        record = row[0]
-        if record.symmetry_defect > SYMMETRY_TOL:
+        row = _solve_row(s0, reductions, float(kappa), sector)
+        if row.symmetry_defect > SYMMETRY_TOL:
             raise NumericalConsistencyError(
-                f"eigenvalue quadruple symmetry broken at kappa={kappa:g}: "
-                f"defect {record.symmetry_defect:.3e}"
+                f"eigenvalue quadruple symmetry broken at kappa={row.kappa:g}: "
+                f"defect {row.symmetry_defect:.3e}"
             )
-        records.append(record)
+        # the first row of largest growth, as StabilityScan.most_unstable picks it
+        if peak is None or row.max_real_part > peak.max_real_part:
+            peak = row
+        records.append(row.record())
+    reduced = sum(r.path == "reduced" for r in records)
 
     bisections = 0
     edges = []
@@ -616,11 +650,14 @@ def scan_kappa(
         edges.append(0.5 * (lo + hi))
 
     unstable = any(r.max_real_part > UNSTABLE_THRESHOLD for r in records)
+    v1, v2 = peak.mode_fields()
     return StabilityScan(
         wave_id=wave.wave_id,
         sector=sector,
         kappa_values=kappas,
         records=tuple(records),
+        leading_v1=v1,
+        leading_v2=v2,
         band_edges=tuple(edges),
         verdict="transversally unstable" if unstable else "no instability detected",
         reduced_rows=reduced,

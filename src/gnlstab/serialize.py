@@ -1,6 +1,6 @@
 """Round-trippable JSON artifacts and flat CSV exports.
 
-Every JSON document is an envelope {"schema_version": 1, "type": ...,
+Every JSON document is an envelope {"schema_version": 2, "type": ...,
 "payload": ...}, written by the standard ``json`` encoder as one compact line
 (``python -m json.tool`` pretty-prints it).  JSON and CSV write every float
 as its shortest round-trip text, ``repr(float)``, so a write/read cycle
@@ -18,6 +18,13 @@ field's annotated type: a list of ``[re, im]`` pairs in an array field loads
 as complex128, any other array as float64.  An ``Optional`` field may be
 absent or null and then loads as None; every other field is required and
 must not be null, and unknown keys are ignored.
+
+Version 2 changed only the scan: a row holds what it reports, its unstable
+eigenvalues instead of its whole spectrum, and its solver path, and the
+scan holds the most unstable row's mode fields instead of every row's.
+``loads`` reads version 1 too: the per-row spectra and fields are unknown
+keys there, and the fields version 1 lacks are ``Optional`` and load as
+None.
 """
 from __future__ import annotations
 
@@ -35,7 +42,10 @@ from .scan import HypothesisReport, StabilityScan
 from .spectral import PeriodicGrid, RealField
 from .waves import WaveProfile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: versions ``loads`` reads: version 1 differs only in its scan rows
+_READABLE_VERSIONS = (1, 2)
 
 #: document type of each top-level result
 _TYPE_NAMES = {
@@ -191,10 +201,9 @@ def loads(text: str):
     if not isinstance(document, dict):
         raise FormatError("top-level JSON value must be an object envelope")
     version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise FormatError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
-        )
+    if type(version) is not int or version not in _READABLE_VERSIONS:
+        expected = " or ".join(map(str, _READABLE_VERSIONS))
+        raise FormatError(f"unsupported schema_version {version!r} (expected {expected})")
     type_name = document.get("type")
     if type_name not in _CLASSES:
         raise FormatError(f"unknown document type {type_name!r}")

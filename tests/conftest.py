@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gnlstab.hill import build_block
 from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave
-from gnlstab.scan import scan_kappa, verify_hypotheses
+from gnlstab.scan import _Reduction, _solve_row, resolve_sector, scan_kappa, verify_hypotheses
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,6 +71,48 @@ def const_scan(const_wave):
 def odd_full_scan(odd_wave):
     """Odd wave in the full space: L2 + kappa^2 is indefinite below kappa ~ 0.33."""
     return scan_kappa(odd_wave, 0.05, 1.0, 8, sector="full")
+
+
+@pytest.fixture(scope="session")
+def solve_row(even_wave, odd_wave, const_wave):
+    """solve_row(name, kappa, sector="auto"): the scan's row solver at kappa
+    on the "even", "odd" or "const" fixture wave, with its whole spectrum and
+    leading mode.  One assembly and reduction per wave and sector serves
+    every call."""
+    waves = {"even": even_wave, "odd": odd_wave, "const": const_wave}
+    shared = {}
+
+    def solve(name, kappa, sector="auto"):
+        wave = waves[name]
+        sector = resolve_sector(wave, sector)
+        if (name, sector) not in shared:
+            s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
+            shared[name, sector] = s0, _Reduction.sectors(s0)
+        s0, reductions = shared[name, sector]
+        return _solve_row(s0, reductions, float(kappa), sector)
+
+    return solve
+
+
+@pytest.fixture(scope="session")
+def scan_rows(solve_row, even_scan, odd_scan, const_scan, odd_full_scan):
+    """scan_rows(name): the row solver's result on every row of the fixture
+    scan ``{name}_scan``, in order."""
+    scans = {
+        "even": ("even", even_scan),
+        "odd": ("odd", odd_scan),
+        "const": ("const", const_scan),
+        "odd_full": ("odd", odd_full_scan),
+    }
+    rows = {}
+
+    def of(name):
+        if name not in rows:
+            wave, scan = scans[name]
+            rows[name] = [solve_row(wave, r.kappa, scan.sector) for r in scan.records]
+        return rows[name]
+
+    return of
 
 
 @pytest.fixture(scope="session")

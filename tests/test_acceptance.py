@@ -324,11 +324,15 @@ def test_criterion_7_dns_cross_check(record, const_wave, even_wave, odd_wave, ev
         assert elapsed < 30.0, name
 
 
-def test_criterion_8_structural_invariants(record, even_wave, odd_wave, even_scan, odd_scan):
+def test_criterion_8_structural_invariants(
+    record, even_wave, odd_wave, even_scan, odd_scan, scan_rows
+):
     worst_quad = 0.0
     worst_shift = 0.0
     worst_cross = 0.0
-    for wave, scan in ((even_wave, even_scan), (odd_wave, odd_scan)):
+    # each row's whole spectrum comes from the scan's row solver
+    for wave, scan, rows in ((even_wave, even_scan, scan_rows("even")),
+                             (odd_wave, odd_scan, scan_rows("odd"))):
         sector = scan.sector
         basis = (
             ParityBasis(FULL, wave.phi.grid)
@@ -343,7 +347,7 @@ def test_criterion_8_structural_invariants(record, even_wave, odd_wave, even_sca
         d = s0.entries.shape[0] // 2
         l2 = s0.entries[:d, :d]
         l1 = s0.entries[d:, d:]
-        for record_row in scan.records:
+        for record_row in rows:
             kappa = record_row.kappa
             worst_quad = max(worst_quad, quadruple_defect(record_row.eigenvalues))
             # spectrum of S(kappa) is the spectrum of S(0) shifted by kappa^2

@@ -3,10 +3,13 @@
 Each file in ``tests/data`` is one small document: the N=32 even and odd
 waves (alpha=2; omega=1, tau=12 and omega=4, tau=40), their spectrum with
 three exported eigenfunctions, propositions, hypotheses, 3-4 row scans, a
-short DNS of the N=16 constant state and an N=32 pipeline report.  Loading
-one and writing it again must reproduce its bytes, so key order, float text,
-nesting and the loading of stored files cannot drift.  These tests only read
-and write, so they do not depend on the BLAS build.
+short DNS of the N=16 constant state and an N=32 pipeline report, written by
+``tests/data/make_goldens.py``.  Loading one and writing it again must
+reproduce its bytes, so key order, float text, nesting and the loading of
+stored files cannot drift.  ``tests/data/v1`` keeps the same documents in
+schema version 1, whose scan rows carried their whole spectrum and mode
+fields; each must still load.  These tests only read and write, but for one
+row solve at N=32, so they do not depend on the BLAS build.
 """
 
 import json
@@ -18,10 +21,12 @@ import pytest
 from gnlstab import serialize
 from gnlstab.errors import FormatError
 from gnlstab.hill import build_hill, spectrum
+from gnlstab.scan import StabilityScan, growth_row
 from gnlstab.spectral import FULL, ParityBasis
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = sorted(DATA.glob("*.json"))
+V1 = DATA / "v1"
 
 
 def _document(name: str) -> dict:
@@ -44,6 +49,7 @@ def _redump(loaded) -> str:
 
 
 def test_golden_set_covers_every_document_type():
+    assert [p.name for p in sorted(V1.glob("*.json"))] == [p.name for p in GOLDEN]
     kinds = {json.loads(p.read_text(encoding="utf-8"))["type"] for p in GOLDEN}
     assert kinds == {
         "wave_profile",
@@ -71,10 +77,15 @@ def test_unknown_keys_are_ignored():
 
 def test_loaded_arrays_have_their_dtypes():
     scan = serialize.load(DATA / "scan_odd_full.json")
+    wave = serialize.load(DATA / "wave_odd.json")
     assert scan.kappa_values.dtype == np.float64
     for record in scan.records:
-        assert record.eigenvalues.dtype == np.complex128
-        assert record.eigenvalues.shape == (64,)
+        # a row reports its unstable eigenvalues; the row solver has them all
+        row = growth_row(wave, record.kappa, scan.sector).solution
+        assert row.eigenvalues.dtype == np.complex128
+        assert row.eigenvalues.shape == (64,)
+        assert row.record() == record
+        assert all(type(lam) is complex for lam in record.unstable_eigenvalues)
         assert type(record.leading_lambda) is complex
     assert serialize.load(DATA / "spectrum_even_L1.json").eigenvalues.dtype == np.float64
     growth = serialize.load(DATA / "growth_const.json")
@@ -83,10 +94,11 @@ def test_loaded_arrays_have_their_dtypes():
 
 def test_complex_pairs_keep_signed_zeros():
     document = _document("scan_even.json")
-    document["payload"]["records"][0]["eigenvalues"][0] = [-0.0, -0.0]
+    document["payload"]["records"][0]["unstable_eigenvalues"][0] = [-0.0, -0.0]
     document["payload"]["records"][0]["leading_lambda"] = [1.5, -0.0]
     record = serialize.loads(json.dumps(document)).records[0]
-    assert np.signbit(record.eigenvalues[0].real) and np.signbit(record.eigenvalues[0].imag)
+    lam = record.unstable_eigenvalues[0]
+    assert np.signbit(lam.real) and np.signbit(lam.imag)
     assert np.signbit(record.leading_lambda.imag)
 
 
@@ -135,7 +147,7 @@ def test_missing_required_field_is_named(name, keys, field, absent):
         ("wave_even.json", (), "detected_period", lambda w: w.detected_period),
         ("propositions_odd.json", ("checks", 4), "margin", lambda r: r.checks[4].margin),
         ("scan_even.json", ("records", 0), "leading_lambda", lambda s: s.records[0].leading_lambda),
-        ("scan_even.json", ("records", 0), "leading_v2", lambda s: s.records[0].leading_v2),
+        ("scan_even.json", (), "leading_v2", lambda s: s.leading_v2),
         ("spectrum_even_L1.json", (), "lowest_eigenfunctions", lambda s: s.lowest_eigenfunctions),
     ],
 )
@@ -149,7 +161,7 @@ def test_absent_optional_field_loads_as_none(name, keys, field, read):
 @pytest.mark.parametrize(
     "name, keys, field, value",
     [
-        ("scan_even.json", ("records", 0), "eigenvalues", [[1.0, 2.0, 3.0]]),
+        ("scan_even.json", ("records", 0), "unstable_eigenvalues", [[1.0, 2.0, 3.0]]),
         ("scan_even.json", ("records", 0), "leading_lambda", [1.0]),
         ("wave_even.json", (), "phi", [0.0, 1.0]),
         ("propositions_odd.json", (), "checks", 3),
@@ -161,3 +173,76 @@ def test_malformed_value_is_a_format_error(name, keys, field, value):
     node[field] = value
     with pytest.raises(FormatError):
         serialize.loads(json.dumps(document))
+
+
+# ---------------------------------------------------------------------------
+# schema version 1
+
+#: what a scan reports besides its rows, and what each row reports in both versions
+SCAN_KEYS = ("wave_id", "sector", "kappa_values", "band_edges", "verdict",
+             "reduced_rows", "dense_rows", "dense_bisections")
+ROW_KEYS = ("kappa", "max_real_part", "num_unstable", "leading_lambda", "symmetry_defect")
+
+#: DNS floats that moved in their last bits since the version-1 documents were
+#: written: RK4 now steps each parity sector apart and samples its norms in
+#: blocked products, and the prediction is the scan's Rayleigh-refined rate
+DNS_FLOATS = ("norms", "fitted_rate", "fit_residual", "scanner_lambda", "relative_gap",
+              "predicted_rate")
+
+
+def _versions(name: str) -> tuple[dict, dict]:
+    v1 = json.loads((V1 / name).read_text(encoding="utf-8"))
+    return _document(name), v1
+
+
+def _assert_same_scan(v2: dict, v1: dict) -> None:
+    for key in SCAN_KEYS:
+        assert v2[key] == v1[key], key
+    assert len(v2["records"]) == len(v1["records"])
+    for new, old in zip(v2["records"], v1["records"]):
+        assert {k: new[k] for k in ROW_KEYS} == {k: old[k] for k in ROW_KEYS}
+        unstable = [lam for lam in old["eigenvalues"] if lam[0] > 1e-6]
+        assert new["unstable_eigenvalues"] == unstable
+    peak = max(range(len(v1["records"])), key=lambda i: v1["records"][i]["max_real_part"])
+    assert v2["leading_v1"] == v1["records"][peak]["leading_v1"]
+    assert v2["leading_v2"] == v1["records"][peak]["leading_v2"]
+
+
+def _assert_same_dns(v2: dict, v1: dict) -> None:
+    for key in DNS_FLOATS:
+        if key in v2:
+            new, old = np.asarray(v2.pop(key)), np.asarray(v1.pop(key))
+            assert np.all(np.abs(new - old) <= 1e-12 * np.maximum(np.abs(old), 1.0)), key
+
+
+@pytest.mark.parametrize("path", sorted(V1.glob("*.json")), ids=lambda p: p.name)
+def test_version_1_document_loads(path):
+    assert json.loads(path.read_text(encoding="utf-8"))["schema_version"] == 1
+    loaded = serialize.load(path)
+    assert json.loads(_redump(loaded))["schema_version"] == serialize.SCHEMA_VERSION
+    if isinstance(loaded, StabilityScan):
+        # the whole spectra and per-row fields are unknown keys now
+        assert loaded.leading_v1 is None and loaded.leading_v2 is None
+        for record in loaded.records:
+            assert record.unstable_eigenvalues is None and record.path is None
+            assert record.max_real_part >= 0.0
+
+
+@pytest.mark.parametrize("name", ["scan_even.json", "scan_odd_full.json"])
+def test_version_2_scan_rows_report_the_version_1_numbers(name):
+    v2, v1 = _versions(name)
+    _assert_same_scan(v2["payload"], v1["payload"])
+
+
+@pytest.mark.parametrize(
+    "name", [p.name for p in GOLDEN if not p.name.startswith("scan_")]
+)
+def test_version_2_differs_from_version_1_only_in_the_version(name):
+    v2, v1 = _versions(name)
+    assert (v2.pop("schema_version"), v1.pop("schema_version")) == (2, 1)
+    if name.startswith("pipeline_report"):
+        _assert_same_scan(v2["payload"].pop("scan"), v1["payload"].pop("scan"))
+        _assert_same_dns(v2["payload"]["dns"], v1["payload"]["dns"])
+    if name.startswith("growth"):
+        _assert_same_dns(v2["payload"], v1["payload"])
+    assert v2 == v1

@@ -6,6 +6,7 @@ import pytest
 from gnlstab.errors import IntegratorError, ParameterError
 from gnlstab.evolve import (
     EvolutionConfig,
+    _rk4_samples,
     evolve_and_fit,
     linearized_rhs,
     rk4_step_matrix,
@@ -90,7 +91,7 @@ def test_dense_path_kappa_predicts_its_row(odd_wave, odd_full_scan):
 
 def sector_parts(row, y):
     """The (block, part of y) of each parity sector of a growth row."""
-    d = row.basis.dimension
+    d = row.solution.basis.dimension
     return [(block, np.concatenate([y[rows], y[d + rows.start : d + rows.stop]]))
             for rows, block in row.blocks]
 
@@ -102,7 +103,7 @@ def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
     peak = even_scan.most_unstable
     run = evolve_and_fit(even_wave, peak.kappa)
     row = growth_row(even_wave, peak.kappa)
-    y0 = row.leading / np.linalg.norm(row.leading)
+    y0 = row.solution.leading / np.linalg.norm(row.solution.leading)
     ((block, y),) = [(b, part) for b, part in sector_parts(row, y0) if part.any()]
     assert block.shape[0] == 2 * (even_wave.phi.grid.size // 2 + 1)
     phi = rk4_step_matrix(block, run.time_step)
@@ -125,9 +126,9 @@ def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
     run = evolve_and_fit(even_wave, peak.kappa, EvolutionConfig(seed=seed, rng_seed=4))
     row = growth_row(even_wave, peak.kappa)
     if seed == "random":
-        y0 = np.random.default_rng(4).standard_normal(2 * row.basis.dimension)
+        y0 = np.random.default_rng(4).standard_normal(2 * row.solution.basis.dimension)
     else:
-        y0 = np.real(row.leading)
+        y0 = np.real(row.solution.leading)
     y0 = y0 / np.linalg.norm(y0)
     steps = np.rint(run.times / run.time_step).astype(int)
     whole = rk4_step_matrix(evolution_block(even_wave, peak.kappa)[0], run.time_step)
@@ -138,15 +139,13 @@ def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
         expected.append(np.linalg.norm(y))
     assert np.max(np.abs(run.norms / np.asarray(expected) - 1.0)) <= 1e-12
     if seed == "leading_eigenvector":
-        # one sector holds the seed; stepped by the run's own leaps, its norms
-        # are np.linalg.norm's bit for bit
+        # one sector holds the seed; that sector alone, sampled in the run's
+        # blocked products, gives the run's norms bit for bit
         ((block, y),) = [(b, part) for b, part in sector_parts(row, y0) if part.any()]
         phi = rk4_step_matrix(block, run.time_step)
-        leaps = {n: np.linalg.matrix_power(phi, n) for n in set(np.diff(steps).tolist())}
-        norms = [np.linalg.norm(y)]
-        for count in np.diff(steps):
-            y = leaps[count] @ y
-            norms.append(np.linalg.norm(y))
+        counts = np.diff(steps)
+        sampled = _rk4_samples([(phi, y)], counts[0], counts[-1], counts.size)
+        norms = np.concatenate([[np.linalg.norm(y)], *sampled])
         assert np.array_equal(run.norms, norms)
 
 

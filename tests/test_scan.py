@@ -22,10 +22,11 @@ from gnlstab.scan import (
     _Reduction,
     _band_end,
     _block_eigs,
+    _dense_row,
     _lift,
     _normalize_mode,
-    _record,
     _reduced_row,
+    _solve_row,
     _symmetry_defect,
     evolution_block,
     instability_eigs,
@@ -102,11 +103,11 @@ def test_stability_above_threshold(even_wave, even_hypotheses):
         assert eigs.max_real_part <= 1e-8
 
 
-def test_quadruple_symmetry_across_scan(even_scan, odd_scan):
+def test_quadruple_symmetry_across_scan(even_scan, odd_scan, scan_rows):
     # recomputed defect, not the stored one
-    for scan in (even_scan, odd_scan):
-        for record in scan.records:
-            assert quadruple_defect(record.eigenvalues) <= 1e-8
+    for name, scan in (("even", even_scan), ("odd", odd_scan)):
+        for record, row in zip(scan.records, scan_rows(name)):
+            assert quadruple_defect(row.eigenvalues) <= 1e-8
             assert record.symmetry_defect <= 1e-8
 
 
@@ -170,11 +171,12 @@ def test_kappa_zero_generalized_kernel(even_wave):
     assert small == 4
 
 
-def test_eigenvalues_stay_complex(even_wave, even_scan, odd_full_scan):
+def test_eigenvalues_stay_complex(even_wave, even_scan, odd_full_scan, scan_rows):
     assert instability_eigs(even_wave, 1.0).eigenvalues.dtype == np.complex128
-    for scan in (even_scan, odd_full_scan):  # reduced and dense rows
-        assert all(r.eigenvalues.dtype == np.complex128 for r in scan.records)
+    for name, scan in (("even", even_scan), ("odd_full", odd_full_scan)):  # reduced and dense rows
+        assert all(r.eigenvalues.dtype == np.complex128 for r in scan_rows(name))
         assert all(type(r.leading_lambda) is complex for r in scan.records if r.leading_lambda)
+        assert all(type(lam) is complex for r in scan.records for lam in r.unstable_eigenvalues)
 
 
 def test_real_block_spectrum_stays_complex():
@@ -189,22 +191,46 @@ def test_real_block_spectrum_stays_complex():
     assert np.allclose(eigs.eigenvalues, np.repeat([-np.sqrt(2.0), np.sqrt(2.0)], d))
 
 
-def test_leading_mode_fields(even_scan):
-    peak = even_scan.most_unstable
-    assert peak.leading_v1 is not None and peak.leading_v2 is not None
-    n1 = np.linalg.norm(peak.leading_v1.values)
-    n2 = np.linalg.norm(peak.leading_v2.values)
+def test_leading_mode_fields(even_scan, scan_rows):
+    # the scan writes the most unstable row's mode fields once, as that row's
+    # solver synthesizes them
+    rows = scan_rows("even")
+    peak = rows[even_scan.records.index(even_scan.most_unstable)]
+    assert even_scan.leading_v1 is not None and even_scan.leading_v2 is not None
+    n1 = np.linalg.norm(even_scan.leading_v1.values)
+    n2 = np.linalg.norm(even_scan.leading_v2.values)
     assert n1 > 0.0 and n2 > 0.0
-    assert peak.leading_v1.grid.size == even_scan.records[0].leading_v1.grid.size
+    assert even_scan.leading_v1.grid.size == rows[0].mode_fields()[0].grid.size
+    v1, v2 = peak.mode_fields()
+    assert np.array_equal(even_scan.leading_v1.values, v1.values)
+    assert np.array_equal(even_scan.leading_v2.values, v2.values)
 
 
-def test_scan_is_deterministic(even_wave, even_scan, dense_rows):
+@pytest.mark.parametrize("name", ["even", "odd", "const", "odd_full"])
+def test_scan_records_are_the_row_solver_records(name, request, scan_rows):
+    # what a row reports is the row solver's result cut to its record, bit for
+    # bit, on a separate assembly of the same wave
+    scan = request.getfixturevalue(f"{name}_scan")
+    rows = scan_rows(name)
+    assert [row.record() for row in rows] == list(scan.records)
+    assert [r.path for r in scan.records].count("dense") == scan.dense_rows
+    for record in scan.records:
+        assert len(record.unstable_eigenvalues) == record.num_unstable
+
+
+def test_scan_is_deterministic(even_wave, even_scan, dense_rows, scan_rows):
     again = scan_kappa(even_wave, 0.05, 1.8, 60)
     assert np.array_equal(again.kappa_values, even_scan.kappa_values)
     for a, b in zip(again.records, even_scan.records):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert a == b
         assert a.max_real_part == b.max_real_part
     assert again.band_edges == even_scan.band_edges
+    # and the row solver's whole spectra, on a second assembly
+    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
+    reductions = _Reduction.sectors(s0)
+    for a, b in zip(again.records, scan_rows("even")):
+        row = _solve_row(s0, reductions, a.kappa, "full")
+        assert np.array_equal(row.eigenvalues, b.eigenvalues)
     # and the fast rows agree with the dense block solver
     for a, dense in zip(again.records, dense_rows["even"]):
         g = dense.max_real_part
@@ -247,20 +273,21 @@ def assert_row_matches_dense(row, dense):
     # the leading mode is unique only when its rate is simple
     rates = np.sort(dense.eigenvalues.real)[::-1]
     if rates[0] - rates[1] >= 1e-2 * rates[0]:
-        v1, v2 = dense.mode_fields(lead)
-        assert np.max(np.abs(row.leading_v1.values - v1.values)) <= 1e-6
-        assert np.max(np.abs(row.leading_v2.values - v2.values)) <= 1e-6
+        v1, v2 = _dense_row(dense).mode_fields()
+        row_v1, row_v2 = row.mode_fields()
+        assert np.max(np.abs(row_v1.values - v1.values)) <= 1e-6
+        assert np.max(np.abs(row_v2.values - v2.values)) <= 1e-6
 
 
 @pytest.mark.parametrize("name, dense_count", [("even", 0), ("odd", 0), ("const", 1)])
-def test_reduced_rows_match_dense_rows(name, dense_count, request, dense_rows):
+def test_reduced_rows_match_dense_rows(name, dense_count, request, dense_rows, scan_rows):
     scan = request.getfixturevalue(f"{name}_scan")
     # n(L2) = 0 on these sectors, so every grid row takes the reduction except
     # the constant state's kappa = 1, where mu = (xi^2 + k^2)(xi^2 + k^2 - 2)
     # vanishes for xi = 1 and only the dense solver resolves lambda = 0
     assert scan.dense_rows == dense_count
     assert scan.reduced_rows == len(scan.records) - dense_count
-    for row, dense in zip(scan.records, dense_rows[name]):
+    for row, dense in zip(scan_rows(name), dense_rows[name]):
         assert_row_matches_dense(row, dense)
 
 
@@ -308,7 +335,7 @@ def test_symmetry_defect_matches_loop_on_unclosed_sets():
         assert _symmetry_defect(values) == oracles.symmetry_defect_reference(values)
 
 
-def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan):
+def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan, scan_rows):
     # an odd wave's L2 has a negative eigenvalue in the full space, so
     # L2 + kappa^2 is indefinite for kappa^2 below minus that eigenvalue
     scan = odd_full_scan
@@ -318,15 +345,16 @@ def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan):
     assert indefinite.any() and not indefinite.all()
     assert scan.dense_rows == int(indefinite.sum())
     assert scan.reduced_rows == int((~indefinite).sum())
-    for row, dense_path in zip(scan.records, indefinite):
+    for row, dense_path in zip(scan_rows("odd_full"), indefinite):
         dense = instability_eigs(odd_wave, row.kappa, "full")
+        assert row.path == ("dense" if dense_path else "reduced")
         if dense_path:
             assert np.array_equal(row.eigenvalues, dense.eigenvalues)
             assert row.max_real_part == dense.max_real_part
         assert_row_matches_dense(row, dense)
 
 
-def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave):
+def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave, solve_row):
     # at kappa = 0 the symmetry generators form a Jordan block and mu = -lambda^2
     # sits at rounding level, where sqrt(|mu|) would read as growth above
     # EDGE_LEVEL and hide the band edge right above kappa = 0
@@ -335,7 +363,9 @@ def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave):
     # the band end 0 of the inertia law, not a bisection
     assert scan.dense_rows == 1 and scan.dense_bisections == 0
     dense0 = instability_eigs(odd_wave, 0.0)
-    assert np.array_equal(scan.records[0].eigenvalues, dense0.eigenvalues)
+    row0 = solve_row("odd", scan.records[0].kappa)
+    assert row0.path == scan.records[0].path == "dense"
+    assert np.array_equal(row0.eigenvalues, dense0.eigenvalues)
     assert dense0.max_real_part < EDGE_LEVEL
     assert len(scan.band_edges) == 1 and scan.band_edges[0] <= EDGE_RESOLUTION
     assert scan.band_edges[0] == 0.0
@@ -394,21 +424,22 @@ def perturb_growth_mu(monkeypatch, reductions):
 def test_residual_gate_rejects_a_tampered_reduced_row(even_wave, monkeypatch, tamper):
     s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
     reductions = _Reduction.sectors(s0)
-    record, coeff = _reduced_row(s0.basis, reductions, README_PEAK_KAPPA)
-    assert record.max_real_part > 1.0 and coeff is not None
+    row = _reduced_row(s0.basis, reductions, README_PEAK_KAPPA)
+    assert row.max_real_part > 1.0 and row.leading is not None
     tampered = tamper(monkeypatch, reductions)
     with pytest.raises(NumericalConsistencyError, match="cross-check"):
         _reduced_row(s0.basis, tampered, README_PEAK_KAPPA)
 
 
-def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_scan):
+def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_scan, scan_rows):
     # a reduced row writes symmetry_defect = 0.0 without measuring it; its set
     # is +-(real or imaginary half), so the measured defect is exactly that.
     # The odd full-space scan solves its first rows densely (L2 + kappa^2
     # indefinite below kappa ~ 0.33), the others reduced
-    for scan in (even_scan, odd_scan, odd_full_scan):
+    for name, scan in (("even", even_scan), ("odd", odd_scan), ("odd_full", odd_full_scan)):
         assert scan.reduced_rows > 0
-        for row in scan.records[scan.dense_rows :]:
+        for row in scan_rows(name)[scan.dense_rows :]:
+            assert row.path == "reduced"
             assert row.symmetry_defect == 0.0
             assert _symmetry_defect(row.eigenvalues) == 0.0
 
@@ -440,25 +471,29 @@ def whole_block_eigs(wave, kappa, sector) -> InstabilityEigs:
     )
 
 
-def test_split_rows_match_a_whole_block_scipy_solve(even_wave, even_scan, odd_wave, odd_full_scan):
+def test_split_rows_match_a_whole_block_scipy_solve(
+    even_wave, even_scan, odd_wave, odd_full_scan, solve_row
+):
     # the dense_rows fixture goes through the split solver itself, so the
     # reference here is one unsplit solve by a second library
-    peak = even_scan.most_unstable
-    indefinite = odd_full_scan.records[0]  # kappa = 0.05: L2 + kappa^2 indefinite, dense path
+    peak = solve_row("even", even_scan.most_unstable.kappa)
+    # kappa = 0.05: L2 + kappa^2 indefinite, dense path
+    indefinite = solve_row("odd", odd_full_scan.records[0].kappa, "full")
     for wave, row in ((even_wave, peak), (odd_wave, indefinite)):
         oracle = whole_block_eigs(wave, row.kappa, "full")
         assert oracle.leading is not None
         assert_row_matches_dense(row, oracle)
-        assert_row_matches_dense(_record(instability_eigs(wave, row.kappa, "full")), oracle)
-        assert row.leading_v1.parity == row.leading_v2.parity == "none"
+        assert_row_matches_dense(_dense_row(instability_eigs(wave, row.kappa, "full")), oracle)
+        v1, v2 = row.mode_fields()
+        assert v1.parity == v2.parity == "none"
 
 
-def test_full_scan_merges_the_sector_scans(even_wave, even_scan):
+def test_full_scan_merges_the_sector_scans(even_wave, even_scan, scan_rows, solve_row):
     # on the even wave the full space is the direct sum of the even and odd
     # sectors, row by row
-    even = scan_kappa(even_wave, 0.05, 1.8, 60, sector="even")
-    odd = scan_kappa(even_wave, 0.05, 1.8, 60, sector="odd")
-    for row, a, b in zip(even_scan.records, even.records, odd.records):
+    even = [solve_row("even", kappa, "even") for kappa in even_scan.kappa_values]
+    odd = [solve_row("even", kappa, "odd") for kappa in even_scan.kappa_values]
+    for row, a, b in zip(scan_rows("even"), even, odd):
         assert row.max_real_part == max(a.max_real_part, b.max_real_part)
         assert row.num_unstable == a.num_unstable + b.num_unstable
         union = np.concatenate([a.eigenvalues, b.eigenvalues])

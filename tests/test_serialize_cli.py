@@ -86,15 +86,14 @@ def test_scan_roundtrip(const_wave):
     assert len(again.records) == len(scan.records)
     for a, b in zip(again.records, scan.records):
         assert a.kappa == b.kappa
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert a.unstable_eigenvalues == b.unstable_eigenvalues
         assert a.max_real_part == b.max_real_part
         assert a.num_unstable == b.num_unstable
         assert a.leading_lambda == b.leading_lambda
-        if b.leading_v1 is None:
-            assert a.leading_v1 is None
-        else:
-            assert np.array_equal(a.leading_v1.values, b.leading_v1.values)
-            assert np.array_equal(a.leading_v2.values, b.leading_v2.values)
+        assert a == b
+    assert scan.leading_v1 is not None
+    assert np.array_equal(again.leading_v1.values, scan.leading_v1.values)
+    assert np.array_equal(again.leading_v2.values, scan.leading_v2.values)
 
 
 def test_scan_solver_paths_roundtrip(tmp_path, even_scan, odd_full_scan):
@@ -188,9 +187,22 @@ def test_undecodable_file_is_a_format_error(tmp_path):
 
 
 def test_unsupported_schema_version(even_wave):
-    text = serialize.dumps(even_wave).replace('"schema_version": 1', '"schema_version": 99')
+    current = f'"schema_version": {serialize.SCHEMA_VERSION}'
+    text = serialize.dumps(even_wave)
+    assert current in text
     with pytest.raises(FormatError, match="schema_version"):
+        serialize.loads(text.replace(current, '"schema_version": 99'))
+
+
+@pytest.mark.parametrize("version", ["3", "0", "true", "2.0", '"2"'])
+def test_loads_names_the_readable_versions(even_wave, version):
+    text = serialize.dumps(even_wave).replace(
+        f'"schema_version": {serialize.SCHEMA_VERSION}', f'"schema_version": {version}'
+    )
+    with pytest.raises(FormatError, match=r"schema_version .* \(expected 1 or 2\)"):
         serialize.loads(text)
+    for readable in ("1", "2"):
+        serialize.loads(text.replace(f'"schema_version": {version}', f'"schema_version": {readable}'))
 
 
 def test_unknown_document_type():
@@ -694,6 +706,26 @@ def test_module_entry_point(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "wave.json").is_file()
+
+
+def test_pipeline_names_the_constant_regime(tmp_path, capsys):
+    # alpha = 0.5, omega = 1, L = 2 pi: L sqrt(alpha omega) = 4.44 <= 2 pi, so the
+    # even minimizer is the constant state and "profile non-constant" fails
+    argv = ["pipeline", "--alpha", "0.5", "--omega", "1", "--period", repr(2.0 * np.pi),
+            "--parity", "even", "--tau", "1", "--modes", "64", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "[cli_io] pipeline checks FAILED"
+    assert lines[-2] == (
+        "[hill_spectra] constant-state regime: L*sqrt(alpha*omega) = 4.44288 <= 2*pi = "
+        "6.28319, the threshold above which nonconstant even waves bifurcate from the "
+        "constant state"
+    )
+    assert lines[1] == "[hill_spectra] propositions FAILED"
+    report = serialize.load(tmp_path / "pipeline_report.json")
+    failed = [c["name"] for c in report["propositions"]["checks"] if not c["passed"]]
+    assert "profile non-constant" in failed
+    assert report["overall_passed"] is False
 
 
 def test_under_resolved_wave_is_a_scientific_error_naming_more_modes(tmp_path, capsys):
