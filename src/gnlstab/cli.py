@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,9 +24,11 @@ from .errors import (
     WaveAcceptanceError,
 )
 from .evolve import EvolutionConfig, evolve_and_fit
-from .hill import build_block, build_hill, check_propositions, spectrum
-from .scan import resolve_sector, scan_kappa, verify_hypotheses
-from .spectral import FULL, ParityBasis
+from .hill import HillOperators, check_propositions, hill_operators
+
+# kept importable here: perfbench/tracer.py wraps these names of gnlstab.cli
+from .hill import build_block, build_hill, spectrum  # noqa: F401
+from .scan import scan_kappa, verify_hypotheses
 from .waves import (
     ProblemParams,
     SolverConfig,
@@ -164,6 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One :func:`build_parser` per process for :func:`main`: parsing leaves
+    the parser as it was, so in-process callers need not rebuild it."""
+    return build_parser()
+
+
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset flags from the --config JSON file (flags win).
 
@@ -288,9 +298,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _full_spectra(wave: WaveProfile, zero_tolerance):
-    basis = ParityBasis(FULL, wave.phi.grid)
-    return [spectrum(build_hill(wave, w, basis), zero_tolerance) for w in ("L1", "L2")]
+def _full_spectra(ops: HillOperators, zero_tolerance):
+    return [ops.summary(which, zero_tolerance) for which in ("L1", "L2")]
 
 
 def cmd_spectrum(args) -> int:
@@ -299,7 +308,7 @@ def cmd_spectrum(args) -> int:
     formats = _formats(args)
     wave = _obtain_wave(args, config)
     with _stage("hill_spectra"):
-        summaries = _full_spectra(wave, args.zero_tolerance)
+        summaries = _full_spectra(hill_operators(wave), args.zero_tolerance)
     for summary in summaries:
         if "json" in formats:
             _write(out, f"spectrum_{summary.label}.json", serialize.dumps(summary))
@@ -318,11 +327,12 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     wave = _obtain_wave(args, config)
     with _stage("hill_spectra"):
-        report = check_propositions(wave, zero_tolerance=args.zero_tolerance)
+        ops = hill_operators(wave)
+        report = check_propositions(ops, zero_tolerance=args.zero_tolerance)
         _write(out, "propositions.json", serialize.dumps(report))
     with _stage("instability_scanner"):
         hypotheses = verify_hypotheses(
-            wave, sector=args.sector or "auto", zero_tolerance=args.zero_tolerance
+            ops, sector=args.sector or "auto", zero_tolerance=args.zero_tolerance
         )
         _write(out, "hypotheses.json", serialize.dumps(hypotheses))
     for check in report.checks:
@@ -340,7 +350,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _scan_range(args, wave: WaveProfile, sector: str, hypotheses=None):
+def _scan_range(args, ops: HillOperators, hypotheses=None):
     """kappa grid from the flags; the default end reuses ``hypotheses`` if given."""
     kappa_min = args.kappa_min if args.kappa_min is not None else 0.0
     steps = args.kappa_steps if args.kappa_steps is not None else 60
@@ -350,7 +360,7 @@ def _scan_range(args, wave: WaveProfile, sector: str, hypotheses=None):
         # default upper end: just past the uniform-positivity threshold K
         if hypotheses is None:
             with _stage("instability_scanner"):
-                hypotheses = verify_hypotheses(wave, sector=sector)
+                hypotheses = verify_hypotheses(ops, sector=ops.sector)
         kappa_max = 1.1 * hypotheses.h1["K"] if hypotheses.h1["K"] > 0 else 1.0
     return float(kappa_min), float(kappa_max), int(steps)
 
@@ -360,10 +370,10 @@ def cmd_scan(args) -> int:
     out = _out_dir(args)
     formats = _formats(args)
     wave = _obtain_wave(args, config)
-    sector = args.sector or "auto"
-    kappa_min, kappa_max, steps = _scan_range(args, wave, sector)
     with _stage("instability_scanner"):
-        result = scan_kappa(wave, kappa_min, kappa_max, steps, sector=sector)
+        ops = hill_operators(wave, args.sector or "auto")
+        kappa_min, kappa_max, steps = _scan_range(args, ops)
+        result = scan_kappa(ops, kappa_min, kappa_max, steps, sector=ops.sector)
     if "json" in formats:
         _write(out, "scan.json", serialize.dumps(result))
     if "csv" in formats:
@@ -400,19 +410,22 @@ def _evolution_config(args) -> EvolutionConfig:
 
 def cmd_dns(args) -> int:
     config = _solver_config(args)
+    with _stage("dns_validator"):
+        evolution = _evolution_config(args)
     out = _out_dir(args)
     formats = _formats(args)
     wave = _obtain_wave(args, config)
-    sector = args.sector or "auto"
+    with _stage("instability_scanner"):
+        ops = hill_operators(wave, args.sector or "auto")
     kappa = args.kappa
     if kappa is None:
-        kappa_min, kappa_max, steps = _scan_range(args, wave, sector)
+        kappa_min, kappa_max, steps = _scan_range(args, ops)
         with _stage("instability_scanner"):
-            result = scan_kappa(wave, kappa_min, kappa_max, steps, sector=sector)
+            result = scan_kappa(ops, kappa_min, kappa_max, steps, sector=ops.sector)
         kappa = result.most_unstable.kappa
         print(f"[instability_scanner] most unstable kappa on default grid: {kappa:.6g}")
     with _stage("dns_validator"):
-        gm = evolve_and_fit(wave, float(kappa), _evolution_config(args), sector=sector)
+        gm = evolve_and_fit(ops, float(kappa), evolution, sector=ops.sector)
     if "json" in formats:
         _write(out, "growth.json", serialize.dumps(gm))
         _write(out, "dns_summary.json", serialize.envelope("pipeline_report", _dns_summary_payload(gm)))
@@ -427,12 +440,14 @@ def cmd_dns(args) -> int:
     return 0
 
 
-def _certificate(wave: WaveProfile, sector: str, config: SolverConfig) -> dict:
-    """Grid-doubling deltas of the 10 lowest composite-operator eigenvalues."""
+def _certificate(ops: HillOperators, config: SolverConfig) -> dict:
+    """Grid-doubling deltas of the 10 lowest composite-operator eigenvalues.
+
+    The coarse spectrum is the store's, already solved; the wave refined on
+    the doubled grid gets one store on the same sector."""
+    wave = ops.wave
     fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size), config)
-    lows = []
-    for w in (wave, fine):
-        lows.append(spectrum(build_block(w, "Lcal", 0.0, sector=sector)).eigenvalues[:10])
+    lows = [o.lcal_eigenvalues()[:10] for o in (ops, hill_operators(fine, ops.sector))]
     deltas = np.abs(lows[0] - lows[1])
     return {
         "coarse_size": wave.phi.grid.size,
@@ -464,25 +479,30 @@ def _constant_regime(params: ProblemParams) -> str:
 
 def cmd_pipeline(args) -> int:
     config = _solver_config(args)
+    with _stage("dns_validator"):
+        evolution = _evolution_config(args)
     out = _out_dir(args)
     params = _resolve_problem(args, config)
     with _stage("wave_solver"):
         wave = solve_wave(params, config)
     print(f"[wave_solver] solved {wave.wave_id} (residual {wave.ode_residual_norm:.3e})")
 
+    # one operator store per wave: the full-space one serves the spectra and
+    # propositions, its sector (itself, or its sine or cosine block) the rest
     with _stage("hill_spectra"):
-        summaries = _full_spectra(wave, args.zero_tolerance)
-        propositions = check_propositions(wave, zero_tolerance=args.zero_tolerance)
+        ops = hill_operators(wave)
+        summaries = _full_spectra(ops, args.zero_tolerance)
+        propositions = check_propositions(ops, zero_tolerance=args.zero_tolerance)
     print(f"[hill_spectra] propositions {'passed' if propositions.passed else 'FAILED'}")
 
-    sector = resolve_sector(wave, args.sector or "auto")
     with _stage("instability_scanner"):
-        hypotheses = verify_hypotheses(wave, sector=sector, zero_tolerance=args.zero_tolerance)
+        ops = hill_operators(ops, args.sector or "auto")
+        hypotheses = verify_hypotheses(ops, sector=ops.sector, zero_tolerance=args.zero_tolerance)
     print(f"[instability_scanner] hypotheses {'passed' if hypotheses.overall else 'FAILED'}")
 
-    kappa_min, kappa_max, steps = _scan_range(args, wave, sector, hypotheses)
+    kappa_min, kappa_max, steps = _scan_range(args, ops, hypotheses)
     with _stage("instability_scanner"):
-        result = scan_kappa(wave, kappa_min, kappa_max, steps, sector=sector)
+        result = scan_kappa(ops, kappa_min, kappa_max, steps, sector=ops.sector)
     peak = result.most_unstable
     print(
         f"[instability_scanner] {result.verdict}; peak growth {peak.max_real_part:.6g} "
@@ -490,7 +510,7 @@ def cmd_pipeline(args) -> int:
     )
 
     with _stage("hill_spectra"):
-        certificate = _certificate(wave, sector, config)
+        certificate = _certificate(ops, config)
     print(
         f"[hill_spectra] grid-doubling certificate max delta {certificate['max_delta']:.3e} "
         f"({'passed' if certificate['passed'] else 'FAILED'})"
@@ -499,7 +519,7 @@ def cmd_pipeline(args) -> int:
     dns_payload = None
     if result.verdict == "transversally unstable":
         with _stage("dns_validator"):
-            gm = evolve_and_fit(wave, peak.kappa, _evolution_config(args), sector=sector)
+            gm = evolve_and_fit(ops, peak.kappa, evolution, sector=ops.sector)
         dns_payload = _dns_summary_payload(gm)
         dns_payload["passed"] = dns_payload["relative_gap"] <= DNS_GAP_TOL
         print(
@@ -554,8 +574,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         with _stage(args.command):
             _merge_config(args)

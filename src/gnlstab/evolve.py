@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import IntegratorError, ParameterError
-from .scan import UNSTABLE_THRESHOLD, evolution_block, growth_row, resolve_sector
+from .hill import HillOperators, hill_operators, resolve_sector
+from .scan import UNSTABLE_THRESHOLD, evolution_block, growth_row
 
 # kept importable here: perfbench/tracer.py wraps evolve.instability_eigs by name
 from .scan import instability_eigs  # noqa: F401
@@ -235,7 +236,7 @@ def _splitting_samples(step: Callable, state: tuple, h: float, counts: list):
 
 
 def evolve_and_fit(
-    wave: WaveProfile,
+    wave: Union[WaveProfile, HillOperators],
     kappa: float,
     config: Optional[EvolutionConfig] = None,
     sector: str = "auto",
@@ -244,9 +245,11 @@ def evolve_and_fit(
 
     The predicted rate and the leading-eigenvector seed are the scan's own
     row at kappa (:func:`scan.growth_row`), so the fit checks the number a
-    scan reports there.  RK4 steps each parity sector's block on its own
-    part of the seed and adds the norms squared; the leading mode lives in
-    one sector, and a random seed, drawn on the whole basis, in all of them.
+    scan reports there; given the scan's operator store in place of the
+    wave, the row reuses the scan's assembly and reductions.  RK4 steps each
+    parity sector's block on its own part of the seed and adds the norms
+    squared; the leading mode lives in one sector, and a random seed, drawn
+    on the whole basis, in all of them.
 
     Automatic choices: dt from the RK4 stability bound for the stiffest
     Fourier mode, final time about eight e-foldings of the predicted rate
@@ -255,8 +258,9 @@ def evolve_and_fit(
     IntegratorError if the state stops being finite.
     """
     config = config if config is not None else EvolutionConfig()
-    sector = resolve_sector(wave, sector)
-    row = growth_row(wave, kappa, sector)
+    ops = hill_operators(wave, sector)
+    wave, sector = ops.wave, ops.sector
+    row = growth_row(ops, kappa, sector)
     solution = row.solution
     predicted = solution.max_real_part
     basis = solution.basis

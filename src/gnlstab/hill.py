@@ -20,11 +20,21 @@ has the union of its blocks' spectra, so every eigensolve here is one solve
 per parity sector and component (:func:`block_eigenvalues`).  Counting
 negative/zero eigenvalues of these matrices is what the spectral assertions
 in :func:`check_propositions` are made of.
+
+:class:`HillOperators` is the one store of L1 and L2 per wave: it assembles
+both once on a sector's basis, splits a full-space pair into its parity
+blocks once, and diagonalizes each block on first use.  The spectra,
+propositions, hypotheses, the kappa-scan, the grid-doubling certificate and
+the time integrator all read it; a full-space store also serves the odd and
+even sectors, whose operators are its sine and cosine blocks bit for bit.
+Every consumer accepts a store in place of a wave (:func:`hill_operators`),
+and a store lives as long as the call that made it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -107,17 +117,21 @@ def _counts(eigenvalues: np.ndarray, tol: float) -> tuple[int, int]:
     return negative, kernel
 
 
+def _check_sector_basis(wave: WaveProfile, kind: str) -> None:
+    if kind in (COSINE, SINE) and wave.phi.parity not in (EVEN, ODD):
+        raise BasisError(
+            "parity-restricted bases need an even potential |phi|^a, i.e. an "
+            "even or odd profile; got parity 'none'"
+        )
+
+
 def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMatrix:
     """Assemble L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`)."""
     if which not in _LABELS:
         raise ParameterError(f"operator must be 'L1' or 'L2', got {which!r}")
     if basis.grid != wave.phi.grid:
         raise ParameterError("basis and wave live on different grids")
-    if basis.kind in (COSINE, SINE) and wave.phi.parity not in (EVEN, ODD):
-        raise BasisError(
-            "parity-restricted bases need an even potential |phi|^a, i.e. an "
-            "even or odd profile; got parity 'none'"
-        )
+    _check_sector_basis(wave, basis.kind)
     alpha, omega = wave.params.alpha, wave.params.omega
     strength = alpha + 1.0 if which == "L1" else 1.0
     q = strength * np.abs(wave.phi.values) ** alpha
@@ -125,24 +139,176 @@ def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMat
     return OperatorMatrix(basis=basis, entries=entries, label=which, wave_id=wave.wave_id)
 
 
-def _component_basis(wave: WaveProfile, sector: str) -> ParityBasis:
-    if sector == "full":
-        return ParityBasis(FULL, wave.phi.grid)
-    if sector == "odd":
-        return ParityBasis(SINE, wave.phi.grid)
-    if sector == "even":
-        return ParityBasis(COSINE, wave.phi.grid)
-    raise ParameterError(f"unknown sector {sector!r}")
+#: the basis of each sector: the odd sector is spanned by sines, the even by cosines
+_SECTOR_KINDS = {"full": FULL, "odd": SINE, "even": COSINE}
 
 
-def hill_pair(wave: WaveProfile, sector: str = "full") -> tuple[OperatorMatrix, OperatorMatrix]:
-    """L1 and L2 of ``wave`` on the basis of ``sector``, one assembly each."""
-    basis = _component_basis(wave, sector)
-    return build_hill(wave, "L1", basis), build_hill(wave, "L2", basis)
+def resolve_sector(wave: WaveProfile, sector: str) -> str:
+    """'auto' means full space for even waves, odd sector for odd waves."""
+    if sector == "auto":
+        return "full" if wave.params.parity == EVEN else "odd"
+    if sector not in _SECTOR_KINDS:
+        raise ParameterError(f"unknown sector {sector!r}")
+    return sector
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBlock:
+    """L1 and L2 on one parity sector's basis (read-only, possibly views of a
+    full-basis matrix); their ascending ``eigvalsh`` spectra are computed on
+    first use and kept."""
+
+    basis: ParityBasis
+    l1: np.ndarray
+    l2: np.ndarray
+
+    @cached_property
+    def l1_eigs(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.l1)
+
+    @cached_property
+    def l2_eigs(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.l2)
+
+    def eigenvalues(self, which: str) -> np.ndarray:
+        return self.l1_eigs if which == "L1" else self.l2_eigs
+
+
+@dataclass(frozen=True, eq=False)
+class HillOperators:
+    """L1 and L2 of one wave on one sector's basis, assembled once.
+
+    ``blocks`` holds each parity sector of the basis once, cosine first (a
+    sector basis is one block), with its spectra on first use.  Everything
+    else derives from them: the spectrum of L1 or L2 is the union of its
+    blocks' spectra, and so is that of Lcal = diag(L1, L2), which S(0) =
+    diag(L2, L1) shares.  Consumers keep what they build on top of the blocks
+    with :meth:`memo` (the scan keeps its reductions there).
+    """
+
+    #: the wave linearized around; None for a pair given directly
+    wave: Optional[WaveProfile]
+    #: "full", "odd" or "even"
+    sector: str
+    wave_id: str
+    basis: ParityBasis
+    blocks: tuple[SectorBlock, ...]
+    #: (L1, L2) as assembled on the basis; None for a sector of a full-space
+    #: store, whose pair is made from its block on first use
+    assembled: Optional[tuple[OperatorMatrix, OperatorMatrix]] = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of_pair(
+        cls,
+        l1: OperatorMatrix,
+        l2: OperatorMatrix,
+        sector: str = "full",
+        wave: Optional[WaveProfile] = None,
+    ) -> "HillOperators":
+        """The store of an assembled pair; a full-basis pair is split into its
+        cosine and sine blocks once (:func:`_sector_blocks`)."""
+        basis = l1.basis
+        if basis.kind == FULL:
+            bases = (ParityBasis(COSINE, basis.grid), ParityBasis(SINE, basis.grid))
+        else:
+            bases = (basis,)
+        split = zip(bases, _sector_blocks(l1.entries, basis), _sector_blocks(l2.entries, basis))
+        blocks = tuple(SectorBlock(*parts) for parts in split)
+        return cls(wave, sector, l1.wave_id, basis, blocks, (l1, l2))
+
+    @property
+    def l1(self) -> OperatorMatrix:
+        return self._pair()[0]
+
+    @property
+    def l2(self) -> OperatorMatrix:
+        return self._pair()[1]
+
+    def _pair(self) -> tuple[OperatorMatrix, OperatorMatrix]:
+        if self.assembled is not None:
+            return self.assembled
+        (block,) = self.blocks
+        return self.memo(
+            "pair",
+            lambda: tuple(
+                OperatorMatrix(self.basis, entries, label=label, wave_id=self.wave_id)
+                for label, entries in zip(_LABELS, (block.l1, block.l2))
+            ),
+        )
+
+    def sectors(self) -> list[tuple[slice, SectorBlock]]:
+        """(rows, block) of each parity sector, rows being its slice of the basis."""
+        out, start = [], 0
+        for block in self.blocks:
+            out.append((slice(start, start + block.basis.dimension), block))
+            start += block.basis.dimension
+        return out
+
+    def eigenvalues(self, which: str) -> np.ndarray:
+        """Ascending spectrum of L1 or L2 on the store's basis."""
+        return np.sort(np.concatenate([b.eigenvalues(which) for b in self.blocks]))
+
+    def lcal_eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum of Lcal = diag(L1, L2), and of S(0) = diag(L2, L1)."""
+        parts = [b.l1_eigs for b in self.blocks] + [b.l2_eigs for b in self.blocks]
+        return np.sort(np.concatenate(parts))
+
+    def summary(self, which: str, zero_tolerance: Optional[float] = None) -> SpectrumSummary:
+        """Counts of L1 or L2 on the store's basis, as :func:`spectrum` makes them."""
+        return _summarize(which, self.wave_id, self.eigenvalues(which), zero_tolerance)
+
+    def memo(self, key, build: Callable):
+        """``build()`` on the first request for ``key``, kept with the store."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def restrict(self, sector: str) -> "HillOperators":
+        """The store of ``sector``: this one, or the sine ("odd") or cosine
+        ("even") block of a full-space store, made once and sharing that
+        block and its spectra."""
+        if sector == self.sector:
+            return self
+        if self.sector != "full" or sector not in ("odd", "even"):
+            raise ParameterError(
+                f"operators on the {self.sector!r} sector cannot serve the {sector!r} sector"
+            )
+        return self.memo(("sector", sector), lambda: self._view(sector))
+
+    def _view(self, sector: str) -> "HillOperators":
+        kind = _SECTOR_KINDS[sector]
+        if self.wave is not None:
+            _check_sector_basis(self.wave, kind)
+        block = self.blocks[0 if kind == COSINE else 1]
+        return HillOperators(self.wave, sector, self.wave_id, block.basis, (block,))
+
+
+def hill_operators(
+    wave: Union[WaveProfile, HillOperators], sector: str = "full"
+) -> HillOperators:
+    """The operator store of ``sector``: a wave is assembled on the sector's
+    basis, a store is restricted to it.  "auto" is resolved by the wave's
+    parity either way (:func:`resolve_sector`), so a store on another sector
+    is passed with its own ``sector``."""
+    if isinstance(wave, HillOperators):
+        return wave.restrict(resolve_sector(wave.wave, sector))
+    sector = resolve_sector(wave, sector)
+    basis = ParityBasis(_SECTOR_KINDS[sector], wave.phi.grid)
+    l1, l2 = (build_hill(wave, which, basis) for which in _LABELS)
+    return HillOperators.of_pair(l1, l2, sector, wave)
+
+
+def hill_pair(
+    wave: Union[WaveProfile, HillOperators], sector: str = "full"
+) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """L1 and L2 on the basis of ``sector``, as the operator store holds them."""
+    ops = hill_operators(wave, sector)
+    return ops.l1, ops.l2
 
 
 def build_block(
-    wave: WaveProfile, kind: str, kappa: float = 0.0, sector: str = "full"
+    wave: Union[WaveProfile, HillOperators], kind: str, kappa: float = 0.0, sector: str = "full"
 ) -> OperatorMatrix:
     """Block-diagonal operator diag(L1, L2) or diag(L2 + k^2, L1 + k^2)."""
     if kind not in ("Lcal", "S_kappa"):
@@ -338,9 +504,9 @@ class PropositionReport:
     notes: tuple[str, ...]
 
 
-def _relative_kernel_residual(op: OperatorMatrix, field: RealField) -> float:
-    coeffs = op.basis.analyze(field.values)
-    image = op.entries @ coeffs
+def _relative_kernel_residual(basis: ParityBasis, entries: np.ndarray, field: RealField) -> float:
+    coeffs = basis.analyze(field.values)
+    image = entries @ coeffs
     num = float(np.linalg.norm(image))
     den = float(np.linalg.norm(coeffs))
     if den == 0.0:
@@ -349,7 +515,7 @@ def _relative_kernel_residual(op: OperatorMatrix, field: RealField) -> float:
 
 
 def check_propositions(
-    wave: WaveProfile, zero_tolerance: Optional[float] = None
+    wave: Union[WaveProfile, HillOperators], zero_tolerance: Optional[float] = None
 ) -> PropositionReport:
     """Assert the expected negative/zero eigenvalue structure for ``wave``.
 
@@ -359,8 +525,12 @@ def check_propositions(
     two lowest eigenvalues of L1 sit strictly below those of L2.
 
     A failing report flags the wave as outside the regime of these counts
-    (for instance a constant state) rather than raising.
+    (for instance a constant state) rather than raising.  Every check reads
+    the full-space operator store, whose cosine and sine blocks are the even
+    and odd sectors.
     """
+    ops = hill_operators(wave)
+    wave = ops.wave
     checks = []
     notes = []
     phi = wave.phi
@@ -383,13 +553,10 @@ def check_propositions(
             )
         )
 
-    # one assembly of L1 and L2 per parity basis, shared by every check below
-    cos_basis = ParityBasis(COSINE, phi.grid)
-    sin_basis = ParityBasis(SINE, phi.grid)
-    ops_even = [build_hill(wave, which, cos_basis) for which in _LABELS]
-    ops_odd = [build_hill(wave, which, sin_basis) for which in _LABELS]
-    l1_even, l2_even = (spectrum(op, zero_tolerance) for op in ops_even)
-    l1_odd, l2_odd = (spectrum(op, zero_tolerance) for op in ops_odd)
+    cosine, sine = ops.blocks
+    even, odd = ops.restrict("even"), ops.restrict("odd")
+    l1_even, l2_even = (even.summary(which, zero_tolerance) for which in _LABELS)
+    l1_odd, l2_odd = (odd.summary(which, zero_tolerance) for which in _LABELS)
 
     def lcal_spectrum(*parts):
         # Lcal = diag(L1, L2) has the union of its blocks' spectra, and the
@@ -415,8 +582,8 @@ def check_propositions(
             f"{gap:.3e}",
             margin=gap,
         )
-        res_dphi = _relative_kernel_residual(ops_odd[0], dphi) if not constant_like else 0.0
-        res_phi = _relative_kernel_residual(ops_even[1], phi)
+        res_dphi = 0.0 if constant_like else _relative_kernel_residual(sine.basis, sine.l1, dphi)
+        res_phi = _relative_kernel_residual(cosine.basis, cosine.l2, phi)
         add("kernel residual (phi',0)", res_dphi <= 1e-7, "<= 1e-07", f"{res_dphi:.3e}", res_dphi)
         add("kernel residual (0,phi)", res_phi <= 1e-7, "<= 1e-07", f"{res_phi:.3e}", res_phi)
         if constant_like:
@@ -431,7 +598,7 @@ def check_propositions(
         add("n(L1,odd)", l1_odd.n_negative == 1, 1, l1_odd.n_negative)
         add("n(L2,odd)", l2_odd.n_negative == 0, 0, l2_odd.n_negative)
         add("z(Lcal,odd)", lcal_odd.kernel_dimension == 1, 1, lcal_odd.kernel_dimension)
-        res_phi = _relative_kernel_residual(ops_odd[1], phi)
+        res_phi = _relative_kernel_residual(sine.basis, sine.l2, phi)
         add("kernel residual (0,phi)", res_phi <= 1e-7, "<= 1e-07", f"{res_phi:.3e}", res_phi)
         e1, e2 = np.sort(l1_odd.eigenvalues), np.sort(l2_odd.eigenvalues)
         gap0 = float(e2[0] - e1[0])

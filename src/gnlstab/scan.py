@@ -25,13 +25,20 @@ and every solve below runs once per sector, on blocks of order about d/2;
 the sector spectra are merged into one record and growth modes lifted to
 full-basis coefficients.
 
-:func:`scan_kappa` diagonalizes L1 and L2 once per scan and sector, solves
-each such row with one ``eigh`` per sector, checks each sector's count of
-mu < 0 against its L1 spectrum and reads band edges off the lowest L1
-eigenvalue.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor
-of its diagonalization (an odd wave in the full space at small kappa), or
-where a computed mu lies within the rounding floor of M of zero (next to
-kappa = 0 and at band edges), in any sector, go through the dense ``eig`` of
+Every function here accepts the wave's operator store
+(:class:`hill.HillOperators`) in place of the wave, and builds one from a
+wave: L1 and L2, their sector blocks and the blocks' L1 spectra come from
+it.  The reductions (L2 = Q D Q^T per sector) are kept with the store, so a
+scan, its hypotheses and the time integrator's row at one kappa share one
+assembly and one diagonalization.
+
+:func:`scan_kappa` solves each row where L2 + kappa^2 is semidefinite with
+one ``eigh`` per sector, checks each sector's count of mu < 0 against its L1
+spectrum and reads band edges off the lowest L1 eigenvalue.  Rows where L2 +
+kappa^2 is indefinite beyond the rounding floor of its diagonalization (an
+odd wave in the full space at small kappa), or where a computed mu lies
+within the rounding floor of M of zero (next to kappa = 0 and at band
+edges), in any sector, go through the dense ``eig`` of
 :func:`instability_eigs`, which also solves single-kappa calls; only an edge
 above an indefinite row is bisected.  A reduced row certifies every
 eigenpair (mu, y) by the residual of its lift v1 = Q (s * y) on the
@@ -55,21 +62,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import NumericalConsistencyError, ParameterError
 from .hill import (
-    OperatorMatrix,
+    HillOperators,
+    SectorBlock,
     _rounding_floor,
-    _sector_blocks,
-    block_eigenvalues,
-    build_block,
     default_zero_tolerance,
-    hill_pair,
+    hill_operators,
 )
-from .spectral import EVEN, ParityBasis, RealField
+
+# the sector rule lives with the operator store; it stays importable here
+from .hill import resolve_sector  # noqa: F401
+
+# kept importable here: perfbench/tracer.py wraps scan.build_block by name
+from .hill import build_block  # noqa: F401
+from .spectral import ParityBasis, RealField
 from .waves import WaveProfile
 
 #: growth rates above this are reported as genuine instability
@@ -90,15 +101,6 @@ SYMMETRY_TOL = 1e-8
 CROSSCHECK_RTOL = 1e-7
 
 
-def resolve_sector(wave: WaveProfile, sector: str) -> str:
-    """'auto' means full space for even waves, odd sector for odd waves."""
-    if sector == "auto":
-        return "full" if wave.params.parity == EVEN else "odd"
-    if sector not in ("full", "odd", "even"):
-        raise ParameterError(f"unknown sector {sector!r}")
-    return sector
-
-
 def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
     """[[0, L2+k^2], [-(L1+k^2), 0]] from L2 and L1 on one basis."""
     if not (np.isfinite(kappa) and kappa >= 0.0):
@@ -111,19 +113,6 @@ def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
     return block
 
 
-def _sectors(s0: OperatorMatrix) -> list:
-    """(rows, L2 block, L1 block) of each parity sector of S(0) = diag(L2, L1),
-    rows being the sector's slice of the basis."""
-    d = s0.basis.dimension
-    out, start = [], 0
-    for l2, l1 in zip(
-        _sector_blocks(s0.entries[:d, :d], s0.basis), _sector_blocks(s0.entries[d:, d:], s0.basis)
-    ):
-        out.append((slice(start, start + l2.shape[0]), l2, l1))
-        start += l2.shape[0]
-    return out
-
-
 def _lift(rows: slice, d: int, pair: np.ndarray) -> np.ndarray:
     """Stacked (v1, v2) coefficients of one sector as a full-basis [v1 | v2]."""
     m = rows.stop - rows.start
@@ -133,11 +122,12 @@ def _lift(rows: slice, d: int, pair: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolution_block(wave: WaveProfile, kappa: float, sector: str = "full"):
+def evolution_block(
+    wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "full"
+):
     """Dense block matrix [[0, L2+k^2], [-(L1+k^2), 0]] and its basis."""
-    s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
-    d = s0.basis.dimension
-    return _growth_block(s0.entries[:d, :d], s0.entries[d:, d:], kappa), s0.basis
+    ops = hill_operators(wave, sector)
+    return _growth_block(ops.l2.entries, ops.l1.entries, kappa), ops.basis
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,10 @@ def _normalize_mode(vec: np.ndarray) -> np.ndarray:
 
 
 def instability_eigs(
-    wave: WaveProfile, kappa: float, sector: str = "auto", crosscheck: bool = True
+    wave: Union[WaveProfile, HillOperators],
+    kappa: float,
+    sector: str = "auto",
+    crosscheck: bool = True,
 ) -> InstabilityEigs:
     """Solve the block problem at one kappa (kappa = 0 allowed as diagnostic).
 
@@ -201,8 +194,7 @@ def instability_eigs(
     reduction (lambda^2 must be an eigenvalue of -(L2+k^2)(L1+k^2)) on its
     ten largest |lambda|; disagreement raises NumericalConsistencyError.
     """
-    sector = resolve_sector(wave, sector)
-    return _block_eigs(build_block(wave, "S_kappa", 0.0, sector=sector), kappa, sector, crosscheck)
+    return _block_eigs(hill_operators(wave, sector), kappa, crosscheck)
 
 
 def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
@@ -219,17 +211,18 @@ def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa
             )
 
 
-def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool = True):
-    """:func:`instability_eigs` on the already assembled S(0) of one wave.
+def _block_eigs(ops: HillOperators, kappa: float, crosscheck: bool = True):
+    """:func:`instability_eigs` on one operator store.
 
     One dense ``eig`` per parity sector; the spectra are merged and growth
     modes lifted to full-basis coefficients.  The record keeps the whole
     2d x 2d block, the unsplit reference of the sector solves.
     """
-    d = s0.basis.dimension
+    d = ops.basis.dimension
     values, vectors, rows = [], [], []
-    for sector_rows, l2, l1 in _sectors(s0):
-        block = _growth_block(l2, l1, kappa)
+    for sector_rows, sector_block in ops.sectors():
+        l2 = sector_block.l2
+        block = _growth_block(l2, sector_block.l1, kappa)
         # geev returns a real array when every eigenvalue is real; records and
         # mode rates stay complex whatever the spectrum
         w, v = (a.astype(complex, copy=False) for a in np.linalg.eig(block))
@@ -253,11 +246,11 @@ def _block_eigs(s0: OperatorMatrix, kappa: float, sector: str, crosscheck: bool 
         for i in np.flatnonzero(eigenvalues.real > VECTOR_LEVEL)
     )
     return InstabilityEigs(
-        wave_id=s0.wave_id,
+        wave_id=ops.wave_id,
         kappa=float(kappa),
-        sector=sector,
-        basis=s0.basis,
-        block=_growth_block(s0.entries[:d, :d], s0.entries[d:, d:], kappa),
+        sector=ops.sector,
+        basis=ops.basis,
+        block=_growth_block(ops.l2.entries, ops.l1.entries, kappa),
         eigenvalues=eigenvalues,
         max_real_part=float(np.max(np.abs(eigenvalues.real))),
         symmetry_defect=_symmetry_defect(eigenvalues),
@@ -389,13 +382,15 @@ class _Reduction:
     l1_eigs: np.ndarray
 
     @classmethod
-    def sectors(cls, s0: OperatorMatrix) -> tuple:
-        """One reduction per parity sector of S(0)."""
-        out = []
-        for rows, l2, l1 in _sectors(s0):
-            d, q = np.linalg.eigh(l2)
-            out.append(cls(rows, l2, l1, q=q, d=d, a=q.T @ l1 @ q, l1_eigs=np.linalg.eigvalsh(l1)))
-        return tuple(out)
+    def sectors(cls, ops: HillOperators) -> tuple:
+        """One reduction per parity sector of the store, made on the first
+        request and kept with the store."""
+        return ops.memo(cls, lambda: tuple(cls._of(rows, b) for rows, b in ops.sectors()))
+
+    @classmethod
+    def _of(cls, rows: slice, block: SectorBlock) -> "_Reduction":
+        d, q = np.linalg.eigh(block.l2)
+        return cls(rows, block.l2, block.l1, q=q, d=d, a=q.T @ block.l1 @ q, l1_eigs=block.l1_eigs)
 
     def scale(self, kappa: float) -> Optional[np.ndarray]:
         """s = sqrt(D + kappa^2), or None where L2 + kappa^2 is indefinite.
@@ -556,11 +551,11 @@ def _reduced_row(basis: ParityBasis, reductions: tuple, kappa: float) -> Optiona
     )
 
 
-def _solve_row(s0: OperatorMatrix, reductions: tuple, kappa: float, sector: str) -> RowSolution:
+def _solve_row(ops: HillOperators, kappa: float) -> RowSolution:
     """The scan's rule at one kappa: the reduced row where it applies, else
     each sector's dense ``eig``."""
-    row = _reduced_row(s0.basis, reductions, kappa)
-    return row if row is not None else _dense_row(_block_eigs(s0, kappa, sector))
+    row = _reduced_row(ops.basis, _Reduction.sectors(ops), kappa)
+    return row if row is not None else _dense_row(_block_eigs(ops, kappa))
 
 
 @dataclass(frozen=True)
@@ -573,18 +568,19 @@ class GrowthRow:
     blocks: tuple
 
 
-def growth_row(wave: WaveProfile, kappa: float, sector: str = "auto") -> GrowthRow:
+def growth_row(
+    wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "auto"
+) -> GrowthRow:
     """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
-    Its record is the scan's row at kappa bit for bit."""
-    sector = resolve_sector(wave, sector)
-    s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
-    reductions = _Reduction.sectors(s0)
-    blocks = tuple((r.rows, _growth_block(r.l2, r.l1, kappa)) for r in reductions)
-    return GrowthRow(solution=_solve_row(s0, reductions, kappa, sector), blocks=blocks)
+    Its record is the scan's row at kappa bit for bit; given the scan's
+    operator store, it reuses the scan's assembly and reductions."""
+    ops = hill_operators(wave, sector)
+    blocks = tuple((r.rows, _growth_block(r.l2, r.l1, kappa)) for r in _Reduction.sectors(ops))
+    return GrowthRow(solution=_solve_row(ops, kappa), blocks=blocks)
 
 
 def scan_kappa(
-    wave: WaveProfile,
+    wave: Union[WaveProfile, HillOperators],
     kappa_min: float,
     kappa_max: float,
     steps: int,
@@ -594,8 +590,9 @@ def scan_kappa(
 
     The verdict is 'transversally unstable' as soon as one grid point has
     max Re lambda above UNSTABLE_THRESHOLD.  Runs are sequential and
-    deterministic: identical inputs give identical records.  L1 and L2 are
-    assembled once and every row adds kappa^2 to them.  An edge lies between
+    deterministic: identical inputs give identical records.  L1 and L2 come
+    from one operator store (:func:`hill.hill_operators`: a wave is assembled
+    once, a store is reused) and every row adds kappa^2 to them.  An edge lies between
     adjacent rows whose growth crosses EDGE_LEVEL: the band end 0 or
     sqrt(lambda0) where L2 + kappa^2 >= 0 there, else bisected to
     EDGE_RESOLUTION with dense ``eig`` solves, which the scan counts.
@@ -606,13 +603,12 @@ def scan_kappa(
         raise ParameterError(f"need 0 <= kappa_min < kappa_max, got [{kappa_min}, {kappa_max}]")
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ParameterError(f"kappa grid needs an integer of at least 2 points, got {steps!r}")
-    sector = resolve_sector(wave, sector)
+    ops = hill_operators(wave, sector)
     kappas = np.linspace(kappa_min, kappa_max, steps)
-    s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
-    reductions = _Reduction.sectors(s0)
+    reductions = _Reduction.sectors(ops)
     records, peak = [], None
     for kappa in kappas:
-        row = _solve_row(s0, reductions, float(kappa), sector)
+        row = _solve_row(ops, float(kappa))
         if row.symmetry_defect > SYMMETRY_TOL:
             raise NumericalConsistencyError(
                 f"eigenvalue quadruple symmetry broken at kappa={row.kappa:g}: "
@@ -639,7 +635,7 @@ def scan_kappa(
         while hi - lo > EDGE_RESOLUTION:
             mid = 0.5 * (lo + hi)
             bisections += 1
-            g_mid = _block_eigs(s0, mid, sector, crosscheck=False).max_real_part - EDGE_LEVEL
+            g_mid = _block_eigs(ops, mid, crosscheck=False).max_real_part - EDGE_LEVEL
             if g_mid == 0.0:
                 lo = hi = mid
                 break
@@ -652,8 +648,8 @@ def scan_kappa(
     unstable = any(r.max_real_part > UNSTABLE_THRESHOLD for r in records)
     v1, v2 = peak.mode_fields()
     return StabilityScan(
-        wave_id=wave.wave_id,
-        sector=sector,
+        wave_id=ops.wave_id,
+        sector=ops.sector,
         kappa_values=kappas,
         records=tuple(records),
         leading_v1=v1,
@@ -685,7 +681,7 @@ class HypothesisReport:
 
 
 def verify_hypotheses(
-    wave: WaveProfile,
+    wave: Union[WaveProfile, HillOperators],
     sector: str = "auto",
     zero_tolerance: Optional[float] = None,
 ) -> HypothesisReport:
@@ -702,19 +698,18 @@ def verify_hypotheses(
     spectrum nonnegative.
 
     S(kappa) = S(0) + kappa^2 * I exactly, so H1 and H3 shift the lowest
-    eigenvalue of S(0) by kappa^2: one spectrum of S(0), solved one parity
-    sector of each component at a time, serves every hypothesis.
+    eigenvalue of S(0) by kappa^2: one spectrum of S(0), the union of the
+    operator store's sector spectra of L2 and L1, serves every hypothesis.
     """
-    sector = resolve_sector(wave, sector)
-    l1, l2 = hill_pair(wave, sector)
+    ops = hill_operators(wave, sector)
     # S(0) = diag(L2, L1): its off-diagonal blocks are exact zeros, so the
     # entry scale, the asymmetry and the spectrum all come from the two blocks
-    blocks = (l2.entries, l1.entries)
+    blocks = (ops.l2.entries, ops.l1.entries)
     scale = max(float(np.max(np.abs(b))) for b in blocks)
     asym = max(float(np.max(np.abs(b - b.T))) for b in blocks)
     h0 = {"passed": asym <= 1e-12 * max(scale, 1e-300), "max_asymmetry": asym}
 
-    eigs0 = block_eigenvalues(*(part for b in blocks for part in _sector_blocks(b, l1.basis)))
+    eigs0 = ops.lcal_eigenvalues()
     tol = zero_tolerance if zero_tolerance is not None else default_zero_tolerance(eigs0)
     lambda0 = -float(eigs0[0])
 
@@ -772,8 +767,8 @@ def verify_hypotheses(
 
     overall = all(h["passed"] for h in (h0, h1, h2, h3, h4))
     return HypothesisReport(
-        wave_id=wave.wave_id,
-        sector=sector,
+        wave_id=ops.wave_id,
+        sector=ops.sector,
         h0=h0,
         h1=h1,
         h2=h2,

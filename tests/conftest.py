@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gnlstab.hill import build_block
+from gnlstab.hill import hill_operators
 from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave
-from gnlstab.scan import _Reduction, _solve_row, resolve_sector, scan_kappa, verify_hypotheses
+from gnlstab.scan import _solve_row, resolve_sector, scan_kappa, verify_hypotheses
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,10 +86,8 @@ def solve_row(even_wave, odd_wave, const_wave):
         wave = waves[name]
         sector = resolve_sector(wave, sector)
         if (name, sector) not in shared:
-            s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
-            shared[name, sector] = s0, _Reduction.sectors(s0)
-        s0, reductions = shared[name, sector]
-        return _solve_row(s0, reductions, float(kappa), sector)
+            shared[name, sector] = hill_operators(wave, sector)
+        return _solve_row(shared[name, sector], float(kappa))
 
     return solve
 

@@ -9,10 +9,16 @@ reproduce its bytes, so key order, float text, nesting and the loading of
 stored files cannot drift.  ``tests/data/v1`` keeps the same documents in
 schema version 1, whose scan rows carried their whole spectrum and mode
 fields; each must still load.  These tests only read and write, but for one
-row solve at N=32, so they do not depend on the BLAS build.
+row solve at N=32 and one regeneration of every document, so that the stored
+files cannot go stale against the code: the regenerated floats must agree
+with the stored ones to 1e-12 relative, whatever the BLAS build, and
+everything else exactly.
 """
 
+import importlib.util
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +71,41 @@ def test_golden_set_covers_every_document_type():
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.name)
 def test_stored_document_redumps_byte_identical(path):
     assert _redump(serialize.load(path)) == path.read_text(encoding="utf-8")
+
+
+def _agree(made, stored, where="") -> list:
+    """Where two JSON values differ: floats by more than 1e-12 max(1, |x|),
+    anything else at all."""
+    if isinstance(stored, float) and type(made) is float:
+        close = abs(made - stored) <= 1e-12 * max(1.0, abs(stored))
+        return [] if close or made == stored else [f"{where}: {made!r} != {stored!r}"]
+    if isinstance(stored, dict) and isinstance(made, dict) and list(made) == list(stored):
+        return [d for key in stored for d in _agree(made[key], stored[key], f"{where}.{key}")]
+    if isinstance(stored, list) and isinstance(made, list) and len(made) == len(stored):
+        pairs = enumerate(zip(made, stored))
+        return [d for i, (m, x) in pairs for d in _agree(m, x, f"{where}[{i}]")]
+    if type(made) is type(stored) and made == stored and not isinstance(stored, (dict, list)):
+        return []
+    return [f"{where}: {made!r:.80} != {stored!r:.80}"]
+
+
+@pytest.fixture
+def make_goldens(monkeypatch):
+    """tests/data/make_goldens.py as a module; the BLAS thread settings it
+    writes into the environment on import are restored afterwards."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, os.environ.get(name, "1"))
+    spec = importlib.util.spec_from_file_location("make_goldens", DATA / "make_goldens.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stored_documents_are_what_the_code_writes(make_goldens):
+    made = make_goldens.documents()
+    assert sorted(made) == [p.name for p in GOLDEN]
+    for name, text in made.items():
+        assert _agree(json.loads(text), _document(name), name) == []
 
 
 def test_unknown_keys_are_ignored():

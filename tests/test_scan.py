@@ -9,7 +9,14 @@ import scipy.linalg
 import oracles
 from gnlstab import hill
 from gnlstab.errors import NumericalConsistencyError, ParameterError
-from gnlstab.hill import OperatorMatrix, build_block, build_hill, spectrum
+from gnlstab.hill import (
+    HillOperators,
+    OperatorMatrix,
+    build_block,
+    build_hill,
+    hill_operators,
+    spectrum,
+)
 from gnlstab.scan import (
     CROSSCHECK_RTOL,
     EDGE_LEVEL,
@@ -184,9 +191,9 @@ def test_real_block_spectrum_stays_complex():
     # return a real spectrum and real vectors
     basis = ParityBasis(FULL, build_grid(TWO_PI, 8))
     d = basis.dimension
-    entries = np.diag(np.concatenate([np.ones(d), -2.0 * np.ones(d)]))
-    s0 = OperatorMatrix(basis, entries, label="S_kappa", wave_id="synthetic", kappa=0.0)
-    eigs = _block_eigs(s0, 0.0, "full")
+    l1 = OperatorMatrix(basis, -2.0 * np.eye(d), label="L1", wave_id="synthetic")
+    l2 = OperatorMatrix(basis, np.eye(d), label="L2", wave_id="synthetic")
+    eigs = _block_eigs(HillOperators.of_pair(l1, l2), 0.0)
     assert eigs.eigenvalues.dtype == np.complex128
     assert np.allclose(eigs.eigenvalues, np.repeat([-np.sqrt(2.0), np.sqrt(2.0)], d))
 
@@ -226,10 +233,9 @@ def test_scan_is_deterministic(even_wave, even_scan, dense_rows, scan_rows):
         assert a.max_real_part == b.max_real_part
     assert again.band_edges == even_scan.band_edges
     # and the row solver's whole spectra, on a second assembly
-    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
-    reductions = _Reduction.sectors(s0)
+    ops = hill_operators(even_wave, "full")
     for a, b in zip(again.records, scan_rows("even")):
-        row = _solve_row(s0, reductions, a.kappa, "full")
+        row = _solve_row(ops, a.kappa)
         assert np.array_equal(row.eigenvalues, b.eigenvalues)
     # and the fast rows agree with the dense block solver
     for a, dense in zip(again.records, dense_rows["even"]):
@@ -374,10 +380,10 @@ def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave, solve_row
 
 
 def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
-    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
-    reductions = _Reduction.sectors(s0)
+    ops = hill_operators(even_wave, "full")
+    reductions = _Reduction.sectors(ops)
     kappa = 1.0
-    assert _reduced_row(s0.basis, reductions, kappa) is not None
+    assert _reduced_row(ops.basis, reductions, kappa) is not None
     # M of the cosine, then of the sine sector built with kappa^2 added twice
     for tampered, reduction in enumerate(reductions):
         shifted_twice = list(reductions)
@@ -385,7 +391,7 @@ def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
             reduction, a=reduction.a + kappa**2 * np.eye(reduction.a.shape[0])
         )
         with pytest.raises(NumericalConsistencyError, match="cross-check"):
-            _reduced_row(s0.basis, tuple(shifted_twice), kappa)
+            _reduced_row(ops.basis, tuple(shifted_twice), kappa)
 
 
 #: the README pipeline's peak row: 40 rows on [0.05, 1.8]; the accepted
@@ -422,13 +428,13 @@ def perturb_growth_mu(monkeypatch, reductions):
 
 @pytest.mark.parametrize("tamper", [permute_q, flip_v2_lift, perturb_growth_mu])
 def test_residual_gate_rejects_a_tampered_reduced_row(even_wave, monkeypatch, tamper):
-    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
-    reductions = _Reduction.sectors(s0)
-    row = _reduced_row(s0.basis, reductions, README_PEAK_KAPPA)
+    ops = hill_operators(even_wave, "full")
+    reductions = _Reduction.sectors(ops)
+    row = _reduced_row(ops.basis, reductions, README_PEAK_KAPPA)
     assert row.max_real_part > 1.0 and row.leading is not None
     tampered = tamper(monkeypatch, reductions)
     with pytest.raises(NumericalConsistencyError, match="cross-check"):
-        _reduced_row(s0.basis, tampered, README_PEAK_KAPPA)
+        _reduced_row(ops.basis, tampered, README_PEAK_KAPPA)
 
 
 def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_scan, scan_rows):
@@ -585,17 +591,17 @@ def test_forced_dense_rows_bisect_to_the_inertia_edges(odd_wave, odd_hypotheses,
     ids=["kappa2-dropped", "kappa2-doubled"],
 )
 def test_inertia_count_rejects_a_tampered_l1_spectrum(even_wave, kappa, tampered):
-    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full")
-    cosine, sine = _Reduction.sectors(s0)
-    assert _reduced_row(s0.basis, (cosine, sine), kappa) is not None
+    ops = hill_operators(even_wave, "full")
+    cosine, sine = _Reduction.sectors(ops)
+    assert _reduced_row(ops.basis, (cosine, sine), kappa) is not None
     # the negative eigenvalue of L1 lives in the cosine sector
     wrong = dataclasses.replace(cosine, l1_eigs=tampered(cosine.l1_eigs, kappa))
     with pytest.raises(NumericalConsistencyError, match="inertia"):
-        _reduced_row(s0.basis, (wrong, sine), kappa)
+        _reduced_row(ops.basis, (wrong, sine), kappa)
 
 
 def test_band_end_outside_its_bracket_raises(even_wave):
-    reductions = _Reduction.sectors(build_block(even_wave, "S_kappa", 0.0, sector="full"))
+    reductions = _Reduction.sectors(hill_operators(even_wave, "full"))
     with pytest.raises(NumericalConsistencyError, match=r"\[1, 1.1\]"):
         _band_end(reductions, 1.0, 1.1, falling=True)
     with pytest.raises(NumericalConsistencyError, match="inertia"):

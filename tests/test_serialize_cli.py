@@ -733,3 +733,47 @@ def test_under_resolved_wave_is_a_scientific_error_naming_more_modes(tmp_path, c
             "--parity", "even", "--tau", "1", "--modes", "64", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "under-resolved at N=64; rerun with --modes 128" in capsys.readouterr().err
+
+
+def help_text(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exit:
+        parse(argv)
+    assert exit.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import gnlstab.cli as cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._shared_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["solve", "--alpha", "2"]) == 1
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(builds) == 1
+    assert "--tau is required" in capsys.readouterr().err
+    assert build() is not build()
+    # the shared parser prints a fresh parser's help, byte for byte
+    for argv in (["--help"], ["pipeline", "--help"]):
+        assert help_text(main, argv, capsys) == help_text(build().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "dns"])
+def test_bad_time_step_fails_before_any_work(tmp_path, monkeypatch, capsys, command):
+    import gnlstab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a bad --time-step must stop the run before any wave is solved")
+
+    monkeypatch.setattr(cli, "solve_wave", never)
+    monkeypatch.setattr(cli, "tau_for_amplitude", never)
+    out = tmp_path / "run"
+    argv = [command, "--alpha", "2", "--tau", "auto:amplitude=1.5", "--modes", "64",
+            "--time-step", "nan", "--out", str(out)]
+    assert main(argv + (["--kappa", "1"] if command == "dns" else [])) == 1
+    assert capsys.readouterr().err == "[dns_validator] time_step must be positive, got nan\n"
+    assert not out.exists()

@@ -1,20 +1,32 @@
-"""Census of the output and sampling work in one even pipeline run.
+"""Census of the work in one even pipeline run and one verify run.
 
 A scan row reports its growth rate, its unstable eigenvalues and its solver
 path; only the most unstable row's mode is synthesized on the grid, once per
 scan.  The RK4 cross-check samples its norms in blocks, so n samples cost
-O(sqrt(n)) matrix products.  This test counts both on one ``gnlstab pipeline
---modes 128`` run, and the size of the report it writes, so per-row output or
-a per-sample product cannot come back unnoticed.
+O(sqrt(n)) matrix products.  The first test counts both on one ``gnlstab
+pipeline --modes 128`` run, and the size of the report it writes, so per-row
+output or a per-sample product cannot come back unnoticed.
+
+L1 and L2 are assembled and diagonalized once per wave: one operator store
+serves the spectra, propositions, hypotheses, scan, certificate and DNS.
+The other tests count the assemblies and the eigensolves of L1 and L2
+blocks of a pipeline and of ``gnlstab verify``, so a consumer that
+re-assembles or re-solves them cannot come back unnoticed.
 """
 
 import math
+import sys
 
 import numpy as np
+import pytest
 
-from gnlstab import cli, evolve
+from gnlstab import cli, evolve, hill, serialize
 from gnlstab.spectral import ParityBasis
-from test_eigensolve_census import README_PIPELINE
+from test_eigensolve_census import N, README_PIPELINE
+
+#: eigensolves made here are not solves of an L1 or L2 block: Newton's
+#: Jacobian on the wave's parity basis, and M(kappa) of a reduced scan row
+NOT_OPERATOR_SOLVES = ("newton_refine", "_Reduction.solve")
 
 
 class CountedProducts(np.ndarray):
@@ -75,3 +87,89 @@ def test_pipeline_synthesizes_one_mode_and_samples_in_blocks(tmp_path, monkeypat
     assert samples >= 1000
     ceil_sqrt = math.isqrt(samples - 1) + 1
     assert CountedProducts.products <= 4 * ceil_sqrt + 8
+
+
+class Census:
+    """Counts, while installed: L1/L2 assemblies (``hill.hill_matrix``; Newton
+    assembles its Jacobian through its own import), the order of every
+    ``eigh``/``eigvalsh`` outside NOT_OPERATOR_SOLVES, the operator matrices
+    built with twice their basis dimension, and all of it again inside
+    ``growth_row``."""
+
+    def __init__(self, monkeypatch):
+        self.assemblies, self.solves, self.doubled = [], [], []
+        self.in_growth_row = []
+        assemble, post_init = hill.hill_matrix, hill.OperatorMatrix.__post_init__
+        growth_row = evolve.growth_row
+
+        def assembling(basis, *args):
+            self.assemblies.append((basis.kind, basis.grid.size, bool(self.in_growth_row)))
+            return assemble(basis, *args)
+
+        def built(op):
+            post_init(op)
+            if op.dimension == 2 * op.basis.dimension:
+                self.doubled.append(op.label)
+
+        def row(*args, **kwargs):
+            self.in_growth_row.append(True)
+            try:
+                return growth_row(*args, **kwargs)
+            finally:
+                self.in_growth_row.pop()
+
+        monkeypatch.setattr(hill, "hill_matrix", assembling)
+        monkeypatch.setattr(hill.OperatorMatrix, "__post_init__", built)
+        monkeypatch.setattr(evolve, "growth_row", row)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
+
+    def _counted(self, name, solve):
+        def wrapper(a, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_qualname not in NOT_OPERATOR_SOLVES:
+                frame = frame.f_back
+            if frame is None:
+                self.solves.append((name, np.shape(a)[-1], bool(self.in_growth_row)))
+            return solve(a, *args, **kwargs)
+
+        return wrapper
+
+
+def test_pipeline_assembles_and_solves_each_operator_once(tmp_path, monkeypatch, capsys):
+    census = Census(monkeypatch)
+    assert cli.main(README_PIPELINE + ["--out", str(tmp_path)]) == 0
+    assert "pipeline passed" in capsys.readouterr().out
+
+    # L1 and L2 of the wave, and of its refinement on the doubled grid for the
+    # certificate, each assembled once on the full basis
+    assert sorted(census.assemblies) == [("full_fourier", N, False)] * 2 + [
+        ("full_fourier", 2 * N, False)
+    ] * 2
+    # no composed diag(L1, L2) or S(kappa) is built
+    assert census.doubled == []
+    # each of the four sector blocks of L1 and L2 (orders N/2+1, N/2-1) solved
+    # once for its spectrum, and L2's two once more with vectors for the scan
+    at_n = [(name, order) for name, order, _ in census.solves if order <= N // 2 + 1]
+    assert len(at_n) <= 6
+    # the DNS prediction reuses the scan's assembly and reductions
+    assert [s for s in census.solves if s[2]] == []
+
+
+@pytest.fixture
+def wave_file(even_wave, tmp_path):
+    path = tmp_path / "wave.json"
+    path.write_text(serialize.dumps(even_wave), encoding="utf-8")
+    return path
+
+
+def test_verify_assembles_and_solves_each_operator_once(wave_file, tmp_path, monkeypatch, capsys):
+    census = Census(monkeypatch)
+    assert cli.main(["verify", "--wave", str(wave_file), "--out", str(tmp_path)]) == 0
+    assert "verification passed" in capsys.readouterr().out
+    # the propositions and the hypotheses share one full-space L1 and L2 ...
+    assert census.assemblies == [("full_fourier", N, False)] * 2
+    # ... and one eigvalsh of each of their cosine and sine blocks
+    assert sorted(census.solves) == sorted(
+        ("eigvalsh", order, False) for order in (N // 2 + 1, N // 2 - 1) * 2
+    )
