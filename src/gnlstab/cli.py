@@ -351,17 +351,19 @@ def cmd_verify(args) -> int:
 
 
 def _scan_range(args, ops: HillOperators, hypotheses=None):
-    """kappa grid from the flags; the default end reuses ``hypotheses`` if given."""
-    kappa_min = args.kappa_min if args.kappa_min is not None else 0.0
-    steps = args.kappa_steps if args.kappa_steps is not None else 60
-    if args.kappa_max is not None:
-        kappa_max = args.kappa_max
-    else:
+    """kappa grid from the flags; the default end reuses ``hypotheses`` if given.
+    A subcommand without scan flags (``dns``) gets the default grid."""
+    kappa_min, kappa_max, steps = (
+        getattr(args, name, None) for name in ("kappa_min", "kappa_max", "kappa_steps")
+    )
+    if kappa_max is None:
         # default upper end: just past the uniform-positivity threshold K
         if hypotheses is None:
             with _stage("instability_scanner"):
                 hypotheses = verify_hypotheses(ops, sector=ops.sector)
         kappa_max = 1.1 * hypotheses.h1["K"] if hypotheses.h1["K"] > 0 else 1.0
+    kappa_min = kappa_min if kappa_min is not None else 0.0
+    steps = steps if steps is not None else 60
     return float(kappa_min), float(kappa_max), int(steps)
 
 

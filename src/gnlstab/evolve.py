@@ -9,9 +9,9 @@ integrates the same linear system
 and fits the observed growth of the L^2 norm, so the two routes can be
 compared.  The predicted rate and the eigenvector seed are the scan's own
 row at kappa, so the fit checks the number the scan reports.  Two schemes
-are provided: a dense one-step RK4 matrix per parity sector of the basis
-(the even potential makes the block problem a direct sum of a cosine and a
-sine block), and a Strang splitting whose kinetic and potential factors
+are provided: a dense one-step RK4 matrix per parity sector of the operator
+store (the even potential makes the block problem a direct sum of a cosine
+and a sine block), and a Strang splitting whose kinetic and potential factors
 are both applied as exact exponentials (hence exactly time reversible).
 RK4 samples its n norms in blocks of ceil(sqrt(n)) states, each block one
 matrix product from the last, and checks the growth envelope block by block.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import IntegratorError, ParameterError
 from .hill import HillOperators, hill_operators, resolve_sector
-from .scan import UNSTABLE_THRESHOLD, evolution_block, growth_row
+from .scan import UNSTABLE_THRESHOLD, _growth_block, evolution_block, growth_row
 
 # kept importable here: perfbench/tracer.py wraps evolve.instability_eigs by name
 from .scan import instability_eigs  # noqa: F401
@@ -261,18 +261,17 @@ def evolve_and_fit(
     ops = hill_operators(wave, sector)
     wave, sector = ops.wave, ops.sector
     row = growth_row(ops, kappa, sector)
-    solution = row.solution
-    predicted = solution.max_real_part
-    basis = solution.basis
+    predicted = row.max_real_part
+    basis = row.basis
     d = basis.dimension
 
     if config.seed == "leading_eigenvector":
-        rate = solution.leading_lambda
+        rate = row.leading_lambda
         if rate is None or rate.real <= UNSTABLE_THRESHOLD:
             raise ParameterError(
                 f"kappa={kappa:g} has no unstable mode to seed from; use seed='random'"
             )
-        y0 = np.real(solution.leading)
+        y0 = np.real(row.leading)
         y0 = y0 / np.linalg.norm(y0)
     else:
         rng = np.random.default_rng(config.rng_seed)
@@ -302,11 +301,11 @@ def evolve_and_fit(
 
     if config.scheme == "explicit_rk4":
         # a sector whose part of the seed is zero stays zero and adds nothing
-        parts = [
-            (block, np.concatenate([y0[rows], y0[d + rows.start : d + rows.stop]]))
-            for rows, block in row.blocks
-        ]
-        parts = [(rk4_step_matrix(block, dt), y) for block, y in parts if y.any()]
+        parts = []
+        for rows, block in ops.sectors():
+            y = np.concatenate([y0[rows], y0[d + rows.start : d + rows.stop]])
+            if y.any():
+                parts.append((rk4_step_matrix(_growth_block(block.l2, block.l1, kappa), dt), y))
         norm0 = math.sqrt(sum(float(y @ y) for _, y in parts))
         samples = _rk4_samples(parts, stride, steps - stride * (marks.size - 1), marks.size)
     else:

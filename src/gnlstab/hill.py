@@ -68,6 +68,9 @@ class OperatorMatrix:
     label: str
     wave_id: str
     kappa: Optional[float] = None
+    #: max |entry| and max |entry - transposed entry|, measured on construction
+    scale: float = field(init=False)
+    asymmetry: float = field(init=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float, copy=True)
@@ -81,6 +84,8 @@ class OperatorMatrix:
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "asymmetry", asym)
 
     @property
     def dimension(self) -> int:

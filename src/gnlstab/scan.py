@@ -44,17 +44,18 @@ above an indefinite row is bisected.  A reduced row certifies every
 eigenpair (mu, y) by the residual of its lift v1 = Q (s * y) on the
 unreduced product (L2 + kappa^2)(L1 + kappa^2), and its written growth mode
 on the sector's block; its set is closed under negation and conjugation by
-construction.  A dense row checks lambda^2 on each sector's ten largest
-|lambda| against that sector's unsymmetric product, and the quadruple
-symmetry of the merged set.
+construction.  Every dense solve, a bisection step included, checks
+lambda^2 on each sector's ten largest |lambda| against that sector's
+unsymmetric product; a dense grid row also measures the quadruple symmetry
+of the merged set.
 
-The row solver returns a :class:`RowSolution`: the whole merged spectrum,
-the leading growth mode's coefficients and the solver path.  A scan keeps
-only what a row reports, its :class:`KappaRecord` (kappa, the growth rate,
-the count and values of the unstable eigenvalues, the leading one, the
-symmetry defect and the path), and synthesizes the grid fields (v1, v2) of
-the most unstable row's mode once.  :func:`growth_row` hands the time
-integrator the scan's own row at one kappa and the sector blocks to step.
+Both solvers return a :class:`RowSolution`, the one row type: the whole
+merged spectrum, the leading growth mode's coefficients and the solver path.
+A scan keeps only what a row reports, its :class:`KappaRecord` (kappa, the
+growth rate, the count and values of the unstable eigenvalues, the leading
+one, the symmetry defect and the path), and synthesizes the grid fields
+(v1, v2) of the most unstable row's mode once.  :func:`growth_row` hands the
+time integrator the scan's own row at one kappa.
 The module also verifies the hypotheses (H0)-(H4) for S(kappa) =
 diag(L2 + kappa^2, L1 + kappa^2).
 """
@@ -101,10 +102,14 @@ SYMMETRY_TOL = 1e-8
 CROSSCHECK_RTOL = 1e-7
 
 
-def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
-    """[[0, L2+k^2], [-(L1+k^2), 0]] from L2 and L1 on one basis."""
+def _check_kappa(kappa: float) -> None:
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
+
+
+def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
+    """[[0, L2+k^2], [-(L1+k^2), 0]] from L2 and L1 on one basis."""
+    _check_kappa(kappa)
     d = l2.shape[0]
     shift = kappa**2 * np.eye(d)
     block = np.zeros((2 * d, 2 * d))
@@ -130,39 +135,6 @@ def evolution_block(
     return _growth_block(ops.l2.entries, ops.l1.entries, kappa), ops.basis
 
 
-@dataclass(frozen=True)
-class UnstableMode:
-    """One growth mode: rate and stacked (v1, v2) basis coefficients."""
-
-    rate: complex
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
-class InstabilityEigs:
-    """The block problem at one kappa: its matrix and its spectrum."""
-
-    wave_id: str
-    kappa: float
-    sector: str
-    basis: ParityBasis
-    block: np.ndarray
-    eigenvalues: np.ndarray
-    max_real_part: float
-    symmetry_defect: float
-    unstable: tuple
-
-    @property
-    def num_unstable(self) -> int:
-        return int(np.sum(np.asarray([m.rate.real for m in self.unstable]) > UNSTABLE_THRESHOLD))
-
-    @property
-    def leading(self) -> Optional[UnstableMode]:
-        if not self.unstable:
-            return None
-        return max(self.unstable, key=lambda m: m.rate.real)
-
-
 def _symmetry_defect(eigenvalues: np.ndarray) -> float:
     """Distance of the set from closure under lambda -> -lambda and conjugation."""
     e = eigenvalues
@@ -180,82 +152,6 @@ def _normalize_mode(vec: np.ndarray) -> np.ndarray:
     if float(np.max(np.abs(w.imag))) <= 1e-10:
         w = w.real / np.linalg.norm(w.real)
     return w
-
-
-def instability_eigs(
-    wave: Union[WaveProfile, HillOperators],
-    kappa: float,
-    sector: str = "auto",
-    crosscheck: bool = True,
-) -> InstabilityEigs:
-    """Solve the block problem at one kappa (kappa = 0 allowed as diagnostic).
-
-    Each parity sector's dense block is cross-checked against its own
-    reduction (lambda^2 must be an eigenvalue of -(L2+k^2)(L1+k^2)) on its
-    ten largest |lambda|; disagreement raises NumericalConsistencyError.
-    """
-    return _block_eigs(hill_operators(wave, sector), kappa, crosscheck)
-
-
-def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
-    """lambda^2 of the ten largest |lambda| against eigvals of -(L2+k^2)(L1+k^2)."""
-    nu = np.linalg.eigvals(-l2k @ l1k)
-    top = np.argsort(np.abs(eigenvalues))[-10:]
-    for idx in top:
-        lam2 = eigenvalues[idx] ** 2
-        gap = float(np.min(np.abs(nu - lam2)))
-        if gap > CROSSCHECK_RTOL * (1.0 + abs(lam2)):
-            raise NumericalConsistencyError(
-                f"block eigenvalue {eigenvalues[idx]:.6e} fails the lambda^2 "
-                f"reduction cross-check at kappa={kappa:g} (gap {gap:.3e})"
-            )
-
-
-def _block_eigs(ops: HillOperators, kappa: float, crosscheck: bool = True):
-    """:func:`instability_eigs` on one operator store.
-
-    One dense ``eig`` per parity sector; the spectra are merged and growth
-    modes lifted to full-basis coefficients.  The record keeps the whole
-    2d x 2d block, the unsplit reference of the sector solves.
-    """
-    d = ops.basis.dimension
-    values, vectors, rows = [], [], []
-    for sector_rows, sector_block in ops.sectors():
-        l2 = sector_block.l2
-        block = _growth_block(l2, sector_block.l1, kappa)
-        # geev returns a real array when every eigenvalue is real; records and
-        # mode rates stay complex whatever the spectrum
-        w, v = (a.astype(complex, copy=False) for a in np.linalg.eig(block))
-        if crosscheck:
-            m = l2.shape[0]
-            _crosscheck(block[:m, m:], -block[m:, :m], w, kappa)
-        values.append(w)
-        vectors.append(v)
-        rows.append(sector_rows)
-    eigenvalues = np.concatenate(values)
-    owner = np.repeat(np.arange(len(values)), [w.size for w in values])
-    column = np.concatenate([np.arange(w.size) for w in values])
-    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues, owner, column = eigenvalues[order], owner[order], column[order]
-
-    unstable = tuple(
-        UnstableMode(
-            rate=complex(eigenvalues[i]),
-            coefficients=_normalize_mode(_lift(rows[owner[i]], d, vectors[owner[i]][:, column[i]])),
-        )
-        for i in np.flatnonzero(eigenvalues.real > VECTOR_LEVEL)
-    )
-    return InstabilityEigs(
-        wave_id=ops.wave_id,
-        kappa=float(kappa),
-        sector=ops.sector,
-        basis=ops.basis,
-        block=_growth_block(ops.l2.entries, ops.l1.entries, kappa),
-        eigenvalues=eigenvalues,
-        max_real_part=float(np.max(np.abs(eigenvalues.real))),
-        symmetry_defect=_symmetry_defect(eigenvalues),
-        unstable=unstable,
-    )
 
 
 @dataclass(frozen=True)
@@ -344,17 +240,69 @@ class StabilityScan:
         return max(self.records, key=lambda r: r.max_real_part)
 
 
-def _dense_row(eigs: InstabilityEigs) -> RowSolution:
-    """A row from each parity sector's dense ``eig``."""
-    leading = eigs.leading
+def instability_eigs(
+    wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "auto"
+) -> RowSolution:
+    """The dense row at one kappa (kappa = 0 allowed as diagnostic): each
+    parity sector's ``eig``, whatever the scan's rule would pick there."""
+    return _dense_row(hill_operators(wave, sector), kappa)
+
+
+def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
+    """lambda^2 of the ten largest |lambda| against eigvals of -(L2+k^2)(L1+k^2)."""
+    nu = np.linalg.eigvals(-l2k @ l1k)
+    top = np.argsort(np.abs(eigenvalues))[-10:]
+    for idx in top:
+        lam2 = eigenvalues[idx] ** 2
+        gap = float(np.min(np.abs(nu - lam2)))
+        if gap > CROSSCHECK_RTOL * (1.0 + abs(lam2)):
+            raise NumericalConsistencyError(
+                f"block eigenvalue {eigenvalues[idx]:.6e} fails the lambda^2 "
+                f"reduction cross-check at kappa={kappa:g} (gap {gap:.3e})"
+            )
+
+
+def _dense_row(ops: HillOperators, kappa: float) -> RowSolution:
+    """A row from one dense ``eig`` per parity sector.
+
+    Each sector's spectrum is cross-checked against its own reduction
+    (lambda^2 must be an eigenvalue of -(L2+k^2)(L1+k^2)) on its ten largest
+    |lambda|; disagreement raises NumericalConsistencyError.  The spectra are
+    merged, and the leading growth mode, the first of largest real part above
+    VECTOR_LEVEL, is lifted to full-basis coefficients.
+    """
+    values, vectors, rows = [], [], []
+    for sector_rows, sector_block in ops.sectors():
+        block = _growth_block(sector_block.l2, sector_block.l1, kappa)
+        # geev returns a real array when every eigenvalue is real; the row's
+        # spectrum and mode stay complex whatever the spectrum
+        w, v = (a.astype(complex, copy=False) for a in np.linalg.eig(block))
+        m = w.size // 2
+        _crosscheck(block[:m, m:], -block[m:, :m], w, kappa)
+        values.append(w)
+        vectors.append(v)
+        rows.append(sector_rows)
+    eigenvalues = np.concatenate(values)
+    owner = np.repeat(np.arange(len(values)), [w.size for w in values])
+    column = np.concatenate([np.arange(w.size) for w in values])
+    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
+    eigenvalues, owner, column = eigenvalues[order], owner[order], column[order]
+
+    lam = coeff = None
+    growing = np.flatnonzero(eigenvalues.real > VECTOR_LEVEL)
+    if growing.size:
+        i = growing[np.argmax(eigenvalues.real[growing])]
+        lam = complex(eigenvalues[i])
+        mode = vectors[owner[i]][:, column[i]]
+        coeff = _normalize_mode(_lift(rows[owner[i]], ops.basis.dimension, mode))
     return RowSolution(
-        basis=eigs.basis,
-        kappa=eigs.kappa,
-        eigenvalues=eigs.eigenvalues,
-        max_real_part=eigs.max_real_part,
-        leading_lambda=None if leading is None else leading.rate,
-        leading=None if leading is None else leading.coefficients,
-        symmetry_defect=eigs.symmetry_defect,
+        basis=ops.basis,
+        kappa=float(kappa),
+        eigenvalues=eigenvalues,
+        max_real_part=float(np.max(np.abs(eigenvalues.real))),
+        leading_lambda=lam,
+        leading=coeff,
+        symmetry_defect=_symmetry_defect(eigenvalues),
         path="dense",
     )
 
@@ -555,28 +503,17 @@ def _solve_row(ops: HillOperators, kappa: float) -> RowSolution:
     """The scan's rule at one kappa: the reduced row where it applies, else
     each sector's dense ``eig``."""
     row = _reduced_row(ops.basis, _Reduction.sectors(ops), kappa)
-    return row if row is not None else _dense_row(_block_eigs(ops, kappa))
-
-
-@dataclass(frozen=True)
-class GrowthRow:
-    """The scan's solve at one kappa, with the parity-sector blocks it split."""
-
-    solution: RowSolution
-    #: (rows, [[0, L2+k^2], [-(L1+k^2), 0]]) of each parity sector, rows being
-    #: the sector's slice of the basis
-    blocks: tuple
+    return row if row is not None else _dense_row(ops, kappa)
 
 
 def growth_row(
     wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "auto"
-) -> GrowthRow:
+) -> RowSolution:
     """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
     Its record is the scan's row at kappa bit for bit; given the scan's
     operator store, it reuses the scan's assembly and reductions."""
-    ops = hill_operators(wave, sector)
-    blocks = tuple((r.rows, _growth_block(r.l2, r.l1, kappa)) for r in _Reduction.sectors(ops))
-    return GrowthRow(solution=_solve_row(ops, kappa), blocks=blocks)
+    _check_kappa(kappa)
+    return _solve_row(hill_operators(wave, sector), kappa)
 
 
 def scan_kappa(
@@ -635,7 +572,7 @@ def scan_kappa(
         while hi - lo > EDGE_RESOLUTION:
             mid = 0.5 * (lo + hi)
             bisections += 1
-            g_mid = _block_eigs(ops, mid, crosscheck=False).max_real_part - EDGE_LEVEL
+            g_mid = _dense_row(ops, mid).max_real_part - EDGE_LEVEL
             if g_mid == 0.0:
                 lo = hi = mid
                 break
@@ -703,10 +640,10 @@ def verify_hypotheses(
     """
     ops = hill_operators(wave, sector)
     # S(0) = diag(L2, L1): its off-diagonal blocks are exact zeros, so the
-    # entry scale, the asymmetry and the spectrum all come from the two blocks
-    blocks = (ops.l2.entries, ops.l1.entries)
-    scale = max(float(np.max(np.abs(b))) for b in blocks)
-    asym = max(float(np.max(np.abs(b - b.T))) for b in blocks)
+    # entry scale, the asymmetry and the spectrum all come from the two
+    # blocks, whose scale and asymmetry were measured as they were assembled
+    scale = max(ops.l2.scale, ops.l1.scale)
+    asym = max(ops.l2.asymmetry, ops.l1.asymmetry)
     h0 = {"passed": asym <= 1e-12 * max(scale, 1e-300), "max_asymmetry": asym}
 
     eigs0 = ops.lcal_eigenvalues()

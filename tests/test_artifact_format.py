@@ -122,7 +122,7 @@ def test_loaded_arrays_have_their_dtypes():
     assert scan.kappa_values.dtype == np.float64
     for record in scan.records:
         # a row reports its unstable eigenvalues; the row solver has them all
-        row = growth_row(wave, record.kappa, scan.sector).solution
+        row = growth_row(wave, record.kappa, scan.sector)
         assert row.eigenvalues.dtype == np.complex128
         assert row.eigenvalues.shape == (64,)
         assert row.record() == record

@@ -12,7 +12,8 @@ from gnlstab.evolve import (
     rk4_step_matrix,
     splitting_stepper,
 )
-from gnlstab.scan import evolution_block, growth_row
+from gnlstab.hill import hill_operators
+from gnlstab.scan import _growth_block, evolution_block, growth_row
 from gnlstab.spectral import RealField
 
 TWO_PI = 2.0 * np.pi
@@ -89,11 +90,13 @@ def test_dense_path_kappa_predicts_its_row(odd_wave, odd_full_scan):
     assert abs(run.fitted_rate - run.predicted_rate) <= 0.02 * run.predicted_rate
 
 
-def sector_parts(row, y):
-    """The (block, part of y) of each parity sector of a growth row."""
-    d = row.solution.basis.dimension
-    return [(block, np.concatenate([y[rows], y[d + rows.start : d + rows.stop]]))
-            for rows, block in row.blocks]
+def sector_parts(ops, kappa, y):
+    """The (block, part of y) of each parity sector of an operator store."""
+    d = ops.basis.dimension
+    return [
+        (_growth_block(b.l2, b.l1, kappa), np.concatenate([y[r], y[d + r.start : d + r.stop]]))
+        for r, b in ops.sectors()
+    ]
 
 
 def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
@@ -102,9 +105,10 @@ def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
     # per step
     peak = even_scan.most_unstable
     run = evolve_and_fit(even_wave, peak.kappa)
-    row = growth_row(even_wave, peak.kappa)
-    y0 = row.solution.leading / np.linalg.norm(row.solution.leading)
-    ((block, y),) = [(b, part) for b, part in sector_parts(row, y0) if part.any()]
+    ops = hill_operators(even_wave)
+    row = growth_row(ops, peak.kappa)
+    y0 = row.leading / np.linalg.norm(row.leading)
+    ((block, y),) = [(b, part) for b, part in sector_parts(ops, peak.kappa, y0) if part.any()]
     assert block.shape[0] == 2 * (even_wave.phi.grid.size // 2 + 1)
     phi = rk4_step_matrix(block, run.time_step)
     steps = np.rint(run.times / run.time_step).astype(int)
@@ -124,11 +128,12 @@ def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
     # same full-basis seed stepped by the unsplit 2d x 2d evolution block
     peak = even_scan.most_unstable
     run = evolve_and_fit(even_wave, peak.kappa, EvolutionConfig(seed=seed, rng_seed=4))
-    row = growth_row(even_wave, peak.kappa)
+    ops = hill_operators(even_wave)
+    row = growth_row(ops, peak.kappa)
     if seed == "random":
-        y0 = np.random.default_rng(4).standard_normal(2 * row.solution.basis.dimension)
+        y0 = np.random.default_rng(4).standard_normal(2 * row.basis.dimension)
     else:
-        y0 = np.real(row.solution.leading)
+        y0 = np.real(row.leading)
     y0 = y0 / np.linalg.norm(y0)
     steps = np.rint(run.times / run.time_step).astype(int)
     whole = rk4_step_matrix(evolution_block(even_wave, peak.kappa)[0], run.time_step)
@@ -141,7 +146,7 @@ def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
     if seed == "leading_eigenvector":
         # one sector holds the seed; that sector alone, sampled in the run's
         # blocked products, gives the run's norms bit for bit
-        ((block, y),) = [(b, part) for b, part in sector_parts(row, y0) if part.any()]
+        ((block, y),) = [(b, part) for b, part in sector_parts(ops, peak.kappa, y0) if part.any()]
         phi = rk4_step_matrix(block, run.time_step)
         counts = np.diff(steps)
         sampled = _rk4_samples([(phi, y)], counts[0], counts[-1], counts.size)

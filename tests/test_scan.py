@@ -24,12 +24,12 @@ from gnlstab.scan import (
     SYMMETRY_TOL,
     UNSTABLE_THRESHOLD,
     VECTOR_LEVEL,
-    InstabilityEigs,
-    UnstableMode,
+    RowSolution,
     _Reduction,
     _band_end,
-    _block_eigs,
+    _crosscheck,
     _dense_row,
+    _growth_block,
     _lift,
     _normalize_mode,
     _reduced_row,
@@ -162,13 +162,6 @@ def test_evolution_block_matches_column_reference(even_wave, odd_wave, size):
             assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_instability_eigs_carries_its_block(odd_wave):
-    eigs = instability_eigs(odd_wave, 1.3)
-    block, basis = evolution_block(odd_wave, 1.3, eigs.sector)
-    assert basis == eigs.basis
-    assert np.array_equal(eigs.block, block)
-
-
 def test_kappa_zero_generalized_kernel(even_wave):
     # at kappa = 0 the symmetry generators give a four-dimensional generalized
     # kernel (two Jordan blocks); everything else is oscillatory
@@ -193,7 +186,7 @@ def test_real_block_spectrum_stays_complex():
     d = basis.dimension
     l1 = OperatorMatrix(basis, -2.0 * np.eye(d), label="L1", wave_id="synthetic")
     l2 = OperatorMatrix(basis, np.eye(d), label="L2", wave_id="synthetic")
-    eigs = _block_eigs(HillOperators.of_pair(l1, l2), 0.0)
+    eigs = _dense_row(HillOperators.of_pair(l1, l2), 0.0)
     assert eigs.eigenvalues.dtype == np.complex128
     assert np.allclose(eigs.eigenvalues, np.repeat([-np.sqrt(2.0), np.sqrt(2.0)], d))
 
@@ -271,15 +264,14 @@ def assert_row_matches_dense(row, dense):
     gaps = np.abs(fast2[:, None] - dense2[None, :])
     assert np.all(gaps.min(axis=1) <= CROSSCHECK_RTOL * (1.0 + np.abs(fast2)))
     assert np.all(gaps.min(axis=0) <= CROSSCHECK_RTOL * (1.0 + np.abs(dense2)))
-    lead = dense.leading
-    if lead is None:
+    if dense.leading_lambda is None:
         assert row.leading_lambda is None
         return
-    assert abs(row.leading_lambda - lead.rate) <= CROSSCHECK_RTOL * (1.0 + g)
+    assert abs(row.leading_lambda - dense.leading_lambda) <= CROSSCHECK_RTOL * (1.0 + g)
     # the leading mode is unique only when its rate is simple
     rates = np.sort(dense.eigenvalues.real)[::-1]
     if rates[0] - rates[1] >= 1e-2 * rates[0]:
-        v1, v2 = _dense_row(dense).mode_fields()
+        v1, v2 = dense.mode_fields()
         row_v1, row_v2 = row.mode_fields()
         assert np.max(np.abs(row_v1.values - v1.values)) <= 1e-6
         assert np.max(np.abs(row_v2.values - v2.values)) <= 1e-6
@@ -314,7 +306,7 @@ def test_reduced_band_edges_and_verdict_match_dense(name, request, dense_rows):
 
     # the dense growth rate crosses EDGE_LEVEL within EDGE_RESOLUTION of each edge
     def dense_growth(kappa):
-        return instability_eigs(wave, kappa, scan.sector, crosscheck=False).max_real_part
+        return instability_eigs(wave, kappa, scan.sector).max_real_part
 
     for edge in scan.band_edges:
         below = dense_growth(max(edge - EDGE_RESOLUTION, 0.0)) - EDGE_LEVEL
@@ -360,6 +352,22 @@ def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan, scan_
         assert_row_matches_dense(row, dense)
 
 
+def test_dense_rows_build_only_sector_blocks(odd_wave, monkeypatch):
+    # a full-space dense row solves the cosine and the sine block apart and
+    # never assembles the whole-basis 2d x 2d block
+    orders = []
+
+    def counted(l2, l1, kappa):
+        orders.append(2 * l2.shape[0])
+        return _growth_block(l2, l1, kappa)
+
+    monkeypatch.setattr("gnlstab.scan._growth_block", counted)
+    row = instability_eigs(odd_wave, 0.05, "full")
+    n = odd_wave.phi.grid.size
+    assert sorted(orders) == [2 * (n // 2 - 1), 2 * (n // 2 + 1)]
+    assert row.path == "dense"
+
+
 def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave, solve_row):
     # at kappa = 0 the symmetry generators form a Jordan block and mu = -lambda^2
     # sits at rounding level, where sqrt(|mu|) would read as growth above
@@ -375,7 +383,7 @@ def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave, solve_row
     assert dense0.max_real_part < EDGE_LEVEL
     assert len(scan.band_edges) == 1 and scan.band_edges[0] <= EDGE_RESOLUTION
     assert scan.band_edges[0] == 0.0
-    above = instability_eigs(odd_wave, scan.band_edges[0] + EDGE_RESOLUTION, crosscheck=False)
+    above = instability_eigs(odd_wave, scan.band_edges[0] + EDGE_RESOLUTION)
     assert above.max_real_part > EDGE_LEVEL
 
 
@@ -454,26 +462,23 @@ def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_s
 # the parity split: cosine and sine sectors solved apart
 
 
-def whole_block_eigs(wave, kappa, sector) -> InstabilityEigs:
+def whole_block_eigs(wave, kappa, sector) -> RowSolution:
     """scipy.linalg.eig of the whole 2d x 2d block, not split by parity."""
     block, basis = evolution_block(wave, kappa, sector)
     values, vectors = scipy.linalg.eig(block)
     order = np.lexsort((values.imag, values.real))
     values, vectors = values[order], vectors[:, order]
-    unstable = tuple(
-        UnstableMode(rate=complex(values[i]), coefficients=_normalize_mode(vectors[:, i]))
-        for i in np.flatnonzero(values.real > VECTOR_LEVEL)
-    )
-    return InstabilityEigs(
-        wave_id=wave.wave_id,
-        kappa=kappa,
-        sector=sector,
+    growing = np.flatnonzero(values.real > VECTOR_LEVEL)
+    lead = growing[np.argmax(values.real[growing])] if growing.size else None
+    return RowSolution(
         basis=basis,
-        block=block,
+        kappa=kappa,
         eigenvalues=values,
         max_real_part=float(np.max(np.abs(values.real))),
+        leading_lambda=None if lead is None else complex(values[lead]),
+        leading=None if lead is None else _normalize_mode(vectors[:, lead]),
         symmetry_defect=quadruple_defect(values),
-        unstable=unstable,
+        path="dense",
     )
 
 
@@ -489,7 +494,7 @@ def test_split_rows_match_a_whole_block_scipy_solve(
         oracle = whole_block_eigs(wave, row.kappa, "full")
         assert oracle.leading is not None
         assert_row_matches_dense(row, oracle)
-        assert_row_matches_dense(_dense_row(instability_eigs(wave, row.kappa, "full")), oracle)
+        assert_row_matches_dense(instability_eigs(wave, row.kappa, "full"), oracle)
         v1, v2 = row.mode_fields()
         assert v1.parity == v2.parity == "none"
 
@@ -569,9 +574,19 @@ def test_band_edges_agree_with_the_bisection(name, request):
 def test_forced_dense_rows_bisect_to_the_inertia_edges(odd_wave, odd_hypotheses, monkeypatch):
     # with the reduction switched off every row and every bracket goes dense
     monkeypatch.setattr(_Reduction, "scale", lambda self, kappa: None)
+    gated = []
+
+    def counted(*args):
+        gated.append(args[-1])
+        return _crosscheck(*args)
+
+    monkeypatch.setattr("gnlstab.scan._crosscheck", counted)
     scan = scan_kappa(odd_wave, 0.0, 4.0, 8)
     assert scan.reduced_rows == 0 and scan.dense_rows == 8
     assert scan.dense_bisections >= 1
+    # every dense solve, each bisection step included, is cross-checked once per sector
+    sectors = len(hill_operators(odd_wave, scan.sector).sectors())
+    assert len(gated) == sectors * (scan.dense_rows + scan.dense_bisections)
     closed_form = (0.0, np.sqrt(odd_hypotheses.h1["lambda0"]))
     assert len(scan.band_edges) == len(closed_form)
     for edge, expected in zip(scan.band_edges, closed_form):

@@ -441,6 +441,16 @@ def test_cli_dns_summary(tmp_path, even_wave, even_scan):
     assert (tmp_path / "growth.csv").read_text().startswith("t,norm")
 
 
+def test_cli_dns_without_kappa_runs_on_the_default_grid(tmp_path, odd_wave, odd_hypotheses, capsys):
+    # dns has no scan flags: without --kappa it scans 60 rows from 0 to 1.1 K
+    # and integrates at the most unstable one
+    wave_path = store_wave(odd_wave, tmp_path / "wave.json")
+    assert main(["dns", "--wave", wave_path, "--out", str(tmp_path)]) == 0
+    assert "most unstable kappa on default grid" in capsys.readouterr().out
+    grid = scan_kappa(odd_wave, 0.0, 1.1 * odd_hypotheses.h1["K"], 60)
+    assert serialize.load(tmp_path / "growth.json").kappa == grid.most_unstable.kappa
+
+
 def test_cli_config_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(
