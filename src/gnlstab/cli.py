@@ -80,6 +80,9 @@ def _stage(tag: str):
 def _add_io_flags(sp):
     sp.add_argument("--config", default=None, help="JSON file mirroring flags; explicit flags win")
     sp.add_argument("--out", default=None, help="output directory (default: current directory)")
+
+
+def _add_format_flag(sp):
     sp.add_argument("--format", default=None, choices=("json", "csv", "both"))
 
 
@@ -96,6 +99,9 @@ def _add_problem_flags(sp):
         "minimizer before multiplier rescaling has max|u| = A; tau sets only that "
         "amplitude, the solved profile does not depend on it)",
     )
+
+
+def _add_zero_tolerance_flag(sp):
     sp.add_argument("--zero-tolerance", type=float, default=None, dest="zero_tolerance")
 
 
@@ -116,8 +122,11 @@ def _add_scan_flags(sp):
     _add_sector_flag(sp)
 
 
-def _add_dns_flags(sp):
+def _add_kappa_flag(sp):
     sp.add_argument("--kappa", type=float, default=None, help="transverse wavenumber")
+
+
+def _add_dns_flags(sp):
     sp.add_argument("--scheme", default=None, choices=("explicit_rk4", "splitting_order2"))
     sp.add_argument(
         "--dns-seed", default=None, choices=("leading_eigenvector", "random"), dest="dns_seed"
@@ -127,34 +136,46 @@ def _add_dns_flags(sp):
     sp.add_argument("--rng-seed", type=int, default=None, dest="rng_seed")
 
 
-#: subcommand -> (help, flag groups); builds the parser and checks --config values
+#: subcommand -> (help, flag groups); builds the parser and checks --config values.
+#: Each subcommand takes only the flags its ``cmd_*`` function reads.
 _SUBCOMMANDS = {
     "solve": ("solve for a standing-wave profile", (_add_io_flags, _add_problem_flags)),
     "spectrum": (
         "eigenvalues of the linearized operators L1, L2",
-        (_add_io_flags, _add_problem_flags, _add_wave_flag),
+        (_add_io_flags, _add_format_flag, _add_problem_flags, _add_zero_tolerance_flag,
+         _add_wave_flag),
     ),
     "verify": (
         "structural spectral checks and hypotheses (H0)-(H4)",
-        (_add_io_flags, _add_problem_flags, _add_wave_flag, _add_sector_flag),
+        (_add_io_flags, _add_problem_flags, _add_zero_tolerance_flag, _add_wave_flag,
+         _add_sector_flag),
     ),
     "scan": (
         "growth rates over a transverse wavenumber grid",
-        (_add_io_flags, _add_problem_flags, _add_wave_flag, _add_scan_flags),
+        (_add_io_flags, _add_format_flag, _add_problem_flags, _add_wave_flag, _add_scan_flags),
     ),
     "dns": (
         "time integration of the linearized flow",
-        (_add_io_flags, _add_problem_flags, _add_wave_flag, _add_sector_flag, _add_dns_flags),
+        (_add_io_flags, _add_format_flag, _add_problem_flags, _add_wave_flag, _add_sector_flag,
+         _add_kappa_flag, _add_dns_flags),
     ),
     "pipeline": (
         "all stages for one parameter set, combined report",
-        (_add_io_flags, _add_problem_flags, _add_scan_flags, _add_dns_flags),
+        (_add_io_flags, _add_problem_flags, _add_zero_tolerance_flag, _add_scan_flags,
+         _add_dns_flags),
     ),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are operational errors (code 1), not exits."""
+
+    def error(self, message):
+        raise CommandError(1, f"[cli_io] {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gnlstab",
         description="Periodic standing waves of the focusing generalized NLS "
         "equation and their transverse (in)stability.",
@@ -178,7 +199,9 @@ def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset flags from the --config JSON file (flags win).
 
     Each value is parsed by the flag it fills, so it meets the same type and
-    choices as on the command line.
+    choices as on the command line.  A key of another subcommand's flag is
+    skipped, so one file serves every subcommand; a key that names no flag
+    of any subcommand is an error.
     """
     if getattr(args, "config", None) is None:
         return
@@ -196,8 +219,11 @@ def _merge_config(args: argparse.Namespace) -> None:
     flags = argparse.ArgumentParser(exit_on_error=False)
     for add_flags in _SUBCOMMANDS[args.command][1]:
         add_flags(flags)
+    known = set().union(*(vars(_shared_parser().parse_args([name])) for name in _SUBCOMMANDS))
     for key, value in values.items():
         attr = str(key).replace("-", "_")
+        if attr not in known:
+            raise CommandError(1, f"[cli_io] config key {key!r} names no flag of any subcommand")
         if attr in ("command", "config") or value is None:
             continue
         if hasattr(args, attr) and getattr(args, attr) is None:
@@ -428,12 +454,12 @@ def cmd_dns(args) -> int:
         print(f"[instability_scanner] most unstable kappa on default grid: {kappa:.6g}")
     with _stage("dns_validator"):
         gm = evolve_and_fit(ops, float(kappa), evolution, sector=ops.sector)
+    summary = _dns_summary_payload(gm)
     if "json" in formats:
         _write(out, "growth.json", serialize.dumps(gm))
-        _write(out, "dns_summary.json", serialize.envelope("pipeline_report", _dns_summary_payload(gm)))
+        _write(out, "dns_summary.json", serialize.envelope("pipeline_report", summary))
     if "csv" in formats:
         _write(out, "growth.csv", serialize.growth_csv(gm))
-    summary = _dns_summary_payload(gm)
     print(
         f"[dns_validator] kappa={gm.kappa:g}: fitted rate {gm.fitted_rate:.6g} vs "
         f"scanner {gm.predicted_rate:.6g} (relative gap {summary['relative_gap']:.3g}, "
@@ -576,8 +602,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         with _stage(args.command):
             _merge_config(args)
             return _COMMANDS[args.command](args)

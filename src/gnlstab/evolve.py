@@ -254,12 +254,15 @@ def evolve_and_fit(
     Automatic choices: dt from the RK4 stability bound for the stiffest
     Fourier mode, final time about eight e-foldings of the predicted rate
     (ten time units when no growth is predicted).  Raises ParameterError
+    for a store without its wave, whose omega and phi the integrator needs,
     for a leading_eigenvector seed at a spectrally stable kappa, and
     IntegratorError if the state stops being finite.
     """
     config = config if config is not None else EvolutionConfig()
     ops = hill_operators(wave, sector)
     wave, sector = ops.wave, ops.sector
+    if wave is None:
+        raise ParameterError("the integrator needs the wave's omega and phi; this store has none")
     row = growth_row(ops, kappa, sector)
     predicted = row.max_real_part
     basis = row.basis

@@ -67,7 +67,6 @@ class OperatorMatrix:
     entries: np.ndarray
     label: str
     wave_id: str
-    kappa: Optional[float] = None
     #: max |entry| and max |entry - transposed entry|, measured on construction
     scale: float = field(init=False)
     asymmetry: float = field(init=False)
@@ -295,8 +294,11 @@ def hill_operators(
     """The operator store of ``sector``: a wave is assembled on the sector's
     basis, a store is restricted to it.  "auto" is resolved by the wave's
     parity either way (:func:`resolve_sector`), so a store on another sector
-    is passed with its own ``sector``."""
+    is passed with its own ``sector``; a store without a wave has no parity,
+    and "auto" is its own sector."""
     if isinstance(wave, HillOperators):
+        if wave.wave is None and sector == "auto":
+            return wave
         return wave.restrict(resolve_sector(wave.wave, sector))
     sector = resolve_sector(wave, sector)
     basis = ParityBasis(_SECTOR_KINDS[sector], wave.phi.grid)
@@ -304,12 +306,9 @@ def hill_operators(
     return HillOperators.of_pair(l1, l2, sector, wave)
 
 
-def hill_pair(
-    wave: Union[WaveProfile, HillOperators], sector: str = "full"
-) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """L1 and L2 on the basis of ``sector``, as the operator store holds them."""
-    ops = hill_operators(wave, sector)
-    return ops.l1, ops.l2
+def _check_kappa(kappa: float) -> None:
+    if not (np.isfinite(kappa) and kappa >= 0.0):
+        raise ParameterError(f"kappa must be nonnegative, got {kappa}")
 
 
 def build_block(
@@ -320,9 +319,9 @@ def build_block(
         raise ParameterError(f"block kind must be 'Lcal' or 'S_kappa', got {kind!r}")
     if kind == "Lcal" and kappa != 0.0:
         raise ParameterError("Lcal takes no transverse wavenumber")
-    if not (np.isfinite(kappa) and kappa >= 0.0):
-        raise ParameterError(f"kappa must be nonnegative, got {kappa}")
-    return _compose(kind, *hill_pair(wave, sector), kappa)
+    _check_kappa(kappa)
+    ops = hill_operators(wave, sector)
+    return _compose(kind, ops.l1, ops.l2, kappa)
 
 
 def _compose(
@@ -338,8 +337,7 @@ def _compose(
         shift = kappa**2 * np.eye(d)
         entries[:d, :d] = l2.entries + shift
         entries[d:, d:] = l1.entries + shift
-    kappa = None if kind == "Lcal" else kappa
-    return OperatorMatrix(l1.basis, entries, label=kind, wave_id=l1.wave_id, kappa=kappa)
+    return OperatorMatrix(l1.basis, entries, label=kind, wave_id=l1.wave_id)
 
 
 def _rounding_floor(dimension: int, norm: float) -> float:
@@ -475,14 +473,10 @@ def shifted_block_spectra(
 
     Returns ``{kappa: ascending eigenvalue array}``.
     """
-    base = build_block(wave, "S_kappa", kappa=0.0, sector=sector)
-    eigenvalues = np.linalg.eigvalsh(base.entries)
-    out = {}
     for kappa in kappas:
-        if not (np.isfinite(kappa) and kappa >= 0.0):
-            raise ParameterError(f"kappa must be nonnegative, got {kappa}")
-        out[float(kappa)] = eigenvalues + float(kappa) ** 2
-    return out
+        _check_kappa(kappa)
+    eigenvalues = np.linalg.eigvalsh(build_block(wave, "S_kappa", sector=sector).entries)
+    return {float(kappa): eigenvalues + float(kappa) ** 2 for kappa in kappas}
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +557,8 @@ def check_propositions(
     l1_even, l2_even = (even.summary(which, zero_tolerance) for which in _LABELS)
     l1_odd, l2_odd = (odd.summary(which, zero_tolerance) for which in _LABELS)
 
-    def lcal_spectrum(*parts):
-        # Lcal = diag(L1, L2) has the union of its blocks' spectra, and the
-        # even potential splits the full space into the cosine and sine sectors
-        eigenvalues = np.sort(np.concatenate([p.eigenvalues for p in parts]))
-        return _summarize("Lcal", wave.wave_id, eigenvalues, zero_tolerance)
-
     if wave.params.parity == EVEN:
-        lcal = lcal_spectrum(l1_even, l1_odd, l2_even, l2_odd)
+        lcal = _summarize("Lcal", wave.wave_id, ops.lcal_eigenvalues(), zero_tolerance)
         tol = lcal.zero_tolerance
         n_l1 = l1_even.n_negative + l1_odd.n_negative
         n_l2 = l2_even.n_negative + l2_odd.n_negative
@@ -578,8 +566,8 @@ def check_propositions(
         add("n(L2,even)", l2_even.n_negative == 0, 0, l2_even.n_negative)
         add("n(Lcal)", lcal.n_negative == 1, 1, lcal.n_negative)
         add("z(Lcal)", lcal.kernel_dimension == 2, 2, lcal.kernel_dimension)
-        sorted_eigs = np.sort(lcal.eigenvalues)
-        gap = float(sorted_eigs[1] - sorted_eigs[0]) if len(sorted_eigs) > 1 else 0.0
+        eigs = lcal.eigenvalues
+        gap = float(eigs[1] - eigs[0]) if len(eigs) > 1 else 0.0
         add(
             "negative eigenvalue simple",
             lcal.n_negative == 1 and gap >= 10.0 * tol,
@@ -596,7 +584,7 @@ def check_propositions(
         add("n(L1) full space", n_l1 == 1, 1, n_l1)
         add("n(L2) full space", n_l2 == 0, 0, n_l2)
     else:
-        lcal_odd = lcal_spectrum(l1_odd, l2_odd)
+        lcal_odd = _summarize("Lcal", wave.wave_id, odd.lcal_eigenvalues(), zero_tolerance)
         tol = lcal_odd.zero_tolerance
         n_l1_full = l1_even.n_negative + l1_odd.n_negative
         add("n(L1) full space", n_l1_full == 2, 2, n_l1_full)
@@ -605,7 +593,7 @@ def check_propositions(
         add("z(Lcal,odd)", lcal_odd.kernel_dimension == 1, 1, lcal_odd.kernel_dimension)
         res_phi = _relative_kernel_residual(sine.basis, sine.l2, phi)
         add("kernel residual (0,phi)", res_phi <= 1e-7, "<= 1e-07", f"{res_phi:.3e}", res_phi)
-        e1, e2 = np.sort(l1_odd.eigenvalues), np.sort(l2_odd.eigenvalues)
+        e1, e2 = l1_odd.eigenvalues, l2_odd.eigenvalues
         gap0 = float(e2[0] - e1[0])
         gap1 = float(e2[1] - e1[1])
         add(

@@ -71,13 +71,11 @@ from .errors import NumericalConsistencyError, ParameterError
 from .hill import (
     HillOperators,
     SectorBlock,
+    _check_kappa,
     _rounding_floor,
     default_zero_tolerance,
     hill_operators,
 )
-
-# the sector rule lives with the operator store; it stays importable here
-from .hill import resolve_sector  # noqa: F401
 
 # kept importable here: perfbench/tracer.py wraps scan.build_block by name
 from .hill import build_block  # noqa: F401
@@ -100,11 +98,6 @@ VECTOR_LEVEL = 1e-8
 SYMMETRY_TOL = 1e-8
 
 CROSSCHECK_RTOL = 1e-7
-
-
-def _check_kappa(kappa: float) -> None:
-    if not (np.isfinite(kappa) and kappa >= 0.0):
-        raise ParameterError(f"kappa must be nonnegative, got {kappa}")
 
 
 def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gnlstab.hill import hill_operators
+from gnlstab.hill import hill_operators, resolve_sector
 from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave
-from gnlstab.scan import _solve_row, resolve_sector, scan_kappa, verify_hypotheses
+from gnlstab.scan import _solve_row, scan_kappa, verify_hypotheses
 
 TWO_PI = 2.0 * np.pi
 

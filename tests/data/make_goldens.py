@@ -33,7 +33,7 @@ from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave
 
 TWO_PI = 2.0 * np.pi
 PIPELINE = ["pipeline", "--alpha", "2", "--omega", "1", "--tau", "12", "--modes", "32",
-            "--kappa-steps", "4", "--format", "json"]
+            "--kappa-steps", "4"]
 
 
 def documents() -> dict:

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from gnlstab import hill
 from gnlstab.errors import BasisError, ParameterError
 from gnlstab.hill import (
     OperatorMatrix,
@@ -303,6 +304,15 @@ def test_shift_family_crosschecks_direct_solves(even_wave):
 
 def test_shift_family_rejects_negative_kappa(even_wave):
     with pytest.raises(ParameterError):
+        shifted_block_spectra(even_wave, [0.5, -0.1])
+
+
+def test_shift_family_checks_every_kappa_before_solving(even_wave, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("S(0) assembled before every kappa was checked")
+
+    monkeypatch.setattr(hill, "build_block", never)
+    with pytest.raises(ParameterError, match="kappa must be nonnegative, got -0.1"):
         shifted_block_spectra(even_wave, [0.5, -0.1])
 
 

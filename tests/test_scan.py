@@ -9,12 +9,14 @@ import scipy.linalg
 import oracles
 from gnlstab import hill
 from gnlstab.errors import NumericalConsistencyError, ParameterError
+from gnlstab.evolve import evolve_and_fit
 from gnlstab.hill import (
     HillOperators,
     OperatorMatrix,
     build_block,
     build_hill,
     hill_operators,
+    resolve_sector,
     spectrum,
 )
 from gnlstab.scan import (
@@ -36,8 +38,8 @@ from gnlstab.scan import (
     _solve_row,
     _symmetry_defect,
     evolution_block,
+    growth_row,
     instability_eigs,
-    resolve_sector,
     scan_kappa,
     verify_hypotheses,
 )
@@ -189,6 +191,23 @@ def test_real_block_spectrum_stays_complex():
     eigs = _dense_row(HillOperators.of_pair(l1, l2), 0.0)
     assert eigs.eigenvalues.dtype == np.complex128
     assert np.allclose(eigs.eigenvalues, np.repeat([-np.sqrt(2.0), np.sqrt(2.0)], d))
+
+
+def test_a_store_without_a_wave_reads_auto_as_its_own_sector():
+    # "auto" is resolved by the wave's parity; a pair given directly has none
+    basis = ParityBasis(FULL, build_grid(TWO_PI, 8))
+    l1, l2 = (OperatorMatrix(basis, c * np.eye(basis.dimension), label, "synthetic")
+              for c, label in ((-2.0, "L1"), (1.0, "L2")))
+    ops = HillOperators.of_pair(l1, l2)
+    assert hill_operators(ops, "auto") is ops
+    auto, full = scan_kappa(ops, 0.0, 1.0, 3), scan_kappa(ops, 0.0, 1.0, 3, "full")
+    assert auto.sector == "full" and auto.records == full.records
+    assert growth_row(ops, 0.5).record() == growth_row(ops, 0.5, "full").record()
+    assert instability_eigs(ops, 0.5).record() == instability_eigs(ops, 0.5, "full").record()
+    assert verify_hypotheses(ops) == verify_hypotheses(ops, "full")
+    # the integrator needs what only the wave holds
+    with pytest.raises(ParameterError, match="omega and phi"):
+        evolve_and_fit(ops, 0.5)
 
 
 def test_leading_mode_fields(even_scan, scan_rows):

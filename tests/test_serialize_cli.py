@@ -11,7 +11,7 @@ import pytest
 
 import gnlstab
 from gnlstab import serialize
-from gnlstab.cli import main
+from gnlstab.cli import build_parser, main
 from gnlstab.errors import FormatError, ParameterError, WaveAcceptanceError
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit
 from gnlstab.hill import SpectrumSummary, build_block, build_hill, check_propositions, spectrum
@@ -527,6 +527,25 @@ def test_cli_config_values_meet_flag_types(tmp_path, const_wave, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["kapa_steps", "zero_tolerence"])
+def test_cli_config_key_naming_no_flag_is_an_error(tmp_path, capsys, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 2, "tau": 12, key: 8}), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"[cli_io] config key {key!r} names no flag of any subcommand\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_skips_keys_of_other_subcommands(tmp_path):
+    # one file serves the whole solve -> pipeline chain
+    cfg = tmp_path / "run.json"
+    values = {"alpha": 2, "tau": 12, "modes": 64, "format": "csv", "zero_tolerance": 1e-3,
+              "kappa": 1.0, "kappa_steps": 8, "sector": "odd", "wave": "none.json"}
+    cfg.write_text(json.dumps(values), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert serialize.load(tmp_path / "wave.json").phi.grid.size == 64
+
+
 def test_cli_config_values_take_flag_types(tmp_path, const_wave):
     # a config value is converted like the flag's text, not passed on raw
     cfg = tmp_path / "run.json"
@@ -743,6 +762,51 @@ def test_under_resolved_wave_is_a_scientific_error_naming_more_modes(tmp_path, c
             "--parity", "even", "--tau", "1", "--modes", "64", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "under-resolved at N=64; rerun with --modes 128" in capsys.readouterr().err
+
+
+#: the flags of each subcommand, each read by its ``cmd_*`` function
+COMMON_FLAGS = {"config", "out", "alpha", "omega", "period", "parity", "modes", "tau"}
+SCAN_FLAGS = {"kappa_min", "kappa_max", "kappa_steps", "sector"}
+DNS_FLAGS = {"scheme", "dns_seed", "final_time", "time_step", "rng_seed"}
+FLAG_TABLE = {
+    "solve": COMMON_FLAGS,
+    "spectrum": COMMON_FLAGS | {"format", "zero_tolerance", "wave"},
+    "verify": COMMON_FLAGS | {"zero_tolerance", "wave", "sector"},
+    "scan": COMMON_FLAGS | {"format", "wave"} | SCAN_FLAGS,
+    "dns": COMMON_FLAGS | {"format", "wave", "sector", "kappa"} | DNS_FLAGS,
+    "pipeline": COMMON_FLAGS | {"zero_tolerance"} | SCAN_FLAGS | DNS_FLAGS,
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    flags = {name: set(vars(parser.parse_args([name]))) - {"command"} for name in FLAG_TABLE}
+    assert flags == FLAG_TABLE
+    sizes = {name: len(names) for name, names in flags.items()}
+    assert sizes == {"solve": 8, "spectrum": 11, "verify": 11, "scan": 14, "dns": 17, "pipeline": 18}
+    assert sum(sizes.values()) == 79
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pipeline", "--alpha", "2", "--tau", "12", "--kappa", "1"], "ambiguous option: --kappa"),
+        (["solve", "--alpha", "2", "--tau", "12", "--format", "csv"],
+         "unrecognized arguments: --format csv"),
+        (["scan", "--alpha", "2", "--tau", "12", "--zero-tolerance", "-5"],
+         "unrecognized arguments: --zero-tolerance -5"),
+        (["solve", "--alpha", "2", "--tau", "12", "--modes", "abc"],
+         "argument --modes: invalid int value: 'abc'"),
+        (["survey", "--alpha", "2"], "argument command: invalid choice: 'survey'"),
+    ],
+)
+def test_usage_errors_are_tagged_input_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[cli_io] ") and message in err
+    assert "usage:" not in err
+    assert not out.exists()
 
 
 def help_text(parse, argv, capsys) -> str:
