@@ -101,6 +101,10 @@ def _add_problem_flags(sp):
     )
 
 
+#: destinations of the problem flags, which a stored wave (--wave) fixes
+_PROBLEM_FLAGS = ("alpha", "omega", "period", "parity", "modes", "tau")
+
+
 def _add_zero_tolerance_flag(sp):
     sp.add_argument("--zero-tolerance", type=float, default=None, dest="zero_tolerance")
 
@@ -604,8 +608,15 @@ _COMMANDS = {
 def main(argv: Optional[list] = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
+        # problem flags from argv; those --config fills are skipped with --wave
+        given = [f"--{name}" for name in _PROBLEM_FLAGS if getattr(args, name) is not None]
         with _stage(args.command):
             _merge_config(args)
+            if given and getattr(args, "wave", None):
+                raise CommandError(
+                    1, f"[cli_io] {', '.join(given)} cannot be given with --wave, "
+                    "whose stored wave fixes the problem"
+                )
             return _COMMANDS[args.command](args)
     except CommandError as exc:
         print(str(exc), file=sys.stderr)

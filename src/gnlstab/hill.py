@@ -22,8 +22,11 @@ negative/zero eigenvalues of these matrices is what the spectral assertions
 in :func:`check_propositions` are made of.
 
 :class:`HillOperators` is the one store of L1 and L2 per wave: it assembles
-both once on a sector's basis, splits a full-space pair into its parity
-blocks once, and diagonalizes each block on first use.  The spectra,
+both once on a sector's basis as read-only arrays, holds their parity blocks
+as views into them, and diagonalizes each block on first use.  It neither
+copies them nor measures their symmetry; (H0) is measured on its arrays
+where the hypotheses report it.  :class:`OperatorMatrix` checks operators
+given from outside, and the composites of :func:`build_block`.  The spectra,
 propositions, hypotheses, the kappa-scan, the grid-doubling certificate and
 the time integrator all read it; a full-space store also serves the odd and
 even sectors, whose operators are its sine and cosine blocks bit for bit.
@@ -61,15 +64,12 @@ SYMMETRY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense symmetric matrix of an operator on a parity basis."""
+    """Dense symmetric matrix on a parity basis: a read-only, checked copy."""
 
     basis: ParityBasis
     entries: np.ndarray
     label: str
     wave_id: str
-    #: max |entry| and max |entry - transposed entry|, measured on construction
-    scale: float = field(init=False)
-    asymmetry: float = field(init=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float, copy=True)
@@ -83,8 +83,6 @@ class OperatorMatrix:
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "asymmetry", asym)
 
     @property
     def dimension(self) -> int:
@@ -129,8 +127,8 @@ def _check_sector_basis(wave: WaveProfile, kind: str) -> None:
         )
 
 
-def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMatrix:
-    """Assemble L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`)."""
+def _assemble(wave: WaveProfile, which: str, basis: ParityBasis) -> np.ndarray:
+    """L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`), read-only."""
     if which not in _LABELS:
         raise ParameterError(f"operator must be 'L1' or 'L2', got {which!r}")
     if basis.grid != wave.phi.grid:
@@ -140,7 +138,13 @@ def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMat
     strength = alpha + 1.0 if which == "L1" else 1.0
     q = strength * np.abs(wave.phi.values) ** alpha
     entries = hill_matrix(basis, omega, q)
-    return OperatorMatrix(basis=basis, entries=entries, label=which, wave_id=wave.wave_id)
+    entries.setflags(write=False)
+    return entries
+
+
+def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMatrix:
+    """Assemble L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`)."""
+    return OperatorMatrix(basis, _assemble(wave, which, basis), which, wave.wave_id)
 
 
 #: the basis of each sector: the odd sector is spanned by sines, the even by cosines
@@ -158,9 +162,9 @@ def resolve_sector(wave: WaveProfile, sector: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
-    """L1 and L2 on one parity sector's basis (read-only, possibly views of a
-    full-basis matrix); their ascending ``eigvalsh`` spectra are computed on
-    first use and kept."""
+    """L1 and L2 on one parity sector's basis, read-only views of the store's
+    matrices; their ascending ``eigvalsh`` spectra are computed on first use
+    and kept."""
 
     basis: ParityBasis
     l1: np.ndarray
@@ -182,10 +186,12 @@ class SectorBlock:
 class HillOperators:
     """L1 and L2 of one wave on one sector's basis, assembled once.
 
-    ``blocks`` holds each parity sector of the basis once, cosine first (a
-    sector basis is one block), with its spectra on first use.  Everything
-    else derives from them: the spectrum of L1 or L2 is the union of its
-    blocks' spectra, and so is that of Lcal = diag(L1, L2), which S(0) =
+    ``l1`` and ``l2`` are the read-only matrices on ``basis``; ``blocks``
+    holds each parity sector of the basis once, cosine first (a sector basis
+    is one block), as views into them, with its spectra on first use.  A
+    sector view of a full-space store holds its block's arrays.  Everything
+    else derives from the blocks: the spectrum of L1 or L2 is the union of
+    its blocks' spectra, and so is that of Lcal = diag(L1, L2), which S(0) =
     diag(L2, L1) shares.  Consumers keep what they build on top of the blocks
     with :meth:`memo` (the scan keeps its reductions there).
     """
@@ -196,10 +202,9 @@ class HillOperators:
     sector: str
     wave_id: str
     basis: ParityBasis
+    l1: np.ndarray
+    l2: np.ndarray
     blocks: tuple[SectorBlock, ...]
-    #: (L1, L2) as assembled on the basis; None for a sector of a full-space
-    #: store, whose pair is made from its block on first use
-    assembled: Optional[tuple[OperatorMatrix, OperatorMatrix]] = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -210,36 +215,20 @@ class HillOperators:
         sector: str = "full",
         wave: Optional[WaveProfile] = None,
     ) -> "HillOperators":
-        """The store of an assembled pair; a full-basis pair is split into its
-        cosine and sine blocks once (:func:`_sector_blocks`)."""
-        basis = l1.basis
+        """The store of an assembled pair (see :meth:`_split`)."""
+        return cls._split(wave, sector, l1.wave_id, l1.basis, l1.entries, l2.entries)
+
+    @classmethod
+    def _split(cls, wave, sector, wave_id, basis, l1, l2) -> "HillOperators":
+        """The store of read-only ``l1`` and ``l2`` on ``basis``; a full-basis
+        pair is split into its cosine and sine blocks once (:func:`_sector_blocks`)."""
         if basis.kind == FULL:
             bases = (ParityBasis(COSINE, basis.grid), ParityBasis(SINE, basis.grid))
         else:
             bases = (basis,)
-        split = zip(bases, _sector_blocks(l1.entries, basis), _sector_blocks(l2.entries, basis))
+        split = zip(bases, _sector_blocks(l1, basis), _sector_blocks(l2, basis))
         blocks = tuple(SectorBlock(*parts) for parts in split)
-        return cls(wave, sector, l1.wave_id, basis, blocks, (l1, l2))
-
-    @property
-    def l1(self) -> OperatorMatrix:
-        return self._pair()[0]
-
-    @property
-    def l2(self) -> OperatorMatrix:
-        return self._pair()[1]
-
-    def _pair(self) -> tuple[OperatorMatrix, OperatorMatrix]:
-        if self.assembled is not None:
-            return self.assembled
-        (block,) = self.blocks
-        return self.memo(
-            "pair",
-            lambda: tuple(
-                OperatorMatrix(self.basis, entries, label=label, wave_id=self.wave_id)
-                for label, entries in zip(_LABELS, (block.l1, block.l2))
-            ),
-        )
+        return cls(wave, sector, wave_id, basis, l1, l2, blocks)
 
     def sectors(self) -> list[tuple[slice, SectorBlock]]:
         """(rows, block) of each parity sector, rows being its slice of the basis."""
@@ -285,7 +274,9 @@ class HillOperators:
         if self.wave is not None:
             _check_sector_basis(self.wave, kind)
         block = self.blocks[0 if kind == COSINE else 1]
-        return HillOperators(self.wave, sector, self.wave_id, block.basis, (block,))
+        return HillOperators(
+            self.wave, sector, self.wave_id, block.basis, block.l1, block.l2, (block,)
+        )
 
 
 def hill_operators(
@@ -302,8 +293,8 @@ def hill_operators(
         return wave.restrict(resolve_sector(wave.wave, sector))
     sector = resolve_sector(wave, sector)
     basis = ParityBasis(_SECTOR_KINDS[sector], wave.phi.grid)
-    l1, l2 = (build_hill(wave, which, basis) for which in _LABELS)
-    return HillOperators.of_pair(l1, l2, sector, wave)
+    l1, l2 = (_assemble(wave, which, basis) for which in _LABELS)
+    return HillOperators._split(wave, sector, wave.wave_id, basis, l1, l2)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -321,23 +312,16 @@ def build_block(
         raise ParameterError("Lcal takes no transverse wavenumber")
     _check_kappa(kappa)
     ops = hill_operators(wave, sector)
-    return _compose(kind, ops.l1, ops.l2, kappa)
-
-
-def _compose(
-    kind: str, l1: OperatorMatrix, l2: OperatorMatrix, kappa: float = 0.0
-) -> OperatorMatrix:
-    """diag(L1, L2) or diag(L2 + k^2, L1 + k^2) from assembled L1 and L2."""
-    d = l1.dimension
+    d = ops.basis.dimension
     entries = np.zeros((2 * d, 2 * d))
     if kind == "Lcal":
-        entries[:d, :d] = l1.entries
-        entries[d:, d:] = l2.entries
+        entries[:d, :d] = ops.l1
+        entries[d:, d:] = ops.l2
     else:
         shift = kappa**2 * np.eye(d)
-        entries[:d, :d] = l2.entries + shift
-        entries[d:, d:] = l1.entries + shift
-    return OperatorMatrix(l1.basis, entries, label=kind, wave_id=l1.wave_id)
+        entries[:d, :d] = ops.l2 + shift
+        entries[d:, d:] = ops.l1 + shift
+    return OperatorMatrix(ops.basis, entries, label=kind, wave_id=ops.wave_id)
 
 
 def _rounding_floor(dimension: int, norm: float) -> float:
@@ -526,10 +510,15 @@ def check_propositions(
     A failing report flags the wave as outside the regime of these counts
     (for instance a constant state) rather than raising.  Every check reads
     the full-space operator store, whose cosine and sine blocks are the even
-    and odd sectors.
+    and odd sectors.  Raises ParameterError for a store without its wave,
+    whose phi and parity the checks need.
     """
     ops = hill_operators(wave)
     wave = ops.wave
+    if wave is None:
+        raise ParameterError(
+            "the propositions need the wave's phi and parity; this store has none"
+        )
     checks = []
     notes = []
     phi = wave.phi

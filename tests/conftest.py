@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from gnlstab.hill import hill_operators, resolve_sector
-from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave
-from gnlstab.scan import _solve_row, scan_kappa, verify_hypotheses
+# one BLAS thread, set before numpy loads, as perfbench and make_goldens.py
+# do: on a two-core machine more threads slow the suite's small eigensolves
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gnlstab.hill import hill_operators, resolve_sector  # noqa: E402
+from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave  # noqa: E402
+from gnlstab.scan import _solve_row, scan_kappa, verify_hypotheses  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 

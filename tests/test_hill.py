@@ -8,12 +8,14 @@ import oracles
 from gnlstab import hill
 from gnlstab.errors import BasisError, ParameterError
 from gnlstab.hill import (
+    HillOperators,
     OperatorMatrix,
     _summarize,
     build_block,
     build_hill,
     check_propositions,
     default_zero_tolerance,
+    hill_operators,
     shifted_block_spectra,
     spectrum,
 )
@@ -259,6 +261,20 @@ def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
             assert checks["z(Lcal,odd)"].actual == str(lcal.kernel_dimension)
 
 
+def test_h0_gates_an_asymmetric_store(even_wave):
+    # the store keeps L1 and L2 as assembled, unchecked: H0 is their one
+    # symmetry gate, measured where the hypotheses report it
+    ops = hill_operators(even_wave)
+    l1 = ops.l1.copy()
+    l1[0, 1] += 1e-9 * np.max(np.abs(l1))
+    l1.setflags(write=False)
+    skewed = HillOperators._split(even_wave, "full", ops.wave_id, ops.basis, l1, ops.l2)
+    assert verify_hypotheses(ops).h0["passed"] is True
+    h0 = verify_hypotheses(skewed).h0
+    assert h0["passed"] is False
+    assert h0["max_asymmetry"] == float(np.max(np.abs(l1 - l1.T)))
+
+
 def test_spectrum_rejects_coupled_block_operators(even_wave):
     op = build_block(even_wave, "Lcal", sector="odd")
     d = op.basis.dimension
@@ -360,6 +376,15 @@ def test_odd_wave_propositions(odd_wave):
     lcal = spectrum(build_block(odd_wave, "Lcal", sector="odd"))
     assert by_name["lambda0(L1,odd) < lambda0(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
     assert by_name["lambda1(L1,odd) < lambda1(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
+
+
+def test_propositions_need_the_wave():
+    # a pair given directly has neither phi nor a parity to check against
+    basis = ParityBasis(FULL, build_grid(TWO_PI, 8))
+    l1, l2 = (OperatorMatrix(basis, c * np.eye(basis.dimension), label, "synthetic")
+              for c, label in ((-2.0, "L1"), (1.0, "L2")))
+    with pytest.raises(ParameterError, match="phi and parity"):
+        check_propositions(HillOperators.of_pair(l1, l2))
 
 
 def test_constant_minimizers_flagged_outside_regime():

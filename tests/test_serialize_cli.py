@@ -546,6 +546,49 @@ def test_cli_config_skips_keys_of_other_subcommands(tmp_path):
     assert serialize.load(tmp_path / "wave.json").phi.grid.size == 64
 
 
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("spectrum", ["--alpha", "3", "--modes", "512"], "--alpha, --modes"),
+        ("verify", ["--parity", "odd"], "--parity"),
+        ("scan", ["--omega", "2", "--period", "7"], "--omega, --period"),
+        ("dns", ["--tau", "12"], "--tau"),
+    ],
+)
+def test_cli_problem_flags_with_a_stored_wave_are_an_error(
+    tmp_path, const_wave, capsys, command, flags, named
+):
+    # the stored wave fixes the problem: a flag that would change it is not ignored
+    wave_path = store_wave(const_wave, tmp_path / "cw.json")
+    argv = [command, "--wave", wave_path, *flags, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"[cli_io] {named} cannot be given with --wave")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_problem_flags_and_a_configured_wave(tmp_path, const_wave, capsys):
+    # a --wave read from --config fixes the problem as well
+    cfg = tmp_path / "run.json"
+    wave_path = store_wave(const_wave, tmp_path / "cw.json")
+    cfg.write_text(json.dumps({"wave": wave_path}), encoding="utf-8")
+    argv = ["spectrum", "--config", str(cfg), "--modes", "512", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("[cli_io] --modes cannot be given with --wave")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_problem_keys_are_skipped_with_a_stored_wave(tmp_path, const_wave):
+    # one file serves the whole solve -> pipeline chain, so its problem keys
+    # are not an error with --wave: the stored wave is used as it is
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 3, "tau": 12, "modes": 512}), encoding="utf-8")
+    argv = ["spectrum", "--config", str(cfg), "--wave", store_wave(const_wave, tmp_path / "cw.json")]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    summary = serialize.load(tmp_path / "spectrum_L1.json")
+    assert summary.wave_id == const_wave.wave_id
+    assert summary.eigenvalues.size == const_wave.phi.grid.size
+
+
 def test_cli_config_values_take_flag_types(tmp_path, const_wave):
     # a config value is converted like the flag's text, not passed on raw
     cfg = tmp_path / "run.json"

@@ -92,12 +92,11 @@ def test_pipeline_synthesizes_one_mode_and_samples_in_blocks(tmp_path, monkeypat
 class Census:
     """Counts, while installed: L1/L2 assemblies (``hill.hill_matrix``; Newton
     assembles its Jacobian through its own import), the order of every
-    ``eigh``/``eigvalsh`` outside NOT_OPERATOR_SOLVES, the operator matrices
-    built with twice their basis dimension, and all of it again inside
-    ``growth_row``."""
+    ``eigh``/``eigvalsh`` outside NOT_OPERATOR_SOLVES, every ``OperatorMatrix``
+    built (each a checked copy), and all of it again inside ``growth_row``."""
 
     def __init__(self, monkeypatch):
-        self.assemblies, self.solves, self.doubled = [], [], []
+        self.assemblies, self.solves, self.matrices = [], [], []
         self.in_growth_row = []
         assemble, post_init = hill.hill_matrix, hill.OperatorMatrix.__post_init__
         growth_row = evolve.growth_row
@@ -108,8 +107,7 @@ class Census:
 
         def built(op):
             post_init(op)
-            if op.dimension == 2 * op.basis.dimension:
-                self.doubled.append(op.label)
+            self.matrices.append((op.label, op.dimension))
 
         def row(*args, **kwargs):
             self.in_growth_row.append(True)
@@ -146,8 +144,9 @@ def test_pipeline_assembles_and_solves_each_operator_once(tmp_path, monkeypatch,
     assert sorted(census.assemblies) == [("full_fourier", N, False)] * 2 + [
         ("full_fourier", 2 * N, False)
     ] * 2
-    # no composed diag(L1, L2) or S(kappa) is built
-    assert census.doubled == []
+    # the store holds L1 and L2 as assembled: no OperatorMatrix copy of them,
+    # and no composed diag(L1, L2) or S(kappa), is built
+    assert census.matrices == []
     # each of the four sector blocks of L1 and L2 (orders N/2+1, N/2-1) solved
     # once for its spectrum, and L2's two once more with vectors for the scan
     at_n = [(name, order) for name, order, _ in census.solves if order <= N // 2 + 1]
@@ -167,8 +166,10 @@ def test_verify_assembles_and_solves_each_operator_once(wave_file, tmp_path, mon
     census = Census(monkeypatch)
     assert cli.main(["verify", "--wave", str(wave_file), "--out", str(tmp_path)]) == 0
     assert "verification passed" in capsys.readouterr().out
-    # the propositions and the hypotheses share one full-space L1 and L2 ...
+    # the propositions and the hypotheses share one full-space L1 and L2,
+    # held as assembled, ...
     assert census.assemblies == [("full_fourier", N, False)] * 2
+    assert census.matrices == []
     # ... and one eigvalsh of each of their cosine and sine blocks
     assert sorted(census.solves) == sorted(
         ("eigvalsh", order, False) for order in (N // 2 + 1, N // 2 - 1) * 2
