@@ -237,16 +237,21 @@ def _versions(name: str) -> tuple[dict, dict]:
 
 
 def _assert_same_scan(v2: dict, v1: dict) -> None:
+    """The scan's keys and counts exactly; its floats as :func:`_agree` takes
+    them.  Reduced rows moved in their last bits since the version-1
+    documents were written: a row's spectrum is ``eigvalsh``'s and its growth
+    modes come from inverse iteration."""
     for key in SCAN_KEYS:
         assert v2[key] == v1[key], key
     assert len(v2["records"]) == len(v1["records"])
     for new, old in zip(v2["records"], v1["records"]):
-        assert {k: new[k] for k in ROW_KEYS} == {k: old[k] for k in ROW_KEYS}
+        made = {k: new[k] for k in ROW_KEYS}
+        assert _agree(made, {k: old[k] for k in ROW_KEYS}) == []
         unstable = [lam for lam in old["eigenvalues"] if lam[0] > 1e-6]
-        assert new["unstable_eigenvalues"] == unstable
+        assert _agree(new["unstable_eigenvalues"], unstable) == []
     peak = max(range(len(v1["records"])), key=lambda i: v1["records"][i]["max_real_part"])
-    assert v2["leading_v1"] == v1["records"][peak]["leading_v1"]
-    assert v2["leading_v2"] == v1["records"][peak]["leading_v2"]
+    assert _agree(v2["leading_v1"], v1["records"][peak]["leading_v1"]) == []
+    assert _agree(v2["leading_v2"], v1["records"][peak]["leading_v2"]) == []
 
 
 def _assert_same_dns(v2: dict, v1: dict) -> None:

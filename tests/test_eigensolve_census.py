@@ -2,11 +2,15 @@
 
 The even potential |phi|^a splits every full-space operator into a cosine
 block (N/2+1) and a sine block (N/2-1), so no solve of the pipeline needs
-the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  This
-test counts the order of every ``numpy.linalg`` eigensolve of one ``gnlstab
-pipeline --modes 128`` run, so a whole-matrix or unsymmetric solve cannot
-come back unnoticed.
+the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  A
+scan row takes the spectrum of M(kappa) from ``eigvalsh`` and eigenvectors
+only for its growth pairs, by inverse iteration.  This test counts the order
+of every ``numpy.linalg`` eigensolve of one ``gnlstab pipeline --modes 128``
+run, so a whole-matrix, unsymmetric or per-row vector solve cannot come back
+unnoticed.
 """
+
+import sys
 
 import numpy as np
 
@@ -21,12 +25,22 @@ README_PIPELINE = [
 ]
 
 
+def _in_row_solve() -> bool:
+    """Whether the caller's caller runs inside a reduced row's solve of M(kappa)."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_qualname != "_Reduction.solve":
+        frame = frame.f_back
+    return frame is not None
+
+
 def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, capsys):
-    orders = []
+    orders, row_solves = [], []
 
     def counted(name, solve):
         def wrapper(a, *args, **kwargs):
             orders.append((name, np.shape(a)[-1]))
+            if _in_row_solve():
+                row_solves.append(orders[-1])
             return solve(a, *args, **kwargs)
 
         return wrapper
@@ -39,10 +53,14 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     # the scan certifies its rows by eigenpair residuals and the DNS steps the
     # scan's own row, so no unsymmetric solve is left
     assert [name for name, _ in orders if name in ("eig", "eigvals")] == []
-    # eigh (L2 once per sector, M(kappa) per row) is the scan's per-row solve:
-    # one sector, at most the cosine block of order N/2 + 1
-    rows = [order for name, order in orders if name == "eigh"]
+    # eigvalsh of M(kappa) is the scan's per-row solve: one sector, at most
+    # the cosine block of order N/2 + 1
+    rows = [order for name, order in row_solves if name == "eigvalsh"]
     assert len(rows) >= 2 * STEPS
     assert max(rows) <= N // 2 + 1
+    # eigh with vectors only for L2 of the reductions, once per sector; in a
+    # row only for a k x k Rayleigh-Ritz step over k > 1 growth pairs, which
+    # this wave, with one growth pair per row, never takes
+    assert sorted(order for name, order in orders if name == "eigh") == [N // 2 - 1, N // 2 + 1]
     # the largest solve is the certificate's eigvalsh of one sector at 2N
     assert max(order for _, order in orders) <= N + 1

@@ -32,6 +32,7 @@ from gnlstab.scan import (
     _crosscheck,
     _dense_row,
     _growth_block,
+    _inverse_iteration,
     _lift,
     _normalize_mode,
     _reduced_row,
@@ -462,6 +463,63 @@ def test_residual_gate_rejects_a_tampered_reduced_row(even_wave, monkeypatch, ta
     tampered = tamper(monkeypatch, reductions)
     with pytest.raises(NumericalConsistencyError, match="cross-check"):
         _reduced_row(ops.basis, tampered, README_PEAK_KAPPA)
+
+
+#: README-grid rows above the band edge sqrt(lambda0) = 1.7032: no mu < 0, so
+#: a row there lifts no eigenvector and only the vector-free checks see it
+README_ROWS_ABOVE_EDGE = [float(k) for k in np.linspace(0.05, 1.8, 40)[-3:]]
+
+
+@pytest.mark.parametrize("kappa", README_ROWS_ABOVE_EDGE)
+@pytest.mark.parametrize("sector", [0, 1], ids=["cosine", "sine"])
+@pytest.mark.parametrize("tamper", ["kappa2-doubled", "q-permuted"])
+def test_vector_free_checks_reject_a_tampered_row_above_the_band(even_wave, kappa, sector, tamper):
+    ops = hill_operators(even_wave, "full")
+    reductions = _Reduction.sectors(ops)
+    assert [reduction.solve(kappa)[1].shape[1] for reduction in reductions] == [0, 0]
+    reduction = reductions[sector]
+    if tamper == "kappa2-doubled":
+        shift = kappa**2 * np.eye(reduction.a.shape[0])
+        wrong = dataclasses.replace(reduction, a=reduction.a + shift)
+    else:
+        wrong = dataclasses.replace(reduction, q=np.roll(reduction.q, 1, axis=1))
+    tampered = list(reductions)
+    tampered[sector] = wrong
+    with pytest.raises(NumericalConsistencyError, match="spectrum cross-check"):
+        _reduced_row(ops.basis, tuple(tampered), kappa)
+
+
+@pytest.mark.parametrize("kappa", README_ROWS_ABOVE_EDGE + [README_PEAK_KAPPA])
+def test_moment_check_rejects_an_error_in_an_unreported_mu(even_wave, monkeypatch, kappa):
+    # the largest mu of each sector, which no row lifts, off by 1e-9 relative
+    def solve(self, kappa):
+        mu, v1 = original(self, kappa)
+        mu[-1] *= 1.0 + 1e-9
+        return mu, v1
+
+    ops = hill_operators(even_wave, "full")
+    reductions = _Reduction.sectors(ops)
+    assert _reduced_row(ops.basis, reductions, kappa) is not None
+    original = _Reduction.solve
+    monkeypatch.setattr(_Reduction, "solve", solve)
+    with pytest.raises(NumericalConsistencyError, match="moment"):
+        _reduced_row(ops.basis, reductions, kappa)
+
+
+def test_inverse_iteration_separates_close_eigenvalues():
+    # three negative eigenvalues, two of them 1e-10 apart, under a spread of
+    # positive ones as wide as M(kappa)'s
+    rng = np.random.default_rng(1)
+    basis = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    values = np.concatenate([[-2.0, -2.0 + 1e-10, -1.0], np.geomspace(1.0, 1e6, 37)])
+    m = (basis * values) @ basis.T
+    m = 0.5 * (m + m.T)
+    mu = np.linalg.eigvalsh(m)
+    start = rng.standard_normal(40)
+    y = _inverse_iteration(m, mu[:3], start / np.linalg.norm(start))
+    assert np.allclose(y.T @ y, np.eye(3), rtol=0.0, atol=1e-12)
+    residual = np.linalg.norm(m @ y - y * mu[:3], axis=0)
+    assert np.all(residual <= 40 * np.finfo(float).eps * 1e6)
 
 
 def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_scan, scan_rows):
