@@ -352,6 +352,10 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _check_line(check, flag: str) -> str:
+    return f"[hill_spectra] {check.name}: {flag} (expected {check.expected}, got {check.actual})"
+
+
 def cmd_verify(args) -> int:
     config = _solver_config(args)
     out = _out_dir(args)
@@ -366,8 +370,7 @@ def cmd_verify(args) -> int:
         )
         _write(out, "hypotheses.json", serialize.dumps(hypotheses))
     for check in report.checks:
-        flag = "ok" if check.passed else "FAIL"
-        print(f"[hill_spectra] {check.name}: {flag} (expected {check.expected}, got {check.actual})")
+        print(_check_line(check, "ok" if check.passed else "FAIL"))
     for note in report.notes:
         print(f"[hill_spectra] note: {note}")
     for name in ("h0", "h1", "h2", "h3", "h4"):
@@ -526,11 +529,17 @@ def cmd_pipeline(args) -> int:
         summaries = _full_spectra(ops, args.zero_tolerance)
         propositions = check_propositions(ops, zero_tolerance=args.zero_tolerance)
     print(f"[hill_spectra] propositions {'passed' if propositions.passed else 'FAILED'}")
+    for check in propositions.checks:
+        if not check.passed:
+            print(_check_line(check, "FAILED"))
 
     with _stage("instability_scanner"):
         ops = hill_operators(ops, args.sector or "auto")
         hypotheses = verify_hypotheses(ops, sector=ops.sector, zero_tolerance=args.zero_tolerance)
     print(f"[instability_scanner] hypotheses {'passed' if hypotheses.overall else 'FAILED'}")
+    for k in range(5):
+        if not getattr(hypotheses, f"h{k}")["passed"]:
+            print(f"[instability_scanner] H{k}: FAILED")
 
     kappa_min, kappa_max, steps = _scan_range(args, ops, hypotheses)
     with _stage("instability_scanner"):

@@ -324,9 +324,14 @@ def build_block(
     return OperatorMatrix(ops.basis, entries, label=kind, wave_id=ops.wave_id)
 
 
-def _rounding_floor(dimension: int, norm: float) -> float:
-    """dimension * eps * norm: how far rounding may move a computed eigenvalue."""
-    return dimension * np.finfo(float).eps * norm
+#: machine epsilon of float64, looked up once
+_EPS = np.finfo(float).eps
+
+
+def _rounding_floor(dimension: int, norm):
+    """dimension * eps * norm: how far rounding may move a computed
+    eigenvalue; elementwise for an array of norms."""
+    return dimension * _EPS * norm
 
 
 def _sector_blocks(entries: np.ndarray, basis: ParityBasis) -> tuple:

@@ -32,23 +32,28 @@ it.  The reductions (L2 = Q D Q^T per sector) are kept with the store, so a
 scan, its hypotheses and the time integrator's row at one kappa share one
 assembly and one diagonalization.
 
-:func:`scan_kappa` solves each row where L2 + kappa^2 is semidefinite with
-one ``eigvalsh`` of M(kappa) per sector, checks each sector's count of
-mu < 0 against its L1 spectrum and reads band edges off the lowest L1
+:func:`scan_kappa` solves its whole grid as one batch per sector: the
+M(kappa) of every row where L2 + kappa^2 is semidefinite are built in place
+in one (rows, d, d) stack and go through one ``eigvalsh``; every check below
+runs as array operations over the rows.  The scan checks each sector's count
+of mu < 0 against its L1 spectrum and reads band edges off the lowest L1
 eigenvalue.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor
 of its diagonalization (an odd wave in the full space at small kappa), or
 where a computed mu lies within the rounding floor of M of zero (next to
 kappa = 0 and at band edges), in any sector, go through :func:`_dense_row`,
 one dense ``eig`` per sector, which :func:`instability_eigs` also runs for
-single-kappa calls; only an edge above an indefinite row is bisected.
+single-kappa calls; only an edge above an indefinite row is bisected.  Every
+stacked LAPACK and BLAS call solves each matrix as a call on it alone would,
+so a row's result does not depend on the batch it was solved in.
 
-A reduced row computes eigenvectors y only for its growth pairs, the
-mu < 0 it reports, by inverse iteration on M(kappa) - mu from the computed
-mu (a Rayleigh-Ritz step over them where a sector has more than one).  Each
-is certified by the residual of its lift v1 = Q (s * y) on the unreduced
+The reduced rows compute eigenvectors y only for their growth pairs, the
+mu < 0 they report, by inverse iteration on M(kappa) - mu from the computed
+mu, one batched ``solve`` over every pair of every row (a Rayleigh-Ritz step
+over a row's pairs where a sector has more than one).  Each pair is
+certified by the residual of its lift v1 = Q (s * y) on the unreduced
 product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), to CROSSCHECK_RTOL relative
-to |mu| or four rounding floors, and its written growth mode on the sector's
-block.  The rest of the spectrum is checked without vectors against P: sum
+to |mu| or four rounding floors, and each written growth mode on its
+sector's block.  The rest of the spectrum is checked without vectors against P: sum
 mu = tr P and sum mu^2 = tr P^2, from five traces of L1 and L2 taken once per
 sector, each to 4 d eps times its own scale, so an error in one unreported mu
 shows only above about 4 d eps sum |mu|; and P Q (s * z) = Q (s * (M z)) on
@@ -64,13 +69,12 @@ A scan keeps only what a row reports, its :class:`KappaRecord` (kappa, the
 growth rate, the count and values of the unstable eigenvalues, the leading
 one, the symmetry defect and the path), and synthesizes the grid fields
 (v1, v2) of the most unstable row's mode once.  :func:`growth_row` hands the
-time integrator the scan's own row at one kappa.
+time integrator the scan's own row at one kappa, as a batch of one.
 The module also verifies the hypotheses (H0)-(H4) for S(kappa) =
 diag(L2 + kappa^2, L1 + kappa^2).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -121,43 +125,72 @@ def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
     return block
 
 
-def _shifted(matrix: np.ndarray, shift: float) -> np.ndarray:
-    """matrix + shift * I, as a new array."""
-    out = matrix.copy()
-    out.flat[:: out.shape[0] + 1] += shift
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of each matrix of a C-ordered (rows, d, d) stack."""
+    rows, d = stack.shape[0], stack.shape[-1]
+    return stack.reshape(rows, d * d)[:, :: d + 1]
+
+
+def _shifted(matrix: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """matrix + shift * I for each of ``shifts``, built in place in one
+    (shifts, d, d) stack."""
+    out = np.empty((shifts.size,) + matrix.shape)
+    out[:] = matrix
+    diagonal = _diagonals(out)
+    diagonal += shifts[:, None]
     return out
 
 
-def _inverse_iteration(m: np.ndarray, shifts: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of the symmetric m for its computed eigenvalues
-    ``shifts``, as columns.
+def _squares(kappa) -> np.ndarray:
+    """kappa**2 of each kappa, squared as a Python float (C pow) like every
+    other kappa**2 of the package: pow may round differently from the
+    product x * x with which numpy squares an array, and the stored documents
+    hold rows squared by pow."""
+    return np.array([float(k) ** 2 for k in kappa])
 
-    Each comes from two steps of inverse iteration with m - shift, from
-    ``start`` rolled by its index: a shift within a few eps ||m|| of its
-    eigenvalue damps every other component by about eps ||m|| / gap per
-    step.  For more than one shift a Rayleigh-Ritz step over their span
-    separates eigenvalues too close for the shifts alone (Parlett, The
-    Symmetric Eigenvalue Problem, SIAM 1998, chapters 4 and 11).
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dot product of x and y along the last axis, per row: each is the
+    BLAS dot of one pair of rows, bit for bit that of ``x[i] @ y[i]`` on the
+    same strides."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _inverse_iteration(shifted: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Unit vectors, as rows, from two steps of inverse iteration with each
+    matrix M - shift of the stack ``shifted`` from its row of ``start``.
+
+    A shift within a few eps ||M|| of an eigenvalue of the symmetric M damps
+    every other component by about eps ||M|| / gap per step (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998, chapter 4).
     """
-    y = np.empty((m.shape[0], shifts.size))
-    for j, sigma in enumerate(shifts):
-        shifted, x = _shifted(m, -sigma), np.roll(start, j) if j else start
-        for _ in range(2):
-            x = np.linalg.solve(shifted, x)
-            x /= math.sqrt(x @ x)
-        y[:, j] = x
-    if shifts.size > 1:
-        y = np.linalg.qr(y)[0]
-        y = y @ np.linalg.eigh(y.T @ m @ y)[1]
+    y = start
+    for _ in range(2):
+        y = np.linalg.solve(shifted, y[..., None])[..., 0]
+        y /= np.sqrt(_dots(y, y))[..., None]
     return y
 
 
+def _rayleigh_ritz(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Ritz vectors of each symmetric matrix of the stack m on the span
+    of the columns of its y, a (rows, d, k) stack: they separate eigenvalues
+    too close for the shifts of inverse iteration alone (Parlett, chapter
+    11)."""
+    q = np.linalg.qr(y)[0]
+    return q @ np.linalg.eigh(q.transpose(0, 2, 1) @ m @ q)[1]
+
+
+def _unit_rows(w: np.ndarray) -> np.ndarray:
+    return w / np.sqrt(_dots(w, w))[:, None]
+
+
 def _lift(rows: slice, d: int, pair: np.ndarray) -> np.ndarray:
-    """Stacked (v1, v2) coefficients of one sector as a full-basis [v1 | v2]."""
+    """Stacked (v1, v2) coefficients of one sector, along the last axis, as
+    full-basis [v1 | v2]."""
     m = rows.stop - rows.start
-    out = np.zeros(2 * d, dtype=pair.dtype)
-    out[rows] = pair[:m]
-    out[d + rows.start : d + rows.stop] = pair[m:]
+    out = np.zeros(pair.shape[:-1] + (2 * d,), dtype=pair.dtype)
+    out[..., rows] = pair[..., :m]
+    out[..., d + rows.start : d + rows.stop] = pair[..., m:]
     return out
 
 
@@ -355,7 +388,8 @@ class _Reduction:
     A row computes eigenvectors only for mu < 0, the growth pairs it reports;
     the rest of the spectrum is checked without vectors against the unreduced
     product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), by its first two moments
-    and by one probe vector (:meth:`certify`).
+    and by one probe vector (:meth:`certify`).  Every method takes an array
+    of kappa and works on all its rows at once.
     """
 
     #: the sector's slice of the scan's basis
@@ -418,58 +452,92 @@ class _Reduction:
             probe=z / np.linalg.norm(z),
         )
 
-    def scale(self, kappa: float) -> Optional[np.ndarray]:
-        """s = sqrt(D + kappa^2), or None where L2 + kappa^2 is indefinite.
+    def semidefinite(self, kappa) -> np.ndarray:
+        """Whether L2 + kappa^2 is semidefinite, for each kappa: shifted
+        eigenvalues within the rounding floor of D below zero count as zero."""
+        return self.d[0] + _squares(kappa) >= -self.d_floor
 
-        Shifted eigenvalues within the rounding floor of D below zero count as zero.
-        """
-        shifted = self.d + kappa**2
-        if shifted[0] < -self.d_floor:
-            return None
-        return np.sqrt(np.maximum(shifted, 0.0))
+    def scale(self, kappa) -> np.ndarray:
+        """s = sqrt(D + kappa^2) for each kappa, as rows."""
+        return np.sqrt(np.maximum(self.d + _squares(kappa)[:, None], 0.0))
 
-    def matrix(self, kappa: float, scale: np.ndarray) -> np.ndarray:
-        """M = diag(s) (A + kappa^2) diag(s), whose eigenvalues are mu = -lambda^2."""
-        return scale[:, None] * _shifted(self.a, kappa**2) * scale[None, :]
+    def matrices(self, kappa, shift=0.0) -> np.ndarray:
+        """M(kappa) - shift for each kappa (and shift), built in place in one
+        (rows, d, d) stack; M = diag(s) (A + kappa^2) diag(s) has the
+        eigenvalues mu = -lambda^2."""
+        m, s = _shifted(self.a, _squares(kappa)), self.scale(kappa)
+        m *= s[:, :, None]
+        m *= s[:, None, :]
+        diagonal = _diagonals(m)
+        diagonal -= np.reshape(shift, (-1, 1))
+        return m
 
-    def floor(self, kappa: float) -> float:
-        """Rounding floor of M(kappa) and of the product (L2+k^2)(L1+k^2)."""
+    def floor(self, kappa) -> np.ndarray:
+        """Rounding floor of M(kappa) and of the product (L2+k^2)(L1+k^2), for each kappa."""
+        k2 = _squares(kappa)
         # ||L1||_2 = max|l|, so this bounds ||M(kappa)||_2
-        return _rounding_floor(self.d.size, (self.d[-1] + kappa**2) * (self.l1_norm + kappa**2))
+        return _rounding_floor(self.d.size, (self.d[-1] + k2) * (self.l1_norm + k2))
 
-    def resolved(self, kappa: float, mu: np.ndarray) -> bool:
-        """No mu within the rounding floor of M(kappa) of zero."""
-        return bool(np.min(np.abs(mu)) > self.floor(kappa))
+    def spectrum(self, kappa) -> np.ndarray:
+        """Every eigenvalue mu of M(kappa), ascending, as one row per kappa,
+        from one ``eigvalsh`` of the stacked M; a row of NaN where L2 + kappa^2
+        is indefinite or some mu lies within the rounding floor of M(kappa) of
+        zero."""
+        mu = np.full((len(kappa), self.d.size), np.nan)
+        rows = self.semidefinite(kappa)
+        mu[rows] = np.linalg.eigvalsh(self.matrices(kappa[rows]))
+        mu[~(np.min(np.abs(mu), axis=1) > self.floor(kappa))] = np.nan
+        return mu
 
-    def solve(self, kappa: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Every eigenvalue mu of M(kappa), ascending, from ``eigvalsh``, and
-        the lifted v1 = Q (s * y) of the eigenvector y of each mu < 0 as a
-        column; None where L2 + kappa^2 is indefinite or some mu is unresolved."""
-        scale = self.scale(kappa)
-        if scale is None:
-            return None
-        m = self.matrix(kappa, scale)
-        mu = np.linalg.eigvalsh(m)
-        if not self.resolved(kappa, mu):
-            return None
-        # each shift lies eps ||M|| below its mu, so that m - shift is never
-        # exactly singular, as it is on a diagonal M (the constant state)
-        y = _inverse_iteration(m, mu[mu < 0.0] - self.floor(kappa) / mu.size, self.probe)
-        if not y.shape[1]:
-            return mu, y
-        v1 = self.q @ (scale[:, None] * y)
-        # the lowest mode, the one a row writes, is lifted by a matrix-vector
-        # product of its own: a column of the matrix product may differ from it
-        # in the last bits, with the blocking of the product
-        mode = v1[:, 0] = self.q @ (scale * y[:, 0])
-        # eigvalsh resolves mu only to about eps * ||M||, which grows like the
-        # fourth power of the largest wavenumber; the Rayleigh quotient of the
-        # lowest mode on the unscaled L1 + kappa^2 is second order in that
-        # mode's error
-        mu[0] = (mode @ _shifted(self.l1, kappa**2) @ mode) / (y[:, 0] @ y[:, 0])
-        return mu, v1
+    def solve(self, kappa, mu: np.ndarray) -> "_SectorRows":
+        """The growth pairs of each row's M(kappa), its mu < 0, from that
+        row's spectrum ``mu``: eigenvectors y by inverse iteration from the
+        computed mu, one batched solve over every pair of every row, and a
+        Rayleigh-Ritz step over a row's pairs where it has more than one;
+        each lifted to v1 = Q (s * y)."""
+        row, col = pairs = np.nonzero(mu < 0.0)
+        d = self.d.size
+        # each shift lies eps ||M|| below its mu, so that M - shift is never
+        # exactly singular, as it is on a diagonal M (the constant state);
+        # pair j of a row starts from the probe rolled by j
+        shift = mu[pairs] - self.floor(kappa)[row] / d
+        y = _inverse_iteration(
+            self.matrices(kappa[row], shift), self.probe[(np.arange(d) - col[:, None]) % d]
+        )
 
-    def _gate(self, kappa: float, what: str, mu, residual, norm) -> None:
+        mu = mu.copy()
+        v1 = np.empty_like(y)
+        mode, l1_mode = np.zeros_like(mu), np.zeros_like(mu)
+        counts = np.bincount(row, minlength=len(kappa))
+        first = np.cumsum(counts) - counts
+        for count in sorted(set(counts.tolist()) - {0}):
+            rows = np.flatnonzero(counts == count)
+            at = first[rows, None] + np.arange(count)
+            # the pairs of a row as the columns of one (d, count) matrix: the
+            # layout, and so the strides of the dot products below, of a row alone
+            ys = y[at].transpose(0, 2, 1)
+            if count > 1:
+                ys = _rayleigh_ritz(self.matrices(kappa[rows]), ys)
+            s = self.scale(kappa[rows])
+            lifted = self.q @ (s[:, :, None] * ys)
+            # the lowest mode, the one a row writes, is lifted by a
+            # matrix-vector product of its own: a column of the matrix product
+            # may differ from it in the last bits, with the blocking of the
+            # product
+            lowest = ys[:, :, 0]
+            mode[rows] = lifted[:, :, 0] = (self.q @ (s * lowest)[..., None])[..., 0]
+            v1[at] = lifted.transpose(0, 2, 1)
+            # eigvalsh resolves mu only to about eps * ||M||, which grows like
+            # the fourth power of the largest wavenumber; the Rayleigh quotient
+            # of the lowest mode on the unscaled L1 + kappa^2 is second order in
+            # that mode's error
+            l1k = _shifted(self.l1, _squares(kappa[rows]))
+            v = mode[rows]
+            mu[rows, 0] = _dots((v[:, None, :] @ l1k)[:, 0], v) / _dots(lowest, lowest)
+            l1_mode[rows] = (l1k @ v[..., None])[..., 0]
+        return _SectorRows(mu, pairs, v1, mode, l1_mode)
+
+    def _gate(self, kappa, what: str, mu, residual, norm) -> None:
         """residual <= max(CROSSCHECK_RTOL |mu|, 4 floor) * norm, elementwise."""
         bound = np.maximum(CROSSCHECK_RTOL * np.abs(mu), 4.0 * self.floor(kappa)) * norm
         bad = np.flatnonzero(~(residual <= bound))
@@ -477,21 +545,24 @@ class _Reduction:
             j = bad[np.argmax(residual[bad] / bound[bad])]
             raise NumericalConsistencyError(
                 f"{what} at mu={mu[j]:.6e} fails the residual cross-check at "
-                f"kappa={kappa:g}: residual {residual[j]:.3e} above {bound[j]:.3e}"
+                f"kappa={kappa[j]:g}: residual {residual[j]:.3e} above {bound[j]:.3e}"
             )
 
-    def _gate_spectrum(self, kappa: float, what: str, error: float, size: float) -> None:
-        """error <= 4 d eps size: a check of the whole spectrum without vectors."""
+    def _gate_spectrum(self, kappa, what: str, error, size) -> None:
+        """error <= 4 d eps size, per row: a check of the whole spectrum without vectors."""
         bound = 4.0 * _rounding_floor(self.d.size, size)
-        if not error <= bound:
+        bad = np.flatnonzero(~(error <= bound))
+        if bad.size:
+            j = bad[np.argmax(error[bad] / bound[bad])]
             raise NumericalConsistencyError(
-                f"{what} fails the spectrum cross-check at kappa={kappa:g}: "
-                f"error {error:.3e} above {bound:.3e}"
+                f"{what} fails the spectrum cross-check at kappa={kappa[j]:g}: "
+                f"error {error[j]:.3e} above {bound[j]:.3e}"
             )
 
-    def certify(self, kappa: float, mu: np.ndarray, v1: np.ndarray) -> None:
-        """Every mu against the unreduced P = (L2+k^2)(L1+k^2): each lifted
-        pair by its residual, the whole spectrum by its moments and a probe.
+    def certify(self, kappa, solved: "_SectorRows") -> None:
+        """Every mu of every row against the unreduced P = (L2+k^2)(L1+k^2):
+        each lifted pair by its residual, the whole spectrum by its moments
+        and a probe.
 
         The lifted pairs, the mu < 0 a row reports, satisfy P v1 = mu v1 to
         four times the rounding floor of the product or CROSSCHECK_RTOL
@@ -508,57 +579,82 @@ class _Reduction:
         moments do not depend on Q; the probe does: P Q (s * z) = Q (s * (M z))
         for the fixed unit z, gated at four times the rounding floor of the
         product times ||s * z||, so a wrong Q, s or shift of M fails it."""
-        k2 = kappa**2
-        if v1.shape[1]:
-            pairs = mu[: v1.shape[1]]
-            residual = _shifted(self.l2, k2) @ (_shifted(self.l1, k2) @ v1) - v1 * pairs
-            norms = np.linalg.norm(residual, axis=0), np.linalg.norm(v1, axis=0)
-            self._gate(kappa, "eigenpair", pairs, *norms)
+        mu, v1, (row, _) = solved.mu, solved.v1, solved.pairs
+        k2 = _squares(kappa)
+        pair_mu, shift = mu[solved.pairs], k2[row, None]
+        # (X @ L^T)[i] = L X[i]: each product below applies L to every row of X
+        u = v1 @ self.l1.T + shift * v1
+        residual = u @ self.l2.T + shift * u - v1 * pair_mu[:, None]
+        norms = np.linalg.norm(residual, axis=1), np.linalg.norm(v1, axis=1)
+        self._gate(kappa[row], "eigenpair", pair_mu, *norms)
 
         t_b, t_s, t_bb, t_bs, t_ss = self.traces
-        n = mu.size
+        n = mu.shape[1]
         trace = t_b + k2 * t_s + k2**2 * n
         trace_sq = (
             t_bb + 2.0 * k2 * t_bs + k2**2 * (t_ss + 2.0 * t_b) + 2.0 * k2**3 * t_s + k2**4 * n
         )
-        square = float(mu @ mu)
+        square = _dots(mu, mu)
         self._gate_spectrum(
-            kappa, "moment sum(mu) = tr P", abs(mu.sum() - trace), np.abs(mu).sum()
+            kappa, "moment sum(mu) = tr P", np.abs(mu.sum(axis=1) - trace), np.abs(mu).sum(axis=1)
         )
-        self._gate_spectrum(kappa, "moment sum(mu^2) = tr P^2", abs(square - trace_sq), square)
+        self._gate_spectrum(kappa, "moment sum(mu^2) = tr P^2", np.abs(square - trace_sq), square)
 
-        scale = self.scale(kappa)
+        shift, scale = k2[:, None], self.scale(kappa)
         sz = scale * self.probe
-        v = self.q @ sz
-        u = self.l1 @ v + k2 * v
-        r = self.l2 @ u + k2 * u - self.q @ (scale * (scale * (self.a @ sz + k2 * sz)))
-        norm = (self.d[-1] + k2) * (self.l1_norm + k2) * math.sqrt(sz @ sz)
-        self._gate_spectrum(kappa, "probe P Q (s z) = Q (s M z)", math.sqrt(r @ r), norm)
+        v = sz @ self.q.T
+        u = v @ self.l1.T + shift * v
+        mz = sz @ self.a.T + shift * sz
+        r = u @ self.l2.T + shift * u - (scale * (scale * mz)) @ self.q.T
+        norm = (self.d[-1] + k2) * (self.l1_norm + k2) * np.sqrt(_dots(sz, sz))
+        self._gate_spectrum(kappa, "probe P Q (s z) = Q (s M z)", np.sqrt(_dots(r, r)), norm)
 
-    def certify_mode(self, kappa: float, rate: float, coeff: np.ndarray) -> None:
-        """The written growth mode w = (v1, v2) of this sector against its
-        block B = [[0, L2+k^2], [-(L1+k^2), 0]]: rate (B w - rate w) has the
-        product residual of v1 as its first half and rounding as its second,
-        so it takes :meth:`certify`'s bound, and a wrong v2 fails it."""
-        d = coeff.size // 2
-        w1, w2 = coeff[self.rows], coeff[d + self.rows.start : d + self.rows.stop]
-        r1 = self.l2 @ w2 + kappa**2 * w2 - rate * w1
-        r2 = -(self.l1 @ w1 + kappa**2 * w1) - rate * w2
-        residual = rate * math.sqrt(float(r1 @ r1 + r2 @ r2))
-        norm = math.sqrt(float(w1 @ w1 + w2 @ w2))
-        self._gate(kappa, "growth mode", np.array([-(rate**2)]), np.array([residual]), norm)
+    def certify_mode(self, kappa, rate: np.ndarray, coeff: np.ndarray) -> None:
+        """The written growth modes w = (v1, v2) of this sector, as rows,
+        against its block B = [[0, L2+k^2], [-(L1+k^2), 0]]: rate (B w - rate w)
+        has the product residual of v1 as its first half and rounding as its
+        second, so it takes :meth:`certify`'s bound, and a wrong v2 fails it."""
+        d = coeff.shape[1] // 2
+        w1, w2 = coeff[:, self.rows], coeff[:, d + self.rows.start : d + self.rows.stop]
+        k2, rates = _squares(kappa)[:, None], rate[:, None]
+        r1 = w2 @ self.l2.T + k2 * w2 - rates * w1
+        r2 = -(w1 @ self.l1.T + k2 * w1) - rates * w2
+        residual = rate * np.sqrt(_dots(r1, r1) + _dots(r2, r2))
+        norm = np.sqrt(_dots(w1, w1) + _dots(w2, w2))
+        self._gate(kappa, "growth mode", -(rate**2), residual, norm)
 
-    def check_inertia(self, kappa: float, mu: np.ndarray) -> None:
-        """#{mu < 0} = n(L1 + kappa^2) by Sylvester's law of inertia, L1
-        eigenvalues within the rounding floor of -kappa^2 counting either way."""
-        shifted = self.l1_eigs + kappa**2
-        low = np.count_nonzero(shifted < -self.l1_floor)
-        high = np.count_nonzero(shifted < self.l1_floor)
-        negative = np.count_nonzero(mu < 0.0)
-        if not low <= negative <= high:
+    def check_inertia(self, kappa, mu: np.ndarray) -> None:
+        """#{mu < 0} = n(L1 + kappa^2) on every row by Sylvester's law of
+        inertia, L1 eigenvalues within the rounding floor of -kappa^2
+        counting either way."""
+        shifted = self.l1_eigs + _squares(kappa)[:, None]
+        low = np.count_nonzero(shifted < -self.l1_floor, axis=1)
+        high = np.count_nonzero(shifted < self.l1_floor, axis=1)
+        negative = np.count_nonzero(mu < 0.0, axis=1)
+        bad = np.flatnonzero((negative < low) | (negative > high))
+        if bad.size:
+            j = bad[0]
             raise NumericalConsistencyError(
-                f"inertia count: {negative} mu < 0 at kappa={kappa:g}, n(L1+k^2) in {low}..{high}"
+                f"inertia count: {negative[j]} mu < 0 at kappa={kappa[j]:g}, "
+                f"n(L1+k^2) in {low[j]}..{high[j]}"
             )
+
+
+@dataclass(frozen=True)
+class _SectorRows:
+    """One parity sector's reduced solve of a batch of rows."""
+
+    #: every eigenvalue mu of each row's M(kappa), ascending, the lowest one
+    #: refined by its Rayleigh quotient where it is negative
+    mu: np.ndarray
+    #: the (row, column) index of each growth pair mu < 0 in ``mu``
+    pairs: tuple
+    #: the lifted v1 of each growth pair, as rows
+    v1: np.ndarray
+    #: each row's lowest growth pair: v1, the mode a row writes, and
+    #: (L1 + kappa^2) v1; zero where a row has none
+    mode: np.ndarray
+    l1_mode: np.ndarray
 
 
 def _band_end(reductions: tuple, lo: float, hi: float, falling: bool) -> float:
@@ -574,65 +670,82 @@ def _band_end(reductions: tuple, lo: float, hi: float, falling: bool) -> float:
     return min(max(end, lo), hi)
 
 
-def _reduced_row(basis: ParityBasis, reductions: tuple, kappa: float) -> Optional[RowSolution]:
-    """One row from one ``eigvalsh`` of M(kappa) per parity sector, with
-    eigenvectors for its growth pairs only, or None where the reduction does
-    not apply to some sector.
+def _reduced_rows(basis: ParityBasis, reductions: tuple, kappa) -> list:
+    """The rows at every kappa from one batched solve per parity sector:
+    one ``eigvalsh`` of the stacked M(kappa), with eigenvectors for the
+    growth pairs only; None at a kappa where the reduction does not apply to
+    some sector.
 
     Each growth pair is certified by its residual on the unreduced product
     and the rest of the spectrum by its moments and a probe against that
     product (:meth:`_Reduction.certify`), the written growth mode on its
-    sector's block and the sector's mu < 0 by the inertia count.  The set is
-    built as +-(real or imaginary half), closed under negation and
+    sector's block and the sector's mu < 0 by the inertia count.  A row's set
+    is built as +-(real or imaginary half), closed under negation and
     conjugation by construction, so its symmetry defect is 0.0 without being
     measured.
     """
-    solved = []
-    for reduction in reductions:
-        pairs = reduction.solve(kappa)
-        if pairs is None:
-            return None
-        solved.append((reduction, *pairs))
+    kappa = np.asarray(kappa, dtype=float)
+    out = [None] * kappa.size
+    spectra = [reduction.spectrum(kappa) for reduction in reductions]
+    rows = np.flatnonzero(~np.any([np.isnan(mu[:, 0]) for mu in spectra], axis=0))
+    kappa = kappa[rows]
+    solved = [r.solve(kappa, mu[rows]) for r, mu in zip(reductions, spectra)]
 
     values = []
-    growth, lead = 0.0, None
-    for reduction, mu, lifted in solved:
-        reduction.certify(kappa, mu, lifted)
+    growth, lead = np.zeros(rows.size), np.full(rows.size, -1)
+    for sector, (reduction, sector_rows) in enumerate(zip(reductions, solved)):
+        mu = sector_rows.mu
+        reduction.certify(kappa, sector_rows)
         reduction.check_inertia(kappa, mu)
         rate = np.sqrt(np.abs(mu))
         half = np.where(mu < 0.0, rate + 0j, 1j * rate)
-        values.append(np.concatenate([half, -half]) + 0.0)  # + 0.0 clears negative zeros
-        if mu[0] < 0.0 and rate[0] > growth:
-            growth, lead = float(rate[0]), (reduction, lifted[:, 0])
-    eigenvalues = np.concatenate(values)
-    eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
+        values.append(np.concatenate([half, -half], axis=1) + 0.0)  # + 0.0 clears negative zeros
+        # the first sector of largest growth leads
+        leads = (mu[:, 0] < 0.0) & (rate[:, 0] > growth)
+        growth[leads], lead[leads] = rate[leads, 0], sector
+    eigenvalues = np.concatenate(values, axis=1)
+    order = np.lexsort((eigenvalues.imag, eigenvalues.real), axis=-1)
+    eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
 
-    lam = coeff = None
-    if growth > VECTOR_LEVEL:
-        reduction, mode = lead
-        l1k = _shifted(reduction.l1, kappa**2)
-        coeff = _normalize_mode(
-            _lift(reduction.rows, basis.dimension, np.concatenate([mode, -(l1k @ mode) / growth]))
+    leading = [None] * rows.size
+    for sector, (reduction, sector_rows) in enumerate(zip(reductions, solved)):
+        written = np.flatnonzero((lead == sector) & (growth > VECTOR_LEVEL))
+        rate = growth[written]
+        v2 = -sector_rows.l1_mode[written] / rate[:, None]
+        coeff = _unit_rows(
+            _lift(reduction.rows, basis.dimension, np.concatenate([sector_rows.mode[written], v2], 1))
         )
-        reduction.certify_mode(kappa, growth, coeff)
-        lam = complex(growth)
-    return RowSolution(
-        basis=basis,
-        kappa=kappa,
-        eigenvalues=eigenvalues,
-        max_real_part=growth,
-        leading_lambda=lam,
-        leading=coeff,
-        symmetry_defect=0.0,
-        path="reduced",
-    )
+        # the sign of _normalize_mode: the first entry above 1e-8 is positive
+        first = np.argmax(np.abs(coeff) > 1e-8, axis=1)
+        coeff = _unit_rows(coeff * np.sign(np.take_along_axis(coeff, first[:, None], axis=1)))
+        reduction.certify_mode(kappa[written], rate, coeff)
+        for i, mode in zip(written, coeff):
+            leading[i] = mode
+
+    for i, at in enumerate(rows):
+        out[at] = RowSolution(
+            basis=basis,
+            kappa=float(kappa[i]),
+            eigenvalues=eigenvalues[i],
+            max_real_part=float(growth[i]),
+            leading_lambda=None if leading[i] is None else complex(growth[i]),
+            leading=leading[i],
+            symmetry_defect=0.0,
+            path="reduced",
+        )
+    return out
+
+
+def _solve_rows(ops: HillOperators, kappa) -> list:
+    """The scan's rule at each kappa: the rows of one batched reduced solve
+    where it applies, else each sector's dense ``eig``."""
+    rows = _reduced_rows(ops.basis, _Reduction.sectors(ops), kappa)
+    return [row if row is not None else _dense_row(ops, k) for row, k in zip(rows, kappa)]
 
 
 def _solve_row(ops: HillOperators, kappa: float) -> RowSolution:
-    """The scan's rule at one kappa: the reduced row where it applies, else
-    each sector's dense ``eig``."""
-    row = _reduced_row(ops.basis, _Reduction.sectors(ops), kappa)
-    return row if row is not None else _dense_row(ops, kappa)
+    """The scan's rule at one kappa: a batch of one row."""
+    return _solve_rows(ops, [float(kappa)])[0]
 
 
 def growth_row(
@@ -673,8 +786,7 @@ def scan_kappa(
     kappas = np.linspace(kappa_min, kappa_max, steps)
     reductions = _Reduction.sectors(ops)
     records, peak = [], None
-    for kappa in kappas:
-        row = _solve_row(ops, float(kappa))
+    for row in _solve_rows(ops, [float(kappa) for kappa in kappas]):
         if row.symmetry_defect > SYMMETRY_TOL:
             raise NumericalConsistencyError(
                 f"eigenvalue quadruple symmetry broken at kappa={row.kappa:g}: "
@@ -694,7 +806,7 @@ def scan_kappa(
             continue
         lo, hi = left.kappa, right.kappa
         # D + kappa^2 grows with kappa: semidefinite at lo means on all of [lo, hi]
-        if all(r.scale(lo) is not None for r in reductions):
+        if all(r.semidefinite([lo])[0] for r in reductions):
             edges.append(_band_end(reductions, lo, hi, falling=f_left > 0.0))
             continue
         g_lo = f_left

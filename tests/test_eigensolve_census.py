@@ -3,11 +3,12 @@
 The even potential |phi|^a splits every full-space operator into a cosine
 block (N/2+1) and a sine block (N/2-1), so no solve of the pipeline needs
 the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  A
-scan row takes the spectrum of M(kappa) from ``eigvalsh`` and eigenvectors
-only for its growth pairs, by inverse iteration.  This test counts the order
-of every ``numpy.linalg`` eigensolve of one ``gnlstab pipeline --modes 128``
-run, so a whole-matrix, unsymmetric or per-row vector solve cannot come back
-unnoticed.
+scan takes the spectra of every row's M(kappa) from one ``eigvalsh`` of the
+stacked matrices per sector and eigenvectors only for the growth pairs, by
+inverse iteration.  This test counts the order of every ``numpy.linalg``
+eigensolve of one ``gnlstab pipeline --modes 128`` run, and each matrix of a
+stacked call by the call's leading dimensions, so a whole-matrix, unsymmetric
+or per-row vector solve cannot come back unnoticed.
 """
 
 import sys
@@ -26,9 +27,9 @@ README_PIPELINE = [
 
 
 def _in_row_solve() -> bool:
-    """Whether the caller's caller runs inside a reduced row's solve of M(kappa)."""
+    """Whether the caller's caller runs inside the reduced rows' spectra of M(kappa)."""
     frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_qualname != "_Reduction.solve":
+    while frame is not None and frame.f_code.co_qualname != "_Reduction.spectrum":
         frame = frame.f_back
     return frame is not None
 
@@ -38,9 +39,11 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
 
     def counted(name, solve):
         def wrapper(a, *args, **kwargs):
-            orders.append((name, np.shape(a)[-1]))
+            # one entry per matrix: a stacked call solves prod(shape[:-2]) of them
+            matrices = int(np.prod(np.shape(a)[:-2]))
+            orders.extend([(name, np.shape(a)[-1])] * matrices)
             if _in_row_solve():
-                row_solves.append(orders[-1])
+                row_solves.extend(orders[len(orders) - matrices :])
             return solve(a, *args, **kwargs)
 
         return wrapper
@@ -53,8 +56,9 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     # the scan certifies its rows by eigenpair residuals and the DNS steps the
     # scan's own row, so no unsymmetric solve is left
     assert [name for name, _ in orders if name in ("eig", "eigvals")] == []
-    # eigvalsh of M(kappa) is the scan's per-row solve: one sector, at most
-    # the cosine block of order N/2 + 1
+    # eigvalsh of M(kappa), one stacked call per sector, solves every row: at
+    # least one matrix per row and sector, each of at most the cosine block's
+    # order N/2 + 1
     rows = [order for name, order in row_solves if name == "eigvalsh"]
     assert len(rows) >= 2 * STEPS
     assert max(rows) <= N // 2 + 1

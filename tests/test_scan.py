@@ -1,6 +1,7 @@
 """Transverse wavenumber scan: growth rates, band edges, hypotheses."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from gnlstab.scan import (
     _inverse_iteration,
     _lift,
     _normalize_mode,
-    _reduced_row,
+    _rayleigh_ritz,
+    _reduced_rows,
     _solve_row,
     _symmetry_defect,
     evolution_block,
@@ -48,6 +50,11 @@ from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis, build_grid
 from gnlstab.waves import constant_wave, wave_at_resolution
 
 TWO_PI = 2.0 * np.pi
+
+
+def reduced_row(basis, reductions, kappa):
+    """The batched reduced solve on a batch of one row."""
+    return _reduced_rows(basis, reductions, [kappa])[0]
 
 
 def quadruple_defect(eigenvalues: np.ndarray) -> float:
@@ -411,7 +418,7 @@ def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
     ops = hill_operators(even_wave, "full")
     reductions = _Reduction.sectors(ops)
     kappa = 1.0
-    assert _reduced_row(ops.basis, reductions, kappa) is not None
+    assert reduced_row(ops.basis, reductions, kappa) is not None
     # M of the cosine, then of the sine sector built with kappa^2 added twice
     for tampered, reduction in enumerate(reductions):
         shifted_twice = list(reductions)
@@ -419,7 +426,7 @@ def test_reduced_row_cross_check_rejects_a_wrong_kappa_shift(even_wave):
             reduction, a=reduction.a + kappa**2 * np.eye(reduction.a.shape[0])
         )
         with pytest.raises(NumericalConsistencyError, match="cross-check"):
-            _reduced_row(ops.basis, tuple(shifted_twice), kappa)
+            reduced_row(ops.basis, tuple(shifted_twice), kappa)
 
 
 #: the README pipeline's peak row: 40 rows on [0.05, 1.8]; the accepted
@@ -435,19 +442,19 @@ def permute_q(monkeypatch, reductions):
 
 def flip_v2_lift(monkeypatch, reductions):
     def flipped(rows, d, pair):
-        m = pair.size // 2
-        return _lift(rows, d, np.concatenate([pair[:m], -pair[m:]]))
+        m = pair.shape[-1] // 2
+        return _lift(rows, d, np.concatenate([pair[..., :m], -pair[..., m:]], axis=-1))
 
     monkeypatch.setattr("gnlstab.scan._lift", flipped)
     return reductions
 
 
 def perturb_growth_mu(monkeypatch, reductions):
-    # after the Rayleigh refinement, a relative error of 1e-6 in mu_0
-    def solve(self, kappa):
-        mu, v1 = original(self, kappa)
-        mu[0] *= 1.0 + 1e-6
-        return mu, v1
+    # after the Rayleigh refinement, a relative error of 1e-6 in the growth mu_0
+    def solve(self, kappa, mu):
+        solved = original(self, kappa, mu)
+        solved.mu[solved.mu[:, 0] < 0.0, 0] *= 1.0 + 1e-6
+        return solved
 
     original = _Reduction.solve
     monkeypatch.setattr(_Reduction, "solve", solve)
@@ -458,11 +465,11 @@ def perturb_growth_mu(monkeypatch, reductions):
 def test_residual_gate_rejects_a_tampered_reduced_row(even_wave, monkeypatch, tamper):
     ops = hill_operators(even_wave, "full")
     reductions = _Reduction.sectors(ops)
-    row = _reduced_row(ops.basis, reductions, README_PEAK_KAPPA)
+    row = reduced_row(ops.basis, reductions, README_PEAK_KAPPA)
     assert row.max_real_part > 1.0 and row.leading is not None
     tampered = tamper(monkeypatch, reductions)
     with pytest.raises(NumericalConsistencyError, match="cross-check"):
-        _reduced_row(ops.basis, tampered, README_PEAK_KAPPA)
+        reduced_row(ops.basis, tampered, README_PEAK_KAPPA)
 
 
 #: README-grid rows above the band edge sqrt(lambda0) = 1.7032: no mu < 0, so
@@ -476,7 +483,7 @@ README_ROWS_ABOVE_EDGE = [float(k) for k in np.linspace(0.05, 1.8, 40)[-3:]]
 def test_vector_free_checks_reject_a_tampered_row_above_the_band(even_wave, kappa, sector, tamper):
     ops = hill_operators(even_wave, "full")
     reductions = _Reduction.sectors(ops)
-    assert [reduction.solve(kappa)[1].shape[1] for reduction in reductions] == [0, 0]
+    assert [np.count_nonzero(r.spectrum(np.array([kappa])) < 0.0) for r in reductions] == [0, 0]
     reduction = reductions[sector]
     if tamper == "kappa2-doubled":
         shift = kappa**2 * np.eye(reduction.a.shape[0])
@@ -486,24 +493,91 @@ def test_vector_free_checks_reject_a_tampered_row_above_the_band(even_wave, kapp
     tampered = list(reductions)
     tampered[sector] = wrong
     with pytest.raises(NumericalConsistencyError, match="spectrum cross-check"):
-        _reduced_row(ops.basis, tuple(tampered), kappa)
+        reduced_row(ops.basis, tuple(tampered), kappa)
 
 
 @pytest.mark.parametrize("kappa", README_ROWS_ABOVE_EDGE + [README_PEAK_KAPPA])
 def test_moment_check_rejects_an_error_in_an_unreported_mu(even_wave, monkeypatch, kappa):
     # the largest mu of each sector, which no row lifts, off by 1e-9 relative
-    def solve(self, kappa):
-        mu, v1 = original(self, kappa)
-        mu[-1] *= 1.0 + 1e-9
-        return mu, v1
+    def solve(self, kappa, mu):
+        solved = original(self, kappa, mu)
+        solved.mu[:, -1] *= 1.0 + 1e-9
+        return solved
 
     ops = hill_operators(even_wave, "full")
     reductions = _Reduction.sectors(ops)
-    assert _reduced_row(ops.basis, reductions, kappa) is not None
+    assert reduced_row(ops.basis, reductions, kappa) is not None
     original = _Reduction.solve
     monkeypatch.setattr(_Reduction, "solve", solve)
     with pytest.raises(NumericalConsistencyError, match="moment"):
-        _reduced_row(ops.basis, reductions, kappa)
+        reduced_row(ops.basis, reductions, kappa)
+
+
+def tamper_one_row(tamper, row):
+    """A replacement of _Reduction.solve that corrupts one row of the batch."""
+    original = _Reduction.solve
+
+    def solve(self, kappa, mu):
+        solved = original(self, kappa, mu)
+        if tamper == "growth-mu" and solved.mu[row, 0] < 0.0:
+            solved.mu[row, 0] *= 1.0 + 1e-6
+        elif tamper == "unreported-mu":
+            solved.mu[row, -1] *= 1.0 + 1e-9
+        elif tamper == "v2-flipped":
+            solved.l1_mode[row] *= -1.0
+        return solved
+
+    return solve
+
+
+@pytest.mark.parametrize(
+    "tamper, row, check",
+    [("growth-mu", 25, "residual"), ("unreported-mu", 39, "moment"), ("v2-flipped", 25, "growth mode")],
+)
+def test_one_tampered_row_fails_the_whole_grid(even_wave, monkeypatch, tamper, row, check):
+    # the README grid solves its 40 rows in one batch per sector; one bad row
+    # among 39 good ones fails the scan, and the error names that row's kappa
+    ops = hill_operators(even_wave, "full")
+    assert scan_kappa(ops, 0.05, 1.8, 40).reduced_rows == 40
+    kappa = np.linspace(0.05, 1.8, 40)[row]
+    monkeypatch.setattr(_Reduction, "solve", tamper_one_row(tamper, row))
+    with pytest.raises(NumericalConsistencyError, match=f"{check}.*kappa={kappa:g}"):
+        scan_kappa(ops, 0.05, 1.8, 40)
+
+
+@pytest.mark.parametrize("name", ["even", "odd", "const", "odd_full"])
+def test_growth_row_is_the_scan_row_bit_for_bit(name, request):
+    # growth_row solves a batch of one row, the scan every row at once
+    scan = request.getfixturevalue(f"{name}_scan")
+    wave = request.getfixturevalue("odd_wave" if name == "odd_full" else f"{name}_wave")
+    ops = hill_operators(wave, scan.sector)
+    rows = [growth_row(ops, r.kappa, scan.sector) for r in scan.records]
+    assert [row.record() for row in rows] == list(scan.records)
+    pairs = [
+        np.count_nonzero(r.spectrum(scan.kappa_values) < 0.0, axis=1).max()
+        for r in _Reduction.sectors(ops)
+    ]
+    if name == "const":
+        # the cosine sector has two growth pairs: the Rayleigh-Ritz path
+        assert max(pairs) == 2
+    if name == "odd_full":
+        assert {row.path for row in rows} == {"dense", "reduced"}
+
+
+def test_scan_builds_one_stack_at_a_time(even_wave):
+    # every M(kappa) of a sector is built in place in one (rows, d, d) stack,
+    # one sector and one stack at a time; a broadcast product
+    # s * (A + kappa^2) * s would hold two more stacks as temporaries
+    ops = hill_operators(even_wave, "full")
+    d = max(r.d.size for r in _Reduction.sectors(ops))
+    assert d == 65
+    tracemalloc.start()
+    try:
+        scan_kappa(ops, 0.05, 1.8, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 40 * d * d * np.dtype(float).itemsize
 
 
 def test_inverse_iteration_separates_close_eigenvalues():
@@ -516,7 +590,10 @@ def test_inverse_iteration_separates_close_eigenvalues():
     m = 0.5 * (m + m.T)
     mu = np.linalg.eigvalsh(m)
     start = rng.standard_normal(40)
-    y = _inverse_iteration(m, mu[:3], start / np.linalg.norm(start))
+    start /= np.linalg.norm(start)
+    shifted = np.stack([m - sigma * np.eye(40) for sigma in mu[:3]])
+    y = _inverse_iteration(shifted, np.stack([np.roll(start, j) for j in range(3)]))
+    y = _rayleigh_ritz(m[None], y.T[None])[0]
     assert np.allclose(y.T @ y, np.eye(3), rtol=0.0, atol=1e-12)
     residual = np.linalg.norm(m @ y - y * mu[:3], axis=0)
     assert np.all(residual <= 40 * np.finfo(float).eps * 1e6)
@@ -650,7 +727,7 @@ def test_band_edges_agree_with_the_bisection(name, request):
 
 def test_forced_dense_rows_bisect_to_the_inertia_edges(odd_wave, odd_hypotheses, monkeypatch):
     # with the reduction switched off every row and every bracket goes dense
-    monkeypatch.setattr(_Reduction, "scale", lambda self, kappa: None)
+    monkeypatch.setattr(_Reduction, "semidefinite", lambda self, kappa: np.zeros(len(kappa), bool))
     gated = []
 
     def counted(*args):
@@ -685,11 +762,11 @@ def test_forced_dense_rows_bisect_to_the_inertia_edges(odd_wave, odd_hypotheses,
 def test_inertia_count_rejects_a_tampered_l1_spectrum(even_wave, kappa, tampered):
     ops = hill_operators(even_wave, "full")
     cosine, sine = _Reduction.sectors(ops)
-    assert _reduced_row(ops.basis, (cosine, sine), kappa) is not None
+    assert reduced_row(ops.basis, (cosine, sine), kappa) is not None
     # the negative eigenvalue of L1 lives in the cosine sector
     wrong = dataclasses.replace(cosine, l1_eigs=tampered(cosine.l1_eigs, kappa))
     with pytest.raises(NumericalConsistencyError, match="inertia"):
-        _reduced_row(ops.basis, (wrong, sine), kappa)
+        reduced_row(ops.basis, (wrong, sine), kappa)
 
 
 def test_band_end_outside_its_bracket_raises(even_wave):

@@ -1,5 +1,6 @@
 """JSON/CSV artifacts and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import gnlstab
-from gnlstab import serialize
+from gnlstab import cli, serialize
 from gnlstab.cli import build_parser, main
 from gnlstab.errors import FormatError, ParameterError, WaveAcceptanceError
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit
@@ -798,6 +799,47 @@ def test_pipeline_names_the_constant_regime(tmp_path, capsys):
     failed = [c["name"] for c in report["propositions"]["checks"] if not c["passed"]]
     assert "profile non-constant" in failed
     assert report["overall_passed"] is False
+
+
+def test_pipeline_names_each_failing_check(tmp_path, capsys, monkeypatch):
+    # the constant-regime even wave above: stdout names every failing
+    # proposition with its expected and actual values, as verify prints them,
+    # and every failing hypothesis
+    verify_hypotheses = cli.verify_hypotheses
+
+    def h3_failed(*args, **kwargs):
+        report = verify_hypotheses(*args, **kwargs)
+        return dataclasses.replace(report, h3={**report.h3, "passed": False}, overall=False)
+
+    monkeypatch.setattr(cli, "verify_hypotheses", h3_failed)
+    argv = ["pipeline", "--alpha", "0.5", "--omega", "1", "--period", repr(2.0 * np.pi),
+            "--parity", "even", "--tau", "1", "--modes", "64", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    report = serialize.load(tmp_path / "pipeline_report.json")
+    failed = [c for c in report["propositions"]["checks"] if not c["passed"]]
+    assert "profile non-constant" in [c["name"] for c in failed]
+    at = lines.index("[hill_spectra] propositions FAILED")
+    assert lines[at + 1 : at + 1 + len(failed)] == [
+        f"[hill_spectra] {c['name']}: FAILED (expected {c['expected']}, got {c['actual']})"
+        for c in failed
+    ]
+    assert (
+        "[hill_spectra] profile non-constant: FAILED (expected non-constant, got constant)"
+        in lines
+    )
+    at = lines.index("[instability_scanner] hypotheses FAILED")
+    assert lines[at + 1] == "[instability_scanner] H3: FAILED"
+    assert not lines[at + 2].startswith("[instability_scanner] H")
+
+
+def test_passing_pipeline_prints_no_check_lines(tmp_path, capsys):
+    argv = ["pipeline", "--alpha", "2", "--omega", "1", "--tau", "12", "--modes", "32",
+            "--kappa-steps", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "FAILED" not in out
+    assert "[hill_spectra] propositions passed\n[instability_scanner] hypotheses passed\n" in out
 
 
 def test_under_resolved_wave_is_a_scientific_error_naming_more_modes(tmp_path, capsys):

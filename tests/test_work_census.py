@@ -25,8 +25,9 @@ from gnlstab.spectral import ParityBasis
 from test_eigensolve_census import N, README_PIPELINE
 
 #: eigensolves made here are not solves of an L1 or L2 block: Newton's
-#: Jacobian on the wave's parity basis, and M(kappa) of a reduced scan row
-NOT_OPERATOR_SOLVES = ("newton_refine", "_Reduction.solve")
+#: Jacobian on the wave's parity basis, M(kappa) of the reduced scan rows and
+#: their Rayleigh-Ritz steps
+NOT_OPERATOR_SOLVES = ("newton_refine", "_Reduction.spectrum", "_Reduction.solve")
 
 
 class CountedProducts(np.ndarray):
