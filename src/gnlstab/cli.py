@@ -256,7 +256,9 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(mode_count=modes)
 
 
-def _resolve_problem(args, config: SolverConfig) -> ProblemParams:
+def _resolve_problem(args, config: SolverConfig) -> tuple:
+    """The problem, and for ``--tau auto:amplitude=A`` the constrained
+    minimizer that fixed its tau (else None), which :func:`solve_wave` polishes."""
     if args.alpha is None:
         raise CommandError(1, "[cli_io] --alpha is required (directly or via --config)")
     alpha = float(args.alpha)
@@ -279,16 +281,17 @@ def _resolve_problem(args, config: SolverConfig) -> ProblemParams:
         except ValueError:
             raise CommandError(1, f"[cli_io] bad amplitude in --tau {tau_spec!r}")
         with _stage("wave_solver"):
-            tau = tau_for_amplitude(alpha, omega, period, parity, amplitude, config)
-    else:
-        try:
-            tau = float(tau_spec)
-        except ValueError:
-            raise CommandError(
-                1, f"[cli_io] --tau must be a float or auto:amplitude=A, got {tau_spec!r}"
-            )
+            stationary = tau_for_amplitude(alpha, omega, period, parity, amplitude, config)
+        return stationary.params, stationary
+    try:
+        tau = float(tau_spec)
+    except ValueError:
+        raise CommandError(
+            1, f"[cli_io] --tau must be a float or auto:amplitude=A, got {tau_spec!r}"
+        )
     with _stage("wave_solver"):
-        return ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau, parity=parity)
+        params = ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau, parity=parity)
+    return params, None
 
 
 def _obtain_wave(args, config: SolverConfig) -> WaveProfile:
@@ -300,9 +303,9 @@ def _obtain_wave(args, config: SolverConfig) -> WaveProfile:
                 1, f"[cli_io] {args.wave} does not contain a wave_profile document"
             )
         return record
-    params = _resolve_problem(args, config)
+    params, stationary = _resolve_problem(args, config)
     with _stage("wave_solver"):
-        return solve_wave(params, config)
+        return solve_wave(params, config, stationary)
 
 
 def _write(out: Path, name: str, text: str) -> Path:
@@ -517,9 +520,9 @@ def cmd_pipeline(args) -> int:
     with _stage("dns_validator"):
         evolution = _evolution_config(args)
     out = _out_dir(args)
-    params = _resolve_problem(args, config)
+    params, stationary = _resolve_problem(args, config)
     with _stage("wave_solver"):
-        wave = solve_wave(params, config)
+        wave = solve_wave(params, config, stationary)
     print(f"[wave_solver] solved {wave.wave_id} (residual {wave.ode_residual_norm:.3e})")
 
     # one operator store per wave: the full-space one serves the spectra and

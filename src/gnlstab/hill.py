@@ -13,20 +13,25 @@ the block-diagonal compositions
 
 The potential |phi|^a is even for both parity classes, so on the full
 Fourier basis (cosine block first, then sine) every one of these operators
-is the direct sum of a cosine block (N/2+1) and a sine block (N/2-1).
-:func:`_sector_blocks` splits an operator into those blocks after checking
-that the cosine-sine coupling is rounding, and a block-diagonal composition
-has the union of its blocks' spectra, so every eigensolve here is one solve
-per parity sector and component (:func:`block_eigenvalues`).  Counting
+is the direct sum of a cosine block (N/2+1) and a sine block (N/2-1), up to
+a cosine-sine coupling that is rounding.  A block-diagonal composition has
+the union of its blocks' spectra, so every eigensolve here is one solve per
+parity sector and component (:func:`block_eigenvalues`).  Counting
 negative/zero eigenvalues of these matrices is what the spectral assertions
 in :func:`check_propositions` are made of.
 
-:class:`HillOperators` is the one store of L1 and L2 per wave: it assembles
-both once on a sector's basis as read-only arrays, holds their parity blocks
-as views into them, and diagonalizes each block on first use.  It neither
-copies them nor measures their symmetry; (H0) is measured on its arrays
-where the hypotheses report it.  :class:`OperatorMatrix` checks operators
-given from outside, and the composites of :func:`build_block`.  The spectra,
+:class:`HillOperators` is the one store of L1 and L2 per wave.  It assembles
+them once, straight on each parity sector's basis, as read-only blocks, and
+diagonalizes each block on first use.  A full-space store never builds the
+N x N matrices unless :func:`build_block` or ``scan.evolution_block`` asks
+for them: it gates the split by the coupling that the full matrix would
+hold, computed from the potential's sine coefficients alone
+(:func:`spectral.sector_coupling`), and each block is bit for bit that
+matrix's diagonal block.  A full matrix given from outside is split by
+:func:`_sector_blocks`, under the same gate.  The store neither copies its
+blocks nor measures their symmetry; (H0) is measured on them where the
+hypotheses report it.  :class:`OperatorMatrix` checks operators given from
+outside, and the composites of :func:`build_block`.  The spectra,
 propositions, hypotheses, the kappa-scan, the grid-doubling certificate and
 the time integrator all read it; a full-space store also serves the odd and
 even sectors, whose operators are its sine and cosine blocks bit for bit.
@@ -53,6 +58,7 @@ from .spectral import (
     first_derivative,
     hill_matrix,
     l2_norm,
+    sector_coupling,
 )
 from .waves import WaveProfile
 
@@ -127,6 +133,18 @@ def _check_sector_basis(wave: WaveProfile, kind: str) -> None:
         )
 
 
+def _potential(wave: WaveProfile, which: str) -> np.ndarray:
+    """The potential of L1, (a+1)|phi|^a, or of L2, |phi|^a, on the wave's grid."""
+    alpha = wave.params.alpha
+    strength = alpha + 1.0 if which == "L1" else 1.0
+    return strength * np.abs(wave.phi.values) ** alpha
+
+
+def _read_only(entries: np.ndarray) -> np.ndarray:
+    entries.setflags(write=False)
+    return entries
+
+
 def _assemble(wave: WaveProfile, which: str, basis: ParityBasis) -> np.ndarray:
     """L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`), read-only."""
     if which not in _LABELS:
@@ -134,12 +152,29 @@ def _assemble(wave: WaveProfile, which: str, basis: ParityBasis) -> np.ndarray:
     if basis.grid != wave.phi.grid:
         raise ParameterError("basis and wave live on different grids")
     _check_sector_basis(wave, basis.kind)
-    alpha, omega = wave.params.alpha, wave.params.omega
-    strength = alpha + 1.0 if which == "L1" else 1.0
-    q = strength * np.abs(wave.phi.values) ** alpha
-    entries = hill_matrix(basis, omega, q)
-    entries.setflags(write=False)
-    return entries
+    return _read_only(hill_matrix(basis, wave.params.omega, _potential(wave, which)))
+
+
+def _parity_bases(grid) -> tuple:
+    """The cosine and the sine basis: the parity sectors of the full basis, in its order."""
+    return ParityBasis(COSINE, grid), ParityBasis(SINE, grid)
+
+
+def _sector_pair(wave: WaveProfile, which: str, bases: tuple) -> tuple:
+    """L1 or L2 for ``wave`` on the cosine and the sine basis, read-only,
+    after the gate of :func:`_check_split` on the coupling between them.
+
+    Each block is bit for bit the diagonal block of the full-basis matrix,
+    and the coupling (:func:`spectral.sector_coupling`) is that matrix's
+    exact max |cosine-sine entry|, so the gate decides as it would on the
+    full matrix, which is never built.  Any wave passes on to the gate,
+    a parity 'none' one included: its potential decides."""
+    q = _potential(wave, which)
+    blocks = tuple(_read_only(hill_matrix(b, wave.params.omega, q)) for b in bases)
+    scale = max(float(np.max(np.abs(b))) for b in blocks)
+    coupling = sector_coupling(wave.phi.grid, q)
+    _check_split(coupling, max(scale, coupling), wave.phi.grid.size)
+    return blocks
 
 
 def build_hill(wave: WaveProfile, which: str, basis: ParityBasis) -> OperatorMatrix:
@@ -162,9 +197,8 @@ def resolve_sector(wave: WaveProfile, sector: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
-    """L1 and L2 on one parity sector's basis, read-only views of the store's
-    matrices; their ascending ``eigvalsh`` spectra are computed on first use
-    and kept."""
+    """L1 and L2 on one parity sector's basis, read-only; their ascending
+    ``eigvalsh`` spectra are computed on first use and kept."""
 
     basis: ParityBasis
     l1: np.ndarray
@@ -186,14 +220,16 @@ class SectorBlock:
 class HillOperators:
     """L1 and L2 of one wave on one sector's basis, assembled once.
 
-    ``l1`` and ``l2`` are the read-only matrices on ``basis``; ``blocks``
-    holds each parity sector of the basis once, cosine first (a sector basis
-    is one block), as views into them, with its spectra on first use.  A
-    sector view of a full-space store holds its block's arrays.  Everything
-    else derives from the blocks: the spectrum of L1 or L2 is the union of
-    its blocks' spectra, and so is that of Lcal = diag(L1, L2), which S(0) =
-    diag(L2, L1) shares.  Consumers keep what they build on top of the blocks
-    with :meth:`memo` (the scan keeps its reductions there).
+    ``blocks`` holds each parity sector of the basis once, cosine first (a
+    sector basis is one block): L1 and L2 on that sector's basis, read-only,
+    with their spectra on first use.  A sector view of a full-space store
+    holds its block.  Everything derives from the blocks: the spectrum of L1
+    or L2 is the union of its blocks' spectra, and so is that of Lcal =
+    diag(L1, L2), which S(0) = diag(L2, L1) shares.  ``l1`` and ``l2``, the
+    matrices on the whole basis, are a sector's one block; in the full space
+    they are assembled only on first request (:func:`build_block` and
+    ``scan.evolution_block``).  Consumers keep what they build on top of the
+    blocks with :meth:`memo` (the scan keeps its reductions there).
     """
 
     #: the wave linearized around; None for a pair given directly
@@ -202,8 +238,6 @@ class HillOperators:
     sector: str
     wave_id: str
     basis: ParityBasis
-    l1: np.ndarray
-    l2: np.ndarray
     blocks: tuple[SectorBlock, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -221,14 +255,30 @@ class HillOperators:
     @classmethod
     def _split(cls, wave, sector, wave_id, basis, l1, l2) -> "HillOperators":
         """The store of read-only ``l1`` and ``l2`` on ``basis``; a full-basis
-        pair is split into its cosine and sine blocks once (:func:`_sector_blocks`)."""
-        if basis.kind == FULL:
-            bases = (ParityBasis(COSINE, basis.grid), ParityBasis(SINE, basis.grid))
-        else:
-            bases = (basis,)
+        pair is split into its cosine and sine blocks once (:func:`_sector_blocks`)
+        and kept whole as the store's ``l1`` and ``l2``."""
+        bases = _parity_bases(basis.grid) if basis.kind == FULL else (basis,)
         split = zip(bases, _sector_blocks(l1, basis), _sector_blocks(l2, basis))
-        blocks = tuple(SectorBlock(*parts) for parts in split)
-        return cls(wave, sector, wave_id, basis, l1, l2, blocks)
+        store = cls(wave, sector, wave_id, basis, tuple(SectorBlock(*parts) for parts in split))
+        store._memo["matrices"] = (l1, l2)
+        return store
+
+    @property
+    def l1(self) -> np.ndarray:
+        """L1 on the store's basis, read-only."""
+        return self._matrices()[0]
+
+    @property
+    def l2(self) -> np.ndarray:
+        """L2 on the store's basis, read-only."""
+        return self._matrices()[1]
+
+    def _matrices(self) -> tuple:
+        if len(self.blocks) == 1:
+            return self.blocks[0].l1, self.blocks[0].l2
+        return self.memo(
+            "matrices", lambda: tuple(_assemble(self.wave, w, self.basis) for w in _LABELS)
+        )
 
     def sectors(self) -> list[tuple[slice, SectorBlock]]:
         """(rows, block) of each parity sector, rows being its slice of the basis."""
@@ -274,9 +324,7 @@ class HillOperators:
         if self.wave is not None:
             _check_sector_basis(self.wave, kind)
         block = self.blocks[0 if kind == COSINE else 1]
-        return HillOperators(
-            self.wave, sector, self.wave_id, block.basis, block.l1, block.l2, (block,)
-        )
+        return HillOperators(self.wave, sector, self.wave_id, block.basis, (block,))
 
 
 def hill_operators(
@@ -293,8 +341,13 @@ def hill_operators(
         return wave.restrict(resolve_sector(wave.wave, sector))
     sector = resolve_sector(wave, sector)
     basis = ParityBasis(_SECTOR_KINDS[sector], wave.phi.grid)
-    l1, l2 = (_assemble(wave, which, basis) for which in _LABELS)
-    return HillOperators._split(wave, sector, wave.wave_id, basis, l1, l2)
+    if basis.kind == FULL:
+        bases = _parity_bases(basis.grid)
+        pairs = zip(bases, *(_sector_pair(wave, which, bases) for which in _LABELS))
+    else:
+        pairs = [(basis, *(_assemble(wave, which, basis) for which in _LABELS))]
+    blocks = tuple(SectorBlock(*parts) for parts in pairs)
+    return HillOperators(wave, sector, wave.wave_id, basis, blocks)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -349,13 +402,19 @@ def _sector_blocks(entries: np.ndarray, basis: ParityBasis) -> tuple:
     coupling = max(
         float(np.max(np.abs(entries[nc:, :nc]))), float(np.max(np.abs(entries[:nc, nc:])))
     )
-    floor = _rounding_floor(entries.shape[0], float(np.max(np.abs(entries))))
+    _check_split(coupling, float(np.max(np.abs(entries))), entries.shape[0])
+    return entries[:nc, :nc], entries[nc:, nc:]
+
+
+def _check_split(coupling: float, scale: float, dimension: int) -> None:
+    """Raise NumericalConsistencyError for a cosine-sine ``coupling`` above
+    the rounding floor of a full-basis operator of entry scale ``scale``."""
+    floor = _rounding_floor(dimension, scale)
     if coupling > floor:
         raise NumericalConsistencyError(
             f"cosine-sine coupling {coupling:.3e} exceeds the rounding floor {floor:.3e}: "
             "the operator does not split into parity sectors"
         )
-    return entries[:nc, :nc], entries[nc:, nc:]
 
 
 def block_eigenvalues(*blocks: np.ndarray) -> np.ndarray:

@@ -32,19 +32,21 @@ it.  The reductions (L2 = Q D Q^T per sector) are kept with the store, so a
 scan, its hypotheses and the time integrator's row at one kappa share one
 assembly and one diagonalization.
 
-:func:`scan_kappa` solves its whole grid as one batch per sector: the
-M(kappa) of every row where L2 + kappa^2 is semidefinite are built in place
-in one (rows, d, d) stack and go through one ``eigvalsh``; every check below
-runs as array operations over the rows.  The scan checks each sector's count
-of mu < 0 against its L1 spectrum and reads band edges off the lowest L1
-eigenvalue.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor
-of its diagonalization (an odd wave in the full space at small kappa), or
-where a computed mu lies within the rounding floor of M of zero (next to
-kappa = 0 and at band edges), in any sector, go through :func:`_dense_row`,
-one dense ``eig`` per sector, which :func:`instability_eigs` also runs for
-single-kappa calls; only an edge above an indefinite row is bisected.  Every
-stacked LAPACK and BLAS call solves each matrix as a call on it alone would,
-so a row's result does not depend on the batch it was solved in.
+:func:`scan_kappa` solves its grid in batches of rows, one stack per sector
+and batch: the M(kappa) of every row of a batch where L2 + kappa^2 is
+semidefinite are built in place in one (rows, d, d) stack of at most
+BATCH_BYTES and go through one ``eigvalsh``, so the scan's memory does not
+grow with its grid; every check below runs as array operations over the
+rows.  The scan checks each sector's count of mu < 0 against its L1
+spectrum and reads band edges off the lowest L1 eigenvalue.  Rows where
+L2 + kappa^2 is indefinite beyond the rounding floor of its diagonalization
+(an odd wave in the full space at small kappa), or where a computed mu lies
+within the rounding floor of M of zero (next to kappa = 0 and at band
+edges), in any sector, go through :func:`_dense_row`, one dense ``eig`` per
+sector, which :func:`instability_eigs` also runs for single-kappa calls;
+only an edge above an indefinite row is bisected.  Every stacked LAPACK and
+BLAS call solves each matrix as a call on it alone would, so a row's result
+does not depend on the batch it was solved in.
 
 The reduced rows compute eigenvectors y only for their growth pairs, the
 mu < 0 they report, by inverse iteration on M(kappa) - mu from the computed
@@ -53,11 +55,13 @@ over a row's pairs where a sector has more than one).  Each pair is
 certified by the residual of its lift v1 = Q (s * y) on the unreduced
 product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), to CROSSCHECK_RTOL relative
 to |mu| or four rounding floors, and each written growth mode on its
-sector's block.  The rest of the spectrum is checked without vectors against P: sum
-mu = tr P and sum mu^2 = tr P^2, from five traces of L1 and L2 taken once per
-sector, each to 4 d eps times its own scale, so an error in one unreported mu
-shows only above about 4 d eps sum |mu|; and P Q (s * z) = Q (s * (M z)) on
-one fixed unit vector z, which sees a wrong Q, scaling or shift of M.  A
+sector's block.  The rest of the spectrum is checked without vectors against
+P: sum mu = tr P and sum mu^2 = tr P^2, from five traces of L1 and L2 taken
+once per sector, each to 4 d eps times its own scale, so an error in one
+unreported mu shows only above about 4 d eps sum |mu|; and
+P Q (s * z) = Q (s * (M z)) on one fixed unit vector z with no zero
+component, which sees a wrong Q, scaling or shift of M.  The same z starts
+inverse iteration, so the certified path draws no random numbers.  A
 reduced row's set is closed under negation and conjugation by construction.
 Every dense solve, a bisection step included, checks lambda^2 on each
 sector's ten largest |lambda| against that sector's unsymmetric product; a
@@ -112,6 +116,22 @@ VECTOR_LEVEL = 1e-8
 SYMMETRY_TOL = 1e-8
 
 CROSSCHECK_RTOL = 1e-7
+
+#: bytes of one stacked batch of M(kappa): :func:`scan_kappa` solves its grid
+#: in batches of at most this many bytes of (rows, d, d) stack per sector (at
+#: least one row), so its memory does not grow with the grid
+BATCH_BYTES = 4 * 2**20
+
+#: (sqrt(5) - 1) / 2: frac(k g), k = 1, 2, ..., is equidistributed in [0, 1)
+#: and never repeats
+_GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
+
+
+def _fixed_vector(d: int) -> np.ndarray:
+    """A unit vector that depends on d alone and has no zero component:
+    1 + frac(k g), k = 1..d, normalized."""
+    z = 1.0 + (np.arange(1, d + 1) * _GOLDEN) % 1.0
+    return z / np.linalg.norm(z)
 
 
 def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
@@ -409,8 +429,8 @@ class _Reduction:
     #: tr((L1 + L2)^2): tr P(kappa) and tr P(kappa)^2 are polynomials in kappa^2
     #: with these coefficients
     traces: tuple
-    #: a fixed unit vector: the probe of :meth:`certify` and the start of
-    #: inverse iteration
+    #: a fixed unit vector with no zero component (:func:`_fixed_vector`): the
+    #: probe of :meth:`certify` and the start of inverse iteration
     probe: np.ndarray
 
     @classmethod
@@ -436,7 +456,6 @@ class _Reduction:
             )
         )
         l1_norm = float(np.max(np.abs(block.l1_eigs)))
-        z = np.random.default_rng(0).standard_normal(d.size)
         return cls(
             rows,
             l2,
@@ -449,7 +468,7 @@ class _Reduction:
             l1_floor=_rounding_floor(d.size, l1_norm),
             l1_norm=l1_norm,
             traces=traces,
-            probe=z / np.linalg.norm(z),
+            probe=_fixed_vector(d.size),
         )
 
     def semidefinite(self, kappa) -> np.ndarray:
@@ -737,9 +756,15 @@ def _reduced_rows(basis: ParityBasis, reductions: tuple, kappa) -> list:
 
 
 def _solve_rows(ops: HillOperators, kappa) -> list:
-    """The scan's rule at each kappa: the rows of one batched reduced solve
-    where it applies, else each sector's dense ``eig``."""
-    rows = _reduced_rows(ops.basis, _Reduction.sectors(ops), kappa)
+    """The scan's rule at each kappa: the rows of batched reduced solves
+    where it applies, else each sector's dense ``eig``.  The rows go in
+    batches of BATCH_BYTES per stack; a row's result does not depend on its
+    batch."""
+    reductions = _Reduction.sectors(ops)
+    size = max(1, BATCH_BYTES // max(r.a.nbytes for r in reductions))
+    rows = []
+    for start in range(0, len(kappa), size):
+        rows += _reduced_rows(ops.basis, reductions, kappa[start : start + size])
     return [row if row is not None else _dense_row(ops, k) for row, k in zip(rows, kappa)]
 
 
@@ -871,8 +896,8 @@ def verify_hypotheses(
     the lowest eigenvalue of S(0);
     H2 records that a periodic cell has no essential spectrum; H3
     monotonicity of the lowest eigenvalue of S(kappa) in kappa plus
-    positivity of (S'(kappa)w, w) = 2*kappa*||w||^2 on vectors sampled
-    with seed 0;
+    positivity of (S'(kappa)w, w) = 2*kappa*||w||^2 on a fixed vector w
+    with no zero component;
     H4 exactly one simple negative eigenvalue of S(0) with the rest of the
     spectrum nonnegative.
 
@@ -882,9 +907,12 @@ def verify_hypotheses(
     """
     ops = hill_operators(wave, sector)
     # S(0) = diag(L2, L1): its off-diagonal blocks are exact zeros, so the
-    # entry scale, the asymmetry and the spectrum all come from L1 and L2
-    scale = max(float(np.max(np.abs(m))) for m in (ops.l2, ops.l1))
-    asym = max(float(np.max(np.abs(m - m.T))) for m in (ops.l2, ops.l1))
+    # entry scale, the asymmetry and the spectrum all come from L1 and L2,
+    # and from their sector blocks: the coupling left out is rounding, and its
+    # two halves are exact transposes of each other
+    blocks = [m for b in ops.blocks for m in (b.l2, b.l1)]
+    scale = max(float(np.max(np.abs(m))) for m in blocks)
+    asym = max(float(np.max(np.abs(m - m.T))) for m in blocks)
     h0 = {"passed": asym <= SYMMETRY_RTOL * max(scale, 1e-300), "max_asymmetry": asym}
 
     eigs0 = ops.lcal_eigenvalues()
@@ -917,12 +945,8 @@ def verify_hypotheses(
     mono_grid = np.linspace(0.0, max(2.0 * k_thresh, 1.0), 9)
     mono_eigs = [float(eigs0[0] + kappa**2) for kappa in mono_grid]
     diffs = np.diff(mono_eigs)
-    rng = np.random.default_rng(0)
-    sprime_values = []
-    for kappa in mono_grid[1:]:
-        for _ in range(3):
-            w = rng.standard_normal(eigs0.size)
-            sprime_values.append(2.0 * kappa * float(np.dot(w, w)))
+    w = _fixed_vector(eigs0.size)
+    sprime_values = [2.0 * kappa * float(np.dot(w, w)) for kappa in mono_grid[1:]]
     h3 = {
         "passed": bool(np.all(diffs >= -1e-12 * max(scale, 1.0)))
         and bool(all(v > 0.0 for v in sprime_values)),

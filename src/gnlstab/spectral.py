@@ -306,6 +306,35 @@ class ParityBasis:
         return RealField(self.grid, self.synthesize(coefficients), self.parity)
 
 
+def _potential_tables(grid: PeriodicGrid, potential: np.ndarray) -> tuple:
+    """C_k and S_k of ``potential`` for k = 0..2N-1, with C_k - i S_k = sum_j
+    q_j exp(-2 pi i j k / N), from one rfft: C_{N-k} = C_k and S_{N-k} = -S_k
+    hold exactly, so the blocks built from them are exactly symmetric."""
+    potential = np.asarray(potential, dtype=float)
+    if potential.shape != (grid.size,):
+        raise ParameterError(
+            f"potential has {potential.shape} values for a grid of size {grid.size}"
+        )
+    n = grid.size
+    half = np.fft.rfft(potential)
+    k = np.arange(n)
+    folded = np.minimum(k, n - k)
+    c = np.tile(half.real[folded], 2)
+    s = np.tile(np.where(k <= n // 2, -1.0, 1.0) * half.imag[folded], 2)
+    return c, s
+
+
+def _potential_block(rows, cols, table, sign, n: int) -> np.ndarray:
+    """sqrt(w_m w_n) * (table_{m+n} + sign * table_{m-n}) for row m, column n.
+
+    The weight is not sqrt(w_m) * sqrt(w_n): sqrt(2)**2 rounds to 2(1 + eps),
+    a bias that moves eigenvalues near zero by ~eps * ||q||."""
+    weight = np.sqrt(np.outer(_mode_weights(rows, n), _mode_weights(cols, n)))
+    hankel = table[np.add.outer(rows, cols)]
+    toeplitz = table[np.subtract.outer(rows, cols) + n]
+    return weight * (hankel + sign * toeplitz)
+
+
 def hill_matrix(basis: ParityBasis, omega: float, potential: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix of -d_xx + omega - potential on ``basis``.
 
@@ -322,39 +351,32 @@ def hill_matrix(basis: ParityBasis, omega: float, potential: np.ndarray) -> np.n
         cos m . sin n  ->  (S_{n+m} + S_{n-m}) / 2
 
     so one rfft and O(N^2) gathers build it; the result is exactly symmetric.
+    The cosine and sine blocks of the full basis are, bit for bit, the
+    matrices on the cosine and on the sine basis.
     """
-    grid = basis.grid
-    potential = np.asarray(potential, dtype=float)
-    if potential.shape != (grid.size,):
-        raise ParameterError(
-            f"potential has {potential.shape} values for a grid of size {grid.size}"
-        )
-    n = grid.size
-    half = np.fft.rfft(potential)
-    # C_k and S_k for k = 0..2N-1 from the half spectrum: C_{N-k} = C_k and
-    # S_{N-k} = -S_k hold exactly, so the assembled blocks are exactly symmetric
-    k = np.arange(n)
-    folded = np.minimum(k, n - k)
-    c = np.tile(half.real[folded], 2)
-    s = np.tile(np.where(k <= n // 2, -1.0, 1.0) * half.imag[folded], 2)
-
-    def block(rows, cols, table, sign):
-        # sqrt(w_m w_n) * (table_{m+n} + sign * table_{m-n}) for row m, column n.
-        # The weight is not sqrt(w_m) * sqrt(w_n): sqrt(2)**2 rounds to
-        # 2(1 + eps), a bias that moves eigenvalues near zero by ~eps * ||q||
-        weight = np.sqrt(np.outer(_mode_weights(rows, n), _mode_weights(cols, n)))
-        hankel = table[np.add.outer(rows, cols)]
-        toeplitz = table[np.subtract.outer(rows, cols) + n]
-        return weight * (hankel + sign * toeplitz)
-
+    n = basis.grid.size
+    c, s = _potential_tables(basis.grid, potential)
     cos_m = np.arange(n // 2 + 1) if basis.kind != SINE else np.arange(0)
     sin_m = np.arange(1, n // 2) if basis.kind != COSINE else np.arange(0)
     nc = cos_m.size
     pot = np.empty((basis.dimension, basis.dimension))
-    pot[:nc, :nc] = block(cos_m, cos_m, c, 1.0)
-    pot[nc:, nc:] = -block(sin_m, sin_m, c, -1.0)
-    pot[nc:, :nc] = block(sin_m, cos_m, s, 1.0)
+    pot[:nc, :nc] = _potential_block(cos_m, cos_m, c, 1.0, n)
+    pot[nc:, nc:] = -_potential_block(sin_m, sin_m, c, -1.0, n)
+    pot[nc:, :nc] = _potential_block(sin_m, cos_m, s, 1.0, n)
     pot[:nc, nc:] = pot[nc:, :nc].T
     pot *= -0.5 / n
     pot[np.diag_indices_from(pot)] += basis.frequencies() ** 2 + omega
     return pot
+
+
+def sector_coupling(grid: PeriodicGrid, potential: np.ndarray) -> float:
+    """max |entry| of the cosine-sine block of :func:`hill_matrix` on the full
+    basis, bit for bit, without assembling the full matrix: the block holds
+    only the odd part of the potential (the S_k), and it is built alone in a
+    temporary freed on return."""
+    n = grid.size
+    _, s = _potential_tables(grid, potential)
+    block = _potential_block(np.arange(1, n // 2), np.arange(n // 2 + 1), s, 1.0, n)
+    # |x * c| = |x| * |c| and rounding is monotone: the max of the scaled
+    # entries is the scaled max
+    return float(np.max(np.abs(block))) * (0.5 / n)

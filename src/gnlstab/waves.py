@@ -527,16 +527,27 @@ def _accept(wave: WaveProfile, tolerance: float) -> WaveProfile:
     return wave
 
 
-def solve_wave(params: ProblemParams, config: SolverConfig = None) -> WaveProfile:
+def solve_wave(
+    params: ProblemParams,
+    config: SolverConfig = None,
+    stationary: Optional[WaveProfile] = None,
+) -> WaveProfile:
     """Full pipeline: constrained minimization, unit rescaling, Newton polish.
 
     The returned profile solves -phi'' + w phi - |phi|^a phi = 0 with
     residual at most ``config.newton_tolerance``; parity-specific structure
     (positivity for even waves, sign change and a root at the origin for odd
-    waves) is asserted before the profile is released.
+    waves) is asserted before the profile is released.  ``stationary`` is
+    the constrained minimizer at ``params`` on the config's grid where the
+    caller already has it (:func:`tau_for_amplitude` returns one), and
+    replaces the minimization; the minimization is deterministic, so the
+    wave is the same either way.
     """
     config = config or SolverConfig()
-    stationary = minimize_constrained(params, config)
+    if stationary is None:
+        stationary = minimize_constrained(params, config)
+    elif stationary.params != params or stationary.phi.grid.size != config.mode_count:
+        raise ParameterError("the given minimizer solves another problem or grid")
     psi = rescale_unit_multiplier(stationary.phi, stationary.multiplier, params.alpha)
     unpolished = _profile(params, psi)
     try:
@@ -580,30 +591,33 @@ def tau_for_amplitude(
     parity: str,
     amplitude: float,
     config: SolverConfig = None,
-) -> float:
-    """The tau at which the constrained minimizer has max|u| = amplitude.
+) -> WaveProfile:
+    """The constrained minimizer with max|u| = amplitude; its ``params.tau``
+    is the tau at which it lies.
 
     B_w(t u) = t^2 B_w(u) and int |t u|^(a+2) = t^(a+2) int |u|^(a+2), so the
     minimizer at tau is (tau/tau0)^(1/(a+2)) times the minimizer at tau0.
     One minimization at tau0 = L * amplitude^(a+2) measures amp0 = max|u|,
     and tau = tau0 * (amplitude/amp0)^(a+2); a second one at that tau checks
-    the amplitude to AMPLITUDE_TOLERANCE.  tau sets only the amplitude
-    *before* the unit-multiplier rescaling: the accepted profile of
-    :func:`solve_wave` does not depend on it.
+    the amplitude to AMPLITUDE_TOLERANCE and is returned, so that
+    :func:`solve_wave` polishes it without minimizing again.  tau sets only
+    the amplitude *before* the unit-multiplier rescaling: the accepted
+    profile of :func:`solve_wave` does not depend on it.
     """
     if not (np.isfinite(amplitude) and amplitude > 0.0):
         raise ParameterError(f"target amplitude must be positive, got {amplitude}")
 
-    def measure(tau):
+    def minimize(tau):
         params = ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau, parity=parity)
-        return minimize_constrained(params, config).phi.max_abs
+        return minimize_constrained(params, config)
 
     tau0 = period * amplitude ** (alpha + 2.0)
-    tau = tau0 * (amplitude / measure(tau0)) ** (alpha + 2.0)
-    measured = measure(tau)
+    tau = tau0 * (amplitude / minimize(tau0).phi.max_abs) ** (alpha + 2.0)
+    stationary = minimize(tau)
+    measured = stationary.phi.max_abs
     if abs(measured - amplitude) > AMPLITUDE_TOLERANCE:
         raise ConvergenceError(
             f"amplitude {amplitude} not reached: the minimizer at tau={tau!r} has "
             f"max|u| = {measured!r}, off by more than {AMPLITUDE_TOLERANCE:g}"
         )
-    return tau
+    return stationary

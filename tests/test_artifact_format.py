@@ -261,6 +261,16 @@ def _assert_same_dns(v2: dict, v1: dict) -> None:
             assert np.all(np.abs(new - old) <= 1e-12 * np.maximum(np.abs(old), 1.0)), key
 
 
+def _assert_h3_sample(v2: dict, v1: dict) -> None:
+    """Remove (H3)'s min_sprime_sample from both: version 1 drew its vectors
+    from numpy's generator, version 2 takes one fixed unit vector w, so its
+    sample is 2 kappa ||w||^2 = 2 kappa at the first kappa > 0 of its grid."""
+    h3 = v2["hypotheses"]["h3"] if "hypotheses" in v2 else v2["h3"]
+    old = v1["hypotheses"]["h3"] if "hypotheses" in v1 else v1["h3"]
+    assert h3.pop("min_sprime_sample") == pytest.approx(2.0 * h3["kappa_grid"][1], rel=1e-14)
+    assert old.pop("min_sprime_sample") > 0.0
+
+
 @pytest.mark.parametrize("path", sorted(V1.glob("*.json")), ids=lambda p: p.name)
 def test_version_1_document_loads(path):
     assert json.loads(path.read_text(encoding="utf-8"))["schema_version"] == 1
@@ -286,6 +296,8 @@ def test_version_2_scan_rows_report_the_version_1_numbers(name):
 def test_version_2_differs_from_version_1_only_in_the_version(name):
     v2, v1 = _versions(name)
     assert (v2.pop("schema_version"), v1.pop("schema_version")) == (2, 1)
+    if name.startswith(("pipeline_report", "hypotheses")):
+        _assert_h3_sample(v2["payload"], v1["payload"])
     if name.startswith("pipeline_report"):
         _assert_same_scan(v2["payload"].pop("scan"), v1["payload"].pop("scan"))
         _assert_same_dns(v2["payload"]["dns"], v1["payload"]["dns"])

@@ -1,12 +1,14 @@
 """Hill operators, block compositions, and spectral-count assertions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
 from gnlstab import hill
-from gnlstab.errors import BasisError, ParameterError
+from gnlstab.errors import BasisError, NumericalConsistencyError, ParameterError
 from gnlstab.hill import (
     HillOperators,
     OperatorMatrix,
@@ -20,7 +22,16 @@ from gnlstab.hill import (
     spectrum,
 )
 from gnlstab.scan import verify_hypotheses
-from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis, build_grid
+from gnlstab.spectral import (
+    COSINE,
+    FULL,
+    SINE,
+    ParityBasis,
+    RealField,
+    build_grid,
+    hill_matrix,
+    sector_coupling,
+)
 from gnlstab.waves import ProblemParams, constant_wave, solve_wave, wave_at_resolution
 
 TWO_PI = 2.0 * np.pi
@@ -198,6 +209,51 @@ def test_cosine_sine_coupling_sits_far_below_the_floor(even_wave, odd_wave, cons
             entries = build_hill(wave, which, basis).entries
             floor = size * np.finfo(float).eps * np.max(np.abs(entries))
             assert np.max(np.abs(entries[nc:, :nc])) <= 1e-4 * floor
+
+
+@pytest.mark.parametrize("size", [16, 128, 1024])
+def test_the_store_assembles_the_full_matrix_blocks_bit_for_bit(even_wave, odd_wave, size):
+    # the full-space store assembles each sector block on its own basis: bit
+    # for bit the diagonal block of the full-basis matrix, whose coupling
+    # block sector_coupling measures exactly without building it
+    nc = size // 2 + 1
+    for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
+        ops = hill_operators(wave, "full")
+        full = ParityBasis(FULL, wave.phi.grid)
+        for which, (cosine, sine) in (("L1", (b.l1 for b in ops.blocks)),
+                                      ("L2", (b.l2 for b in ops.blocks))):
+            entries = build_hill(wave, which, full).entries
+            assert np.array_equal(cosine, entries[:nc, :nc])
+            assert np.array_equal(sine, entries[nc:, nc:])
+            coupling = sector_coupling(wave.phi.grid, hill._potential(wave, which))
+            assert coupling == np.max(np.abs(entries[nc:, :nc]))
+        # the full matrices, built on request, are the full-basis assembly
+        assert np.array_equal(ops.l2, build_hill(wave, "L2", full).entries)
+    # a potential without parity: the coupling is its odd part, exactly
+    grid = build_grid(TWO_PI, size)
+    x = grid.nodes
+    q = 1.0 + 0.3 * np.sin(x) + 0.2 * np.cos(2.0 * x) + 0.1 * np.sin(3.0 * x + 0.4)
+    entries = hill_matrix(ParityBasis(FULL, grid), 1.0, q)
+    assert sector_coupling(grid, q) == np.max(np.abs(entries[nc:, :nc])) > 0.01
+
+
+def test_a_parity_free_profile_is_split_by_its_potential(even_wave):
+    # the coupling gate decides for a profile of parity 'none', not its parity
+    grid = even_wave.phi.grid
+    free = dataclasses.replace(even_wave, phi=RealField(grid, even_wave.phi.values, "none"))
+    for a, b in zip(hill_operators(free, "full").blocks, hill_operators(even_wave).blocks):
+        assert np.array_equal(a.l1, b.l1) and np.array_equal(a.l2, b.l2)
+    # a shifted profile's potential is not even: the store raises what the
+    # split of the full-basis L1 raises, the same coupling and floor
+    shifted = dataclasses.replace(free, phi=RealField(grid, np.roll(free.phi.values, 3), "none"))
+    with pytest.raises(NumericalConsistencyError, match="coupling .* rounding floor") as store:
+        hill_operators(shifted, "full")
+    with pytest.raises(NumericalConsistencyError) as matrix:
+        spectrum(build_hill(shifted, "L1", ParityBasis(FULL, grid)))
+    assert str(store.value) == str(matrix.value)
+    # a sector basis still needs a parity
+    with pytest.raises(BasisError):
+        hill_operators(free, "even")
 
 
 def test_eigenfunction_export_rejects_out_of_range_counts():

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from gnlstab import hill
+from gnlstab import hill, serialize
 from gnlstab.errors import NumericalConsistencyError, ParameterError
 from gnlstab.evolve import evolve_and_fit
 from gnlstab.hill import (
@@ -21,6 +21,7 @@ from gnlstab.hill import (
     spectrum,
 )
 from gnlstab.scan import (
+    BATCH_BYTES,
     CROSSCHECK_RTOL,
     EDGE_LEVEL,
     EDGE_RESOLUTION,
@@ -32,6 +33,7 @@ from gnlstab.scan import (
     _band_end,
     _crosscheck,
     _dense_row,
+    _fixed_vector,
     _growth_block,
     _inverse_iteration,
     _lift,
@@ -580,6 +582,48 @@ def test_scan_builds_one_stack_at_a_time(even_wave):
     assert peak < 2 * 40 * d * d * np.dtype(float).itemsize
 
 
+def test_scan_memory_is_bounded_by_the_batch_budget(even_wave):
+    # 400 rows in one batch would hold 400 d^2 doubles per stack, 13.5 MB at
+    # d = 65; in batches of BATCH_BYTES the scan's peak stays under two budgets
+    ops = hill_operators(even_wave, "full")
+    d = max(r.d.size for r in _Reduction.sectors(ops))
+    rows = 400
+    assert rows * d * d * np.dtype(float).itemsize > 3 * BATCH_BYTES
+    tracemalloc.start()
+    try:
+        scan = scan_kappa(ops, 0.05, 1.8, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.reduced_rows == rows
+    assert peak < 2 * BATCH_BYTES
+
+
+@pytest.mark.parametrize(
+    "name, sector", [("even", "full"), ("odd", "full"), ("const", "auto")]
+)
+def test_a_row_does_not_depend_on_its_batch(name, sector, request, monkeypatch):
+    # one row per batch writes the scan of one batch byte for byte: reduced
+    # and dense rows, one and two growth pairs per sector
+    wave = request.getfixturevalue(f"{name}_wave")
+    whole = serialize.dumps(scan_kappa(wave, 0.0, 4.0, 30, sector))
+    monkeypatch.setattr("gnlstab.scan.BATCH_BYTES", 1)
+    assert serialize.dumps(scan_kappa(wave, 0.0, 4.0, 30, sector)) == whole
+
+
+def test_the_probe_is_fixed_and_has_no_zero_component(even_wave):
+    # inverse iteration from a zero component never reaches an eigenvector
+    # along it (on the constant state M is diagonal), and the probe check
+    # would not see that column of Q; the vector depends on d alone
+    for d in (1, 2, 63, 65, 513):
+        z = _fixed_vector(d)
+        assert z.shape == (d,) and np.all(z > 0.0)
+        assert abs(np.linalg.norm(z) - 1.0) <= 4 * np.finfo(float).eps
+        assert np.array_equal(z, _fixed_vector(d))
+    for reduction in _Reduction.sectors(hill_operators(even_wave, "full")):
+        assert np.array_equal(reduction.probe, _fixed_vector(reduction.d.size))
+
+
 def test_inverse_iteration_separates_close_eigenvalues():
     # three negative eigenvalues, two of them 1e-10 apart, under a spread of
     # positive ones as wide as M(kappa)'s
@@ -669,21 +713,17 @@ def test_full_scan_merges_the_sector_scans(even_wave, even_scan, scan_rows, solv
 
 
 def test_coupling_above_the_floor_is_rejected(even_wave, monkeypatch):
-    # a cosine-sine coupling 1e3 times the rounding floor d * eps * max|entries|
-    # is not an even potential: every full-space solve must refuse to split it
-    assemble = hill.hill_matrix
-
-    def coupled(basis, omega, potential):
-        entries = assemble(basis, omega, potential)
-        if basis.kind == FULL:
-            nc = ParityBasis(COSINE, basis.grid).dimension
-            delta = 1e3 * basis.dimension * np.finfo(float).eps * np.max(np.abs(entries))
-            entries[nc, 0] += delta
-            entries[0, nc] += delta
-        return entries
-
-    monkeypatch.setattr(hill, "hill_matrix", coupled)
-    full = ParityBasis(FULL, even_wave.phi.grid)
+    # an odd part delta * sin(2 pi x / L) in the potential couples cos 0 and
+    # sin 1 by delta / sqrt(2); at delta 1e3 times the rounding floor
+    # d * eps * max|entries| the potential is not even, and every full-space
+    # solve must refuse to split the operators
+    grid = even_wave.phi.grid
+    full = ParityBasis(FULL, grid)
+    entries = build_hill(even_wave, "L1", full).entries
+    floor = full.dimension * np.finfo(float).eps * np.max(np.abs(entries))
+    odd = 1e3 * floor * np.sin(2.0 * np.pi * grid.nodes / grid.length)
+    potential = hill._potential
+    monkeypatch.setattr(hill, "_potential", lambda wave, which: potential(wave, which) + odd)
     solves = [
         lambda: scan_kappa(even_wave, 0.05, 1.8, 4),
         lambda: instability_eigs(even_wave, 1.0),

@@ -752,6 +752,32 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_pipeline_and_verify_leave_numpy_random_unimported(tmp_path):
+    # the certified path draws no random numbers: the scan's probe and
+    # inverse-iteration start and the vector of (H3) are fixed, so
+    # numpy.random is never loaded.  numpy loads it lazily, on first use
+    package_root = str(Path(gnlstab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = """if True:
+        import contextlib, io, sys
+        from gnlstab.cli import main
+        out, problem = sys.argv[1], ["--alpha", "2", "--tau", "auto:amplitude=1.5", "--modes", "32"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                main(["solve", *problem, "--out", out]),
+                main(["verify", "--wave", out + "/wave.json", "--out", out]),
+                main(["pipeline", *problem, "--kappa-steps", "4", "--out", out]),
+            ]
+        print(codes, "numpy.random" in sys.modules)
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0] False"
+
+
 def test_module_entry_point(tmp_path):
     # the child imports gnlstab from where this process found it: pytest's
     # pythonpath setting does not reach a subprocess

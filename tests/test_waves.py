@@ -28,7 +28,7 @@ from gnlstab.spectral import (
     l2_norm,
     sample_function,
 )
-from gnlstab import waves
+from gnlstab import cli, serialize, waves
 from gnlstab.waves import (
     ProblemParams,
     SolverConfig,
@@ -463,7 +463,7 @@ def test_constant_wave_record():
 
 
 def test_tau_for_amplitude_hits_target():
-    tau = tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5)
+    tau = tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5).params.tau
     pre = minimize_constrained(
         ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=tau, parity="even")
     )
@@ -490,12 +490,46 @@ def test_tau_for_amplitude_is_two_minimizations(monkeypatch, alpha, omega, parit
 
     monkeypatch.setattr(waves, "minimize_constrained", counted)
     config = SolverConfig(mode_count=64)
-    tau = tau_for_amplitude(alpha, omega, TWO_PI, parity, amplitude, config)
+    stationary = tau_for_amplitude(alpha, omega, TWO_PI, parity, amplitude, config)
+    tau = stationary.params.tau
     assert len(taus) == 2 and taus[1] == tau
     pre = original(
         ProblemParams(alpha=alpha, omega=omega, period=TWO_PI, tau=tau, parity=parity), config
     )
     assert abs(pre.phi.max_abs - amplitude) <= 1e-12 * amplitude
+    # the check minimization is returned: it is the minimizer at tau
+    assert np.array_equal(stationary.phi.values, pre.phi.values)
+
+
+def test_solve_wave_polishes_the_amplitude_minimizer(monkeypatch, tmp_path):
+    # solve_wave takes tau_for_amplitude's minimizer instead of minimizing
+    # again at the same tau, and the wave does not change by a bit
+    calls = []
+    original = waves.minimize_constrained
+
+    def counted(params, config=None):
+        calls.append(params.tau)
+        return original(params, config)
+
+    monkeypatch.setattr(waves, "minimize_constrained", counted)
+    config = SolverConfig(mode_count=64)
+    stationary = tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5, config)
+    passed = solve_wave(stationary.params, config, stationary)
+    assert len(calls) == 2
+    own = solve_wave(stationary.params, config)
+    assert len(calls) == 3
+    assert serialize.dumps(passed) == serialize.dumps(own)
+    for params, size in ((dataclasses.replace(stationary.params, tau=1.0), 64),
+                         (stationary.params, 128)):
+        with pytest.raises(ParameterError, match="another problem"):
+            solve_wave(params, SolverConfig(mode_count=size), stationary)
+
+    # gnlstab solve --tau auto:amplitude=A minimizes twice in all
+    calls.clear()
+    argv = ["solve", "--alpha", "2", "--tau", "auto:amplitude=1.5", "--modes", "64"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    assert (tmp_path / "wave.json").read_text(encoding="utf-8") == serialize.dumps(own)
 
 
 def test_tau_for_amplitude_reports_a_missed_target(monkeypatch):

@@ -7,8 +7,9 @@ O(sqrt(n)) matrix products.  The first test counts both on one ``gnlstab
 pipeline --modes 128`` run, and the size of the report it writes, so per-row
 output or a per-sample product cannot come back unnoticed.
 
-L1 and L2 are assembled and diagonalized once per wave: one operator store
-serves the spectra, propositions, hypotheses, scan, certificate and DNS.
+L1 and L2 are assembled and diagonalized once per wave, block by parity
+sector, and never on the full basis: one operator store serves the spectra,
+propositions, hypotheses, scan, certificate and DNS.
 The other tests count the assemblies and the eigensolves of L1 and L2
 blocks of a pipeline and of ``gnlstab verify``, so a consumer that
 re-assembles or re-solves them cannot come back unnoticed.
@@ -141,10 +142,11 @@ def test_pipeline_assembles_and_solves_each_operator_once(tmp_path, monkeypatch,
     assert "pipeline passed" in capsys.readouterr().out
 
     # L1 and L2 of the wave, and of its refinement on the doubled grid for the
-    # certificate, each assembled once on the full basis
-    assert sorted(census.assemblies) == [("full_fourier", N, False)] * 2 + [
-        ("full_fourier", 2 * N, False)
-    ] * 2
+    # certificate, each assembled once per sector block, on the cosine and on
+    # the sine basis: the full-basis matrices are never built
+    assert sorted(census.assemblies) == [
+        (kind, size, False) for kind in ("cosine", "sine") for size in (N, 2 * N) for _ in "12"
+    ]
     # the store holds L1 and L2 as assembled: no OperatorMatrix copy of them,
     # and no composed diag(L1, L2) or S(kappa), is built
     assert census.matrices == []
@@ -168,8 +170,8 @@ def test_verify_assembles_and_solves_each_operator_once(wave_file, tmp_path, mon
     assert cli.main(["verify", "--wave", str(wave_file), "--out", str(tmp_path)]) == 0
     assert "verification passed" in capsys.readouterr().out
     # the propositions and the hypotheses share one full-space L1 and L2,
-    # held as assembled, ...
-    assert census.assemblies == [("full_fourier", N, False)] * 2
+    # held as assembled per sector block, with no full-basis matrix, ...
+    assert sorted(census.assemblies) == [("cosine", N, False)] * 2 + [("sine", N, False)] * 2
     assert census.matrices == []
     # ... and one eigvalsh of each of their cosine and sine blocks
     assert sorted(census.solves) == sorted(
