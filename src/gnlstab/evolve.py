@@ -66,6 +66,12 @@ class EvolutionConfig:
             np.isfinite(self.final_time) and self.final_time > 0.0
         ):
             raise ParameterError(f"final_time must be positive, got {self.final_time}")
+        if isinstance(self.rng_seed, bool) or not (
+            isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0
+        ):
+            raise ParameterError(
+                f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -254,15 +260,12 @@ def evolve_and_fit(
     Automatic choices: dt from the RK4 stability bound for the stiffest
     Fourier mode, final time about eight e-foldings of the predicted rate
     (ten time units when no growth is predicted).  Raises ParameterError
-    for a store without its wave, whose omega and phi the integrator needs,
     for a leading_eigenvector seed at a spectrally stable kappa, and
     IntegratorError if the state stops being finite.
     """
     config = config if config is not None else EvolutionConfig()
     ops = hill_operators(wave, sector)
     wave, sector = ops.wave, ops.sector
-    if wave is None:
-        raise ParameterError("the integrator needs the wave's omega and phi; this store has none")
     row = growth_row(ops, kappa, sector)
     predicted = row.max_real_part
     basis = row.basis

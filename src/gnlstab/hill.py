@@ -20,23 +20,24 @@ parity sector and component (:func:`block_eigenvalues`).  Counting
 negative/zero eigenvalues of these matrices is what the spectral assertions
 in :func:`check_propositions` are made of.
 
-:class:`HillOperators` is the one store of L1 and L2 per wave.  It assembles
-them once, straight on each parity sector's basis, as read-only blocks, and
-diagonalizes each block on first use.  A full-space store never builds the
-N x N matrices unless :func:`build_block` or ``scan.evolution_block`` asks
-for them: it gates the split by the coupling that the full matrix would
+:class:`HillOperators` is the one store of L1 and L2 per wave: the wave,
+its sector and the sector blocks, assembled once, straight on each parity
+sector's basis, as read-only blocks, and diagonalized on first use.  A
+full-space store gates the split by the coupling that the full matrix would
 hold, computed from the potential's sine coefficients alone
 (:func:`spectral.sector_coupling`), and each block is bit for bit that
-matrix's diagonal block.  A full matrix given from outside is split by
-:func:`_sector_blocks`, under the same gate.  The store neither copies its
-blocks nor measures their symmetry; (H0) is measured on them where the
-hypotheses report it.  :class:`OperatorMatrix` checks operators given from
-outside, and the composites of :func:`build_block`.  The spectra,
-propositions, hypotheses, the kappa-scan, the grid-doubling certificate and
-the time integrator all read it; a full-space store also serves the odd and
-even sectors, whose operators are its sine and cosine blocks bit for bit.
-Every consumer accepts a store in place of a wave (:func:`hill_operators`),
-and a store lives as long as the call that made it.
+matrix's diagonal block.  The matrices on the whole basis are assembled only
+for :func:`build_block` and ``scan.evolution_block``, and not kept.  A full
+matrix given from outside is split by :func:`_sector_blocks`, under the same
+gate.  The store neither copies its blocks nor measures their symmetry; (H0)
+is measured on them where the hypotheses report it.  :class:`OperatorMatrix`
+checks operators given from outside, and the composites of
+:func:`build_block`.  The spectra, propositions, hypotheses, the kappa-scan,
+the grid-doubling certificate and the time integrator all read it; a
+full-space store also serves the odd and even sectors, whose operators are
+its sine and cosine blocks bit for bit.  Every consumer accepts a store in
+place of a wave (:func:`hill_operators`), and a store lives as long as the
+call that made it.
 """
 from __future__ import annotations
 
@@ -117,6 +118,15 @@ class SpectrumSummary:
 def default_zero_tolerance(eigenvalues: np.ndarray) -> float:
     """1e-6 * (1 + |largest eigenvalue|): scales with the discretization."""
     return 1e-6 * (1.0 + float(np.max(np.abs(eigenvalues))))
+
+
+def _zero_tolerance(eigenvalues: np.ndarray, zero_tolerance: Optional[float]) -> float:
+    """``zero_tolerance``, or the default for ``eigenvalues`` when None;
+    ParameterError unless it is positive and finite."""
+    tol = zero_tolerance if zero_tolerance is not None else default_zero_tolerance(eigenvalues)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"zero tolerance must be positive, got {tol}")
+    return tol
 
 
 def _counts(eigenvalues: np.ndarray, tol: float) -> tuple[int, int]:
@@ -220,65 +230,33 @@ class SectorBlock:
 class HillOperators:
     """L1 and L2 of one wave on one sector's basis, assembled once.
 
-    ``blocks`` holds each parity sector of the basis once, cosine first (a
-    sector basis is one block): L1 and L2 on that sector's basis, read-only,
-    with their spectra on first use.  A sector view of a full-space store
-    holds its block.  Everything derives from the blocks: the spectrum of L1
-    or L2 is the union of its blocks' spectra, and so is that of Lcal =
-    diag(L1, L2), which S(0) = diag(L2, L1) shares.  ``l1`` and ``l2``, the
-    matrices on the whole basis, are a sector's one block; in the full space
-    they are assembled only on first request (:func:`build_block` and
-    ``scan.evolution_block``).  Consumers keep what they build on top of the
-    blocks with :meth:`memo` (the scan keeps its reductions there).
+    A store is its wave, its sector and ``blocks``: each parity sector of
+    the sector's basis once, cosine first (a sector basis is one block), L1
+    and L2 on that sector's basis, read-only, with their spectra on first
+    use.  A sector view of a full-space store holds its block.  Everything
+    derives from the blocks: the spectrum of L1 or L2 is the union of its
+    blocks' spectra, and so is that of Lcal = diag(L1, L2), which S(0) =
+    diag(L2, L1) shares.  The matrices on the whole basis are not kept:
+    :func:`build_block` and ``scan.evolution_block`` assemble them
+    (:func:`_whole_basis_pair`).  Consumers keep what they build on top of
+    the blocks with :meth:`memo` (the scan keeps its reductions there).
     """
 
-    #: the wave linearized around; None for a pair given directly
-    wave: Optional[WaveProfile]
+    #: the wave linearized around
+    wave: WaveProfile
     #: "full", "odd" or "even"
     sector: str
-    wave_id: str
-    basis: ParityBasis
     blocks: tuple[SectorBlock, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    @classmethod
-    def of_pair(
-        cls,
-        l1: OperatorMatrix,
-        l2: OperatorMatrix,
-        sector: str = "full",
-        wave: Optional[WaveProfile] = None,
-    ) -> "HillOperators":
-        """The store of an assembled pair (see :meth:`_split`)."""
-        return cls._split(wave, sector, l1.wave_id, l1.basis, l1.entries, l2.entries)
-
-    @classmethod
-    def _split(cls, wave, sector, wave_id, basis, l1, l2) -> "HillOperators":
-        """The store of read-only ``l1`` and ``l2`` on ``basis``; a full-basis
-        pair is split into its cosine and sine blocks once (:func:`_sector_blocks`)
-        and kept whole as the store's ``l1`` and ``l2``."""
-        bases = _parity_bases(basis.grid) if basis.kind == FULL else (basis,)
-        split = zip(bases, _sector_blocks(l1, basis), _sector_blocks(l2, basis))
-        store = cls(wave, sector, wave_id, basis, tuple(SectorBlock(*parts) for parts in split))
-        store._memo["matrices"] = (l1, l2)
-        return store
-
     @property
-    def l1(self) -> np.ndarray:
-        """L1 on the store's basis, read-only."""
-        return self._matrices()[0]
+    def wave_id(self) -> str:
+        return self.wave.wave_id
 
-    @property
-    def l2(self) -> np.ndarray:
-        """L2 on the store's basis, read-only."""
-        return self._matrices()[1]
-
-    def _matrices(self) -> tuple:
-        if len(self.blocks) == 1:
-            return self.blocks[0].l1, self.blocks[0].l2
-        return self.memo(
-            "matrices", lambda: tuple(_assemble(self.wave, w, self.basis) for w in _LABELS)
-        )
+    @cached_property
+    def basis(self) -> ParityBasis:
+        """The sector's basis on the wave's grid."""
+        return ParityBasis(_SECTOR_KINDS[self.sector], self.wave.phi.grid)
 
     def sectors(self) -> list[tuple[slice, SectorBlock]]:
         """(rows, block) of each parity sector, rows being its slice of the basis."""
@@ -321,10 +299,8 @@ class HillOperators:
 
     def _view(self, sector: str) -> "HillOperators":
         kind = _SECTOR_KINDS[sector]
-        if self.wave is not None:
-            _check_sector_basis(self.wave, kind)
-        block = self.blocks[0 if kind == COSINE else 1]
-        return HillOperators(self.wave, sector, self.wave_id, block.basis, (block,))
+        _check_sector_basis(self.wave, kind)
+        return HillOperators(self.wave, sector, (self.blocks[0 if kind == COSINE else 1],))
 
 
 def hill_operators(
@@ -333,11 +309,8 @@ def hill_operators(
     """The operator store of ``sector``: a wave is assembled on the sector's
     basis, a store is restricted to it.  "auto" is resolved by the wave's
     parity either way (:func:`resolve_sector`), so a store on another sector
-    is passed with its own ``sector``; a store without a wave has no parity,
-    and "auto" is its own sector."""
+    is passed with its own ``sector``."""
     if isinstance(wave, HillOperators):
-        if wave.wave is None and sector == "auto":
-            return wave
         return wave.restrict(resolve_sector(wave.wave, sector))
     sector = resolve_sector(wave, sector)
     basis = ParityBasis(_SECTOR_KINDS[sector], wave.phi.grid)
@@ -346,8 +319,14 @@ def hill_operators(
         pairs = zip(bases, *(_sector_pair(wave, which, bases) for which in _LABELS))
     else:
         pairs = [(basis, *(_assemble(wave, which, basis) for which in _LABELS))]
-    blocks = tuple(SectorBlock(*parts) for parts in pairs)
-    return HillOperators(wave, sector, wave.wave_id, basis, blocks)
+    return HillOperators(wave, sector, tuple(SectorBlock(*parts) for parts in pairs))
+
+
+def _whole_basis_pair(ops: HillOperators) -> tuple:
+    """L1 and L2 of the store's wave on the store's whole basis, assembled
+    on each call and not kept: a sector store's block, or the full-basis
+    matrices whose diagonal blocks are a full store's blocks, bit for bit."""
+    return tuple(_assemble(ops.wave, which, ops.basis) for which in _LABELS)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -365,15 +344,16 @@ def build_block(
         raise ParameterError("Lcal takes no transverse wavenumber")
     _check_kappa(kappa)
     ops = hill_operators(wave, sector)
+    l1, l2 = _whole_basis_pair(ops)
     d = ops.basis.dimension
     entries = np.zeros((2 * d, 2 * d))
     if kind == "Lcal":
-        entries[:d, :d] = ops.l1
-        entries[d:, d:] = ops.l2
+        entries[:d, :d] = l1
+        entries[d:, d:] = l2
     else:
         shift = kappa**2 * np.eye(d)
-        entries[:d, :d] = ops.l2 + shift
-        entries[d:, d:] = ops.l1 + shift
+        entries[:d, :d] = l2 + shift
+        entries[d:, d:] = l1 + shift
     return OperatorMatrix(ops.basis, entries, label=kind, wave_id=ops.wave_id)
 
 
@@ -439,9 +419,7 @@ def _summarize(
     Counts are recomputed at half and twice the tolerance; disagreement sets
     the ``ambiguous`` flag instead of failing.
     """
-    tol = zero_tolerance if zero_tolerance is not None else default_zero_tolerance(eigenvalues)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"zero tolerance must be positive, got {tol}")
+    tol = _zero_tolerance(eigenvalues, zero_tolerance)
     negative, kernel = _counts(eigenvalues, tol)
     ambiguous = any(
         _counts(eigenvalues, t) != (negative, kernel) for t in (0.5 * tol, 2.0 * tol)
@@ -574,15 +552,10 @@ def check_propositions(
     A failing report flags the wave as outside the regime of these counts
     (for instance a constant state) rather than raising.  Every check reads
     the full-space operator store, whose cosine and sine blocks are the even
-    and odd sectors.  Raises ParameterError for a store without its wave,
-    whose phi and parity the checks need.
+    and odd sectors.
     """
     ops = hill_operators(wave)
     wave = ops.wave
-    if wave is None:
-        raise ParameterError(
-            "the propositions need the wave's phi and parity; this store has none"
-        )
     checks = []
     notes = []
     phi = wave.phi

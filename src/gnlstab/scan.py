@@ -91,7 +91,8 @@ from .hill import (
     SectorBlock,
     _check_kappa,
     _rounding_floor,
-    default_zero_tolerance,
+    _whole_basis_pair,
+    _zero_tolerance,
     hill_operators,
 )
 
@@ -219,7 +220,8 @@ def evolution_block(
 ):
     """Dense block matrix [[0, L2+k^2], [-(L1+k^2), 0]] and its basis."""
     ops = hill_operators(wave, sector)
-    return _growth_block(ops.l2, ops.l1, kappa), ops.basis
+    l1, l2 = _whole_basis_pair(ops)
+    return _growth_block(l2, l1, kappa), ops.basis
 
 
 def _symmetry_defect(eigenvalues: np.ndarray) -> float:
@@ -768,19 +770,15 @@ def _solve_rows(ops: HillOperators, kappa) -> list:
     return [row if row is not None else _dense_row(ops, k) for row, k in zip(rows, kappa)]
 
 
-def _solve_row(ops: HillOperators, kappa: float) -> RowSolution:
-    """The scan's rule at one kappa: a batch of one row."""
-    return _solve_rows(ops, [float(kappa)])[0]
-
-
 def growth_row(
     wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "auto"
 ) -> RowSolution:
     """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
-    Its record is the scan's row at kappa bit for bit; given the scan's
-    operator store, it reuses the scan's assembly and reductions."""
+    Its record is the scan's row at kappa bit for bit, a batch of one row;
+    given the scan's operator store, it reuses the scan's assembly and
+    reductions."""
     _check_kappa(kappa)
-    return _solve_row(hill_operators(wave, sector), kappa)
+    return _solve_rows(hill_operators(wave, sector), [float(kappa)])[0]
 
 
 def scan_kappa(
@@ -916,7 +914,7 @@ def verify_hypotheses(
     h0 = {"passed": asym <= SYMMETRY_RTOL * max(scale, 1e-300), "max_asymmetry": asym}
 
     eigs0 = ops.lcal_eigenvalues()
-    tol = zero_tolerance if zero_tolerance is not None else default_zero_tolerance(eigs0)
+    tol = _zero_tolerance(eigs0, zero_tolerance)
     lambda0 = -float(eigs0[0])
 
     if lambda0 > 0.0:

@@ -10,7 +10,7 @@ import pytest  # noqa: E402
 
 from gnlstab.hill import hill_operators, resolve_sector  # noqa: E402
 from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave  # noqa: E402
-from gnlstab.scan import _solve_row, scan_kappa, verify_hypotheses  # noqa: E402
+from gnlstab.scan import growth_row, scan_kappa, verify_hypotheses  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,7 +94,7 @@ def solve_row(even_wave, odd_wave, const_wave):
         sector = resolve_sector(wave, sector)
         if (name, sector) not in shared:
             shared[name, sector] = hill_operators(wave, sector)
-        return _solve_row(shared[name, sector], float(kappa))
+        return growth_row(shared[name, sector], float(kappa), sector)
 
     return solve
 

@@ -28,6 +28,9 @@ def test_config_validation():
         EvolutionConfig(time_step=-0.1)
     with pytest.raises(ParameterError):
         EvolutionConfig(final_time=0.0)
+    for rng_seed in (-1, 1.5, None, True):
+        with pytest.raises(ParameterError, match="rng_seed"):
+            EvolutionConfig(rng_seed=rng_seed)
 
 
 def test_linearized_rhs_matches_block(even_wave):

@@ -12,6 +12,7 @@ from gnlstab.errors import BasisError, NumericalConsistencyError, ParameterError
 from gnlstab.hill import (
     HillOperators,
     OperatorMatrix,
+    SectorBlock,
     _summarize,
     build_block,
     build_hill,
@@ -21,7 +22,7 @@ from gnlstab.hill import (
     shifted_block_spectra,
     spectrum,
 )
-from gnlstab.scan import verify_hypotheses
+from gnlstab.scan import evolution_block, verify_hypotheses
 from gnlstab.spectral import (
     COSINE,
     FULL,
@@ -166,6 +167,14 @@ def test_spectrum_rejects_bad_tolerance(const_wave):
         spectrum(op, zero_tolerance=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_hypotheses_reject_a_bad_zero_tolerance(even_wave, tol):
+    # the hypotheses gate the tolerance as the spectra and propositions do
+    for check in (check_propositions, verify_hypotheses):
+        with pytest.raises(ParameterError, match="zero tolerance must be positive"):
+            check(even_wave, zero_tolerance=tol)
+
+
 def test_eigenfunction_export(even_wave):
     # L2 phi = 0 with phi > 0, so the lowest L2 eigenfunction on the cosine
     # sector is the wave itself up to normalization
@@ -227,8 +236,10 @@ def test_the_store_assembles_the_full_matrix_blocks_bit_for_bit(even_wave, odd_w
             assert np.array_equal(sine, entries[nc:, nc:])
             coupling = sector_coupling(wave.phi.grid, hill._potential(wave, which))
             assert coupling == np.max(np.abs(entries[nc:, :nc]))
-        # the full matrices, built on request, are the full-basis assembly
-        assert np.array_equal(ops.l2, build_hill(wave, "L2", full).entries)
+        # the full matrices, assembled on request, are the full-basis assembly
+        lcal = build_block(ops, "Lcal").entries
+        for rows, which in ((slice(0, size), "L1"), (slice(size, 2 * size), "L2")):
+            assert np.array_equal(lcal[rows, rows], build_hill(wave, which, full).entries)
     # a potential without parity: the coupling is its odd part, exactly
     grid = build_grid(TWO_PI, size)
     x = grid.nodes
@@ -321,14 +332,42 @@ def test_h0_gates_an_asymmetric_store(even_wave):
     # the store keeps L1 and L2 as assembled, unchecked: H0 is their one
     # symmetry gate, measured where the hypotheses report it
     ops = hill_operators(even_wave)
-    l1 = ops.l1.copy()
-    l1[0, 1] += 1e-9 * np.max(np.abs(l1))
-    l1.setflags(write=False)
-    skewed = HillOperators._split(even_wave, "full", ops.wave_id, ops.basis, l1, ops.l2)
+    cos, sine = ops.blocks
+    skewed_l1 = cos.l1.copy()
+    skewed_l1[0, 1] += 1e-9 * np.max(np.abs(skewed_l1))
+    skewed_l1.setflags(write=False)
+    skewed = HillOperators(ops.wave, ops.sector, (SectorBlock(cos.basis, skewed_l1, cos.l2), sine))
     assert verify_hypotheses(ops).h0["passed"] is True
     h0 = verify_hypotheses(skewed).h0
     assert h0["passed"] is False
-    assert h0["max_asymmetry"] == float(np.max(np.abs(l1 - l1.T)))
+    assert h0["max_asymmetry"] == float(np.max(np.abs(skewed_l1 - skewed_l1.T)))
+
+
+@pytest.mark.parametrize("size", [16, 128])
+def test_whole_basis_operators_are_assembled_from_the_wave(even_wave, odd_wave, size):
+    # build_block and evolution_block assemble L1 and L2 on the whole basis
+    # from the store's wave: the same bits from a full store, a sector store
+    # and each view of a full store as from the wave, and the store's sector
+    # blocks on the diagonal
+    kappa = 0.7
+    for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
+        full = hill_operators(wave, "full")
+        for sector in ("full", "odd", "even"):
+            lcal = build_block(wave, "Lcal", sector=sector)
+            s_kappa = build_block(wave, "S_kappa", kappa, sector=sector)
+            growth, basis = evolution_block(wave, kappa, sector)
+            for ops in (hill_operators(wave, sector), full.restrict(sector)):
+                assert np.array_equal(build_block(ops, "Lcal", sector=sector).entries, lcal.entries)
+                assert np.array_equal(
+                    build_block(ops, "S_kappa", kappa, sector=sector).entries, s_kappa.entries
+                )
+                block, block_basis = evolution_block(ops, kappa, sector)
+                assert np.array_equal(block, growth) and block_basis == basis == ops.basis
+                d = ops.basis.dimension
+                for rows, sector_block in ops.sectors():
+                    shifted = slice(d + rows.start, d + rows.stop)
+                    assert np.array_equal(lcal.entries[rows, rows], sector_block.l1)
+                    assert np.array_equal(lcal.entries[shifted, shifted], sector_block.l2)
 
 
 def test_spectrum_rejects_coupled_block_operators(even_wave):
@@ -432,15 +471,6 @@ def test_odd_wave_propositions(odd_wave):
     lcal = spectrum(build_block(odd_wave, "Lcal", sector="odd"))
     assert by_name["lambda0(L1,odd) < lambda0(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
     assert by_name["lambda1(L1,odd) < lambda1(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
-
-
-def test_propositions_need_the_wave():
-    # a pair given directly has neither phi nor a parity to check against
-    basis = ParityBasis(FULL, build_grid(TWO_PI, 8))
-    l1, l2 = (OperatorMatrix(basis, c * np.eye(basis.dimension), label, "synthetic")
-              for c, label in ((-2.0, "L1"), (1.0, "L2")))
-    with pytest.raises(ParameterError, match="phi and parity"):
-        check_propositions(HillOperators.of_pair(l1, l2))
 
 
 def test_constant_minimizers_flagged_outside_regime():

@@ -10,10 +10,7 @@ import scipy.linalg
 import oracles
 from gnlstab import hill, serialize
 from gnlstab.errors import NumericalConsistencyError, ParameterError
-from gnlstab.evolve import evolve_and_fit
 from gnlstab.hill import (
-    HillOperators,
-    OperatorMatrix,
     build_block,
     build_hill,
     hill_operators,
@@ -40,7 +37,6 @@ from gnlstab.scan import (
     _normalize_mode,
     _rayleigh_ritz,
     _reduced_rows,
-    _solve_row,
     _symmetry_defect,
     evolution_block,
     growth_row,
@@ -48,7 +44,7 @@ from gnlstab.scan import (
     scan_kappa,
     verify_hypotheses,
 )
-from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis, build_grid
+from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis
 from gnlstab.waves import constant_wave, wave_at_resolution
 
 TWO_PI = 2.0 * np.pi
@@ -192,32 +188,19 @@ def test_eigenvalues_stay_complex(even_wave, even_scan, odd_full_scan, scan_rows
 
 
 def test_real_block_spectrum_stays_complex():
-    # L2 = I, L1 = -2 I: lambda^2 = 2 on every mode, so geev alone would
-    # return a real spectrum and real vectors
-    basis = ParityBasis(FULL, build_grid(TWO_PI, 8))
-    d = basis.dimension
-    l1 = OperatorMatrix(basis, -2.0 * np.eye(d), label="L1", wave_id="synthetic")
-    l2 = OperatorMatrix(basis, np.eye(d), label="L2", wave_id="synthetic")
-    eigs = _dense_row(HillOperators.of_pair(l1, l2), 0.0)
+    # the constant state phi = omega^(1/alpha) has, on every Fourier mode k,
+    # lambda^2 = (k^2+kappa^2)(alpha omega - k^2 - kappa^2) > 0 at alpha omega
+    # = 20, N = 8 (k <= 4): geev alone returns a real spectrum and real vectors
+    wave, kappa = constant_wave(2.0, 10.0, TWO_PI, 8), 0.5
+    ops = hill_operators(wave, "full")
+    for _, block in ops.sectors():
+        assert np.linalg.eig(_growth_block(block.l2, block.l1, kappa))[0].dtype == np.float64
+    eigs = _dense_row(ops, kappa)
     assert eigs.eigenvalues.dtype == np.complex128
-    assert np.allclose(eigs.eigenvalues, np.repeat([-np.sqrt(2.0), np.sqrt(2.0)], d))
-
-
-def test_a_store_without_a_wave_reads_auto_as_its_own_sector():
-    # "auto" is resolved by the wave's parity; a pair given directly has none
-    basis = ParityBasis(FULL, build_grid(TWO_PI, 8))
-    l1, l2 = (OperatorMatrix(basis, c * np.eye(basis.dimension), label, "synthetic")
-              for c, label in ((-2.0, "L1"), (1.0, "L2")))
-    ops = HillOperators.of_pair(l1, l2)
-    assert hill_operators(ops, "auto") is ops
-    auto, full = scan_kappa(ops, 0.0, 1.0, 3), scan_kappa(ops, 0.0, 1.0, 3, "full")
-    assert auto.sector == "full" and auto.records == full.records
-    assert growth_row(ops, 0.5).record() == growth_row(ops, 0.5, "full").record()
-    assert instability_eigs(ops, 0.5).record() == instability_eigs(ops, 0.5, "full").record()
-    assert verify_hypotheses(ops) == verify_hypotheses(ops, "full")
-    # the integrator needs what only the wave holds
-    with pytest.raises(ParameterError, match="omega and phi"):
-        evolve_and_fit(ops, 0.5)
+    q = ops.basis.frequencies() ** 2 + kappa**2
+    rates = np.sqrt(q * (20.0 - q))
+    expected = np.sort(np.concatenate([-rates, rates]))
+    assert np.max(np.abs(eigs.eigenvalues - expected)) <= 1e-13 * np.max(rates)
 
 
 def test_leading_mode_fields(even_scan, scan_rows):
@@ -257,7 +240,7 @@ def test_scan_is_deterministic(even_wave, even_scan, dense_rows, scan_rows):
     # and the row solver's whole spectra, on a second assembly
     ops = hill_operators(even_wave, "full")
     for a, b in zip(again.records, scan_rows("even")):
-        row = _solve_row(ops, a.kappa)
+        row = growth_row(ops, a.kappa, ops.sector)
         assert np.array_equal(row.eigenvalues, b.eigenvalues)
     # and the fast rows agree with the dense block solver
     for a, dense in zip(again.records, dense_rows["even"]):

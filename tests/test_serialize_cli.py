@@ -962,3 +962,21 @@ def test_bad_time_step_fails_before_any_work(tmp_path, monkeypatch, capsys, comm
     assert main(argv + (["--kappa", "1"] if command == "dns" else [])) == 1
     assert capsys.readouterr().err == "[dns_validator] time_step must be positive, got nan\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "dns"])
+def test_negative_rng_seed_fails_before_any_work(tmp_path, monkeypatch, capsys, command):
+    import gnlstab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a negative --rng-seed must stop the run before any wave is solved")
+
+    monkeypatch.setattr(cli, "solve_wave", never)
+    out = tmp_path / "run"
+    argv = [command, "--alpha", "2", "--tau", "12", "--modes", "32", "--dns-seed", "random",
+            "--rng-seed", "-1", "--out", str(out)]
+    assert main(argv + (["--kappa", "0.9"] if command == "dns" else [])) == 1
+    assert capsys.readouterr().err == (
+        "[dns_validator] rng_seed must be a nonnegative integer, got -1\n"
+    )
+    assert not out.exists()
