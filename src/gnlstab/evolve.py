@@ -9,12 +9,14 @@ integrates the same linear system
 and fits the observed growth of the L^2 norm, so the two routes can be
 compared.  The predicted rate and the eigenvector seed are the scan's own
 row at kappa, so the fit checks the number the scan reports.  Two schemes
-are provided: a dense one-step RK4 matrix per parity sector of the operator
-store (the even potential makes the block problem a direct sum of a cosine
-and a sine block), and a Strang splitting whose kinetic and potential factors
-are both applied as exact exponentials (hence exactly time reversible).
-RK4 samples its n norms in blocks of ceil(sqrt(n)) states, each block one
-matrix product from the last, and checks the growth envelope block by block.
+are provided: classical RK4 and a Strang splitting whose kinetic and
+potential factors are both applied as exact exponentials (hence exactly time
+reversible).  Either one is a dense one-step matrix per parity sector of the
+operator store (the even potential makes the block problem a direct sum of a
+cosine and a sine block): RK4's from the sector's block, Strang's from the
+grid step applied to the sector's basis states.  Both sample their n norms
+in blocks of ceil(sqrt(n)) states, each block one matrix product from the
+last, and check the growth envelope block by block.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .scan import UNSTABLE_THRESHOLD, _growth_block, evolution_block, growth_row
 
 # kept importable here: perfbench/tracer.py wraps evolve.instability_eigs by name
 from .scan import instability_eigs  # noqa: F401
-from .spectral import FULL, RealField
+from .spectral import FULL, ParityBasis, RealField
 from .waves import WaveProfile
 
 #: explicit RK4 keeps purely imaginary modes stable for |lambda| dt < 2*sqrt(2)
@@ -45,7 +47,8 @@ MAX_RECORDS = 2000
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Knobs for a linearized run; None means pick automatically."""
+    """Knobs for a linearized run; None means pick automatically.  Either
+    scheme is sampled by blocked powers of its one-step matrix per sector."""
 
     time_step: Optional[float] = None
     final_time: Optional[float] = None
@@ -195,11 +198,22 @@ def _fit_window(times: np.ndarray, lognorms: np.ndarray) -> slice:
     return slice(0, len(times))
 
 
-def _rk4_samples(parts: list, stride: int, last: int, count: int):
-    """Norms of an RK4 run at count samples: the first count - 1 lie stride
-    steps apart, the last comes last steps after the one before it.  parts
-    holds each parity sector's step matrix and initial state; the sectors'
-    norms squared add.
+def _strang_matrix(step: Callable, basis: ParityBasis) -> np.ndarray:
+    """The Strang step on one parity sector's coefficients (v1, v2), as a
+    dense matrix: every basis state of the sector, synthesized on the grid,
+    goes through ``step`` at once as a row, and is analyzed back with the
+    quadrature weight.  The step keeps each sector, q being even."""
+    rows = basis.matrix().T
+    zero = np.zeros_like(rows)
+    w1, w2 = step(np.vstack([rows, zero]), np.vstack([zero, rows]))
+    return basis.grid.spacing * np.hstack([w1 @ rows.T, w2 @ rows.T]).T
+
+
+def _samples(parts: list, stride: int, last: int, count: int):
+    """Norms of a run at count samples: the first count - 1 lie stride steps
+    apart, the last comes last steps after the one before it.  parts holds
+    each parity sector's one-step matrix, RK4's or Strang's, and initial
+    state; the sectors' norms squared add.
 
     The regular samples come in blocks of b = ceil(sqrt(count - 1)) columns
     per sector: b sequential leaps of stride steps seed the first block, and
@@ -233,14 +247,6 @@ def _rk4_samples(parts: list, stride: int, last: int, count: int):
     yield np.array([math.sqrt(sum(float(y @ y) for y in ys))])
 
 
-def _splitting_samples(step: Callable, state: tuple, h: float, counts: list):
-    """Norms of a splitting run after each of counts' step counts, one at a time."""
-    for count in counts:
-        for _ in range(count):
-            state = step(*state)
-        yield np.array([np.sqrt(h * np.sum(state[0] ** 2 + state[1] ** 2))])
-
-
 def evolve_and_fit(
     wave: Union[WaveProfile, HillOperators],
     kappa: float,
@@ -252,10 +258,10 @@ def evolve_and_fit(
     The predicted rate and the leading-eigenvector seed are the scan's own
     row at kappa (:func:`scan.growth_row`), so the fit checks the number a
     scan reports there; given the scan's operator store in place of the
-    wave, the row reuses the scan's assembly and reductions.  RK4 steps each
-    parity sector's block on its own part of the seed and adds the norms
-    squared; the leading mode lives in one sector, and a random seed, drawn
-    on the whole basis, in all of them.
+    wave, the row reuses the scan's assembly and reductions.  Either scheme
+    steps each parity sector's coefficients on their own part of the seed and
+    adds the norms squared; the leading mode lives in one sector, and a
+    random seed, drawn on the whole basis, in all of them.
 
     Automatic choices: dt from the RK4 stability bound for the stiffest
     Fourier mode, final time about eight e-foldings of the predicted rate
@@ -305,21 +311,19 @@ def evolve_and_fit(
     marks = np.append(np.arange(stride, steps, stride), steps)
     times = np.concatenate([[0.0], marks * dt])
 
-    if config.scheme == "explicit_rk4":
-        # a sector whose part of the seed is zero stays zero and adds nothing
-        parts = []
-        for rows, block in ops.sectors():
-            y = np.concatenate([y0[rows], y0[d + rows.start : d + rows.stop]])
-            if y.any():
-                parts.append((rk4_step_matrix(_growth_block(block.l2, block.l1, kappa), dt), y))
-        norm0 = math.sqrt(sum(float(y @ y) for _, y in parts))
-        samples = _rk4_samples(parts, stride, steps - stride * (marks.size - 1), marks.size)
-    else:
-        step = splitting_stepper(wave, kappa, dt)
-        h = wave.phi.grid.spacing
-        state = (basis.synthesize(y0[:d]), basis.synthesize(y0[d:]))
-        norm0 = float(np.sqrt(h * np.sum(state[0] ** 2 + state[1] ** 2)))
-        samples = _splitting_samples(step, state, h, np.diff(marks, prepend=0).tolist())
+    strang = splitting_stepper(wave, kappa, dt) if config.scheme == "splitting_order2" else None
+    # a sector whose part of the seed is zero stays zero and adds nothing
+    parts = []
+    for rows, block in ops.sectors():
+        y = np.concatenate([y0[rows], y0[d + rows.start : d + rows.stop]])
+        if y.any():
+            if strang is None:
+                phi = rk4_step_matrix(_growth_block(block.l2, block.l1, kappa), dt)
+            else:
+                phi = _strang_matrix(strang, block.basis)
+            parts.append((phi, y))
+    norm0 = math.sqrt(sum(float(y @ y) for _, y in parts))
+    samples = _samples(parts, stride, steps - stride * (marks.size - 1), marks.size)
 
     norms = np.empty(times.size)
     norms[0] = norm0

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from gnlstab import evolve
 from gnlstab.errors import IntegratorError, ParameterError
 from gnlstab.evolve import (
     EvolutionConfig,
-    _rk4_samples,
+    _samples,
     evolve_and_fit,
     linearized_rhs,
     rk4_step_matrix,
@@ -152,7 +153,7 @@ def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
         ((block, y),) = [(b, part) for b, part in sector_parts(ops, peak.kappa, y0) if part.any()]
         phi = rk4_step_matrix(block, run.time_step)
         counts = np.diff(steps)
-        sampled = _rk4_samples([(phi, y)], counts[0], counts[-1], counts.size)
+        sampled = _samples([(phi, y)], counts[0], counts[-1], counts.size)
         norms = np.concatenate([[np.linalg.norm(y)], *sampled])
         assert np.array_equal(run.norms, norms)
 
@@ -201,6 +202,66 @@ def test_splitting_step_reverses_exactly(even_wave):
     scale = max(np.max(np.abs(w1)), np.max(np.abs(w2)))
     assert np.max(np.abs(a1 - w1)) <= 1e-6 * scale
     assert np.max(np.abs(a2 - w2)) <= 1e-6 * scale
+
+
+#: (wave, sector, seed, parity sectors the seed touches): the odd wave's
+#: leading mode on its odd sector, and a random seed on the even wave's full
+#: space, which has a cosine and a sine part
+SPLITTING_RUNS = [("odd", "odd", "leading_eigenvector", 1), ("even", "full", "random", 2)]
+
+
+def splitting_run(name, sector, seed, request):
+    wave = request.getfixturevalue(f"{name}_wave")
+    kappa = request.getfixturevalue(f"{name}_scan").most_unstable.kappa
+    config = EvolutionConfig(scheme="splitting_order2", seed=seed, rng_seed=5)
+    return wave, kappa, evolve_and_fit(wave, kappa, config, sector=sector)
+
+
+@pytest.mark.parametrize("name, sector, seed, parts", SPLITTING_RUNS)
+def test_splitting_samples_match_a_grid_loop(name, sector, seed, parts, request):
+    # the run samples powers of the Strang step's matrix on each sector;
+    # stepping the synthesized seed on the grid, one splitting_stepper call
+    # per step, gives the same norms sqrt(h sum w^2) up to rounding
+    wave, kappa, run = splitting_run(name, sector, seed, request)
+    row = growth_row(hill_operators(wave, sector), kappa)
+    d = row.basis.dimension
+    if seed == "random":
+        y0 = np.random.default_rng(5).standard_normal(2 * d)
+    else:
+        y0 = np.real(row.leading)
+    y0 = y0 / np.linalg.norm(y0)
+    step = splitting_stepper(wave, kappa, run.time_step)
+    w = (row.basis.synthesize(y0[:d]), row.basis.synthesize(y0[d:]))
+    h = wave.phi.grid.spacing
+    steps = np.rint(run.times / run.time_step).astype(int)
+    expected, done = [], 0
+    for target in steps:
+        for _ in range(target - done):
+            w = step(*w)
+        done = target
+        expected.append(np.sqrt(h * np.sum(w[0] ** 2 + w[1] ** 2)))
+    # rounding grows with the step count: 2e-15, about ten ulps, per step
+    assert np.max(np.abs(run.norms / np.asarray(expected) - 1.0)) <= 2e-15 * steps[-1]
+
+
+@pytest.mark.parametrize("name, sector, seed, parts", SPLITTING_RUNS)
+def test_splitting_steps_once_per_sector(name, sector, seed, parts, request, monkeypatch):
+    # the Strang step builds each sector's one-step matrix in one call on all
+    # of its basis states; it is not called once per time step
+    calls = []
+
+    def counting_stepper(*args):
+        step = splitting_stepper(*args)
+
+        def counted(w1, w2):
+            calls.append(w1.shape)
+            return step(w1, w2)
+
+        return counted
+
+    monkeypatch.setattr(evolve, "splitting_stepper", counting_stepper)
+    _, _, run = splitting_run(name, sector, seed, request)
+    assert len(calls) == parts < run.times.size
 
 
 def test_stable_kappa_stays_bounded(const_wave):

@@ -655,6 +655,15 @@ def test_cli_pipeline_honours_sector(tmp_path):
         assert report["hypotheses"]["sector"] == report["scan"]["sector"] == sector
 
 
+def test_cli_pipeline_runs_the_splitting_scheme_on_an_odd_wave(tmp_path, capsys):
+    argv = ["pipeline", "--alpha", "2", "--omega", "4", "--tau", "40", "--parity", "odd",
+            "--modes", "64", "--kappa-steps", "12", "--scheme", "splitting_order2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("verdict: transversally unstable")
+    report = serialize.load(tmp_path / "pipeline_report.json")
+    assert report["verdict"] == "transversally unstable" and report["dns"]["passed"]
+
+
 def test_cli_pipeline_default_range_reuses_hypotheses(tmp_path, monkeypatch):
     # without --kappa-max the scan ends at 1.1 K, K taken from the pipeline's
     # own (H1) record rather than from a second verification
@@ -754,7 +763,7 @@ def test_cli_import_loads_no_scipy():
 
 def test_pipeline_and_verify_leave_numpy_random_unimported(tmp_path):
     # the certified path draws no random numbers: the scan's probe and
-    # inverse-iteration start and the vector of (H3) are fixed, so
+    # inverse-iteration start are fixed, so
     # numpy.random is never loaded.  numpy loads it lazily, on first use
     package_root = str(Path(gnlstab.__file__).resolve().parents[1])
     env = dict(os.environ)
