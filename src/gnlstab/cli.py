@@ -28,7 +28,7 @@ from .hill import HillOperators, check_propositions, hill_operators
 
 # kept importable here: perfbench/tracer.py wraps these names of gnlstab.cli
 from .hill import build_block, build_hill, spectrum  # noqa: F401
-from .scan import scan_kappa, verify_hypotheses
+from .scan import scan_kappa, transverse_threshold, verify_hypotheses
 from .waves import (
     ProblemParams,
     SolverConfig,
@@ -386,18 +386,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _scan_range(args, ops: HillOperators, hypotheses=None):
-    """kappa grid from the flags; the default end reuses ``hypotheses`` if given.
-    A subcommand without scan flags (``dns``) gets the default grid."""
+def _scan_range(args, ops: HillOperators):
+    """kappa grid from the flags.  A subcommand without scan flags (``dns``)
+    gets the default grid, which ends just past the uniform-positivity
+    threshold K of :func:`transverse_threshold`."""
     kappa_min, kappa_max, steps = (
         getattr(args, name, None) for name in ("kappa_min", "kappa_max", "kappa_steps")
     )
     if kappa_max is None:
-        # default upper end: just past the uniform-positivity threshold K
-        if hypotheses is None:
-            with _stage("instability_scanner"):
-                hypotheses = verify_hypotheses(ops, sector=ops.sector)
-        kappa_max = 1.1 * hypotheses.h1["K"] if hypotheses.h1["K"] > 0 else 1.0
+        with _stage("instability_scanner"):
+            k = transverse_threshold(ops)[1]
+        kappa_max = 1.1 * k if k > 0 else 1.0
     kappa_min = kappa_min if kappa_min is not None else 0.0
     steps = steps if steps is not None else 60
     return float(kappa_min), float(kappa_max), int(steps)
@@ -429,6 +428,9 @@ def _dns_summary_payload(gm) -> dict:
     gap = abs(gm.fitted_rate - gm.predicted_rate) / max(abs(gm.predicted_rate), 1e-300)
     return {
         "kappa": gm.kappa,
+        "scheme": gm.scheme,
+        "seed": gm.seed,
+        "time_step": gm.time_step,
         "fitted_rate": gm.fitted_rate,
         "fit_residual": gm.fit_residual,
         "scanner_lambda": gm.predicted_rate,
@@ -544,7 +546,7 @@ def cmd_pipeline(args) -> int:
         if not getattr(hypotheses, f"h{k}")["passed"]:
             print(f"[instability_scanner] H{k}: FAILED")
 
-    kappa_min, kappa_max, steps = _scan_range(args, ops, hypotheses)
+    kappa_min, kappa_max, steps = _scan_range(args, ops)
     with _stage("instability_scanner"):
         result = scan_kappa(ops, kappa_min, kappa_max, steps, sector=ops.sector)
     peak = result.most_unstable
@@ -557,7 +559,7 @@ def cmd_pipeline(args) -> int:
         certificate = _certificate(ops, config)
     print(
         f"[hill_spectra] grid-doubling certificate max delta {certificate['max_delta']:.3e} "
-        f"({'passed' if certificate['passed'] else 'FAILED'})"
+        f"(tolerance {CERTIFICATE_TOL:g}, {'passed' if certificate['passed'] else 'FAILED'})"
     )
 
     dns_payload = None

@@ -15,7 +15,7 @@ iteration restricted to the same parity subspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,9 +60,6 @@ MAX_OUTER_ITERATIONS = 20000
 #: multiplier-equation residual, relative to ||(-d_xx + w) u||, at which the
 #: constrained minimization stops
 GRADIENT_TOLERANCE = 1e-10
-
-#: largest |max|u| - A| that :func:`tau_for_amplitude` accepts
-AMPLITUDE_TOLERANCE = 1e-4
 
 
 def _is_even_integer(x: float) -> bool:
@@ -540,8 +537,8 @@ def solve_wave(
     waves) is asserted before the profile is released.  ``stationary`` is
     the constrained minimizer at ``params`` on the config's grid where the
     caller already has it (:func:`tau_for_amplitude` returns one), and
-    replaces the minimization; the minimization is deterministic, so the
-    wave is the same either way.
+    replaces the minimization; both land on the same minimizer, so the wave
+    is the same either way up to rounding.
     """
     config = config or SolverConfig()
     if stationary is None:
@@ -597,27 +594,26 @@ def tau_for_amplitude(
 
     B_w(t u) = t^2 B_w(u) and int |t u|^(a+2) = t^(a+2) int |u|^(a+2), so the
     minimizer at tau is (tau/tau0)^(1/(a+2)) times the minimizer at tau0.
-    One minimization at tau0 = L * amplitude^(a+2) measures amp0 = max|u|,
-    and tau = tau0 * (amplitude/amp0)^(a+2); a second one at that tau checks
-    the amplitude to AMPLITUDE_TOLERANCE and is returned, so that
-    :func:`solve_wave` polishes it without minimizing again.  tau sets only
-    the amplitude *before* the unit-multiplier rescaling: the accepted
-    profile of :func:`solve_wave` does not depend on it.
+    One minimization at tau0 = L * amplitude^(a+2) gives u0, and t u0 with
+    t = amplitude / max|u0| is the minimizer at tau = tau0 * t^(a+2): its
+    record is u0's with phi, the residual, B_w and the constraint scaled by
+    t, t, t^2 and t^(a+2), and max|t u0| = amplitude up to rounding.  It is
+    returned so that :func:`solve_wave` polishes it without minimizing
+    again.  tau sets only the amplitude *before* the unit-multiplier
+    rescaling: the accepted profile of :func:`solve_wave` does not depend on
+    it.
     """
     if not (np.isfinite(amplitude) and amplitude > 0.0):
         raise ParameterError(f"target amplitude must be positive, got {amplitude}")
-
-    def minimize(tau):
-        params = ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau, parity=parity)
-        return minimize_constrained(params, config)
-
     tau0 = period * amplitude ** (alpha + 2.0)
-    tau = tau0 * (amplitude / minimize(tau0).phi.max_abs) ** (alpha + 2.0)
-    stationary = minimize(tau)
-    measured = stationary.phi.max_abs
-    if abs(measured - amplitude) > AMPLITUDE_TOLERANCE:
-        raise ConvergenceError(
-            f"amplitude {amplitude} not reached: the minimizer at tau={tau!r} has "
-            f"max|u| = {measured!r}, off by more than {AMPLITUDE_TOLERANCE:g}"
-        )
-    return stationary
+    params = ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau0, parity=parity)
+    u0 = minimize_constrained(params, config)
+    t = amplitude / u0.phi.max_abs
+    return replace(
+        u0,
+        params=replace(params, tau=tau0 * t ** (alpha + 2.0)),
+        phi=RealField(u0.phi.grid, t * u0.phi.values, parity),
+        ode_residual_norm=t * u0.ode_residual_norm,
+        functional_value=t**2 * u0.functional_value,
+        constraint_value=t ** (alpha + 2.0) * u0.constraint_value,
+    )

@@ -261,14 +261,34 @@ def _assert_same_dns(v2: dict, v1: dict) -> None:
             assert np.all(np.abs(new - old) <= 1e-12 * np.maximum(np.abs(old), 1.0)), key
 
 
-def _assert_h3_sample(v2: dict, v1: dict) -> None:
-    """Remove (H3)'s min_sprime_sample from the version-1 document: it
-    sampled (S'(kappa)w, w) = 2 kappa ||w||^2, positive by construction, and
-    version 2 no longer records it."""
-    h3 = v2["hypotheses"]["h3"] if "hypotheses" in v2 else v2["h3"]
-    old = v1["hypotheses"]["h3"] if "hypotheses" in v1 else v1["h3"]
-    assert "min_sprime_sample" not in h3
-    assert old.pop("min_sprime_sample") > 0.0
+#: hypotheses fields version 2 no longer records: (H1)'s and (H3)'s sampled
+#: kappa grids, which S(kappa) = S(0) + kappa^2 I decides in closed form, and
+#: (H3)'s sample of (S'(kappa)w, w) = 2 kappa ||w||^2, positive by construction
+DELETED_HYPOTHESES = {"h1": ("kappa_grid", "min_eigs"),
+                      "h3": ("kappa_grid", "min_eigs", "min_sprime_sample")}
+
+
+def _assert_changed_fields(v2: dict, v1: dict) -> None:
+    """Remove the deleted hypotheses fields from the version-1 document, and
+    the fields version 2 added from the version-2 one after checking them:
+    (H1)'s and (H3)'s notes, (H4)'s margin and the integrator of a pipeline
+    report's DNS block."""
+    new, old = v2.get("hypotheses", v2), v1.get("hypotheses", v1)
+    # the version-1 samples hold as the closed form says
+    assert all(m >= old["h1"]["beta"] for m in old["h1"]["min_eigs"])
+    assert np.all(np.diff(old["h3"]["min_eigs"]) >= 0.0)
+    for h, keys in DELETED_HYPOTHESES.items():
+        for key in keys:
+            assert key not in new[h]
+            old[h].pop(key)
+    assert new["h1"].pop("note").startswith("follows from S(kappa) = S(0) + kappa^2 I")
+    assert new["h3"].pop("note") == "S'(kappa) = 2 kappa I"
+    h4 = new["h4"]
+    assert h4.pop("margin") == h4["gap"] / (10.0 * h4["zero_tolerance"]) >= 1.0
+    if "dns" in v2:
+        dns = v2["dns"]
+        assert (dns.pop("scheme"), dns.pop("seed")) == ("explicit_rk4", "leading_eigenvector")
+        assert dns.pop("time_step") > 0.0
 
 
 @pytest.mark.parametrize("path", sorted(V1.glob("*.json")), ids=lambda p: p.name)
@@ -297,7 +317,7 @@ def test_version_2_differs_from_version_1_only_in_the_version(name):
     v2, v1 = _versions(name)
     assert (v2.pop("schema_version"), v1.pop("schema_version")) == (2, 1)
     if name.startswith(("pipeline_report", "hypotheses")):
-        _assert_h3_sample(v2["payload"], v1["payload"])
+        _assert_changed_fields(v2["payload"], v1["payload"])
     if name.startswith("pipeline_report"):
         _assert_same_scan(v2["payload"].pop("scan"), v1["payload"].pop("scan"))
         _assert_same_dns(v2["payload"]["dns"], v1["payload"]["dns"])

@@ -432,12 +432,19 @@ def test_cli_dns_summary(tmp_path, even_wave, even_scan):
     summary = serialize.load(tmp_path / "dns_summary.json")
     assert set(summary) == {
         "kappa",
+        "scheme",
+        "seed",
+        "time_step",
         "fitted_rate",
         "fit_residual",
         "scanner_lambda",
         "relative_gap",
     }
     assert summary["relative_gap"] <= 0.02
+    # the summary names the run that produced it
+    growth = serialize.load(tmp_path / "growth.json")
+    assert (summary["scheme"], summary["seed"]) == ("explicit_rk4", "leading_eigenvector")
+    assert summary["time_step"] == growth.time_step
     assert (tmp_path / "growth.json").is_file()
     assert (tmp_path / "growth.csv").read_text().startswith("t,norm")
 
@@ -662,11 +669,13 @@ def test_cli_pipeline_runs_the_splitting_scheme_on_an_odd_wave(tmp_path, capsys)
     assert capsys.readouterr().out.splitlines()[-1].endswith("verdict: transversally unstable")
     report = serialize.load(tmp_path / "pipeline_report.json")
     assert report["verdict"] == "transversally unstable" and report["dns"]["passed"]
+    assert report["dns"]["scheme"] == "splitting_order2"
 
 
 def test_cli_pipeline_default_range_reuses_hypotheses(tmp_path, monkeypatch):
-    # without --kappa-max the scan ends at 1.1 K, K taken from the pipeline's
-    # own (H1) record rather than from a second verification
+    # without --kappa-max the scan ends at 1.1 K, K read from the store's
+    # spectrum (scan.transverse_threshold) rather than from a second
+    # verification, and equal to the pipeline's own (H1) record
     import gnlstab.cli as cli
     import gnlstab.hill as hill
 
@@ -693,6 +702,31 @@ def test_cli_pipeline_default_range_reuses_hypotheses(tmp_path, monkeypatch):
     # L1 and L2 are assembled once per wave and sector in each consumer:
     # spectra, propositions, hypotheses, scan, certificate (two waves), DNS
     assert calls["assembly"] <= 20
+
+
+@pytest.mark.parametrize("command", ["scan", "dns"])
+def test_cli_default_range_runs_no_hypotheses(tmp_path, odd_wave, odd_hypotheses, monkeypatch,
+                                              command):
+    # scan without --kappa-max and dns without --kappa end their grid at
+    # 1.1 K without verifying (H0)-(H4)
+    import gnlstab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("verify_hypotheses called")
+
+    grids = []
+    scan = cli.scan_kappa
+
+    def recorded(ops, kappa_min, kappa_max, steps, sector="auto"):
+        grids.append((kappa_min, kappa_max, steps))
+        return scan(ops, kappa_min, kappa_max, steps, sector=sector)
+
+    monkeypatch.setattr(cli, "verify_hypotheses", never)
+    monkeypatch.setattr(cli, "scan_kappa", recorded)
+    wave_path = store_wave(odd_wave, tmp_path / "wave.json")
+    flags = ["--kappa-steps", "8"] if command == "scan" else ["--final-time", "1"]
+    assert main([command, "--wave", wave_path, *flags, "--out", str(tmp_path)]) == 0
+    assert grids == [(0.0, 1.1 * odd_hypotheses.h1["K"], 8 if command == "scan" else 60)]
 
 
 @pytest.mark.parametrize("command", ["verify", "pipeline"])

@@ -2,14 +2,12 @@
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
 from gnlstab.errors import (
-    ConvergenceError,
     DegenerateSolutionError,
     InvalidMultiplierError,
     NewtonBasinError,
@@ -478,32 +476,35 @@ def test_tau_for_amplitude_hits_target():
         (0.5, 1.0, "even", 1.2),  # the minimizer is the constant
     ],
 )
-def test_tau_for_amplitude_is_two_minimizations(monkeypatch, alpha, omega, parity, amplitude):
+def test_tau_for_amplitude_scales_its_minimizer(alpha, omega, parity, amplitude):
     # the minimizer at tau is (tau/tau0)^(1/(a+2)) times the one at tau0, so
-    # one solve fixes tau and a second one only checks it
-    taus = []
-    original = waves.minimize_constrained
-
-    def counted(params, config=None):
-        taus.append(params.tau)
-        return original(params, config)
-
-    monkeypatch.setattr(waves, "minimize_constrained", counted)
+    # tau_for_amplitude scales its one minimization; a second one at tau,
+    # which tau_for_amplitude ran before, lands on the same record
     config = SolverConfig(mode_count=64)
     stationary = tau_for_amplitude(alpha, omega, TWO_PI, parity, amplitude, config)
-    tau = stationary.params.tau
-    assert len(taus) == 2 and taus[1] == tau
-    pre = original(
-        ProblemParams(alpha=alpha, omega=omega, period=TWO_PI, tau=tau, parity=parity), config
+    reference = minimize_constrained(
+        ProblemParams(alpha=alpha, omega=omega, period=TWO_PI, tau=stationary.params.tau,
+                      parity=parity),
+        config,
     )
-    assert abs(pre.phi.max_abs - amplitude) <= 1e-12 * amplitude
-    # the check minimization is returned: it is the minimizer at tau
-    assert np.array_equal(stationary.phi.values, pre.phi.values)
+    assert stationary.params == reference.params
+    assert stationary.phi.parity == reference.phi.parity
+    assert stationary.phi.grid == reference.phi.grid
+    scale = reference.phi.max_abs
+    assert np.max(np.abs(stationary.phi.values - reference.phi.values)) <= 1e-14 * scale
+    assert abs(stationary.phi.max_abs - amplitude) <= 1e-14 * amplitude
+    for name in ("functional_value", "constraint_value"):
+        made, expected = getattr(stationary, name), getattr(reference, name)
+        assert abs(made - expected) <= 1e-14 * abs(expected), name
+    # both are stationary points to the minimization's own tolerance
+    assert stationary.ode_residual_norm <= 1e-9 and reference.ode_residual_norm <= 1e-9
+    assert stationary.detected_period == reference.detected_period
 
 
 def test_solve_wave_polishes_the_amplitude_minimizer(monkeypatch, tmp_path):
-    # solve_wave takes tau_for_amplitude's minimizer instead of minimizing
-    # again at the same tau, and the wave does not change by a bit
+    # tau_for_amplitude minimizes once, solve_wave takes its minimizer
+    # instead of minimizing again at the same tau, and the wave moves by
+    # rounding only
     calls = []
     original = waves.minimize_constrained
 
@@ -515,32 +516,23 @@ def test_solve_wave_polishes_the_amplitude_minimizer(monkeypatch, tmp_path):
     config = SolverConfig(mode_count=64)
     stationary = tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5, config)
     passed = solve_wave(stationary.params, config, stationary)
-    assert len(calls) == 2
+    assert len(calls) == 1 and calls[0] == TWO_PI * 1.5**4
     own = solve_wave(stationary.params, config)
-    assert len(calls) == 3
-    assert serialize.dumps(passed) == serialize.dumps(own)
+    assert calls[1:] == [stationary.params.tau]
+    assert own.params == passed.params
+    scale = own.phi.max_abs
+    assert np.max(np.abs(passed.phi.values - own.phi.values)) <= 1e-14 * scale
     for params, size in ((dataclasses.replace(stationary.params, tau=1.0), 64),
                          (stationary.params, 128)):
         with pytest.raises(ParameterError, match="another problem"):
             solve_wave(params, SolverConfig(mode_count=size), stationary)
 
-    # gnlstab solve --tau auto:amplitude=A minimizes twice in all
+    # gnlstab solve --tau auto:amplitude=A minimizes once in all
     calls.clear()
     argv = ["solve", "--alpha", "2", "--tau", "auto:amplitude=1.5", "--modes", "64"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-    assert len(calls) == 2
-    assert (tmp_path / "wave.json").read_text(encoding="utf-8") == serialize.dumps(own)
-
-
-def test_tau_for_amplitude_reports_a_missed_target(monkeypatch):
-    # an amplitude that is not homogeneous in tau of degree 1/(a+2) breaks
-    # the scaling law; the check solve must catch it
-    def sqrt_amplitude(params, config=None):
-        return SimpleNamespace(phi=SimpleNamespace(max_abs=math.sqrt(params.tau)))
-
-    monkeypatch.setattr(waves, "minimize_constrained", sqrt_amplitude)
-    with pytest.raises(ConvergenceError, match=r"amplitude 1\.5 .*tau=.*max\|u\| = "):
-        tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5)
+    assert len(calls) == 1
+    assert (tmp_path / "wave.json").read_text(encoding="utf-8") == serialize.dumps(passed)
 
 
 def test_tau_for_amplitude_rejects_bad_target():
