@@ -341,7 +341,7 @@ def cmd_spectrum(args) -> int:
     formats = _formats(args)
     wave = _obtain_wave(args, config)
     with _stage("hill_spectra"):
-        summaries = _full_spectra(hill_operators(wave), args.zero_tolerance)
+        summaries = _full_spectra(hill_operators(wave, "full"), args.zero_tolerance)
     for summary in summaries:
         if "json" in formats:
             _write(out, f"spectrum_{summary.label}.json", serialize.dumps(summary))
@@ -364,12 +364,12 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     wave = _obtain_wave(args, config)
     with _stage("hill_spectra"):
-        ops = hill_operators(wave)
+        ops = hill_operators(wave, "full")
         report = check_propositions(ops, zero_tolerance=args.zero_tolerance)
         _write(out, "propositions.json", serialize.dumps(report))
     with _stage("instability_scanner"):
         hypotheses = verify_hypotheses(
-            ops, sector=args.sector or "auto", zero_tolerance=args.zero_tolerance
+            ops.restrict(args.sector or "auto"), zero_tolerance=args.zero_tolerance
         )
         _write(out, "hypotheses.json", serialize.dumps(hypotheses))
     for check in report.checks:
@@ -410,7 +410,7 @@ def cmd_scan(args) -> int:
     with _stage("instability_scanner"):
         ops = hill_operators(wave, args.sector or "auto")
         kappa_min, kappa_max, steps = _scan_range(args, ops)
-        result = scan_kappa(ops, kappa_min, kappa_max, steps, sector=ops.sector)
+        result = scan_kappa(ops, kappa_min, kappa_max, steps)
     if "json" in formats:
         _write(out, "scan.json", serialize.dumps(result))
     if "csv" in formats:
@@ -461,11 +461,11 @@ def cmd_dns(args) -> int:
     if kappa is None:
         kappa_min, kappa_max, steps = _scan_range(args, ops)
         with _stage("instability_scanner"):
-            result = scan_kappa(ops, kappa_min, kappa_max, steps, sector=ops.sector)
+            result = scan_kappa(ops, kappa_min, kappa_max, steps)
         kappa = result.most_unstable.kappa
         print(f"[instability_scanner] most unstable kappa on default grid: {kappa:.6g}")
     with _stage("dns_validator"):
-        gm = evolve_and_fit(ops, float(kappa), evolution, sector=ops.sector)
+        gm = evolve_and_fit(ops, float(kappa), evolution)
     summary = _dns_summary_payload(gm)
     if "json" in formats:
         _write(out, "growth.json", serialize.dumps(gm))
@@ -530,7 +530,7 @@ def cmd_pipeline(args) -> int:
     # one operator store per wave: the full-space one serves the spectra and
     # propositions, its sector (itself, or its sine or cosine block) the rest
     with _stage("hill_spectra"):
-        ops = hill_operators(wave)
+        ops = hill_operators(wave, "full")
         summaries = _full_spectra(ops, args.zero_tolerance)
         propositions = check_propositions(ops, zero_tolerance=args.zero_tolerance)
     print(f"[hill_spectra] propositions {'passed' if propositions.passed else 'FAILED'}")
@@ -539,8 +539,8 @@ def cmd_pipeline(args) -> int:
             print(_check_line(check, "FAILED"))
 
     with _stage("instability_scanner"):
-        ops = hill_operators(ops, args.sector or "auto")
-        hypotheses = verify_hypotheses(ops, sector=ops.sector, zero_tolerance=args.zero_tolerance)
+        ops = ops.restrict(args.sector or "auto")
+        hypotheses = verify_hypotheses(ops, zero_tolerance=args.zero_tolerance)
     print(f"[instability_scanner] hypotheses {'passed' if hypotheses.overall else 'FAILED'}")
     for k in range(5):
         if not getattr(hypotheses, f"h{k}")["passed"]:
@@ -548,7 +548,7 @@ def cmd_pipeline(args) -> int:
 
     kappa_min, kappa_max, steps = _scan_range(args, ops)
     with _stage("instability_scanner"):
-        result = scan_kappa(ops, kappa_min, kappa_max, steps, sector=ops.sector)
+        result = scan_kappa(ops, kappa_min, kappa_max, steps)
     peak = result.most_unstable
     print(
         f"[instability_scanner] {result.verdict}; peak growth {peak.max_real_part:.6g} "
@@ -565,7 +565,7 @@ def cmd_pipeline(args) -> int:
     dns_payload = None
     if result.verdict == "transversally unstable":
         with _stage("dns_validator"):
-            gm = evolve_and_fit(ops, peak.kappa, evolution, sector=ops.sector)
+            gm = evolve_and_fit(ops, peak.kappa, evolution)
         dns_payload = _dns_summary_payload(gm)
         dns_payload["passed"] = dns_payload["relative_gap"] <= DNS_GAP_TOL
         print(

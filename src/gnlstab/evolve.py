@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import IntegratorError, ParameterError
-from .hill import HillOperators, hill_operators, resolve_sector
+from .hill import HillOperators, _operators
 from .scan import UNSTABLE_THRESHOLD, _growth_block, evolution_block, growth_row
 
 # kept importable here: perfbench/tracer.py wraps evolve.instability_eigs by name
@@ -95,29 +95,26 @@ class GrowthMeasurement:
 
 
 def linearized_rhs(
-    wave: WaveProfile,
-    kappa: float,
-    v1: RealField,
-    v2: RealField,
-    sector: str = "full",
+    wave: Union[WaveProfile, HillOperators], kappa: float, v1: RealField, v2: RealField
 ) -> tuple[RealField, RealField]:
     """Apply the block generator to a perturbation pair on the wave's grid.
 
-    Returns ((L2+kappa^2) v2, -(L1+kappa^2) v1).  This is the same matrix
-    the scanner diagonalizes, so eigenvector residuals measured through
-    this routine agree with the scanner to rounding error.
+    Returns ((L2+kappa^2) v2, -(L1+kappa^2) v1) by the dense block of
+    :func:`scan.evolution_block`: the operators whose reduction M(kappa) the
+    scanner solves per parity sector, so its modes satisfy it to rounding error.
     """
-    sector = resolve_sector(wave, sector)
+    ops = _operators(wave)
+    wave = ops.wave
     for v in (v1, v2):
         if v.grid != wave.phi.grid:
             raise ParameterError("perturbation grid does not match the wave grid")
-    block, basis = evolution_block(wave, kappa, sector)
+    block, basis = evolution_block(ops, kappa)
     if basis.kind != FULL:
         expect = basis.parity
         for v in (v1, v2):
             if v.parity != expect:
                 raise ParameterError(
-                    f"sector {sector!r} requires {expect} perturbations, got {v.parity}"
+                    f"sector {ops.sector!r} requires {expect} perturbations, got {v.parity}"
                 )
     d = basis.dimension
     coeffs = np.concatenate([basis.analyze(v1.values), basis.analyze(v2.values)])
@@ -251,14 +248,13 @@ def evolve_and_fit(
     wave: Union[WaveProfile, HillOperators],
     kappa: float,
     config: Optional[EvolutionConfig] = None,
-    sector: str = "auto",
 ) -> GrowthMeasurement:
     """Integrate the linearized system and fit exp growth of the L^2 norm.
 
     The predicted rate and the leading-eigenvector seed are the scan's own
-    row at kappa (:func:`scan.growth_row`), so the fit checks the number a
-    scan reports there; given the scan's operator store in place of the
-    wave, the row reuses the scan's assembly and reductions.  Either scheme
+    row at kappa (:func:`scan.growth_row`), on the store's sector, so the fit
+    checks the number a scan reports there; given the scan's operator store,
+    the row reuses the scan's assembly and reductions.  Either scheme
     steps each parity sector's coefficients on their own part of the seed and
     adds the norms squared; the leading mode lives in one sector, and a
     random seed, drawn on the whole basis, in all of them.
@@ -270,9 +266,9 @@ def evolve_and_fit(
     IntegratorError if the state stops being finite.
     """
     config = config if config is not None else EvolutionConfig()
-    ops = hill_operators(wave, sector)
-    wave, sector = ops.wave, ops.sector
-    row = growth_row(ops, kappa, sector)
+    ops = _operators(wave)
+    wave = ops.wave
+    row = growth_row(ops, kappa)
     predicted = row.max_real_part
     basis = row.basis
     d = basis.dimension
@@ -357,7 +353,7 @@ def evolve_and_fit(
     return GrowthMeasurement(
         wave_id=wave.wave_id,
         kappa=float(kappa),
-        sector=sector,
+        sector=ops.sector,
         scheme=config.scheme,
         seed=config.seed,
         time_step=float(dt),

@@ -35,9 +35,11 @@ checks operators given from outside, and the composites of
 :func:`build_block`.  The spectra, propositions, hypotheses, the kappa-scan,
 the grid-doubling certificate and the time integrator all read it; a
 full-space store also serves the odd and even sectors, whose operators are
-its sine and cosine blocks bit for bit.  Every consumer accepts a store in
-place of a wave (:func:`hill_operators`), and a store lives as long as the
-call that made it.
+its sine and cosine blocks bit for bit.  The sector is chosen once, where
+the store is made (:func:`hill_operators`, :meth:`HillOperators.restrict`,
+"auto" resolved by the wave's parity): every consumer takes a store, used as
+it is, or a wave, for its "auto" store, and no sector.  A store lives as long
+as the call that made it.
 """
 from __future__ import annotations
 
@@ -286,9 +288,10 @@ class HillOperators:
         return self._memo[key]
 
     def restrict(self, sector: str) -> "HillOperators":
-        """The store of ``sector``: this one, or the sine ("odd") or cosine
-        ("even") block of a full-space store, made once and sharing that
-        block and its spectra."""
+        """The store of ``sector``, "auto" resolved by the wave's parity: this
+        one, or the sine ("odd") or cosine ("even") block of a full-space
+        store, made once and sharing that block and its spectra."""
+        sector = resolve_sector(self.wave, sector)
         if sector == self.sector:
             return self
         if self.sector != "full" or sector not in ("odd", "even"):
@@ -303,15 +306,9 @@ class HillOperators:
         return HillOperators(self.wave, sector, (self.blocks[0 if kind == COSINE else 1],))
 
 
-def hill_operators(
-    wave: Union[WaveProfile, HillOperators], sector: str = "full"
-) -> HillOperators:
-    """The operator store of ``sector``: a wave is assembled on the sector's
-    basis, a store is restricted to it.  "auto" is resolved by the wave's
-    parity either way (:func:`resolve_sector`), so a store on another sector
-    is passed with its own ``sector``."""
-    if isinstance(wave, HillOperators):
-        return wave.restrict(resolve_sector(wave.wave, sector))
+def hill_operators(wave: WaveProfile, sector: str = "auto") -> HillOperators:
+    """The store of ``wave``, assembled on the basis of ``sector``, "auto"
+    resolved by the wave's parity (:func:`resolve_sector`)."""
     sector = resolve_sector(wave, sector)
     basis = ParityBasis(_SECTOR_KINDS[sector], wave.phi.grid)
     if basis.kind == FULL:
@@ -322,6 +319,11 @@ def hill_operators(
     return HillOperators(wave, sector, tuple(SectorBlock(*parts) for parts in pairs))
 
 
+def _operators(wave: Union[WaveProfile, HillOperators]) -> HillOperators:
+    """A store as it is, a wave's store on its "auto" sector."""
+    return wave if isinstance(wave, HillOperators) else hill_operators(wave)
+
+
 def _whole_basis_pair(ops: HillOperators) -> tuple:
     """L1 and L2 of the store's wave on the store's whole basis, assembled
     on each call and not kept: a sector store's block, or the full-basis
@@ -329,21 +331,33 @@ def _whole_basis_pair(ops: HillOperators) -> tuple:
     return tuple(_assemble(ops.wave, which, ops.basis) for which in _LABELS)
 
 
+#: the largest kappa of a row, (max float)^(1/10): the probe residual that
+#: certifies a reduced row has degree 5 in kappa and is squared, and every
+#: other quantity of a row has lower degree, so none overflows up to here
+KAPPA_LIMIT = float(np.finfo(float).max ** 0.1)
+
+
 def _check_kappa(kappa: float) -> None:
+    """ParameterError unless 0 <= kappa <= KAPPA_LIMIT, the one kappa check."""
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
+    if kappa > KAPPA_LIMIT:
+        raise ParameterError(
+            f"kappa={kappa:g} is above {KAPPA_LIMIT:.6g} = (max float)^(1/10), "
+            "where a row's quantities overflow"
+        )
 
 
 def build_block(
-    wave: Union[WaveProfile, HillOperators], kind: str, kappa: float = 0.0, sector: str = "full"
+    wave: Union[WaveProfile, HillOperators], kind: str, kappa: float = 0.0
 ) -> OperatorMatrix:
-    """Block-diagonal operator diag(L1, L2) or diag(L2 + k^2, L1 + k^2)."""
+    """Block-diagonal diag(L1, L2) or diag(L2 + k^2, L1 + k^2) on the store's basis."""
     if kind not in ("Lcal", "S_kappa"):
         raise ParameterError(f"block kind must be 'Lcal' or 'S_kappa', got {kind!r}")
     if kind == "Lcal" and kappa != 0.0:
         raise ParameterError("Lcal takes no transverse wavenumber")
     _check_kappa(kappa)
-    ops = hill_operators(wave, sector)
+    ops = _operators(wave)
     l1, l2 = _whole_basis_pair(ops)
     d = ops.basis.dimension
     entries = np.zeros((2 * d, 2 * d))
@@ -484,9 +498,9 @@ def spectrum(
 
 
 def shifted_block_spectra(
-    wave: WaveProfile, kappas: Sequence[float], sector: str = "full"
+    wave: Union[WaveProfile, HillOperators], kappas: Sequence[float]
 ) -> dict:
-    """Eigenvalue lists of S(kappa) for every requested kappa.
+    """Eigenvalue lists of S(kappa) on the store's basis for every requested kappa.
 
     S(kappa) = S(0) + kappa^2 * I holds exactly at the matrix level, so a
     single diagonalization of S(0) gives the eigenvalues of the whole family
@@ -501,7 +515,7 @@ def shifted_block_spectra(
     """
     for kappa in kappas:
         _check_kappa(kappa)
-    eigenvalues = np.linalg.eigvalsh(build_block(wave, "S_kappa", sector=sector).entries)
+    eigenvalues = np.linalg.eigvalsh(build_block(wave, "S_kappa").entries)
     return {float(kappa): eigenvalues + float(kappa) ** 2 for kappa in kappas}
 
 
@@ -552,9 +566,9 @@ def check_propositions(
     A failing report flags the wave as outside the regime of these counts
     (for instance a constant state) rather than raising.  Every check reads
     the full-space operator store, whose cosine and sine blocks are the even
-    and odd sectors.
+    and odd sectors; a store on another sector raises ParameterError.
     """
-    ops = hill_operators(wave)
+    ops = wave.restrict("full") if isinstance(wave, HillOperators) else hill_operators(wave, "full")
     wave = ops.wave
     checks = []
     notes = []

@@ -25,10 +25,10 @@ and every solve below runs once per sector, on blocks of order about d/2;
 the sector spectra are merged into one record and growth modes lifted to
 full-basis coefficients.
 
-Every function here accepts the wave's operator store
-(:class:`hill.HillOperators`) in place of the wave, and builds one from a
-wave: L1 and L2, their sector blocks and the blocks' L1 spectra come from
-it.  The reductions (L2 = Q D Q^T per sector) are kept with the store, so a
+Every function here takes a wave, for its "auto" operator store, or a store
+(:class:`hill.HillOperators`) on its own sector, never a sector: L1 and L2,
+their sector blocks and the blocks' L1 spectra come from the store.  The
+reductions (L2 = Q D Q^T per sector) are kept with the store, so a
 scan, its hypotheses and the time integrator's row at one kappa share one
 assembly and one diagonalization.
 
@@ -90,10 +90,10 @@ from .hill import (
     HillOperators,
     SectorBlock,
     _check_kappa,
+    _operators,
     _rounding_floor,
     _whole_basis_pair,
     _zero_tolerance,
-    hill_operators,
 )
 
 # kept importable here: perfbench/tracer.py wraps scan.build_block by name
@@ -215,21 +215,26 @@ def _lift(rows: slice, d: int, pair: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolution_block(
-    wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "full"
-):
-    """Dense block matrix [[0, L2+k^2], [-(L1+k^2), 0]] and its basis."""
-    ops = hill_operators(wave, sector)
+def evolution_block(wave: Union[WaveProfile, HillOperators], kappa: float):
+    """Dense block [[0, L2+k^2], [-(L1+k^2), 0]] on the store's basis, and the basis."""
+    ops = _operators(wave)
     l1, l2 = _whole_basis_pair(ops)
     return _growth_block(l2, l1, kappa), ops.basis
 
 
 def _symmetry_defect(eigenvalues: np.ndarray) -> float:
-    """Distance of the set from closure under lambda -> -lambda and conjugation."""
+    """Distance of the set from closure under lambda -> -lambda and conjugation,
+    over blocks of rows of at most BATCH_BYTES of complex distances each: the
+    max of row minima is exact, so it does not depend on the blocks."""
     e = eigenvalues
-    negation = np.min(np.abs(e[:, None] + e[None, :]), axis=1)
-    conjugation = np.min(np.abs(e[None, :] - np.conj(e)[:, None]), axis=1)
-    return max(0.0, float(np.max(negation)), float(np.max(conjugation)))
+    rows = max(1, BATCH_BYTES // (16 * e.size))
+    worst = 0.0
+    for start in range(0, e.size, rows):
+        lam = e[start : start + rows, None]
+        negation = np.min(np.abs(lam + e[None, :]), axis=1)
+        conjugation = np.min(np.abs(e[None, :] - np.conj(lam)), axis=1)
+        worst = max(worst, float(np.max(negation)), float(np.max(conjugation)))
+    return worst
 
 
 def _normalize_mode(vec: np.ndarray) -> np.ndarray:
@@ -329,12 +334,10 @@ class StabilityScan:
         return max(self.records, key=lambda r: r.max_real_part)
 
 
-def instability_eigs(
-    wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "auto"
-) -> RowSolution:
+def instability_eigs(wave: Union[WaveProfile, HillOperators], kappa: float) -> RowSolution:
     """The dense row at one kappa (kappa = 0 allowed as diagnostic): each
     parity sector's ``eig``, whatever the scan's rule would pick there."""
-    return _dense_row(hill_operators(wave, sector), kappa)
+    return _dense_row(_operators(wave), kappa)
 
 
 def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
@@ -558,27 +561,26 @@ class _Reduction:
             l1_mode[rows] = (l1k @ v[..., None])[..., 0]
         return _SectorRows(mu, pairs, v1, mode, l1_mode)
 
-    def _gate(self, kappa, what: str, mu, residual, norm) -> None:
-        """residual <= max(CROSSCHECK_RTOL |mu|, 4 floor) * norm, elementwise."""
-        bound = np.maximum(CROSSCHECK_RTOL * np.abs(mu), 4.0 * self.floor(kappa)) * norm
-        bad = np.flatnonzero(~(residual <= bound))
-        if bad.size:
-            j = bad[np.argmax(residual[bad] / bound[bad])]
-            raise NumericalConsistencyError(
-                f"{what} at mu={mu[j]:.6e} fails the residual cross-check at "
-                f"kappa={kappa[j]:g}: residual {residual[j]:.3e} above {bound[j]:.3e}"
-            )
-
-    def _gate_spectrum(self, kappa, what: str, error, size) -> None:
-        """error <= 4 d eps size, per row: a check of the whole spectrum without vectors."""
-        bound = 4.0 * _rounding_floor(self.d.size, size)
+    def _gate(self, kappa, what: str, error, size, mu=None) -> None:
+        """NumericalConsistencyError at the worst row unless error <= bound (a
+        NaN fails): with ``mu`` a pair's residual, bound max(CROSSCHECK_RTOL
+        |mu|, 4 floor) * size; else a vector-free check, bound 4 d eps size."""
+        if mu is None:
+            bound = 4.0 * _rounding_floor(self.d.size, size)
+        else:
+            bound = np.maximum(CROSSCHECK_RTOL * np.abs(mu), 4.0 * self.floor(kappa)) * size
         bad = np.flatnonzero(~(error <= bound))
-        if bad.size:
-            j = bad[np.argmax(error[bad] / bound[bad])]
-            raise NumericalConsistencyError(
-                f"{what} fails the spectrum cross-check at kappa={kappa[j]:g}: "
-                f"error {error[j]:.3e} above {bound[j]:.3e}"
-            )
+        if not bad.size:
+            return
+        j = bad[np.argmax(error[bad] / bound[bad])]
+        if mu is None:
+            check, noun = "spectrum", "error"
+        else:
+            what, check, noun = f"{what} at mu={mu[j]:.6e}", "residual", "residual"
+        raise NumericalConsistencyError(
+            f"{what} fails the {check} cross-check at kappa={kappa[j]:g}: "
+            f"{noun} {error[j]:.3e} above {bound[j]:.3e}"
+        )
 
     def certify(self, kappa, solved: "_SectorRows") -> None:
         """Every mu of every row against the unreduced P = (L2+k^2)(L1+k^2):
@@ -607,7 +609,7 @@ class _Reduction:
         u = v1 @ self.l1.T + shift * v1
         residual = u @ self.l2.T + shift * u - v1 * pair_mu[:, None]
         norms = np.linalg.norm(residual, axis=1), np.linalg.norm(v1, axis=1)
-        self._gate(kappa[row], "eigenpair", pair_mu, *norms)
+        self._gate(kappa[row], "eigenpair", *norms, mu=pair_mu)
 
         t_b, t_s, t_bb, t_bs, t_ss = self.traces
         n = mu.shape[1]
@@ -616,10 +618,10 @@ class _Reduction:
             t_bb + 2.0 * k2 * t_bs + k2**2 * (t_ss + 2.0 * t_b) + 2.0 * k2**3 * t_s + k2**4 * n
         )
         square = _dots(mu, mu)
-        self._gate_spectrum(
+        self._gate(
             kappa, "moment sum(mu) = tr P", np.abs(mu.sum(axis=1) - trace), np.abs(mu).sum(axis=1)
         )
-        self._gate_spectrum(kappa, "moment sum(mu^2) = tr P^2", np.abs(square - trace_sq), square)
+        self._gate(kappa, "moment sum(mu^2) = tr P^2", np.abs(square - trace_sq), square)
 
         shift, scale = k2[:, None], self.scale(kappa)
         sz = scale * self.probe
@@ -628,7 +630,7 @@ class _Reduction:
         mz = sz @ self.a.T + shift * sz
         r = u @ self.l2.T + shift * u - (scale * (scale * mz)) @ self.q.T
         norm = (self.d[-1] + k2) * (self.l1_norm + k2) * np.sqrt(_dots(sz, sz))
-        self._gate_spectrum(kappa, "probe P Q (s z) = Q (s M z)", np.sqrt(_dots(r, r)), norm)
+        self._gate(kappa, "probe P Q (s z) = Q (s M z)", np.sqrt(_dots(r, r)), norm)
 
     def certify_mode(self, kappa, rate: np.ndarray, coeff: np.ndarray) -> None:
         """The written growth modes w = (v1, v2) of this sector, as rows,
@@ -642,7 +644,7 @@ class _Reduction:
         r2 = -(w1 @ self.l1.T + k2 * w1) - rates * w2
         residual = rate * np.sqrt(_dots(r1, r1) + _dots(r2, r2))
         norm = np.sqrt(_dots(w1, w1) + _dots(w2, w2))
-        self._gate(kappa, "growth mode", -(rate**2), residual, norm)
+        self._gate(kappa, "growth mode", residual, norm, mu=-(rate**2))
 
     def check_inertia(self, kappa, mu: np.ndarray) -> None:
         """#{mu < 0} = n(L1 + kappa^2) on every row by Sylvester's law of
@@ -770,15 +772,13 @@ def _solve_rows(ops: HillOperators, kappa) -> list:
     return [row if row is not None else _dense_row(ops, k) for row, k in zip(rows, kappa)]
 
 
-def growth_row(
-    wave: Union[WaveProfile, HillOperators], kappa: float, sector: str = "auto"
-) -> RowSolution:
+def growth_row(wave: Union[WaveProfile, HillOperators], kappa: float) -> RowSolution:
     """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
     Its record is the scan's row at kappa bit for bit, a batch of one row;
     given the scan's operator store, it reuses the scan's assembly and
     reductions."""
     _check_kappa(kappa)
-    return _solve_rows(hill_operators(wave, sector), [float(kappa)])[0]
+    return _solve_rows(_operators(wave), [float(kappa)])[0]
 
 
 def scan_kappa(
@@ -786,15 +786,14 @@ def scan_kappa(
     kappa_min: float,
     kappa_max: float,
     steps: int,
-    sector: str = "auto",
 ) -> StabilityScan:
     """Sweep kappa over a uniform grid and locate the instability band edges.
 
     The verdict is 'transversally unstable' as soon as one grid point has
     max Re lambda above UNSTABLE_THRESHOLD.  Runs are sequential and
     deterministic: identical inputs give identical records.  L1 and L2 come
-    from one operator store (:func:`hill.hill_operators`: a wave is assembled
-    once, a store is reused) and every row adds kappa^2 to them.  An edge lies between
+    from one operator store (a wave's is assembled once, a store is reused)
+    and every row adds kappa^2 to them.  An edge lies between
     adjacent rows whose growth crosses EDGE_LEVEL: the band end 0 or
     sqrt(lambda0) where L2 + kappa^2 >= 0 there, else bisected to
     EDGE_RESOLUTION with dense ``eig`` solves, which the scan counts.
@@ -805,7 +804,8 @@ def scan_kappa(
         raise ParameterError(f"need 0 <= kappa_min < kappa_max, got [{kappa_min}, {kappa_max}]")
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ParameterError(f"kappa grid needs an integer of at least 2 points, got {steps!r}")
-    ops = hill_operators(wave, sector)
+    _check_kappa(kappa_max)
+    ops = _operators(wave)
     kappas = np.linspace(kappa_min, kappa_max, steps)
     reductions = _Reduction.sectors(ops)
     records, peak = [], None
@@ -897,11 +897,9 @@ def transverse_threshold(ops: HillOperators) -> tuple[float, float, float]:
 
 
 def verify_hypotheses(
-    wave: Union[WaveProfile, HillOperators],
-    sector: str = "auto",
-    zero_tolerance: Optional[float] = None,
+    wave: Union[WaveProfile, HillOperators], zero_tolerance: Optional[float] = None
 ) -> HypothesisReport:
-    """Check (H0)-(H4) for S(kappa) on the declared sector.
+    """Check (H0)-(H4) for S(kappa) on the store's sector.
 
     H0 self-adjointness of the store's L1 and L2, measured only here on the
     store path; H4 exactly one negative eigenvalue of S(0), simple: its gap
@@ -916,7 +914,7 @@ def verify_hypotheses(
     essential spectrum on a periodic cell; H3 S'(kappa) = 2 kappa I, so the
     lowest eigenvalue of S(kappa) increases with kappa.
     """
-    ops = hill_operators(wave, sector)
+    ops = _operators(wave)
     # S(0) = diag(L2, L1): its off-diagonal blocks are exact zeros, so the
     # entry scale, the asymmetry and the spectrum all come from L1 and L2,
     # and from their sector blocks: the coupling left out is rounding, and its

@@ -77,7 +77,7 @@ def const_scan(const_wave):
 @pytest.fixture(scope="session")
 def odd_full_scan(odd_wave):
     """Odd wave in the full space: L2 + kappa^2 is indefinite below kappa ~ 0.33."""
-    return scan_kappa(odd_wave, 0.05, 1.0, 8, sector="full")
+    return scan_kappa(hill_operators(odd_wave, "full"), 0.05, 1.0, 8)
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +94,7 @@ def solve_row(even_wave, odd_wave, const_wave):
         sector = resolve_sector(wave, sector)
         if (name, sector) not in shared:
             shared[name, sector] = hill_operators(wave, sector)
-        return growth_row(shared[name, sector], float(kappa), sector)
+        return growth_row(shared[name, sector], float(kappa))
 
     return solve
 

@@ -26,7 +26,7 @@ import numpy as np  # noqa: E402
 
 from gnlstab import cli, serialize  # noqa: E402
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit  # noqa: E402
-from gnlstab.hill import build_hill, check_propositions, spectrum  # noqa: E402
+from gnlstab.hill import build_hill, check_propositions, hill_operators, spectrum  # noqa: E402
 from gnlstab.scan import scan_kappa, verify_hypotheses  # noqa: E402
 from gnlstab.spectral import FULL, ParityBasis  # noqa: E402
 from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave  # noqa: E402
@@ -50,7 +50,7 @@ def documents() -> dict:
         "propositions_odd.json": check_propositions(odd),
         "hypotheses_even.json": verify_hypotheses(even),
         "scan_even.json": scan_kappa(even, 0.05, 1.8, 4),
-        "scan_odd_full.json": scan_kappa(odd, 0.05, 1.0, 3, sector="full"),
+        "scan_odd_full.json": scan_kappa(hill_operators(odd, "full"), 0.05, 1.0, 3),
         "growth_const.json": growth,
     }
     texts = {name: serialize.dumps(result) for name, result in texts.items()}

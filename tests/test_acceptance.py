@@ -18,6 +18,7 @@ from gnlstab.hill import (
     build_block,
     build_hill,
     check_propositions,
+    hill_operators,
     shifted_block_spectra,
     spectrum,
 )
@@ -225,7 +226,7 @@ def test_criterion_4_even_spectral_counts(record, quality_waves):
 def test_criterion_5_odd_spectral_counts(record, odd_wave):
     report = check_propositions(odd_wave)
     by_name = {c.name: c for c in report.checks}
-    lcal = spectrum(build_block(odd_wave, "Lcal", sector="odd"))
+    lcal = spectrum(build_block(hill_operators(odd_wave, "odd"), "Lcal"))
     tol = lcal.zero_tolerance
     counts_ok = (
         by_name["n(L1) full space"].actual == "2"
@@ -339,11 +340,12 @@ def test_criterion_8_structural_invariants(
             if sector == "full"
             else None
         )
-        s0 = build_block(wave, "S_kappa", 0.0, sector=sector)
+        ops = hill_operators(wave, sector)
+        s0 = build_block(ops, "S_kappa", 0.0)
         # same LAPACK driver as the library, so the 1e-12 shift gate below
         # measures the kappa^2 shift rather than the rounding of two drivers
         base = np.linalg.eigvalsh(s0.entries)
-        family = shifted_block_spectra(wave, scan.kappa_values, sector=sector)
+        family = shifted_block_spectra(ops, scan.kappa_values)
         d = s0.entries.shape[0] // 2
         l2 = s0.entries[:d, :d]
         l1 = s0.entries[d:, d:]
@@ -354,7 +356,7 @@ def test_criterion_8_structural_invariants(
             worst_shift = max(
                 worst_shift, float(np.max(np.abs(family[kappa] - (base + kappa**2))))
             )
-            s_direct = build_block(wave, "S_kappa", kappa, sector=sector)
+            s_direct = build_block(ops, "S_kappa", kappa)
             assert np.array_equal(
                 s_direct.entries,
                 s0.entries + kappa**2 * np.eye(2 * d),

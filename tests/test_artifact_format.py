@@ -26,7 +26,7 @@ import pytest
 
 from gnlstab import serialize
 from gnlstab.errors import FormatError
-from gnlstab.hill import build_hill, spectrum
+from gnlstab.hill import build_hill, hill_operators, spectrum
 from gnlstab.scan import StabilityScan, growth_row
 from gnlstab.spectral import FULL, ParityBasis
 
@@ -120,9 +120,10 @@ def test_loaded_arrays_have_their_dtypes():
     scan = serialize.load(DATA / "scan_odd_full.json")
     wave = serialize.load(DATA / "wave_odd.json")
     assert scan.kappa_values.dtype == np.float64
+    ops = hill_operators(wave, scan.sector)
     for record in scan.records:
         # a row reports its unstable eigenvalues; the row solver has them all
-        row = growth_row(wave, record.kappa, scan.sector)
+        row = growth_row(ops, record.kappa)
         assert row.eigenvalues.dtype == np.complex128
         assert row.eigenvalues.shape == (64,)
         assert row.record() == record

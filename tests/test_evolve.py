@@ -89,7 +89,7 @@ def test_dense_path_kappa_predicts_its_row(odd_wave, odd_full_scan):
     # indefinite, so the scan's row there is the dense eig, and so is the DNS's
     row = odd_full_scan.records[0]
     assert odd_full_scan.dense_rows >= 1 and row.leading_lambda is not None
-    run = evolve_and_fit(odd_wave, row.kappa, sector="full")
+    run = evolve_and_fit(hill_operators(odd_wave, "full"), row.kappa)
     assert run.predicted_rate == row.max_real_part
     assert abs(run.fitted_rate - run.predicted_rate) <= 0.02 * run.predicted_rate
 
@@ -214,7 +214,7 @@ def splitting_run(name, sector, seed, request):
     wave = request.getfixturevalue(f"{name}_wave")
     kappa = request.getfixturevalue(f"{name}_scan").most_unstable.kappa
     config = EvolutionConfig(scheme="splitting_order2", seed=seed, rng_seed=5)
-    return wave, kappa, evolve_and_fit(wave, kappa, config, sector=sector)
+    return wave, kappa, evolve_and_fit(hill_operators(wave, sector), kappa, config)
 
 
 @pytest.mark.parametrize("name, sector, seed, parts", SPLITTING_RUNS)

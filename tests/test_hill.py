@@ -19,6 +19,7 @@ from gnlstab.hill import (
     check_propositions,
     default_zero_tolerance,
     hill_operators,
+    resolve_sector,
     shifted_block_spectra,
     spectrum,
 )
@@ -122,10 +123,11 @@ def test_assembly_matches_column_reference(even_wave, odd_wave, size):
             basis = ParityBasis(kind, wave.phi.grid)
             assert _relative_gap(build_hill(wave, "L1", basis).entries, ref_l1) <= 1e-13
             assert _relative_gap(build_hill(wave, "L2", basis).entries, ref_l2) <= 1e-13
-            lcal = build_block(wave, "Lcal", sector=sector).entries
+            ops = hill_operators(wave, sector)
+            lcal = build_block(ops, "Lcal").entries
             assert _relative_gap(lcal, scipy.linalg.block_diag(ref_l1, ref_l2)) <= 1e-13
             shift = kappa**2 * np.eye(basis.dimension)
-            s_kappa = build_block(wave, "S_kappa", kappa, sector=sector).entries
+            s_kappa = build_block(ops, "S_kappa", kappa).entries
             ref_s = scipy.linalg.block_diag(ref_l2 + shift, ref_l1 + shift)
             assert _relative_gap(s_kappa, ref_s) <= 1e-13
 
@@ -149,8 +151,8 @@ def test_build_block_parameter_errors(even_wave):
         build_block(even_wave, "S_kappa", kappa=-1.0)
     with pytest.raises(ParameterError):
         build_block(even_wave, "M_kappa")
-    with pytest.raises(ParameterError):
-        build_block(even_wave, "S_kappa", kappa=1.0, sector="diagonal")
+    with pytest.raises(ParameterError, match="unknown sector"):
+        build_block(hill_operators(even_wave, "diagonal"), "S_kappa", kappa=1.0)
 
 
 def test_operator_matrix_requires_symmetry(even_wave):
@@ -296,8 +298,9 @@ def dense_summary(op: OperatorMatrix):
 def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
     for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
         for sector in ("full", "odd"):
+            ops = hill_operators(wave, sector)
             for kind in ("Lcal", "S_kappa"):
-                op = build_block(wave, kind, sector=sector)
+                op = build_block(ops, kind)
                 dense, blocks = dense_summary(op), spectrum(op)
                 scale = np.max(np.abs(op.entries))
                 assert np.max(np.abs(blocks.eigenvalues - dense.eigenvalues)) <= 1e-13 * scale
@@ -305,9 +308,9 @@ def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
                 assert blocks.kernel_dimension == dense.kernel_dimension
                 assert blocks.ambiguous == dense.ambiguous
 
-            s0 = build_block(wave, "S_kappa", sector=sector)
+            s0 = build_block(ops, "S_kappa")
             dense_eigs = dense_summary(s0).eigenvalues
-            report = verify_hypotheses(wave, sector=sector)
+            report = verify_hypotheses(ops)
             h0, h4 = report.h0, report.h4
             assert h0["max_asymmetry"] == float(np.max(np.abs(s0.entries - s0.entries.T)))
             assert h4["n_negative"] == int(np.sum(dense_eigs < -h4["zero_tolerance"]))
@@ -315,7 +318,7 @@ def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
 
         checks = {c.name: c for c in check_propositions(wave).checks}
         if wave.params.parity == "even":
-            full = build_block(wave, "Lcal", sector="full")
+            full = build_block(hill_operators(wave, "full"), "Lcal")
             lcal = dense_summary(full)
             assert checks["n(Lcal)"].actual == str(lcal.n_negative)
             assert checks["z(Lcal)"].actual == str(lcal.kernel_dimension)
@@ -324,7 +327,7 @@ def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
             margin = checks["negative eigenvalue simple"].margin
             assert abs(margin - gap) <= 1e-13 * np.max(np.abs(full.entries))
         else:
-            lcal = dense_summary(build_block(wave, "Lcal", sector="odd"))
+            lcal = dense_summary(build_block(hill_operators(wave, "odd"), "Lcal"))
             assert checks["z(Lcal,odd)"].actual == str(lcal.kernel_dimension)
 
 
@@ -343,26 +346,52 @@ def test_h0_gates_an_asymmetric_store(even_wave):
     assert h0["max_asymmetry"] == float(np.max(np.abs(skewed_l1 - skewed_l1.T)))
 
 
+def test_the_sector_is_chosen_where_the_store_is_made(even_wave, odd_wave):
+    # hill_operators and restrict resolve "auto" by the wave's parity; a
+    # restricted full store shares its block with the odd store of the wave
+    assert hill_operators(even_wave).sector == "full"
+    odd = hill_operators(odd_wave)
+    full = hill_operators(odd_wave, "full")
+    assert odd.sector == "odd" and odd.restrict("auto") is odd
+    assert full.restrict("auto") is full.restrict("odd")
+    assert np.array_equal(full.restrict("auto").blocks[0].l1, odd.blocks[0].l1)
+    with pytest.raises(ParameterError, match="cannot serve the 'even' sector"):
+        odd.restrict("even")
+
+
+def test_propositions_read_the_full_space(odd_wave):
+    # a wave gets its full store; a store on another sector cannot serve it
+    full = hill_operators(odd_wave, "full")
+    assert check_propositions(odd_wave) == check_propositions(full)
+    with pytest.raises(ParameterError, match="'odd' sector cannot serve the 'full' sector"):
+        check_propositions(hill_operators(odd_wave))
+
+
 @pytest.mark.parametrize("size", [16, 128])
 def test_whole_basis_operators_are_assembled_from_the_wave(even_wave, odd_wave, size):
     # build_block and evolution_block assemble L1 and L2 on the whole basis
-    # from the store's wave: the same bits from a full store, a sector store
-    # and each view of a full store as from the wave, and the store's sector
-    # blocks on the diagonal
+    # from the store's wave: the same bits from a full store, a sector store,
+    # each view of a full store and, on its "auto" sector, the wave itself,
+    # and the store's sector blocks on the diagonal
     kappa = 0.7
     for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
         full = hill_operators(wave, "full")
         for sector in ("full", "odd", "even"):
-            lcal = build_block(wave, "Lcal", sector=sector)
-            s_kappa = build_block(wave, "S_kappa", kappa, sector=sector)
-            growth, basis = evolution_block(wave, kappa, sector)
-            for ops in (hill_operators(wave, sector), full.restrict(sector)):
-                assert np.array_equal(build_block(ops, "Lcal", sector=sector).entries, lcal.entries)
-                assert np.array_equal(
-                    build_block(ops, "S_kappa", kappa, sector=sector).entries, s_kappa.entries
-                )
-                block, block_basis = evolution_block(ops, kappa, sector)
-                assert np.array_equal(block, growth) and block_basis == basis == ops.basis
+            store = hill_operators(wave, sector)
+            lcal = build_block(store, "Lcal")
+            s_kappa = build_block(store, "S_kappa", kappa)
+            growth, basis = evolution_block(store, kappa)
+            sources = [store, full.restrict(sector)]
+            if sector == resolve_sector(wave, "auto"):
+                sources.append(wave)
+            for source in sources:
+                assert np.array_equal(build_block(source, "Lcal").entries, lcal.entries)
+                s_source = build_block(source, "S_kappa", kappa)
+                assert np.array_equal(s_source.entries, s_kappa.entries)
+                block, block_basis = evolution_block(source, kappa)
+                assert np.array_equal(block, growth) and block_basis == basis
+            for ops in (store, full.restrict(sector)):
+                assert ops.basis == basis
                 d = ops.basis.dimension
                 for rows, sector_block in ops.sectors():
                     shifted = slice(d + rows.start, d + rows.stop)
@@ -371,7 +400,7 @@ def test_whole_basis_operators_are_assembled_from_the_wave(even_wave, odd_wave, 
 
 
 def test_spectrum_rejects_coupled_block_operators(even_wave):
-    op = build_block(even_wave, "Lcal", sector="odd")
+    op = build_block(hill_operators(even_wave, "odd"), "Lcal")
     d = op.basis.dimension
     coupled = op.entries.copy()
     coupled[0, d] = coupled[d, 0] = 1.0
@@ -468,7 +497,7 @@ def test_odd_wave_propositions(odd_wave):
     assert by_name["n(L2,odd)"].actual == "0"
     assert by_name["z(Lcal,odd)"].actual == "1"
     assert by_name["kernel residual (0,phi)"].margin <= 1e-7
-    lcal = spectrum(build_block(odd_wave, "Lcal", sector="odd"))
+    lcal = spectrum(build_block(hill_operators(odd_wave, "odd"), "Lcal"))
     assert by_name["lambda0(L1,odd) < lambda0(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
     assert by_name["lambda1(L1,odd) < lambda1(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
 

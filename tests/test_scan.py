@@ -1,6 +1,7 @@
 """Transverse wavenumber scan: growth rates, band edges, hypotheses."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,14 @@ import scipy.linalg
 import oracles
 from gnlstab import hill, serialize
 from gnlstab.errors import NumericalConsistencyError, ParameterError
+from gnlstab.evolve import evolve_and_fit
 from gnlstab.hill import (
+    KAPPA_LIMIT,
     build_block,
     build_hill,
     hill_operators,
     resolve_sector,
+    shifted_block_spectra,
     spectrum,
 )
 from gnlstab.scan import (
@@ -166,7 +170,7 @@ def test_evolution_block_matches_column_reference(even_wave, odd_wave, size):
             shift = kappa**2 * np.eye(ref_l1.shape[0])
             zero = np.zeros_like(ref_l1)
             ref = np.block([[zero, ref_l2 + shift], [-(ref_l1 + shift), zero]])
-            block, _ = evolution_block(wave, kappa, sector)
+            block, _ = evolution_block(hill_operators(wave, sector), kappa)
             assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -240,7 +244,7 @@ def test_scan_is_deterministic(even_wave, even_scan, dense_rows, scan_rows):
     # and the row solver's whole spectra, on a second assembly
     ops = hill_operators(even_wave, "full")
     for a, b in zip(again.records, scan_rows("even")):
-        row = growth_row(ops, a.kappa, ops.sector)
+        row = growth_row(ops, a.kappa)
         assert np.array_equal(row.eigenvalues, b.eigenvalues)
     # and the fast rows agree with the dense block solver
     for a, dense in zip(again.records, dense_rows["even"]):
@@ -262,7 +266,8 @@ def dense_rows(request):
     for name in SCANS:
         wave = request.getfixturevalue(f"{name}_wave")
         scan = request.getfixturevalue(f"{name}_scan")
-        rows[name] = [instability_eigs(wave, r.kappa, scan.sector) for r in scan.records]
+        ops = hill_operators(wave, scan.sector)
+        rows[name] = [instability_eigs(ops, r.kappa) for r in scan.records]
     return rows
 
 
@@ -317,8 +322,10 @@ def test_reduced_band_edges_and_verdict_match_dense(name, request, dense_rows):
     assert scan.band_edges[-1] == pytest.approx(np.sqrt(lambda0), rel=1e-12)
 
     # the dense growth rate crosses EDGE_LEVEL within EDGE_RESOLUTION of each edge
+    ops = hill_operators(wave, scan.sector)
+
     def dense_growth(kappa):
-        return instability_eigs(wave, kappa, scan.sector).max_real_part
+        return instability_eigs(ops, kappa).max_real_part
 
     for edge in scan.band_edges:
         below = dense_growth(max(edge - EDGE_RESOLUTION, 0.0)) - EDGE_LEVEL
@@ -345,6 +352,44 @@ def test_symmetry_defect_matches_loop_on_unclosed_sets():
         assert _symmetry_defect(values) == oracles.symmetry_defect_reference(values)
 
 
+def near_quadruples(count: int) -> np.ndarray:
+    """count quadruples +-a +-ib, each value moved by about 1e-12: a nearly
+    closed set, about the merged spectrum of a dense N = 1024 row at 2052."""
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2, count))
+    values = np.concatenate([a + 1j * b, a - 1j * b, -a + 1j * b, -a - 1j * b])
+    return values + 1e-12 * (rng.standard_normal(4 * count) + 1j * rng.standard_normal(4 * count))
+
+
+def test_symmetry_defect_is_exact_over_its_blocks(monkeypatch):
+    # a max of row minima, taken over blocks of rows: the same bits whatever
+    # the blocks, 17 of them under the default budget, then 411 and 2052.  One
+    # value moved far off, whose row alone is far from closure, sits first,
+    # mid-block and last
+    closed = near_quadruples(513)
+    assert BATCH_BYTES // (16 * closed.size) == 127
+    for at in (0, 1000, closed.size - 1):
+        values = closed.copy()
+        values[at] = 5.0 + 5.0j
+        reference = oracles.symmetry_defect_reference(values)
+        assert reference > 1.0
+        for budget in (BATCH_BYTES, 16 * values.size * 5, 1):
+            monkeypatch.setattr("gnlstab.scan.BATCH_BYTES", budget)
+            assert _symmetry_defect(values) == reference
+
+
+def test_symmetry_defect_memory_is_bounded():
+    # the two whole n x n complex distance arrays took 96 MiB at n = 2052
+    values = near_quadruples(513)
+    tracemalloc.start()
+    try:
+        _symmetry_defect(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan, scan_rows):
     # an odd wave's L2 has a negative eigenvalue in the full space, so
     # L2 + kappa^2 is indefinite for kappa^2 below minus that eigenvalue
@@ -355,8 +400,9 @@ def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan, scan_
     assert indefinite.any() and not indefinite.all()
     assert scan.dense_rows == int(indefinite.sum())
     assert scan.reduced_rows == int((~indefinite).sum())
+    ops = hill_operators(odd_wave, "full")
     for row, dense_path in zip(scan_rows("odd_full"), indefinite):
-        dense = instability_eigs(odd_wave, row.kappa, "full")
+        dense = instability_eigs(ops, row.kappa)
         assert row.path == ("dense" if dense_path else "reduced")
         if dense_path:
             assert np.array_equal(row.eigenvalues, dense.eigenvalues)
@@ -374,7 +420,7 @@ def test_dense_rows_build_only_sector_blocks(odd_wave, monkeypatch):
         return _growth_block(l2, l1, kappa)
 
     monkeypatch.setattr("gnlstab.scan._growth_block", counted)
-    row = instability_eigs(odd_wave, 0.05, "full")
+    row = instability_eigs(hill_operators(odd_wave, "full"), 0.05)
     n = odd_wave.phi.grid.size
     assert sorted(orders) == [2 * (n // 2 - 1), 2 * (n // 2 + 1)]
     assert row.path == "dense"
@@ -536,7 +582,7 @@ def test_growth_row_is_the_scan_row_bit_for_bit(name, request):
     scan = request.getfixturevalue(f"{name}_scan")
     wave = request.getfixturevalue("odd_wave" if name == "odd_full" else f"{name}_wave")
     ops = hill_operators(wave, scan.sector)
-    rows = [growth_row(ops, r.kappa, scan.sector) for r in scan.records]
+    rows = [growth_row(ops, r.kappa) for r in scan.records]
     assert [row.record() for row in rows] == list(scan.records)
     pairs = [
         np.count_nonzero(r.spectrum(scan.kappa_values) < 0.0, axis=1).max()
@@ -589,9 +635,9 @@ def test_a_row_does_not_depend_on_its_batch(name, sector, request, monkeypatch):
     # one row per batch writes the scan of one batch byte for byte: reduced
     # and dense rows, one and two growth pairs per sector
     wave = request.getfixturevalue(f"{name}_wave")
-    whole = serialize.dumps(scan_kappa(wave, 0.0, 4.0, 30, sector))
+    whole = serialize.dumps(scan_kappa(hill_operators(wave, sector), 0.0, 4.0, 30))
     monkeypatch.setattr("gnlstab.scan.BATCH_BYTES", 1)
-    assert serialize.dumps(scan_kappa(wave, 0.0, 4.0, 30, sector)) == whole
+    assert serialize.dumps(scan_kappa(hill_operators(wave, sector), 0.0, 4.0, 30)) == whole
 
 
 def test_the_probe_is_fixed_and_has_no_zero_component(even_wave):
@@ -645,7 +691,7 @@ def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_s
 
 def whole_block_eigs(wave, kappa, sector) -> RowSolution:
     """scipy.linalg.eig of the whole 2d x 2d block, not split by parity."""
-    block, basis = evolution_block(wave, kappa, sector)
+    block, basis = evolution_block(hill_operators(wave, sector), kappa)
     values, vectors = scipy.linalg.eig(block)
     order = np.lexsort((values.imag, values.real))
     values, vectors = values[order], vectors[:, order]
@@ -675,7 +721,7 @@ def test_split_rows_match_a_whole_block_scipy_solve(
         oracle = whole_block_eigs(wave, row.kappa, "full")
         assert oracle.leading is not None
         assert_row_matches_dense(row, oracle)
-        assert_row_matches_dense(instability_eigs(wave, row.kappa, "full"), oracle)
+        assert_row_matches_dense(instability_eigs(hill_operators(wave, "full"), row.kappa), oracle)
         v1, v2 = row.mode_fields()
         assert v1.parity == v2.parity == "none"
 
@@ -718,7 +764,8 @@ def test_coupling_above_the_floor_is_rejected(even_wave, monkeypatch):
         with pytest.raises(NumericalConsistencyError, match="coupling .* rounding floor"):
             solve()
     # the sector bases have no coupling block to check
-    assert instability_eigs(even_wave, 1.0, "even").max_real_part > UNSTABLE_THRESHOLD
+    even = hill_operators(even_wave, "even")
+    assert instability_eigs(even, 1.0).max_real_part > UNSTABLE_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +859,7 @@ def test_even_hypotheses_pass(even_wave, even_hypotheses):
     # lambda0 agrees with an independent dense solve of S(0)
     from gnlstab.hill import build_block
 
-    s0 = build_block(even_wave, "S_kappa", 0.0, sector="full").entries
+    s0 = build_block(hill_operators(even_wave, "full"), "S_kappa", 0.0).entries
     lam0 = -float(scipy.linalg.eigh(s0, eigvals_only=True)[0])
     assert report.h1["lambda0"] == pytest.approx(lam0, rel=1e-12)
     assert report.h1["K"] == pytest.approx(np.sqrt(lam0), rel=1e-5)
@@ -832,7 +879,7 @@ def test_hypotheses_shift_matches_dense_solves(name, request):
     report = verify_hypotheses(wave)
     h1 = report.h1
     assert h1["K"] > 0.0
-    s0 = build_block(wave, "S_kappa", 0.0, sector=report.sector).entries
+    s0 = build_block(hill_operators(wave, report.sector), "S_kappa", 0.0).entries
     shifted = s0 + h1["K"] ** 2 * np.eye(s0.shape[0])
     lowest = float(scipy.linalg.eigh(shifted, eigvals_only=True)[0])
     assert abs(lowest - h1["beta"]) <= 1e-12 * np.max(np.abs(s0))
@@ -886,6 +933,37 @@ def test_scan_input_validation(even_wave):
             scan_kappa(even_wave, 0.05, 2.0, steps)
     with pytest.raises(ParameterError):
         instability_eigs(even_wave, -0.5)
+
+
+@pytest.mark.parametrize("kappa", [1e40, 1e150, 1e200, 1e300])
+def test_a_kappa_past_the_float_range_is_a_parameter_error(even_wave, kappa):
+    # tr P^2 is of degree 8 in kappa and overflowed from about 3e38, M(kappa)
+    # from 1e150, kappa^2 itself from 1e155: every entry point rejects kappa first
+    ops = hill_operators(even_wave)
+    calls = [
+        lambda: scan_kappa(ops, 0.0, kappa, 4),
+        lambda: growth_row(ops, kappa),
+        lambda: instability_eigs(ops, kappa),
+        lambda: evolution_block(ops, kappa),
+        lambda: build_block(ops, "S_kappa", kappa),
+        lambda: shifted_block_spectra(ops, [0.5, kappa]),
+        lambda: evolve_and_fit(ops, kappa),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=re.escape(f"kappa={kappa:g} is above")):
+            call()
+
+
+def test_rows_stay_finite_up_to_the_kappa_limit(even_wave, odd_wave, const_wave):
+    # the squared probe residual, of degree 10 in kappa, is a row's largest
+    # quantity: reduced and dense rows at the limit stay finite and raise no
+    # overflow warning (a dense row's real parts there are rounding, eps kappa^2)
+    assert KAPPA_LIMIT == np.finfo(float).max ** 0.1
+    for ops in (hill_operators(even_wave), hill_operators(odd_wave, "full"),
+                hill_operators(const_wave)):
+        scan = scan_kappa(ops, 0.5 * KAPPA_LIMIT, KAPPA_LIMIT, 3)
+        assert scan.reduced_rows == 3 and scan.verdict == "no instability detected"
+        assert np.all(np.isfinite(instability_eigs(ops, KAPPA_LIMIT).eigenvalues))
 
 
 def test_edge_level_is_small():

@@ -717,9 +717,9 @@ def test_cli_default_range_runs_no_hypotheses(tmp_path, odd_wave, odd_hypotheses
     grids = []
     scan = cli.scan_kappa
 
-    def recorded(ops, kappa_min, kappa_max, steps, sector="auto"):
+    def recorded(ops, kappa_min, kappa_max, steps):
         grids.append((kappa_min, kappa_max, steps))
-        return scan(ops, kappa_min, kappa_max, steps, sector=sector)
+        return scan(ops, kappa_min, kappa_max, steps)
 
     monkeypatch.setattr(cli, "verify_hypotheses", never)
     monkeypatch.setattr(cli, "scan_kappa", recorded)
@@ -988,6 +988,36 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     # the shared parser prints a fresh parser's help, byte for byte
     for argv in (["--help"], ["pipeline", "--help"]):
         assert help_text(main, argv, capsys) == help_text(build().parse_args, argv, capsys)
+
+
+#: the README wave at N = 32
+README_WAVE_32 = ["--alpha", "2", "--omega", "1", "--period", "6.2831853", "--parity", "even",
+                  "--tau", "auto:amplitude=1.5", "--modes", "32"]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["scan", "--kappa-max", "1e40"], "[instability_scanner] kappa=1e+40 is above "),
+        (["scan", "--kappa-max", "1e150"], "[instability_scanner] kappa=1e+150 is above "),
+        (["scan", "--kappa-max", "1e200"], "[instability_scanner] kappa=1e+200 is above "),
+        (["dns", "--kappa", "1e300"], "[dns_validator] kappa=1e+300 is above "),
+    ],
+)
+def test_a_kappa_past_the_float_range_is_an_input_error(tmp_path, capsys, argv, line):
+    # these ran into a false cross-check failure, a LAPACK failure and an
+    # uncaught OverflowError; warnings are errors here, so none is raised either
+    assert main(argv + README_WAVE_32 + ["--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(line) and err.endswith(" where a row's quantities overflow\n")
+    assert err.count("\n") == 1
+
+
+def test_a_large_kappa_below_the_limit_still_scans(tmp_path, capsys):
+    assert main(["scan", "--kappa-max", "1e20"] + README_WAVE_32 + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("[instability_scanner] no instability detected;")
+    assert serialize.load(tmp_path / "scan.json").kappa_values[-1] == 1e20
 
 
 @pytest.mark.parametrize("command", ["pipeline", "dns"])
