@@ -4,6 +4,10 @@ Every subcommand writes its artifacts into --out and prints a short
 summary.  Exit codes: 0 success, 1 operational error (bad input, failed
 convergence, I/O), 2 scientific assertion failure (proposition or
 hypothesis checks, broken cross-checks, convergence certificate).
+
+``_FLAGS`` and ``_SUBCOMMANDS`` are the one place where flags and
+subcommands are declared: each flag once, with its argparse keywords, and
+each subcommand with its ``cmd_*`` function, help text and flag names.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from .errors import (
     NumericalConsistencyError,
     WaveAcceptanceError,
 )
-from .evolve import EvolutionConfig, evolve_and_fit
+from .evolve import SCHEMES, SEEDS, EvolutionConfig, evolve_and_fit
 from .hill import HillOperators, check_propositions, hill_operators
 
 # kept importable here: perfbench/tracer.py wraps these names of gnlstab.cli
@@ -77,98 +81,44 @@ def _stage(tag: str):
 # argument plumbing
 
 
-def _add_io_flags(sp):
-    sp.add_argument("--config", default=None, help="JSON file mirroring flags; explicit flags win")
-    sp.add_argument("--out", default=None, help="output directory (default: current directory)")
-
-
-def _add_format_flag(sp):
-    sp.add_argument("--format", default=None, choices=("json", "csv", "both"))
-
-
-def _add_problem_flags(sp):
-    sp.add_argument("--alpha", type=float, default=None, help="nonlinearity power (> 0)")
-    sp.add_argument("--omega", type=float, default=None, help="frequency (default 1.0)")
-    sp.add_argument("--period", type=float, default=None, help="spatial period (default 2*pi)")
-    sp.add_argument("--parity", default=None, choices=("even", "odd"))
-    sp.add_argument("--modes", type=int, default=None, help="grid size N (default 128)")
-    sp.add_argument(
-        "--tau",
-        default=None,
-        help="constraint value, a float or auto:amplitude=A (tau such that the "
-        "minimizer before multiplier rescaling has max|u| = A; tau sets only that "
-        "amplitude, the solved profile does not depend on it)",
-    )
-
-
 #: destinations of the problem flags, which a stored wave (--wave) fixes
 _PROBLEM_FLAGS = ("alpha", "omega", "period", "parity", "modes", "tau")
 
-
-def _add_zero_tolerance_flag(sp):
-    sp.add_argument("--zero-tolerance", type=float, default=None, dest="zero_tolerance")
-
-
-def _add_wave_flag(sp):
-    sp.add_argument(
-        "--wave", default=None, help="stored wave JSON to reuse instead of solving"
-    )
-
-
-def _add_sector_flag(sp):
-    sp.add_argument("--sector", default=None, choices=("auto", "full", "odd", "even"))
-
-
-def _add_scan_flags(sp):
-    sp.add_argument("--kappa-min", type=float, default=None, dest="kappa_min")
-    sp.add_argument("--kappa-max", type=float, default=None, dest="kappa_max")
-    sp.add_argument("--kappa-steps", type=int, default=None, dest="kappa_steps")
-    _add_sector_flag(sp)
-
-
-def _add_kappa_flag(sp):
-    sp.add_argument("--kappa", type=float, default=None, help="transverse wavenumber")
-
-
-def _add_dns_flags(sp):
-    sp.add_argument("--scheme", default=None, choices=("explicit_rk4", "splitting_order2"))
-    sp.add_argument(
-        "--dns-seed", default=None, choices=("leading_eigenvector", "random"), dest="dns_seed"
-    )
-    sp.add_argument("--final-time", type=float, default=None, dest="final_time")
-    sp.add_argument("--time-step", type=float, default=None, dest="time_step")
-    sp.add_argument("--rng-seed", type=int, default=None, dest="rng_seed")
-
-
-#: subcommand -> (help, flag groups); builds the parser and checks --config values.
-#: Each subcommand takes only the flags its ``cmd_*`` function reads.
-_SUBCOMMANDS = {
-    "solve": ("solve for a standing-wave profile", (_add_io_flags, _add_problem_flags)),
-    "spectrum": (
-        "eigenvalues of the linearized operators L1, L2",
-        (_add_io_flags, _add_format_flag, _add_problem_flags, _add_zero_tolerance_flag,
-         _add_wave_flag),
+#: each flag once: destination -> add_argument keywords.  The option is
+#: ``--`` plus the destination with ``-`` for ``_``; every default is None,
+#: so that --config can fill it.
+_FLAGS = {
+    "config": dict(help="JSON file mirroring flags; explicit flags win"),
+    "out": dict(help="output directory (default: current directory)"),
+    "format": dict(choices=("json", "csv", "both")),
+    "alpha": dict(type=float, help="nonlinearity power (> 0)"),
+    "omega": dict(type=float, help="frequency (default 1.0)"),
+    "period": dict(type=float, help="spatial period (default 2*pi)"),
+    "parity": dict(choices=("even", "odd")),
+    "modes": dict(type=int, help="grid size N (default 128)"),
+    "tau": dict(
+        help="constraint value, a float or auto:amplitude=A (tau such that the "
+        "minimizer before multiplier rescaling has max|u| = A; tau sets only that "
+        "amplitude, the solved profile does not depend on it)"
     ),
-    "verify": (
-        "structural spectral checks and hypotheses (H0)-(H4)",
-        (_add_io_flags, _add_problem_flags, _add_zero_tolerance_flag, _add_wave_flag,
-         _add_sector_flag),
-    ),
-    "scan": (
-        "growth rates over a transverse wavenumber grid",
-        (_add_io_flags, _add_format_flag, _add_problem_flags, _add_wave_flag, _add_scan_flags),
-    ),
-    "dns": (
-        "time integration of the linearized flow",
-        (_add_io_flags, _add_format_flag, _add_problem_flags, _add_wave_flag, _add_sector_flag,
-         _add_kappa_flag, _add_dns_flags),
-    ),
-    "pipeline": (
-        "all stages for one parameter set, combined report",
-        (_add_io_flags, _add_problem_flags, _add_zero_tolerance_flag, _add_scan_flags,
-         _add_dns_flags),
-    ),
+    "zero_tolerance": dict(type=float),
+    "wave": dict(help="stored wave JSON to reuse instead of solving"),
+    "kappa_min": dict(type=float),
+    "kappa_max": dict(type=float),
+    "kappa_steps": dict(type=int),
+    "sector": dict(choices=("auto", "full", "odd", "even")),
+    "kappa": dict(type=float, help="transverse wavenumber"),
+    "scheme": dict(choices=SCHEMES),
+    "dns_seed": dict(choices=SEEDS),
+    "final_time": dict(type=float),
+    "time_step": dict(type=float),
+    "rng_seed": dict(type=int),
 }
+
+
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,10 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         "equation and their transverse (in)stability.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flag_groups) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for add_flags in flag_groups:
-            add_flags(sp)
+    for name, (_, help_text, names) in _SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), names)
     return parser
 
 
@@ -221,9 +169,8 @@ def _merge_config(args: argparse.Namespace) -> None:
     if not isinstance(values, dict):
         raise CommandError(1, "[cli_io] config file must contain a JSON object")
     flags = argparse.ArgumentParser(exit_on_error=False)
-    for add_flags in _SUBCOMMANDS[args.command][1]:
-        add_flags(flags)
-    known = set().union(*(vars(_shared_parser().parse_args([name])) for name in _SUBCOMMANDS))
+    _add_flags(flags, _SUBCOMMANDS[args.command][2])
+    known = {"command", *_FLAGS}
     for key, value in values.items():
         attr = str(key).replace("-", "_")
         if attr not in known:
@@ -252,8 +199,7 @@ def _formats(args) -> set:
 
 
 def _solver_config(args) -> SolverConfig:
-    modes = int(args.modes) if args.modes is not None else 128
-    return SolverConfig(mode_count=modes)
+    return SolverConfig() if args.modes is None else SolverConfig(mode_count=args.modes)
 
 
 def _resolve_problem(args, config: SolverConfig) -> tuple:
@@ -439,13 +385,10 @@ def _dns_summary_payload(gm) -> dict:
 
 
 def _evolution_config(args) -> EvolutionConfig:
-    return EvolutionConfig(
-        time_step=args.time_step,
-        final_time=args.final_time,
-        scheme=args.scheme or "explicit_rk4",
-        seed=args.dns_seed or "leading_eigenvector",
-        rng_seed=args.rng_seed if args.rng_seed is not None else 0,
-    )
+    """The given DNS flags; EvolutionConfig holds the defaults of the rest."""
+    fields = {"time_step": args.time_step, "final_time": args.final_time,
+              "scheme": args.scheme, "seed": args.dns_seed, "rng_seed": args.rng_seed}
+    return EvolutionConfig(**{key: value for key, value in fields.items() if value is not None})
 
 
 def cmd_dns(args) -> int:
@@ -609,13 +552,40 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
-    "scan": cmd_scan,
-    "dns": cmd_dns,
-    "pipeline": cmd_pipeline,
+#: the flags that scan and pipeline, or dns and pipeline, share
+_SCAN_FLAGS = ("kappa_min", "kappa_max", "kappa_steps", "sector")
+_DNS_FLAGS = ("scheme", "dns_seed", "final_time", "time_step", "rng_seed")
+
+#: subcommand -> (command, help, flags in help order); builds the parser,
+#: checks --config values and dispatches.  Each subcommand takes only the
+#: flags its ``cmd_*`` function reads.
+_SUBCOMMANDS = {
+    "solve": (cmd_solve, "solve for a standing-wave profile", ("config", "out", *_PROBLEM_FLAGS)),
+    "spectrum": (
+        cmd_spectrum,
+        "eigenvalues of the linearized operators L1, L2",
+        ("config", "out", "format", *_PROBLEM_FLAGS, "zero_tolerance", "wave"),
+    ),
+    "verify": (
+        cmd_verify,
+        "structural spectral checks and hypotheses (H0)-(H4)",
+        ("config", "out", *_PROBLEM_FLAGS, "zero_tolerance", "wave", "sector"),
+    ),
+    "scan": (
+        cmd_scan,
+        "growth rates over a transverse wavenumber grid",
+        ("config", "out", "format", *_PROBLEM_FLAGS, "wave", *_SCAN_FLAGS),
+    ),
+    "dns": (
+        cmd_dns,
+        "time integration of the linearized flow",
+        ("config", "out", "format", *_PROBLEM_FLAGS, "wave", "sector", "kappa", *_DNS_FLAGS),
+    ),
+    "pipeline": (
+        cmd_pipeline,
+        "all stages for one parameter set, combined report",
+        ("config", "out", *_PROBLEM_FLAGS, "zero_tolerance", *_SCAN_FLAGS, *_DNS_FLAGS),
+    ),
 }
 
 
@@ -631,7 +601,7 @@ def main(argv: Optional[list] = None) -> int:
                     1, f"[cli_io] {', '.join(given)} cannot be given with --wave, "
                     "whose stored wave fixes the problem"
                 )
-            return _COMMANDS[args.command](args)
+            return _SUBCOMMANDS[args.command][0](args)
     except CommandError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

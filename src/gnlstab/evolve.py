@@ -262,8 +262,9 @@ def evolve_and_fit(
     Automatic choices: dt from the RK4 stability bound for the stiffest
     Fourier mode, final time about eight e-foldings of the predicted rate
     (ten time units when no growth is predicted).  Raises ParameterError
-    for a leading_eigenvector seed at a spectrally stable kappa, and
-    IntegratorError if the state stops being finite.
+    for a leading_eigenvector seed at a spectrally stable kappa or a step
+    count past the int64 range, and IntegratorError if the state stops
+    being finite.
     """
     config = config if config is not None else EvolutionConfig()
     ops = _operators(wave)
@@ -301,7 +302,15 @@ def evolve_and_fit(
             f"final_time {final_time:g} too short for time_step {dt:g} "
             "(need at least ten steps)"
         )
-    steps = int(math.ceil(final_time / dt))
+    # the step index runs in np.arange's int64; past it the samples would be
+    # object arrays (and an infinite quotient no integer at all)
+    count, limit = final_time / dt, np.iinfo(np.int64).max
+    if not count <= limit:
+        raise ParameterError(
+            f"kappa={kappa:g} with time_step {dt:g} and final_time {final_time:g} takes "
+            f"{count:.3g} steps, more than the {limit} that a step index holds"
+        )
+    steps = int(math.ceil(count))
     stride = max(1, steps // MAX_RECORDS)
     # a sample every stride steps, and one at the last step
     marks = np.append(np.arange(stride, steps, stride), steps)

@@ -546,17 +546,7 @@ def solve_wave(
     elif stationary.params != params or stationary.phi.grid.size != config.mode_count:
         raise ParameterError("the given minimizer solves another problem or grid")
     psi = rescale_unit_multiplier(stationary.phi, stationary.multiplier, params.alpha)
-    unpolished = _profile(params, psi)
-    try:
-        polished = newton_refine(unpolished, config)
-    except SingularJacobianError:
-        # degenerate linearization at the solution (bifurcation-point
-        # parameters); keep the variational answer if it already qualifies
-        if unpolished.ode_residual_norm <= config.newton_tolerance:
-            polished = unpolished
-        else:
-            raise
-    return _accept(polished, config.newton_tolerance)
+    return _accept(newton_refine(_profile(params, psi), config), config.newton_tolerance)
 
 
 def constant_wave(alpha: float, omega: float, period: float, size: int) -> WaveProfile:

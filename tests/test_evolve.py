@@ -300,3 +300,16 @@ def test_final_time_must_cover_ten_steps(even_wave, even_scan):
             peak.kappa,
             EvolutionConfig(time_step=0.01, final_time=0.05),
         )
+
+
+def test_a_step_count_past_int64_is_a_parameter_error(even_wave):
+    # at kappa = 1e10 the automatic dt is about 2.8e-20, so the default
+    # ten time units take 3.6e20 steps; the samples' np.arange made object
+    # arrays there, and np.exp failed on them
+    with pytest.raises(ParameterError) as error:
+        evolve_and_fit(even_wave, 1e10, EvolutionConfig(seed="random"))
+    message = str(error.value)
+    assert message.startswith("kappa=1e+10 with time_step ")
+    assert "and final_time 10 takes " in message
+    limit = np.iinfo(np.int64).max
+    assert message.endswith(f"steps, more than the {limit} that a step index holds")

@@ -777,7 +777,7 @@ def test_errors_outside_a_stage_exit_tagged_with_the_command(monkeypatch, capsys
     def failing(args):
         raise exc
 
-    monkeypatch.setitem(cli._COMMANDS, "solve", failing)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "solve", (failing, *cli._SUBCOMMANDS["solve"][1:]))
     assert main(["solve", "--alpha", "2", "--tau", "12"]) == code
     assert capsys.readouterr().err == "[solve] disk full\n"
 
@@ -1018,6 +1018,30 @@ def test_a_large_kappa_below_the_limit_still_scans(tmp_path, capsys):
     assert main(["scan", "--kappa-max", "1e20"] + README_WAVE_32 + ["--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("[instability_scanner] no instability detected;")
     assert serialize.load(tmp_path / "scan.json").kappa_values[-1] == 1e20
+
+
+#: the tau = 12 wave at N = 32
+WAVE_32 = ["--alpha", "2", "--omega", "1", "--tau", "12", "--modes", "32"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dns", *README_WAVE_32, "--kappa", "1e10", "--dns-seed", "random"],
+        ["dns", *WAVE_32, "--kappa", "0.9", "--time-step", "1e-300"],
+        ["pipeline", *WAVE_32, "--time-step", "1e-300"],
+        ["dns", *WAVE_32, "--kappa", "0.9", "--final-time", "1e300"],
+        ["dns", *WAVE_32, "--kappa", "0.9", "--time-step", "5e-324"],
+    ],
+)
+def test_a_step_count_past_int64_is_an_input_error(tmp_path, capsys, argv):
+    # the first four ended in a TypeError from np.exp on object arrays, the
+    # last in an OverflowError from math.ceil(inf); warnings are errors here
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[dns_validator] kappa=") and " with time_step " in err
+    assert err.endswith(f"steps, more than the {np.iinfo(np.int64).max} that a step index holds\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["pipeline", "dns"])

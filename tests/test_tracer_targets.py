@@ -3,9 +3,12 @@
 ``perfbench/tracer.py`` patches functions where their callers look them up
 (``gnlstab.scan.build_block``, ``ParityBasis.matrix``, ...).  A renamed or
 no longer imported name makes ``perfbench/run.py --trace 1`` fail with a
-KeyError, so each target is checked here against the package.
+KeyError, so each target is checked here against the package.  The other
+way round, an import kept only for the tracer must name a target, and every
+other import must be used.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -14,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+MODULES = sorted(p for p in (ROOT / "src" / "gnlstab").glob("*.py") if p.name != "__init__.py")
 
 
 def load_tracer():
@@ -44,3 +49,23 @@ def test_install_and_uninstall_restore_every_target():
     t = tracer.Tracer(time.perf_counter)
     t.install()
     assert t.uninstall() == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_unused_imports_are_exactly_the_tracer_targets(path):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported, kept = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            names = {(a.asname or a.name).split(".")[0] for a in node.names}
+            imported |= names
+            if "# noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                kept |= names
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == kept
+    module = f"gnlstab.{path.stem}"
+    assert kept <= {t[1] for t in tracer.TARGETS if t[0] == module}

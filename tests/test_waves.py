@@ -8,11 +8,13 @@ import pytest
 
 import oracles
 from gnlstab.errors import (
+    ConvergenceError,
     DegenerateSolutionError,
     InvalidMultiplierError,
     NewtonBasinError,
     ParameterError,
     ReductionError,
+    SingularJacobianError,
     WaveAcceptanceError,
 )
 from gnlstab.spectral import (
@@ -405,6 +407,54 @@ def test_newton_rejects_far_seed():
     )
     with pytest.raises(NewtonBasinError):
         newton_refine(seed)
+
+
+def perturbed_dnoidal_seed() -> WaveProfile:
+    """The dnoidal wave at N = 128 plus 1e-4 cos 2x: residual about 1e-4."""
+    grid = build_grid(TWO_PI, 128)
+    phi = RealField(grid, oracles.dnoidal_values(grid.nodes) + 1e-4 * np.cos(2 * grid.nodes), EVEN)
+    params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=12.0, parity="even")
+    return WaveProfile(params=params, phi=phi, ode_residual_norm=ode_residual(phi, 2.0, 1.0),
+                       functional_value=0.0, constraint_value=0.0)
+
+
+def newton_failure(config: SolverConfig) -> ConvergenceError:
+    with pytest.raises(ConvergenceError) as error:
+        newton_refine(perturbed_dnoidal_seed(), config)
+    failure = error.value
+    assert failure.last_iterate.shape == (128,)
+    grid = build_grid(TWO_PI, 128)
+    residual = ode_residual(RealField(grid, failure.last_iterate, EVEN), 2.0, 1.0)
+    assert failure.gradient_norm == residual
+    return failure
+
+
+def test_newton_stalls_at_the_rounding_floor():
+    # 1e-17 is below the residual's rounding floor (about 1e-12 here), so no
+    # damped step reduces the residual.  This is the failure that ROADMAP
+    # item 1 (a Newton that reports convergence at the floor) removes; that
+    # change replaces this test with its own acceptance test.
+    failure = newton_failure(SolverConfig(newton_tolerance=1e-17))
+    assert str(failure) == "Newton step failed to reduce the residual"
+    assert 1e-13 < failure.gradient_norm < 1e-11
+
+
+def test_newton_step_budget_is_enforced():
+    failure = newton_failure(SolverConfig(newton_max_steps=1))
+    assert str(failure) == (
+        f"Newton did not reach 1e-11 in 1 steps (residual {failure.gradient_norm:.3e})"
+    )
+    assert f"{failure.gradient_norm:.3e}" == "3.771e-08"
+
+
+def test_a_singular_jacobian_propagates_out_of_solve_wave(monkeypatch):
+    def singular(wave, config=None):
+        raise SingularJacobianError("singular on purpose")
+
+    monkeypatch.setattr(waves, "newton_refine", singular)
+    params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=12.0, parity="even")
+    with pytest.raises(SingularJacobianError, match="singular on purpose"):
+        solve_wave(params, SolverConfig(mode_count=32))
 
 
 # ---------------------------------------------------------------------------
