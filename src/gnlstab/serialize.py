@@ -241,28 +241,44 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
+def _floats(values) -> list:
+    """repr of each value as a Python float, with one finiteness check over
+    all of them; a non-finite value raises as :func:`_f` does on the first."""
+    array = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(array)):
+        for x in values:
+            _f(x)
+    return [repr(x) for x in array.tolist()]
+
+
 def spectrum_csv(summary: SpectrumSummary) -> str:
+    eigenvalues = np.asarray(summary.eigenvalues, dtype=float)
     lines = ["index,eigenvalue"]
-    for i, lam in enumerate(np.asarray(summary.eigenvalues, dtype=float)):
-        lines.append(f"{i},{_f(lam)}")
+    lines.extend(f"{i},{lam}" for i, lam in enumerate(_floats(eigenvalues)))
     return "\n".join(lines) + "\n"
 
 
 def scan_csv(scan: StabilityScan) -> str:
-    lines = ["kappa,max_real_part,num_unstable_modes,leading_lambda_re,leading_lambda_im"]
+    values = []
     for r in scan.records:
         lam = r.leading_lambda if r.leading_lambda is not None else complex(0.0, 0.0)
-        lines.append(
-            f"{_f(r.kappa)},{_f(r.max_real_part)},{r.num_unstable},"
-            f"{_f(lam.real)},{_f(lam.imag)}"
-        )
+        values.extend((r.kappa, r.max_real_part, lam.real, lam.imag))
+    text = _floats(values)
+    lines = ["kappa,max_real_part,num_unstable_modes,leading_lambda_re,leading_lambda_im"]
+    for i, r in enumerate(scan.records):
+        kappa, rate, re, im = text[4 * i : 4 * i + 4]
+        lines.append(f"{kappa},{rate},{r.num_unstable},{re},{im}")
     return "\n".join(lines) + "\n"
 
 
 def growth_csv(gm: GrowthMeasurement) -> str:
+    times = np.asarray(gm.times, dtype=float)
+    norms = np.asarray(gm.norms, dtype=float)
+    steps = min(times.size, norms.size)
+    # as Python floats, which the refusal of a non-finite value names
+    text = _floats(np.column_stack((times[:steps], norms[:steps])).ravel().tolist())
     lines = ["t,norm"]
-    for t, n in zip(gm.times, gm.norms):
-        lines.append(f"{_f(float(t))},{_f(float(n))}")
+    lines.extend(f"{t},{n}" for t, n in zip(text[::2], text[1::2]))
     return "\n".join(lines) + "\n"
 
 

@@ -307,9 +307,11 @@ class ParityBasis:
 
 
 def _potential_tables(grid: PeriodicGrid, potential: np.ndarray) -> tuple:
-    """C_k and S_k of ``potential`` for k = 0..2N-1, with C_k - i S_k = sum_j
-    q_j exp(-2 pi i j k / N), from one rfft: C_{N-k} = C_k and S_{N-k} = -S_k
-    hold exactly, so the blocks built from them are exactly symmetric."""
+    """2 C_k and 2 S_k of ``potential`` for k = 0..2N-1, read-only, with
+    C_k - i S_k = sum_j q_j exp(-2 pi i j k / N), from one rfft: C_{N-k} = C_k
+    and S_{N-k} = -S_k hold exactly, so the blocks built from them are exactly
+    symmetric.  The factor 2 is the weight sqrt(w_m w_n) of an interior
+    entry; doubling is exact, and 2a + 2b rounds to exactly 2 (a + b)."""
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (grid.size,):
         raise ParameterError(
@@ -319,20 +321,36 @@ def _potential_tables(grid: PeriodicGrid, potential: np.ndarray) -> tuple:
     half = np.fft.rfft(potential)
     k = np.arange(n)
     folded = np.minimum(k, n - k)
-    c = np.tile(half.real[folded], 2)
-    s = np.tile(np.where(k <= n // 2, -1.0, 1.0) * half.imag[folded], 2)
+    c = np.tile(2.0 * half.real[folded], 2)
+    s = np.tile(np.where(k <= n // 2, -2.0, 2.0) * half.imag[folded], 2)
+    c.setflags(write=False)
+    s.setflags(write=False)
     return c, s
 
 
-def _potential_block(rows, cols, table, sign, n: int) -> np.ndarray:
-    """sqrt(w_m w_n) * (table_{m+n} + sign * table_{m-n}) for row m, column n.
+#: sqrt(2) / 2: turns the doubled entry of an edge row or column (m = 0 or
+#: m = N/2) into sqrt(2) times the entry, rounded once as sqrt(2) * entry is
+_EDGE = 0.5 * np.sqrt(2.0)
 
-    The weight is not sqrt(w_m) * sqrt(w_n): sqrt(2)**2 rounds to 2(1 + eps),
-    a bias that moves eigenvalues near zero by ~eps * ||q||."""
-    weight = np.sqrt(np.outer(_mode_weights(rows, n), _mode_weights(cols, n)))
-    hankel = table[np.add.outer(rows, cols)]
-    toeplitz = table[np.subtract.outer(rows, cols) + n]
-    return weight * (hankel + sign * toeplitz)
+
+def _window(table: np.ndarray, first: int, shape: tuple, step: int) -> np.ndarray:
+    """The view v[i, j] = table[first + i + step * j] of ``shape``, read-only
+    as the table is.  numpy checks that it lies inside the table and raises
+    ValueError otherwise, so a wrong offset cannot read past either end."""
+    size = table.itemsize
+    return np.ndarray(shape, table.dtype, table, first * size, (size, step * size))
+
+
+def _potential_block(out, row0: int, col0: int, table, combine, n: int) -> None:
+    """Write combine(table_{m+n}, table_{m-n+N}), ``combine`` np.add or
+    np.subtract, into ``out`` for rows m = row0.. and columns n = col0..
+
+    Both terms are strided windows of the table: the Hankel term steps +1
+    along a row and the Toeplitz term -1, and both step +1 down a column.
+    No index array is built or gathered through."""
+    hankel = _window(table, row0 + col0, out.shape, 1)
+    toeplitz = _window(table, row0 - col0 + n, out.shape, -1)
+    combine(hankel, toeplitz, out=out)
 
 
 def hill_matrix(basis: ParityBasis, omega: float, potential: np.ndarray) -> np.ndarray:
@@ -344,27 +362,53 @@ def hill_matrix(basis: ParityBasis, omega: float, potential: np.ndarray) -> np.n
     basis transforms, aliasing included (the grid-doubling checks control
     it).  Product-to-sum identities make it a Toeplitz-plus-Hankel matrix in
     the DFT of q: with C_k - i S_k = sum_j q_j exp(-2 pi i j k / N), indices
-    mod N,
+    mod N, and w_m = 1 at m = 0 and m = N/2 and 2 elsewhere,
 
-        cos m . cos n  ->  (C_{m-n} + C_{m+n}) / 2
-        sin m . sin n  ->  (C_{m-n} - C_{m+n}) / 2
-        cos m . sin n  ->  (S_{n+m} + S_{n-m}) / 2
+        cos m . cos n  ->  sqrt(w_m w_n) (C_{m-n} + C_{m+n}) / 2
+        sin m . sin n  ->  sqrt(w_m w_n) (C_{m-n} - C_{m+n}) / 2
+        cos m . sin n  ->  sqrt(w_m w_n) (S_{n+m} + S_{n-m}) / 2
 
-    so one rfft and O(N^2) gathers build it; the result is exactly symmetric.
-    The cosine and sine blocks of the full basis are, bit for bit, the
-    matrices on the cosine and on the sine basis.
+    so one rfft builds it, and each block is two strided windows of one
+    coefficient table (a Hankel and a Toeplitz window, see
+    :func:`_potential_block`) added or subtracted in place; no index array is
+    gathered through.  The weight is sqrt(w_m w_n) in {2, sqrt(2), 1}, not
+    sqrt(w_m) * sqrt(w_n): sqrt(2)**2 rounds to 2(1 + eps), a bias that
+    moves eigenvalues near zero by ~eps * ||q||.  It is folded in by powers
+    of two, so every entry rounds exactly as sqrt(w_m w_n) * (sum) does: the
+    tables hold 2 C_k and 2 S_k, which makes an interior entry 2 * (sum)
+    exactly; the O(N) entries on an edge row or column are multiplied by
+    sqrt(2)/2, which rounds (sqrt(2)/2) * (2 sum) = sqrt(2) * sum once, and
+    the four corners (edge row and edge column) by 1/2, which is exact.  The
+    result is exactly symmetric, and the cosine and sine blocks of the full
+    basis are, bit for bit, the matrices on the cosine and on the sine basis.
     """
     n = basis.grid.size
     c, s = _potential_tables(basis.grid, potential)
-    cos_m = np.arange(n // 2 + 1) if basis.kind != SINE else np.arange(0)
-    sin_m = np.arange(1, n // 2) if basis.kind != COSINE else np.arange(0)
-    nc = cos_m.size
+    nc = n // 2 + 1 if basis.kind != SINE else 0
+    scale = -0.5 / n
     pot = np.empty((basis.dimension, basis.dimension))
-    pot[:nc, :nc] = _potential_block(cos_m, cos_m, c, 1.0, n)
-    pot[nc:, nc:] = -_potential_block(sin_m, sin_m, c, -1.0, n)
-    pot[nc:, :nc] = _potential_block(sin_m, cos_m, s, 1.0, n)
-    pot[:nc, nc:] = pot[nc:, :nc].T
-    pot *= -0.5 / n
+    # a step of nc - 1 = N/2 picks the edge rows or columns m = 0 and N/2
+    if basis.kind != SINE:
+        cos_block = pot[:nc, :nc]
+        _potential_block(cos_block, 0, 0, c, np.add, n)
+        cos_block[:: nc - 1, 1:-1] *= _EDGE
+        cos_block[1:-1, :: nc - 1] *= _EDGE
+        cos_block[:: nc - 1, :: nc - 1] *= 0.5
+        cos_block *= scale
+    if basis.kind != COSINE:
+        # sin . sin holds the negated difference C_{m-n} - C_{m+n}: scaling
+        # the difference by -scale rounds as negating it and scaling by scale
+        # does, sign of zero included; where the two are equal, computing
+        # C_{m-n} - C_{m+n} directly would give +0 for -(+0) = -0
+        sin_block = pot[nc:, nc:]
+        _potential_block(sin_block, 1, 1, c, np.subtract, n)
+        sin_block *= -scale
+    if basis.kind == FULL:
+        cross = pot[nc:, :nc]
+        _potential_block(cross, 1, 0, s, np.add, n)
+        cross[:, :: nc - 1] *= _EDGE
+        cross *= scale
+        pot[:nc, nc:] = cross.T
     pot[np.diag_indices_from(pot)] += basis.frequencies() ** 2 + omega
     return pot
 
@@ -376,7 +420,9 @@ def sector_coupling(grid: PeriodicGrid, potential: np.ndarray) -> float:
     temporary freed on return."""
     n = grid.size
     _, s = _potential_tables(grid, potential)
-    block = _potential_block(np.arange(1, n // 2), np.arange(n // 2 + 1), s, 1.0, n)
+    block = np.empty((n // 2 - 1, n // 2 + 1))
+    _potential_block(block, 1, 0, s, np.add, n)
+    block[:, :: n // 2] *= _EDGE
     # |x * c| = |x| * |c| and rounding is monotone: the max of the scaled
-    # entries is the scaled max
-    return float(np.max(np.abs(block))) * (0.5 / n)
+    # entries is the scaled max, and max |x| is max(max x, -min x)
+    return float(max(block.max(), -block.min())) * (0.5 / n)

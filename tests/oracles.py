@@ -200,3 +200,61 @@ def symmetry_defect_reference(eigenvalues: np.ndarray) -> float:
         worst = max(worst, float(np.min(np.abs(eigenvalues + lam))))
         worst = max(worst, float(np.min(np.abs(eigenvalues - np.conj(lam)))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# frozen gather assembly
+
+
+def _potential_tables_gather(size: int, potential):
+    # C_k and S_k of q for k = 0..2N-1 from one rfft, C_k - i S_k = sum_j
+    # q_j exp(-2 pi i j k / N)
+    half = np.fft.rfft(np.asarray(potential, dtype=float))
+    k = np.arange(size)
+    folded = np.minimum(k, size - k)
+    c = np.tile(half.real[folded], 2)
+    s = np.tile(np.where(k <= size // 2, -1.0, 1.0) * half.imag[folded], 2)
+    return c, s
+
+
+def _potential_block_gather(rows, cols, table, sign, size: int):
+    # sqrt(w_m w_n) * (table_{m+n} + sign * table_{m-n}) by two d x d index gathers
+    def weights(modes):
+        return np.where((modes == 0) | (modes == size // 2), 1.0, 2.0)
+
+    weight = np.sqrt(np.outer(weights(rows), weights(cols)))
+    hankel = table[np.add.outer(rows, cols)]
+    toeplitz = table[np.subtract.outer(rows, cols) + size]
+    return weight * (hankel + sign * toeplitz)
+
+
+def hill_matrix_gather_reference(kind: str, length: float, size: int, omega: float, potential):
+    """Dense -d_xx + omega - q on a parity basis, by index gathers.
+
+    Frozen copy of the Toeplitz-plus-Hankel assembly as it stood before the
+    blocks were read as sliding windows of the coefficient table: each block
+    gathers table entries through d x d index arrays m + n and m - n + N and
+    takes the weight sqrt(w_m w_n) from one d x d ``sqrt(outer)``.  The
+    package's assembly must reproduce it bit for bit.
+    """
+    c, s = _potential_tables_gather(size, potential)
+    cos_m = np.arange(size // 2 + 1) if kind != "sine" else np.arange(0)
+    sin_m = np.arange(1, size // 2) if kind != "cosine" else np.arange(0)
+    nc, dim = cos_m.size, cos_m.size + sin_m.size
+    pot = np.empty((dim, dim))
+    pot[:nc, :nc] = _potential_block_gather(cos_m, cos_m, c, 1.0, size)
+    pot[nc:, nc:] = -_potential_block_gather(sin_m, sin_m, c, -1.0, size)
+    pot[nc:, :nc] = _potential_block_gather(sin_m, cos_m, s, 1.0, size)
+    pot[:nc, nc:] = pot[nc:, :nc].T
+    pot *= -0.5 / size
+    xi = 2.0 * np.pi / length * np.concatenate([cos_m, sin_m])
+    pot[np.diag_indices_from(pot)] += xi**2 + omega
+    return pot
+
+
+def sector_coupling_gather_reference(size: int, potential) -> float:
+    """max |entry| of the cosine-sine block of the full-basis matrix, by the
+    same frozen index gathers as :func:`hill_matrix_gather_reference`."""
+    _, s = _potential_tables_gather(size, potential)
+    block = _potential_block_gather(np.arange(1, size // 2), np.arange(size // 2 + 1), s, 1.0, size)
+    return float(np.max(np.abs(block))) * (0.5 / size)

@@ -1,6 +1,7 @@
 """Hill operators, block compositions, and spectral-count assertions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,22 @@ def test_the_store_assembles_the_full_matrix_blocks_bit_for_bit(even_wave, odd_w
     q = 1.0 + 0.3 * np.sin(x) + 0.2 * np.cos(2.0 * x) + 0.1 * np.sin(3.0 * x + 0.4)
     entries = hill_matrix(ParityBasis(FULL, grid), 1.0, q)
     assert sector_coupling(grid, q) == np.max(np.abs(entries[nc:, :nc])) > 0.01
+
+
+def test_store_assembly_memory_is_bounded(even_wave):
+    # the full store at N = 1024 keeps four sector blocks, 8 MiB; reading
+    # each block from windows of the coefficient table leaves the 2 MiB
+    # scratch block of sector_coupling on top (10.2 MiB), where two int64
+    # d x d index arrays per block, gathered through, peaked at 16.1 MiB
+    wave = wave_at_resolution(even_wave, 1024)
+    tracemalloc.start()
+    try:
+        ops = hill_operators(wave, "full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ops.sector == "full"
+    assert peak < 11 * 2**20
 
 
 def test_a_parity_free_profile_is_split_by_its_potential(even_wave):

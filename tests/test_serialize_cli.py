@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,42 @@ def test_csv_floats_parse_back_exactly(even_wave, even_scan, const_wave):
     lines = serialize.growth_csv(gm).splitlines()
     assert _hex_column(lines, 0) == [float(t).hex() for t in gm.times]
     assert _hex_column(lines, 1) == [float(n).hex() for n in gm.norms]
+
+
+def _refusal(shown):
+    # the writers' exact message, naming the first non-finite value as it was
+    # handed to the formatter
+    return "^" + re.escape(f"refusing to serialize non-finite float {shown}") + "$"
+
+
+@pytest.mark.parametrize("name", ["nan", "inf", "-inf"])
+def test_spectrum_csv_refuses_a_non_finite_eigenvalue(name, even_wave):
+    summary = spectrum(build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid)))
+    eigenvalues = summary.eigenvalues.copy()
+    eigenvalues[[3, 7]] = float(name), np.nan
+    bad = dataclasses.replace(summary, eigenvalues=eigenvalues)
+    with pytest.raises(FormatError, match=_refusal(f"np.float64({name})")):
+        serialize.spectrum_csv(bad)
+
+
+@pytest.mark.parametrize("name", ["nan", "inf", "-inf"])
+def test_scan_csv_refuses_a_non_finite_row_value(name, const_wave):
+    scan = scan_kappa(const_wave, 0.3, 1.7, 8)
+    records = list(scan.records)
+    records[2] = dataclasses.replace(records[2], leading_lambda=complex(0.5, float(name)))
+    records[5] = dataclasses.replace(records[5], kappa=np.nan)
+    bad = dataclasses.replace(scan, records=tuple(records))
+    with pytest.raises(FormatError, match=_refusal(name)):
+        serialize.scan_csv(bad)
+
+
+@pytest.mark.parametrize("name", ["nan", "inf", "-inf"])
+def test_growth_csv_refuses_a_non_finite_sample(name, const_wave):
+    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
+    norms = np.array(gm.norms, dtype=float)
+    norms[[4, 9]] = float(name), np.nan
+    with pytest.raises(FormatError, match=_refusal(name)):
+        serialize.growth_csv(dataclasses.replace(gm, norms=norms))
 
 
 # ---------------------------------------------------------------------------

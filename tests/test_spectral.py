@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gnlstab import spectral
 from gnlstab.errors import BasisError, ParameterError
 from gnlstab.spectral import (
     COSINE,
@@ -25,6 +26,7 @@ from gnlstab.spectral import (
     resample,
     sample_function,
     second_derivative,
+    sector_coupling,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -250,6 +252,44 @@ def test_hill_matrix_matches_dense_reference(kind, size):
             reference = oracles.hill_matrix_reference(kind, length, size, 0.7, q)
             assert np.array_equal(entries, entries.T)
             assert np.max(np.abs(entries - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def _bits(matrix):
+    # the float64 bit patterns: equal arrays of these are equal bit for bit,
+    # sign of zero included
+    return np.ascontiguousarray(matrix).view(np.int64)
+
+
+# N = 8 and 10 give sine blocks of 3 x 3 and 4 x 4, whose windows start at
+# the table's ends; 2048 runs at one length only
+@pytest.mark.parametrize(
+    "size", [8, 10, 12, 14, 16, 30, 32, 64, 96, 128, 256, 384, 512, 1000, 1002, 1024, 2048]
+)
+def test_hill_matrix_matches_the_frozen_gather_assembly(size):
+    lengths = (TWO_PI,) if size == 2048 else (TWO_PI, 3.7, 1e-3, 1e3)
+    for length in lengths:
+        grid = build_grid(length, size)
+        potentials = _potentials(grid)
+        noise = potentials["none"]
+        potentials.update(tiny=1e-300 * noise, huge=1e300 * noise)
+        for q in potentials.values():
+            for kind in (COSINE, SINE, FULL):
+                entries = hill_matrix(ParityBasis(kind, grid), 0.7, q)
+                reference = oracles.hill_matrix_gather_reference(kind, length, size, 0.7, q)
+                assert np.array_equal(_bits(entries), _bits(reference))
+            assert sector_coupling(grid, q) == oracles.sector_coupling_gather_reference(size, q)
+
+
+def test_a_block_window_past_the_table_raises():
+    # the windows are bounds-checked views: a Toeplitz window reaching one
+    # entry past either end of the 2N-entry table (the Hankel one fitting)
+    # raises instead of reading memory beside it
+    table, _ = spectral._potential_tables(build_grid(TWO_PI, 16), np.ones(16))
+    out = np.empty((7, 9))
+    spectral._potential_block(out, 1, 0, table, np.add, 16)
+    for row0, col0 in ((10, 0), (0, 9)):
+        with pytest.raises(ValueError):
+            spectral._potential_block(out, row0, col0, table, np.add, 16)
 
 
 @pytest.mark.parametrize("size", [16, 32, 256, 1024])
