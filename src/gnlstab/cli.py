@@ -34,8 +34,8 @@ from .hill import HillOperators, check_propositions, hill_operators
 from .hill import build_block, build_hill, spectrum  # noqa: F401
 from .scan import scan_kappa, transverse_threshold, verify_hypotheses
 from .waves import (
+    MODES,
     ProblemParams,
-    SolverConfig,
     WaveProfile,
     newton_refine,
     solve_wave,
@@ -95,7 +95,7 @@ _FLAGS = {
     "omega": dict(type=float, help="frequency (default 1.0)"),
     "period": dict(type=float, help="spatial period (default 2*pi)"),
     "parity": dict(choices=("even", "odd")),
-    "modes": dict(type=int, help="grid size N (default 128)"),
+    "modes": dict(type=int, help=f"grid size N (default {MODES})"),
     "tau": dict(
         help="constraint value, a float or auto:amplitude=A (tau such that the "
         "minimizer before multiplier rescaling has max|u| = A; tau sets only that "
@@ -198,13 +198,11 @@ def _formats(args) -> set:
     return {"json", "csv"} if choice == "both" else {choice}
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig() if args.modes is None else SolverConfig(mode_count=args.modes)
-
-
-def _resolve_problem(args, config: SolverConfig) -> tuple:
-    """The problem, and for ``--tau auto:amplitude=A`` the constrained
-    minimizer that fixed its tau (else None), which :func:`solve_wave` polishes."""
+def _resolve_problem(args) -> tuple:
+    """The problem, the grid size, and for ``--tau auto:amplitude=A`` the
+    constrained minimizer that fixed its tau (else None), which
+    :func:`solve_wave` polishes."""
+    modes = MODES if args.modes is None else args.modes
     if args.alpha is None:
         raise CommandError(1, "[cli_io] --alpha is required (directly or via --config)")
     alpha = float(args.alpha)
@@ -227,8 +225,8 @@ def _resolve_problem(args, config: SolverConfig) -> tuple:
         except ValueError:
             raise CommandError(1, f"[cli_io] bad amplitude in --tau {tau_spec!r}")
         with _stage("wave_solver"):
-            stationary = tau_for_amplitude(alpha, omega, period, parity, amplitude, config)
-        return stationary.params, stationary
+            stationary = tau_for_amplitude(alpha, omega, period, parity, amplitude, modes)
+        return stationary.params, modes, stationary
     try:
         tau = float(tau_spec)
     except ValueError:
@@ -237,10 +235,10 @@ def _resolve_problem(args, config: SolverConfig) -> tuple:
         )
     with _stage("wave_solver"):
         params = ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau, parity=parity)
-    return params, None
+    return params, modes, None
 
 
-def _obtain_wave(args, config: SolverConfig) -> WaveProfile:
+def _obtain_wave(args) -> WaveProfile:
     if getattr(args, "wave", None):
         with _stage("cli_io"):
             record = serialize.load(args.wave)
@@ -249,9 +247,9 @@ def _obtain_wave(args, config: SolverConfig) -> WaveProfile:
                 1, f"[cli_io] {args.wave} does not contain a wave_profile document"
             )
         return record
-    params, stationary = _resolve_problem(args, config)
+    params, modes, stationary = _resolve_problem(args)
     with _stage("wave_solver"):
-        return solve_wave(params, config, stationary)
+        return solve_wave(params, modes, stationary)
 
 
 def _write(out: Path, name: str, text: str) -> Path:
@@ -266,9 +264,8 @@ def _write(out: Path, name: str, text: str) -> Path:
 
 
 def cmd_solve(args) -> int:
-    config = _solver_config(args)
     out = _out_dir(args)
-    wave = _obtain_wave(args, config)
+    wave = _obtain_wave(args)
     path = _write(out, "wave.json", serialize.dumps(wave))
     print(
         f"[wave_solver] {wave.wave_id}: residual {wave.ode_residual_norm:.3e}, "
@@ -282,10 +279,9 @@ def _full_spectra(ops: HillOperators, zero_tolerance):
 
 
 def cmd_spectrum(args) -> int:
-    config = _solver_config(args)
     out = _out_dir(args)
     formats = _formats(args)
-    wave = _obtain_wave(args, config)
+    wave = _obtain_wave(args)
     with _stage("hill_spectra"):
         summaries = _full_spectra(hill_operators(wave, "full"), args.zero_tolerance)
     for summary in summaries:
@@ -306,9 +302,8 @@ def _check_line(check, flag: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    config = _solver_config(args)
     out = _out_dir(args)
-    wave = _obtain_wave(args, config)
+    wave = _obtain_wave(args)
     with _stage("hill_spectra"):
         ops = hill_operators(wave, "full")
         report = check_propositions(ops, zero_tolerance=args.zero_tolerance)
@@ -349,10 +344,9 @@ def _scan_range(args, ops: HillOperators):
 
 
 def cmd_scan(args) -> int:
-    config = _solver_config(args)
     out = _out_dir(args)
     formats = _formats(args)
-    wave = _obtain_wave(args, config)
+    wave = _obtain_wave(args)
     with _stage("instability_scanner"):
         ops = hill_operators(wave, args.sector or "auto")
         kappa_min, kappa_max, steps = _scan_range(args, ops)
@@ -392,12 +386,11 @@ def _evolution_config(args) -> EvolutionConfig:
 
 
 def cmd_dns(args) -> int:
-    config = _solver_config(args)
     with _stage("dns_validator"):
         evolution = _evolution_config(args)
     out = _out_dir(args)
     formats = _formats(args)
-    wave = _obtain_wave(args, config)
+    wave = _obtain_wave(args)
     with _stage("instability_scanner"):
         ops = hill_operators(wave, args.sector or "auto")
     kappa = args.kappa
@@ -423,13 +416,13 @@ def cmd_dns(args) -> int:
     return 0
 
 
-def _certificate(ops: HillOperators, config: SolverConfig) -> dict:
+def _certificate(ops: HillOperators) -> dict:
     """Grid-doubling deltas of the 10 lowest composite-operator eigenvalues.
 
     The coarse spectrum is the store's, already solved; the wave refined on
     the doubled grid gets one store on the same sector."""
     wave = ops.wave
-    fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size), config)
+    fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size))
     lows = [o.lcal_eigenvalues()[:10] for o in (ops, hill_operators(fine, ops.sector))]
     deltas = np.abs(lows[0] - lows[1])
     return {
@@ -461,13 +454,12 @@ def _constant_regime(params: ProblemParams) -> str:
 
 
 def cmd_pipeline(args) -> int:
-    config = _solver_config(args)
     with _stage("dns_validator"):
         evolution = _evolution_config(args)
     out = _out_dir(args)
-    params, stationary = _resolve_problem(args, config)
+    params, modes, stationary = _resolve_problem(args)
     with _stage("wave_solver"):
-        wave = solve_wave(params, config, stationary)
+        wave = solve_wave(params, modes, stationary)
     print(f"[wave_solver] solved {wave.wave_id} (residual {wave.ode_residual_norm:.3e})")
 
     # one operator store per wave: the full-space one serves the spectra and
@@ -499,7 +491,7 @@ def cmd_pipeline(args) -> int:
     )
 
     with _stage("hill_spectra"):
-        certificate = _certificate(ops, config)
+        certificate = _certificate(ops)
     print(
         f"[hill_spectra] grid-doubling certificate max delta {certificate['max_delta']:.3e} "
         f"(tolerance {CERTIFICATE_TOL:g}, {'passed' if certificate['passed'] else 'FAILED'})"
@@ -529,7 +521,7 @@ def cmd_pipeline(args) -> int:
             "period": params.period,
             "tau": params.tau,
             "parity": params.parity,
-            "modes": config.mode_count,
+            "modes": modes,
         },
         "wave": serialize.payload(wave),
         "spectra": [serialize.payload(s) for s in summaries],

@@ -48,7 +48,9 @@ MAX_RECORDS = 2000
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Knobs for a linearized run; None means pick automatically.  Either
-    scheme is sampled by blocked powers of its one-step matrix per sector."""
+    scheme is sampled by blocked powers of its one-step matrix per sector.
+    Given both, time_step and final_time must make a step count that a run
+    can take (:func:`_step_count`)."""
 
     time_step: Optional[float] = None
     final_time: Optional[float] = None
@@ -75,6 +77,27 @@ class EvolutionConfig:
             raise ParameterError(
                 f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}"
             )
+        if self.time_step is not None and self.final_time is not None:
+            _step_count(self.final_time, self.time_step, "a run")
+
+
+def _step_count(final_time: float, dt: float, run: str) -> float:
+    """final_time / dt, the steps of ``run`` (its name in the message): at
+    least ten, and within the int64 range of the step index, past which the
+    samples would be object arrays (and an infinite quotient no integer at
+    all)."""
+    if final_time < 10.0 * dt:
+        raise ParameterError(
+            f"final_time {final_time:g} too short for time_step {dt:g} "
+            "(need at least ten steps)"
+        )
+    count, limit = final_time / dt, np.iinfo(np.int64).max
+    if not count <= limit:
+        raise ParameterError(
+            f"{run} with time_step {dt:g} and final_time {final_time:g} takes "
+            f"{count:.3g} steps, more than the {limit} that a step index holds"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -297,20 +320,7 @@ def evolve_and_fit(
         final_time = 8.0 / predicted
     else:
         final_time = 10.0
-    if final_time < 10.0 * dt:
-        raise ParameterError(
-            f"final_time {final_time:g} too short for time_step {dt:g} "
-            "(need at least ten steps)"
-        )
-    # the step index runs in np.arange's int64; past it the samples would be
-    # object arrays (and an infinite quotient no integer at all)
-    count, limit = final_time / dt, np.iinfo(np.int64).max
-    if not count <= limit:
-        raise ParameterError(
-            f"kappa={kappa:g} with time_step {dt:g} and final_time {final_time:g} takes "
-            f"{count:.3g} steps, more than the {limit} that a step index holds"
-        )
-    steps = int(math.ceil(count))
+    steps = int(math.ceil(_step_count(final_time, dt, f"kappa={kappa:g}")))
     stride = max(1, steps // MAX_RECORDS)
     # a sample every stride steps, and one at the last step
     marks = np.append(np.arange(stride, steps, stride), steps)

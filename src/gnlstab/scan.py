@@ -73,7 +73,8 @@ A scan keeps only what a row reports, its :class:`KappaRecord` (kappa, the
 growth rate, the count and values of the unstable eigenvalues, the leading
 one, the symmetry defect and the path), and synthesizes the grid fields
 (v1, v2) of the most unstable row's mode once.  :func:`growth_row` hands the
-time integrator the scan's own row at one kappa, as a batch of one.
+time integrator the scan's own row at one kappa, as a batch of one, or the
+peak row a scan kept on the operator store.
 The module also verifies the hypotheses (H0)-(H4) for S(kappa) =
 diag(L2 + kappa^2, L1 + kappa^2).
 """
@@ -776,9 +777,11 @@ def growth_row(wave: Union[WaveProfile, HillOperators], kappa: float) -> RowSolu
     """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
     Its record is the scan's row at kappa bit for bit, a batch of one row;
     given the scan's operator store, it reuses the scan's assembly and
-    reductions."""
+    reductions, and the scan's peak row is the one the scan kept."""
     _check_kappa(kappa)
-    return _solve_rows(_operators(wave), [float(kappa)])[0]
+    ops = _operators(wave)
+    kappa = float(kappa)
+    return ops.memo(("row", kappa), lambda: _solve_rows(ops, [kappa])[0])
 
 
 def scan_kappa(
@@ -847,6 +850,8 @@ def scan_kappa(
         edges.append(0.5 * (lo + hi))
 
     unstable = any(r.max_real_part > UNSTABLE_THRESHOLD for r in records)
+    # kept for growth_row: a DNS at the peak reads this row, not a second solve
+    ops.memo(("row", peak.kappa), lambda: peak)
     v1, v2 = peak.mode_fields()
     return StabilityScan(
         wave_id=ops.wave_id,

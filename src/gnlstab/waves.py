@@ -48,6 +48,16 @@ from .spectral import (
     resample,
 )
 
+#: grid size N of the solvers when the caller names none
+MODES = 128
+
+#: profile-equation residual (discrete L2 norm) at which the Newton polish
+#: stops and below which :func:`solve_wave` accepts a profile
+NEWTON_TOLERANCE = 1e-11
+
+#: step cap of the Newton polish
+NEWTON_MAX_STEPS = 30
+
 #: max-norm residual above which the Newton polish refuses to start
 NEWTON_BASIN_LIMIT = 1e-2
 
@@ -89,27 +99,6 @@ class ProblemParams:
                 "odd parity requires even integer alpha "
                 f"(sign-changing profiles need a smooth |u|^alpha); got alpha={self.alpha}"
             )
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Grid size, Newton polish limits and an optional minimization seed.
-
-    ``user_guess`` (grid values, length ``mode_count``) replaces the parity
-    seed 1 + cos(2 pi x/L)/2 (even) or sin(2 pi x/L) (odd).
-    """
-
-    mode_count: int = 128
-    newton_tolerance: float = 1e-11
-    newton_max_steps: int = 30
-    user_guess: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        v = self.newton_tolerance
-        if not (np.isfinite(v) and v > 0.0):
-            raise ParameterError(f"newton_tolerance must be positive, got {v}")
-        if self.newton_max_steps < 1:
-            raise ParameterError("newton_max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -206,21 +195,15 @@ def detected_fundamental_period(phi: RealField) -> Optional[float]:
 # constrained minimization
 
 
-def _seed_values(params: ProblemParams, config: SolverConfig, grid: PeriodicGrid) -> np.ndarray:
-    if config.user_guess is not None:
-        guess = np.asarray(config.user_guess, dtype=float)
-        if guess.shape != (grid.size,):
-            raise ParameterError(
-                f"user guess has shape {guess.shape}, expected ({grid.size},)"
-            )
-        return guess.copy()
+def _seed_values(params: ProblemParams, grid: PeriodicGrid) -> np.ndarray:
+    """The parity seed 1 + cos(2 pi x/L)/2 (even) or sin(2 pi x/L) (odd)."""
     x = grid.nodes
     if params.parity == EVEN:
         return 1.0 + 0.5 * np.cos(2.0 * np.pi * x / grid.length)
     return np.sin(2.0 * np.pi * x / grid.length)
 
 
-def minimize_constrained(params: ProblemParams, config: SolverConfig = None) -> WaveProfile:
+def minimize_constrained(params: ProblemParams, modes: int = MODES) -> WaveProfile:
     """Projected-gradient minimization of B_w on the constraint manifold.
 
     Sobolev-preconditioned residual directions (solve (-d_xx + w) d = grad)
@@ -229,8 +212,7 @@ def minimize_constrained(params: ProblemParams, config: SolverConfig = None) -> 
     exactly onto the constraint after every step.  Returns the stationary
     point *before* the unit-multiplier rescaling.
     """
-    config = config or SolverConfig()
-    grid = build_grid(params.period, config.mode_count)
+    grid = build_grid(params.period, modes)
     n, h = grid.size, grid.spacing
     alpha, omega, tau = params.alpha, params.omega, params.tau
 
@@ -249,7 +231,7 @@ def minimize_constrained(params: ProblemParams, config: SolverConfig = None) -> 
             )
         return v * (tau / mass) ** (1.0 / (alpha + 2.0))
 
-    u = renormalize(parity_project(_seed_values(params, config, grid)))
+    u = renormalize(parity_project(_seed_values(params, grid)))
 
     def b_value(au, v):
         return 0.5 * h * float(np.dot(au, v))
@@ -402,21 +384,20 @@ def phase_reduce(phi1: RealField, phi2: RealField, tolerance: float = 1e-8):
 # Newton polish
 
 
-def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile:
+def newton_refine(wave: WaveProfile) -> WaveProfile:
     """Newton iteration on the profile equation in the wave's parity basis.
 
     The Jacobian -d_xx + w - (a+1)|phi|^a is the dense symmetric L1 matrix of
     :func:`hill_matrix` on the parity basis; a profile already at tolerance
     is returned unchanged.
     """
-    config = config or SolverConfig()
     params = wave.params
     grid = wave.phi.grid
     alpha, omega = params.alpha, params.omega
 
     res = ode_residual_field(wave.phi, alpha, omega)
     rnorm = l2_norm(res)
-    if rnorm <= config.newton_tolerance:
+    if rnorm <= NEWTON_TOLERANCE:
         return wave
     if res.max_abs > NEWTON_BASIN_LIMIT:
         raise NewtonBasinError(
@@ -427,10 +408,10 @@ def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile
     basis = ParityBasis(COSINE if params.parity == EVEN else SINE, grid)
     phi = wave.phi.values.copy()
 
-    for _ in range(config.newton_max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         res = ode_residual_field(RealField(grid, phi, params.parity), alpha, omega)
         rnorm = l2_norm(res)
-        if rnorm <= config.newton_tolerance:
+        if rnorm <= NEWTON_TOLERANCE:
             break
         jac = hill_matrix(basis, omega, (alpha + 1.0) * np.abs(phi) ** alpha)
         eigs = np.linalg.eigvalsh(jac)
@@ -455,10 +436,10 @@ def newton_refine(wave: WaveProfile, config: SolverConfig = None) -> WaveProfile
             )
     else:
         rnorm = l2_norm(ode_residual_field(RealField(grid, phi, params.parity), alpha, omega))
-        if rnorm > config.newton_tolerance:
+        if rnorm > NEWTON_TOLERANCE:
             raise ConvergenceError(
-                f"Newton did not reach {config.newton_tolerance:g} in "
-                f"{config.newton_max_steps} steps (residual {rnorm:.3e})",
+                f"Newton did not reach {NEWTON_TOLERANCE:g} in "
+                f"{NEWTON_MAX_STEPS} steps (residual {rnorm:.3e})",
                 last_iterate=phi,
                 gradient_norm=rnorm,
             )
@@ -494,11 +475,11 @@ def _spectral_tail(phi: RealField) -> float:
     return float(np.max(amplitude[3 * n // 8 :]))
 
 
-def _accept(wave: WaveProfile, tolerance: float) -> WaveProfile:
+def _accept(wave: WaveProfile) -> WaveProfile:
     phi = wave.phi
-    if wave.ode_residual_norm > tolerance:
+    if wave.ode_residual_norm > NEWTON_TOLERANCE:
         raise WaveAcceptanceError(
-            f"profile residual {wave.ode_residual_norm:.3e} above tolerance {tolerance:g}"
+            f"profile residual {wave.ode_residual_norm:.3e} above tolerance {NEWTON_TOLERANCE:g}"
         )
     if wave.params.parity == EVEN:
         low = float(np.min(phi.values))
@@ -526,27 +507,26 @@ def _accept(wave: WaveProfile, tolerance: float) -> WaveProfile:
 
 def solve_wave(
     params: ProblemParams,
-    config: SolverConfig = None,
+    modes: int = MODES,
     stationary: Optional[WaveProfile] = None,
 ) -> WaveProfile:
     """Full pipeline: constrained minimization, unit rescaling, Newton polish.
 
-    The returned profile solves -phi'' + w phi - |phi|^a phi = 0 with
-    residual at most ``config.newton_tolerance``; parity-specific structure
-    (positivity for even waves, sign change and a root at the origin for odd
-    waves) is asserted before the profile is released.  ``stationary`` is
-    the constrained minimizer at ``params`` on the config's grid where the
-    caller already has it (:func:`tau_for_amplitude` returns one), and
-    replaces the minimization; both land on the same minimizer, so the wave
-    is the same either way up to rounding.
+    The returned profile solves -phi'' + w phi - |phi|^a phi = 0 on N =
+    ``modes`` grid points with residual at most :data:`NEWTON_TOLERANCE`;
+    parity-specific structure (positivity for even waves, sign change and a
+    root at the origin for odd waves) is asserted before the profile is
+    released.  ``stationary`` is the constrained minimizer at ``params`` on
+    that grid where the caller already has it (:func:`tau_for_amplitude`
+    returns one), and replaces the minimization; both land on the same
+    minimizer, so the wave is the same either way up to rounding.
     """
-    config = config or SolverConfig()
     if stationary is None:
-        stationary = minimize_constrained(params, config)
-    elif stationary.params != params or stationary.phi.grid.size != config.mode_count:
+        stationary = minimize_constrained(params, modes)
+    elif stationary.params != params or stationary.phi.grid.size != modes:
         raise ParameterError("the given minimizer solves another problem or grid")
     psi = rescale_unit_multiplier(stationary.phi, stationary.multiplier, params.alpha)
-    return _accept(newton_refine(_profile(params, psi), config), config.newton_tolerance)
+    return _accept(newton_refine(_profile(params, psi)))
 
 
 def constant_wave(alpha: float, omega: float, period: float, size: int) -> WaveProfile:
@@ -577,7 +557,7 @@ def tau_for_amplitude(
     period: float,
     parity: str,
     amplitude: float,
-    config: SolverConfig = None,
+    modes: int = MODES,
 ) -> WaveProfile:
     """The constrained minimizer with max|u| = amplitude; its ``params.tau``
     is the tau at which it lies.
@@ -597,7 +577,7 @@ def tau_for_amplitude(
         raise ParameterError(f"target amplitude must be positive, got {amplitude}")
     tau0 = period * amplitude ** (alpha + 2.0)
     params = ProblemParams(alpha=alpha, omega=omega, period=period, tau=tau0, parity=parity)
-    u0 = minimize_constrained(params, config)
+    u0 = minimize_constrained(params, modes)
     t = amplitude / u0.phi.max_abs
     return replace(
         u0,

@@ -9,7 +9,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from gnlstab.hill import hill_operators, resolve_sector  # noqa: E402
-from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave  # noqa: E402
+from gnlstab.waves import ProblemParams, constant_wave, solve_wave  # noqa: E402
 from gnlstab.scan import growth_row, scan_kappa, verify_hypotheses  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
@@ -128,8 +128,3 @@ def even_hypotheses(even_wave):
 @pytest.fixture(scope="session")
 def odd_hypotheses(odd_wave):
     return verify_hypotheses(odd_wave)
-
-
-@pytest.fixture(scope="session")
-def solver_config():
-    return SolverConfig()

@@ -29,7 +29,7 @@ from gnlstab.evolve import EvolutionConfig, evolve_and_fit  # noqa: E402
 from gnlstab.hill import build_hill, check_propositions, hill_operators, spectrum  # noqa: E402
 from gnlstab.scan import scan_kappa, verify_hypotheses  # noqa: E402
 from gnlstab.spectral import FULL, ParityBasis  # noqa: E402
-from gnlstab.waves import ProblemParams, SolverConfig, constant_wave, solve_wave  # noqa: E402
+from gnlstab.waves import ProblemParams, constant_wave, solve_wave  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 PIPELINE = ["pipeline", "--alpha", "2", "--omega", "1", "--tau", "12", "--modes", "32",
@@ -38,9 +38,8 @@ PIPELINE = ["pipeline", "--alpha", "2", "--omega", "1", "--tau", "12", "--modes"
 
 def documents() -> dict:
     """File name -> document text."""
-    config = SolverConfig(mode_count=32)
-    even = solve_wave(ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=12.0, parity="even"), config)
-    odd = solve_wave(ProblemParams(alpha=2.0, omega=4.0, period=TWO_PI, tau=40.0, parity="odd"), config)
+    even = solve_wave(ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=12.0, parity="even"), 32)
+    odd = solve_wave(ProblemParams(alpha=2.0, omega=4.0, period=TWO_PI, tau=40.0, parity="odd"), 32)
     l1 = build_hill(even, "L1", ParityBasis(FULL, even.phi.grid))
     growth = evolve_and_fit(constant_wave(2.0, 1.0, TWO_PI, 16), 1.0, EvolutionConfig(final_time=4.0))
     texts = {

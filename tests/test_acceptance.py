@@ -26,7 +26,6 @@ from gnlstab.scan import scan_kappa, verify_hypotheses
 from gnlstab.spectral import FULL, ParityBasis
 from gnlstab.waves import (
     ProblemParams,
-    SolverConfig,
     constant_wave,
     newton_refine,
     solve_wave,
@@ -177,7 +176,6 @@ def test_criterion_3_variational_wave_quality(record, quality_waves):
 
 def test_criterion_4_even_spectral_counts(record, quality_waves):
     waves, _ = quality_waves
-    config = SolverConfig()
     worst_doubling = 0.0
     template_ok = True
     flags_ok = True
@@ -205,7 +203,7 @@ def test_criterion_4_even_spectral_counts(record, quality_waves):
             flags_ok = flags_ok and not report.passed
             flags_ok = flags_ok and any("constant" in n for n in report.notes)
             details.append(f"a={alpha:g} constant flagged")
-        fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size), config)
+        fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size))
         lows = [
             np.sort(scipy.linalg.eigvalsh(build_block(w, "Lcal").entries))[:10]
             for w in (wave, fine)

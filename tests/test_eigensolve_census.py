@@ -56,11 +56,11 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     # the scan certifies its rows by eigenpair residuals and the DNS steps the
     # scan's own row, so no unsymmetric solve is left
     assert [name for name, _ in orders if name in ("eig", "eigvals")] == []
-    # eigvalsh of M(kappa), one stacked call per sector, solves every row: at
-    # least one matrix per row and sector, each of at most the cosine block's
-    # order N/2 + 1
+    # eigvalsh of M(kappa), one stacked call per sector, solves every row:
+    # one matrix per row and sector, each of at most the cosine block's order
+    # N/2 + 1; the DNS reads the scan's peak row and solves none again
     rows = [order for name, order in row_solves if name == "eigvalsh"]
-    assert len(rows) >= 2 * STEPS
+    assert len(rows) == 2 * STEPS
     assert max(rows) <= N // 2 + 1
     # eigh with vectors only for L2 of the reductions, once per sector; in a
     # row only for a k x k Rayleigh-Ritz step over k > 1 growth pairs, which

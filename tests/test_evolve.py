@@ -34,6 +34,17 @@ def test_config_validation():
             EvolutionConfig(rng_seed=rng_seed)
 
 
+def test_config_rejects_a_step_count_it_fixes():
+    # given both, time_step and final_time fix the step count before any run
+    with pytest.raises(ParameterError, match="at least ten steps"):
+        EvolutionConfig(time_step=1e-3, final_time=1e-3)
+    with pytest.raises(ParameterError, match="^a run with time_step 1e-300 and final_time 1 "):
+        EvolutionConfig(time_step=1e-300, final_time=1.0)
+    # ten steps, and 2^62 steps, inside the int64 range, are allowed
+    EvolutionConfig(time_step=0.1, final_time=1.0)
+    EvolutionConfig(time_step=1.0, final_time=2.0**62)
+
+
 def test_linearized_rhs_matches_block(even_wave):
     block, basis = evolution_block(even_wave, 0.9)
     d = basis.dimension

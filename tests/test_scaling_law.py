@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gnlstab.errors import GnlstabError
-from gnlstab.waves import ProblemParams, SolverConfig, solve_wave
+from gnlstab.waves import ProblemParams, solve_wave
 
 _SHARED = dict(
     omega=st.floats(0.25, 4.0),
@@ -23,7 +23,7 @@ _ODD = st.fixed_dictionaries(dict(alpha=st.sampled_from([2.0, 4.0]), parity=st.j
 def _outcome(point: dict, tau: float):
     params = ProblemParams(**{**point, "tau": tau})
     try:
-        return solve_wave(params, SolverConfig(mode_count=64)).phi.values
+        return solve_wave(params, 64).phi.values
     except GnlstabError as exc:
         return type(exc)
 

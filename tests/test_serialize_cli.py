@@ -1099,6 +1099,36 @@ def test_bad_time_step_fails_before_any_work(tmp_path, monkeypatch, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["pipeline", "dns"])
+@pytest.mark.parametrize(
+    "final_time, time_step, line",
+    [
+        ("1e-3", "1e-3", "final_time 0.001 too short for time_step 0.001 (need at least ten steps)"),
+        ("1", "1e-300", "a run with time_step 1e-300 and final_time 1 takes 1e+300 steps, "
+         f"more than the {np.iinfo(np.int64).max} that a step index holds"),
+    ],
+    ids=["too-short", "past-int64"],
+)
+def test_a_step_count_that_cannot_run_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, command, final_time, time_step, line
+):
+    # both values given fix the step count, so the run cannot start whatever
+    # the wave: these solved it and ran every stage before the DNS refused
+    import gnlstab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step count that cannot run must stop before any wave is solved")
+
+    monkeypatch.setattr(cli, "solve_wave", never)
+    monkeypatch.setattr(cli, "tau_for_amplitude", never)
+    out = tmp_path / "run"
+    argv = [command, "--alpha", "2", "--tau", "auto:amplitude=1.5", "--modes", "64",
+            "--final-time", final_time, "--time-step", time_step, "--out", str(out)]
+    assert main(argv + (["--kappa", "1"] if command == "dns" else [])) == 1
+    assert capsys.readouterr().err == f"[dns_validator] {line}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "dns"])
 def test_negative_rng_seed_fails_before_any_work(tmp_path, monkeypatch, capsys, command):
     import gnlstab.cli as cli
 

@@ -31,7 +31,6 @@ from gnlstab.spectral import (
 from gnlstab import cli, serialize, waves
 from gnlstab.waves import (
     ProblemParams,
-    SolverConfig,
     WaveProfile,
     constant_wave,
     detected_fundamental_period,
@@ -164,12 +163,12 @@ def test_detected_period():
 # minimization
 
 
-def test_minimize_constant_stationary_state():
+def test_minimize_constant_stationary_state(monkeypatch):
     # tau = L puts the constant u = 1 on the constraint surface; from a
     # constant-ish seed the iteration should land exactly there with c2 = 1
+    monkeypatch.setattr(waves, "_seed_values", lambda params, grid: np.full(grid.size, 1.01))
     params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=TWO_PI, parity="even")
-    config = SolverConfig(mode_count=64, user_guess=np.full(64, 1.01))
-    wave = minimize_constrained(params, config)
+    wave = minimize_constrained(params, 64)
     assert np.max(np.abs(wave.phi.values - 1.0)) <= 1e-10
     assert wave.multiplier == pytest.approx(1.0, abs=1e-10)
 
@@ -226,17 +225,11 @@ def test_odd_wave_antisymmetry(odd_wave):
     assert abs(vals[0]) <= 1e-10 * np.max(np.abs(vals))
 
 
-def test_zero_seed_degenerates():
+def test_zero_seed_degenerates(monkeypatch):
+    monkeypatch.setattr(waves, "_seed_values", lambda params, grid: np.zeros(grid.size))
     params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=1.0, parity="even")
-    config = SolverConfig(mode_count=32, user_guess=np.zeros(32))
     with pytest.raises(DegenerateSolutionError):
-        minimize_constrained(params, config)
-
-
-def test_user_guess_needs_the_grid_shape():
-    params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=1.0, parity="even")
-    with pytest.raises(ParameterError, match="user guess has shape"):
-        minimize_constrained(params, SolverConfig(mode_count=32, user_guess=np.ones(64)))
+        minimize_constrained(params, 32)
 
 
 def test_constant_regime_snaps_exactly():
@@ -377,7 +370,7 @@ def test_newton_fixed_point_returns_unchanged():
     assert out is wave
 
 
-def test_newton_contracts_perturbed_dnoidal():
+def test_newton_contracts_perturbed_dnoidal(monkeypatch):
     grid = build_grid(TWO_PI, 128)
     vals = oracles.dnoidal_values(grid.nodes)
     perturbed = vals + 1e-4 * np.cos(2 * grid.nodes)
@@ -390,7 +383,8 @@ def test_newton_contracts_perturbed_dnoidal():
         constraint_value=0.0,
     )
     assert 1e-5 <= seed.ode_residual_norm <= 1e-2
-    polished = newton_refine(seed, SolverConfig(newton_max_steps=6, newton_tolerance=1e-11))
+    monkeypatch.setattr(waves, "NEWTON_MAX_STEPS", 6)
+    polished = newton_refine(seed)
     assert polished.ode_residual_norm <= 1e-11
 
 
@@ -418,9 +412,9 @@ def perturbed_dnoidal_seed() -> WaveProfile:
                        functional_value=0.0, constraint_value=0.0)
 
 
-def newton_failure(config: SolverConfig) -> ConvergenceError:
+def newton_failure() -> ConvergenceError:
     with pytest.raises(ConvergenceError) as error:
-        newton_refine(perturbed_dnoidal_seed(), config)
+        newton_refine(perturbed_dnoidal_seed())
     failure = error.value
     assert failure.last_iterate.shape == (128,)
     grid = build_grid(TWO_PI, 128)
@@ -429,18 +423,21 @@ def newton_failure(config: SolverConfig) -> ConvergenceError:
     return failure
 
 
-def test_newton_stalls_at_the_rounding_floor():
-    # 1e-17 is below the residual's rounding floor (about 1e-12 here), so no
-    # damped step reduces the residual.  This is the failure that ROADMAP
-    # item 1 (a Newton that reports convergence at the floor) removes; that
-    # change replaces this test with its own acceptance test.
-    failure = newton_failure(SolverConfig(newton_tolerance=1e-17))
+def test_newton_stalls_at_the_rounding_floor(monkeypatch):
+    # a NEWTON_TOLERANCE of 1e-17 is below the residual's rounding floor
+    # (about 1e-12 here), so no damped step reduces the residual.  This is
+    # the failure that ROADMAP item 1 (a Newton that reports convergence at
+    # the floor) removes; that change replaces this test with its own
+    # acceptance test.
+    monkeypatch.setattr(waves, "NEWTON_TOLERANCE", 1e-17)
+    failure = newton_failure()
     assert str(failure) == "Newton step failed to reduce the residual"
     assert 1e-13 < failure.gradient_norm < 1e-11
 
 
-def test_newton_step_budget_is_enforced():
-    failure = newton_failure(SolverConfig(newton_max_steps=1))
+def test_newton_step_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(waves, "NEWTON_MAX_STEPS", 1)
+    failure = newton_failure()
     assert str(failure) == (
         f"Newton did not reach 1e-11 in 1 steps (residual {failure.gradient_norm:.3e})"
     )
@@ -448,13 +445,13 @@ def test_newton_step_budget_is_enforced():
 
 
 def test_a_singular_jacobian_propagates_out_of_solve_wave(monkeypatch):
-    def singular(wave, config=None):
+    def singular(wave):
         raise SingularJacobianError("singular on purpose")
 
     monkeypatch.setattr(waves, "newton_refine", singular)
     params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=12.0, parity="even")
     with pytest.raises(SingularJacobianError, match="singular on purpose"):
-        solve_wave(params, SolverConfig(mode_count=32))
+        solve_wave(params, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +460,7 @@ def test_a_singular_jacobian_propagates_out_of_solve_wave(monkeypatch):
 
 def test_accepted_wave_invariants(even_wave):
     params = even_wave.params
-    assert even_wave.ode_residual_norm <= SolverConfig().newton_tolerance
+    assert even_wave.ode_residual_norm <= waves.NEWTON_TOLERANCE
     assert float(np.min(even_wave.phi.values)) > 0.0
     measured = integrate(
         RealField(
@@ -482,8 +479,8 @@ def test_under_resolved_even_profile_asks_for_more_modes():
     params = ProblemParams(alpha=3.0, omega=4.0, period=8.0 * np.pi, tau=1.0, parity="even")
     message = r"spectral tail 1\.2\d+e-02 .* under-resolved at N=64; rerun with --modes 128"
     with pytest.raises(WaveAcceptanceError, match=message):
-        solve_wave(params, SolverConfig(mode_count=64))
-    assert float(np.min(solve_wave(params, SolverConfig(mode_count=256)).phi.values)) > 0.0
+        solve_wave(params, 64)
+    assert float(np.min(solve_wave(params, 256).phi.values)) > 0.0
 
 
 def test_resolved_sign_changing_even_profile_is_rejected_as_such():
@@ -493,7 +490,7 @@ def test_resolved_sign_changing_even_profile_is_rejected_as_such():
     params = ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=1.0, parity="even")
     wave = dataclasses.replace(waves._profile(params, phi), ode_residual_norm=0.0)
     with pytest.raises(WaveAcceptanceError, match="not strictly positive"):
-        waves._accept(wave, 1e-11)
+        waves._accept(wave)
 
 
 def test_wave_at_resolution_preserves_profile(even_wave):
@@ -530,12 +527,11 @@ def test_tau_for_amplitude_scales_its_minimizer(alpha, omega, parity, amplitude)
     # the minimizer at tau is (tau/tau0)^(1/(a+2)) times the one at tau0, so
     # tau_for_amplitude scales its one minimization; a second one at tau,
     # which tau_for_amplitude ran before, lands on the same record
-    config = SolverConfig(mode_count=64)
-    stationary = tau_for_amplitude(alpha, omega, TWO_PI, parity, amplitude, config)
+    stationary = tau_for_amplitude(alpha, omega, TWO_PI, parity, amplitude, 64)
     reference = minimize_constrained(
         ProblemParams(alpha=alpha, omega=omega, period=TWO_PI, tau=stationary.params.tau,
                       parity=parity),
-        config,
+        64,
     )
     assert stationary.params == reference.params
     assert stationary.phi.parity == reference.phi.parity
@@ -558,24 +554,19 @@ def test_solve_wave_polishes_the_amplitude_minimizer(monkeypatch, tmp_path):
     calls = []
     original = waves.minimize_constrained
 
-    def counted(params, config=None):
+    def counted(params, modes=waves.MODES):
         calls.append(params.tau)
-        return original(params, config)
+        return original(params, modes)
 
     monkeypatch.setattr(waves, "minimize_constrained", counted)
-    config = SolverConfig(mode_count=64)
-    stationary = tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5, config)
-    passed = solve_wave(stationary.params, config, stationary)
+    stationary = tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5, 64)
+    passed = solve_wave(stationary.params, 64, stationary)
     assert len(calls) == 1 and calls[0] == TWO_PI * 1.5**4
-    own = solve_wave(stationary.params, config)
+    own = solve_wave(stationary.params, 64)
     assert calls[1:] == [stationary.params.tau]
     assert own.params == passed.params
     scale = own.phi.max_abs
     assert np.max(np.abs(passed.phi.values - own.phi.values)) <= 1e-14 * scale
-    for params, size in ((dataclasses.replace(stationary.params, tau=1.0), 64),
-                         (stationary.params, 128)):
-        with pytest.raises(ParameterError, match="another problem"):
-            solve_wave(params, SolverConfig(mode_count=size), stationary)
 
     # gnlstab solve --tau auto:amplitude=A minimizes once in all
     calls.clear()
@@ -583,6 +574,17 @@ def test_solve_wave_polishes_the_amplitude_minimizer(monkeypatch, tmp_path):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     assert (tmp_path / "wave.json").read_text(encoding="utf-8") == serialize.dumps(passed)
+
+
+@pytest.mark.parametrize(
+    "change, modes", [({"tau": 1.0}, 32), ({}, 64)], ids=["other-params", "other-grid"]
+)
+def test_solve_wave_rejects_a_minimizer_of_another_problem_or_grid(change, modes):
+    stationary = tau_for_amplitude(2.0, 1.0, TWO_PI, "even", 1.5, 32)
+    params = dataclasses.replace(stationary.params, **change)
+    with pytest.raises(ParameterError) as error:
+        solve_wave(params, modes, stationary)
+    assert str(error.value) == "the given minimizer solves another problem or grid"
 
 
 def test_tau_for_amplitude_rejects_bad_target():
