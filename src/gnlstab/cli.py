@@ -28,10 +28,10 @@ from .errors import (
     WaveAcceptanceError,
 )
 from .evolve import SCHEMES, SEEDS, EvolutionConfig, evolve_and_fit
-from .hill import HillOperators, check_propositions, hill_operators
+from .hill import HillOperators, check_propositions, hill_operators, spectrum
 
 # kept importable here: perfbench/tracer.py wraps these names of gnlstab.cli
-from .hill import build_block, build_hill, spectrum  # noqa: F401
+from .hill import build_block, build_hill  # noqa: F401
 from .scan import scan_kappa, transverse_threshold, verify_hypotheses
 from .waves import (
     MODES,
@@ -274,16 +274,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _full_spectra(ops: HillOperators, zero_tolerance):
-    return [ops.summary(which, zero_tolerance) for which in ("L1", "L2")]
-
-
 def cmd_spectrum(args) -> int:
     out = _out_dir(args)
     formats = _formats(args)
     wave = _obtain_wave(args)
     with _stage("hill_spectra"):
-        summaries = _full_spectra(hill_operators(wave, "full"), args.zero_tolerance)
+        ops = hill_operators(wave, "full")
+        summaries = [spectrum(ops, which, args.zero_tolerance) for which in ("L1", "L2")]
     for summary in summaries:
         if "json" in formats:
             _write(out, f"spectrum_{summary.label}.json", serialize.dumps(summary))
@@ -466,7 +463,7 @@ def cmd_pipeline(args) -> int:
     # propositions, its sector (itself, or its sine or cosine block) the rest
     with _stage("hill_spectra"):
         ops = hill_operators(wave, "full")
-        summaries = _full_spectra(ops, args.zero_tolerance)
+        summaries = [spectrum(ops, which, args.zero_tolerance) for which in ("L1", "L2")]
         propositions = check_propositions(ops, zero_tolerance=args.zero_tolerance)
     print(f"[hill_spectra] propositions {'passed' if propositions.passed else 'FAILED'}")
     for check in propositions.checks:

@@ -16,9 +16,10 @@ Fourier basis (cosine block first, then sine) every one of these operators
 is the direct sum of a cosine block (N/2+1) and a sine block (N/2-1), up to
 a cosine-sine coupling that is rounding.  A block-diagonal composition has
 the union of its blocks' spectra, so every eigensolve here is one solve per
-parity sector and component (:func:`block_eigenvalues`).  Counting
-negative/zero eigenvalues of these matrices is what the spectral assertions
-in :func:`check_propositions` are made of.
+parity sector and component.  Counting negative/zero eigenvalues of these
+spectra is what the spectral assertions in :func:`check_propositions` and
+the hypothesis (H4) are made of, and :func:`spectrum` is the one place that
+counts them.
 
 :class:`HillOperators` is the one store of L1 and L2 per wave: the wave,
 its sector and the sector blocks, assembled once, straight on each parity
@@ -27,25 +28,24 @@ full-space store gates the split by the coupling that the full matrix would
 hold, computed from the potential's sine coefficients alone
 (:func:`spectral.sector_coupling`), and each block is bit for bit that
 matrix's diagonal block.  The matrices on the whole basis are assembled only
-for :func:`build_block` and ``scan.evolution_block``, and not kept.  A full
-matrix given from outside is split by :func:`_sector_blocks`, under the same
-gate.  The store neither copies its blocks nor measures their symmetry; (H0)
-is measured on them where the hypotheses report it.  :class:`OperatorMatrix`
-checks operators given from outside, and the composites of
-:func:`build_block`.  The spectra, propositions, hypotheses, the kappa-scan,
-the grid-doubling certificate and the time integrator all read it; a
-full-space store also serves the odd and even sectors, whose operators are
-its sine and cosine blocks bit for bit.  The sector is chosen once, where
-the store is made (:func:`hill_operators`, :meth:`HillOperators.restrict`,
-"auto" resolved by the wave's parity): every consumer takes a store, used as
-it is, or a wave, for its "auto" store, and no sector.  A store lives as long
-as the call that made it.
+for :func:`build_hill`, :func:`build_block` and ``scan.evolution_block``,
+and not kept; :class:`OperatorMatrix` checks those of the first two.  The
+store neither copies its blocks nor measures their symmetry; (H0) is
+measured on them where the hypotheses report it.  The spectra,
+propositions, hypotheses, the kappa-scan, the grid-doubling certificate and
+the time integrator all read it; a full-space store also serves the odd and
+even sectors, whose operators are its sine and cosine blocks bit for bit.
+The sector is chosen once, where the store is made (:func:`hill_operators`,
+:meth:`HillOperators.restrict`, "auto" resolved by the wave's parity): every
+consumer takes a store, used as it is, or a wave, for its "auto" store, and
+no sector.  A store lives as long as the call that made it.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -124,8 +124,10 @@ def default_zero_tolerance(eigenvalues: np.ndarray) -> float:
 
 def _zero_tolerance(eigenvalues: np.ndarray, zero_tolerance: Optional[float]) -> float:
     """``zero_tolerance``, or the default for ``eigenvalues`` when None;
-    ParameterError unless it is positive and finite."""
+    ParameterError unless it is a real number (not a bool), positive and finite."""
     tol = zero_tolerance if zero_tolerance is not None else default_zero_tolerance(eigenvalues)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ParameterError(f"zero tolerance must be a real number, got {tol!r}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"zero tolerance must be positive, got {tol}")
     return tol
@@ -277,10 +279,6 @@ class HillOperators:
         parts = [b.l1_eigs for b in self.blocks] + [b.l2_eigs for b in self.blocks]
         return np.sort(np.concatenate(parts))
 
-    def summary(self, which: str, zero_tolerance: Optional[float] = None) -> SpectrumSummary:
-        """Counts of L1 or L2 on the store's basis, as :func:`spectrum` makes them."""
-        return _summarize(which, self.wave_id, self.eigenvalues(which), zero_tolerance)
-
     def memo(self, key, build: Callable):
         """``build()`` on the first request for ``key``, kept with the store."""
         if key not in self._memo:
@@ -381,25 +379,6 @@ def _rounding_floor(dimension: int, norm):
     return dimension * _EPS * norm
 
 
-def _sector_blocks(entries: np.ndarray, basis: ParityBasis) -> tuple:
-    """The cosine and sine diagonal blocks of an operator on the full basis.
-
-    The even potential makes the cosine-sine coupling block vanish up to
-    rounding, so the spectrum is the union of the two blocks' spectra.  A
-    coupling above the rounding floor d * eps * max|entries| means the
-    potential is not even, and raises NumericalConsistencyError instead of
-    being dropped.  On a cosine or sine basis the operator is one block.
-    """
-    if basis.kind != FULL:
-        return (entries,)
-    nc = basis.grid.size // 2 + 1
-    coupling = max(
-        float(np.max(np.abs(entries[nc:, :nc]))), float(np.max(np.abs(entries[:nc, nc:])))
-    )
-    _check_split(coupling, float(np.max(np.abs(entries))), entries.shape[0])
-    return entries[:nc, :nc], entries[nc:, nc:]
-
-
 def _check_split(coupling: float, scale: float, dimension: int) -> None:
     """Raise NumericalConsistencyError for a cosine-sine ``coupling`` above
     the rounding floor of a full-basis operator of entry scale ``scale``."""
@@ -409,16 +388,6 @@ def _check_split(coupling: float, scale: float, dimension: int) -> None:
             f"cosine-sine coupling {coupling:.3e} exceeds the rounding floor {floor:.3e}: "
             "the operator does not split into parity sectors"
         )
-
-
-def block_eigenvalues(*blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the block-diagonal matrix diag(*blocks).
-
-    Each symmetric block is diagonalized on its own and the spectra are
-    merged, so Lcal = diag(L1, L2) and S(0) = diag(L2, L1) on the full basis
-    cost four solves of order about d/2 instead of one 2d x 2d solve.
-    """
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
 
 
 def _summarize(
@@ -451,72 +420,39 @@ def _summarize(
 
 
 def spectrum(
-    operator: OperatorMatrix,
+    wave: Union[WaveProfile, HillOperators],
+    which: str,
     zero_tolerance: Optional[float] = None,
     n_eigenfunctions: int = 0,
 ) -> SpectrumSummary:
-    """Eigenvalues (ascending) with negative/kernel counts.
+    """Ascending eigenvalues of L1, L2 or Lcal = diag(L1, L2) on the store's
+    basis, with negative/kernel counts: the one place a count is made.
 
-    The operator is diagonalized one parity sector (:func:`_sector_blocks`)
-    and, for a composed block operator (twice the basis dimension, as built
-    by :func:`build_block`), one component at a time.  Counts are recomputed
-    at half and twice the tolerance; disagreement sets the ``ambiguous``
-    flag instead of failing.
+    The eigenvalues are the store's block spectra.  ``n_eigenfunctions``
+    exports the grid fields of the lowest eigenvectors of L1 or L2: each
+    sector block's ``eigh`` pairs, lifted to the store's basis.  Counts are
+    recomputed at half and twice the tolerance; disagreement sets the
+    ``ambiguous`` flag instead of failing.
     """
-    if not 0 <= n_eigenfunctions <= operator.dimension:
-        raise ParameterError(
-            f"n_eigenfunctions must lie in [0, {operator.dimension}], got {n_eigenfunctions}"
-        )
-    basis, entries = operator.basis, operator.entries
-    d = basis.dimension
-    if n_eigenfunctions and operator.dimension != d:
-        raise ParameterError(
-            "eigenfunction export is only available for single-component "
-            "operators (block eigenvectors are stacked pairs)"
-        )
+    ops = _operators(wave)
+    if which not in (*_LABELS, "Lcal"):
+        raise ParameterError(f"operator must be 'L1', 'L2' or 'Lcal', got {which!r}")
+    d, count = ops.basis.dimension, n_eigenfunctions
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 0 <= count <= d:
+        raise ParameterError(f"n_eigenfunctions must be an integer in [0, {d}], got {count!r}")
+    if which == "Lcal" and count:
+        raise ParameterError("eigenfunction export is only for the single-component L1 and L2")
+    eigenvalues = ops.lcal_eigenvalues() if which == "Lcal" else ops.eigenvalues(which)
     lowest = None
-    if operator.dimension == 2 * d:
-        if entries[:d, d:].any():
-            raise ParameterError(f"block operator {operator.label} couples its two components")
-        eigenvalues = block_eigenvalues(
-            *_sector_blocks(entries[:d, :d], basis), *_sector_blocks(entries[d:, d:], basis)
-        )
-    elif n_eigenfunctions:
+    if count:
         # sector eigenpairs side by side: the vectors form a block-diagonal matrix
         values, vectors = np.empty(d), np.zeros((d, d))
-        start = 0
-        for block in _sector_blocks(entries, basis):
-            rows = slice(start, start + block.shape[0])
-            values[rows], vectors[rows, rows] = np.linalg.eigh(block)
-            start = rows.stop
+        for rows, block in ops.sectors():
+            matrix = block.l1 if which == "L1" else block.l2
+            values[rows], vectors[rows, rows] = np.linalg.eigh(matrix)
         order = np.argsort(values, kind="stable")
-        eigenvalues = values[order]
-        lowest = tuple(basis.field(vectors[:, i]) for i in order[:n_eigenfunctions])
-    else:
-        eigenvalues = block_eigenvalues(*_sector_blocks(entries, basis))
-    return _summarize(operator.label, operator.wave_id, eigenvalues, zero_tolerance, lowest)
-
-
-def shifted_block_spectra(
-    wave: Union[WaveProfile, HillOperators], kappas: Sequence[float]
-) -> dict:
-    """Eigenvalue lists of S(kappa) on the store's basis for every requested kappa.
-
-    S(kappa) = S(0) + kappa^2 * I holds exactly at the matrix level, so a
-    single diagonalization of S(0) gives the eigenvalues of the whole family
-    by adding the scalar shift.  This is both cheaper than one dense solve
-    per kappa and free of the ~1e-11 jitter that two independent
-    diagonalizations of matrices with norm ~1e3 would introduce between
-    the lists.  It is the one whole-matrix solve of S(0) left: its callers
-    compare it to 1e-12 with ``eigvalsh`` of the whole matrix, and the
-    sector blocks of :func:`spectrum` land up to 10 ulp (9e-12 at 4e3) away.
-
-    Returns ``{kappa: ascending eigenvalue array}``.
-    """
-    for kappa in kappas:
-        _check_kappa(kappa)
-    eigenvalues = np.linalg.eigvalsh(build_block(wave, "S_kappa").entries)
-    return {float(kappa): eigenvalues + float(kappa) ** 2 for kappa in kappas}
+        lowest = tuple(ops.basis.field(vectors[:, i]) for i in order[:count])
+    return _summarize(which, ops.wave_id, eigenvalues, zero_tolerance, lowest)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +502,8 @@ def check_propositions(
     A failing report flags the wave as outside the regime of these counts
     (for instance a constant state) rather than raising.  Every check reads
     the full-space operator store, whose cosine and sine blocks are the even
-    and odd sectors; a store on another sector raises ParameterError.
+    and odd sectors, through :func:`spectrum`; a store on another sector
+    raises ParameterError.
     """
     ops = wave.restrict("full") if isinstance(wave, HillOperators) else hill_operators(wave, "full")
     wave = ops.wave
@@ -594,11 +531,11 @@ def check_propositions(
 
     cosine, sine = ops.blocks
     even, odd = ops.restrict("even"), ops.restrict("odd")
-    l1_even, l2_even = (even.summary(which, zero_tolerance) for which in _LABELS)
-    l1_odd, l2_odd = (odd.summary(which, zero_tolerance) for which in _LABELS)
+    l1_even, l2_even = (spectrum(even, which, zero_tolerance) for which in _LABELS)
+    l1_odd, l2_odd = (spectrum(odd, which, zero_tolerance) for which in _LABELS)
 
     if wave.params.parity == EVEN:
-        lcal = _summarize("Lcal", wave.wave_id, ops.lcal_eigenvalues(), zero_tolerance)
+        lcal = spectrum(ops, "Lcal", zero_tolerance)
         tol = lcal.zero_tolerance
         n_l1 = l1_even.n_negative + l1_odd.n_negative
         n_l2 = l2_even.n_negative + l2_odd.n_negative
@@ -624,7 +561,7 @@ def check_propositions(
         add("n(L1) full space", n_l1 == 1, 1, n_l1)
         add("n(L2) full space", n_l2 == 0, 0, n_l2)
     else:
-        lcal_odd = _summarize("Lcal", wave.wave_id, odd.lcal_eigenvalues(), zero_tolerance)
+        lcal_odd = spectrum(odd, "Lcal", zero_tolerance)
         tol = lcal_odd.zero_tolerance
         n_l1_full = l1_even.n_negative + l1_odd.n_negative
         add("n(L1) full space", n_l1_full == 2, 2, n_l1_full)

@@ -20,10 +20,10 @@ n(L1 + kappa^2) growth pairs: with -lambda0 the lowest eigenvalue of L1 (and
 of S(0), since L1 <= L2) the band is (0, sqrt(lambda0)).
 
 The potential |phi|^a is even, so in the full space L1, L2 and the whole
-block problem split into a cosine and a sine sector (``hill._sector_blocks``)
-and every solve below runs once per sector, on blocks of order about d/2;
-the sector spectra are merged into one record and growth modes lifted to
-full-basis coefficients.
+block problem split into a cosine and a sine sector (the operator store's
+blocks) and every solve below runs once per sector, on blocks of order
+about d/2; the sector spectra are merged into one record and growth modes
+lifted to full-basis coefficients.
 
 Every function here takes a wave, for its "auto" operator store, or a store
 (:class:`hill.HillOperators`) on its own sector, never a sector: L1 and L2,
@@ -94,7 +94,7 @@ from .hill import (
     _operators,
     _rounding_floor,
     _whole_basis_pair,
-    _zero_tolerance,
+    spectrum,
 )
 
 # kept importable here: perfbench/tracer.py wraps scan.build_block by name
@@ -910,7 +910,8 @@ def verify_hypotheses(
     store path; H4 exactly one negative eigenvalue of S(0), simple: its gap
     to the next one is at least 10 zero tolerances (``margin`` is the gap in
     those units, passing at 1).  The spectrum of S(0) is the union of the
-    operator store's sector spectra of L2 and L1.
+    operator store's sector spectra of L2 and L1, that of Lcal, counted by
+    :func:`hill.spectrum`.
 
     S(kappa) = S(0) + kappa^2 * I exactly, so H1-H3 of Rousset and Tzvetkov
     follow from H4 and the lower bound of S(0), and are reported as such:
@@ -950,14 +951,13 @@ def verify_hypotheses(
     }
     h3 = {"passed": True, "note": "S'(kappa) = 2 kappa I"}
 
-    eigs0 = ops.lcal_eigenvalues()
-    tol = _zero_tolerance(eigs0, zero_tolerance)
-    n_negative = int(np.sum(eigs0 < -tol))
+    s0 = spectrum(ops, "Lcal", zero_tolerance)
+    eigs0, tol = s0.eigenvalues, s0.zero_tolerance
     gap = float(eigs0[1] - eigs0[0]) if len(eigs0) > 1 else 0.0
     # eigs0 is sorted: one eigenvalue below -tol leaves the rest above it
     h4 = {
-        "passed": n_negative == 1 and gap >= 10.0 * tol,
-        "n_negative": n_negative,
+        "passed": s0.n_negative == 1 and gap >= 10.0 * tol,
+        "n_negative": s0.n_negative,
         "lowest": float(eigs0[0]),
         "gap": gap,
         "zero_tolerance": float(tol),

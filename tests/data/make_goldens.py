@@ -26,9 +26,8 @@ import numpy as np  # noqa: E402
 
 from gnlstab import cli, serialize  # noqa: E402
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit  # noqa: E402
-from gnlstab.hill import build_hill, check_propositions, hill_operators, spectrum  # noqa: E402
+from gnlstab.hill import check_propositions, hill_operators, spectrum  # noqa: E402
 from gnlstab.scan import scan_kappa, verify_hypotheses  # noqa: E402
-from gnlstab.spectral import FULL, ParityBasis  # noqa: E402
 from gnlstab.waves import ProblemParams, constant_wave, solve_wave  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
@@ -40,12 +39,11 @@ def documents() -> dict:
     """File name -> document text."""
     even = solve_wave(ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=12.0, parity="even"), 32)
     odd = solve_wave(ProblemParams(alpha=2.0, omega=4.0, period=TWO_PI, tau=40.0, parity="odd"), 32)
-    l1 = build_hill(even, "L1", ParityBasis(FULL, even.phi.grid))
     growth = evolve_and_fit(constant_wave(2.0, 1.0, TWO_PI, 16), 1.0, EvolutionConfig(final_time=4.0))
     texts = {
         "wave_even.json": even,
         "wave_odd.json": odd,
-        "spectrum_even_L1.json": spectrum(l1, n_eigenfunctions=3),
+        "spectrum_even_L1.json": spectrum(hill_operators(even, "full"), "L1", n_eigenfunctions=3),
         "propositions_odd.json": check_propositions(odd),
         "hypotheses_even.json": verify_hypotheses(even),
         "scan_even.json": scan_kappa(even, 0.05, 1.8, 4),

@@ -26,9 +26,8 @@ import pytest
 
 from gnlstab import serialize
 from gnlstab.errors import FormatError
-from gnlstab.hill import build_hill, hill_operators, spectrum
+from gnlstab.hill import hill_operators, spectrum
 from gnlstab.scan import StabilityScan, growth_row
-from gnlstab.spectral import FULL, ParityBasis
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = sorted(DATA.glob("*.json"))
@@ -145,9 +144,7 @@ def test_complex_pairs_keep_signed_zeros():
 
 
 def test_spectrum_with_eigenfunctions_roundtrip(even_wave):
-    summary = spectrum(
-        build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid)), n_eigenfunctions=3
-    )
+    summary = spectrum(hill_operators(even_wave, "full"), "L1", n_eigenfunctions=3)
     again = serialize.loads(serialize.dumps(summary))
     assert again.eigenvalues.tobytes() == summary.eigenvalues.tobytes()
     assert len(again.lowest_eigenfunctions) == 3

@@ -1,6 +1,7 @@
 """Hill operators, block compositions, and spectral-count assertions."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,6 @@ from gnlstab.hill import (
     default_zero_tolerance,
     hill_operators,
     resolve_sector,
-    shifted_block_spectra,
     spectrum,
 )
 from gnlstab.scan import evolution_block, verify_hypotheses
@@ -45,8 +45,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_constant_L1_spectrum(const_wave):
-    basis = ParityBasis(FULL, const_wave.phi.grid)
-    summary = spectrum(build_hill(const_wave, "L1", basis))
+    summary = spectrum(hill_operators(const_wave, "full"), "L1")
     expected = oracles.constant_hill_eigenvalues("L1", 2.0, 1.0, TWO_PI, 16)
     assert np.max(np.abs(summary.eigenvalues[:16] - expected)) <= 1e-10
     assert summary.n_negative == 3
@@ -54,8 +53,7 @@ def test_constant_L1_spectrum(const_wave):
 
 
 def test_constant_L2_spectrum(const_wave):
-    basis = ParityBasis(FULL, const_wave.phi.grid)
-    summary = spectrum(build_hill(const_wave, "L2", basis))
+    summary = spectrum(hill_operators(const_wave, "full"), "L2")
     expected = oracles.constant_hill_eigenvalues("L2", 2.0, 1.0, TWO_PI, 16)
     assert np.max(np.abs(summary.eigenvalues[:16] - expected)) <= 1e-10
     assert summary.n_negative == 0
@@ -63,18 +61,14 @@ def test_constant_L2_spectrum(const_wave):
 
 
 def test_parity_blocks_partition_full_spectrum(even_wave):
-    # cosine and sine sectors together reproduce the eigenvalues of the whole
-    # full-basis matrix, solved by scipy since spectrum() splits it itself
+    # the cosine and sine stores together reproduce the eigenvalues of the
+    # whole full-basis matrix, solved by scipy
     for which in ("L1", "L2"):
         full = scipy.linalg.eigvalsh(
             build_hill(even_wave, which, ParityBasis(FULL, even_wave.phi.grid)).entries
         )
-        cos = spectrum(
-            build_hill(even_wave, which, ParityBasis(COSINE, even_wave.phi.grid))
-        ).eigenvalues
-        sin = spectrum(
-            build_hill(even_wave, which, ParityBasis(SINE, even_wave.phi.grid))
-        ).eigenvalues
+        cos = spectrum(hill_operators(even_wave, "even"), which).eigenvalues
+        sin = spectrum(hill_operators(even_wave, "odd"), which).eigenvalues
         merged = np.sort(np.concatenate([cos, sin]))
         assert merged.size == full.size
         assert np.max(np.abs(merged - full)) <= 1e-10 * (1.0 + np.max(np.abs(full)))
@@ -165,9 +159,17 @@ def test_operator_matrix_requires_symmetry(even_wave):
 
 
 def test_spectrum_rejects_bad_tolerance(const_wave):
-    op = build_hill(const_wave, "L2", ParityBasis(FULL, const_wave.phi.grid))
     with pytest.raises(ParameterError):
-        spectrum(op, zero_tolerance=0.0)
+        spectrum(hill_operators(const_wave, "full"), "L2", zero_tolerance=0.0)
+
+
+@pytest.mark.parametrize("tol", [True, False, np.True_, "1e-3", 1e-3 + 0j, [1e-3]])
+def test_a_zero_tolerance_that_is_no_real_number_is_rejected(even_wave, tol):
+    # a bool is not read as 1.0 or 0.0, nor a string or complex handed to numpy:
+    # the spectra, propositions and hypotheses share the one gate
+    for check in (check_propositions, verify_hypotheses, lambda w, t: spectrum(w, "L1", t)):
+        with pytest.raises(ParameterError, match="zero tolerance must be a real number, got"):
+            check(even_wave, tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
@@ -181,8 +183,7 @@ def test_hypotheses_reject_a_bad_zero_tolerance(even_wave, tol):
 def test_eigenfunction_export(even_wave):
     # L2 phi = 0 with phi > 0, so the lowest L2 eigenfunction on the cosine
     # sector is the wave itself up to normalization
-    op = build_hill(even_wave, "L2", ParityBasis(COSINE, even_wave.phi.grid))
-    summary = spectrum(op, n_eigenfunctions=2)
+    summary = spectrum(hill_operators(even_wave, "even"), "L2", n_eigenfunctions=2)
     assert len(summary.lowest_eigenfunctions) == 2
     ground = summary.lowest_eigenfunctions[0].values
     phi = even_wave.phi.values
@@ -197,7 +198,7 @@ def test_eigenfunction_export_on_the_full_basis(even_wave):
     # lowest L2 eigenfunction is still the wave, and every exported pair is
     # an eigenpair of the whole matrix
     op = build_hill(even_wave, "L2", ParityBasis(FULL, even_wave.phi.grid))
-    summary = spectrum(op, n_eigenfunctions=3)
+    summary = spectrum(hill_operators(even_wave, "full"), "L2", n_eigenfunctions=3)
     ground = summary.lowest_eigenfunctions[0].values
     phi = even_wave.phi.values
     ground, phi = ground / np.linalg.norm(ground), phi / np.linalg.norm(phi)
@@ -273,33 +274,53 @@ def test_a_parity_free_profile_is_split_by_its_potential(even_wave):
     free = dataclasses.replace(even_wave, phi=RealField(grid, even_wave.phi.values, "none"))
     for a, b in zip(hill_operators(free, "full").blocks, hill_operators(even_wave).blocks):
         assert np.array_equal(a.l1, b.l1) and np.array_equal(a.l2, b.l2)
-    # a shifted profile's potential is not even: the store raises what the
-    # split of the full-basis L1 raises, the same coupling and floor
+    # a shifted profile's potential is not even: the store does not split it
     shifted = dataclasses.replace(free, phi=RealField(grid, np.roll(free.phi.values, 3), "none"))
-    with pytest.raises(NumericalConsistencyError, match="coupling .* rounding floor") as store:
+    with pytest.raises(NumericalConsistencyError, match="coupling .* rounding floor"):
         hill_operators(shifted, "full")
-    with pytest.raises(NumericalConsistencyError) as matrix:
-        spectrum(build_hill(shifted, "L1", ParityBasis(FULL, grid)))
-    assert str(store.value) == str(matrix.value)
     # a sector basis still needs a parity
     with pytest.raises(BasisError):
         hill_operators(free, "even")
 
 
 def test_eigenfunction_export_rejects_out_of_range_counts():
-    wave = constant_wave(2.0, 1.0, TWO_PI, 20)
-    op = build_hill(wave, "L2", ParityBasis(SINE, wave.phi.grid))
-    assert op.dimension == 9
-    assert len(spectrum(op, n_eigenfunctions=9).lowest_eigenfunctions) == 9
+    ops = hill_operators(constant_wave(2.0, 1.0, TWO_PI, 20), "odd")
+    assert ops.basis.dimension == 9
+    assert len(spectrum(ops, "L2", n_eigenfunctions=9).lowest_eigenfunctions) == 9
+    assert len(spectrum(ops, "L2", n_eigenfunctions=np.int64(2)).lowest_eigenfunctions) == 2
     for count in (10, -1):
         with pytest.raises(ParameterError, match="n_eigenfunctions"):
-            spectrum(op, n_eigenfunctions=count)
+            spectrum(ops, "L2", n_eigenfunctions=count)
+
+
+@pytest.mark.parametrize("count", [1.5, 2.0, "2", None, True, False, np.True_])
+def test_eigenfunction_export_rejects_counts_that_are_no_integer(even_wave, count):
+    # a bool is not a count of one or none, nor a float or string a count at all
+    message = rf"n_eigenfunctions must be an integer in \[0, 128\], got {re.escape(repr(count))}$"
+    with pytest.raises(ParameterError, match=message):
+        spectrum(even_wave, "L1", n_eigenfunctions=count)
 
 
 def test_eigenfunction_export_rejects_blocks(even_wave):
-    op = build_block(even_wave, "Lcal")
     with pytest.raises(ParameterError, match="single-component"):
-        spectrum(op, n_eigenfunctions=1)
+        spectrum(even_wave, "Lcal", n_eigenfunctions=1)
+
+
+def test_spectrum_rejects_an_unknown_operator(even_wave):
+    with pytest.raises(ParameterError, match="'L1', 'L2' or 'Lcal', got 'S_kappa'"):
+        spectrum(even_wave, "S_kappa")
+
+
+@pytest.mark.parametrize("sector", ["full", "odd"])
+@pytest.mark.parametrize("which", ["L1", "L2"])
+def test_eigenfunction_export_leaves_the_spectrum_as_the_store_has_it(odd_wave, sector, which):
+    # the exported pairs come from each block's eigh, the reported eigenvalues
+    # from the store's eigvalsh, bit for bit with or without export
+    ops = hill_operators(odd_wave, sector)
+    exported = spectrum(ops, which, n_eigenfunctions=3)
+    assert len(exported.lowest_eigenfunctions) == 3
+    assert exported.eigenvalues.tobytes() == spectrum(ops, which).eigenvalues.tobytes()
+    assert exported.eigenvalues.tobytes() == ops.eigenvalues(which).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +334,15 @@ def dense_summary(op: OperatorMatrix):
 
 @pytest.mark.parametrize("size", [128, 256])
 def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
+    # the store's block spectrum of Lcal, which S(0) = diag(L2, L1) shares,
+    # against a dense solve of each whole 2d x 2d matrix
     for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
         for sector in ("full", "odd"):
             ops = hill_operators(wave, sector)
+            blocks = spectrum(ops, "Lcal")
             for kind in ("Lcal", "S_kappa"):
                 op = build_block(ops, kind)
-                dense, blocks = dense_summary(op), spectrum(op)
+                dense = dense_summary(op)
                 scale = np.max(np.abs(op.entries))
                 assert np.max(np.abs(blocks.eigenvalues - dense.eigenvalues)) <= 1e-13 * scale
                 assert blocks.n_negative == dense.n_negative
@@ -416,28 +440,8 @@ def test_whole_basis_operators_are_assembled_from_the_wave(even_wave, odd_wave, 
                     assert np.array_equal(lcal.entries[shifted, shifted], sector_block.l2)
 
 
-def test_spectrum_rejects_coupled_block_operators(even_wave):
-    op = build_block(hill_operators(even_wave, "odd"), "Lcal")
-    d = op.basis.dimension
-    coupled = op.entries.copy()
-    coupled[0, d] = coupled[d, 0] = 1.0
-    with pytest.raises(ParameterError, match="couples"):
-        spectrum(OperatorMatrix(op.basis, coupled, label="Lcal", wave_id=op.wave_id))
-
-
 # ---------------------------------------------------------------------------
 # the exact kappa^2 shift
-
-
-def test_shift_family_matches_matrix_identity(even_wave):
-    kappas = [0.0, 0.5, 1.0, 1.3]
-    family = shifted_block_spectra(even_wave, kappas)
-    # the same LAPACK driver as the library: 1e-12 against ||S(0)|| ~ 4e3 is
-    # below the rounding gap of two different drivers, so it tests the shift,
-    # not the driver (the direct-solve cross-check below uses scipy)
-    base = np.linalg.eigvalsh(build_block(even_wave, "S_kappa", kappa=0.0).entries)
-    for kappa in kappas:
-        assert np.max(np.abs(family[kappa] - (base + kappa**2))) <= 1e-12
 
 
 def test_shift_holds_at_matrix_level(even_wave):
@@ -449,28 +453,15 @@ def test_shift_holds_at_matrix_level(even_wave):
 
 
 def test_shift_family_crosschecks_direct_solves(even_wave):
-    kappas = [0.5, 1.3]
-    family = shifted_block_spectra(even_wave, kappas)
-    for kappa in kappas:
+    # S(kappa) = S(0) + kappa^2 I: the store's spectrum of S(0), shifted,
+    # against a direct solve of each S(kappa)
+    base = spectrum(even_wave, "Lcal").eigenvalues
+    for kappa in [0.5, 1.3]:
         direct = scipy.linalg.eigh(
             build_block(even_wave, "S_kappa", kappa=kappa).entries, eigvals_only=True
         )
         scale = 1.0 + np.max(np.abs(direct))
-        assert np.max(np.abs(family[kappa] - direct)) <= 1e-10 * scale
-
-
-def test_shift_family_rejects_negative_kappa(even_wave):
-    with pytest.raises(ParameterError):
-        shifted_block_spectra(even_wave, [0.5, -0.1])
-
-
-def test_shift_family_checks_every_kappa_before_solving(even_wave, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("S(0) assembled before every kappa was checked")
-
-    monkeypatch.setattr(hill, "build_block", never)
-    with pytest.raises(ParameterError, match="kappa must be nonnegative, got -0.1"):
-        shifted_block_spectra(even_wave, [0.5, -0.1])
+        assert np.max(np.abs(base + kappa**2 - direct)) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +470,8 @@ def test_shift_family_checks_every_kappa_before_solving(even_wave, monkeypatch):
 
 def test_grid_doubling_stabilizes_lcal_spectrum(even_wave):
     fine = wave_at_resolution(even_wave, 2 * even_wave.phi.grid.size)
-    coarse_eigs = spectrum(build_block(even_wave, "Lcal")).eigenvalues[:10]
-    fine_eigs = spectrum(build_block(fine, "Lcal")).eigenvalues[:10]
+    coarse_eigs = spectrum(even_wave, "Lcal").eigenvalues[:10]
+    fine_eigs = spectrum(fine, "Lcal").eigenvalues[:10]
     assert np.max(np.abs(coarse_eigs - fine_eigs)) <= 1e-9
 
 
@@ -500,7 +491,7 @@ def test_even_wave_propositions(even_wave):
     assert by_name["kernel residual (phi',0)"].margin <= 1e-7
     assert by_name["kernel residual (0,phi)"].margin <= 1e-7
     # simplicity gap clears the tolerance with a factor-10 margin
-    lcal = spectrum(build_block(even_wave, "Lcal"))
+    lcal = spectrum(even_wave, "Lcal")
     assert by_name["negative eigenvalue simple"].margin >= 10.0 * lcal.zero_tolerance
 
 
@@ -514,7 +505,7 @@ def test_odd_wave_propositions(odd_wave):
     assert by_name["n(L2,odd)"].actual == "0"
     assert by_name["z(Lcal,odd)"].actual == "1"
     assert by_name["kernel residual (0,phi)"].margin <= 1e-7
-    lcal = spectrum(build_block(hill_operators(odd_wave, "odd"), "Lcal"))
+    lcal = spectrum(hill_operators(odd_wave, "odd"), "Lcal")
     assert by_name["lambda0(L1,odd) < lambda0(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
     assert by_name["lambda1(L1,odd) < lambda1(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
 
@@ -537,8 +528,7 @@ def test_constant_minimizers_flagged_outside_regime():
 def test_ambiguous_counts_flagged_not_fatal(const_wave):
     # L2 on the constant has eigenvalues {0, 1, 1, 4, ...}; tolerance 0.7
     # gives kernel 1, but doubling it sweeps the pair at 1 into the kernel
-    op = build_hill(const_wave, "L2", ParityBasis(FULL, const_wave.phi.grid))
-    summary = spectrum(op, zero_tolerance=0.7)
+    summary = spectrum(hill_operators(const_wave, "full"), "L2", zero_tolerance=0.7)
     assert summary.kernel_dimension == 1
     assert summary.ambiguous
 

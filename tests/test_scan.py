@@ -18,7 +18,6 @@ from gnlstab.hill import (
     build_hill,
     hill_operators,
     resolve_sector,
-    shifted_block_spectra,
     spectrum,
 )
 from gnlstab.scan import (
@@ -756,8 +755,8 @@ def test_coupling_above_the_floor_is_rejected(even_wave, monkeypatch):
     solves = [
         lambda: scan_kappa(even_wave, 0.05, 1.8, 4),
         lambda: instability_eigs(even_wave, 1.0),
-        lambda: spectrum(build_hill(even_wave, "L1", full)),
-        lambda: spectrum(build_block(even_wave, "Lcal")),
+        lambda: spectrum(even_wave, "L1"),
+        lambda: spectrum(even_wave, "Lcal"),
         lambda: verify_hypotheses(even_wave),
     ]
     for solve in solves:
@@ -946,7 +945,6 @@ def test_a_kappa_past_the_float_range_is_a_parameter_error(even_wave, kappa):
         lambda: instability_eigs(ops, kappa),
         lambda: evolution_block(ops, kappa),
         lambda: build_block(ops, "S_kappa", kappa),
-        lambda: shifted_block_spectra(ops, [0.5, kappa]),
         lambda: evolve_and_fit(ops, kappa),
     ]
     for call in calls:

@@ -45,7 +45,7 @@ def public_callables(module):
 def test_only_the_sector_choosers_take_a_sector():
     walked = dict(pair for module in (hill, scan, evolve) for pair in public_callables(module))
     # the walk reaches each layer's functions and methods, each where it is defined
-    assert {"hill.build_block", "hill.HillOperators.summary", "scan.scan_kappa",
+    assert {"hill.build_block", "hill.spectrum", "scan.scan_kappa",
             "evolve.evolve_and_fit"} <= walked.keys()
     assert "scan.build_block" not in walked
     takers = {name for name, f in walked.items() if "sector" in inspect.signature(f).parameters}

@@ -16,9 +16,9 @@ from gnlstab import cli, serialize
 from gnlstab.cli import build_parser, main
 from gnlstab.errors import FormatError, ParameterError, WaveAcceptanceError
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit
-from gnlstab.hill import SpectrumSummary, build_block, build_hill, check_propositions, spectrum
+from gnlstab.hill import SpectrumSummary, check_propositions, spectrum
 from gnlstab.scan import HypothesisReport, scan_kappa
-from gnlstab.spectral import FULL, ParityBasis
+from gnlstab.spectral import ParityBasis
 from gnlstab.waves import WaveProfile
 
 TWO_PI = 2.0 * np.pi
@@ -42,7 +42,7 @@ def test_wave_roundtrip_bit_identical(even_wave):
 
 
 def test_spectrum_roundtrip(even_wave):
-    summary = spectrum(build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid)))
+    summary = spectrum(even_wave, "L1")
     again = serialize.loads(serialize.dumps(summary))
     assert np.array_equal(again.eigenvalues, summary.eigenvalues)
     assert again.n_negative == summary.n_negative
@@ -142,7 +142,7 @@ def test_json_bytes_stable(even_wave, even_hypotheses, const_wave):
     scan = scan_kappa(const_wave, 0.3, 1.7, 8)
     records = [
         even_wave,
-        spectrum(build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid))),
+        spectrum(even_wave, "L1"),
         check_propositions(even_wave),
         even_hypotheses,
         scan,
@@ -218,7 +218,7 @@ def test_top_level_must_be_object():
 
 
 def test_nonfinite_floats_rejected(even_wave):
-    summary = spectrum(build_hill(even_wave, "L2", ParityBasis(FULL, even_wave.phi.grid)))
+    summary = spectrum(even_wave, "L2")
     bad = SpectrumSummary(
         label=summary.label,
         wave_id=summary.wave_id,
@@ -255,7 +255,7 @@ def test_unserializable_values_raise_format_error(body, type_name):
 
 
 def test_spectrum_csv_shape(even_wave):
-    summary = spectrum(build_block(even_wave, "Lcal"))
+    summary = spectrum(even_wave, "Lcal")
     text = serialize.spectrum_csv(summary)
     lines = text.splitlines()
     assert lines[0] == "index,eigenvalue"
@@ -295,7 +295,7 @@ def _hex_column(lines, column):
 
 
 def test_csv_floats_parse_back_exactly(even_wave, even_scan, const_wave):
-    summary = spectrum(build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid)))
+    summary = spectrum(even_wave, "L1")
     lines = serialize.spectrum_csv(summary).splitlines()
     assert _hex_column(lines, 1) == [float(x).hex() for x in summary.eigenvalues]
 
@@ -320,7 +320,7 @@ def _refusal(shown):
 
 @pytest.mark.parametrize("name", ["nan", "inf", "-inf"])
 def test_spectrum_csv_refuses_a_non_finite_eigenvalue(name, even_wave):
-    summary = spectrum(build_hill(even_wave, "L1", ParityBasis(FULL, even_wave.phi.grid)))
+    summary = spectrum(even_wave, "L1")
     eigenvalues = summary.eigenvalues.copy()
     eigenvalues[[3, 7]] = float(name), np.nan
     bad = dataclasses.replace(summary, eigenvalues=eigenvalues)

@@ -11,8 +11,8 @@ L1 and L2 are assembled and diagonalized once per wave, block by parity
 sector, and never on the full basis: one operator store serves the spectra,
 propositions, hypotheses, scan, certificate and DNS.
 The other tests count the assemblies and the eigensolves of L1 and L2
-blocks of a pipeline and of ``gnlstab verify``, so a consumer that
-re-assembles or re-solves them cannot come back unnoticed.
+blocks of a pipeline, of ``gnlstab verify`` and of ``gnlstab spectrum``, so
+a consumer that re-assembles or re-solves them cannot come back unnoticed.
 """
 
 import math
@@ -171,6 +171,22 @@ def test_verify_assembles_and_solves_each_operator_once(wave_file, tmp_path, mon
     assert "verification passed" in capsys.readouterr().out
     # the propositions and the hypotheses share one full-space L1 and L2,
     # held as assembled per sector block, with no full-basis matrix, ...
+    assert sorted(census.assemblies) == [("cosine", N, False)] * 2 + [("sine", N, False)] * 2
+    assert census.matrices == []
+    # ... and one eigvalsh of each of their cosine and sine blocks
+    assert sorted(census.solves) == sorted(
+        ("eigvalsh", order, False) for order in (N // 2 + 1, N // 2 - 1) * 2
+    )
+
+
+def test_spectrum_assembles_and_solves_each_operator_once(
+    wave_file, tmp_path, monkeypatch, capsys
+):
+    census = Census(monkeypatch)
+    assert cli.main(["spectrum", "--wave", str(wave_file), "--out", str(tmp_path)]) == 0
+    assert "[hill_spectra] L2: n_negative=0" in capsys.readouterr().out
+    # L1 and L2 of the full-space store, assembled on the cosine and on the
+    # sine basis and never on the full one, with no OperatorMatrix copy ...
     assert sorted(census.assemblies) == [("cosine", N, False)] * 2 + [("sine", N, False)] * 2
     assert census.matrices == []
     # ... and one eigvalsh of each of their cosine and sine blocks
