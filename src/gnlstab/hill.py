@@ -159,10 +159,15 @@ def _read_only(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _assemble(wave: WaveProfile, which: str, basis: ParityBasis) -> np.ndarray:
-    """L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`), read-only."""
+def _check_label(which: str) -> None:
+    """ParameterError unless ``which`` names L1 or L2."""
     if which not in _LABELS:
         raise ParameterError(f"operator must be 'L1' or 'L2', got {which!r}")
+
+
+def _assemble(wave: WaveProfile, which: str, basis: ParityBasis) -> np.ndarray:
+    """L1 or L2 for ``wave`` on ``basis`` (see :func:`hill_matrix`), read-only."""
+    _check_label(which)
     if basis.grid != wave.phi.grid:
         raise ParameterError("basis and wave live on different grids")
     _check_sector_basis(wave, basis.kind)
@@ -227,6 +232,8 @@ class SectorBlock:
         return np.linalg.eigvalsh(self.l2)
 
     def eigenvalues(self, which: str) -> np.ndarray:
+        """The spectrum of L1 or L2; ParameterError for any other label."""
+        _check_label(which)
         return self.l1_eigs if which == "L1" else self.l2_eigs
 
 
@@ -271,7 +278,8 @@ class HillOperators:
         return out
 
     def eigenvalues(self, which: str) -> np.ndarray:
-        """Ascending spectrum of L1 or L2 on the store's basis."""
+        """Ascending spectrum of L1 or L2 on the store's basis; ParameterError
+        for any other label."""
         return np.sort(np.concatenate([b.eigenvalues(which) for b in self.blocks]))
 
     def lcal_eigenvalues(self) -> np.ndarray:
@@ -455,6 +463,16 @@ def spectrum(
     return _summarize(which, ops.wave_id, eigenvalues, zero_tolerance, lowest)
 
 
+def _one_simple_negative(lcal: SpectrumSummary) -> tuple[bool, float]:
+    """Whether Lcal = S(0), summarized by ``lcal``, has exactly one negative
+    eigenvalue and it is simple: its gap to the next one is at least 10 zero
+    tolerances.  Returns that verdict and the gap (0 for a single
+    eigenvalue); the propositions and hypothesis (H4) both gate on it."""
+    eigs = lcal.eigenvalues
+    gap = float(eigs[1] - eigs[0]) if len(eigs) > 1 else 0.0
+    return lcal.n_negative == 1 and gap >= 10.0 * lcal.zero_tolerance, gap
+
+
 # ---------------------------------------------------------------------------
 # structural assertions about the linearized spectra
 
@@ -543,11 +561,10 @@ def check_propositions(
         add("n(L2,even)", l2_even.n_negative == 0, 0, l2_even.n_negative)
         add("n(Lcal)", lcal.n_negative == 1, 1, lcal.n_negative)
         add("z(Lcal)", lcal.kernel_dimension == 2, 2, lcal.kernel_dimension)
-        eigs = lcal.eigenvalues
-        gap = float(eigs[1] - eigs[0]) if len(eigs) > 1 else 0.0
+        simple, gap = _one_simple_negative(lcal)
         add(
             "negative eigenvalue simple",
-            lcal.n_negative == 1 and gap >= 10.0 * tol,
+            simple,
             f">= {10.0 * tol:.3e}",
             f"{gap:.3e}",
             margin=gap,

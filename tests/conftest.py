@@ -8,9 +8,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+import oracles  # noqa: E402
 from gnlstab.hill import hill_operators, resolve_sector  # noqa: E402
 from gnlstab.waves import ProblemParams, constant_wave, solve_wave  # noqa: E402
-from gnlstab.scan import growth_row, scan_kappa, verify_hypotheses  # noqa: E402
+from gnlstab.scan import CROSSCHECK_RTOL, growth_row, scan_kappa, verify_hypotheses  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,3 +129,28 @@ def even_hypotheses(even_wave):
 @pytest.fixture(scope="session")
 def odd_hypotheses(odd_wave):
     return verify_hypotheses(odd_wave)
+
+
+@pytest.fixture(scope="session")
+def check_reduced_row():
+    """check_reduced_row(ops, row): a reduced row of the store ``ops``
+    against each sector's whole spectrum of M(kappa), one ``eigvalsh``
+    (:func:`oracles.reduced_spectrum_reference`).  The row holds +-lambda
+    for exactly the oracle's mu < 0, lambda = sqrt(-mu) to CROSSCHECK_RTOL,
+    and every mu, reported or not, clears the rounding floor of M(kappa)."""
+
+    def check(ops, row):
+        assert row.path == "reduced"
+        rates = []
+        for _, block in ops.sectors():
+            mu, floor, _ = oracles.reduced_spectrum_reference(block.l1, block.l2, row.kappa)
+            assert np.min(np.abs(mu)) > floor, row.kappa
+            rates.append(np.sqrt(-mu[mu < 0.0]))
+        rates = np.sort(np.concatenate(rates))
+        expected = np.concatenate([-rates[::-1], rates])
+        assert row.eigenvalues.shape == expected.shape, row.kappa
+        assert np.all(row.eigenvalues.imag == 0.0)
+        gap = np.abs(row.eigenvalues.real - expected)
+        assert np.all(gap <= CROSSCHECK_RTOL * (1.0 + np.abs(expected))), row.kappa
+
+    return check

@@ -202,6 +202,43 @@ def symmetry_defect_reference(eigenvalues: np.ndarray) -> float:
     return worst
 
 
+def reduced_spectrum_reference(l1: np.ndarray, l2: np.ndarray, kappa: float):
+    """(mu, floor, growth) of the symmetric lambda^2 reduction on one sector.
+
+    mu holds every eigenvalue of M(kappa) = diag(s) (Q^T L1 Q + kappa^2)
+    diag(s), ascending, with L2 = Q D Q^T and s = sqrt(D + kappa^2): one
+    ``eigvalsh`` of the whole M, as the scan solved every row before its
+    rows took a Cholesky certificate instead.  floor is d eps (max D +
+    kappa^2)(max |eig L1| + kappa^2), the rounding floor that every mu of a
+    reduced row must clear.  growth is sqrt(-mu) of the lowest mu where it
+    is negative (else 0), as those rows computed it: two steps of inverse
+    iteration shifted floor / d below mu, from the normalized ones vector,
+    give y, and the Rayleigh quotient of v1 = Q (s * y) on L1 + kappa^2,
+    here in extended precision, gives mu.  The scan's reported growth must
+    reproduce it.
+    """
+    d, q = np.linalg.eigh(l2)
+    k2 = float(kappa) ** 2
+    s = np.sqrt(np.maximum(d + k2, 0.0))
+    shifted = l1 + k2 * np.eye(d.size)
+    m = s[:, None] * (q.T @ shifted @ q) * s[None, :]
+    mu = np.linalg.eigvalsh(m)
+    l1_norm = float(np.max(np.abs(np.linalg.eigvalsh(l1))))
+    floor = d.size * np.finfo(float).eps * (d[-1] + k2) * (l1_norm + k2)
+    growth = 0.0
+    if mu[0] < 0.0:
+        m[np.diag_indices_from(m)] -= mu[0] - floor / d.size
+        y = np.ones(d.size) / np.sqrt(d.size)
+        for _ in range(2):
+            y = np.linalg.solve(m, y)
+            y /= np.linalg.norm(y)
+        y = y.astype(np.longdouble)
+        v = q.astype(np.longdouble) @ (s.astype(np.longdouble) * y)
+        quotient = (v @ (shifted.astype(np.longdouble) @ v)) / (y @ y)
+        growth = float(np.sqrt(-quotient))
+    return mu, floor, growth
+
+
 # ---------------------------------------------------------------------------
 # frozen gather assembly
 

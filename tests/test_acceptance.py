@@ -323,12 +323,14 @@ def test_criterion_7_dns_cross_check(record, const_wave, even_wave, odd_wave, ev
 
 
 def test_criterion_8_structural_invariants(
-    record, even_wave, odd_wave, even_scan, odd_scan, scan_rows
+    record, even_wave, odd_wave, even_scan, odd_scan, scan_rows, check_reduced_row
 ):
     worst_quad = 0.0
     worst_shift = 0.0
     worst_cross = 0.0
-    # each row's whole spectrum comes from the scan's row solver
+    # each row's eigenvalues come from the scan's row solver: every one of
+    # these rows is reduced and reports its growth pairs, which the whole
+    # spectrum of M(kappa) checks, with every unreported mu clear of the floor
     for wave, scan, rows in ((even_wave, even_scan, scan_rows("even")),
                              (odd_wave, odd_scan, scan_rows("odd"))):
         ops = hill_operators(wave, scan.sector)
@@ -338,6 +340,7 @@ def test_criterion_8_structural_invariants(
         l1 = s0.entries[d:, d:]
         for record_row in rows:
             kappa = record_row.kappa
+            check_reduced_row(ops, record_row)
             worst_quad = max(worst_quad, quadruple_defect(record_row.eigenvalues))
             # S(kappa) = S(0) + kappa^2 I entry for entry, so the spectrum of
             # S(kappa) is the spectrum of S(0) shifted by kappa^2

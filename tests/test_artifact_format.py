@@ -115,16 +115,22 @@ def test_unknown_keys_are_ignored():
     assert serialize.dumps(serialize.loads(json.dumps(document))) == text
 
 
-def test_loaded_arrays_have_their_dtypes():
+def test_loaded_arrays_have_their_dtypes(check_reduced_row):
     scan = serialize.load(DATA / "scan_odd_full.json")
     wave = serialize.load(DATA / "wave_odd.json")
     assert scan.kappa_values.dtype == np.float64
     ops = hill_operators(wave, scan.sector)
+    assert [record.path for record in scan.records] == ["dense", "reduced", "reduced"]
     for record in scan.records:
-        # a row reports its unstable eigenvalues; the row solver has them all
+        # a row reports its unstable eigenvalues; a dense row has the whole
+        # spectrum, a reduced row its growth pairs, which the whole spectrum
+        # of M(kappa) checks
         row = growth_row(ops, record.kappa)
         assert row.eigenvalues.dtype == np.complex128
-        assert row.eigenvalues.shape == (64,)
+        if row.path == "dense":
+            assert row.eigenvalues.shape == (64,)
+        else:
+            check_reduced_row(ops, row)
         assert row.record() == record
         assert all(type(lam) is complex for lam in record.unstable_eigenvalues)
         assert type(record.leading_lambda) is complex

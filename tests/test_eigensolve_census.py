@@ -3,14 +3,16 @@
 The even potential |phi|^a splits every full-space operator into a cosine
 block (N/2+1) and a sine block (N/2-1), so no solve of the pipeline needs
 the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  A
-scan takes the spectra of every row's M(kappa) from one ``eigvalsh`` of the
-stacked matrices per sector and eigenvectors only for the growth pairs, by
-inverse iteration.  This test counts the order of every ``numpy.linalg``
-eigensolve of one ``gnlstab pipeline --modes 128`` run, and each matrix of a
-stacked call by the call's leading dimensions, so a whole-matrix, unsymmetric
-or per-row vector solve cannot come back unnoticed.
+scan takes no spectrum of any row's M(kappa): one Cholesky factorization per
+row and sector certifies it, and its growth pairs come from a Rayleigh-Ritz
+step on a small trial span and inverse iteration.  This test counts the
+order of every ``numpy.linalg`` eigensolve and Cholesky factorization of one
+``gnlstab pipeline --modes 128`` run, and each matrix of a stacked call by
+the call's leading dimensions, so a whole-matrix, unsymmetric or per-row
+spectrum cannot come back unnoticed.
 """
 
+import json
 import sys
 
 import numpy as np
@@ -27,9 +29,9 @@ README_PIPELINE = [
 
 
 def _in_row_solve() -> bool:
-    """Whether the caller's caller runs inside the reduced rows' spectra of M(kappa)."""
+    """Whether the caller's caller runs inside the reduced rows' solve of M(kappa)."""
     frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_qualname != "_Reduction.spectrum":
+    while frame is not None and frame.f_code.co_qualname != "_Reduction.solve":
         frame = frame.f_back
     return frame is not None
 
@@ -48,23 +50,34 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
 
         return wrapper
 
-    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     assert cli.main(README_PIPELINE + ["--out", str(tmp_path)]) == 0
     assert "pipeline passed" in capsys.readouterr().out
+    records = json.loads((tmp_path / "pipeline_report.json").read_text())["payload"]["scan"]["records"]
+    growing = sum(record["num_unstable"] > 0 for record in records)
+    assert 0 < growing < STEPS
 
     # the scan certifies its rows by eigenpair residuals and the DNS steps the
     # scan's own row, so no unsymmetric solve is left
     assert [name for name, _ in orders if name in ("eig", "eigvals")] == []
-    # eigvalsh of M(kappa), one stacked call per sector, solves every row:
-    # one matrix per row and sector, each of at most the cosine block's order
-    # N/2 + 1; the DNS reads the scan's peak row and solves none again
-    rows = [order for name, order in row_solves if name == "eigvalsh"]
-    assert len(rows) == 2 * STEPS
-    assert max(rows) <= N // 2 + 1
-    # eigh with vectors only for L2 of the reductions, once per sector; in a
-    # row only for a k x k Rayleigh-Ritz step over k > 1 growth pairs, which
-    # this wave, with one growth pair per row, never takes
-    assert sorted(order for name, order in orders if name == "eigh") == [N // 2 - 1, N // 2 + 1]
+    # no row takes a spectrum of M(kappa): one Cholesky factor per row and
+    # sector decides it, each of at most the cosine block's order N/2 + 1;
+    # the DNS reads the scan's peak row and solves none again
+    assert [name for name, _ in row_solves if name == "eigvalsh"] == []
+    factored = [order for name, order in row_solves if name == "cholesky"]
+    assert len(factored) == 2 * STEPS
+    assert max(factored) <= N // 2 + 1
+    assert [name for name, _ in orders if name == "cholesky"] == ["cholesky"] * 2 * STEPS
+    # eigh with vectors for L2 of the reductions, once per sector, and in a
+    # row only for its Rayleigh-Ritz step on the trial span of k + 11
+    # vectors, k = 1 growth pair per row on this wave, so one of order 12 per
+    # row with a growth pair; no row takes a second step over its pairs
+    outside = sorted(order for name, order in orders if name == "eigh")
+    ritz = [order for name, order in row_solves if name == "eigh"]
+    assert ritz == [12] * growing
+    for order in ritz:
+        outside.remove(order)
+    assert outside == [N // 2 - 1, N // 2 + 1]
     # the largest solve is the certificate's eigvalsh of one sector at 2N
     assert max(order for _, order in orders) <= N + 1

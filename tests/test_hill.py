@@ -15,6 +15,7 @@ from gnlstab.hill import (
     HillOperators,
     OperatorMatrix,
     SectorBlock,
+    _one_simple_negative,
     _summarize,
     build_block,
     build_hill,
@@ -309,6 +310,29 @@ def test_eigenfunction_export_rejects_blocks(even_wave):
 def test_spectrum_rejects_an_unknown_operator(even_wave):
     with pytest.raises(ParameterError, match="'L1', 'L2' or 'Lcal', got 'S_kappa'"):
         spectrum(even_wave, "S_kappa")
+
+
+@pytest.mark.parametrize("label", ["Lcal", "L3", "l1"])
+def test_store_spectra_take_only_l1_and_l2(label):
+    # any label but L1 and L2 is an error, not L2's spectrum: on the N=16
+    # constant wave Lcal has 32 eigenvalues and L2 16
+    ops = hill_operators(constant_wave(2.0, 1.0, TWO_PI, 16))
+    assert ops.eigenvalues("L2").size == 16 and ops.lcal_eigenvalues().size == 32
+    for owner in (ops, *ops.blocks):
+        with pytest.raises(ParameterError, match=f"'L1' or 'L2', got {label!r}"):
+            owner.eigenvalues(label)
+
+
+@pytest.mark.parametrize("name", ["even", "const"])
+def test_propositions_and_h4_gate_the_negative_eigenvalue_by_one_rule(name, request):
+    # "negative eigenvalue simple" and (H4) read one helper on the same Lcal
+    wave = request.getfixturevalue(f"{name}_wave")
+    simple, gap = _one_simple_negative(spectrum(hill_operators(wave, "full"), "Lcal"))
+    check = {c.name: c for c in check_propositions(wave).checks}["negative eigenvalue simple"]
+    h4 = verify_hypotheses(wave).h4
+    assert check.passed == h4["passed"] == simple
+    assert check.margin == h4["gap"] == gap
+    assert simple == (name == "even")
 
 
 @pytest.mark.parametrize("sector", ["full", "odd"])

@@ -121,12 +121,17 @@ def test_stability_above_threshold(even_wave, even_hypotheses):
         assert eigs.max_real_part <= 1e-8
 
 
-def test_quadruple_symmetry_across_scan(even_scan, odd_scan, scan_rows):
-    # recomputed defect, not the stored one
-    for name, scan in (("even", even_scan), ("odd", odd_scan)):
+def test_quadruple_symmetry_across_scan(
+    even_wave, odd_wave, even_scan, odd_scan, scan_rows, check_reduced_row
+):
+    # recomputed defect, not the stored one; every row here is reduced and
+    # holds its growth pairs, which the whole spectrum of M(kappa) checks
+    for name, wave, scan in (("even", even_wave, even_scan), ("odd", odd_wave, odd_scan)):
+        ops = hill_operators(wave, scan.sector)
         for record, row in zip(scan.records, scan_rows(name)):
             assert quadruple_defect(row.eigenvalues) <= 1e-8
             assert record.symmetry_defect <= 1e-8
+            check_reduced_row(ops, row)
 
 
 def test_lambda_squared_reduction_independent(even_wave):
@@ -275,8 +280,15 @@ def assert_row_matches_dense(row, dense):
     assert abs(row.max_real_part - g) <= CROSSCHECK_RTOL * (1.0 + g)
     assert row.num_unstable == dense.num_unstable
     assert row.symmetry_defect <= SYMMETRY_TOL
-    # the lambda^2 sets match both ways
-    fast2, dense2 = row.eigenvalues**2, dense.eigenvalues**2
+    # the lambda^2 sets match both ways; a reduced row holds only its growth
+    # pairs, which are the dense eigenvalues off the imaginary axis
+    expected = dense.eigenvalues
+    if row.path == "reduced":
+        expected = expected[np.abs(expected.real) > UNSTABLE_THRESHOLD]
+    assert row.eigenvalues.size == expected.size
+    if not expected.size:
+        return
+    fast2, dense2 = row.eigenvalues**2, expected**2
     gaps = np.abs(fast2[:, None] - dense2[None, :])
     assert np.all(gaps.min(axis=1) <= CROSSCHECK_RTOL * (1.0 + np.abs(fast2)))
     assert np.all(gaps.min(axis=0) <= CROSSCHECK_RTOL * (1.0 + np.abs(dense2)))
@@ -294,8 +306,11 @@ def assert_row_matches_dense(row, dense):
 
 
 @pytest.mark.parametrize("name, dense_count", [("even", 0), ("odd", 0), ("const", 1)])
-def test_reduced_rows_match_dense_rows(name, dense_count, request, dense_rows, scan_rows):
+def test_reduced_rows_match_dense_rows(
+    name, dense_count, request, dense_rows, scan_rows, check_reduced_row
+):
     scan = request.getfixturevalue(f"{name}_scan")
+    ops = hill_operators(request.getfixturevalue(f"{name}_wave"), scan.sector)
     # n(L2) = 0 on these sectors, so every grid row takes the reduction except
     # the constant state's kappa = 1, where mu = (xi^2 + k^2)(xi^2 + k^2 - 2)
     # vanishes for xi = 1 and only the dense solver resolves lambda = 0
@@ -303,6 +318,8 @@ def test_reduced_rows_match_dense_rows(name, dense_count, request, dense_rows, s
     assert scan.reduced_rows == len(scan.records) - dense_count
     for row, dense in zip(scan_rows(name), dense_rows[name]):
         assert_row_matches_dense(row, dense)
+        if row.path == "reduced":
+            check_reduced_row(ops, row)
 
 
 @pytest.mark.parametrize("name", SCANS)
@@ -389,7 +406,9 @@ def test_symmetry_defect_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan, scan_rows):
+def test_indefinite_l2_rows_take_the_dense_solver(
+    odd_wave, odd_full_scan, scan_rows, check_reduced_row
+):
     # an odd wave's L2 has a negative eigenvalue in the full space, so
     # L2 + kappa^2 is indefinite for kappa^2 below minus that eigenvalue
     scan = odd_full_scan
@@ -406,6 +425,8 @@ def test_indefinite_l2_rows_take_the_dense_solver(odd_wave, odd_full_scan, scan_
         if dense_path:
             assert np.array_equal(row.eigenvalues, dense.eigenvalues)
             assert row.max_real_part == dense.max_real_part
+        else:
+            check_reduced_row(ops, row)
         assert_row_matches_dense(row, dense)
 
 
@@ -481,8 +502,8 @@ def flip_v2_lift(monkeypatch, reductions):
 
 def perturb_growth_mu(monkeypatch, reductions):
     # after the Rayleigh refinement, a relative error of 1e-6 in the growth mu_0
-    def solve(self, kappa, mu):
-        solved = original(self, kappa, mu)
+    def solve(self, kappa, counts):
+        solved = original(self, kappa, counts)
         solved.mu[solved.mu[:, 0] < 0.0, 0] *= 1.0 + 1e-6
         return solved
 
@@ -503,7 +524,8 @@ def test_residual_gate_rejects_a_tampered_reduced_row(even_wave, monkeypatch, ta
 
 
 #: README-grid rows above the band edge sqrt(lambda0) = 1.7032: no mu < 0, so
-#: a row there lifts no eigenvector and only the vector-free checks see it
+#: a row there lifts no eigenvector and only the Cholesky certificate and the
+#: probe see it
 README_ROWS_ABOVE_EDGE = [float(k) for k in np.linspace(0.05, 1.8, 40)[-3:]]
 
 
@@ -513,7 +535,9 @@ README_ROWS_ABOVE_EDGE = [float(k) for k in np.linspace(0.05, 1.8, 40)[-3:]]
 def test_vector_free_checks_reject_a_tampered_row_above_the_band(even_wave, kappa, sector, tamper):
     ops = hill_operators(even_wave, "full")
     reductions = _Reduction.sectors(ops)
-    assert [np.count_nonzero(r.spectrum(np.array([kappa])) < 0.0) for r in reductions] == [0, 0]
+    # every sector's whole spectrum of M(kappa) is positive there
+    spectra = [oracles.reduced_spectrum_reference(b.l1, b.l2, kappa)[0] for _, b in ops.sectors()]
+    assert [np.count_nonzero(mu < 0.0) for mu in spectra] == [0, 0]
     reduction = reductions[sector]
     if tamper == "kappa2-doubled":
         shift = kappa**2 * np.eye(reduction.a.shape[0])
@@ -526,43 +550,88 @@ def test_vector_free_checks_reject_a_tampered_row_above_the_band(even_wave, kapp
         reduced_row(ops.basis, tuple(tampered), kappa)
 
 
-@pytest.mark.parametrize("kappa", README_ROWS_ABOVE_EDGE + [README_PEAK_KAPPA])
-def test_moment_check_rejects_an_error_in_an_unreported_mu(even_wave, monkeypatch, kappa):
-    # the largest mu of each sector, which no row lifts, off by 1e-9 relative
-    def solve(self, kappa, mu):
-        solved = original(self, kappa, mu)
-        solved.mu[:, -1] *= 1.0 + 1e-9
-        return solved
+def unreported_mu_moved(reduction, kappa, target):
+    """``reduction`` with A changed so that the lowest mu a row at kappa does
+    not report, the (k+1)-th of M(kappa), moves to ``target``: A + t w w^T
+    with w = u / s, u its unit eigenvector, makes M + t u u^T, so every step
+    of the row sees that M."""
+    kappa = np.array([kappa])
+    k = int(np.count_nonzero(reduction.l1_eigs + kappa[0] ** 2 < 0.0))
+    mu, u = np.linalg.eigh(reduction.matrices(kappa)[0])
+    w = u[:, k] / reduction.scale(kappa)[0]
+    return dataclasses.replace(reduction, a=reduction.a + (target - mu[k]) * np.outer(w, w))
 
+
+@pytest.mark.parametrize("target", ["zero", "below-floor"])
+@pytest.mark.parametrize("kappa", README_ROWS_ABOVE_EDGE + [README_PEAK_KAPPA])
+@pytest.mark.parametrize("sector", [0, 1], ids=["cosine", "sine"])
+def test_certificate_rejects_an_unreported_mu_across_the_floor(even_wave, sector, kappa, target):
+    # the lowest unreported mu moved into the rounding floor of M(kappa), or
+    # below it: the row no longer has k mu below -floor and the rest above
+    # +floor, so it fails the inertia count or goes to the dense solver.  Its
+    # M no longer matches P, so a certificate that passed it would leave the
+    # row to the probe; the row must not get that far
     ops = hill_operators(even_wave, "full")
     reductions = _Reduction.sectors(ops)
     assert reduced_row(ops.basis, reductions, kappa) is not None
-    original = _Reduction.solve
-    monkeypatch.setattr(_Reduction, "solve", solve)
-    with pytest.raises(NumericalConsistencyError, match="moment"):
-        reduced_row(ops.basis, reductions, kappa)
+    reduction = reductions[sector]
+    floor = reduction.floor(np.array([kappa]))[0]
+    tampered = list(reductions)
+    tampered[sector] = unreported_mu_moved(reduction, kappa, 0.0 if target == "zero" else -2.0 * floor)
+    try:
+        row = reduced_row(ops.basis, tuple(tampered), kappa)
+    except NumericalConsistencyError as error:
+        assert "inertia" in str(error)
+    else:
+        assert row is None
+
+
+def test_certificate_rejects_a_growth_pair_that_the_l1_count_hides(even_wave):
+    # the negative L1 eigenvalue of the cosine sector raised above -kappa^2 at
+    # the peak row: L1 counts no growth pair there, M has one, which no row
+    # reports; the row fails the inertia count or goes to the dense solver
+    ops = hill_operators(even_wave, "full")
+    cosine, sine = _Reduction.sectors(ops)
+    eigs = cosine.l1_eigs.copy()
+    eigs[0] = -0.5 * README_PEAK_KAPPA**2
+    assert np.all(np.diff(eigs) > 0.0)
+    wrong = dataclasses.replace(cosine, l1_eigs=eigs)
+    try:
+        row = reduced_row(ops.basis, (wrong, sine), README_PEAK_KAPPA)
+    except NumericalConsistencyError as error:
+        assert "inertia" in str(error)
+    else:
+        assert row is None
 
 
 def tamper_one_row(tamper, row):
-    """A replacement of _Reduction.solve that corrupts one row of the batch."""
+    """The name of a _Reduction method and a replacement that corrupts one
+    row of the batch."""
+    if tamper == "l1-count":
+        counts = _Reduction.counts
+
+        def counted(self, kappa):
+            out = counts(self, kappa)
+            out[row] += 1
+            return out
+
+        return "counts", counted
     original = _Reduction.solve
 
-    def solve(self, kappa, mu):
-        solved = original(self, kappa, mu)
+    def solve(self, kappa, counts):
+        solved = original(self, kappa, counts)
         if tamper == "growth-mu" and solved.mu[row, 0] < 0.0:
             solved.mu[row, 0] *= 1.0 + 1e-6
-        elif tamper == "unreported-mu":
-            solved.mu[row, -1] *= 1.0 + 1e-9
         elif tamper == "v2-flipped":
             solved.l1_mode[row] *= -1.0
         return solved
 
-    return solve
+    return "solve", solve
 
 
 @pytest.mark.parametrize(
     "tamper, row, check",
-    [("growth-mu", 25, "residual"), ("unreported-mu", 39, "moment"), ("v2-flipped", 25, "growth mode")],
+    [("growth-mu", 25, "residual"), ("l1-count", 39, "inertia"), ("v2-flipped", 25, "growth mode")],
 )
 def test_one_tampered_row_fails_the_whole_grid(even_wave, monkeypatch, tamper, row, check):
     # the README grid solves its 40 rows in one batch per sector; one bad row
@@ -570,7 +639,7 @@ def test_one_tampered_row_fails_the_whole_grid(even_wave, monkeypatch, tamper, r
     ops = hill_operators(even_wave, "full")
     assert scan_kappa(ops, 0.05, 1.8, 40).reduced_rows == 40
     kappa = np.linspace(0.05, 1.8, 40)[row]
-    monkeypatch.setattr(_Reduction, "solve", tamper_one_row(tamper, row))
+    monkeypatch.setattr(_Reduction, *tamper_one_row(tamper, row))
     with pytest.raises(NumericalConsistencyError, match=f"{check}.*kappa={kappa:g}"):
         scan_kappa(ops, 0.05, 1.8, 40)
 
@@ -583,15 +652,44 @@ def test_growth_row_is_the_scan_row_bit_for_bit(name, request):
     ops = hill_operators(wave, scan.sector)
     rows = [growth_row(ops, r.kappa) for r in scan.records]
     assert [row.record() for row in rows] == list(scan.records)
-    pairs = [
-        np.count_nonzero(r.spectrum(scan.kappa_values) < 0.0, axis=1).max()
-        for r in _Reduction.sectors(ops)
-    ]
+    pairs = [r.counts(scan.kappa_values).max() for r in _Reduction.sectors(ops)]
     if name == "const":
         # the cosine sector has two growth pairs: the Rayleigh-Ritz path
         assert max(pairs) == 2
     if name == "odd_full":
         assert {row.path for row in rows} == {"dense", "reduced"}
+
+
+@pytest.mark.parametrize("size", [64, 256, 512])
+def test_readme_scan_across_resolutions_matches_the_whole_spectrum(even_wave, size):
+    # the README grid, 40 rows on [0.05, 1.8], on the even wave at N modes:
+    # each row's path and count are those of every sector's whole spectrum
+    # of M(kappa) (reduced where every mu clears the rounding floor), and its
+    # growth that of the lowest mu's eigenvector, refined, to 4 ulps
+    ops = hill_operators(wave_at_resolution(even_wave, size))
+    scan = scan_kappa(ops, 0.05, 1.8, 40)
+    for record in scan.records:
+        sectors = [
+            oracles.reduced_spectrum_reference(b.l1, b.l2, record.kappa) for _, b in ops.sectors()
+        ]
+        resolved = all(np.min(np.abs(mu)) > floor for mu, floor, _ in sectors)
+        assert record.path == ("reduced" if resolved else "dense")
+        assert record.num_unstable == sum(np.count_nonzero(mu < 0.0) for mu, _, _ in sectors)
+        growth = max(g for _, _, g in sectors)
+        if resolved:
+            assert abs(record.max_real_part - growth) <= 4 * np.spacing(growth)
+
+
+def test_a_failed_stacked_cholesky_finds_its_failing_rows(even_wave):
+    # a floor far above the lowest mu of rows 1 and 5 makes M - floor
+    # indefinite there: the stacked factorization of their halves fails, and
+    # the row-by-row one finds exactly those rows
+    sine = _Reduction.sectors(hill_operators(even_wave, "full"))[1]
+    kappa = np.linspace(0.05, 1.8, 7)
+    floor = sine.floor(kappa)
+    floor[[1, 5]] = 1e6
+    assert sine._definite(kappa, floor).tolist() == [True, False, True, True, True, False, True]
+    assert sine._definite(kappa, sine.floor(kappa)).all()
 
 
 def test_scan_builds_one_stack_at_a_time(even_wave):
@@ -640,9 +738,9 @@ def test_a_row_does_not_depend_on_its_batch(name, sector, request, monkeypatch):
 
 
 def test_the_probe_is_fixed_and_has_no_zero_component(even_wave):
-    # inverse iteration from a zero component never reaches an eigenvector
-    # along it (on the constant state M is diagonal), and the probe check
-    # would not see that column of Q; the vector depends on d alone
+    # the probe check would not see a column of Q along a zero component of
+    # the probe (on the constant state M is diagonal); the vector depends on
+    # d alone, so the certified path draws no random numbers
     for d in (1, 2, 63, 65, 513):
         z = _fixed_vector(d)
         assert z.shape == (d,) and np.all(z > 0.0)
@@ -664,11 +762,16 @@ def test_inverse_iteration_separates_close_eigenvalues():
     start = rng.standard_normal(40)
     start /= np.linalg.norm(start)
     shifted = np.stack([m - sigma * np.eye(40) for sigma in mu[:3]])
-    y = _inverse_iteration(shifted, np.stack([np.roll(start, j) for j in range(3)]))
-    y = _rayleigh_ritz(m[None], y.T[None])[0]
+    y = np.stack([np.roll(start, j) for j in range(3)])
+    for _ in range(2):
+        y = _inverse_iteration(shifted, y)
+    theta, y = _rayleigh_ritz(lambda x: m @ x, y.T[None])
+    y = y[0]
     assert np.allclose(y.T @ y, np.eye(3), rtol=0.0, atol=1e-12)
     residual = np.linalg.norm(m @ y - y * mu[:3], axis=0)
     assert np.all(residual <= 40 * np.finfo(float).eps * 1e6)
+    # the Ritz values are the eigenvalues, each at or above its own
+    assert np.all(np.abs(theta[0] - mu[:3]) <= 40 * np.finfo(float).eps * 1e6)
 
 
 def test_reduced_rows_are_closed_by_construction(even_scan, odd_scan, odd_full_scan, scan_rows):

@@ -28,7 +28,7 @@ from test_eigensolve_census import N, README_PIPELINE
 #: eigensolves made here are not solves of an L1 or L2 block: Newton's
 #: Jacobian on the wave's parity basis, M(kappa) of the reduced scan rows and
 #: their Rayleigh-Ritz steps
-NOT_OPERATOR_SOLVES = ("newton_refine", "_Reduction.spectrum", "_Reduction.solve")
+NOT_OPERATOR_SOLVES = ("newton_refine", "_Reduction.solve")
 
 
 class CountedProducts(np.ndarray):
