@@ -32,56 +32,51 @@ reductions (L2 = Q D Q^T per sector) are kept with the store, so a
 scan, its hypotheses and the time integrator's row at one kappa share one
 assembly and one diagonalization.
 
-:func:`scan_kappa` solves its grid in batches of rows, one batch of at most
-BATCH_BYTES of (rows, d, d) stack per sector, so the scan's memory does not
-grow with its grid; every check below runs as array operations over the
-rows.  No row takes a spectrum of M(kappa).  Where L2 + kappa^2 is
-semidefinite, a row has exactly k = n(L1 + kappa^2) growth pairs by the
-inertia law, read off the store's L1 spectrum, and it computes only those:
-a Rayleigh-Ritz step of M on the span of phi, |phi|^a, |phi|^a phi and the
-k + 8 lowest-wavenumber basis vectors (no solve), then shifted inverse iteration
-from each Ritz pair, one batched ``solve`` per step and pair index, with a
-Rayleigh-Ritz step over a row's pairs where it has more than one.  One
-Cholesky factorization of M + Y diag(|theta| + 2 floor) Y^T - floor, the
-pairs Y deflated, decides that every mu clears the rounding floor of M
-(Rump's test of positive definiteness): its success and the Ritz values
-theta < -floor prove exactly k mu below -floor and none within the floor of
-zero.  Rows where L2 + kappa^2 is indefinite beyond the rounding floor of its
-diagonalization (an odd wave in the full space at small kappa), where an L1
-eigenvalue lies within its rounding floor of -kappa^2, or whose certificate
-fails (a mu within the floor of zero, next to kappa = 0 and at band edges),
-in any sector, go through :func:`_dense_row`, one dense ``eig`` per sector,
-which :func:`instability_eigs` also runs for single-kappa calls; a row is
-never decided by a failed certificate.  Only an edge above an indefinite
-row is bisected.  Every stacked LAPACK and BLAS call solves each matrix as
-a call on it alone would, so a row's result does not depend on the batch it
-was solved in.
+:func:`scan_kappa` solves its grid in batches of at most BATCH_BYTES of
+(rows, d, d) stack per sector, so its memory does not grow with the grid,
+and every check runs as array operations over the rows.  No row takes a
+spectrum of M(kappa).  Where L2 + kappa^2 is semidefinite, a row has exactly
+k = n(L1 + kappa^2) growth pairs by the inertia law, read off the store's L1
+spectrum, and computes only those: a Rayleigh-Ritz step of M on the span of
+phi, |phi|^a, |phi|^a phi and the k + 8 lowest-wavenumber basis vectors,
+then shifted inverse iteration from each Ritz pair.  A Cholesky
+factorization of M + Y diag(|theta| + 2 F) Y^T - F, the m pairs Y of Ritz
+value theta < -floor deflated, proves that every other mu clears the
+rounding floor of M (Rump's test of positive definiteness).  Where
+L2 + kappa^2 > 0 no positive mu falls as kappa grows (Courant-Fischer for
+the pencil A + kappa^2 against diag(D + kappa^2)^-1; Parlett, The Symmetric
+Eigenvalue Problem, chapter 15), so one factorization proves a class of
+rows, those of one k and one m, from its first row that passes: F is that
+row's floor plus the class's largest.  Rows where L2 + kappa^2 is indefinite
+beyond the rounding floor of its diagonalization (an odd wave in the full
+space at small kappa), where an L1 eigenvalue lies within its rounding floor
+of -kappa^2, or whose certificate fails (a mu within the floor of zero, next
+to kappa = 0 and at band edges), in any sector, take :func:`_dense_row`, one
+dense ``eig`` per sector, as :func:`instability_eigs` does; a failed
+certificate never decides a row.  Only an edge above an indefinite row is
+bisected.  Every stacked LAPACK and BLAS call solves each matrix as a call
+on it alone would, so a row's pairs do not depend on its batch, and a
+certificate from an earlier row of its class proves more than its own.
 
 Each growth pair is certified by the residual of its lift v1 = Q (s * y) on
-the unreduced product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), to
-CROSSCHECK_RTOL relative to |mu| or four rounding floors, and each written
-growth mode on its sector's block.  The certificate speaks of M; a probe,
-P Q (s * z) = Q (s * (M z)) on one fixed unit vector z with no zero
-component, ties M to P on every row, so a wrong Q, scaling or shift of M
-fails it.  A count of mu < 0 that a row proves and that differs from
-n(L1 + kappa^2) raises.  The certified path draws no random numbers.  A
-reduced row reports its growth pairs +-lambda, a set closed under negation
-and conjugation by construction.  Every dense solve, a bisection step
-included, checks lambda^2 on each sector's ten largest |lambda| against
-that sector's unsymmetric product; a dense grid row also measures the
-quadruple symmetry of the merged set.
+the unreduced product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), each written
+growth mode on its sector's block, and M, of which the certificate speaks,
+by a probe P Q (s * z) = Q (s * (M z)) on one fixed unit vector z.  A row
+that proves a count of mu < 0 other than n(L1 + kappa^2) raises; no row
+draws a random number.  A reduced row reports its growth pairs +-lambda, a
+set closed under negation and conjugation by construction.  Every dense
+solve, a bisection step included, checks lambda^2 on each sector's ten
+largest |lambda| against that sector's unsymmetric product; a dense grid
+row also measures the quadruple symmetry of the merged set.
 
 Both solvers return a :class:`RowSolution`, the one row type: the merged
 spectrum of a dense row or the growth pairs of a reduced one, the leading
-growth mode's coefficients and the solver path.
-A scan keeps only what a row reports, its :class:`KappaRecord` (kappa, the
-growth rate, the count and values of the unstable eigenvalues, the leading
-one, the symmetry defect and the path), and synthesizes the grid fields
+growth mode's coefficients and the solver path.  A scan keeps only what a
+row reports, its :class:`KappaRecord`, and synthesizes the grid fields
 (v1, v2) of the most unstable row's mode once.  :func:`growth_row` hands the
 time integrator the scan's own row at one kappa, as a batch of one, or the
-peak row a scan kept on the operator store.
-The module also verifies the hypotheses (H0)-(H4) for S(kappa) =
-diag(L2 + kappa^2, L1 + kappa^2).
+peak row a scan kept on the operator store.  The module also verifies the
+hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
 """
 from __future__ import annotations
 
@@ -416,18 +411,18 @@ class _Reduction:
     A = Q^T L1 Q, the L1 spectrum and what every row reads of them.
 
     A row is decided here only where L2 + kappa^2 is semidefinite and no L1
-    eigenvalue lies within its rounding floor of -kappa^2; there M(kappa) has
-    k = n(L1 + kappa^2) growth pairs by the inertia law (:meth:`counts`).
-    It is solved here only where every mu clears the rounding floor of
-    M(kappa) as well: a mu that rounding can push across zero would report
-    sqrt(|mu|), far above EDGE_LEVEL, as growth.  That happens next to
-    kappa = 0, where the symmetry generators form a Jordan block, and right at
-    band edges; the dense ``eig`` solves those.
+    eigenvalue lies within its rounding floor of -kappa^2, where M(kappa) has
+    k = n(L1 + kappa^2) growth pairs by the inertia law (:meth:`counts`), and
+    where every mu clears the rounding floor of M(kappa): a mu that rounding
+    can push across zero would report sqrt(|mu|), far above EDGE_LEVEL, as
+    growth.  That happens next to kappa = 0, where the symmetry generators
+    form a Jordan block, and at band edges; the dense ``eig`` solves those.
 
-    A row computes only its k growth pairs, with no spectrum of M
-    (:meth:`solve`), and decides that every mu clears the floor by one
-    Cholesky factorization; its pairs are checked against the unreduced
-    product P(kappa) = (L2 + kappa^2)(L1 + kappa^2) and one probe vector
+    A row computes only its k growth pairs (:meth:`solve`), and one Cholesky
+    factorization per class of rows of one k and one number of deflated
+    pairs decides that every mu clears the floor (:meth:`_definite`); its
+    pairs are checked against the unreduced product
+    P(kappa) = (L2 + kappa^2)(L1 + kappa^2) and one probe vector
     (:meth:`certify`).  Every method takes an array of kappa and works on all
     its rows at once.
     """
@@ -564,29 +559,42 @@ class _Reduction:
         converged = np.sqrt(_dots(residual, residual)) <= 4.0 * _rounding_floor(dim, np.abs(theta))
         return theta, y, np.all(converged, axis=1)
 
-    def _definite(self, kappa, floor: np.ndarray, y=None, c=None) -> np.ndarray:
-        """Whether M(kappa) + Y diag(c) Y^T - floor is positive definite, for
-        each row (Y = ``y``, one (d, k) block per row; no update without it).
+    def _definite(self, kappa, floor, theta, y, deflated) -> np.ndarray:
+        """Whether each row proves mu_{m+1} > floor with its first m =
+        ``deflated`` Ritz pairs deflated: Ritz values ``theta``, ascending,
+        below -floor, and the columns of its ``y``.
 
-        One stacked ``cholesky`` per half of the rows: the stack of a half
-        and its factor are all that is alive.  A half that fails is factored
-        again row by row to find its failing rows."""
-        ok = np.ones(len(kappa), dtype=bool)
-        step = max(1, (len(kappa) + 1) // 2)
-        for start in range(0, len(kappa), step):
-            at = slice(start, start + step)
-            m = self.matrices(kappa[at], floor[at])
-            if y is not None:
-                m += (y[at] * c[at, None, :]) @ y[at].transpose(0, 2, 1)
+        A class is the rows of one m (and one k), in ascending kappa.  At a
+        row, one Cholesky factorization of M + Y diag(|theta| + 2 F) Y^T - F,
+        F the row's floor plus the class's largest, proves mu_{m+1} > F less
+        the row's floor for rounding (Rump, Verification of positive
+        definiteness, BIT 46, 2006; a rank-m update raises no eigenvalue past
+        the next one).  Where D + kappa^2 > 0, no positive mu falls as kappa
+        grows (Parlett, chapter 15: where x^T (A + kappa^2) x >= 0 the
+        Rayleigh quotient of the pencil A + kappa^2 against
+        diag(D + kappa^2)^-1 rises), so this proves the class's later rows
+        too.  A row where it fails takes the test at its own floor, and the
+        next row the class's: one factorization per class, two per failure."""
+
+        def factors(row: int, shift: float) -> bool:
+            matrix, j = self.matrices(kappa[row : row + 1], shift)[0], deflated[row]
+            matrix += (y[row, :, :j] * (np.abs(theta[row, :j]) + 2.0 * shift)) @ y[row, :, :j].T
             try:
-                np.linalg.cholesky(m)
+                np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
-                for i, matrix in enumerate(m, start):
-                    try:
-                        np.linalg.cholesky(matrix)
-                    except np.linalg.LinAlgError:
-                        ok[i] = False
-        return ok
+                return False
+            return True
+
+        certified = np.zeros(len(kappa), dtype=bool)
+        for m in set(deflated.tolist()):
+            rows = np.flatnonzero(deflated == m)
+            rows, top = rows[np.argsort(kappa[rows], kind="stable")], np.max(floor[rows])
+            for i, row in enumerate(rows):
+                if factors(row, floor[row] + top):
+                    certified[rows[i:]] = True
+                    break
+                certified[row] = factors(row, floor[row])
+        return certified
 
     def solve(self, kappa, counts: np.ndarray) -> "_SectorRows":
         """The k = ``counts`` growth pairs of each row's M(kappa), and what
@@ -600,17 +608,15 @@ class _Reduction:
         one a row reports, is the Rayleigh quotient of v1 on the unscaled
         L1 + kappa^2.
 
-        The m pairs whose Ritz value theta lies below -floor are deflated,
-        and one Cholesky factorization of M + Y diag(|theta| + 2 floor) Y^T -
-        floor (:meth:`_definite`) decides the row (Rump, Verification of
-        positive definiteness, BIT 46, 2006): its success proves mu_{m+1} >
-        floor, as a positive semidefinite update of rank m raises no
-        eigenvalue past the next one, and theta_m, a Ritz value, bounds mu_m
-        from above, so mu_m < -floor.  The row then has exactly m mu below
-        -floor and none within the floor of zero.  A Ritz value of the trial
-        span below -floor proves one more mu below -floor, which a row whose
-        certificate fails may still show.  ``low`` and ``high`` keep these
-        bounds for :meth:`check_inertia`.
+        The m pairs of Ritz value theta below -floor are deflated, and one
+        Cholesky factorization per class of rows of one k and m, M + Y
+        diag(|theta| + 2 F) Y^T - F with F at least the row's floor
+        (:meth:`_definite`), proves mu_{m+1} > floor; theta_m, a Ritz value,
+        bounds mu_m from above, so the row has exactly m mu below -floor and
+        none within the floor of zero.  A Ritz value of the trial span below
+        -floor proves one more mu below -floor, which a row whose certificate
+        fails may still show.  ``low`` and ``high`` keep these bounds for
+        :meth:`check_inertia`.
         """
         n, dim = len(kappa), self.d.size
         width = max(1, int(np.max(counts, initial=0)))
@@ -621,50 +627,44 @@ class _Reduction:
         for k in sorted(set(counts.tolist())):
             rows = np.flatnonzero(counts == k)
             kr, fr = kappa[rows], floor[rows]
-            if k == 0:
-                certified = self._definite(kr, fr)
-                high[rows[certified]] = 0
-                failed = rows[~certified]
-                if failed.size:
-                    theta = self._ritz_start(kappa[failed], 0)[0]
-                    low[failed] = np.count_nonzero(theta < -floor[failed, None], axis=1)
-                continue
-            theta, y = self._ritz_start(kr, k)
-            excess = np.count_nonzero(theta < -fr[:, None], axis=1)
-            theta, y = theta[:, :k], y[:, :, :k]
-            # a row whose pairs the step leaves short of convergence takes
-            # another, as a batch of its own
-            todo = np.arange(rows.size)
-            for _ in range(INVERSE_STEPS):
-                theta[todo], y[todo], converged = self._inverse_step(kr[todo], fr[todo], theta[todo], y[todo])
-                todo = todo[~converged]
-                if not todo.size:
-                    break
-            s = self.scale(kr)
-            lifted = self.q @ (s[:, :, None] * y)
-            # the lowest mode, the one a row writes, is lifted by a
-            # matrix-vector product of its own: a column of the matrix product
-            # may differ from it in the last bits, with the blocking of the
-            # product
-            lowest = y[:, :, 0]
-            mode[rows] = lifted[:, :, 0] = (self.q @ (s * lowest)[..., None])[..., 0]
-            # the Rayleigh quotient on the unscaled L1 + kappa^2 is second
-            # order in the error of y, and free of the eps ||M|| of M, which
-            # grows like the fourth power of the largest wavenumber
-            pairs = lifted.transpose(0, 2, 1)
-            l1k = _shifted(self.l1, _squares(kr))
-            mu[rows, :k] = _dots(pairs @ l1k, pairs) / _dots(y.transpose(0, 2, 1), y.transpose(0, 2, 1))
-            l1_mode[rows] = (l1k @ mode[rows][..., None])[..., 0]
-            del l1k
-            v1[rows, :k] = pairs
+            theta, y = np.zeros((rows.size, 0)), np.zeros((rows.size, dim, 0))
+            if k:
+                theta, y = self._ritz_start(kr, k)
+                low[rows] = np.count_nonzero(theta < -fr[:, None], axis=1)
+                theta, y = theta[:, :k], y[:, :, :k]
+                # a row whose pairs the step leaves short of convergence
+                # takes another, as a batch of its own
+                todo = np.arange(rows.size)
+                for _ in range(INVERSE_STEPS):
+                    theta[todo], y[todo], converged = self._inverse_step(kr[todo], fr[todo], theta[todo], y[todo])
+                    todo = todo[~converged]
+                    if not todo.size:
+                        break
+                s = self.scale(kr)
+                lifted = self.q @ (s[:, :, None] * y)
+                # the lowest mode, the one a row writes, is lifted by a
+                # matrix-vector product of its own: a column of the matrix
+                # product may differ from it in the last bits, with the
+                # blocking of the product
+                mode[rows] = lifted[:, :, 0] = (self.q @ (s * y[:, :, 0])[..., None])[..., 0]
+                # the Rayleigh quotient on the unscaled L1 + kappa^2 is second
+                # order in the error of y, and free of the eps ||M|| of M,
+                # which grows like the fourth power of the largest wavenumber
+                pairs = lifted.transpose(0, 2, 1)
+                l1k = _shifted(self.l1, _squares(kr))
+                mu[rows, :k] = _dots(pairs @ l1k, pairs) / _dots(y.transpose(0, 2, 1), y.transpose(0, 2, 1))
+                l1_mode[rows] = (l1k @ mode[rows][..., None])[..., 0]
+                del l1k
+                v1[rows, :k] = pairs
             # the certificate speaks of M: it takes the Ritz values on M, not
             # the quotients of the lifted pairs, which the residual gate checks
-            negative = theta < -fr[:, None]
-            m = np.count_nonzero(negative, axis=1)
-            c = np.where(negative, np.abs(theta) + 2.0 * fr[:, None], 0.0)
-            certified = self._definite(kr, fr, y, c)
-            low[rows] = np.maximum(excess, m)
+            m = np.count_nonzero(theta < -fr[:, None], axis=1)
+            certified = self._definite(kr, fr, theta, y, m)
+            low[rows] = np.maximum(low[rows], m)
             high[rows] = np.where(certified, m, dim)
+            if not k and not certified.all():
+                failed = rows[~certified]
+                low[failed] = np.count_nonzero(self._ritz_start(kappa[failed], 0)[0] < -floor[failed, None], axis=1)
         return _SectorRows(counts, mu, v1, mode, l1_mode, low, high)
 
     def _gate(self, kappa, what: str, error, size, mu=None) -> None:

@@ -4,8 +4,9 @@ The even potential |phi|^a splits every full-space operator into a cosine
 block (N/2+1) and a sine block (N/2-1), so no solve of the pipeline needs
 the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  A
 scan takes no spectrum of any row's M(kappa): one Cholesky factorization per
-row and sector certifies it, and its growth pairs come from a Rayleigh-Ritz
-step on a small trial span and inverse iteration.  This test counts the
+sector and class of rows (one growth-pair count k and one number of deflated
+pairs) certifies them, and its growth pairs come from a Rayleigh-Ritz step
+on a small trial span and inverse iteration.  This test counts the
 order of every ``numpy.linalg`` eigensolve and Cholesky factorization of one
 ``gnlstab pipeline --modes 128`` run, and each matrix of a stacked call by
 the call's leading dimensions, so a whole-matrix, unsymmetric or per-row
@@ -61,14 +62,15 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     # the scan certifies its rows by eigenpair residuals and the DNS steps the
     # scan's own row, so no unsymmetric solve is left
     assert [name for name, _ in orders if name in ("eig", "eigvals")] == []
-    # no row takes a spectrum of M(kappa): one Cholesky factor per row and
-    # sector decides it, each of at most the cosine block's order N/2 + 1;
-    # the DNS reads the scan's peak row and solves none again
+    # no row takes a spectrum of M(kappa): one Cholesky factor per sector
+    # and class decides its rows, here the cosine sector's k = 1 and k = 0
+    # rows and the sine sector's k = 0 rows, each factor of at most the
+    # cosine block's order N/2 + 1; the DNS reads the scan's peak row and
+    # solves none again
     assert [name for name, _ in row_solves if name == "eigvalsh"] == []
     factored = [order for name, order in row_solves if name == "cholesky"]
-    assert len(factored) == 2 * STEPS
-    assert max(factored) <= N // 2 + 1
-    assert [name for name, _ in orders if name == "cholesky"] == ["cholesky"] * 2 * STEPS
+    assert sorted(factored) == [N // 2 - 1, N // 2 + 1, N // 2 + 1]
+    assert [name for name, _ in orders if name == "cholesky"] == ["cholesky"] * 3
     # eigh with vectors for L2 of the reductions, once per sector, and in a
     # row only for its Rayleigh-Ritz step on the trial span of k + 11
     # vectors, k = 1 growth pair per row on this wave, so one of order 12 per

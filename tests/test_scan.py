@@ -644,15 +644,31 @@ def test_one_tampered_row_fails_the_whole_grid(even_wave, monkeypatch, tamper, r
         scan_kappa(ops, 0.05, 1.8, 40)
 
 
-@pytest.mark.parametrize("name", ["even", "odd", "const", "odd_full"])
-def test_growth_row_is_the_scan_row_bit_for_bit(name, request):
-    # growth_row solves a batch of one row, the scan every row at once
+def scan_store(name, request):
+    """The operator store and kappa grid of the fixture scan ``name``, or,
+    for "readme<N>", of the README grid, 40 rows on [0.05, 1.8], on the even
+    wave at N modes."""
+    if name.startswith("readme"):
+        wave = wave_at_resolution(request.getfixturevalue("even_wave"), int(name[len("readme") :]))
+        return hill_operators(wave), np.linspace(0.05, 1.8, 40)
     scan = request.getfixturevalue(f"{name}_scan")
     wave = request.getfixturevalue("odd_wave" if name == "odd_full" else f"{name}_wave")
-    ops = hill_operators(wave, scan.sector)
+    return hill_operators(wave, scan.sector), scan.kappa_values
+
+
+@pytest.mark.parametrize("name", ["even", "odd", "const", "odd_full", "readme64", "readme256"])
+def test_growth_row_is_the_scan_row_bit_for_bit(name, request):
+    # growth_row solves a batch of one row, the scan every row at once; a
+    # scan row's certificate comes from the first row of its class that
+    # passes, a lone row's from its own (at N=256 the README grid takes two
+    # batches)
+    ops, kappa = scan_store(name, request)
+    scan = scan_kappa(ops, kappa[0], kappa[-1], kappa.size)
     rows = [growth_row(ops, r.kappa) for r in scan.records]
     assert [row.record() for row in rows] == list(scan.records)
     pairs = [r.counts(scan.kappa_values).max() for r in _Reduction.sectors(ops)]
+    if name.startswith("readme"):
+        assert scan.reduced_rows == 40
     if name == "const":
         # the cosine sector has two growth pairs: the Rayleigh-Ritz path
         assert max(pairs) == 2
@@ -680,16 +696,67 @@ def test_readme_scan_across_resolutions_matches_the_whole_spectrum(even_wave, si
             assert abs(record.max_real_part - growth) <= 4 * np.spacing(growth)
 
 
-def test_a_failed_stacked_cholesky_finds_its_failing_rows(even_wave):
-    # a floor far above the lowest mu of rows 1 and 5 makes M - floor
-    # indefinite there: the stacked factorization of their halves fails, and
-    # the row-by-row one finds exactly those rows
+@pytest.mark.parametrize("name", ["readme64", "readme128", "even", "odd", "const", "odd_full"])
+def test_no_positive_mu_falls_as_kappa_grows(name, request):
+    # the premise of the class certificate: where L2 + kappa^2 > 0, the
+    # (k+1)-th mu of M(kappa), the lowest that is no growth pair, does not
+    # fall from one row to the next of a run of rows of one k, beyond the
+    # rounding floor of the later row
+    ops, kappas = scan_store(name, request)
+    steps = 0
+    for _, block in ops.sectors():
+        l1_eigs, d_low = np.linalg.eigvalsh(block.l1), np.linalg.eigvalsh(block.l2)[0]
+        previous = None
+        for kappa in kappas:
+            if d_low + kappa**2 <= 0.0:
+                previous = None
+                continue
+            k = int(np.count_nonzero(l1_eigs + kappa**2 < 0.0))
+            mu, floor, _ = oracles.reduced_spectrum_reference(block.l1, block.l2, kappa)
+            if previous is not None and previous[0] == k:
+                assert mu[k] >= previous[1] - floor, (kappa, k)
+                steps += 1
+            previous = k, mu[k]
+    assert steps >= len(kappas) // 2
+
+
+def test_a_class_certificate_starts_at_the_first_row_that_passes(even_wave, monkeypatch):
+    # a grid from kappa = 0 on the sine sector, where L1 has the kernel phi':
+    # mu ~ kappa^2 lies within the rounding floor on the first three rows,
+    # and 1.1 floors above zero on the fourth.  Each of those takes the
+    # class's test and, failing it, its own; the fifth passes the class's,
+    # which proves every later row without another factorization
     sine = _Reduction.sectors(hill_operators(even_wave, "full"))[1]
-    kappa = np.linspace(0.05, 1.8, 7)
+    kappa = np.array([0.0, 1e-4, 2e-4, 4e-4, 1e-3, 0.05, 0.5, 1.0, 1.8])
     floor = sine.floor(kappa)
-    floor[[1, 5]] = 1e6
-    assert sine._definite(kappa, floor).tolist() == [True, False, True, True, True, False, True]
-    assert sine._definite(kappa, sine.floor(kappa)).all()
+    cholesky = np.linalg.cholesky
+
+    def factors(matrix) -> bool:
+        try:
+            cholesky(matrix)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    # the decision of a row alone: one factorization of M(kappa) - floor
+    alone = [factors(matrix) for matrix in sine.matrices(kappa, floor)]
+    assert alone == [False] * 3 + [True] * 6
+
+    calls = []
+
+    def counted(matrix):
+        assert matrix.shape == (sine.d.size,) * 2
+        calls.append(factors(matrix))
+        return cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    certified = sine._definite(
+        kappa, floor, np.zeros((kappa.size, 0)), np.zeros((kappa.size, sine.d.size, 0)), np.zeros(kappa.size, int)
+    )
+    assert certified.tolist() == alone
+    # rows 0-3 fail the class's test, row 3 passes its own, row 4 the class's
+    assert calls == [False, False] * 3 + [False, True, True]
+    assert len(calls) == 1 + 2 * 4
 
 
 def test_scan_builds_one_stack_at_a_time(even_wave):
