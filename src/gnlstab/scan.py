@@ -32,14 +32,15 @@ reductions (L2 = Q D Q^T per sector) are kept with the store, so a
 scan, its hypotheses and the time integrator's row at one kappa share one
 assembly and one diagonalization.
 
-:func:`scan_kappa` solves its grid in batches of at most BATCH_BYTES of
-(rows, d, d) stack per sector, so its memory does not grow with the grid,
-and every check runs as array operations over the rows.  No row takes a
-spectrum of M(kappa).  Where L2 + kappa^2 is semidefinite, a row has exactly
-k = n(L1 + kappa^2) growth pairs by the inertia law, read off the store's L1
-spectrum, and computes only those: a Rayleigh-Ritz step of M on the span of
-phi, |phi|^a, |phi|^a phi and the k + 8 lowest-wavenumber basis vectors,
-then shifted inverse iteration from each Ritz pair.  A Cholesky
+:func:`scan_kappa` solves its whole grid in one reduced solve per sector,
+and every check runs as array operations over the rows; a matrix of order d
+is built for one row at a time, so the memory grows with the rows only as
+their trial spans do.  No row takes a spectrum of M(kappa).  Where
+L2 + kappa^2 is semidefinite, a row has exactly k = n(L1 + kappa^2) growth
+pairs by the inertia law, read off the store's L1 spectrum, and computes
+only those: a Rayleigh-Ritz step of M on the span of phi, |phi|^a,
+|phi|^a phi and the k + 8 lowest-wavenumber basis vectors, then shifted
+inverse iteration from each Ritz pair.  A Cholesky
 factorization of M + Y diag(|theta| + 2 F) Y^T - F, the m pairs Y of Ritz
 value theta < -floor deflated, proves that every other mu clears the
 rounding floor of M (Rump's test of positive definiteness).  Where
@@ -55,8 +56,9 @@ to kappa = 0 and at band edges), in any sector, take :func:`_dense_row`, one
 dense ``eig`` per sector, as :func:`instability_eigs` does; a failed
 certificate never decides a row.  Only an edge above an indefinite row is
 bisected.  Every stacked LAPACK and BLAS call solves each matrix as a call
-on it alone would, so a row's pairs do not depend on its batch, and a
-certificate from an earlier row of its class proves more than its own.
+on it alone would, and no product behind a reported number mixes rows, so a
+row's pairs do not depend on its grid, and a certificate from an earlier
+row of its class proves more than its own.
 
 Each growth pair is certified by the residual of its lift v1 = Q (s * y) on
 the unreduced product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), each written
@@ -74,7 +76,7 @@ spectrum of a dense row or the growth pairs of a reduced one, the leading
 growth mode's coefficients and the solver path.  A scan keeps only what a
 row reports, its :class:`KappaRecord`, and synthesizes the grid fields
 (v1, v2) of the most unstable row's mode once.  :func:`growth_row` hands the
-time integrator the scan's own row at one kappa, as a batch of one, or the
+time integrator the scan's own row at one kappa, solved alone, or the
 peak row a scan kept on the operator store.  The module also verifies the
 hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
 """
@@ -120,9 +122,7 @@ SYMMETRY_TOL = 1e-8
 
 CROSSCHECK_RTOL = 1e-7
 
-#: bytes of one stacked batch of M(kappa): :func:`scan_kappa` solves its grid
-#: in batches of at most this many bytes of (rows, d, d) stack per sector (at
-#: least one row), so its memory does not grow with the grid
+#: bytes of complex distances that :func:`_symmetry_defect` holds at once
 BATCH_BYTES = 4 * 2**20
 
 #: steps of inverse iteration a growth pair takes at most, from its Ritz start
@@ -151,20 +151,11 @@ def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
     return block
 
 
-def _diagonals(stack: np.ndarray) -> np.ndarray:
-    """A writable view of the diagonal of each matrix of a C-ordered (rows, d, d) stack."""
-    rows, d = stack.shape[0], stack.shape[-1]
-    return stack.reshape(rows, d * d)[:, :: d + 1]
-
-
-def _shifted(matrix: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """matrix + shift * I for each of ``shifts``, built in place in one
-    (shifts, d, d) stack."""
-    out = np.empty((shifts.size,) + matrix.shape)
-    out[:] = matrix
-    diagonal = _diagonals(out)
-    diagonal += shifts[:, None]
-    return out
+def _plus_diagonal(matrix: np.ndarray, shift: float) -> np.ndarray:
+    """matrix + shift * I, in place on a C-ordered square matrix."""
+    diagonal = matrix.reshape(-1)[:: matrix.shape[0] + 1]
+    diagonal += shift
+    return matrix
 
 
 def _squares(kappa) -> np.ndarray:
@@ -183,8 +174,9 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _inverse_iteration(shifted: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Unit vectors, as rows, from one step of inverse iteration with each
-    matrix M - shift of the stack ``shifted`` from its row of ``start``.
+    """The unit vector from one step of inverse iteration with the matrix
+    M - shift, ``shifted``, from ``start``; as rows, one for each matrix of a
+    stack and its row of ``start``.
 
     A shift within a few eps ||M|| of an eigenvalue of the symmetric M damps
     every other component by about eps ||M|| / gap per step (Parlett, The
@@ -423,8 +415,8 @@ class _Reduction:
     pairs decides that every mu clears the floor (:meth:`_definite`); its
     pairs are checked against the unreduced product
     P(kappa) = (L2 + kappa^2)(L1 + kappa^2) and one probe vector
-    (:meth:`certify`).  Every method takes an array of kappa and works on all
-    its rows at once.
+    (:meth:`certify`).  Every method but :meth:`matrix` takes an array of
+    kappa and works on all its rows at once.
     """
 
     #: the sector's slice of the scan's basis
@@ -495,16 +487,14 @@ class _Reduction:
         """s = sqrt(D + kappa^2) for each kappa, as rows."""
         return np.sqrt(np.maximum(self.d + _squares(kappa)[:, None], 0.0))
 
-    def matrices(self, kappa, shift=0.0) -> np.ndarray:
-        """M(kappa) - shift for each kappa (and shift), built in place in one
-        (rows, d, d) stack; M = diag(s) (A + kappa^2) diag(s) has the
-        eigenvalues mu = -lambda^2."""
-        m, s = _shifted(self.a, _squares(kappa)), self.scale(kappa)
-        m *= s[:, :, None]
-        m *= s[:, None, :]
-        diagonal = _diagonals(m)
-        diagonal -= np.reshape(shift, (-1, 1))
-        return m
+    def matrix(self, k2: float, s: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """M(kappa) - shift at one kappa, from its k2 = kappa^2 and its row s
+        of :meth:`scale`, built in place in one d x d matrix;
+        M = diag(s) (A + kappa^2) diag(s) has the eigenvalues mu = -lambda^2."""
+        m = _plus_diagonal(self.a.copy(), k2)
+        m *= s[:, None]
+        m *= s
+        return _plus_diagonal(m, -shift)
 
     def apply(self, kappa, x: np.ndarray) -> np.ndarray:
         """M(kappa) x for each kappa and its (d, p) block of x, without
@@ -536,19 +526,19 @@ class _Reduction:
 
     def _inverse_step(self, kappa, floor, theta, y) -> tuple:
         """One step of inverse iteration for each pair, the columns of each
-        row's y, shifted floor / d below its Ritz value ``theta``: pair j of
-        every row in one (rows, d, d) stack, one pair index at a time.  Then
-        the pairs' Ritz values and vectors (a Rayleigh quotient for one
+        row's y, shifted floor / d below its Ritz value ``theta``: a row
+        builds its M once, and each pair solves with its shift on a copy.
+        Then the pairs' Ritz values and vectors (a Rayleigh quotient for one
         pair), and whether every pair of a row has converged: its residual on
         M is within four rounding floors of |theta|, d eps |theta| each, so
         that the vector, whose error is the residual over the gap, has
         reached rounding."""
         dim, k = y.shape[1:]
-        y = y.copy()
-        for j in range(k):
-            shifted = self.matrices(kappa, theta[:, j] - floor / dim)
-            y[:, :, j] = _inverse_iteration(shifted, y[:, :, j])
-            del shifted
+        y, shifts = y.copy(), theta - (floor / dim)[:, None]
+        for row, (k2, s) in enumerate(zip(_squares(kappa).tolist(), self.scale(kappa))):
+            m = self.matrix(k2, s)
+            for j in range(k):
+                y[row, :, j] = _inverse_iteration(_plus_diagonal(m.copy(), -shifts[row, j]), y[row, :, j])
         if k > 1:
             theta, y = _rayleigh_ritz(lambda z: self.apply(kappa, z), y)
         pairs = y.transpose(0, 2, 1)
@@ -576,8 +566,10 @@ class _Reduction:
         too.  A row where it fails takes the test at its own floor, and the
         next row the class's: one factorization per class, two per failure."""
 
+        k2, s = _squares(kappa).tolist(), self.scale(kappa)
+
         def factors(row: int, shift: float) -> bool:
-            matrix, j = self.matrices(kappa[row : row + 1], shift)[0], deflated[row]
+            matrix, j = self.matrix(k2[row], s[row], shift), deflated[row]
             matrix += (y[row, :, :j] * (np.abs(theta[row, :j]) + 2.0 * shift)) @ y[row, :, :j].T
             try:
                 np.linalg.cholesky(matrix)
@@ -633,7 +625,7 @@ class _Reduction:
                 low[rows] = np.count_nonzero(theta < -fr[:, None], axis=1)
                 theta, y = theta[:, :k], y[:, :, :k]
                 # a row whose pairs the step leaves short of convergence
-                # takes another, as a batch of its own
+                # takes another, with the other such rows
                 todo = np.arange(rows.size)
                 for _ in range(INVERSE_STEPS):
                     theta[todo], y[todo], converged = self._inverse_step(kr[todo], fr[todo], theta[todo], y[todo])
@@ -649,12 +641,15 @@ class _Reduction:
                 mode[rows] = lifted[:, :, 0] = (self.q @ (s * y[:, :, 0])[..., None])[..., 0]
                 # the Rayleigh quotient on the unscaled L1 + kappa^2 is second
                 # order in the error of y, and free of the eps ||M|| of M,
-                # which grows like the fourth power of the largest wavenumber
+                # which grows like the fourth power of the largest wavenumber.
+                # L1 + kappa^2 is applied to one row at a time: a product over
+                # the rows would round each row by the blocking of them all
                 pairs = lifted.transpose(0, 2, 1)
-                l1k = _shifted(self.l1, _squares(kr))
-                mu[rows, :k] = _dots(pairs @ l1k, pairs) / _dots(y.transpose(0, 2, 1), y.transpose(0, 2, 1))
-                l1_mode[rows] = (l1k @ mode[rows][..., None])[..., 0]
-                del l1k
+                for i, (row, k2) in enumerate(zip(rows, _squares(kr).tolist())):
+                    l1k = _plus_diagonal(self.l1.copy(), k2)
+                    mu[row, :k] = _dots(pairs[i] @ l1k, pairs[i])
+                    l1_mode[row] = l1k @ mode[row]
+                mu[rows, :k] /= _dots(y.transpose(0, 2, 1), y.transpose(0, 2, 1))
                 v1[rows, :k] = pairs
             # the certificate speaks of M: it takes the Ritz values on M, not
             # the quotients of the lifted pairs, which the residual gate checks
@@ -754,7 +749,7 @@ class _Reduction:
 
 @dataclass(frozen=True)
 class _SectorRows:
-    """One parity sector's reduced solve of a batch of rows."""
+    """One parity sector's reduced solve of the rows of a grid."""
 
     #: n(L1 + kappa^2) of each row, its number of growth pairs
     count: np.ndarray
@@ -802,7 +797,7 @@ def _band_end(ops: HillOperators, lo: float, hi: float, falling: bool) -> float:
 
 
 def _reduced_rows(basis: ParityBasis, reductions: tuple, kappa) -> list:
-    """The rows at every kappa from one batched solve per parity sector: the
+    """The rows at every kappa from one reduced solve per parity sector: the
     growth pairs of each M(kappa) and a Cholesky certificate of the rest, no
     spectrum (:meth:`_Reduction.solve`); None at a kappa where the reduction
     does not decide some sector.
@@ -871,21 +866,16 @@ def _reduced_rows(basis: ParityBasis, reductions: tuple, kappa) -> list:
 
 
 def _solve_rows(ops: HillOperators, kappa) -> list:
-    """The scan's rule at each kappa: the rows of batched reduced solves
-    where it applies, else each sector's dense ``eig``.  The rows go in
-    batches of BATCH_BYTES per stack; a row's result does not depend on its
-    batch."""
-    reductions = _Reduction.sectors(ops)
-    size = max(1, BATCH_BYTES // max(r.a.nbytes for r in reductions))
-    rows = []
-    for start in range(0, len(kappa), size):
-        rows += _reduced_rows(ops.basis, reductions, kappa[start : start + size])
+    """The scan's rule at each kappa: the rows of one reduced solve of the
+    whole grid per sector where it applies, else each sector's dense
+    ``eig``."""
+    rows = _reduced_rows(ops.basis, _Reduction.sectors(ops), kappa)
     return [row if row is not None else _dense_row(ops, k) for row, k in zip(rows, kappa)]
 
 
 def growth_row(wave: Union[WaveProfile, HillOperators], kappa: float) -> RowSolution:
     """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
-    Its record is the scan's row at kappa bit for bit, a batch of one row;
+    Its record is the scan's row at kappa bit for bit, solved alone;
     given the scan's operator store, it reuses the scan's assembly and
     reductions, and the scan's peak row is the one the scan kept."""
     _check_kappa(kappa)

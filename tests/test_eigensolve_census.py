@@ -6,11 +6,13 @@ the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  A
 scan takes no spectrum of any row's M(kappa): one Cholesky factorization per
 sector and class of rows (one growth-pair count k and one number of deflated
 pairs) certifies them, and its growth pairs come from a Rayleigh-Ritz step
-on a small trial span and inverse iteration.  This test counts the
-order of every ``numpy.linalg`` eigensolve and Cholesky factorization of one
-``gnlstab pipeline --modes 128`` run, and each matrix of a stacked call by
-the call's leading dimensions, so a whole-matrix, unsymmetric or per-row
-spectrum cannot come back unnoticed.
+on a small trial span and inverse iteration, whose every linear solve takes
+one row's M(kappa) alone.  This test counts the order of every
+``numpy.linalg`` eigensolve and Cholesky factorization of one ``gnlstab
+pipeline --modes 128`` run, and each matrix of a stacked call by the call's
+leading dimensions, so a whole-matrix, unsymmetric or per-row spectrum
+cannot come back unnoticed, and the shape of every ``numpy.linalg.solve`` of
+the rows, so a stack of M(kappa) over the rows cannot either.
 """
 
 import json
@@ -53,6 +55,14 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    linear_solves, solve = [], np.linalg.solve
+
+    def shaped(a, b):
+        if _in_row_solve():
+            linear_solves.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", shaped)
     assert cli.main(README_PIPELINE + ["--out", str(tmp_path)]) == 0
     assert "pipeline passed" in capsys.readouterr().out
     records = json.loads((tmp_path / "pipeline_report.json").read_text())["payload"]["scan"]["records"]
@@ -71,6 +81,9 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     factored = [order for name, order in row_solves if name == "cholesky"]
     assert sorted(factored) == [N // 2 - 1, N // 2 + 1, N // 2 + 1]
     assert [name for name, _ in orders if name == "cholesky"] == ["cholesky"] * 3
+    # one step of inverse iteration per growth pair, each a solve with one
+    # row's M(kappa) - shift of the cosine sector, never a (rows, d, d) stack
+    assert linear_solves == [(N // 2 + 1, N // 2 + 1)] * growing
     # eigh with vectors for L2 of the reductions, once per sector, and in a
     # row only for its Rayleigh-Ritz step on the trial span of k + 11
     # vectors, k = 1 growth pair per row on this wave, so one of order 12 per

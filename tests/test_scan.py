@@ -40,6 +40,7 @@ from gnlstab.scan import (
     _normalize_mode,
     _rayleigh_ritz,
     _reduced_rows,
+    _solve_rows,
     _symmetry_defect,
     evolution_block,
     growth_row,
@@ -54,7 +55,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def reduced_row(basis, reductions, kappa):
-    """The batched reduced solve on a batch of one row."""
+    """The reduced solve of a grid of one row."""
     return _reduced_rows(basis, reductions, [kappa])[0]
 
 
@@ -557,7 +558,7 @@ def unreported_mu_moved(reduction, kappa, target):
     of the row sees that M."""
     kappa = np.array([kappa])
     k = int(np.count_nonzero(reduction.l1_eigs + kappa[0] ** 2 < 0.0))
-    mu, u = np.linalg.eigh(reduction.matrices(kappa)[0])
+    mu, u = np.linalg.eigh(reduction.matrix(kappa[0] ** 2, reduction.scale(kappa)[0]))
     w = u[:, k] / reduction.scale(kappa)[0]
     return dataclasses.replace(reduction, a=reduction.a + (target - mu[k]) * np.outer(w, w))
 
@@ -606,7 +607,7 @@ def test_certificate_rejects_a_growth_pair_that_the_l1_count_hides(even_wave):
 
 def tamper_one_row(tamper, row):
     """The name of a _Reduction method and a replacement that corrupts one
-    row of the batch."""
+    row of the grid."""
     if tamper == "l1-count":
         counts = _Reduction.counts
 
@@ -634,7 +635,7 @@ def tamper_one_row(tamper, row):
     [("growth-mu", 25, "residual"), ("l1-count", 39, "inertia"), ("v2-flipped", 25, "growth mode")],
 )
 def test_one_tampered_row_fails_the_whole_grid(even_wave, monkeypatch, tamper, row, check):
-    # the README grid solves its 40 rows in one batch per sector; one bad row
+    # the README grid solves its 40 rows in one solve per sector; one bad row
     # among 39 good ones fails the scan, and the error names that row's kappa
     ops = hill_operators(even_wave, "full")
     assert scan_kappa(ops, 0.05, 1.8, 40).reduced_rows == 40
@@ -658,10 +659,9 @@ def scan_store(name, request):
 
 @pytest.mark.parametrize("name", ["even", "odd", "const", "odd_full", "readme64", "readme256"])
 def test_growth_row_is_the_scan_row_bit_for_bit(name, request):
-    # growth_row solves a batch of one row, the scan every row at once; a
-    # scan row's certificate comes from the first row of its class that
-    # passes, a lone row's from its own (at N=256 the README grid takes two
-    # batches)
+    # growth_row solves one row alone, the scan every row at once; a scan
+    # row's certificate comes from the first row of its class that passes,
+    # a lone row's from its own
     ops, kappa = scan_store(name, request)
     scan = scan_kappa(ops, kappa[0], kappa[-1], kappa.size)
     rows = [growth_row(ops, r.kappa) for r in scan.records]
@@ -677,13 +677,26 @@ def test_growth_row_is_the_scan_row_bit_for_bit(name, request):
 
 
 @pytest.mark.parametrize("size", [64, 256, 512])
-def test_readme_scan_across_resolutions_matches_the_whole_spectrum(even_wave, size):
+def test_readme_scan_across_resolutions_matches_the_whole_spectrum(even_wave, size, monkeypatch):
     # the README grid, 40 rows on [0.05, 1.8], on the even wave at N modes:
     # each row's path and count are those of every sector's whole spectrum
     # of M(kappa) (reduced where every mu clears the rounding floor), and its
-    # growth that of the lowest mu's eigenvector, refined, to 4 ulps
+    # growth that of the lowest mu's eigenvector, refined, to 4 ulps.  One
+    # Cholesky factorization per sector and class of rows proves the whole
+    # grid at every N: the cosine sector's k = 1 and k = 0 rows and the sine
+    # sector's k = 0 rows
     ops = hill_operators(wave_at_resolution(even_wave, size))
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(matrix):
+        factored.append(matrix.shape)
+        return cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
     scan = scan_kappa(ops, 0.05, 1.8, 40)
+    monkeypatch.undo()
+    assert len(factored) <= 3
     for record in scan.records:
         sectors = [
             oracles.reduced_spectrum_reference(b.l1, b.l2, record.kappa) for _, b in ops.sectors()
@@ -739,7 +752,7 @@ def test_a_class_certificate_starts_at_the_first_row_that_passes(even_wave, monk
         return True
 
     # the decision of a row alone: one factorization of M(kappa) - floor
-    alone = [factors(matrix) for matrix in sine.matrices(kappa, floor)]
+    alone = [factors(sine.matrix(k**2, s, f)) for k, s, f in zip(kappa.tolist(), sine.scale(kappa), floor)]
     assert alone == [False] * 3 + [True] * 6
 
     calls = []
@@ -760,9 +773,9 @@ def test_a_class_certificate_starts_at_the_first_row_that_passes(even_wave, monk
 
 
 def test_scan_builds_one_stack_at_a_time(even_wave):
-    # every M(kappa) of a sector is built in place in one (rows, d, d) stack,
-    # one sector and one stack at a time; a broadcast product
-    # s * (A + kappa^2) * s would hold two more stacks as temporaries
+    # every M(kappa) is built in place for one row at a time, so the scan of
+    # 40 rows peaks under two (rows, d, d) stacks; a broadcast product
+    # s * (A + kappa^2) * s over the rows would hold two such stacks at once
     ops = hill_operators(even_wave, "full")
     d = max(r.d.size for r in _Reduction.sectors(ops))
     assert d == 65
@@ -775,13 +788,17 @@ def test_scan_builds_one_stack_at_a_time(even_wave):
     assert peak < 2 * 40 * d * d * np.dtype(float).itemsize
 
 
-def test_scan_memory_is_bounded_by_the_batch_budget(even_wave):
-    # 400 rows in one batch would hold 400 d^2 doubles per stack, 13.5 MB at
-    # d = 65; in batches of BATCH_BYTES the scan's peak stays under two budgets
-    ops = hill_operators(even_wave, "full")
+def test_scan_memory_grows_with_the_rows_trial_spans(even_wave):
+    # the whole grid is solved at once: the peak holds each row's trial span
+    # of k + 11 vectors a few times over, plus matrices of order d, but no
+    # (rows, d, d) stack, which at d = 129 and 400 rows is 50.8 MiB
+    ops = hill_operators(wave_at_resolution(even_wave, 256))
     d = max(r.d.size for r in _Reduction.sectors(ops))
-    rows = 400
-    assert rows * d * d * np.dtype(float).itemsize > 3 * BATCH_BYTES
+    rows, double = 400, np.dtype(float).itemsize
+    k = max(int(r.counts(np.linspace(0.05, 1.8, rows)).max()) for r in _Reduction.sectors(ops))
+    assert (d, k) == (129, 1)
+    bound = (6 * rows * d * (k + 11) + 16 * d * d) * double
+    assert bound < rows * d * d * double
     tracemalloc.start()
     try:
         scan = scan_kappa(ops, 0.05, 1.8, rows)
@@ -789,19 +806,22 @@ def test_scan_memory_is_bounded_by_the_batch_budget(even_wave):
     finally:
         tracemalloc.stop()
     assert scan.reduced_rows == rows
-    assert peak < 2 * BATCH_BYTES
+    assert peak < bound
 
 
 @pytest.mark.parametrize(
     "name, sector", [("even", "full"), ("odd", "full"), ("const", "auto")]
 )
-def test_a_row_does_not_depend_on_its_batch(name, sector, request, monkeypatch):
-    # one row per batch writes the scan of one batch byte for byte: reduced
-    # and dense rows, one and two growth pairs per sector
-    wave = request.getfixturevalue(f"{name}_wave")
-    whole = serialize.dumps(scan_kappa(hill_operators(wave, sector), 0.0, 4.0, 30))
-    monkeypatch.setattr("gnlstab.scan.BATCH_BYTES", 1)
-    assert serialize.dumps(scan_kappa(hill_operators(wave, sector), 0.0, 4.0, 30)) == whole
+def test_a_row_does_not_depend_on_its_grid(name, sector, request):
+    # every other kappa of a scan, solved as a grid of its own, writes those
+    # rows' records byte for byte: reduced and dense rows, one and two growth
+    # pairs per sector, and certificates from other rows of their classes
+    ops = hill_operators(request.getfixturevalue(f"{name}_wave"), sector)
+    whole = scan_kappa(ops, 0.0, 4.0, 30)
+    every_other = [float(kappa) for kappa in whole.kappa_values[::2]]
+    sub = [row.record() for row in _solve_rows(ops, every_other)]
+    assert {record.path for record in sub} == {"dense", "reduced"}
+    assert [repr(record) for record in sub] == [repr(record) for record in whole.records[::2]]
 
 
 def test_the_probe_is_fixed_and_has_no_zero_component(even_wave):
