@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import IntegratorError, ParameterError
-from .hill import HillOperators, _operators
+from .hill import HillOperators
 from .scan import UNSTABLE_THRESHOLD, _growth_block, evolution_block, growth_row
 
 # kept importable here: perfbench/tracer.py wraps evolve.instability_eigs by name
@@ -118,15 +118,14 @@ class GrowthMeasurement:
 
 
 def linearized_rhs(
-    wave: Union[WaveProfile, HillOperators], kappa: float, v1: RealField, v2: RealField
+    ops: HillOperators, kappa: float, v1: RealField, v2: RealField
 ) -> tuple[RealField, RealField]:
-    """Apply the block generator to a perturbation pair on the wave's grid.
+    """Apply the block generator to a perturbation pair on the grid of the store's wave.
 
     Returns ((L2+kappa^2) v2, -(L1+kappa^2) v1) by the dense block of
     :func:`scan.evolution_block`: the operators whose reduction M(kappa) the
     scanner solves per parity sector, so its modes satisfy it to rounding error.
     """
-    ops = _operators(wave)
     wave = ops.wave
     for v in (v1, v2):
         if v.grid != wave.phi.grid:
@@ -268,7 +267,7 @@ def _samples(parts: list, stride: int, last: int, count: int):
 
 
 def evolve_and_fit(
-    wave: Union[WaveProfile, HillOperators],
+    ops: HillOperators,
     kappa: float,
     config: Optional[EvolutionConfig] = None,
 ) -> GrowthMeasurement:
@@ -290,7 +289,6 @@ def evolve_and_fit(
     being finite.
     """
     config = config if config is not None else EvolutionConfig()
-    ops = _operators(wave)
     wave = ops.wave
     row = growth_row(ops, kappa)
     predicted = row.max_real_part

@@ -37,15 +37,15 @@ the time integrator all read it; a full-space store also serves the odd and
 even sectors, whose operators are its sine and cosine blocks bit for bit.
 The sector is chosen once, where the store is made (:func:`hill_operators`,
 :meth:`HillOperators.restrict`, "auto" resolved by the wave's parity): every
-consumer takes a store, used as it is, or a wave, for its "auto" store, and
-no sector.  A store lives as long as the call that made it.
+consumer takes a store, used as it is, and no sector, and none makes a store
+of its own.  A store lives as long as the call that made it.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -325,11 +325,6 @@ def hill_operators(wave: WaveProfile, sector: str = "auto") -> HillOperators:
     return HillOperators(wave, sector, tuple(SectorBlock(*parts) for parts in pairs))
 
 
-def _operators(wave: Union[WaveProfile, HillOperators]) -> HillOperators:
-    """A store as it is, a wave's store on its "auto" sector."""
-    return wave if isinstance(wave, HillOperators) else hill_operators(wave)
-
-
 def _whole_basis_pair(ops: HillOperators) -> tuple:
     """L1 and L2 of the store's wave on the store's whole basis, assembled
     on each call and not kept: a sector store's block, or the full-basis
@@ -354,16 +349,13 @@ def _check_kappa(kappa: float) -> None:
         )
 
 
-def build_block(
-    wave: Union[WaveProfile, HillOperators], kind: str, kappa: float = 0.0
-) -> OperatorMatrix:
+def build_block(ops: HillOperators, kind: str, kappa: float = 0.0) -> OperatorMatrix:
     """Block-diagonal diag(L1, L2) or diag(L2 + k^2, L1 + k^2) on the store's basis."""
     if kind not in ("Lcal", "S_kappa"):
         raise ParameterError(f"block kind must be 'Lcal' or 'S_kappa', got {kind!r}")
     if kind == "Lcal" and kappa != 0.0:
         raise ParameterError("Lcal takes no transverse wavenumber")
     _check_kappa(kappa)
-    ops = _operators(wave)
     l1, l2 = _whole_basis_pair(ops)
     d = ops.basis.dimension
     entries = np.zeros((2 * d, 2 * d))
@@ -428,7 +420,7 @@ def _summarize(
 
 
 def spectrum(
-    wave: Union[WaveProfile, HillOperators],
+    ops: HillOperators,
     which: str,
     zero_tolerance: Optional[float] = None,
     n_eigenfunctions: int = 0,
@@ -442,7 +434,6 @@ def spectrum(
     recomputed at half and twice the tolerance; disagreement sets the
     ``ambiguous`` flag instead of failing.
     """
-    ops = _operators(wave)
     if which not in (*_LABELS, "Lcal"):
         raise ParameterError(f"operator must be 'L1', 'L2' or 'Lcal', got {which!r}")
     d, count = ops.basis.dimension, n_eigenfunctions
@@ -508,9 +499,9 @@ def _relative_kernel_residual(basis: ParityBasis, entries: np.ndarray, field: Re
 
 
 def check_propositions(
-    wave: Union[WaveProfile, HillOperators], zero_tolerance: Optional[float] = None
+    ops: HillOperators, zero_tolerance: Optional[float] = None
 ) -> PropositionReport:
-    """Assert the expected negative/zero eigenvalue structure for ``wave``.
+    """Assert the expected negative/zero eigenvalue structure for the store's wave.
 
     Even positive profiles: n(L1,even)=1, n(L2,even)=0, n(Lcal)=1, z(Lcal)=2
     with kernel directions (phi',0) and (0,phi).  Odd profiles: full-space
@@ -523,7 +514,7 @@ def check_propositions(
     and odd sectors, through :func:`spectrum`; a store on another sector
     raises ParameterError.
     """
-    ops = wave.restrict("full") if isinstance(wave, HillOperators) else hill_operators(wave, "full")
+    ops = ops.restrict("full")
     wave = ops.wave
     checks = []
     notes = []

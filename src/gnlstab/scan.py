@@ -25,12 +25,12 @@ blocks) and every solve below runs once per sector, on blocks of order
 about d/2; the sector spectra are merged into one record and growth modes
 lifted to full-basis coefficients.
 
-Every function here takes a wave, for its "auto" operator store, or a store
-(:class:`hill.HillOperators`) on its own sector, never a sector: L1 and L2,
-their sector blocks and the blocks' L1 spectra come from the store.  The
-reductions (L2 = Q D Q^T per sector) are kept with the store, so a
-scan, its hypotheses and the time integrator's row at one kappa share one
-assembly and one diagonalization.
+Every function here takes an operator store (:class:`hill.HillOperators`)
+and works on its sector, never a sector or a wave: L1 and L2, their sector
+blocks and the blocks' L1 spectra come from the store.  The reductions
+(L2 = Q D Q^T per sector) are kept with the store, so a scan, its
+hypotheses and the time integrator's row at one kappa share one assembly
+and one diagonalization.
 
 :func:`scan_kappa` solves its whole grid in one reduced solve per sector,
 and every check runs as array operations over the rows; a matrix of order d
@@ -83,7 +83,7 @@ hypotheses (H0)-(H4) for S(kappa) = diag(L2 + kappa^2, L1 + kappa^2).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -93,7 +93,6 @@ from .hill import (
     HillOperators,
     SectorBlock,
     _check_kappa,
-    _operators,
     _rounding_floor,
     _whole_basis_pair,
     _one_simple_negative,
@@ -103,7 +102,6 @@ from .hill import (
 # kept importable here: perfbench/tracer.py wraps scan.build_block by name
 from .hill import build_block  # noqa: F401
 from .spectral import ParityBasis, RealField
-from .waves import WaveProfile
 
 #: growth rates above this are reported as genuine instability
 UNSTABLE_THRESHOLD = 1e-6
@@ -212,9 +210,8 @@ def _lift(rows: slice, d: int, pair: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolution_block(wave: Union[WaveProfile, HillOperators], kappa: float):
+def evolution_block(ops: HillOperators, kappa: float):
     """Dense block [[0, L2+k^2], [-(L1+k^2), 0]] on the store's basis, and the basis."""
-    ops = _operators(wave)
     l1, l2 = _whole_basis_pair(ops)
     return _growth_block(l2, l1, kappa), ops.basis
 
@@ -332,10 +329,10 @@ class StabilityScan:
         return max(self.records, key=lambda r: r.max_real_part)
 
 
-def instability_eigs(wave: Union[WaveProfile, HillOperators], kappa: float) -> RowSolution:
+def instability_eigs(ops: HillOperators, kappa: float) -> RowSolution:
     """The dense row at one kappa (kappa = 0 allowed as diagnostic): each
     parity sector's ``eig``, whatever the scan's rule would pick there."""
-    return _dense_row(_operators(wave), kappa)
+    return _dense_row(ops, kappa)
 
 
 def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
@@ -873,19 +870,18 @@ def _solve_rows(ops: HillOperators, kappa) -> list:
     return [row if row is not None else _dense_row(ops, k) for row, k in zip(rows, kappa)]
 
 
-def growth_row(wave: Union[WaveProfile, HillOperators], kappa: float) -> RowSolution:
+def growth_row(ops: HillOperators, kappa: float) -> RowSolution:
     """The row :func:`scan_kappa` computes at kappa, by the scan's own rule.
     Its record is the scan's row at kappa bit for bit, solved alone;
     given the scan's operator store, it reuses the scan's assembly and
     reductions, and the scan's peak row is the one the scan kept."""
     _check_kappa(kappa)
-    ops = _operators(wave)
     kappa = float(kappa)
     return ops.memo(("row", kappa), lambda: _solve_rows(ops, [kappa])[0])
 
 
 def scan_kappa(
-    wave: Union[WaveProfile, HillOperators],
+    ops: HillOperators,
     kappa_min: float,
     kappa_max: float,
     steps: int,
@@ -895,8 +891,8 @@ def scan_kappa(
     The verdict is 'transversally unstable' as soon as one grid point has
     max Re lambda above UNSTABLE_THRESHOLD.  Runs are sequential and
     deterministic: identical inputs give identical records.  L1 and L2 come
-    from one operator store (a wave's is assembled once, a store is reused)
-    and every row adds kappa^2 to them.  An edge lies between
+    from the operator store, which keeps the scan's reductions, and every
+    row adds kappa^2 to them.  An edge lies between
     adjacent rows whose growth crosses EDGE_LEVEL: the band end 0 or
     sqrt(lambda0) where L2 + kappa^2 >= 0 there, else bisected to
     EDGE_RESOLUTION with dense ``eig`` solves, which the scan counts.
@@ -908,7 +904,6 @@ def scan_kappa(
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ParameterError(f"kappa grid needs an integer of at least 2 points, got {steps!r}")
     _check_kappa(kappa_max)
-    ops = _operators(wave)
     kappas = np.linspace(kappa_min, kappa_max, steps)
     reductions = _Reduction.sectors(ops)
     records, peak = [], None
@@ -1002,7 +997,7 @@ def transverse_threshold(ops: HillOperators) -> tuple[float, float, float]:
 
 
 def verify_hypotheses(
-    wave: Union[WaveProfile, HillOperators], zero_tolerance: Optional[float] = None
+    ops: HillOperators, zero_tolerance: Optional[float] = None
 ) -> HypothesisReport:
     """Check (H0)-(H4) for S(kappa) on the store's sector.
 
@@ -1020,7 +1015,6 @@ def verify_hypotheses(
     essential spectrum on a periodic cell; H3 S'(kappa) = 2 kappa I, so the
     lowest eigenvalue of S(kappa) increases with kappa.
     """
-    ops = _operators(wave)
     # S(0) = diag(L2, L1): its off-diagonal blocks are exact zeros, so the
     # entry scale, the asymmetry and the spectrum all come from L1 and L2,
     # and from their sector blocks: the coupling left out is rounding, and its

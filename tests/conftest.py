@@ -60,19 +60,53 @@ def const_wave():
     return constant_wave(2.0, 1.0, TWO_PI, 64)
 
 
+# The operator stores of the fixture waves, one per wave and sector, shared
+# by the session: every consumer takes a store.  A test that patches the
+# assembly or a solver, or counts work, builds its own store inside the
+# patch, since a shared one may already hold its spectra, reductions and rows.
+
+
+@pytest.fixture(scope="session")
+def even_ops(even_wave):
+    """The even wave's "auto" store: the full space."""
+    return hill_operators(even_wave)
+
+
+@pytest.fixture(scope="session")
+def odd_ops(odd_wave):
+    """The odd wave's "auto" store: the odd sector."""
+    return hill_operators(odd_wave)
+
+
+@pytest.fixture(scope="session")
+def odd_full_ops(odd_wave):
+    """The odd wave's full-space store."""
+    return hill_operators(odd_wave, "full")
+
+
+@pytest.fixture(scope="session")
+def const_ops(const_wave):
+    """The constant state's "auto" store: the full space."""
+    return hill_operators(const_wave)
+
+
+# each fixture scan assembles its own store, so a row that a test solves on
+# a shared store is not the row the scan kept
+
+
 @pytest.fixture(scope="session")
 def even_scan(even_wave):
-    return scan_kappa(even_wave, 0.05, 1.8, 60)
+    return scan_kappa(hill_operators(even_wave), 0.05, 1.8, 60)
 
 
 @pytest.fixture(scope="session")
 def odd_scan(odd_wave):
-    return scan_kappa(odd_wave, 0.05, 4.0, 60)
+    return scan_kappa(hill_operators(odd_wave), 0.05, 4.0, 60)
 
 
 @pytest.fixture(scope="session")
 def const_scan(const_wave):
-    return scan_kappa(const_wave, 0.05, 2.0, 40)
+    return scan_kappa(hill_operators(const_wave), 0.05, 2.0, 40)
 
 
 @pytest.fixture(scope="session")
@@ -122,13 +156,13 @@ def scan_rows(solve_row, even_scan, odd_scan, const_scan, odd_full_scan):
 
 
 @pytest.fixture(scope="session")
-def even_hypotheses(even_wave):
-    return verify_hypotheses(even_wave)
+def even_hypotheses(even_ops):
+    return verify_hypotheses(even_ops)
 
 
 @pytest.fixture(scope="session")
-def odd_hypotheses(odd_wave):
-    return verify_hypotheses(odd_wave)
+def odd_hypotheses(odd_ops):
+    return verify_hypotheses(odd_ops)
 
 
 @pytest.fixture(scope="session")

@@ -39,15 +39,19 @@ def documents() -> dict:
     """File name -> document text."""
     even = solve_wave(ProblemParams(alpha=2.0, omega=1.0, period=TWO_PI, tau=12.0, parity="even"), 32)
     odd = solve_wave(ProblemParams(alpha=2.0, omega=4.0, period=TWO_PI, tau=40.0, parity="odd"), 32)
-    growth = evolve_and_fit(constant_wave(2.0, 1.0, TWO_PI, 16), 1.0, EvolutionConfig(final_time=4.0))
+    const = hill_operators(constant_wave(2.0, 1.0, TWO_PI, 16))
+    growth = evolve_and_fit(const, 1.0, EvolutionConfig(final_time=4.0))
+    # one store per wave, as the pipeline shares it: the full space serves
+    # every document of the even wave, and the odd wave's propositions and scan
+    even_ops, odd_ops = hill_operators(even, "full"), hill_operators(odd, "full")
     texts = {
         "wave_even.json": even,
         "wave_odd.json": odd,
-        "spectrum_even_L1.json": spectrum(hill_operators(even, "full"), "L1", n_eigenfunctions=3),
-        "propositions_odd.json": check_propositions(odd),
-        "hypotheses_even.json": verify_hypotheses(even),
-        "scan_even.json": scan_kappa(even, 0.05, 1.8, 4),
-        "scan_odd_full.json": scan_kappa(hill_operators(odd, "full"), 0.05, 1.0, 3),
+        "spectrum_even_L1.json": spectrum(even_ops, "L1", n_eigenfunctions=3),
+        "propositions_odd.json": check_propositions(odd_ops),
+        "hypotheses_even.json": verify_hypotheses(even_ops),
+        "scan_even.json": scan_kappa(even_ops, 0.05, 1.8, 4),
+        "scan_odd_full.json": scan_kappa(odd_ops, 0.05, 1.0, 3),
         "growth_const.json": growth,
     }
     texts = {name: serialize.dumps(result) for name, result in texts.items()}

@@ -94,16 +94,16 @@ def test_criterion_1_constant_analytic_spectra(record):
     assert elapsed < 1.0
 
 
-def test_criterion_2_constant_growth_closed_form(record, const_wave):
+def test_criterion_2_constant_growth_closed_form(record, const_ops):
     from gnlstab.scan import instability_eigs
 
     start = time.perf_counter()
     worst = 0.0
     for kappa in (0.5, 1.0, 1.3):
-        measured = instability_eigs(const_wave, kappa).max_real_part
+        measured = instability_eigs(const_ops, kappa).max_real_part
         expected = oracles.constant_growth_rate(kappa, 2.0, 1.0, TWO_PI)
         worst = max(worst, abs(measured - expected))
-    scan = scan_kappa(const_wave, 0.05, 2.0, 40)
+    scan = scan_kappa(const_ops, 0.05, 2.0, 40)
     edge_err = min(abs(e - np.sqrt(2.0)) for e in scan.band_edges)
     elapsed = time.perf_counter() - start
 
@@ -180,11 +180,12 @@ def test_criterion_4_even_spectral_counts(record, quality_waves):
     flags_ok = True
     details = []
     for alpha, wave in sorted(waves.items()):
-        report = check_propositions(wave)
+        ops = hill_operators(wave, "full")
+        report = check_propositions(ops)
         by_name = {c.name: c for c in report.checks}
         nonconstant = np.ptp(wave.phi.values) > 0.0
         if nonconstant:
-            lcal = spectrum(wave, "Lcal")
+            lcal = spectrum(ops, "Lcal")
             template_ok = template_ok and report.passed
             template_ok = template_ok and by_name["n(Lcal)"].actual == "1"
             template_ok = template_ok and by_name["z(Lcal)"].actual == "2"
@@ -204,8 +205,8 @@ def test_criterion_4_even_spectral_counts(record, quality_waves):
             details.append(f"a={alpha:g} constant flagged")
         fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size))
         lows = [
-            np.sort(scipy.linalg.eigvalsh(build_block(w, "Lcal").entries))[:10]
-            for w in (wave, fine)
+            np.sort(scipy.linalg.eigvalsh(build_block(o, "Lcal").entries))[:10]
+            for o in (ops, hill_operators(fine, "full"))
         ]
         worst_doubling = max(worst_doubling, float(np.max(np.abs(lows[0] - lows[1]))))
 
@@ -220,8 +221,8 @@ def test_criterion_4_even_spectral_counts(record, quality_waves):
     assert worst_doubling <= 1e-9
 
 
-def test_criterion_5_odd_spectral_counts(record, odd_wave):
-    report = check_propositions(odd_wave)
+def test_criterion_5_odd_spectral_counts(record, odd_wave, odd_full_ops):
+    report = check_propositions(odd_full_ops)
     by_name = {c.name: c for c in report.checks}
     lcal = spectrum(hill_operators(odd_wave, "odd"), "Lcal")
     tol = lcal.zero_tolerance
@@ -252,8 +253,9 @@ def test_criterion_6_executable_verdicts(record, even_wave, odd_wave):
         ("odd", odd_wave, 4.0),
     ):
         start = time.perf_counter()
-        hyp = verify_hypotheses(wave)
-        scan = scan_kappa(wave, 0.05, kappa_max, 60)
+        ops = hill_operators(wave)
+        hyp = verify_hypotheses(ops)
+        scan = scan_kappa(ops, 0.05, kappa_max, 60)
         elapsed = time.perf_counter() - start
         k_thresh = hyp.h1["K"]
         grown = max(r.max_real_part for r in scan.records)
@@ -295,7 +297,7 @@ def test_criterion_7_dns_cross_check(record, const_wave, even_wave, odd_wave, ev
     cases = []
 
     start = time.perf_counter()
-    run = evolve_and_fit(const_wave, 1.0, EvolutionConfig())
+    run = evolve_and_fit(hill_operators(const_wave), 1.0, EvolutionConfig())
     elapsed = time.perf_counter() - start
     gap = abs(run.fitted_rate - 1.0)
     cases.append(("constant k=1", gap, 0.01, elapsed))
@@ -303,7 +305,7 @@ def test_criterion_7_dns_cross_check(record, const_wave, even_wave, odd_wave, ev
     for label, wave, scan in (("even", even_wave, even_scan), ("odd", odd_wave, odd_scan)):
         peak = scan.most_unstable
         start = time.perf_counter()
-        run = evolve_and_fit(wave, peak.kappa, EvolutionConfig())
+        run = evolve_and_fit(hill_operators(wave), peak.kappa, EvolutionConfig())
         elapsed = time.perf_counter() - start
         gap = abs(run.fitted_rate - peak.max_real_part) / peak.max_real_part
         cases.append((f"{label} k={peak.kappa:.3f}", gap, 0.02, elapsed))

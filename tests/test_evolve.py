@@ -45,14 +45,14 @@ def test_config_rejects_a_step_count_it_fixes():
     EvolutionConfig(time_step=1.0, final_time=2.0**62)
 
 
-def test_linearized_rhs_matches_block(even_wave):
-    block, basis = evolution_block(even_wave, 0.9)
+def test_linearized_rhs_matches_block(even_wave, even_ops):
+    block, basis = evolution_block(even_ops, 0.9)
     d = basis.dimension
     rng = np.random.default_rng(3)
     grid = even_wave.phi.grid
     v1 = RealField(grid, rng.standard_normal(grid.size), "none")
     v2 = RealField(grid, rng.standard_normal(grid.size), "none")
-    r1, r2 = linearized_rhs(even_wave, 0.9, v1, v2)
+    r1, r2 = linearized_rhs(even_ops, 0.9, v1, v2)
     coeffs = np.concatenate([basis.analyze(v1.values), basis.analyze(v2.values)])
     out = block @ coeffs
     assert np.max(np.abs(basis.analyze(r1.values) - out[:d])) <= 1e-12 * (
@@ -63,10 +63,10 @@ def test_linearized_rhs_matches_block(even_wave):
     )
 
 
-def test_linearized_rhs_grid_mismatch(even_wave, const_wave):
+def test_linearized_rhs_grid_mismatch(even_ops, const_wave):
     v = const_wave.phi
     with pytest.raises(ParameterError, match="grid"):
-        linearized_rhs(even_wave, 0.5, v, v)
+        linearized_rhs(even_ops, 0.5, v, v)
 
 
 def test_rk4_matrix_is_taylor_polynomial():
@@ -84,10 +84,10 @@ def test_rk4_matrix_is_taylor_polynomial():
 # growth-rate fits
 
 
-def test_eigenvector_seed_reproduces_rate(even_wave, even_scan):
+def test_eigenvector_seed_reproduces_rate(even_ops, even_scan):
     peak = even_scan.most_unstable
-    run = evolve_and_fit(even_wave, peak.kappa)
-    # the prediction is the scan's own row at that kappa
+    run = evolve_and_fit(even_ops, peak.kappa)
+    # the prediction is the scan's own row at that kappa, solved on another store
     assert run.predicted_rate == peak.max_real_part
     assert abs(run.fitted_rate - run.predicted_rate) <= 1e-7 * run.predicted_rate
     assert run.fit_residual <= 1e-8
@@ -114,12 +114,12 @@ def sector_parts(ops, kappa, y):
     ]
 
 
-def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
+def test_rk4_samples_match_step_by_step_loop(even_wave, even_ops, even_scan):
     # the run advances its seed's sector by powers of the RK4 matrix between
     # samples; the sampled norms are those of applying the step matrix once
     # per step
     peak = even_scan.most_unstable
-    run = evolve_and_fit(even_wave, peak.kappa)
+    run = evolve_and_fit(even_ops, peak.kappa)
     ops = hill_operators(even_wave)
     row = growth_row(ops, peak.kappa)
     y0 = row.leading / np.linalg.norm(row.leading)
@@ -138,11 +138,11 @@ def test_rk4_samples_match_step_by_step_loop(even_wave, even_scan):
 
 
 @pytest.mark.parametrize("seed", ["leading_eigenvector", "random"])
-def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
+def test_sector_steps_match_the_whole_block(even_wave, even_ops, even_scan, seed):
     # each sector stepped on its own block, norms squared added, against the
     # same full-basis seed stepped by the unsplit 2d x 2d evolution block
     peak = even_scan.most_unstable
-    run = evolve_and_fit(even_wave, peak.kappa, EvolutionConfig(seed=seed, rng_seed=4))
+    run = evolve_and_fit(even_ops, peak.kappa, EvolutionConfig(seed=seed, rng_seed=4))
     ops = hill_operators(even_wave)
     row = growth_row(ops, peak.kappa)
     if seed == "random":
@@ -151,7 +151,7 @@ def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
         y0 = np.real(row.leading)
     y0 = y0 / np.linalg.norm(y0)
     steps = np.rint(run.times / run.time_step).astype(int)
-    whole = rk4_step_matrix(evolution_block(even_wave, peak.kappa)[0], run.time_step)
+    whole = rk4_step_matrix(evolution_block(ops, peak.kappa)[0], run.time_step)
     leaps = {n: np.linalg.matrix_power(whole, n) for n in set(np.diff(steps).tolist())}
     y, expected = y0, [1.0]
     for count in np.diff(steps):
@@ -169,23 +169,23 @@ def test_sector_steps_match_the_whole_block(even_wave, even_scan, seed):
         assert np.array_equal(run.norms, norms)
 
 
-def test_splitting_scheme_agrees(even_wave, even_scan):
+def test_splitting_scheme_agrees(even_ops, even_scan):
     peak = even_scan.most_unstable
     run = evolve_and_fit(
-        even_wave, peak.kappa, EvolutionConfig(scheme="splitting_order2")
+        even_ops, peak.kappa, EvolutionConfig(scheme="splitting_order2")
     )
     rel = abs(run.fitted_rate - run.predicted_rate) / run.predicted_rate
     assert rel <= 1e-4
 
 
-def test_random_seeds_mutually_consistent(even_wave, even_scan):
+def test_random_seeds_mutually_consistent(even_ops, even_scan):
     # different random seeds converge onto the same dominant rate once
     # growth dominates the projection transient
     peak = even_scan.most_unstable
     rates = []
     for rng_seed in (0, 1, 2):
         run = evolve_and_fit(
-            even_wave,
+            even_ops,
             peak.kappa,
             EvolutionConfig(seed="random", rng_seed=rng_seed),
         )
@@ -275,10 +275,10 @@ def test_splitting_steps_once_per_sector(name, sector, seed, parts, request, mon
     assert len(calls) == parts < run.times.size
 
 
-def test_stable_kappa_stays_bounded(const_wave):
+def test_stable_kappa_stays_bounded(const_ops):
     # kappa = 2 is beyond the constant's instability band: no growth at all
     run = evolve_and_fit(
-        const_wave, 2.0, EvolutionConfig(seed="random", final_time=20.0)
+        const_ops, 2.0, EvolutionConfig(seed="random", final_time=20.0)
     )
     assert run.predicted_rate <= 1e-8
     # no spurious growth: the signed rate may drift slightly negative from
@@ -287,38 +287,38 @@ def test_stable_kappa_stays_bounded(const_wave):
     assert np.max(run.norms) <= 10.0 * run.norms[0]
 
 
-def test_unstable_time_step_raises(even_wave, even_scan):
+def test_unstable_time_step_raises(even_ops, even_scan):
     peak = even_scan.most_unstable
-    probe = evolve_and_fit(even_wave, peak.kappa)
+    probe = evolve_and_fit(even_ops, peak.kappa)
     with pytest.raises(IntegratorError, match="try a smaller one"):
         evolve_and_fit(
-            even_wave,
+            even_ops,
             peak.kappa,
             EvolutionConfig(time_step=2.0 * probe.time_step),
         )
 
 
-def test_eigenvector_seed_requires_instability(const_wave):
+def test_eigenvector_seed_requires_instability(const_ops):
     with pytest.raises(ParameterError, match="use seed='random'"):
-        evolve_and_fit(const_wave, 2.0)
+        evolve_and_fit(const_ops, 2.0)
 
 
-def test_final_time_must_cover_ten_steps(even_wave, even_scan):
+def test_final_time_must_cover_ten_steps(even_ops, even_scan):
     peak = even_scan.most_unstable
     with pytest.raises(ParameterError, match="at least ten steps"):
         evolve_and_fit(
-            even_wave,
+            even_ops,
             peak.kappa,
             EvolutionConfig(time_step=0.01, final_time=0.05),
         )
 
 
-def test_a_step_count_past_int64_is_a_parameter_error(even_wave):
+def test_a_step_count_past_int64_is_a_parameter_error(even_ops):
     # at kappa = 1e10 the automatic dt is about 2.8e-20, so the default
     # ten time units take 3.6e20 steps; the samples' np.arange made object
     # arrays there, and np.exp failed on them
     with pytest.raises(ParameterError) as error:
-        evolve_and_fit(even_wave, 1e10, EvolutionConfig(seed="random"))
+        evolve_and_fit(even_ops, 1e10, EvolutionConfig(seed="random"))
     message = str(error.value)
     assert message.startswith("kappa=1e+10 with time_step ")
     assert "and final_time 10 takes " in message

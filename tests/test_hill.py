@@ -79,19 +79,19 @@ def test_parity_blocks_partition_full_spectrum(even_wave):
 # assembly and validation
 
 
-def test_block_layouts(even_wave):
+def test_block_layouts(even_wave, even_ops):
     basis = ParityBasis(FULL, even_wave.phi.grid)
     l1 = build_hill(even_wave, "L1", basis).entries
     l2 = build_hill(even_wave, "L2", basis).entries
     d = basis.dimension
 
-    lcal = build_block(even_wave, "Lcal").entries
+    lcal = build_block(even_ops, "Lcal").entries
     assert np.array_equal(lcal[:d, :d], l1)
     assert np.array_equal(lcal[d:, d:], l2)
     assert not lcal[:d, d:].any()
 
     kappa = 0.7
-    s = build_block(even_wave, "S_kappa", kappa=kappa).entries
+    s = build_block(even_ops, "S_kappa", kappa=kappa).entries
     assert np.allclose(s[:d, :d], l2 + kappa**2 * np.eye(d), rtol=0, atol=0)
     assert np.allclose(s[d:, d:], l1 + kappa**2 * np.eye(d), rtol=0, atol=0)
 
@@ -140,13 +140,13 @@ def test_build_hill_rejects_grid_mismatch(even_wave):
         build_hill(even_wave, "L1", other)
 
 
-def test_build_block_parameter_errors(even_wave):
+def test_build_block_parameter_errors(even_wave, even_ops):
     with pytest.raises(ParameterError):
-        build_block(even_wave, "Lcal", kappa=0.3)
+        build_block(even_ops, "Lcal", kappa=0.3)
     with pytest.raises(ParameterError):
-        build_block(even_wave, "S_kappa", kappa=-1.0)
+        build_block(even_ops, "S_kappa", kappa=-1.0)
     with pytest.raises(ParameterError):
-        build_block(even_wave, "M_kappa")
+        build_block(even_ops, "M_kappa")
     with pytest.raises(ParameterError, match="unknown sector"):
         build_block(hill_operators(even_wave, "diagonal"), "S_kappa", kappa=1.0)
 
@@ -165,20 +165,20 @@ def test_spectrum_rejects_bad_tolerance(const_wave):
 
 
 @pytest.mark.parametrize("tol", [True, False, np.True_, "1e-3", 1e-3 + 0j, [1e-3]])
-def test_a_zero_tolerance_that_is_no_real_number_is_rejected(even_wave, tol):
+def test_a_zero_tolerance_that_is_no_real_number_is_rejected(even_ops, tol):
     # a bool is not read as 1.0 or 0.0, nor a string or complex handed to numpy:
     # the spectra, propositions and hypotheses share the one gate
-    for check in (check_propositions, verify_hypotheses, lambda w, t: spectrum(w, "L1", t)):
+    for check in (check_propositions, verify_hypotheses, lambda o, t: spectrum(o, "L1", t)):
         with pytest.raises(ParameterError, match="zero tolerance must be a real number, got"):
-            check(even_wave, tol)
+            check(even_ops, tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_hypotheses_reject_a_bad_zero_tolerance(even_wave, tol):
+def test_hypotheses_reject_a_bad_zero_tolerance(even_ops, tol):
     # the hypotheses gate the tolerance as the spectra and propositions do
     for check in (check_propositions, verify_hypotheses):
         with pytest.raises(ParameterError, match="zero tolerance must be positive"):
-            check(even_wave, zero_tolerance=tol)
+            check(even_ops, zero_tolerance=tol)
 
 
 def test_eigenfunction_export(even_wave):
@@ -295,21 +295,21 @@ def test_eigenfunction_export_rejects_out_of_range_counts():
 
 
 @pytest.mark.parametrize("count", [1.5, 2.0, "2", None, True, False, np.True_])
-def test_eigenfunction_export_rejects_counts_that_are_no_integer(even_wave, count):
+def test_eigenfunction_export_rejects_counts_that_are_no_integer(even_ops, count):
     # a bool is not a count of one or none, nor a float or string a count at all
     message = rf"n_eigenfunctions must be an integer in \[0, 128\], got {re.escape(repr(count))}$"
     with pytest.raises(ParameterError, match=message):
-        spectrum(even_wave, "L1", n_eigenfunctions=count)
+        spectrum(even_ops, "L1", n_eigenfunctions=count)
 
 
-def test_eigenfunction_export_rejects_blocks(even_wave):
+def test_eigenfunction_export_rejects_blocks(even_ops):
     with pytest.raises(ParameterError, match="single-component"):
-        spectrum(even_wave, "Lcal", n_eigenfunctions=1)
+        spectrum(even_ops, "Lcal", n_eigenfunctions=1)
 
 
-def test_spectrum_rejects_an_unknown_operator(even_wave):
+def test_spectrum_rejects_an_unknown_operator(even_ops):
     with pytest.raises(ParameterError, match="'L1', 'L2' or 'Lcal', got 'S_kappa'"):
-        spectrum(even_wave, "S_kappa")
+        spectrum(even_ops, "S_kappa")
 
 
 @pytest.mark.parametrize("label", ["Lcal", "L3", "l1"])
@@ -325,11 +325,12 @@ def test_store_spectra_take_only_l1_and_l2(label):
 
 @pytest.mark.parametrize("name", ["even", "const"])
 def test_propositions_and_h4_gate_the_negative_eigenvalue_by_one_rule(name, request):
-    # "negative eigenvalue simple" and (H4) read one helper on the same Lcal
-    wave = request.getfixturevalue(f"{name}_wave")
-    simple, gap = _one_simple_negative(spectrum(hill_operators(wave, "full"), "Lcal"))
-    check = {c.name: c for c in check_propositions(wave).checks}["negative eigenvalue simple"]
-    h4 = verify_hypotheses(wave).h4
+    # "negative eigenvalue simple" and (H4) read one helper on the same Lcal,
+    # of the full-space "auto" store of an even wave and of the constant state
+    ops = request.getfixturevalue(f"{name}_ops")
+    simple, gap = _one_simple_negative(spectrum(ops, "Lcal"))
+    check = {c.name: c for c in check_propositions(ops).checks}["negative eigenvalue simple"]
+    h4 = verify_hypotheses(ops).h4
     assert check.passed == h4["passed"] == simple
     assert check.margin == h4["gap"] == gap
     assert simple == (name == "even")
@@ -381,9 +382,10 @@ def test_block_spectra_match_dense_solve(even_wave, odd_wave, size):
             assert h4["n_negative"] == int(np.sum(dense_eigs < -h4["zero_tolerance"]))
             assert abs(h4["lowest"] - dense_eigs[0]) <= 1e-13 * np.max(np.abs(s0.entries))
 
-        checks = {c.name: c for c in check_propositions(wave).checks}
+        full_ops = hill_operators(wave, "full")
+        checks = {c.name: c for c in check_propositions(full_ops).checks}
         if wave.params.parity == "even":
-            full = build_block(hill_operators(wave, "full"), "Lcal")
+            full = build_block(full_ops, "Lcal")
             lcal = dense_summary(full)
             assert checks["n(Lcal)"].actual == str(lcal.n_negative)
             assert checks["z(Lcal)"].actual == str(lcal.kernel_dimension)
@@ -424,10 +426,11 @@ def test_the_sector_is_chosen_where_the_store_is_made(even_wave, odd_wave):
         odd.restrict("even")
 
 
-def test_propositions_read_the_full_space(odd_wave):
-    # a wave gets its full store; a store on another sector cannot serve it
+def test_propositions_read_the_full_space(odd_wave, odd_full_ops):
+    # two assemblies of the full store report alike; a store on another
+    # sector cannot serve the propositions
     full = hill_operators(odd_wave, "full")
-    assert check_propositions(odd_wave) == check_propositions(full)
+    assert check_propositions(odd_full_ops) == check_propositions(full)
     with pytest.raises(ParameterError, match="'odd' sector cannot serve the 'full' sector"):
         check_propositions(hill_operators(odd_wave))
 
@@ -436,8 +439,8 @@ def test_propositions_read_the_full_space(odd_wave):
 def test_whole_basis_operators_are_assembled_from_the_wave(even_wave, odd_wave, size):
     # build_block and evolution_block assemble L1 and L2 on the whole basis
     # from the store's wave: the same bits from a full store, a sector store,
-    # each view of a full store and, on its "auto" sector, the wave itself,
-    # and the store's sector blocks on the diagonal
+    # each view of a full store and, on its "auto" sector, the wave's "auto"
+    # store, and the store's sector blocks on the diagonal
     kappa = 0.7
     for wave in (wave_at_resolution(even_wave, size), wave_at_resolution(odd_wave, size)):
         full = hill_operators(wave, "full")
@@ -448,7 +451,7 @@ def test_whole_basis_operators_are_assembled_from_the_wave(even_wave, odd_wave, 
             growth, basis = evolution_block(store, kappa)
             sources = [store, full.restrict(sector)]
             if sector == resolve_sector(wave, "auto"):
-                sources.append(wave)
+                sources.append(hill_operators(wave))
             for source in sources:
                 assert np.array_equal(build_block(source, "Lcal").entries, lcal.entries)
                 s_source = build_block(source, "S_kappa", kappa)
@@ -468,21 +471,21 @@ def test_whole_basis_operators_are_assembled_from_the_wave(even_wave, odd_wave, 
 # the exact kappa^2 shift
 
 
-def test_shift_holds_at_matrix_level(even_wave):
-    base = build_block(even_wave, "S_kappa", kappa=0.0).entries
+def test_shift_holds_at_matrix_level(even_ops):
+    base = build_block(even_ops, "S_kappa", kappa=0.0).entries
     for kappa in (0.5, 1.0, 1.3):
-        shifted = build_block(even_wave, "S_kappa", kappa=kappa).entries
+        shifted = build_block(even_ops, "S_kappa", kappa=kappa).entries
         d = base.shape[0]
         assert np.array_equal(shifted, base + kappa**2 * np.eye(d))
 
 
-def test_shift_family_crosschecks_direct_solves(even_wave):
+def test_shift_family_crosschecks_direct_solves(even_ops):
     # S(kappa) = S(0) + kappa^2 I: the store's spectrum of S(0), shifted,
     # against a direct solve of each S(kappa)
-    base = spectrum(even_wave, "Lcal").eigenvalues
+    base = spectrum(even_ops, "Lcal").eigenvalues
     for kappa in [0.5, 1.3]:
         direct = scipy.linalg.eigh(
-            build_block(even_wave, "S_kappa", kappa=kappa).entries, eigvals_only=True
+            build_block(even_ops, "S_kappa", kappa=kappa).entries, eigvals_only=True
         )
         scale = 1.0 + np.max(np.abs(direct))
         assert np.max(np.abs(base + kappa**2 - direct)) <= 1e-10 * scale
@@ -492,10 +495,10 @@ def test_shift_family_crosschecks_direct_solves(even_wave):
 # resolution robustness
 
 
-def test_grid_doubling_stabilizes_lcal_spectrum(even_wave):
+def test_grid_doubling_stabilizes_lcal_spectrum(even_wave, even_ops):
     fine = wave_at_resolution(even_wave, 2 * even_wave.phi.grid.size)
-    coarse_eigs = spectrum(even_wave, "Lcal").eigenvalues[:10]
-    fine_eigs = spectrum(fine, "Lcal").eigenvalues[:10]
+    coarse_eigs = spectrum(even_ops, "Lcal").eigenvalues[:10]
+    fine_eigs = spectrum(hill_operators(fine), "Lcal").eigenvalues[:10]
     assert np.max(np.abs(coarse_eigs - fine_eigs)) <= 1e-9
 
 
@@ -503,8 +506,8 @@ def test_grid_doubling_stabilizes_lcal_spectrum(even_wave):
 # proposition checks
 
 
-def test_even_wave_propositions(even_wave):
-    report = check_propositions(even_wave)
+def test_even_wave_propositions(even_ops):
+    report = check_propositions(even_ops)
     assert report.passed
     assert report.parity == "even"
     by_name = {c.name: c for c in report.checks}
@@ -515,12 +518,12 @@ def test_even_wave_propositions(even_wave):
     assert by_name["kernel residual (phi',0)"].margin <= 1e-7
     assert by_name["kernel residual (0,phi)"].margin <= 1e-7
     # simplicity gap clears the tolerance with a factor-10 margin
-    lcal = spectrum(even_wave, "Lcal")
+    lcal = spectrum(even_ops, "Lcal")
     assert by_name["negative eigenvalue simple"].margin >= 10.0 * lcal.zero_tolerance
 
 
-def test_odd_wave_propositions(odd_wave):
-    report = check_propositions(odd_wave)
+def test_odd_wave_propositions(odd_ops, odd_full_ops):
+    report = check_propositions(odd_full_ops)
     assert report.passed
     assert report.parity == "odd"
     by_name = {c.name: c for c in report.checks}
@@ -529,7 +532,7 @@ def test_odd_wave_propositions(odd_wave):
     assert by_name["n(L2,odd)"].actual == "0"
     assert by_name["z(Lcal,odd)"].actual == "1"
     assert by_name["kernel residual (0,phi)"].margin <= 1e-7
-    lcal = spectrum(hill_operators(odd_wave, "odd"), "Lcal")
+    lcal = spectrum(odd_ops, "Lcal")
     assert by_name["lambda0(L1,odd) < lambda0(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
     assert by_name["lambda1(L1,odd) < lambda1(L2,odd)"].margin >= 10.0 * lcal.zero_tolerance
 
@@ -542,7 +545,7 @@ def test_constant_minimizers_flagged_outside_regime():
             ProblemParams(alpha=alpha, omega=1.0, period=TWO_PI, tau=5.0, parity="even")
         )
         assert np.ptp(wave.phi.values) == 0.0
-        report = check_propositions(wave)
+        report = check_propositions(hill_operators(wave, "full"))
         assert not report.passed
         assert any("constant" in note for note in report.notes)
         by_name = {c.name: c for c in report.checks}

@@ -72,23 +72,23 @@ def quadruple_defect(eigenvalues: np.ndarray) -> float:
 # constant-state closed form
 
 
-def test_constant_growth_closed_form(const_wave):
+def test_constant_growth_closed_form(const_ops):
     for kappa in (0.5, 1.0, 1.3):
-        eigs = instability_eigs(const_wave, kappa)
+        eigs = instability_eigs(const_ops, kappa)
         expected = oracles.constant_growth_rate(kappa, 2.0, 1.0, TWO_PI)
         assert abs(eigs.max_real_part - expected) <= 1e-8
 
 
-def test_constant_band_edge(const_wave):
-    scan = scan_kappa(const_wave, 0.05, 2.0, 40)
+def test_constant_band_edge(const_ops):
+    scan = scan_kappa(const_ops, 0.05, 2.0, 40)
     assert scan.verdict == "transversally unstable"
     assert len(scan.band_edges) == 1
     assert abs(scan.band_edges[0] - np.sqrt(2.0)) <= 1e-4
 
 
-def test_constant_stable_beyond_cutoff(const_wave):
+def test_constant_stable_beyond_cutoff(const_ops):
     # above kappa = sqrt(alpha * omega) every mode is neutral
-    scan = scan_kappa(const_wave, 1.5, 2.5, 11)
+    scan = scan_kappa(const_ops, 1.5, 2.5, 11)
     assert scan.verdict == "no instability detected"
     assert max(r.max_real_part for r in scan.records) <= 1e-8
 
@@ -115,10 +115,10 @@ def test_odd_scan_unstable_band(odd_scan, odd_hypotheses):
     assert abs(odd_scan.band_edges[-1] - odd_hypotheses.h1["K"]) <= 1e-4
 
 
-def test_stability_above_threshold(even_wave, even_hypotheses):
+def test_stability_above_threshold(even_ops, even_hypotheses):
     k_thresh = even_hypotheses.h1["K"]
     for kappa in (k_thresh * 1.001, k_thresh + 0.5, k_thresh + 2.0):
-        eigs = instability_eigs(even_wave, kappa)
+        eigs = instability_eigs(even_ops, kappa)
         assert eigs.max_real_part <= 1e-8
 
 
@@ -135,14 +135,14 @@ def test_quadruple_symmetry_across_scan(
             check_reduced_row(ops, row)
 
 
-def test_lambda_squared_reduction_independent(even_wave):
+def test_lambda_squared_reduction_independent(even_wave, even_ops):
     # lambda^2 must be an eigenvalue of -(L2+k^2)(L1+k^2), assembled here
     # from the scalar operators directly
     basis = ParityBasis(FULL, even_wave.phi.grid)
     l1 = build_hill(even_wave, "L1", basis).entries
     l2 = build_hill(even_wave, "L2", basis).entries
     for kappa in (0.3, 1.0, 1.5):
-        eigs = instability_eigs(even_wave, kappa)
+        eigs = instability_eigs(even_ops, kappa)
         shift = kappa**2 * np.eye(basis.dimension)
         nu = scipy.linalg.eigvals(-(l2 + shift) @ (l1 + shift))
         top = np.argsort(np.abs(eigs.eigenvalues))[-10:]
@@ -151,9 +151,9 @@ def test_lambda_squared_reduction_independent(even_wave):
             assert float(np.min(np.abs(nu - lam2))) <= 1e-7 * (1.0 + abs(lam2))
 
 
-def test_evolution_block_layout(even_wave):
+def test_evolution_block_layout(even_wave, even_ops):
     kappa = 0.8
-    block, basis = evolution_block(even_wave, kappa)
+    block, basis = evolution_block(even_ops, kappa)
     d = basis.dimension
     l1 = build_hill(even_wave, "L1", basis).entries
     l2 = build_hill(even_wave, "L2", basis).entries
@@ -179,17 +179,17 @@ def test_evolution_block_matches_column_reference(even_wave, odd_wave, size):
             assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_kappa_zero_generalized_kernel(even_wave):
+def test_kappa_zero_generalized_kernel(even_ops):
     # at kappa = 0 the symmetry generators give a four-dimensional generalized
     # kernel (two Jordan blocks); everything else is oscillatory
-    eigs = instability_eigs(even_wave, 0.0)
+    eigs = instability_eigs(even_ops, 0.0)
     assert eigs.max_real_part <= 1e-5
     small = np.sum(np.abs(eigs.eigenvalues) <= 1e-4)
     assert small == 4
 
 
-def test_eigenvalues_stay_complex(even_wave, even_scan, odd_full_scan, scan_rows):
-    assert instability_eigs(even_wave, 1.0).eigenvalues.dtype == np.complex128
+def test_eigenvalues_stay_complex(even_ops, even_scan, odd_full_scan, scan_rows):
+    assert instability_eigs(even_ops, 1.0).eigenvalues.dtype == np.complex128
     for name, scan in (("even", even_scan), ("odd_full", odd_full_scan)):  # reduced and dense rows
         assert all(r.eigenvalues.dtype == np.complex128 for r in scan_rows(name))
         assert all(type(r.leading_lambda) is complex for r in scan.records if r.leading_lambda)
@@ -240,7 +240,7 @@ def test_scan_records_are_the_row_solver_records(name, request, scan_rows):
 
 
 def test_scan_is_deterministic(even_wave, even_scan, dense_rows, scan_rows):
-    again = scan_kappa(even_wave, 0.05, 1.8, 60)
+    again = scan_kappa(hill_operators(even_wave), 0.05, 1.8, 60)
     assert np.array_equal(again.kappa_values, even_scan.kappa_values)
     for a, b in zip(again.records, even_scan.records):
         assert a == b
@@ -335,11 +335,11 @@ def test_reduced_band_edges_and_verdict_match_dense(name, request, dense_rows):
     # every edge lies where L2 + kappa^2 >= 0 and is read from the L1 spectrum,
     # whose lowest eigenvalue is that of S(0) since L1 <= L2
     assert scan.dense_bisections == 0
-    lambda0 = verify_hypotheses(wave).h1["lambda0"]
+    ops = hill_operators(wave, scan.sector)
+    lambda0 = verify_hypotheses(ops).h1["lambda0"]
     assert scan.band_edges[-1] == pytest.approx(np.sqrt(lambda0), rel=1e-12)
 
     # the dense growth rate crosses EDGE_LEVEL within EDGE_RESOLUTION of each edge
-    ops = hill_operators(wave, scan.sector)
 
     def dense_growth(kappa):
         return instability_eigs(ops, kappa).max_real_part
@@ -447,22 +447,44 @@ def test_dense_rows_build_only_sector_blocks(odd_wave, monkeypatch):
     assert row.path == "dense"
 
 
-def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_wave, solve_row):
+def test_a_dense_row_that_fails_the_lambda_squared_check_fails_the_scan(odd_wave, monkeypatch):
+    # the odd wave in the full space from kappa = 0.05: L2 + kappa^2 is
+    # indefinite there, so the first row is dense; every nu of its unsymmetric
+    # product scaled by 1 + 1e-3 leaves no lambda^2 within CROSSCHECK_RTOL
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1.0 + 1e-3))
+    ops = hill_operators(odd_wave, "full")
+    with pytest.raises(NumericalConsistencyError, match=r"cross-check at kappa=0\.05 "):
+        scan_kappa(ops, 0.05, 1.0, 8)
+    with pytest.raises(NumericalConsistencyError, match=r"cross-check at kappa=0\.05 "):
+        instability_eigs(ops, 0.05)
+
+
+def test_a_dense_row_that_breaks_quadruple_symmetry_fails_the_scan(odd_wave, monkeypatch):
+    # the same scan from kappa = 0, whose dense rows come first: a defect of
+    # 1e-6, above SYMMETRY_TOL, on every dense row stops the scan at kappa = 0
+    monkeypatch.setattr("gnlstab.scan._symmetry_defect", lambda eigenvalues: 1e-6)
+    assert SYMMETRY_TOL < 1e-6
+    with pytest.raises(NumericalConsistencyError, match="symmetry broken at kappa=0: defect 1"):
+        scan_kappa(hill_operators(odd_wave, "full"), 0.0, 1.0, 8)
+
+
+def test_unresolved_rows_at_kappa_zero_take_the_dense_solver(odd_ops, solve_row):
     # at kappa = 0 the symmetry generators form a Jordan block and mu = -lambda^2
     # sits at rounding level, where sqrt(|mu|) would read as growth above
     # EDGE_LEVEL and hide the band edge right above kappa = 0
-    scan = scan_kappa(odd_wave, 0.0, 0.5, 4)
+    scan = scan_kappa(odd_ops, 0.0, 0.5, 4)
     # the kappa = 0 row is dense, but L2 >= 0 on the odd sector: the edge is
     # the band end 0 of the inertia law, not a bisection
     assert scan.dense_rows == 1 and scan.dense_bisections == 0
-    dense0 = instability_eigs(odd_wave, 0.0)
+    dense0 = instability_eigs(odd_ops, 0.0)
     row0 = solve_row("odd", scan.records[0].kappa)
     assert row0.path == scan.records[0].path == "dense"
     assert np.array_equal(row0.eigenvalues, dense0.eigenvalues)
     assert dense0.max_real_part < EDGE_LEVEL
     assert len(scan.band_edges) == 1 and scan.band_edges[0] <= EDGE_RESOLUTION
     assert scan.band_edges[0] == 0.0
-    above = instability_eigs(odd_wave, scan.band_edges[0] + EDGE_RESOLUTION)
+    above = instability_eigs(odd_ops, scan.band_edges[0] + EDGE_RESOLUTION)
     assert above.max_real_part > EDGE_LEVEL
 
 
@@ -933,8 +955,9 @@ def test_full_scan_merges_the_sector_scans(even_wave, even_scan, scan_rows, solv
 def test_coupling_above_the_floor_is_rejected(even_wave, monkeypatch):
     # an odd part delta * sin(2 pi x / L) in the potential couples cos 0 and
     # sin 1 by delta / sqrt(2); at delta 1e3 times the rounding floor
-    # d * eps * max|entries| the potential is not even, and every full-space
-    # solve must refuse to split the operators
+    # d * eps * max|entries| the potential is not even, and the full-space
+    # store of every solve, assembled under the odd part, must refuse to
+    # split the operators
     grid = even_wave.phi.grid
     full = ParityBasis(FULL, grid)
     entries = build_hill(even_wave, "L1", full).entries
@@ -943,11 +966,11 @@ def test_coupling_above_the_floor_is_rejected(even_wave, monkeypatch):
     potential = hill._potential
     monkeypatch.setattr(hill, "_potential", lambda wave, which: potential(wave, which) + odd)
     solves = [
-        lambda: scan_kappa(even_wave, 0.05, 1.8, 4),
-        lambda: instability_eigs(even_wave, 1.0),
-        lambda: spectrum(even_wave, "L1"),
-        lambda: spectrum(even_wave, "Lcal"),
-        lambda: verify_hypotheses(even_wave),
+        lambda: scan_kappa(hill_operators(even_wave), 0.05, 1.8, 4),
+        lambda: instability_eigs(hill_operators(even_wave), 1.0),
+        lambda: spectrum(hill_operators(even_wave), "L1"),
+        lambda: spectrum(hill_operators(even_wave), "Lcal"),
+        lambda: verify_hypotheses(hill_operators(even_wave)),
     ]
     for solve in solves:
         with pytest.raises(NumericalConsistencyError, match="coupling .* rounding floor"):
@@ -972,7 +995,7 @@ BISECTED_EDGES = {
 
 @pytest.fixture(scope="module")
 def odd_from_zero_scan(odd_wave):
-    return scan_kappa(odd_wave, 0.0, 4.0, 60)
+    return scan_kappa(hill_operators(odd_wave), 0.0, 4.0, 60)
 
 
 @pytest.mark.parametrize("name", list(BISECTED_EDGES))
@@ -994,7 +1017,7 @@ def test_forced_dense_rows_bisect_to_the_inertia_edges(odd_wave, odd_hypotheses,
         return _crosscheck(*args)
 
     monkeypatch.setattr("gnlstab.scan._crosscheck", counted)
-    scan = scan_kappa(odd_wave, 0.0, 4.0, 8)
+    scan = scan_kappa(hill_operators(odd_wave), 0.0, 4.0, 8)
     assert scan.reduced_rows == 0 and scan.dense_rows == 8
     assert scan.dense_bisections >= 1
     # every dense solve, each bisection step included, is cross-checked once per sector
@@ -1064,11 +1087,11 @@ def test_even_hypotheses_pass(even_wave, even_hypotheses):
 def test_hypotheses_shift_matches_dense_solves(name, request):
     # (H1) takes lambda_min(S(K)) = lambda_min(S(0)) + K^2 = beta from one
     # spectrum of S(0); here S(0) + K^2 gets its own dense solve instead
-    wave = request.getfixturevalue(f"{name}_wave")
-    report = verify_hypotheses(wave)
+    ops = request.getfixturevalue(f"{name}_ops")
+    report = verify_hypotheses(ops)
     h1 = report.h1
     assert h1["K"] > 0.0
-    s0 = build_block(hill_operators(wave, report.sector), "S_kappa", 0.0).entries
+    s0 = build_block(ops, "S_kappa", 0.0).entries
     shifted = s0 + h1["K"] ** 2 * np.eye(s0.shape[0])
     lowest = float(scipy.linalg.eigh(shifted, eigvals_only=True)[0])
     assert abs(lowest - h1["beta"]) <= 1e-12 * np.max(np.abs(s0))
@@ -1080,18 +1103,18 @@ def test_odd_hypotheses_pass(odd_hypotheses):
     assert odd_hypotheses.h4["n_negative"] == 1
 
 
-def test_constant_fails_hypotheses(const_wave):
+def test_constant_fails_hypotheses(const_ops):
     # L1 contributes three negative directions to S(0): the one-negative-
     # eigenvalue assumption genuinely fails for the constant state
-    report = verify_hypotheses(const_wave)
+    report = verify_hypotheses(const_ops)
     assert not report.overall
     assert not report.h4["passed"]
     assert report.h4["n_negative"] == 3
 
 
-def test_hypotheses_margin_stays_writable_at_a_tiny_tolerance(odd_wave):
+def test_hypotheses_margin_stays_writable_at_a_tiny_tolerance(odd_ops):
     # gap / (10 * 1e-320) overflows; the report caps it so that it still serializes
-    report = verify_hypotheses(odd_wave, zero_tolerance=1e-320)
+    report = verify_hypotheses(odd_ops, zero_tolerance=1e-320)
     assert report.h4["margin"] == np.finfo(float).max
     assert serialize.loads(serialize.dumps(report)).h4 == report.h4
 
@@ -1108,20 +1131,20 @@ def test_resolve_sector(even_wave, odd_wave):
         resolve_sector(even_wave, "sideways")
 
 
-def test_scan_input_validation(even_wave):
+def test_scan_input_validation(even_ops):
     with pytest.raises(ParameterError):
-        scan_kappa(even_wave, -0.1, 1.0, 10)
+        scan_kappa(even_ops, -0.1, 1.0, 10)
     with pytest.raises(ParameterError):
-        scan_kappa(even_wave, 1.0, 0.5, 10)
+        scan_kappa(even_ops, 1.0, 0.5, 10)
     with pytest.raises(ParameterError):
-        scan_kappa(even_wave, 0.1, 1.0, 1)
+        scan_kappa(even_ops, 0.1, 1.0, 1)
     with pytest.raises(ParameterError):
-        scan_kappa(even_wave, 0.1, float("inf"), 10)
+        scan_kappa(even_ops, 0.1, float("inf"), 10)
     for steps in (10.5, float("nan"), "10"):
         with pytest.raises(ParameterError, match="integer"):
-            scan_kappa(even_wave, 0.05, 2.0, steps)
+            scan_kappa(even_ops, 0.05, 2.0, steps)
     with pytest.raises(ParameterError):
-        instability_eigs(even_wave, -0.5)
+        instability_eigs(even_ops, -0.5)
 
 
 @pytest.mark.parametrize("kappa", [1e40, 1e150, 1e200, 1e300])

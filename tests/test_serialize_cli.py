@@ -16,7 +16,7 @@ from gnlstab import cli, serialize
 from gnlstab.cli import build_parser, main
 from gnlstab.errors import FormatError, ParameterError, WaveAcceptanceError
 from gnlstab.evolve import EvolutionConfig, evolve_and_fit
-from gnlstab.hill import SpectrumSummary, check_propositions, spectrum
+from gnlstab.hill import SpectrumSummary, check_propositions, hill_operators, spectrum
 from gnlstab.scan import HypothesisReport, scan_kappa
 from gnlstab.spectral import ParityBasis
 from gnlstab.waves import WaveProfile
@@ -41,8 +41,8 @@ def test_wave_roundtrip_bit_identical(even_wave):
     assert again.detected_period == even_wave.detected_period
 
 
-def test_spectrum_roundtrip(even_wave):
-    summary = spectrum(even_wave, "L1")
+def test_spectrum_roundtrip(even_wave, even_ops):
+    summary = spectrum(even_ops, "L1")
     again = serialize.loads(serialize.dumps(summary))
     assert np.array_equal(again.eigenvalues, summary.eigenvalues)
     assert again.n_negative == summary.n_negative
@@ -52,8 +52,8 @@ def test_spectrum_roundtrip(even_wave):
     assert again.label == "L1" and again.wave_id == even_wave.wave_id
 
 
-def test_propositions_roundtrip(even_wave):
-    report = check_propositions(even_wave)
+def test_propositions_roundtrip(even_ops):
+    report = check_propositions(even_ops)
     again = serialize.loads(serialize.dumps(report))
     assert again.wave_id == report.wave_id
     assert again.parity == report.parity
@@ -77,8 +77,8 @@ def test_hypotheses_roundtrip(even_hypotheses):
         assert getattr(again, name) == getattr(even_hypotheses, name)
 
 
-def test_scan_roundtrip(const_wave):
-    scan = scan_kappa(const_wave, 0.3, 1.7, 8)
+def test_scan_roundtrip(const_ops):
+    scan = scan_kappa(const_ops, 0.3, 1.7, 8)
     again = serialize.loads(serialize.dumps(scan))
     assert again.wave_id == scan.wave_id
     assert again.sector == scan.sector
@@ -113,16 +113,16 @@ def test_scan_solver_paths_roundtrip(tmp_path, even_scan, odd_full_scan):
     assert odd_full_scan.reduced_rows >= 1 and odd_full_scan.dense_rows >= 1
 
 
-def test_scan_payload_requires_solver_paths(const_wave):
-    text = serialize.dumps(scan_kappa(const_wave, 0.3, 1.7, 4))
+def test_scan_payload_requires_solver_paths(const_ops):
+    text = serialize.dumps(scan_kappa(const_ops, 0.3, 1.7, 4))
     document = json.loads(text)
     del document["payload"]["dense_rows"]
     with pytest.raises(FormatError, match="dense_rows"):
         serialize.loads(json.dumps(document))
 
 
-def test_growth_roundtrip(const_wave):
-    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
+def test_growth_roundtrip(const_ops):
+    gm = evolve_and_fit(const_ops, 1.0, EvolutionConfig(final_time=8.0))
     again = serialize.loads(serialize.dumps(gm))
     assert np.array_equal(again.times, gm.times)
     assert np.array_equal(again.norms, gm.norms)
@@ -137,13 +137,13 @@ def test_growth_roundtrip(const_wave):
     )
 
 
-def test_json_bytes_stable(even_wave, even_hypotheses, const_wave):
-    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
-    scan = scan_kappa(const_wave, 0.3, 1.7, 8)
+def test_json_bytes_stable(even_wave, even_ops, even_hypotheses, const_wave, const_ops):
+    gm = evolve_and_fit(const_ops, 1.0, EvolutionConfig(final_time=8.0))
+    scan = scan_kappa(const_ops, 0.3, 1.7, 8)
     records = [
         even_wave,
-        spectrum(even_wave, "L1"),
-        check_propositions(even_wave),
+        spectrum(even_ops, "L1"),
+        check_propositions(even_ops),
         even_hypotheses,
         scan,
         gm,
@@ -152,7 +152,8 @@ def test_json_bytes_stable(even_wave, even_hypotheses, const_wave):
         text = serialize.dumps(record)
         assert text.endswith("\n") and text.count("\n") == 1  # one compact line
         assert serialize.dumps(serialize.loads(text)) == text
-    assert serialize.dumps(scan_kappa(const_wave, 0.3, 1.7, 8)) == serialize.dumps(scan)
+    again = scan_kappa(hill_operators(const_wave), 0.3, 1.7, 8)
+    assert serialize.dumps(again) == serialize.dumps(scan)
 
 
 def test_numpy_scalars_roundtrip_as_python_values(even_hypotheses):
@@ -217,8 +218,8 @@ def test_top_level_must_be_object():
         serialize.loads("[1, 2, 3]")
 
 
-def test_nonfinite_floats_rejected(even_wave):
-    summary = spectrum(even_wave, "L2")
+def test_nonfinite_floats_rejected(even_ops):
+    summary = spectrum(even_ops, "L2")
     bad = SpectrumSummary(
         label=summary.label,
         wave_id=summary.wave_id,
@@ -254,8 +255,8 @@ def test_unserializable_values_raise_format_error(body, type_name):
 # CSV exports
 
 
-def test_spectrum_csv_shape(even_wave):
-    summary = spectrum(even_wave, "Lcal")
+def test_spectrum_csv_shape(even_ops):
+    summary = spectrum(even_ops, "Lcal")
     text = serialize.spectrum_csv(summary)
     lines = text.splitlines()
     assert lines[0] == "index,eigenvalue"
@@ -263,8 +264,8 @@ def test_spectrum_csv_shape(even_wave):
     assert text.endswith("\n")
 
 
-def test_scan_csv_header_and_stable_rows(const_wave):
-    scan = scan_kappa(const_wave, 1.5, 2.5, 5)
+def test_scan_csv_header_and_stable_rows(const_ops):
+    scan = scan_kappa(const_ops, 1.5, 2.5, 5)
     text = serialize.scan_csv(scan)
     lines = text.splitlines()
     assert lines[0] == "kappa,max_real_part,num_unstable_modes,leading_lambda_re,leading_lambda_im"
@@ -276,8 +277,8 @@ def test_scan_csv_header_and_stable_rows(const_wave):
         assert float(cells[3]) == 0.0 and float(cells[4]) == 0.0
 
 
-def test_growth_csv_header(const_wave):
-    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
+def test_growth_csv_header(const_ops):
+    gm = evolve_and_fit(const_ops, 1.0, EvolutionConfig(final_time=8.0))
     text = serialize.growth_csv(gm)
     lines = text.splitlines()
     assert lines[0] == "t,norm"
@@ -285,8 +286,8 @@ def test_growth_csv_header(const_wave):
 
 
 def test_scan_csv_bytes_deterministic(const_wave):
-    a = serialize.scan_csv(scan_kappa(const_wave, 0.3, 1.7, 8))
-    b = serialize.scan_csv(scan_kappa(const_wave, 0.3, 1.7, 8))
+    a = serialize.scan_csv(scan_kappa(hill_operators(const_wave), 0.3, 1.7, 8))
+    b = serialize.scan_csv(scan_kappa(hill_operators(const_wave), 0.3, 1.7, 8))
     assert a == b
 
 
@@ -294,8 +295,8 @@ def _hex_column(lines, column):
     return [float(line.split(",")[column]).hex() for line in lines[1:]]
 
 
-def test_csv_floats_parse_back_exactly(even_wave, even_scan, const_wave):
-    summary = spectrum(even_wave, "L1")
+def test_csv_floats_parse_back_exactly(even_ops, even_scan, const_ops):
+    summary = spectrum(even_ops, "L1")
     lines = serialize.spectrum_csv(summary).splitlines()
     assert _hex_column(lines, 1) == [float(x).hex() for x in summary.eigenvalues]
 
@@ -306,7 +307,7 @@ def test_csv_floats_parse_back_exactly(even_wave, even_scan, const_wave):
     assert _hex_column(lines, 3) == [z.real.hex() for z in leading]
     assert _hex_column(lines, 4) == [z.imag.hex() for z in leading]
 
-    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
+    gm = evolve_and_fit(const_ops, 1.0, EvolutionConfig(final_time=8.0))
     lines = serialize.growth_csv(gm).splitlines()
     assert _hex_column(lines, 0) == [float(t).hex() for t in gm.times]
     assert _hex_column(lines, 1) == [float(n).hex() for n in gm.norms]
@@ -319,8 +320,8 @@ def _refusal(shown):
 
 
 @pytest.mark.parametrize("name", ["nan", "inf", "-inf"])
-def test_spectrum_csv_refuses_a_non_finite_eigenvalue(name, even_wave):
-    summary = spectrum(even_wave, "L1")
+def test_spectrum_csv_refuses_a_non_finite_eigenvalue(name, even_ops):
+    summary = spectrum(even_ops, "L1")
     eigenvalues = summary.eigenvalues.copy()
     eigenvalues[[3, 7]] = float(name), np.nan
     bad = dataclasses.replace(summary, eigenvalues=eigenvalues)
@@ -329,8 +330,8 @@ def test_spectrum_csv_refuses_a_non_finite_eigenvalue(name, even_wave):
 
 
 @pytest.mark.parametrize("name", ["nan", "inf", "-inf"])
-def test_scan_csv_refuses_a_non_finite_row_value(name, const_wave):
-    scan = scan_kappa(const_wave, 0.3, 1.7, 8)
+def test_scan_csv_refuses_a_non_finite_row_value(name, const_ops):
+    scan = scan_kappa(const_ops, 0.3, 1.7, 8)
     records = list(scan.records)
     records[2] = dataclasses.replace(records[2], leading_lambda=complex(0.5, float(name)))
     records[5] = dataclasses.replace(records[5], kappa=np.nan)
@@ -340,8 +341,8 @@ def test_scan_csv_refuses_a_non_finite_row_value(name, const_wave):
 
 
 @pytest.mark.parametrize("name", ["nan", "inf", "-inf"])
-def test_growth_csv_refuses_a_non_finite_sample(name, const_wave):
-    gm = evolve_and_fit(const_wave, 1.0, EvolutionConfig(final_time=8.0))
+def test_growth_csv_refuses_a_non_finite_sample(name, const_ops):
+    gm = evolve_and_fit(const_ops, 1.0, EvolutionConfig(final_time=8.0))
     norms = np.array(gm.norms, dtype=float)
     norms[[4, 9]] = float(name), np.nan
     with pytest.raises(FormatError, match=_refusal(name)):
@@ -486,13 +487,15 @@ def test_cli_dns_summary(tmp_path, even_wave, even_scan):
     assert (tmp_path / "growth.csv").read_text().startswith("t,norm")
 
 
-def test_cli_dns_without_kappa_runs_on_the_default_grid(tmp_path, odd_wave, odd_hypotheses, capsys):
+def test_cli_dns_without_kappa_runs_on_the_default_grid(
+    tmp_path, odd_wave, odd_ops, odd_hypotheses, capsys
+):
     # dns has no scan flags: without --kappa it scans 60 rows from 0 to 1.1 K
     # and integrates at the most unstable one
     wave_path = store_wave(odd_wave, tmp_path / "wave.json")
     assert main(["dns", "--wave", wave_path, "--out", str(tmp_path)]) == 0
     assert "most unstable kappa on default grid" in capsys.readouterr().out
-    grid = scan_kappa(odd_wave, 0.0, 1.1 * odd_hypotheses.h1["K"], 60)
+    grid = scan_kappa(odd_ops, 0.0, 1.1 * odd_hypotheses.h1["K"], 60)
     assert serialize.load(tmp_path / "growth.json").kappa == grid.most_unstable.kappa
 
 
@@ -548,6 +551,62 @@ def test_cli_bad_io_is_a_tagged_input_error(tmp_path, capsys, make_argv):
     err = capsys.readouterr().err
     assert err.startswith("[cli_io] ")
     assert "Traceback" not in err
+
+
+def _solve_with_config(text):
+    """argv of ``solve`` reading a config file whose bytes are ``text``."""
+
+    def make(tmp_path, const_wave):
+        (tmp_path / "run.json").write_bytes(text)
+        return ["solve", "--config", str(tmp_path / "run.json")]
+
+    return make
+
+
+def _solve_with(*flags):
+    return lambda tmp_path, const_wave: ["solve", *flags]
+
+
+def _scan_a_spectrum(tmp_path, const_wave):
+    # a valid document of another type: the L1 spectrum `gnlstab spectrum` writes
+    wave_path = store_wave(const_wave, tmp_path / "wave.json")
+    assert main(["spectrum", "--wave", wave_path, "--out", str(tmp_path / "spectra")]) == 0
+    return ["scan", "--wave", str(tmp_path / "spectra" / "spectrum_L1.json")]
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (_solve_with_config(b'{"alpha": "\xff"}'), "config file is not UTF-8 text: "),
+        (_solve_with_config(b'{"alpha": 2,'), "config file is not valid JSON: "),
+        (_solve_with_config(b"[2, 12]"), "config file must contain a JSON object\n"),
+        # a null value is skipped, as if the key were absent
+        (_solve_with_config(b'{"alpha": 2, "tau": 12, "omega": null, "modes": "many"}'),
+         "config key 'modes': argument --modes: invalid int value: 'many'\n"),
+        (_solve_with("--tau", "12"), "--alpha is required (directly or via --config)\n"),
+        (_solve_with("--alpha", "2", "--tau", "auto:width=3"),
+         "unknown --tau directive 'auto:width=3'; use auto:amplitude=A\n"),
+        (_solve_with("--alpha", "2", "--tau", "auto:amplitude=x"),
+         "bad amplitude in --tau 'auto:amplitude=x'\n"),
+        (_solve_with("--alpha", "2", "--tau", "ten"),
+         "--tau must be a float or auto:amplitude=A, got 'ten'\n"),
+        (_scan_a_spectrum, "{wave} does not contain a wave_profile document\n"),
+    ],
+    ids=["config-not-utf8", "config-not-json", "config-not-an-object", "config-value-rejected",
+         "alpha-missing", "tau-unknown-directive", "tau-bad-amplitude", "tau-not-a-float",
+         "wave-of-another-type"],
+)
+def test_cli_input_errors_exit_1_with_their_message(tmp_path, const_wave, capsys, make_argv,
+                                                    message):
+    argv = make_argv(tmp_path, const_wave) + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    wave = argv[argv.index("--wave") + 1] if "--wave" in argv else None
+    assert err.startswith("[cli_io] " + message.format(wave=wave))
+    # one line, written before any result
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize(
