@@ -58,6 +58,7 @@ from .spectral import (
     SINE,
     ParityBasis,
     RealField,
+    _rounding_floor,
     first_derivative,
     hill_matrix,
     l2_norm,
@@ -367,16 +368,6 @@ def build_block(ops: HillOperators, kind: str, kappa: float = 0.0) -> OperatorMa
         entries[:d, :d] = l2 + shift
         entries[d:, d:] = l1 + shift
     return OperatorMatrix(ops.basis, entries, label=kind, wave_id=ops.wave_id)
-
-
-#: machine epsilon of float64, looked up once
-_EPS = np.finfo(float).eps
-
-
-def _rounding_floor(dimension: int, norm):
-    """dimension * eps * norm: how far rounding may move a computed
-    eigenvalue; elementwise for an array of norms."""
-    return dimension * _EPS * norm
 
 
 def _check_split(coupling: float, scale: float, dimension: int) -> None:

@@ -33,22 +33,14 @@ hypotheses and the time integrator's row at one kappa share one assembly
 and one diagonalization.
 
 :func:`scan_kappa` solves its whole grid in one reduced solve per sector,
-and every check runs as array operations over the rows; a matrix of order d
-is built for one row at a time, so the memory grows with the rows only as
-their trial spans do.  No row takes a spectrum of M(kappa).  Where
-L2 + kappa^2 is semidefinite, a row has exactly k = n(L1 + kappa^2) growth
-pairs by the inertia law, read off the store's L1 spectrum, and computes
-only those: a Rayleigh-Ritz step of M on the span of phi, |phi|^a,
-|phi|^a phi and the k + 8 lowest-wavenumber basis vectors, then shifted
-inverse iteration from each Ritz pair.  A Cholesky
-factorization of M + Y diag(|theta| + 2 F) Y^T - F, the m pairs Y of Ritz
-value theta < -floor deflated, proves that every other mu clears the
-rounding floor of M (Rump's test of positive definiteness).  Where
-L2 + kappa^2 > 0 no positive mu falls as kappa grows (Courant-Fischer for
-the pencil A + kappa^2 against diag(D + kappa^2)^-1; Parlett, The Symmetric
-Eigenvalue Problem, chapter 15), so one factorization proves a class of
-rows, those of one k and one m, from its first row that passes: F is that
-row's floor plus the class's largest.  Rows where L2 + kappa^2 is indefinite
+with array operations over the rows; a matrix of order d is built for one
+row at a time, and the trial spans over slices of at most BATCH_BYTES, so
+the memory grows by a few vectors per row.  No row takes a spectrum of
+M(kappa).  Where L2 + kappa^2 is semidefinite, a row has exactly
+k = n(L1 + kappa^2) growth pairs by the inertia law and computes only those
+(:meth:`_Reduction.solve`), and one Cholesky factorization per class of rows
+proves that every other mu clears the rounding floor of M
+(:meth:`_Reduction._definite`).  Rows where L2 + kappa^2 is indefinite
 beyond the rounding floor of its diagonalization (an odd wave in the full
 space at small kappa), where an L1 eigenvalue lies within its rounding floor
 of -kappa^2, or whose certificate fails (a mu within the floor of zero, next
@@ -57,8 +49,7 @@ dense ``eig`` per sector, as :func:`instability_eigs` does; a failed
 certificate never decides a row.  Only an edge above an indefinite row is
 bisected.  Every stacked LAPACK and BLAS call solves each matrix as a call
 on it alone would, and no product behind a reported number mixes rows, so a
-row's pairs do not depend on its grid, and a certificate from an earlier
-row of its class proves more than its own.
+row's pairs do not depend on its grid.
 
 Each growth pair is certified by the residual of its lift v1 = Q (s * y) on
 the unreduced product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), each written
@@ -93,7 +84,6 @@ from .hill import (
     HillOperators,
     SectorBlock,
     _check_kappa,
-    _rounding_floor,
     _whole_basis_pair,
     _one_simple_negative,
     spectrum,
@@ -101,7 +91,7 @@ from .hill import (
 
 # kept importable here: perfbench/tracer.py wraps scan.build_block by name
 from .hill import build_block  # noqa: F401
-from .spectral import ParityBasis, RealField
+from .spectral import ParityBasis, RealField, _plus_diagonal, _rayleigh_ritz, _rounding_floor
 
 #: growth rates above this are reported as genuine instability
 UNSTABLE_THRESHOLD = 1e-6
@@ -120,7 +110,8 @@ SYMMETRY_TOL = 1e-8
 
 CROSSCHECK_RTOL = 1e-7
 
-#: bytes of complex distances that :func:`_symmetry_defect` holds at once
+#: bytes of complex distances that :func:`_symmetry_defect`, and of trial
+#: spans that :meth:`_Reduction._pairs`, holds at once
 BATCH_BYTES = 4 * 2**20
 
 #: steps of inverse iteration a growth pair takes at most, from its Ritz start
@@ -149,13 +140,6 @@ def _growth_block(l2: np.ndarray, l1: np.ndarray, kappa: float) -> np.ndarray:
     return block
 
 
-def _plus_diagonal(matrix: np.ndarray, shift: float) -> np.ndarray:
-    """matrix + shift * I, in place on a C-ordered square matrix."""
-    diagonal = matrix.reshape(-1)[:: matrix.shape[0] + 1]
-    diagonal += shift
-    return matrix
-
-
 def _squares(kappa) -> np.ndarray:
     """kappa**2 of each kappa, squared as a Python float (C pow) like every
     other kappa**2 of the package: pow may round differently from the
@@ -182,18 +166,6 @@ def _inverse_iteration(shifted: np.ndarray, start: np.ndarray) -> np.ndarray:
     """
     y = np.linalg.solve(shifted, start[..., None])[..., 0]
     return y / np.sqrt(_dots(y, y))[..., None]
-
-
-def _rayleigh_ritz(apply, y: np.ndarray) -> tuple:
-    """The Ritz values, ascending, and vectors of each symmetric matrix M of
-    a stack on the span of the columns of its y, a (rows, d, k) stack, with
-    ``apply(x)`` = M x for each matrix's (d, k) block of x: they separate
-    eigenvalues too close for the shifts of inverse iteration alone, and the
-    j-th Ritz value bounds the j-th eigenvalue of M from above (Parlett,
-    chapter 11)."""
-    q = np.linalg.qr(y)[0]
-    theta, w = np.linalg.eigh(q.transpose(0, 2, 1) @ apply(q))
-    return theta, q @ w
 
 
 def _unit_rows(w: np.ndarray) -> np.ndarray:
@@ -407,13 +379,9 @@ class _Reduction:
     growth.  That happens next to kappa = 0, where the symmetry generators
     form a Jordan block, and at band edges; the dense ``eig`` solves those.
 
-    A row computes only its k growth pairs (:meth:`solve`), and one Cholesky
-    factorization per class of rows of one k and one number of deflated
-    pairs decides that every mu clears the floor (:meth:`_definite`); its
-    pairs are checked against the unreduced product
-    P(kappa) = (L2 + kappa^2)(L1 + kappa^2) and one probe vector
-    (:meth:`certify`).  Every method but :meth:`matrix` takes an array of
-    kappa and works on all its rows at once.
+    A row computes only its k growth pairs (:meth:`solve`), checked against
+    the unreduced product (:meth:`certify`).  Every method but
+    :meth:`matrix` takes an array of kappa and works on all its rows at once.
     """
 
     #: the sector's slice of the scan's basis
@@ -546,6 +514,34 @@ class _Reduction:
         converged = np.sqrt(_dots(residual, residual)) <= 4.0 * _rounding_floor(dim, np.abs(theta))
         return theta, y, np.all(converged, axis=1)
 
+    def _pairs(self, kappa, floor, k: int) -> tuple:
+        """(the number of Ritz values below -floor, theta, y, y^T y) of the
+        k growth pairs of each row: a Rayleigh-Ritz step on a fixed trial
+        span (:meth:`_ritz_start`), then up to INVERSE_STEPS steps of inverse
+        iteration (:meth:`_inverse_step`), over slices of rows whose trial
+        spans hold at most BATCH_BYTES; a row's pairs do not depend on its
+        slice.  y^T y is taken on the pairs as they lie in the span: a BLAS
+        dot product rounds by its strides."""
+        n, dim = len(kappa), self.d.size
+        low, theta, square = np.zeros(n, dtype=int), np.zeros((n, k)), np.zeros((n, k))
+        y = np.zeros((n, dim, k))
+        step = max(1, BATCH_BYTES // (8 * dim * (k + 11)))
+        for part in (slice(start, start + step) for start in range(0, n, step)):
+            kr, fr = kappa[part], floor[part]
+            t, v = self._ritz_start(kr, k)
+            low[part] = np.count_nonzero(t < -fr[:, None], axis=1)
+            t, v = t[:, :k], v[:, :, :k]
+            # a row whose pairs the step leaves short of convergence takes
+            # another, with the other such rows
+            todo = np.arange(len(kr) if k else 0)
+            for _ in range(INVERSE_STEPS):
+                if not todo.size:
+                    break
+                t[todo], v[todo], converged = self._inverse_step(kr[todo], fr[todo], t[todo], v[todo])
+                todo = todo[~converged]
+            theta[part], y[part], square[part] = t, v, _dots(v.transpose(0, 2, 1), v.transpose(0, 2, 1))
+        return low, theta, y, square
+
     def _definite(self, kappa, floor, theta, y, deflated) -> np.ndarray:
         """Whether each row proves mu_{m+1} > floor with its first m =
         ``deflated`` Ritz pairs deflated: Ritz values ``theta``, ascending,
@@ -589,23 +585,15 @@ class _Reduction:
         """The k = ``counts`` growth pairs of each row's M(kappa), and what
         the row proves of the rest of its spectrum, without a spectrum.
 
-        A row with k >= 1 pairs takes a Rayleigh-Ritz step on a fixed trial
-        span (:meth:`_ritz_start`), then steps of inverse iteration from each
-        Ritz pair (:meth:`_inverse_step`): one on the README wave, more, up
-        to INVERSE_STEPS, for a row whose pairs the trial span starts
-        farther off.  Each pair is lifted to v1 = Q (s * y), and its mu, the
-        one a row reports, is the Rayleigh quotient of v1 on the unscaled
-        L1 + kappa^2.
-
-        The m pairs of Ritz value theta below -floor are deflated, and one
-        Cholesky factorization per class of rows of one k and m, M + Y
-        diag(|theta| + 2 F) Y^T - F with F at least the row's floor
-        (:meth:`_definite`), proves mu_{m+1} > floor; theta_m, a Ritz value,
-        bounds mu_m from above, so the row has exactly m mu below -floor and
-        none within the floor of zero.  A Ritz value of the trial span below
-        -floor proves one more mu below -floor, which a row whose certificate
-        fails may still show.  ``low`` and ``high`` keep these bounds for
-        :meth:`check_inertia`.
+        A row with k >= 1 pairs takes them from :meth:`_pairs`; each is
+        lifted to v1 = Q (s * y), and its mu, the one a row reports, is the
+        Rayleigh quotient of v1 on the unscaled L1 + kappa^2.  The m pairs of
+        Ritz value theta below -floor are deflated and :meth:`_definite`
+        proves mu_{m+1} > floor; theta_m bounds mu_m from above, so a
+        certified row has exactly m mu below -floor and none within the floor
+        of zero.  A Ritz value of the trial span below -floor proves one more
+        mu below -floor, which a row whose certificate fails may still show.
+        ``low`` and ``high`` keep these bounds for :meth:`check_inertia`.
         """
         n, dim = len(kappa), self.d.size
         width = max(1, int(np.max(counts, initial=0)))
@@ -618,17 +606,7 @@ class _Reduction:
             kr, fr = kappa[rows], floor[rows]
             theta, y = np.zeros((rows.size, 0)), np.zeros((rows.size, dim, 0))
             if k:
-                theta, y = self._ritz_start(kr, k)
-                low[rows] = np.count_nonzero(theta < -fr[:, None], axis=1)
-                theta, y = theta[:, :k], y[:, :, :k]
-                # a row whose pairs the step leaves short of convergence
-                # takes another, with the other such rows
-                todo = np.arange(rows.size)
-                for _ in range(INVERSE_STEPS):
-                    theta[todo], y[todo], converged = self._inverse_step(kr[todo], fr[todo], theta[todo], y[todo])
-                    todo = todo[~converged]
-                    if not todo.size:
-                        break
+                low[rows], theta, y, square = self._pairs(kr, fr, k)
                 s = self.scale(kr)
                 lifted = self.q @ (s[:, :, None] * y)
                 # the lowest mode, the one a row writes, is lifted by a
@@ -646,7 +624,7 @@ class _Reduction:
                     l1k = _plus_diagonal(self.l1.copy(), k2)
                     mu[row, :k] = _dots(pairs[i] @ l1k, pairs[i])
                     l1_mode[row] = l1k @ mode[row]
-                mu[rows, :k] /= _dots(y.transpose(0, 2, 1), y.transpose(0, 2, 1))
+                mu[rows, :k] /= square
                 v1[rows, :k] = pairs
             # the certificate speaks of M: it takes the Ritz values on M, not
             # the quotients of the lifted pairs, which the residual gate checks
@@ -656,7 +634,7 @@ class _Reduction:
             high[rows] = np.where(certified, m, dim)
             if not k and not certified.all():
                 failed = rows[~certified]
-                low[failed] = np.count_nonzero(self._ritz_start(kappa[failed], 0)[0] < -floor[failed, None], axis=1)
+                low[failed] = self._pairs(kappa[failed], floor[failed], 0)[0]
         return _SectorRows(counts, mu, v1, mode, l1_mode, low, high)
 
     def _gate(self, kappa, what: str, error, size, mu=None) -> None:

@@ -306,6 +306,34 @@ class ParityBasis:
         return RealField(self.grid, self.synthesize(coefficients), self.parity)
 
 
+#: machine epsilon of float64, looked up once
+_EPS = np.finfo(float).eps
+
+
+def _rounding_floor(dimension: int, norm):
+    """dimension * eps * norm: how far rounding may move a computed
+    eigenvalue; elementwise for an array of norms."""
+    return dimension * _EPS * norm
+
+
+def _plus_diagonal(matrix: np.ndarray, shift: float) -> np.ndarray:
+    """matrix + shift * I, in place on a C-ordered square matrix."""
+    diagonal = matrix.reshape(-1)[:: matrix.shape[0] + 1]
+    diagonal += shift
+    return matrix
+
+
+def _rayleigh_ritz(apply, y: np.ndarray) -> tuple:
+    """The Ritz values, ascending, and vectors of each symmetric matrix M of
+    a stack on the span of the columns of its y, a (rows, d, k) stack, with
+    ``apply(x)`` = M x for each matrix's (d, k) block of x: the j-th Ritz
+    value bounds the j-th eigenvalue of M from above (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, chapter 11)."""
+    q = np.linalg.qr(y)[0]
+    theta, w = np.linalg.eigh(q.transpose(0, 2, 1) @ apply(q))
+    return theta, q @ w
+
+
 def _potential_tables(grid: PeriodicGrid, potential: np.ndarray) -> tuple:
     """2 C_k and 2 S_k of ``potential`` for k = 0..2N-1, read-only, with
     C_k - i S_k = sum_j q_j exp(-2 pi i j k / N), from one rfft: C_{N-k} = C_k

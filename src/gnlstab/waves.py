@@ -10,7 +10,8 @@ and is produced here variationally: minimize the quadratic energy
 
 over the constraint set { int |u|^(a+2) dx = tau } inside a fixed parity
 class, rescale the Lagrange multiplier to one, and polish with a Newton
-iteration restricted to the same parity subspace.
+iteration restricted to the same parity subspace, whose Jacobian L1 one
+Cholesky factorization per step proves regular, without a spectrum.
 """
 from __future__ import annotations
 
@@ -39,6 +40,9 @@ from .spectral import (
     ParityBasis,
     PeriodicGrid,
     RealField,
+    _plus_diagonal,
+    _rayleigh_ritz,
+    _rounding_floor,
     build_grid,
     first_derivative,
     hill_matrix,
@@ -384,12 +388,56 @@ def phase_reduce(phi1: RealField, phi2: RealField, tolerance: float = 1e-8):
 # Newton polish
 
 
+def _check_regular(jac: np.ndarray) -> None:
+    """SingularJacobianError unless min|lambda| > 1e-12 max|lambda| over the
+    eigenvalues of the symmetric ``jac``, as ``eigvalsh`` computes them."""
+    eigs = np.linalg.eigvalsh(jac)
+    lam_max = float(np.max(np.abs(eigs)))
+    if float(np.min(np.abs(eigs))) <= 1e-12 * lam_max:
+        raise SingularJacobianError(
+            "Newton Jacobian is singular on the parity subspace "
+            f"(relative smallest eigenvalue {np.min(np.abs(eigs)) / lam_max:.2e})"
+        )
+
+
+def _certified_regular(jac: np.ndarray, trial: np.ndarray) -> bool:
+    """Whether one Cholesky factorization proves no eigenvalue of the
+    symmetric J = ``jac``, overwritten, in [-F, F], F = 1e-12 ||J|| +
+    d eps ||J|| with ||J|| the max row sum >= max|lambda|, so that
+    :func:`_check_regular` passes.  Ritz values theta of J on the span of
+    ``trial`` bound its eigenvalues from above: the m below -F prove m
+    eigenvalues below -F.  J + Y diag(2|theta| + 2F) Y^T, Y their Ritz
+    vectors, is a rank-m semidefinite update of J, so its lowest eigenvalue
+    is at most lambda_{m+1} of J, which a Cholesky factorization of it less
+    F and its rounding floor proves above F (Rump, BIT 46, 2006).  A lift of
+    |theta| + 2F would not do: a one-step Ritz vector off its eigenvector by
+    an angle g leaves that eigenvalue near 2F - |theta| g^2, below F for
+    g^2 > F / |theta|."""
+    d = jac.shape[0]
+    norm = float(np.linalg.norm(jac, np.inf))
+    margin = 1e-12 * norm + _rounding_floor(d, norm)
+    (theta,), (y,) = _rayleigh_ritz(lambda x: jac @ x, trial[None])
+    low = theta < -margin
+    lift, y = 2.0 * (np.abs(theta[low]) + margin), y[:, low]
+    jac += (y * lift) @ y.T
+    _plus_diagonal(jac, -margin - _rounding_floor(d, norm + np.max(lift, initial=0.0)))
+    try:
+        np.linalg.cholesky(jac)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def newton_refine(wave: WaveProfile) -> WaveProfile:
     """Newton iteration on the profile equation in the wave's parity basis.
 
     The Jacobian -d_xx + w - (a+1)|phi|^a is the dense symmetric L1 matrix of
     :func:`hill_matrix` on the parity basis; a profile already at tolerance
-    is returned unchanged.
+    is returned unchanged.  L1 phi = -a |phi|^a phi, so phi, |phi|^a phi and
+    the 8 lowest basis vectors hold its negative direction, and each step's
+    Jacobian is proved regular on their span (:func:`_certified_regular`);
+    where that fails, :func:`_check_regular` decides on its spectrum.  The
+    step is the same either way.
     """
     params = wave.params
     grid = wave.phi.grid
@@ -413,15 +461,17 @@ def newton_refine(wave: WaveProfile) -> WaveProfile:
         rnorm = l2_norm(res)
         if rnorm <= NEWTON_TOLERANCE:
             break
-        jac = hill_matrix(basis, omega, (alpha + 1.0) * np.abs(phi) ** alpha)
-        eigs = np.linalg.eigvalsh(jac)
-        lam_max = float(np.max(np.abs(eigs)))
-        if float(np.min(np.abs(eigs))) <= 1e-12 * lam_max:
-            raise SingularJacobianError(
-                "Newton Jacobian is singular on the parity subspace "
-                f"(relative smallest eigenvalue {np.min(np.abs(eigs)) / lam_max:.2e})"
-            )
-        correction = basis.synthesize(np.linalg.solve(jac, basis.analyze(res.values)))
+        potential = np.abs(phi) ** alpha
+        jac = hill_matrix(basis, omega, (alpha + 1.0) * potential)
+        try:
+            step = np.linalg.solve(jac, basis.analyze(res.values))
+        except np.linalg.LinAlgError:
+            _check_regular(jac)
+            raise
+        span = [basis.analyze(phi), basis.analyze(potential * phi), np.eye(basis.dimension, 8)]
+        if not _certified_regular(jac, np.column_stack(span)):
+            _check_regular(hill_matrix(basis, omega, (alpha + 1.0) * potential))
+        correction = basis.synthesize(step)
         for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = phi - damp * correction
             tr = ode_residual_field(RealField(grid, trial, params.parity), alpha, omega)

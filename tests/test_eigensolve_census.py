@@ -7,12 +7,14 @@ scan takes no spectrum of any row's M(kappa): one Cholesky factorization per
 sector and class of rows (one growth-pair count k and one number of deflated
 pairs) certifies them, and its growth pairs come from a Rayleigh-Ritz step
 on a small trial span and inverse iteration, whose every linear solve takes
-one row's M(kappa) alone.  This test counts the order of every
-``numpy.linalg`` eigensolve and Cholesky factorization of one ``gnlstab
-pipeline --modes 128`` run, and each matrix of a stacked call by the call's
-leading dimensions, so a whole-matrix, unsymmetric or per-row spectrum
-cannot come back unnoticed, and the shape of every ``numpy.linalg.solve`` of
-the rows, so a stack of M(kappa) over the rows cannot either.
+one row's M(kappa) alone.  The wave's Newton polish proves its Jacobian
+regular by one Cholesky factorization per step, without a spectrum.  This
+test counts the order of every ``numpy.linalg`` eigensolve and Cholesky
+factorization of one ``gnlstab pipeline --modes 128`` run, Newton's apart
+from the rest, and each matrix of a stacked call by the call's leading
+dimensions, so a whole-matrix, unsymmetric or per-row spectrum cannot come
+back unnoticed, and the shape of every ``numpy.linalg.solve`` of the rows
+and of Newton, so a stack of M(kappa) over the rows cannot either.
 """
 
 import json
@@ -31,35 +33,39 @@ README_PIPELINE = [
 ]
 
 
-def _in_row_solve() -> bool:
-    """Whether the caller's caller runs inside the reduced rows' solve of M(kappa)."""
+def _inside(qualname: str) -> bool:
+    """Whether the caller's caller runs inside the function ``qualname``."""
     frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_qualname != "_Reduction.solve":
+    while frame is not None and frame.f_code.co_qualname != qualname:
         frame = frame.f_back
     return frame is not None
 
 
 def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, capsys):
-    orders, row_solves = [], []
+    orders, row_solves, newton = [], [], []
 
     def counted(name, solve):
         def wrapper(a, *args, **kwargs):
             # one entry per matrix: a stacked call solves prod(shape[:-2]) of them
             matrices = int(np.prod(np.shape(a)[:-2]))
-            orders.extend([(name, np.shape(a)[-1])] * matrices)
-            if _in_row_solve():
-                row_solves.extend(orders[len(orders) - matrices :])
+            entries = [(name, np.shape(a)[-1])] * matrices
+            # Newton's solves are counted apart from the operators' and the scan's
+            (newton if _inside("newton_refine") else orders).extend(entries)
+            if _inside("_Reduction.solve"):
+                row_solves.extend(entries)
             return solve(a, *args, **kwargs)
 
         return wrapper
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    linear_solves, solve = [], np.linalg.solve
+    linear_solves, newton_steps, solve = [], [], np.linalg.solve
 
     def shaped(a, b):
-        if _in_row_solve():
+        if _inside("_Reduction.solve"):
             linear_solves.append(np.shape(a))
+        if _inside("newton_refine"):
+            newton_steps.append(np.shape(a))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", shaped)
@@ -96,3 +102,9 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     assert outside == [N // 2 - 1, N // 2 + 1]
     # the largest solve is the certificate's eigvalsh of one sector at 2N
     assert max(order for _, order in orders) <= N + 1
+    # the Newton polish of the even wave takes no spectrum of its Jacobian L1
+    # on the cosine sector: per step, one linear solve, a Rayleigh-Ritz step
+    # on ten trial vectors and one Cholesky factor that proves its inertia
+    steps = len(newton_steps)
+    assert steps >= 1 and newton_steps == [(N // 2 + 1, N // 2 + 1)] * steps
+    assert sorted(newton) == sorted([("cholesky", N // 2 + 1), ("eigh", 10)] * steps)

@@ -810,17 +810,21 @@ def test_scan_builds_one_stack_at_a_time(even_wave):
     assert peak < 2 * 40 * d * d * np.dtype(float).itemsize
 
 
-def test_scan_memory_grows_with_the_rows_trial_spans(even_wave):
-    # the whole grid is solved at once: the peak holds each row's trial span
-    # of k + 11 vectors a few times over, plus matrices of order d, but no
-    # (rows, d, d) stack, which at d = 129 and 400 rows is 50.8 MiB
+def test_scan_memory_holds_one_slice_of_trial_spans(even_wave):
+    # the growth pairs are solved over slices of rows whose trial spans of
+    # k + 11 vectors hold at most BATCH_BYTES: the peak holds one slice's
+    # span a few times over, a few vectors of order d per row for the
+    # records and their checks, and matrices of order d, but neither the
+    # trial spans of the whole grid (at d = 129 and 800 rows, 9.4 MiB, held
+    # about five times over) nor a (rows, d, d) stack (101.6 MiB)
     ops = hill_operators(wave_at_resolution(even_wave, 256))
     d = max(r.d.size for r in _Reduction.sectors(ops))
-    rows, double = 400, np.dtype(float).itemsize
+    rows, double = 800, np.dtype(float).itemsize
     k = max(int(r.counts(np.linspace(0.05, 1.8, rows)).max()) for r in _Reduction.sectors(ops))
     assert (d, k) == (129, 1)
-    bound = (6 * rows * d * (k + 11) + 16 * d * d) * double
-    assert bound < rows * d * d * double
+    assert rows * d * (k + 11) * double > 2 * BATCH_BYTES
+    bound = 6 * BATCH_BYTES + (8 * rows * d + 16 * d * d) * double
+    assert bound < 5 * rows * d * (k + 11) * double
     tracemalloc.start()
     try:
         scan = scan_kappa(ops, 0.05, 1.8, rows)
@@ -829,6 +833,21 @@ def test_scan_memory_grows_with_the_rows_trial_spans(even_wave):
         tracemalloc.stop()
     assert scan.reduced_rows == rows
     assert peak < bound
+
+
+@pytest.mark.parametrize(
+    "name, sector", [("even", "full"), ("odd", "full"), ("const", "auto")]
+)
+def test_a_row_does_not_depend_on_its_slice(name, sector, request, monkeypatch):
+    # each row in a slice of its own writes the records of one slice of the
+    # whole grid byte for byte: a row's pairs, the dot products of its
+    # norms included, do not depend on the rows solved beside it
+    ops = hill_operators(request.getfixturevalue(f"{name}_wave"), sector)
+    kappa = [float(k) for k in np.linspace(0.0, 4.0, 30)]
+    whole = [repr(row.record()) for row in _solve_rows(ops, kappa)]
+    monkeypatch.setattr("gnlstab.scan.BATCH_BYTES", 1)
+    alone = [repr(row.record()) for row in _solve_rows(hill_operators(ops.wave, sector), kappa)]
+    assert alone == whole
 
 
 @pytest.mark.parametrize(

@@ -454,6 +454,117 @@ def test_a_singular_jacobian_propagates_out_of_solve_wave(monkeypatch):
         solve_wave(params, 32)
 
 
+def moved_jacobians(monkeypatch, which: str, t: float) -> list:
+    """Patch Newton's Jacobian assembly so that one eigenvalue, the lowest or
+    the one nearest zero, moves to t * 1e-12 max|lambda|; returns the list
+    of the matrices it hands out."""
+    assemble, handed = waves.hill_matrix, []
+
+    def moved(basis, omega, potential):
+        lam, v = np.linalg.eigh(assemble(basis, omega, potential))
+        j = 0 if which == "lowest" else int(np.argmin(np.abs(lam)))
+        lam[j] = t * 1e-12 * np.max(np.abs(lam))
+        jac = (v * lam) @ v.T
+        handed.append(0.5 * (jac + jac.T))
+        return handed[-1].copy()
+
+    monkeypatch.setattr(waves, "hill_matrix", moved)
+    return handed
+
+
+def singular_message(jac: np.ndarray):
+    """The SingularJacobianError message where the spectrum of ``jac`` makes
+    it singular (min|lambda| <= 1e-12 max|lambda|, as ``eigvalsh`` computes
+    them), else None."""
+    eigs = np.abs(np.linalg.eigvalsh(jac))
+    if np.min(eigs) > 1e-12 * np.max(eigs):
+        return None
+    return ("Newton Jacobian is singular on the parity subspace "
+            f"(relative smallest eigenvalue {np.min(eigs) / np.max(eigs):.2e})")
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Patch ``numpy.linalg.<name>`` to record the shape of each matrix it
+    takes; returns the list of those shapes."""
+    shapes, solve = [], getattr(np.linalg, name)
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+def newton_outcome(seed: WaveProfile):
+    """The polished profile's bytes, or the SingularJacobianError message."""
+    try:
+        return newton_refine(seed).phi.values.tobytes()
+    except SingularJacobianError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("which", ["lowest", "nearest zero"])
+@pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 1e3])
+def test_the_jacobian_guard_decides_as_the_spectrum_does(monkeypatch, which, t):
+    handed = moved_jacobians(monkeypatch, which, t)
+    spectra = counted(monkeypatch, "eigvalsh")
+    monkeypatch.setattr(waves, "NEWTON_MAX_STEPS", 1)
+    try:
+        newton_refine(perturbed_dnoidal_seed())
+        raised = None
+    except (SingularJacobianError, ConvergenceError) as error:
+        raised = error
+    fallbacks = len(spectra)
+    # the fallback, where it runs, decides on the Jacobian as handed out
+    assert all(np.array_equal(jac, handed[0]) for jac in handed)
+    expected = singular_message(handed[0])
+    if expected is None:
+        assert not isinstance(raised, SingularJacobianError)
+    else:
+        assert isinstance(raised, SingularJacobianError)
+        assert str(raised) == expected
+    if t == 1e3:
+        # an eigenvalue 1e-9 max|lambda| from zero is proved without a spectrum
+        assert fallbacks == 0
+    assert (expected is None) == (t > 1.0)
+
+
+@pytest.mark.parametrize("alpha, parity, period, omega", [
+    (0.5, "even", 12.0, 4.0), (2.0, "even", TWO_PI, 4.0), (3.0, "even", TWO_PI, 1.0),
+    (4.0, "even", 12.0, 1.0), (2.0, "odd", 12.0, 1.0), (4.0, "odd", TWO_PI, 4.0),
+])
+def test_newton_proves_its_jacobian_regular_without_a_spectrum(monkeypatch, alpha, parity, period, omega):
+    # the Ritz vectors of one step are not eigenvectors to rounding: a lift of
+    # |theta| instead of 2 |theta| fails the certificate on each of these waves
+    stationary = tau_for_amplitude(alpha, omega, period, parity, 1.5, 64)
+    spectra, factors = counted(monkeypatch, "eigvalsh"), counted(monkeypatch, "cholesky")
+    solve_wave(stationary.params, 64, stationary)
+    assert factors and spectra == []
+
+
+@pytest.mark.parametrize("t", [None, 0.0])
+def test_a_failed_certificate_leaves_the_decision_to_the_spectrum(monkeypatch, t):
+    # the dnoidal seed as it is, and with a singular Jacobian
+    seed = perturbed_dnoidal_seed()
+    if t is not None:
+        moved_jacobians(monkeypatch, "nearest zero", t)
+    expected = newton_outcome(seed)
+    assert isinstance(expected, str) == (t is not None)
+    factors, cholesky = [], np.linalg.cholesky
+
+    def failing(a):
+        factors.append(np.shape(a))
+        cholesky(a)
+        raise np.linalg.LinAlgError("forced to fail")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    spectra = counted(monkeypatch, "eigvalsh")
+    assert newton_outcome(seed) == expected
+    # each step's certificate failed, and each step's spectrum decided
+    assert factors and spectra == factors == [(65, 65)] * len(factors)
+
+
 # ---------------------------------------------------------------------------
 # accepted-wave bookkeeping
 

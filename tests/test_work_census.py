@@ -13,6 +13,7 @@ propositions, hypotheses, scan, certificate and DNS.
 The other tests count the assemblies and the eigensolves of L1 and L2
 blocks of a pipeline, of ``gnlstab verify`` and of ``gnlstab spectrum``, so
 a consumer that re-assembles or re-solves them cannot come back unnoticed.
+The last counts the spectra of a wave solve: its Newton polish takes none.
 """
 
 import math
@@ -193,3 +194,26 @@ def test_spectrum_assembles_and_solves_each_operator_once(
     assert sorted(census.solves) == sorted(
         ("eigvalsh", order, False) for order in (N // 2 + 1, N // 2 - 1) * 2
     )
+
+
+def test_solve_polishes_the_wave_without_a_spectrum(tmp_path, monkeypatch, capsys):
+    # the verify workload's wave at N = 512: each Newton step proves its
+    # Jacobian regular by one Cholesky factor of the cosine sector's order
+    # N/2 + 1, and no eigvalsh of it is taken
+    calls = []
+
+    def counted(name, solve):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solve(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    argv = ["solve", "--alpha", "2", "--omega", "1", "--parity", "even",
+            "--tau", "auto:amplitude=1.5", "--modes", "512", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "[wave_solver] even-a2-w1" in capsys.readouterr().out
+    assert [name for name, _ in calls if name == "eigvalsh"] == []
+    assert calls and set(calls) == {("cholesky", (257, 257))}
