@@ -416,11 +416,15 @@ def cmd_dns(args) -> int:
 def _certificate(ops: HillOperators) -> dict:
     """Grid-doubling deltas of the 10 lowest composite-operator eigenvalues.
 
-    The coarse spectrum is the store's, already solved; the wave refined on
-    the doubled grid gets one store on the same sector."""
+    The coarse store is the pipeline's; the wave refined on the doubled grid
+    gets one store on the same sector.  Both read the 10 values from their
+    blocks' certified low windows (:meth:`HillOperators.low_spectrum`),
+    which take no whole-block spectrum where the leading Fourier blocks
+    prove them."""
     wave = ops.wave
     fine = newton_refine(wave_at_resolution(wave, 2 * wave.phi.grid.size))
-    lows = [o.lcal_eigenvalues()[:10] for o in (ops, hill_operators(fine, ops.sector))]
+    stores = (ops, hill_operators(fine, ops.sector))
+    lows = [o.low_spectrum("Lcal", count=10).values[:10] for o in stores]
     deltas = np.abs(lows[0] - lows[1])
     return {
         "coarse_size": wave.phi.grid.size,

@@ -21,9 +21,23 @@ spectra is what the spectral assertions in :func:`check_propositions` and
 the hypothesis (H4) are made of, and :func:`spectrum` is the one place that
 counts them.
 
+Those counts, the propositions' and hypotheses' low eigenvalues, lambda0 of
+:func:`scan.transverse_threshold` and the grid-doubling certificate read
+only the bottom of a spectrum and its largest eigenvalue, which the default
+zero tolerance scales with.  Past the potential's bandwidth the kinetic
+symbol xi^2 dominates a Hill block, so a block's certified low window
+(:func:`low_window`) proves them from the Ritz pairs of its leading and
+trailing Fourier blocks, of at most a quarter of its order: Cauchy
+interlacing, Haynsworth's inertia formula with a Gershgorin bound of the
+rest, and Kato-Temple bounds on each value, held to the rounding floor
+d eps max|lambda|.  Where those bounds do not reach the floor, the window
+is the block's whole ``eigvalsh`` spectrum.  Only the L1/L2 export and the
+kappa-scan's rows read the whole spectra.
+
 :class:`HillOperators` is the one store of L1 and L2 per wave: the wave,
 its sector and the sector blocks, assembled once, straight on each parity
-sector's basis, as read-only blocks, and diagonalized on first use.  A
+sector's basis, as read-only blocks, and diagonalized (whole, or by their
+low windows) on first use.  A
 full-space store gates the split by the coupling that the full matrix would
 hold, computed from the potential's sine coefficients alone
 (:func:`spectral.sector_coupling`), and each block is bit for bit that
@@ -44,7 +58,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -215,10 +229,112 @@ def resolve_sector(wave: WaveProfile, sector: str) -> str:
     return sector
 
 
+@dataclass(frozen=True)
+class LowWindow:
+    """The low end of a symmetric spectrum: exactly the ascending ``values``
+    lie below ``cut`` (inf where they are the whole spectrum), and ``top`` is
+    the largest eigenvalue."""
+
+    values: np.ndarray
+    top: float
+    cut: float
+
+    @property
+    def extremes(self) -> np.ndarray:
+        """The lowest and the largest eigenvalue, which hold max |lambda|."""
+        return np.array([self.values[0], self.top])
+
+
+def _ladder(dimension: int) -> list:
+    """Orders of the leading (or trailing) block tried in turn: 16, 32, 64,
+    ... below d/4, then d/4 itself; none for a block of order below 64."""
+    cap, sizes = dimension // 4, []
+    while cap >= 16 and (not sizes or sizes[-1] < cap):
+        sizes.append(min(16 << len(sizes), cap))
+    return sizes
+
+
+def _ritz_end(a: np.ndarray, rows: np.ndarray, size: int, count: int, sign: float) -> tuple:
+    """The ``count`` lowest eigenvalues of ``sign * a`` from its leading
+    ``size`` x ``size`` block, ``rows`` being the row sums of |a|: returns
+    their Ritz values theta_1..theta_count (ascending), a bound on how far
+    each may lie above its eigenvalue (inf where none is proven), and the
+    cut below which exactly those eigenvalues lie.
+
+    With ``a = [[A11, A12], [A21, A22]]``, g a Gershgorin lower bound of A22
+    and e = ||A12||_F: for sigma < g, Haynsworth's inertia formula counts
+    the eigenvalues below sigma as those of the Schur complement A11 - sigma
+    - A12 (A22 - sigma)^-1 A21, which lie within e^2/(g - sigma) below those
+    of A11 - sigma.  So each lambda_i lies in [theta_i - e^2/(g - theta_i),
+    theta_i] (Cauchy interlacing gives the top end), and where these bands
+    are ordered each holds exactly one eigenvalue.  Kato-Temple then bounds
+    lambda_i below by theta_i - r_i^2 / (lower_{i+1} - theta_i), r_i =
+    ||A21 y_i|| the residual of the Ritz pair (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, chapters 10-11).  Rounding of the
+    computed pairs and sums is not bounded here: it is the rounding floor
+    the bounds are held to."""
+    theta, y = np.linalg.eigh(sign * a[:size, :size])
+    coupling = a[size:, :size]
+    diagonal = sign * np.diagonal(a)[size:]
+    off = rows[size:] - np.abs(diagonal) - np.abs(coupling).sum(axis=1)
+    gershgorin = float(np.min(diagonal - off))
+    theta = theta[: count + 1]
+    if theta[-1] >= gershgorin:
+        return theta[:-1], np.inf, -np.inf
+    lower = theta - np.vdot(coupling, coupling) / (gershgorin - theta)
+    if np.any(lower[1:] <= theta[:-1]):
+        return theta[:-1], np.inf, -np.inf
+    residual = np.linalg.norm(coupling @ y[:, :count], axis=0)
+    bound = float(np.max(residual**2 / (lower[1:] - theta[:-1])))
+    return theta[:-1], bound, float(lower[-1])
+
+
+def _whole(values: np.ndarray) -> LowWindow:
+    """A whole ascending spectrum as a window: no cut."""
+    return LowWindow(values, float(values[-1]), np.inf)
+
+
+def low_window(a: np.ndarray, whole: Callable[[], np.ndarray]) -> LowWindow:
+    """The low end of the spectrum of the symmetric ``a`` from its leading
+    and trailing Fourier blocks, or of ``whole()``, its ascending spectrum.
+
+    Past the potential's bandwidth the kinetic symbol xi^2 dominates a Hill
+    block, so its low eigenvalues live on the leading modes and its largest
+    on the trailing ones.  The leading block of order M proves the lowest
+    M/2 eigenvalues and a cut above them, the trailing block of order Mt the
+    largest eigenvalue, with the same bounds mirrored (:func:`_ritz_end`).
+    M and Mt are each the first order of :func:`_ladder` whose every bound
+    is within the rounding floor d eps max|lambda|; where the ladder ends
+    first, the window is the whole spectrum."""
+    d = a.shape[0]
+    rows = np.abs(a).sum(axis=1)
+    low = high = None
+    floor = -np.inf
+    for size in _ladder(d):
+        # (values, bound, cut) of each end; an end its bound refutes takes the next order
+        if low is None or low[1] > floor:
+            low = _ritz_end(a, rows, size, size // 2, 1.0)
+        if high is None or high[1] > floor:
+            high = _ritz_end(a[::-1, ::-1], rows[::-1], size, 1, -1.0)
+        floor = _rounding_floor(d, max(abs(low[0][0]), abs(high[0][0])))
+        if low[1] <= floor and high[1] <= floor:
+            return LowWindow(low[0], float(-high[0][0]), low[2])
+    return _whole(whole())
+
+
+def _union(windows: list) -> LowWindow:
+    """The low end of the union of the spectra of ``windows``: their values
+    below the lowest cut."""
+    cut = min(w.cut for w in windows)
+    values = np.sort(np.concatenate([w.values for w in windows]))
+    return LowWindow(values[values < cut], max(w.top for w in windows), cut)
+
+
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
-    """L1 and L2 on one parity sector's basis, read-only; their ascending
-    ``eigvalsh`` spectra are computed on first use and kept."""
+    """L1 and L2 on one parity sector's basis, read-only.  Their ascending
+    ``eigvalsh`` spectra and their certified low windows
+    (:func:`low_window`) are each computed on first use and kept."""
 
     basis: ParityBasis
     l1: np.ndarray
@@ -232,10 +348,23 @@ class SectorBlock:
     def l2_eigs(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.l2)
 
+    @cached_property
+    def l1_window(self) -> LowWindow:
+        return low_window(self.l1, lambda: self.l1_eigs)
+
+    @cached_property
+    def l2_window(self) -> LowWindow:
+        return low_window(self.l2, lambda: self.l2_eigs)
+
     def eigenvalues(self, which: str) -> np.ndarray:
         """The spectrum of L1 or L2; ParameterError for any other label."""
         _check_label(which)
         return self.l1_eigs if which == "L1" else self.l2_eigs
+
+    def window(self, which: str) -> LowWindow:
+        """The low window of L1 or L2; ParameterError for any other label."""
+        _check_label(which)
+        return self.l1_window if which == "L1" else self.l2_window
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,11 +373,12 @@ class HillOperators:
 
     A store is its wave, its sector and ``blocks``: each parity sector of
     the sector's basis once, cosine first (a sector basis is one block), L1
-    and L2 on that sector's basis, read-only, with their spectra on first
-    use.  A sector view of a full-space store holds its block.  Everything
-    derives from the blocks: the spectrum of L1 or L2 is the union of its
-    blocks' spectra, and so is that of Lcal = diag(L1, L2), which S(0) =
-    diag(L2, L1) shares.  The matrices on the whole basis are not kept:
+    and L2 on that sector's basis, read-only, with their spectra and low
+    windows on first use.  A sector view of a full-space store holds its
+    block.  Everything derives from the blocks: the spectrum of L1 or L2 is
+    the union of its blocks' spectra, and so is that of Lcal = diag(L1, L2),
+    which S(0) = diag(L2, L1) shares (:meth:`low_spectrum` reads either,
+    whole or by the low windows).  The matrices on the whole basis are not kept:
     :func:`build_block` and ``scan.evolution_block`` assemble them
     (:func:`_whole_basis_pair`).  Consumers keep what they build on top of
     the blocks with :meth:`memo` (the scan keeps its reductions there).
@@ -278,15 +408,20 @@ class HillOperators:
             start += block.basis.dimension
         return out
 
-    def eigenvalues(self, which: str) -> np.ndarray:
-        """Ascending spectrum of L1 or L2 on the store's basis; ParameterError
-        for any other label."""
-        return np.sort(np.concatenate([b.eigenvalues(which) for b in self.blocks]))
-
-    def lcal_eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum of Lcal = diag(L1, L2), and of S(0) = diag(L2, L1)."""
-        parts = [b.l1_eigs for b in self.blocks] + [b.l2_eigs for b in self.blocks]
-        return np.sort(np.concatenate(parts))
+    def low_spectrum(
+        self, which: str, level: float = -np.inf, count: Optional[int] = 1
+    ) -> LowWindow:
+        """The low end of the ascending spectrum of L1, L2 or Lcal = diag(L1,
+        L2) (and S(0) = diag(L2, L1)) on the store's basis, proving at least
+        ``count`` eigenvalues and every one below ``level``: the union of the
+        blocks' low windows, or, where that union proves less or ``count``
+        is None, of their whole spectra; ParameterError for another label."""
+        labels = _LABELS if which == "Lcal" else (which,)
+        if count is not None:
+            window = _union([b.window(w) for w in labels for b in self.blocks])
+            if window.cut > level and window.values.size >= count:
+                return window
+        return _union([_whole(b.eigenvalues(w)) for w in labels for b in self.blocks])
 
     def memo(self, key, build: Callable):
         """``build()`` on the first request for ``key``, kept with the store."""
@@ -384,16 +519,20 @@ def _check_split(coupling: float, scale: float, dimension: int) -> None:
 def _summarize(
     label: str,
     wave_id: str,
-    eigenvalues: np.ndarray,
+    known: Callable[[float], LowWindow],
     zero_tolerance: Optional[float],
-    lowest: Optional[tuple] = None,
+    fields: Optional[tuple] = None,
 ) -> SpectrumSummary:
-    """Negative/kernel counts of ascending ``eigenvalues`` at the zero tolerance.
+    """Negative/kernel counts at the zero tolerance of the low end of a
+    spectrum, ``known(level)`` being a window that holds every eigenvalue
+    below ``level``: the default tolerance reads the extremes of
+    ``known(-inf)``, the counts every eigenvalue up to twice the tolerance.
 
     Counts are recomputed at half and twice the tolerance; disagreement sets
     the ``ambiguous`` flag instead of failing.
     """
-    tol = _zero_tolerance(eigenvalues, zero_tolerance)
+    tol = _zero_tolerance(known(-np.inf).extremes, zero_tolerance)
+    eigenvalues = known(2.0 * tol).values
     negative, kernel = _counts(eigenvalues, tol)
     ambiguous = any(
         _counts(eigenvalues, t) != (negative, kernel) for t in (0.5 * tol, 2.0 * tol)
@@ -406,8 +545,14 @@ def _summarize(
         kernel_dimension=kernel,
         zero_tolerance=tol,
         ambiguous=ambiguous,
-        lowest_eigenfunctions=lowest,
+        lowest_eigenfunctions=fields,
     )
+
+
+def _check_count(name: str, count, low: int, high: int) -> None:
+    """ParameterError unless ``count`` is a (non-bool) integer in [low, high]."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not low <= count <= high:
+        raise ParameterError(f"{name} must be an integer in [{low}, {high}], got {count!r}")
 
 
 def spectrum(
@@ -415,25 +560,29 @@ def spectrum(
     which: str,
     zero_tolerance: Optional[float] = None,
     n_eigenfunctions: int = 0,
+    lowest: Optional[int] = None,
 ) -> SpectrumSummary:
     """Ascending eigenvalues of L1, L2 or Lcal = diag(L1, L2) on the store's
     basis, with negative/kernel counts: the one place a count is made.
 
-    The eigenvalues are the store's block spectra.  ``n_eigenfunctions``
-    exports the grid fields of the lowest eigenvectors of L1 or L2: each
-    sector block's ``eigh`` pairs, lifted to the store's basis.  Counts are
-    recomputed at half and twice the tolerance; disagreement sets the
-    ``ambiguous`` flag instead of failing.
+    The eigenvalues are the store's block spectra, every one of them, or,
+    given ``lowest``, only the low end that the blocks' certified windows
+    prove (:meth:`HillOperators.low_spectrum`): at least ``lowest`` of them
+    and every one up to twice the zero tolerance, which is all the counts
+    read.  ``n_eigenfunctions`` exports the grid fields of the lowest
+    eigenvectors of L1 or L2: each sector block's ``eigh`` pairs, lifted to
+    the store's basis.  Counts are recomputed at half and twice the
+    tolerance; disagreement sets the ``ambiguous`` flag instead of failing.
     """
     if which not in (*_LABELS, "Lcal"):
         raise ParameterError(f"operator must be 'L1', 'L2' or 'Lcal', got {which!r}")
     d, count = ops.basis.dimension, n_eigenfunctions
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 0 <= count <= d:
-        raise ParameterError(f"n_eigenfunctions must be an integer in [0, {d}], got {count!r}")
+    _check_count("n_eigenfunctions", count, 0, d)
     if which == "Lcal" and count:
         raise ParameterError("eigenfunction export is only for the single-component L1 and L2")
-    eigenvalues = ops.lcal_eigenvalues() if which == "Lcal" else ops.eigenvalues(which)
-    lowest = None
+    if lowest is not None:
+        _check_count("lowest", lowest, 1, 2 * d if which == "Lcal" else d)
+    fields = None
     if count:
         # sector eigenpairs side by side: the vectors form a block-diagonal matrix
         values, vectors = np.empty(d), np.zeros((d, d))
@@ -441,8 +590,9 @@ def spectrum(
             matrix = block.l1 if which == "L1" else block.l2
             values[rows], vectors[rows, rows] = np.linalg.eigh(matrix)
         order = np.argsort(values, kind="stable")
-        lowest = tuple(ops.basis.field(vectors[:, i]) for i in order[:count])
-    return _summarize(which, ops.wave_id, eigenvalues, zero_tolerance, lowest)
+        fields = tuple(ops.basis.field(vectors[:, i]) for i in order[:count])
+    known = partial(ops.low_spectrum, which, count=lowest)
+    return _summarize(which, ops.wave_id, known, zero_tolerance, fields)
 
 
 def _one_simple_negative(lcal: SpectrumSummary) -> tuple[bool, float]:
@@ -531,11 +681,12 @@ def check_propositions(
 
     cosine, sine = ops.blocks
     even, odd = ops.restrict("even"), ops.restrict("odd")
-    l1_even, l2_even = (spectrum(even, which, zero_tolerance) for which in _LABELS)
-    l1_odd, l2_odd = (spectrum(odd, which, zero_tolerance) for which in _LABELS)
+    # the counts and the two lowest eigenvalues are all each check reads
+    l1_even, l2_even = (spectrum(even, which, zero_tolerance, lowest=2) for which in _LABELS)
+    l1_odd, l2_odd = (spectrum(odd, which, zero_tolerance, lowest=2) for which in _LABELS)
 
     if wave.params.parity == EVEN:
-        lcal = spectrum(ops, "Lcal", zero_tolerance)
+        lcal = spectrum(ops, "Lcal", zero_tolerance, lowest=2)
         tol = lcal.zero_tolerance
         n_l1 = l1_even.n_negative + l1_odd.n_negative
         n_l2 = l2_even.n_negative + l2_odd.n_negative
@@ -560,7 +711,7 @@ def check_propositions(
         add("n(L1) full space", n_l1 == 1, 1, n_l1)
         add("n(L2) full space", n_l2 == 0, 0, n_l2)
     else:
-        lcal_odd = spectrum(odd, "Lcal", zero_tolerance)
+        lcal_odd = spectrum(odd, "Lcal", zero_tolerance, lowest=2)
         tol = lcal_odd.zero_tolerance
         n_l1_full = l1_even.n_negative + l1_odd.n_negative
         add("n(L1) full space", n_l1_full == 2, 2, n_l1_full)

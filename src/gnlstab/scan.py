@@ -962,12 +962,13 @@ class HypothesisReport:
 def transverse_threshold(ops: HillOperators) -> tuple[float, float, float]:
     """(lambda0, K, beta) of S(kappa) = S(0) + kappa^2 I on the store's sector.
 
-    -lambda0 is the lowest eigenvalue of S(0), that of L1 since L1 <= L2, so
+    -lambda0 is the lowest eigenvalue of S(0), that of L1 since L1 <= L2,
+    read from the store's certified low window (``low_spectrum``), so
     (0, sqrt(lambda0)) is the band of the inertia law; K = sqrt(lambda0) *
     (1 + 1e-6) and S(kappa) >= beta = K^2 - lambda0 for every kappa >= K.
     Where lambda0 <= 0, K = 0 and beta = -lambda0.
     """
-    lambda0 = -float(ops.lcal_eigenvalues()[0])
+    lambda0 = -float(ops.low_spectrum("Lcal").values[0])
     if lambda0 > 0.0:
         k = float(np.sqrt(lambda0) * (1.0 + 1e-6))
         return lambda0, k, k**2 - lambda0
@@ -983,8 +984,9 @@ def verify_hypotheses(
     store path; H4 exactly one negative eigenvalue of S(0), simple: its gap
     to the next one is at least 10 zero tolerances (``margin`` is the gap in
     those units, passing at 1).  The spectrum of S(0) is the union of the
-    operator store's sector spectra of L2 and L1, that of Lcal, counted by
-    :func:`hill.spectrum`.
+    operator store's sector spectra of L2 and L1, that of Lcal, whose low
+    end, proven by the blocks' certified low windows, :func:`hill.spectrum`
+    counts.
 
     S(kappa) = S(0) + kappa^2 * I exactly, so H1-H3 of Rousset and Tzvetkov
     follow from H4 and the lower bound of S(0), and are reported as such:
@@ -1023,7 +1025,7 @@ def verify_hypotheses(
     }
     h3 = {"passed": True, "note": "S'(kappa) = 2 kappa I"}
 
-    s0 = spectrum(ops, "Lcal", zero_tolerance)
+    s0 = spectrum(ops, "Lcal", zero_tolerance, lowest=2)
     tol = s0.zero_tolerance
     simple, gap = _one_simple_negative(s0)
     h4 = {

@@ -456,9 +456,8 @@ def newton_refine(wave: WaveProfile) -> WaveProfile:
     basis = ParityBasis(COSINE if params.parity == EVEN else SINE, grid)
     phi = wave.phi.values.copy()
 
+    # res and rnorm are always those of phi: the input's, then each accepted trial's
     for _ in range(NEWTON_MAX_STEPS):
-        res = ode_residual_field(RealField(grid, phi, params.parity), alpha, omega)
-        rnorm = l2_norm(res)
         if rnorm <= NEWTON_TOLERANCE:
             break
         potential = np.abs(phi) ** alpha
@@ -475,8 +474,9 @@ def newton_refine(wave: WaveProfile) -> WaveProfile:
         for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = phi - damp * correction
             tr = ode_residual_field(RealField(grid, trial, params.parity), alpha, omega)
-            if l2_norm(tr) < rnorm:
-                phi = trial
+            trial_norm = l2_norm(tr)
+            if trial_norm < rnorm:
+                phi, res, rnorm = trial, tr, trial_norm
                 break
         else:
             raise ConvergenceError(
@@ -484,15 +484,13 @@ def newton_refine(wave: WaveProfile) -> WaveProfile:
                 last_iterate=phi,
                 gradient_norm=rnorm,
             )
-    else:
-        rnorm = l2_norm(ode_residual_field(RealField(grid, phi, params.parity), alpha, omega))
-        if rnorm > NEWTON_TOLERANCE:
-            raise ConvergenceError(
-                f"Newton did not reach {NEWTON_TOLERANCE:g} in "
-                f"{NEWTON_MAX_STEPS} steps (residual {rnorm:.3e})",
-                last_iterate=phi,
-                gradient_norm=rnorm,
-            )
+    if rnorm > NEWTON_TOLERANCE:
+        raise ConvergenceError(
+            f"Newton did not reach {NEWTON_TOLERANCE:g} in "
+            f"{NEWTON_MAX_STEPS} steps (residual {rnorm:.3e})",
+            last_iterate=phi,
+            gradient_norm=rnorm,
+        )
 
     return _profile(params, RealField(grid, phi, params.parity))
 

@@ -8,13 +8,17 @@ sector and class of rows (one growth-pair count k and one number of deflated
 pairs) certifies them, and its growth pairs come from a Rayleigh-Ritz step
 on a small trial span and inverse iteration, whose every linear solve takes
 one row's M(kappa) alone.  The wave's Newton polish proves its Jacobian
-regular by one Cholesky factorization per step, without a spectrum.  This
-test counts the order of every ``numpy.linalg`` eigensolve and Cholesky
-factorization of one ``gnlstab pipeline --modes 128`` run, Newton's apart
-from the rest, and each matrix of a stacked call by the call's leading
-dimensions, so a whole-matrix, unsymmetric or per-row spectrum cannot come
-back unnoticed, and the shape of every ``numpy.linalg.solve`` of the rows
-and of Newton, so a stack of M(kappa) over the rows cannot either.
+regular by one Cholesky factorization per step, without a spectrum.  The
+grid-doubling certificate reads the ten lowest eigenvalues of its store on
+the doubled grid from the blocks' certified low windows, Ritz pairs of
+leading and trailing Fourier blocks of at most a quarter of a block's order,
+so it takes no whole-block spectrum.  This test counts the order of every
+``numpy.linalg`` eigensolve and Cholesky factorization of one ``gnlstab
+pipeline --modes 128`` run, Newton's apart from the rest, and each matrix of
+a stacked call by the call's leading dimensions, so a whole-matrix,
+unsymmetric or per-row spectrum, or a whole-block one on the doubled grid,
+cannot come back unnoticed, and the shape of every ``numpy.linalg.solve`` of
+the rows and of Newton, so a stack of M(kappa) over the rows cannot either.
 """
 
 import json
@@ -42,7 +46,7 @@ def _inside(qualname: str) -> bool:
 
 
 def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, capsys):
-    orders, row_solves, newton = [], [], []
+    orders, row_solves, newton, windows, certificate = [], [], [], [], []
 
     def counted(name, solve):
         def wrapper(a, *args, **kwargs):
@@ -53,6 +57,10 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
             (newton if _inside("newton_refine") else orders).extend(entries)
             if _inside("_Reduction.solve"):
                 row_solves.extend(entries)
+            if _inside("_ritz_end"):
+                windows.extend(entries)
+            if _inside("_certificate") and not _inside("newton_refine"):
+                certificate.extend(entries)
             return solve(a, *args, **kwargs)
 
         return wrapper
@@ -97,11 +105,21 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     outside = sorted(order for name, order in orders if name == "eigh")
     ritz = [order for name, order in row_solves if name == "eigh"]
     assert ritz == [12] * growing
-    for order in ritz:
+    # the low windows of the blocks: Ritz pairs of a leading or trailing
+    # block, each of at most a quarter of its block's order, on the wave's
+    # grid (blocks of order N/2 + 1 and N/2 - 1) and the doubled one
+    assert windows and {name for name, _ in windows} == {"eigh"}
+    assert max(order for _, order in windows) <= (N + 1) // 4
+    for order in ritz + [order for _, order in windows]:
         outside.remove(order)
     assert outside == [N // 2 - 1, N // 2 + 1]
-    # the largest solve is the certificate's eigvalsh of one sector at 2N
-    assert max(order for _, order in orders) <= N + 1
+    # the largest solves are the whole block spectra of the wave's own grid,
+    # which the L1/L2 export reads; the certificate's store on the doubled
+    # grid proves its ten values from low windows alone
+    whole = sorted(order for name, order in orders if name == "eigvalsh")
+    assert whole == [N // 2 - 1] * 2 + [N // 2 + 1] * 2
+    assert max(order for _, order in orders) == N // 2 + 1
+    assert certificate and set(certificate) <= set(windows)
     # the Newton polish of the even wave takes no spectrum of its Jacobian L1
     # on the cosine sector: per step, one linear solve, a Rayleigh-Ritz step
     # on ten trial vectors and one Cholesky factor that proves its inertia

@@ -22,6 +22,9 @@ ALLOWED = [
     # the L1 and L2 spectra of a sector block, once per operator store
     ("eigvalsh", "hill.SectorBlock.l1_eigs"),
     ("eigvalsh", "hill.SectorBlock.l2_eigs"),
+    # the Ritz pairs of a leading or trailing Fourier block of one, for its
+    # certified low window
+    ("eigh", "hill._ritz_end"),
     # eigenpairs for an eigenfunction export
     ("eigh", "hill.spectrum"),
     # the Ritz steps: of the reduced rows on a trial span of k + 11 vectors,

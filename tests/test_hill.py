@@ -315,12 +315,17 @@ def test_spectrum_rejects_an_unknown_operator(even_ops):
 @pytest.mark.parametrize("label", ["Lcal", "L3", "l1"])
 def test_store_spectra_take_only_l1_and_l2(label):
     # any label but L1 and L2 is an error, not L2's spectrum: on the N=16
-    # constant wave Lcal has 32 eigenvalues and L2 16
+    # constant wave Lcal has 32 eigenvalues and L2 16; the store reads Lcal
+    # as the union of its blocks' L1 and L2, and nothing else
     ops = hill_operators(constant_wave(2.0, 1.0, TWO_PI, 16))
-    assert ops.eigenvalues("L2").size == 16 and ops.lcal_eigenvalues().size == 32
-    for owner in (ops, *ops.blocks):
+    assert ops.low_spectrum("L2", count=None).values.size == 16
+    assert ops.low_spectrum("Lcal", count=None).values.size == 32
+    reads = [b.eigenvalues for b in ops.blocks] + [b.window for b in ops.blocks]
+    if label != "Lcal":
+        reads.append(lambda label: ops.low_spectrum(label, count=None))
+    for read in reads:
         with pytest.raises(ParameterError, match=f"'L1' or 'L2', got {label!r}"):
-            owner.eigenvalues(label)
+            read(label)
 
 
 @pytest.mark.parametrize("name", ["even", "const"])
@@ -328,7 +333,7 @@ def test_propositions_and_h4_gate_the_negative_eigenvalue_by_one_rule(name, requ
     # "negative eigenvalue simple" and (H4) read one helper on the same Lcal,
     # of the full-space "auto" store of an even wave and of the constant state
     ops = request.getfixturevalue(f"{name}_ops")
-    simple, gap = _one_simple_negative(spectrum(ops, "Lcal"))
+    simple, gap = _one_simple_negative(spectrum(ops, "Lcal", lowest=2))
     check = {c.name: c for c in check_propositions(ops).checks}["negative eigenvalue simple"]
     h4 = verify_hypotheses(ops).h4
     assert check.passed == h4["passed"] == simple
@@ -345,7 +350,7 @@ def test_eigenfunction_export_leaves_the_spectrum_as_the_store_has_it(odd_wave, 
     exported = spectrum(ops, which, n_eigenfunctions=3)
     assert len(exported.lowest_eigenfunctions) == 3
     assert exported.eigenvalues.tobytes() == spectrum(ops, which).eigenvalues.tobytes()
-    assert exported.eigenvalues.tobytes() == ops.eigenvalues(which).tobytes()
+    assert exported.eigenvalues.tobytes() == ops.low_spectrum(which, count=None).values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +359,8 @@ def test_eigenfunction_export_leaves_the_spectrum_as_the_store_has_it(odd_wave, 
 
 def dense_summary(op: OperatorMatrix):
     """Counts of the dense eigh of a composed matrix, by the same counting rule."""
-    return _summarize(op.label, op.wave_id, scipy.linalg.eigh(op.entries, eigvals_only=True), None)
+    whole = hill._whole(scipy.linalg.eigh(op.entries, eigvals_only=True))
+    return _summarize(op.label, op.wave_id, lambda level: whole, None)
 
 
 @pytest.mark.parametrize("size", [128, 256])

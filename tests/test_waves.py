@@ -565,6 +565,29 @@ def test_a_failed_certificate_leaves_the_decision_to_the_spectrum(monkeypatch, t
     assert factors and spectra == factors == [(65, 65)] * len(factors)
 
 
+def test_newton_evaluates_each_iterates_residual_once(monkeypatch):
+    # one residual of the input, which the basin check and the first step
+    # share, one of each trial, an accepted trial's being the next step's,
+    # and the polished record's own: steps + 2 where no step is damped (the
+    # loop used to evaluate each iterate's residual twice, 2 steps + 3)
+    fields, field = [], waves.ode_residual_field
+
+    def counted_field(phi, alpha, omega):
+        fields.append(phi.values.tobytes())
+        return field(phi, alpha, omega)
+
+    seed = perturbed_dnoidal_seed()
+    expected = newton_refine(seed)
+    monkeypatch.setattr(waves, "ode_residual_field", counted_field)
+    steps = counted(monkeypatch, "solve")
+    polished = newton_refine(seed)
+    assert polished.phi.values.tobytes() == expected.phi.values.tobytes()
+    assert polished.ode_residual_norm == expected.ode_residual_norm
+    assert len(steps) >= 2 and len(fields) == len(steps) + 2
+    # no iterate's residual is evaluated twice in a row
+    assert all(a != b for a, b in zip(fields, fields[1:-1]))
+
+
 # ---------------------------------------------------------------------------
 # accepted-wave bookkeeping
 

@@ -7,13 +7,18 @@ O(sqrt(n)) matrix products.  The first test counts both on one ``gnlstab
 pipeline --modes 128`` run, and the size of the report it writes, so per-row
 output or a per-sample product cannot come back unnoticed.
 
-L1 and L2 are assembled and diagonalized once per wave, block by parity
-sector, and never on the full basis: one operator store serves the spectra,
-propositions, hypotheses, scan, certificate and DNS.
-The other tests count the assemblies and the eigensolves of L1 and L2
-blocks of a pipeline, of ``gnlstab verify`` and of ``gnlstab spectrum``, so
-a consumer that re-assembles or re-solves them cannot come back unnoticed.
-The last counts the spectra of a wave solve: its Newton polish takes none.
+L1 and L2 are assembled once per wave, block by parity sector, and never
+on the full basis: one operator store serves the spectra, propositions,
+hypotheses, scan, certificate and DNS.  A block is diagonalized whole at
+most once, for the L1/L2 export and the scan, or where its certified low
+window (the Ritz pairs of a leading and a trailing block of at most a
+quarter of its order, which is all the counts, propositions, hypotheses and
+certificate read) cannot be proven.  The other tests count the assemblies
+and the eigensolves of L1 and L2 blocks of a pipeline, of ``gnlstab
+verify`` and of ``gnlstab spectrum``, so a consumer that re-assembles or
+re-solves them cannot come back unnoticed.  The last count the spectra of a
+wave solve, whose Newton polish takes none, and of ``gnlstab verify`` at
+N = 512, which takes no whole-block spectrum.
 """
 
 import math
@@ -153,8 +158,14 @@ def test_pipeline_assembles_and_solves_each_operator_once(tmp_path, monkeypatch,
     assert census.matrices == []
     # each of the four sector blocks of L1 and L2 (orders N/2+1, N/2-1) solved
     # once for its spectrum, and L2's two once more with vectors for the scan
-    at_n = [(name, order) for name, order, _ in census.solves if order <= N // 2 + 1]
+    at_n = [(name, order) for name, order, _ in census.solves if order in (N // 2 - 1, N // 2 + 1)]
     assert len(at_n) <= 6
+    # the certificate's store on the doubled grid takes no whole-block
+    # spectrum: its low windows solve leading and trailing blocks of at most
+    # a quarter of a block's order, N/2 + 1 of the doubled grid's
+    assert max(order for _, order, _ in census.solves) <= N // 2 + 1
+    windows = [order for _, order, _ in census.solves if order not in (N // 2 - 1, N // 2 + 1)]
+    assert windows and max(windows) <= (N + 1) // 4
     # the DNS prediction reuses the scan's assembly and reductions
     assert [s for s in census.solves if s[2]] == []
 
@@ -174,9 +185,13 @@ def test_verify_assembles_and_solves_each_operator_once(wave_file, tmp_path, mon
     # held as assembled per sector block, with no full-basis matrix, ...
     assert sorted(census.assemblies) == [("cosine", N, False)] * 2 + [("sine", N, False)] * 2
     assert census.matrices == []
-    # ... and one eigvalsh of each of their cosine and sine blocks
+    # ... and their low windows: L2 on the cosine block is proven from its
+    # leading and trailing 16 modes, a quarter of its order; L1 on it needs
+    # more and takes its whole spectrum, as both do on the sine block, whose
+    # order N/2 - 1 = 63 is below the 64 of the smallest window
     assert sorted(census.solves) == sorted(
-        ("eigvalsh", order, False) for order in (N // 2 + 1, N // 2 - 1) * 2
+        [("eigh", 16, False)] * 4
+        + [("eigvalsh", order, False) for order in (N // 2 + 1, N // 2 - 1, N // 2 - 1)]
     )
 
 
@@ -217,3 +232,17 @@ def test_solve_polishes_the_wave_without_a_spectrum(tmp_path, monkeypatch, capsy
     assert "[wave_solver] even-a2-w1" in capsys.readouterr().out
     assert [name for name, _ in calls if name == "eigvalsh"] == []
     assert calls and set(calls) == {("cholesky", (257, 257))}
+
+
+def test_verify_takes_no_whole_block_spectrum_at_n512(tmp_path, monkeypatch, capsys):
+    # the verify workload's wave at N = 512, sector blocks of orders 257 and
+    # 255: the propositions and the hypotheses read only the low windows of
+    # L1 and L2, each proven from a leading and a trailing block of at most
+    # a quarter of its block's order, and no eigvalsh of a block is taken
+    census = Census(monkeypatch)
+    argv = ["verify", "--alpha", "2", "--omega", "1", "--parity", "even",
+            "--tau", "auto:amplitude=1.5", "--modes", "512", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "verification passed" in capsys.readouterr().out
+    assert census.solves and {name for name, _, _ in census.solves} == {"eigh"}
+    assert max(order for _, order, _ in census.solves) <= 255 // 4
