@@ -324,20 +324,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _scan_range(args, ops: HillOperators):
-    """kappa grid from the flags.  A subcommand without scan flags (``dns``)
-    gets the default grid, which ends just past the uniform-positivity
-    threshold K of :func:`transverse_threshold`."""
+def _scan(args, ops: HillOperators):
+    """The scan of the store over the kappa grid of the flags.  A subcommand
+    without scan flags (``dns``) gets the default grid, which ends just past
+    the uniform-positivity threshold K of :func:`transverse_threshold`."""
     kappa_min, kappa_max, steps = (
         getattr(args, name, None) for name in ("kappa_min", "kappa_max", "kappa_steps")
     )
-    if kappa_max is None:
-        with _stage("instability_scanner"):
+    with _stage("instability_scanner"):
+        if kappa_max is None:
             k = transverse_threshold(ops)[1]
-        kappa_max = 1.1 * k if k > 0 else 1.0
-    kappa_min = kappa_min if kappa_min is not None else 0.0
-    steps = steps if steps is not None else 60
-    return float(kappa_min), float(kappa_max), int(steps)
+            kappa_max = 1.1 * k if k > 0 else 1.0
+        kappa_min = kappa_min if kappa_min is not None else 0.0
+        steps = steps if steps is not None else 60
+        return scan_kappa(ops, float(kappa_min), float(kappa_max), int(steps))
 
 
 def cmd_scan(args) -> int:
@@ -346,8 +346,7 @@ def cmd_scan(args) -> int:
     wave = _obtain_wave(args)
     with _stage("instability_scanner"):
         ops = hill_operators(wave, args.sector or "auto")
-        kappa_min, kappa_max, steps = _scan_range(args, ops)
-        result = scan_kappa(ops, kappa_min, kappa_max, steps)
+        result = _scan(args, ops)
     if "json" in formats:
         _write(out, "scan.json", serialize.dumps(result))
     if "csv" in formats:
@@ -392,10 +391,7 @@ def cmd_dns(args) -> int:
         ops = hill_operators(wave, args.sector or "auto")
     kappa = args.kappa
     if kappa is None:
-        kappa_min, kappa_max, steps = _scan_range(args, ops)
-        with _stage("instability_scanner"):
-            result = scan_kappa(ops, kappa_min, kappa_max, steps)
-        kappa = result.most_unstable.kappa
+        kappa = _scan(args, ops).most_unstable.kappa
         print(f"[instability_scanner] most unstable kappa on default grid: {kappa:.6g}")
     with _stage("dns_validator"):
         gm = evolve_and_fit(ops, float(kappa), evolution)
@@ -482,9 +478,7 @@ def cmd_pipeline(args) -> int:
         if not getattr(hypotheses, f"h{k}")["passed"]:
             print(f"[instability_scanner] H{k}: FAILED")
 
-    kappa_min, kappa_max, steps = _scan_range(args, ops)
-    with _stage("instability_scanner"):
-        result = scan_kappa(ops, kappa_min, kappa_max, steps)
+    result = _scan(args, ops)
     peak = result.most_unstable
     print(
         f"[instability_scanner] {result.verdict}; peak growth {peak.max_real_part:.6g} "

@@ -16,7 +16,7 @@ operator store (the even potential makes the block problem a direct sum of a
 cosine and a sine block): RK4's from the sector's block, Strang's from the
 grid step applied to the sector's basis states.  Both sample their n norms
 in blocks of ceil(sqrt(n)) states, each block one matrix product from the
-last, and check the growth envelope block by block.
+last, and check the whole norm history against the growth envelope.
 """
 from __future__ import annotations
 
@@ -228,18 +228,17 @@ def _strang_matrix(step: Callable, basis: ParityBasis) -> np.ndarray:
     return basis.grid.spacing * np.hstack([w1 @ rows.T, w2 @ rows.T]).T
 
 
-def _samples(parts: list, stride: int, last: int, count: int):
-    """Norms of a run at count samples: the first count - 1 lie stride steps
-    apart, the last comes last steps after the one before it.  parts holds
-    each parity sector's one-step matrix, RK4's or Strang's, and initial
-    state; the sectors' norms squared add.
+def _samples(parts: list, stride: int, last: int, count: int) -> np.ndarray:
+    """The norms of a run at count samples, as one array: the first count -
+    1 lie stride steps apart, the last comes last steps after the one before
+    it.  parts holds each parity sector's one-step matrix, RK4's or
+    Strang's, and initial state; the sectors' norms squared add.
 
     The regular samples come in blocks of b = ceil(sqrt(count - 1)) columns
     per sector: b sequential leaps of stride steps seed the first block, and
     one product with the precomputed leap^b advances a block to the next, so
     a run makes O(sqrt(count)) matrix products and keeps O(d sqrt(count))
-    states.  Each block's norms are yielded as one array before the next
-    block is computed.
+    states besides the count norms.
     """
     regular = count - 1
     b = math.isqrt(regular - 1) + 1
@@ -251,10 +250,11 @@ def _samples(parts: list, stride: int, last: int, count: int):
             y = block[:, j] = leap @ y
         blocks.append(block)
     powers = [np.linalg.matrix_power(leap, b) for leap in leaps]
-    done = 0
+    norms, done = np.empty(count), 0
     while True:
-        yield np.sqrt(sum(np.einsum("ij,ij->j", block, block) for block in blocks))
-        done += blocks[0].shape[1]
+        stop = done + blocks[0].shape[1]
+        norms[done:stop] = np.sqrt(sum(np.einsum("ij,ij->j", block, block) for block in blocks))
+        done = stop
         if done == regular:
             break
         blocks = [power @ block[:, : regular - done] for power, block in zip(powers, blocks)]
@@ -263,7 +263,8 @@ def _samples(parts: list, stride: int, last: int, count: int):
         ys = [leap @ y for leap, y in zip(leaps, ys)]
     else:
         ys = [np.linalg.matrix_power(phi, last) @ y for (phi, _), y in zip(parts, ys)]
-    yield np.array([math.sqrt(sum(float(y @ y) for y in ys))])
+    norms[-1] = math.sqrt(sum(float(y @ y) for y in ys))
+    return norms
 
 
 def evolve_and_fit(
@@ -336,29 +337,22 @@ def evolve_and_fit(
                 phi = _strang_matrix(strang, block.basis)
             parts.append((phi, y))
     norm0 = math.sqrt(sum(float(y @ y) for _, y in parts))
-    samples = _samples(parts, stride, steps - stride * (marks.size - 1), marks.size)
-
-    norms = np.empty(times.size)
-    norms[0] = norm0
     # growth beyond e^(3 max Re lambda t), with headroom for transients of the
     # non-normal system, means the time step is unstable
     limits = 1e3 * norm0 * np.exp(np.minimum(3.0 * max(predicted, 0.1) * times, 700.0))
-    start = 1
-    # a block may run on past its first failing sample into overflow; the
+    # a run may go on past its first failing sample into overflow; the
     # envelope reports that sample, so the overflow itself is not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for values in samples:
-            stop = start + values.size
-            bad = np.flatnonzero(~(values <= limits[start:stop]))  # a NaN fails too
-            if bad.size:
-                i = start + int(bad[0])
-                raise IntegratorError(
-                    f"norm reached {values[bad[0]]:g} at t={times[i]:g}, beyond the "
-                    f"predicted-rate envelope {limits[i]:g}; the time step dt={dt:g} looks "
-                    "unstable, try a smaller one"
-                )
-            norms[start:stop] = values
-            start = stop
+        sampled = _samples(parts, stride, steps - stride * (marks.size - 1), marks.size)
+        norms = np.concatenate([[norm0], sampled])
+        bad = np.flatnonzero(~(norms <= limits))  # a NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        raise IntegratorError(
+            f"norm reached {norms[i]:g} at t={times[i]:g}, beyond the "
+            f"predicted-rate envelope {limits[i]:g}; the time step dt={dt:g} looks "
+            "unstable, try a smaller one"
+        )
 
     if np.any(norms <= 0.0):
         raise IntegratorError("norm history is not positive; cannot fit a rate")

@@ -44,12 +44,12 @@ proves that every other mu clears the rounding floor of M
 beyond the rounding floor of its diagonalization (an odd wave in the full
 space at small kappa), where an L1 eigenvalue lies within its rounding floor
 of -kappa^2, or whose certificate fails (a mu within the floor of zero, next
-to kappa = 0 and at band edges), in any sector, take :func:`_dense_row`, one
-dense ``eig`` per sector, as :func:`instability_eigs` does; a failed
-certificate never decides a row.  Only an edge above an indefinite row is
-bisected.  Every stacked LAPACK and BLAS call solves each matrix as a call
-on it alone would, and no product behind a reported number mixes rows, so a
-row's pairs do not depend on its grid.
+to kappa = 0 and at band edges), in any sector, take the dense row of
+:func:`instability_eigs`, one ``eig`` per sector; a failed certificate never
+decides a row.  Only an edge above an indefinite row is bisected.  Every
+stacked LAPACK and BLAS call solves each matrix as a call on it alone would,
+and no product behind a reported number mixes rows, so a row's pairs do not
+depend on its grid.
 
 Each growth pair is certified by the residual of its lift v1 = Q (s * y) on
 the unreduced product P(kappa) = (L2 + kappa^2)(L1 + kappa^2), each written
@@ -91,7 +91,9 @@ from .hill import (
 
 # kept importable here: perfbench/tracer.py wraps scan.build_block by name
 from .hill import build_block  # noqa: F401
-from .spectral import ParityBasis, RealField, _plus_diagonal, _rayleigh_ritz, _rounding_floor
+from .spectral import (
+    ParityBasis, RealField, _lifted_cholesky, _plus_diagonal, _rayleigh_ritz, _rounding_floor
+)
 
 #: growth rates above this are reported as genuine instability
 UNSTABLE_THRESHOLD = 1e-6
@@ -301,12 +303,6 @@ class StabilityScan:
         return max(self.records, key=lambda r: r.max_real_part)
 
 
-def instability_eigs(ops: HillOperators, kappa: float) -> RowSolution:
-    """The dense row at one kappa (kappa = 0 allowed as diagnostic): each
-    parity sector's ``eig``, whatever the scan's rule would pick there."""
-    return _dense_row(ops, kappa)
-
-
 def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa: float) -> None:
     """lambda^2 of the ten largest |lambda| against eigvals of -(L2+k^2)(L1+k^2)."""
     nu = np.linalg.eigvals(-l2k @ l1k)
@@ -321,8 +317,9 @@ def _crosscheck(l2k: np.ndarray, l1k: np.ndarray, eigenvalues: np.ndarray, kappa
             )
 
 
-def _dense_row(ops: HillOperators, kappa: float) -> RowSolution:
-    """A row from one dense ``eig`` per parity sector.
+def instability_eigs(ops: HillOperators, kappa: float) -> RowSolution:
+    """The dense row at one kappa (kappa = 0 allowed as diagnostic): one
+    ``eig`` per parity sector, whatever the scan's rule would pick there.
 
     Each sector's spectrum is cross-checked against its own reduction
     (lambda^2 must be an eigenvalue of -(L2+k^2)(L1+k^2)) on its ten largest
@@ -491,19 +488,18 @@ class _Reduction:
 
     def _inverse_step(self, kappa, floor, theta, y) -> tuple:
         """One step of inverse iteration for each pair, the columns of each
-        row's y, shifted floor / d below its Ritz value ``theta``: a row
-        builds its M once, and each pair solves with its shift on a copy.
-        Then the pairs' Ritz values and vectors (a Rayleigh quotient for one
-        pair), and whether every pair of a row has converged: its residual on
-        M is within four rounding floors of |theta|, d eps |theta| each, so
-        that the vector, whose error is the residual over the gap, has
-        reached rounding."""
+        row's y, shifted floor / d below its Ritz value ``theta``: each pair
+        solves with its own M - shift (:meth:`matrix`).  Then the pairs'
+        Ritz values and vectors (a Rayleigh quotient for one pair), and
+        whether every pair of a row has converged: its residual on M is
+        within four rounding floors of |theta|, d eps |theta| each, so that
+        the vector, whose error is the residual over the gap, has reached
+        rounding."""
         dim, k = y.shape[1:]
         y, shifts = y.copy(), theta - (floor / dim)[:, None]
         for row, (k2, s) in enumerate(zip(_squares(kappa).tolist(), self.scale(kappa))):
-            m = self.matrix(k2, s)
             for j in range(k):
-                y[row, :, j] = _inverse_iteration(_plus_diagonal(m.copy(), -shifts[row, j]), y[row, :, j])
+                y[row, :, j] = _inverse_iteration(self.matrix(k2, s, shifts[row, j]), y[row, :, j])
         if k > 1:
             theta, y = _rayleigh_ritz(lambda z: self.apply(kappa, z), y)
         pairs = y.transpose(0, 2, 1)
@@ -562,13 +558,9 @@ class _Reduction:
         k2, s = _squares(kappa).tolist(), self.scale(kappa)
 
         def factors(row: int, shift: float) -> bool:
-            matrix, j = self.matrix(k2[row], s[row], shift), deflated[row]
-            matrix += (y[row, :, :j] * (np.abs(theta[row, :j]) + 2.0 * shift)) @ y[row, :, :j].T
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                return False
-            return True
+            j = deflated[row]
+            lift = np.abs(theta[row, :j]) + 2.0 * shift
+            return _lifted_cholesky(self.matrix(k2[row], s[row], shift), y[row, :, :j], lift)
 
         certified = np.zeros(len(kappa), dtype=bool)
         for m in set(deflated.tolist()):
@@ -598,7 +590,7 @@ class _Reduction:
         n, dim = len(kappa), self.d.size
         width = max(1, int(np.max(counts, initial=0)))
         mu, v1 = np.zeros((n, width)), np.zeros((n, width, dim))
-        mode, l1_mode = np.zeros((n, dim)), np.zeros((n, dim))
+        l1_mode = np.zeros((n, dim))
         low, high = np.zeros(n, dtype=int), np.full(n, dim)
         floor = self.floor(kappa)
         for k in sorted(set(counts.tolist())):
@@ -613,19 +605,19 @@ class _Reduction:
                 # matrix-vector product of its own: a column of the matrix
                 # product may differ from it in the last bits, with the
                 # blocking of the product
-                mode[rows] = lifted[:, :, 0] = (self.q @ (s * y[:, :, 0])[..., None])[..., 0]
+                lifted[:, :, 0] = (self.q @ (s * y[:, :, 0])[..., None])[..., 0]
                 # the Rayleigh quotient on the unscaled L1 + kappa^2 is second
                 # order in the error of y, and free of the eps ||M|| of M,
                 # which grows like the fourth power of the largest wavenumber.
                 # L1 + kappa^2 is applied to one row at a time: a product over
                 # the rows would round each row by the blocking of them all
                 pairs = lifted.transpose(0, 2, 1)
+                v1[rows, :k] = pairs
                 for i, (row, k2) in enumerate(zip(rows, _squares(kr).tolist())):
                     l1k = _plus_diagonal(self.l1.copy(), k2)
                     mu[row, :k] = _dots(pairs[i] @ l1k, pairs[i])
-                    l1_mode[row] = l1k @ mode[row]
+                    l1_mode[row] = l1k @ v1[row, 0]
                 mu[rows, :k] /= square
-                v1[rows, :k] = pairs
             # the certificate speaks of M: it takes the Ritz values on M, not
             # the quotients of the lifted pairs, which the residual gate checks
             m = np.count_nonzero(theta < -fr[:, None], axis=1)
@@ -635,7 +627,7 @@ class _Reduction:
             if not k and not certified.all():
                 failed = rows[~certified]
                 low[failed] = self._pairs(kappa[failed], floor[failed], 0)[0]
-        return _SectorRows(counts, mu, v1, mode, l1_mode, low, high)
+        return _SectorRows(counts, mu, v1, l1_mode, low, high)
 
     def _gate(self, kappa, what: str, error, size, mu=None) -> None:
         """NumericalConsistencyError at the worst row unless error <= bound (a
@@ -731,11 +723,10 @@ class _SectorRows:
     #: the growth pairs' mu of each row, lowest first, padded with zeros to
     #: the widest row
     mu: np.ndarray
-    #: the lifted v1 of each growth pair, (rows, pairs, d) likewise
+    #: the lifted v1 of each growth pair, (rows, pairs, d) likewise; the
+    #: lowest, ``v1[:, 0]``, is the mode a row writes, zero where it has none
     v1: np.ndarray
-    #: each row's lowest growth pair: v1, the mode a row writes, and
-    #: (L1 + kappa^2) v1; zero where a row has none
-    mode: np.ndarray
+    #: (L1 + kappa^2) v1 of each row's lowest growth pair
     l1_mode: np.ndarray
     #: what each row proves of M(kappa): at least ``low`` mu below -floor
     #: and, where its certificate holds, at most ``high`` mu below +floor
@@ -814,10 +805,8 @@ def _reduced_rows(basis: ParityBasis, reductions: tuple, kappa) -> list:
     for sector, (reduction, sector_rows) in enumerate(zip(reductions, solved)):
         written = np.flatnonzero((lead == sector) & (growth > VECTOR_LEVEL))
         rate = growth[written]
-        v2 = -sector_rows.l1_mode[written] / rate[:, None]
-        coeff = _unit_rows(
-            _lift(reduction.rows, basis.dimension, np.concatenate([sector_rows.mode[written], v2], 1))
-        )
+        v1, v2 = sector_rows.v1[written, 0], -sector_rows.l1_mode[written] / rate[:, None]
+        coeff = _unit_rows(_lift(reduction.rows, basis.dimension, np.concatenate([v1, v2], 1)))
         # the sign of _normalize_mode: the first entry above 1e-8 is positive
         first = np.argmax(np.abs(coeff) > 1e-8, axis=1)
         coeff = _unit_rows(coeff * np.sign(np.take_along_axis(coeff, first[:, None], axis=1)))
@@ -845,7 +834,7 @@ def _solve_rows(ops: HillOperators, kappa) -> list:
     whole grid per sector where it applies, else each sector's dense
     ``eig``."""
     rows = _reduced_rows(ops.basis, _Reduction.sectors(ops), kappa)
-    return [row if row is not None else _dense_row(ops, k) for row, k in zip(rows, kappa)]
+    return [row if row is not None else instability_eigs(ops, k) for row, k in zip(rows, kappa)]
 
 
 def growth_row(ops: HillOperators, kappa: float) -> RowSolution:
@@ -912,7 +901,7 @@ def scan_kappa(
         while hi - lo > EDGE_RESOLUTION:
             mid = 0.5 * (lo + hi)
             bisections += 1
-            g_mid = _dense_row(ops, mid).max_real_part - EDGE_LEVEL
+            g_mid = instability_eigs(ops, mid).max_real_part - EDGE_LEVEL
             if g_mid == 0.0:
                 lo = hi = mid
                 break
@@ -966,13 +955,19 @@ def transverse_threshold(ops: HillOperators) -> tuple[float, float, float]:
     read from the store's certified low window (``low_spectrum``), so
     (0, sqrt(lambda0)) is the band of the inertia law; K = sqrt(lambda0) *
     (1 + 1e-6) and S(kappa) >= beta = K^2 - lambda0 for every kappa >= K.
-    Where lambda0 <= 0, K = 0 and beta = -lambda0.
+    Where lambda0 <= 0, K = 0 and beta = -lambda0.  A lambda0 within the
+    rounding floor of the window's max|lambda| (a kernel eigenvalue, as the
+    translation mode on an even wave's odd sector) reads as 0: its sign and
+    its square root would be rounding.
     """
-    lambda0 = -float(ops.low_spectrum("Lcal").values[0])
+    window = ops.low_spectrum("Lcal")
+    floor = _rounding_floor(ops.basis.dimension, float(np.max(np.abs(window.extremes))))
+    lambda0 = -float(window.values[0]) if abs(window.values[0]) > floor else 0.0
     if lambda0 > 0.0:
         k = float(np.sqrt(lambda0) * (1.0 + 1e-6))
         return lambda0, k, k**2 - lambda0
-    return lambda0, 0.0, -lambda0
+    # |lambda0| = -lambda0 here, and 0.0 rather than -0.0 at lambda0 = 0
+    return lambda0, 0.0, abs(lambda0)
 
 
 def verify_hypotheses(

@@ -323,6 +323,20 @@ def _plus_diagonal(matrix: np.ndarray, shift: float) -> np.ndarray:
     return matrix
 
 
+def _lifted_cholesky(matrix: np.ndarray, y: np.ndarray, lift: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of the symmetric matrix + Y diag(lift)
+    Y^T, built in place on ``matrix``, succeeds: with lift >= 0 a rank-m
+    semidefinite update, which raises no eigenvalue past the next one, so a
+    factorization proves the (m+1)-th eigenvalue of ``matrix`` positive for
+    rounding (Rump, Verification of positive definiteness, BIT 46, 2006)."""
+    matrix += (y * lift) @ y.T
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _rayleigh_ritz(apply, y: np.ndarray) -> tuple:
     """The Ritz values, ascending, and vectors of each symmetric matrix M of
     a stack on the span of the columns of its y, a (rows, d, k) stack, with

@@ -40,6 +40,7 @@ from .spectral import (
     ParityBasis,
     PeriodicGrid,
     RealField,
+    _lifted_cholesky,
     _plus_diagonal,
     _rayleigh_ritz,
     _rounding_floor,
@@ -408,24 +409,19 @@ def _certified_regular(jac: np.ndarray, trial: np.ndarray) -> bool:
     ``trial`` bound its eigenvalues from above: the m below -F prove m
     eigenvalues below -F.  J + Y diag(2|theta| + 2F) Y^T, Y their Ritz
     vectors, is a rank-m semidefinite update of J, so its lowest eigenvalue
-    is at most lambda_{m+1} of J, which a Cholesky factorization of it less
-    F and its rounding floor proves above F (Rump, BIT 46, 2006).  A lift of
-    |theta| + 2F would not do: a one-step Ritz vector off its eigenvector by
-    an angle g leaves that eigenvalue near 2F - |theta| g^2, below F for
-    g^2 > F / |theta|."""
+    is at most lambda_{m+1} of J, which one Cholesky factorization of it
+    less F and its rounding floor (:func:`_lifted_cholesky`) proves above F
+    (Rump, BIT 46, 2006).  A lift of |theta| + 2F would not do: a one-step
+    Ritz vector off its eigenvector by an angle g leaves that eigenvalue
+    near 2F - |theta| g^2, below F for g^2 > F / |theta|."""
     d = jac.shape[0]
     norm = float(np.linalg.norm(jac, np.inf))
     margin = 1e-12 * norm + _rounding_floor(d, norm)
     (theta,), (y,) = _rayleigh_ritz(lambda x: jac @ x, trial[None])
     low = theta < -margin
     lift, y = 2.0 * (np.abs(theta[low]) + margin), y[:, low]
-    jac += (y * lift) @ y.T
     _plus_diagonal(jac, -margin - _rounding_floor(d, norm + np.max(lift, initial=0.0)))
-    try:
-        np.linalg.cholesky(jac)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _lifted_cholesky(jac, y, lift)
 
 
 def newton_refine(wave: WaveProfile) -> WaveProfile:

@@ -32,7 +32,7 @@ ALLOWED = [
     ("eigh", "spectral._rayleigh_ritz"),
     # the dense rows and their lambda^2 cross-check
     ("eigvals", "scan._crosscheck"),
-    ("eig", "scan._dense_row"),
+    ("eig", "scan.instability_eigs"),
     # L2 = Q D Q^T of a sector, once per operator store
     ("eigh", "scan._Reduction._of"),
     # Newton's guard, where its certificate fails

@@ -165,7 +165,7 @@ def test_sector_steps_match_the_whole_block(even_wave, even_ops, even_scan, seed
         phi = rk4_step_matrix(block, run.time_step)
         counts = np.diff(steps)
         sampled = _samples([(phi, y)], counts[0], counts[-1], counts.size)
-        norms = np.concatenate([[np.linalg.norm(y)], *sampled])
+        norms = np.concatenate([[np.linalg.norm(y)], sampled])
         assert np.array_equal(run.norms, norms)
 
 

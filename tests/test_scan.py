@@ -32,7 +32,6 @@ from gnlstab.scan import (
     _Reduction,
     _band_end,
     _crosscheck,
-    _dense_row,
     _fixed_vector,
     _growth_block,
     _inverse_iteration,
@@ -46,10 +45,11 @@ from gnlstab.scan import (
     growth_row,
     instability_eigs,
     scan_kappa,
+    transverse_threshold,
     verify_hypotheses,
 )
 from gnlstab.spectral import COSINE, FULL, SINE, ParityBasis
-from gnlstab.waves import constant_wave, wave_at_resolution
+from gnlstab.waves import ProblemParams, constant_wave, solve_wave, wave_at_resolution
 
 TWO_PI = 2.0 * np.pi
 
@@ -204,7 +204,7 @@ def test_real_block_spectrum_stays_complex():
     ops = hill_operators(wave, "full")
     for _, block in ops.sectors():
         assert np.linalg.eig(_growth_block(block.l2, block.l1, kappa))[0].dtype == np.float64
-    eigs = _dense_row(ops, kappa)
+    eigs = instability_eigs(ops, kappa)
     assert eigs.eigenvalues.dtype == np.complex128
     q = ops.basis.frequencies() ** 2 + kappa**2
     rates = np.sqrt(q * (20.0 - q))
@@ -429,6 +429,23 @@ def test_indefinite_l2_rows_take_the_dense_solver(
         else:
             check_reduced_row(ops, row)
         assert_row_matches_dense(row, dense)
+
+
+def test_dense_rows_are_instability_eigs(odd_wave, monkeypatch):
+    # the scan's dense grid rows and bisection steps, and a dense growth_row,
+    # are the public dense row itself
+    calls = []
+
+    def counted(ops, kappa):
+        calls.append(kappa)
+        return instability_eigs(ops, kappa)
+
+    monkeypatch.setattr("gnlstab.scan.instability_eigs", counted)
+    scan = scan_kappa(hill_operators(odd_wave, "full"), 0.0, 1.0, 8)
+    assert scan.dense_rows + scan.dense_bisections >= 1
+    assert len(calls) == scan.dense_rows + scan.dense_bisections
+    assert growth_row(hill_operators(odd_wave), 0.0).path == "dense"
+    assert len(calls) == scan.dense_rows + scan.dense_bisections + 1
 
 
 def test_dense_rows_build_only_sector_blocks(odd_wave, monkeypatch):
@@ -1120,6 +1137,21 @@ def test_odd_hypotheses_pass(odd_hypotheses):
     assert odd_hypotheses.overall
     assert odd_hypotheses.sector == "odd"
     assert odd_hypotheses.h4["n_negative"] == 1
+
+
+@pytest.mark.parametrize("modes", [64, 128, 256, 512])
+def test_a_kernel_lambda0_reads_as_zero(modes):
+    # on an even wave's odd sector the lowest eigenvalue of S(0) is the
+    # translation mode phi', zero but for rounding of either sign: (H1) reads
+    # lambda0 = K = beta = 0 there, not the square root of rounding, and fails
+    params = ProblemParams(alpha=1.0, omega=1.0, period=12.0, tau=30.0, parity="even")
+    ops = hill_operators(solve_wave(params, modes), "odd")
+    threshold = transverse_threshold(ops)
+    assert threshold == (0.0, 0.0, 0.0) and not np.any(np.signbit(threshold))
+    report = verify_hypotheses(ops)
+    assert report.h1["beta"] == 0.0 and not report.h1["passed"]
+    assert not report.h4["passed"]
+    assert _band_end(ops, 0.0, 0.5, falling=True) == 0.0
 
 
 def test_constant_fails_hypotheses(const_ops):

@@ -1110,6 +1110,15 @@ def test_a_kappa_past_the_float_range_is_an_input_error(tmp_path, capsys, argv, 
     assert err.count("\n") == 1
 
 
+def test_the_default_grid_ends_at_one_where_lambda0_is_rounding(tmp_path):
+    # the odd sector of an even wave: lambda0 is the translation mode's
+    # rounding, so K = 0 and the default grid is [0, 1], not [0, 1.33e-8]
+    argv = ["scan", "--alpha", "1", "--omega", "1", "--period", "12", "--tau", "30",
+            "--parity", "even", "--sector", "odd", "--modes", "128"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert serialize.load(tmp_path / "scan.json").kappa_values[-1] == 1.0
+
+
 def test_a_large_kappa_below_the_limit_still_scans(tmp_path, capsys):
     assert main(["scan", "--kappa-max", "1e20"] + README_WAVE_32 + ["--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("[instability_scanner] no instability detected;")

@@ -332,3 +332,22 @@ def test_sample_function_checks_declared_parity():
     grid = build_grid(TWO_PI, 16)
     with pytest.raises(ParameterError):
         sample_function(grid, np.sin, EVEN)
+
+
+def test_a_lifted_cholesky_proves_the_next_eigenvalue():
+    # A has one negative eigenvalue theta; A - F I factors once lifted by
+    # 2 (|theta| + F) along theta's eigenvector, not unlifted, and not lifted
+    # along an orthogonal vector
+    theta, floor = -0.5, 0.1
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
+    a = (q * np.array([theta, 1.0, 2.0, 3.0, 4.0, 5.0])) @ q.T
+    a = 0.5 * (a + a.T)
+    shifted = a - floor * np.eye(6)
+    lift = np.array([2.0 * (abs(theta) + floor)])
+    assert spectral._lifted_cholesky(shifted.copy(), q[:, :1], lift)
+    assert not spectral._lifted_cholesky(shifted.copy(), q[:, :0], lift[:0])
+    assert not spectral._lifted_cholesky(shifted.copy(), q[:, 1:2], lift)
+    # the update is built in place
+    matrix = shifted.copy()
+    spectral._lifted_cholesky(matrix, q[:, :1], lift)
+    assert np.allclose(matrix, shifted + lift[0] * np.outer(q[:, 0], q[:, 0]))
