@@ -41,7 +41,7 @@ RK4_STABILITY = 2.8
 SCHEMES = ("explicit_rk4", "splitting_order2")
 SEEDS = ("leading_eigenvector", "random")
 
-#: cap on recorded samples per run; longer runs are downsampled
+#: cap on recorded samples per run after t = 0; longer runs are downsampled
 MAX_RECORDS = 2000
 
 
@@ -320,8 +320,9 @@ def evolve_and_fit(
     else:
         final_time = 10.0
     steps = int(math.ceil(_step_count(final_time, dt, f"kappa={kappa:g}")))
-    stride = max(1, steps // MAX_RECORDS)
-    # a sample every stride steps, and one at the last step
+    # a sample every stride steps, and one at the last step: at most
+    # MAX_RECORDS after t = 0
+    stride = -(-steps // MAX_RECORDS)
     marks = np.append(np.arange(stride, steps, stride), steps)
     times = np.concatenate([[0.0], marks * dt])
 

@@ -33,10 +33,11 @@ hypotheses and the time integrator's row at one kappa share one assembly
 and one diagonalization.
 
 :func:`scan_kappa` solves its whole grid in one reduced solve per sector,
-with array operations over the rows; a matrix of order d is built for one
-row at a time, and the trial spans over slices of at most BATCH_BYTES, so
-the memory grows by a few vectors per row.  No row takes a spectrum of
-M(kappa).  Where L2 + kappa^2 is semidefinite, a row has exactly
+with array operations over the rows: matrices of order d are built and
+applied in stacks over chunks of rows of at most a quarter of BATCH_BYTES,
+one stacked call per chunk, and the trial spans over slices of at most
+BATCH_BYTES, so the memory grows by a few vectors per row.  No row takes a
+spectrum of M(kappa).  Where L2 + kappa^2 is semidefinite, a row has exactly
 k = n(L1 + kappa^2) growth pairs by the inertia law and computes only those
 (:meth:`_Reduction.solve`), and one Cholesky factorization per class of rows
 proves that every other mu clears the rounding floor of M
@@ -113,7 +114,8 @@ SYMMETRY_TOL = 1e-8
 CROSSCHECK_RTOL = 1e-7
 
 #: bytes of complex distances that :func:`_symmetry_defect`, and of trial
-#: spans that :meth:`_Reduction._pairs`, holds at once
+#: spans that :meth:`_Reduction._pairs`, holds at once; stacks of d x d
+#: matrices in :class:`_Reduction` hold a quarter of it
 BATCH_BYTES = 4 * 2**20
 
 #: steps of inverse iteration a growth pair takes at most, from its Ritz start
@@ -148,6 +150,20 @@ def _squares(kappa) -> np.ndarray:
     product x * x with which numpy squares an array, and the stored documents
     hold rows squared by pow."""
     return np.array([k**2 for k in np.asarray(kappa, dtype=float).tolist()])
+
+
+def _slices(n: int, row_bytes: int) -> list:
+    """Consecutive slices of range(n), each of as many rows of ``row_bytes``
+    as BATCH_BYTES holds, one row at least."""
+    step = max(1, BATCH_BYTES // row_bytes)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _plus_copies(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """a + shift I for each entry of ``shift``, as a new stack of its shape."""
+    stack = np.empty(np.shape(shift) + a.shape)
+    stack[...] = a
+    return _plus_diagonal(stack, shift)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -195,10 +211,9 @@ def _symmetry_defect(eigenvalues: np.ndarray) -> float:
     over blocks of rows of at most BATCH_BYTES of complex distances each: the
     max of row minima is exact, so it does not depend on the blocks."""
     e = eigenvalues
-    rows = max(1, BATCH_BYTES // (16 * max(e.size, 1)))
     worst = 0.0
-    for start in range(0, e.size, rows):
-        lam = e[start : start + rows, None]
+    for part in _slices(e.size, 16 * max(e.size, 1)):
+        lam = e[part, None]
         negation = np.min(np.abs(lam + e[None, :]), axis=1)
         conjugation = np.min(np.abs(e[None, :] - np.conj(lam)), axis=1)
         worst = max(worst, float(np.max(negation)), float(np.max(conjugation)))
@@ -377,8 +392,10 @@ class _Reduction:
     form a Jordan block, and at band edges; the dense ``eig`` solves those.
 
     A row computes only its k growth pairs (:meth:`solve`), checked against
-    the unreduced product (:meth:`certify`).  Every method but
-    :meth:`matrix` takes an array of kappa and works on all its rows at once.
+    the unreduced product (:meth:`certify`).  Every method works on all the
+    rows of an array at once: the public ones take kappa, and the steps of
+    :meth:`solve` take the kappa^2 (:func:`_squares`), s (:meth:`scale`)
+    and floors (:meth:`floor`) that it computes once for its rows.
     """
 
     #: the sector's slice of the scan's basis
@@ -445,33 +462,38 @@ class _Reduction:
         count = np.count_nonzero(shifted < 0.0, axis=1)
         return np.where(self.semidefinite(kappa) & ~near, count, -1)
 
-    def scale(self, kappa) -> np.ndarray:
-        """s = sqrt(D + kappa^2) for each kappa, as rows."""
-        return np.sqrt(np.maximum(self.d + _squares(kappa)[:, None], 0.0))
+    def scale(self, k2: np.ndarray) -> np.ndarray:
+        """s = sqrt(D + kappa^2) for each k2 = kappa^2, as rows."""
+        return np.sqrt(np.maximum(self.d + k2[:, None], 0.0))
 
-    def matrix(self, k2: float, s: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """M(kappa) - shift at one kappa, from its k2 = kappa^2 and its row s
-        of :meth:`scale`, built in place in one d x d matrix;
-        M = diag(s) (A + kappa^2) diag(s) has the eigenvalues mu = -lambda^2."""
-        m = _plus_diagonal(self.a.copy(), k2)
-        m *= s[:, None]
-        m *= s
-        return _plus_diagonal(m, -shift)
+    def matrix(self, k2, s, shift=0.0) -> np.ndarray:
+        """M(kappa) - shift from k2 = kappa^2 and s, its row of :meth:`scale`:
+        one d x d matrix for a float k2 and one row s, else a stack over the
+        shape to which k2, s without its last axis and shift broadcast.  Each
+        is built in place in the same order: + kappa^2 on the diagonal, times
+        s by rows and by columns, - shift on the diagonal.  M = diag(s)
+        (A + kappa^2) diag(s) has the eigenvalues mu = -lambda^2."""
+        s = np.asarray(s)
+        shape = np.broadcast_shapes(np.shape(k2), s.shape[:-1], np.shape(shift))
+        m = _plus_copies(self.a, np.broadcast_to(k2, shape))
+        m *= s[..., :, None]
+        m *= s[..., None, :]
+        return _plus_diagonal(m, -np.asarray(shift))
 
-    def apply(self, kappa, x: np.ndarray) -> np.ndarray:
-        """M(kappa) x for each kappa and its (d, p) block of x, without
-        building M: s * ((A + kappa^2) (s * x))."""
-        s, k2 = self.scale(kappa)[:, :, None], _squares(kappa)[:, None, None]
+    def apply(self, k2, s, x: np.ndarray) -> np.ndarray:
+        """M(kappa) x for each k2 = kappa^2, its row s of :meth:`scale` and
+        its (d, p) block of x, without building M: s * ((A + kappa^2) (s * x))."""
+        s = s[:, :, None]
         sx = s * x
-        return s * (self.a @ sx + k2 * sx)
+        return s * (self.a @ sx + k2[:, None, None] * sx)
 
-    def floor(self, kappa) -> np.ndarray:
-        """Rounding floor of M(kappa) and of the product (L2+k^2)(L1+k^2), for each kappa."""
-        k2 = _squares(kappa)
+    def floor(self, k2) -> np.ndarray:
+        """Rounding floor of M(kappa) and of the product (L2+k^2)(L1+k^2), for
+        each k2 = kappa^2."""
         # ||L1||_2 = max|l|, so this bounds ||M(kappa)||_2
         return _rounding_floor(self.d.size, (self.d[-1] + k2) * (self.l1_norm + k2))
 
-    def _ritz_start(self, kappa, k: int) -> tuple:
+    def _ritz_start(self, k2, s, k: int) -> tuple:
         """Ritz values and vectors of each M(kappa) on the span of the trial
         vectors v: the wave phi, its potential |phi|^a, |phi|^a phi and the
         k + 8 lowest-wavenumber basis vectors, mapped to the coordinates of M
@@ -482,35 +504,37 @@ class _Reduction:
         which one step of inverse iteration takes to rounding.  It costs no
         solve."""
         trial = np.column_stack([self.wave_trial, self.q[: k + 8].T])
-        s = self.scale(kappa)[:, :, None]
-        y = np.divide(trial, s, out=np.zeros(s.shape[:2] + trial.shape[1:]), where=s > 0.0)
-        return _rayleigh_ritz(lambda x: self.apply(kappa, x), y)
+        scale = s[:, :, None]
+        y = np.divide(trial, scale, out=np.zeros(s.shape + trial.shape[1:]), where=scale > 0.0)
+        return _rayleigh_ritz(lambda x: self.apply(k2, s, x), y)
 
-    def _inverse_step(self, kappa, floor, theta, y) -> tuple:
+    def _inverse_step(self, k2, s, floor, theta, y) -> tuple:
         """One step of inverse iteration for each pair, the columns of each
         row's y, shifted floor / d below its Ritz value ``theta``: each pair
-        solves with its own M - shift (:meth:`matrix`).  Then the pairs'
-        Ritz values and vectors (a Rayleigh quotient for one pair), and
-        whether every pair of a row has converged: its residual on M is
-        within four rounding floors of |theta|, d eps |theta| each, so that
-        the vector, whose error is the residual over the gap, has reached
-        rounding."""
+        solves with its own M - shift (:meth:`matrix`), one stacked solve for
+        each chunk of rows whose (rows, k, d, d) stack holds at most a quarter
+        of BATCH_BYTES.  Then the pairs' Ritz values and vectors (a Rayleigh
+        quotient for one pair), and whether every pair of a row has
+        converged: its residual on M is within four rounding floors of
+        |theta|, d eps |theta| each, so that the vector, whose error is the
+        residual over the gap, has reached rounding."""
         dim, k = y.shape[1:]
-        y, shifts = y.copy(), theta - (floor / dim)[:, None]
-        for row, (k2, s) in enumerate(zip(_squares(kappa).tolist(), self.scale(kappa))):
-            for j in range(k):
-                y[row, :, j] = _inverse_iteration(self.matrix(k2, s, shifts[row, j]), y[row, :, j])
+        shifts, start = theta - (floor / dim)[:, None], y.transpose(0, 2, 1)
+        y = np.empty_like(y)
+        for part in _slices(len(k2), 4 * k * dim * dim * 8):
+            shifted = self.matrix(k2[part, None], s[part, None], shifts[part])
+            y[part] = _inverse_iteration(shifted, start[part]).transpose(0, 2, 1)
         if k > 1:
-            theta, y = _rayleigh_ritz(lambda z: self.apply(kappa, z), y)
+            theta, y = _rayleigh_ritz(lambda z: self.apply(k2, s, z), y)
         pairs = y.transpose(0, 2, 1)
-        m_pairs = self.apply(kappa, y).transpose(0, 2, 1)
+        m_pairs = self.apply(k2, s, y).transpose(0, 2, 1)
         if k == 1:
             theta = _dots(m_pairs, pairs)
         residual = m_pairs - theta[..., None] * pairs
         converged = np.sqrt(_dots(residual, residual)) <= 4.0 * _rounding_floor(dim, np.abs(theta))
         return theta, y, np.all(converged, axis=1)
 
-    def _pairs(self, kappa, floor, k: int) -> tuple:
+    def _pairs(self, k2, s, floor, k: int) -> tuple:
         """(the number of Ritz values below -floor, theta, y, y^T y) of the
         k growth pairs of each row: a Rayleigh-Ritz step on a fixed trial
         span (:meth:`_ritz_start`), then up to INVERSE_STEPS steps of inverse
@@ -518,13 +542,12 @@ class _Reduction:
         spans hold at most BATCH_BYTES; a row's pairs do not depend on its
         slice.  y^T y is taken on the pairs as they lie in the span: a BLAS
         dot product rounds by its strides."""
-        n, dim = len(kappa), self.d.size
+        n, dim = len(k2), self.d.size
         low, theta, square = np.zeros(n, dtype=int), np.zeros((n, k)), np.zeros((n, k))
         y = np.zeros((n, dim, k))
-        step = max(1, BATCH_BYTES // (8 * dim * (k + 11)))
-        for part in (slice(start, start + step) for start in range(0, n, step)):
-            kr, fr = kappa[part], floor[part]
-            t, v = self._ritz_start(kr, k)
+        for part in _slices(n, 8 * dim * (k + 11)):
+            kr, sr, fr = k2[part], s[part], floor[part]
+            t, v = self._ritz_start(kr, sr, k)
             low[part] = np.count_nonzero(t < -fr[:, None], axis=1)
             t, v = t[:, :k], v[:, :, :k]
             # a row whose pairs the step leaves short of convergence takes
@@ -533,17 +556,20 @@ class _Reduction:
             for _ in range(INVERSE_STEPS):
                 if not todo.size:
                     break
-                t[todo], v[todo], converged = self._inverse_step(kr[todo], fr[todo], t[todo], v[todo])
+                t[todo], v[todo], converged = self._inverse_step(
+                    kr[todo], sr[todo], fr[todo], t[todo], v[todo]
+                )
                 todo = todo[~converged]
             theta[part], y[part], square[part] = t, v, _dots(v.transpose(0, 2, 1), v.transpose(0, 2, 1))
         return low, theta, y, square
 
-    def _definite(self, kappa, floor, theta, y, deflated) -> np.ndarray:
+    def _definite(self, k2, s, floor, theta, y, deflated) -> np.ndarray:
         """Whether each row proves mu_{m+1} > floor with its first m =
         ``deflated`` Ritz pairs deflated: Ritz values ``theta``, ascending,
         below -floor, and the columns of its ``y``.
 
-        A class is the rows of one m (and one k), in ascending kappa.  At a
+        A class is the rows of one m (and one k), in ascending kappa^2, the
+        order of kappa >= 0 (rows of one kappa^2 decide alike).  At a
         row, one Cholesky factorization of M + Y diag(|theta| + 2 F) Y^T - F,
         F the row's floor plus the class's largest, proves mu_{m+1} > F less
         the row's floor for rounding (Rump, Verification of positive
@@ -555,17 +581,15 @@ class _Reduction:
         too.  A row where it fails takes the test at its own floor, and the
         next row the class's: one factorization per class, two per failure."""
 
-        k2, s = _squares(kappa).tolist(), self.scale(kappa)
-
         def factors(row: int, shift: float) -> bool:
             j = deflated[row]
             lift = np.abs(theta[row, :j]) + 2.0 * shift
             return _lifted_cholesky(self.matrix(k2[row], s[row], shift), y[row, :, :j], lift)
 
-        certified = np.zeros(len(kappa), dtype=bool)
+        certified = np.zeros(len(k2), dtype=bool)
         for m in set(deflated.tolist()):
             rows = np.flatnonzero(deflated == m)
-            rows, top = rows[np.argsort(kappa[rows], kind="stable")], np.max(floor[rows])
+            rows, top = rows[np.argsort(k2[rows], kind="stable")], np.max(floor[rows])
             for i, row in enumerate(rows):
                 if factors(row, floor[row] + top):
                     certified[rows[i:]] = True
@@ -592,51 +616,54 @@ class _Reduction:
         mu, v1 = np.zeros((n, width)), np.zeros((n, width, dim))
         l1_mode = np.zeros((n, dim))
         low, high = np.zeros(n, dtype=int), np.full(n, dim)
-        floor = self.floor(kappa)
+        k2 = _squares(kappa)
+        s, floor = self.scale(k2), self.floor(k2)
         for k in sorted(set(counts.tolist())):
             rows = np.flatnonzero(counts == k)
-            kr, fr = kappa[rows], floor[rows]
+            kr, sr, fr = k2[rows], s[rows], floor[rows]
             theta, y = np.zeros((rows.size, 0)), np.zeros((rows.size, dim, 0))
             if k:
-                low[rows], theta, y, square = self._pairs(kr, fr, k)
-                s = self.scale(kr)
-                lifted = self.q @ (s[:, :, None] * y)
+                low[rows], theta, y, square = self._pairs(kr, sr, fr, k)
+                lifted = self.q @ (sr[:, :, None] * y)
                 # the lowest mode, the one a row writes, is lifted by a
                 # matrix-vector product of its own: a column of the matrix
                 # product may differ from it in the last bits, with the
                 # blocking of the product
-                lifted[:, :, 0] = (self.q @ (s * y[:, :, 0])[..., None])[..., 0]
+                lifted[:, :, 0] = (self.q @ (sr * y[:, :, 0])[..., None])[..., 0]
                 # the Rayleigh quotient on the unscaled L1 + kappa^2 is second
                 # order in the error of y, and free of the eps ||M|| of M,
                 # which grows like the fourth power of the largest wavenumber.
-                # L1 + kappa^2 is applied to one row at a time: a product over
-                # the rows would round each row by the blocking of them all
+                # L1 + kappa^2 is stacked over chunks of rows, one matrix per
+                # row: a stacked product applies each matrix of the stack as
+                # a product with it alone, and a product over the rows with
+                # one matrix would round each row by the blocking of them all
                 pairs = lifted.transpose(0, 2, 1)
                 v1[rows, :k] = pairs
-                for i, (row, k2) in enumerate(zip(rows, _squares(kr).tolist())):
-                    l1k = _plus_diagonal(self.l1.copy(), k2)
-                    mu[row, :k] = _dots(pairs[i] @ l1k, pairs[i])
-                    l1_mode[row] = l1k @ v1[row, 0]
+                for part in _slices(rows.size, 4 * dim * dim * 8):
+                    at, l1k = rows[part], _plus_copies(self.l1, kr[part])
+                    mu[at, :k] = _dots(pairs[part] @ l1k, pairs[part])
+                    l1_mode[at] = (l1k @ v1[at, 0, :, None])[..., 0]
                 mu[rows, :k] /= square
             # the certificate speaks of M: it takes the Ritz values on M, not
             # the quotients of the lifted pairs, which the residual gate checks
             m = np.count_nonzero(theta < -fr[:, None], axis=1)
-            certified = self._definite(kr, fr, theta, y, m)
+            certified = self._definite(kr, sr, fr, theta, y, m)
             low[rows] = np.maximum(low[rows], m)
             high[rows] = np.where(certified, m, dim)
             if not k and not certified.all():
                 failed = rows[~certified]
-                low[failed] = self._pairs(kappa[failed], floor[failed], 0)[0]
+                low[failed] = self._pairs(k2[failed], s[failed], floor[failed], 0)[0]
         return _SectorRows(counts, mu, v1, l1_mode, low, high)
 
-    def _gate(self, kappa, what: str, error, size, mu=None) -> None:
+    def _gate(self, kappa, what: str, error, size, mu=None, floor=None) -> None:
         """NumericalConsistencyError at the worst row unless error <= bound (a
         NaN fails): with ``mu`` a pair's residual, bound max(CROSSCHECK_RTOL
-        |mu|, 4 floor) * size; else the probe, bound 4 d eps size."""
+        |mu|, 4 floor) * size, ``floor`` its row's (:meth:`floor`); else the
+        probe, bound 4 d eps size."""
         if mu is None:
             bound = 4.0 * _rounding_floor(self.d.size, size)
         else:
-            bound = np.maximum(CROSSCHECK_RTOL * np.abs(mu), 4.0 * self.floor(kappa)) * size
+            bound = np.maximum(CROSSCHECK_RTOL * np.abs(mu), 4.0 * floor) * size
         bad = np.flatnonzero(~(error <= bound))
         if not bad.size:
             return
@@ -674,9 +701,9 @@ class _Reduction:
         u = v1 @ self.l1.T + shift * v1
         residual = u @ self.l2.T + shift * u - v1 * pair_mu[:, None]
         norms = np.linalg.norm(residual, axis=1), np.linalg.norm(v1, axis=1)
-        self._gate(kappa[row], "eigenpair", *norms, mu=pair_mu)
+        self._gate(kappa[row], "eigenpair", *norms, mu=pair_mu, floor=self.floor(k2[row]))
 
-        shift, scale = k2[:, None], self.scale(kappa)
+        shift, scale = k2[:, None], self.scale(k2)
         sz = scale * self.probe
         v = sz @ self.q.T
         u = v @ self.l1.T + shift * v
@@ -692,12 +719,13 @@ class _Reduction:
         second, so it takes :meth:`certify`'s bound, and a wrong v2 fails it."""
         d = coeff.shape[1] // 2
         w1, w2 = coeff[:, self.rows], coeff[:, d + self.rows.start : d + self.rows.stop]
-        k2, rates = _squares(kappa)[:, None], rate[:, None]
-        r1 = w2 @ self.l2.T + k2 * w2 - rates * w1
-        r2 = -(w1 @ self.l1.T + k2 * w1) - rates * w2
+        k2 = _squares(kappa)
+        shift, rates = k2[:, None], rate[:, None]
+        r1 = w2 @ self.l2.T + shift * w2 - rates * w1
+        r2 = -(w1 @ self.l1.T + shift * w1) - rates * w2
         residual = rate * np.sqrt(_dots(r1, r1) + _dots(r2, r2))
         norm = np.sqrt(_dots(w1, w1) + _dots(w2, w2))
-        self._gate(kappa, "growth mode", residual, norm, mu=-(rate**2))
+        self._gate(kappa, "growth mode", residual, norm, mu=-(rate**2), floor=self.floor(k2))
 
     def check_inertia(self, kappa, solved: "_SectorRows") -> None:
         """NumericalConsistencyError where a row proves a count of mu < 0

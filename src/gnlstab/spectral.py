@@ -316,10 +316,12 @@ def _rounding_floor(dimension: int, norm):
     return dimension * _EPS * norm
 
 
-def _plus_diagonal(matrix: np.ndarray, shift: float) -> np.ndarray:
-    """matrix + shift * I, in place on a C-ordered square matrix."""
-    diagonal = matrix.reshape(-1)[:: matrix.shape[0] + 1]
-    diagonal += shift
+def _plus_diagonal(matrix: np.ndarray, shift) -> np.ndarray:
+    """matrix + shift * I, in place on a C-ordered square matrix or stack of
+    them; an array ``shift`` holds one shift per matrix of the stack."""
+    n = matrix.shape[-1]
+    diagonal = matrix.reshape(matrix.shape[:-2] + (n * n,))[..., :: n + 1]
+    diagonal += np.asarray(shift)[..., None]
     return matrix
 
 

@@ -6,8 +6,9 @@ the whole N x N or 2N x 2N matrix, and every one of them is symmetric.  A
 scan takes no spectrum of any row's M(kappa): one Cholesky factorization per
 sector and class of rows (one growth-pair count k and one number of deflated
 pairs) certifies them, and its growth pairs come from a Rayleigh-Ritz step
-on a small trial span and inverse iteration, whose every linear solve takes
-one row's M(kappa) alone.  The wave's Newton polish proves its Jacobian
+on a small trial span and inverse iteration, one stacked linear solve per
+chunk of rows and sweep, each of whose matrices is one row's M(kappa) -
+shift.  The wave's Newton polish proves its Jacobian
 regular by one Cholesky factorization per step, without a spectrum.  The
 grid-doubling certificate reads the ten lowest eigenvalues of its store on
 the doubled grid from the blocks' certified low windows, Ritz pairs of
@@ -17,8 +18,9 @@ so it takes no whole-block spectrum.  This test counts the order of every
 pipeline --modes 128`` run, Newton's apart from the rest, and each matrix of
 a stacked call by the call's leading dimensions, so a whole-matrix,
 unsymmetric or per-row spectrum, or a whole-block one on the doubled grid,
-cannot come back unnoticed, and the shape of every ``numpy.linalg.solve`` of
-the rows and of Newton, so a stack of M(kappa) over the rows cannot either.
+cannot come back unnoticed, and the order of every matrix of each
+``numpy.linalg.solve`` of the rows and of Newton, and the number of the
+rows' solve calls, so a solve per row cannot come back either.
 """
 
 import json
@@ -27,6 +29,7 @@ import sys
 import numpy as np
 
 from gnlstab import cli
+from gnlstab.scan import BATCH_BYTES, INVERSE_STEPS
 
 N = 128
 STEPS = 40
@@ -67,11 +70,13 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    linear_solves, newton_steps, solve = [], [], np.linalg.solve
+    linear_solves, row_calls, newton_steps, solve = [], [], [], np.linalg.solve
 
     def shaped(a, b):
         if _inside("_Reduction.solve"):
-            linear_solves.append(np.shape(a))
+            # one entry per matrix, as ``counted`` records them, and one per call
+            linear_solves.extend([np.shape(a)[-2:]] * int(np.prod(np.shape(a)[:-2])))
+            row_calls.append(np.shape(a))
         if _inside("newton_refine"):
             newton_steps.append(np.shape(a))
         return solve(a, b)
@@ -96,8 +101,13 @@ def test_pipeline_solves_one_parity_sector_at_a_time(tmp_path, monkeypatch, caps
     assert sorted(factored) == [N // 2 - 1, N // 2 + 1, N // 2 + 1]
     assert [name for name, _ in orders if name == "cholesky"] == ["cholesky"] * 3
     # one step of inverse iteration per growth pair, each a solve with one
-    # row's M(kappa) - shift of the cosine sector, never a (rows, d, d) stack
+    # row's M(kappa) - shift of the cosine sector, in one stacked call per
+    # chunk of rows and sweep, not one per row and pair: a chunk's stack of
+    # d x d matrices holds a quarter of BATCH_BYTES
     assert linear_solves == [(N // 2 + 1, N // 2 + 1)] * growing
+    chunks = -(-growing // max(1, BATCH_BYTES // (4 * (N // 2 + 1) ** 2 * 8)))
+    assert len(row_calls) <= chunks * INVERSE_STEPS
+    assert len(row_calls) < 5
     # eigh with vectors for L2 of the reductions, once per sector, and in a
     # row only for its Rayleigh-Ritz step on the trial span of k + 11
     # vectors, k = 1 growth pair per row on this wave, so one of order 12 per

@@ -6,6 +6,7 @@ import pytest
 from gnlstab import evolve
 from gnlstab.errors import IntegratorError, ParameterError
 from gnlstab.evolve import (
+    MAX_RECORDS,
     EvolutionConfig,
     _samples,
     evolve_and_fit,
@@ -285,6 +286,17 @@ def test_stable_kappa_stays_bounded(const_ops):
     # oscillatory interference but must not come out positive
     assert run.fitted_rate <= 1e-3
     assert np.max(run.norms) <= 10.0 * run.norms[0]
+
+
+@pytest.mark.parametrize("steps", [2001, 3999, 7813])
+def test_a_long_run_keeps_at_most_max_records_samples(const_ops, steps):
+    # MAX_RECORDS caps the samples after t = 0, the last step's included, at
+    # the shortest stride that keeps to it: 7813 steps, the README
+    # pipeline's, keep every fourth step (1954 samples), not every third
+    run = evolve_and_fit(const_ops, 1.0, EvolutionConfig(time_step=4.0 / steps, final_time=4.0))
+    taken = int(np.rint(run.times[-1] / run.time_step))
+    assert taken > MAX_RECORDS
+    assert MAX_RECORDS // 2 < run.norms.size - 1 <= MAX_RECORDS
 
 
 def test_unstable_time_step_raises(even_ops, even_scan):

@@ -40,6 +40,7 @@ from gnlstab.scan import (
     _rayleigh_ritz,
     _reduced_rows,
     _solve_rows,
+    _squares,
     _symmetry_defect,
     evolution_block,
     growth_row,
@@ -595,10 +596,10 @@ def unreported_mu_moved(reduction, kappa, target):
     not report, the (k+1)-th of M(kappa), moves to ``target``: A + t w w^T
     with w = u / s, u its unit eigenvector, makes M + t u u^T, so every step
     of the row sees that M."""
-    kappa = np.array([kappa])
-    k = int(np.count_nonzero(reduction.l1_eigs + kappa[0] ** 2 < 0.0))
-    mu, u = np.linalg.eigh(reduction.matrix(kappa[0] ** 2, reduction.scale(kappa)[0]))
-    w = u[:, k] / reduction.scale(kappa)[0]
+    k2 = _squares([kappa])
+    k = int(np.count_nonzero(reduction.l1_eigs + k2[0] < 0.0))
+    mu, u = np.linalg.eigh(reduction.matrix(k2[0], reduction.scale(k2)[0]))
+    w = u[:, k] / reduction.scale(k2)[0]
     return dataclasses.replace(reduction, a=reduction.a + (target - mu[k]) * np.outer(w, w))
 
 
@@ -615,7 +616,7 @@ def test_certificate_rejects_an_unreported_mu_across_the_floor(even_wave, sector
     reductions = _Reduction.sectors(ops)
     assert reduced_row(ops.basis, reductions, kappa) is not None
     reduction = reductions[sector]
-    floor = reduction.floor(np.array([kappa]))[0]
+    floor = reduction.floor(_squares([kappa]))[0]
     tampered = list(reductions)
     tampered[sector] = unreported_mu_moved(reduction, kappa, 0.0 if target == "zero" else -2.0 * floor)
     try:
@@ -779,8 +780,8 @@ def test_a_class_certificate_starts_at_the_first_row_that_passes(even_wave, monk
     # class's test and, failing it, its own; the fifth passes the class's,
     # which proves every later row without another factorization
     sine = _Reduction.sectors(hill_operators(even_wave, "full"))[1]
-    kappa = np.array([0.0, 1e-4, 2e-4, 4e-4, 1e-3, 0.05, 0.5, 1.0, 1.8])
-    floor = sine.floor(kappa)
+    k2 = _squares([0.0, 1e-4, 2e-4, 4e-4, 1e-3, 0.05, 0.5, 1.0, 1.8])
+    s, floor = sine.scale(k2), sine.floor(k2)
     cholesky = np.linalg.cholesky
 
     def factors(matrix) -> bool:
@@ -791,7 +792,7 @@ def test_a_class_certificate_starts_at_the_first_row_that_passes(even_wave, monk
         return True
 
     # the decision of a row alone: one factorization of M(kappa) - floor
-    alone = [factors(sine.matrix(k**2, s, f)) for k, s, f in zip(kappa.tolist(), sine.scale(kappa), floor)]
+    alone = [factors(sine.matrix(*row)) for row in zip(k2, s, floor)]
     assert alone == [False] * 3 + [True] * 6
 
     calls = []
@@ -802,8 +803,9 @@ def test_a_class_certificate_starts_at_the_first_row_that_passes(even_wave, monk
         return cholesky(matrix)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
+    n = k2.size
     certified = sine._definite(
-        kappa, floor, np.zeros((kappa.size, 0)), np.zeros((kappa.size, sine.d.size, 0)), np.zeros(kappa.size, int)
+        k2, s, floor, np.zeros((n, 0)), np.zeros((n, sine.d.size, 0)), np.zeros(n, int)
     )
     assert certified.tolist() == alone
     # rows 0-3 fail the class's test, row 3 passes its own, row 4 the class's
@@ -812,9 +814,11 @@ def test_a_class_certificate_starts_at_the_first_row_that_passes(even_wave, monk
 
 
 def test_scan_builds_one_stack_at_a_time(even_wave):
-    # every M(kappa) is built in place for one row at a time, so the scan of
-    # 40 rows peaks under two (rows, d, d) stacks; a broadcast product
-    # s * (A + kappa^2) * s over the rows would hold two such stacks at once
+    # M(kappa) and L1 + kappa^2 are built in place in stacks over chunks of
+    # rows of at most a quarter of BATCH_BYTES (31 rows at d = 65), so the
+    # scan of 40 rows peaks under two (rows, d, d) stacks; a broadcast
+    # product s * (A + kappa^2) * s over all the rows would hold two such
+    # stacks at once
     ops = hill_operators(even_wave, "full")
     d = max(r.d.size for r in _Reduction.sectors(ops))
     assert d == 65
@@ -856,15 +860,28 @@ def test_scan_memory_holds_one_slice_of_trial_spans(even_wave):
     "name, sector", [("even", "full"), ("odd", "full"), ("const", "auto")]
 )
 def test_a_row_does_not_depend_on_its_slice(name, sector, request, monkeypatch):
-    # each row in a slice of its own writes the records of one slice of the
-    # whole grid byte for byte: a row's pairs, the dot products of its
-    # norms included, do not depend on the rows solved beside it
+    # each row in a slice of its own, and then in stacks of 1-3 d x d
+    # matrices inside one slice of trial spans, writes the records of the
+    # whole grid byte for byte, and so does each row solved alone: a row's
+    # pairs, the dot products of its norms included, do not depend on the
+    # rows solved beside it
     ops = hill_operators(request.getfixturevalue(f"{name}_wave"), sector)
     kappa = [float(k) for k in np.linspace(0.0, 4.0, 30)]
     whole = [repr(row.record()) for row in _solve_rows(ops, kappa)]
-    monkeypatch.setattr("gnlstab.scan.BATCH_BYTES", 1)
-    alone = [repr(row.record()) for row in _solve_rows(hill_operators(ops.wave, sector), kappa)]
-    assert alone == whole
+    reductions = _Reduction.sectors(ops)
+    d = max(r.d.size for r in reductions)
+    pairs = max(int(r.counts(kappa).max()) for r in reductions)
+    assert pairs == (2 if name == "const" else 1)
+    # a matrix stack holds a quarter of BATCH_BYTES: at order d, three rows'
+    # matrices of one pair or one row's of two, and the spans of every row
+    chunks = 4 * 3 * d * d * 8
+    assert chunks // (8 * d * (pairs + 11)) >= len(kappa)
+    for budget in (1, chunks):
+        monkeypatch.setattr("gnlstab.scan.BATCH_BYTES", budget)
+        stacked = [repr(row.record()) for row in _solve_rows(hill_operators(ops.wave, sector), kappa)]
+        assert stacked == whole
+        fresh = hill_operators(ops.wave, sector)
+        assert [repr(growth_row(fresh, k).record()) for k in kappa] == whole
 
 
 @pytest.mark.parametrize(
